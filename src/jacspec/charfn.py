@@ -54,10 +54,9 @@ class CharFnEvaluator:
     """Shared-state evaluator: one kappa table serves many z evaluations.
 
     Table growth is serialized by a lock and published prefixes are never
-    mutated, so evaluations may run from worker threads; for byte-identical
-    results across threads, grow once up front (a single warm-up eval) and
-    share read-only, since regrowing reanchors the backward sums at round-off
-    level.
+    mutated, so evaluations may run from worker threads.  The smallest kappa
+    count that failed to build is remembered, so the table capacity is probed
+    once per evaluator rather than once per term plan.
     """
 
     def __init__(self, src: CoefficientSource, max_terms: int = 20000):
@@ -70,12 +69,15 @@ class CharFnEvaluator:
         self._log_w0: list[float] = []
         self._sgn_w0: list[float] = []
         self._sum_upper: float | None = None
+        # smallest kappa count whose build failed (budget, coefficient
+        # horizon or no stable decay window); larger counts fail as well
+        self._failed_count: int | None = None
 
     # -- kappa table management -------------------------------------------
 
     def _grow(self, count: int) -> bool:
-        """Extend the kappa table to ``count`` entries; False when the budget
-        or the coefficient horizon is exceeded."""
+        """Extend the kappa table to ``count`` entries; False when the budget,
+        the coefficient horizon or the decay window does not allow it."""
         if count > self.max_terms:
             return False
         if count <= len(self._kappa):
@@ -83,10 +85,13 @@ class CharFnEvaluator:
         with self._grow_lock:
             if count <= len(self._kappa):
                 return True
+            if self._failed_count is not None and count >= self._failed_count:
+                return False
             try:
                 seq = kappa_sequence(self.src, count, max_terms=self.max_terms,
                                      engine=self._engine)
             except ConvergenceError:
+                self._failed_count = count
                 return False
             lp = self._engine.log_p
             sp = self._engine.sgn_p
@@ -225,19 +230,21 @@ class CharFnEvaluator:
         """Certified sign of F(x), tightening atol until the sign resolves.
 
         Returns (sign, CharFnValue); sign 0 means the sign could not be
-        certified within the budget (value too close to zero).
+        certified within the budget (value too close to zero).  Tightening
+        stops once |value| + tail_bound <= noise_estimate: the summation noise,
+        which no tighter atol reduces, then already covers the value.
         """
         a = atol
-        last = None
         while True:
             val = self.eval(x, a)
-            last = val
             s = val.sign_certified()
             if s != 0:
                 return s, val
             if not val.certified or a <= atol_floor:
-                return 0, last
+                return 0, val
             v = abs(val.value)
+            if v + val.tail_bound <= val.noise_estimate:
+                return 0, val
             # aim well below the magnitude we need to resolve
             a = max(min(a / shrink, v / 10.0), atol_floor)
 

@@ -24,6 +24,8 @@ from .qseries import QParams, require_certified_regime
 from .sources import ASC2Source, CoefficientSource, require_infinite
 
 _LADDER_STABILIZE = 0.01  # rung-to-rung stabilization as a fraction of tol
+_LADDER_ULPS = 8.0  # ... but never below this many ulp of the eigenvalue
+_OFFDIAG_LIMIT = math.sqrt(np.finfo(float).max)
 _MAX_WIDEN = 6
 
 
@@ -48,7 +50,9 @@ class TruncatedTridiagonal:
             raise ValueError("truncation size must be positive")
         diag = np.array([src.beta(i) - src.shift for i in range(n)], dtype=float)
         off = np.array([src.alpha(i) for i in range(n - 1)], dtype=float)
-        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        # the Sturm pivots use offdiag**2, so that must stay finite as well
+        if not (np.all(np.isfinite(diag))
+                and np.all(np.abs(off) < _OFFDIAG_LIMIT)):
             raise ValueError(
                 f"entries of the {n} x {n} truncation leave the float range"
             )
@@ -165,6 +169,10 @@ def check_spectral_config(src: CoefficientSource) -> None:
 def _ladder(src, k, tol, ladder_cap):
     """Double the truncation size until the k smallest roots stabilize.
 
+    Two rungs agree when each root moved by at most 0.01 tol or 8 ulp of
+    itself, whichever is larger; an absolute test alone is below one ulp
+    once the roots are large and could never be met.
+
     Returns (sizes, x_coarse, x_fine) for the last two rungs; x_coarse comes
     from the smaller truncation, so componentwise x_coarse >= x_fine >= lambda.
     """
@@ -176,7 +184,9 @@ def _ladder(src, k, tol, ladder_cap):
         n2 = 2 * n
         x_next = sturm_eigenvalues(TruncatedTridiagonal.from_source(src, n2), k, otol)
         sizes.append(n2)
-        if float(np.max(np.abs(x_prev - x_next))) <= _LADDER_STABILIZE * tol:
+        floor = np.maximum(_LADDER_STABILIZE * tol,
+                           _LADDER_ULPS * np.spacing(np.abs(x_next)))
+        if np.all(np.abs(x_prev - x_next) <= floor):
             return sizes, x_prev, x_next
         if n2 >= ladder_cap:
             return sizes, x_prev, x_next

@@ -32,6 +32,7 @@ from .spectrum import find_spectrum
 
 _REAL_ZS = (0.0, 0.4, -1.0, 2.7)
 _COMPLEX_Z = complex(1.3, 0.7)
+_TAIL_MAX_TERMS = 10000
 
 
 @dataclass
@@ -309,11 +310,37 @@ def check_trace_reconciliation(src, k=12, threshold=1e-6,
                            threshold=threshold, note=str(exc))
     res = find_spectrum(src, k, 1e-10, confirm="oracle")
     inv = [1.0 / lam for lam in res.eigenvalues]
-    ratio = inv[-1] / inv[-2]
-    tail = inv[-1] * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+    tail, model = _inverse_tail(res.eigenvalues)
     gap = abs(tr.value - (math.fsum(inv) + tail))
     return _result("trace_reconciliation", gap, threshold,
-                   f"{k} eigenvalues + geometric tail")
+                   f"{k} eigenvalues + {model} tail")
+
+
+def _inverse_tail(lams) -> tuple[float, str]:
+    """sum 1/lambda_m over the eigenvalues beyond the last of ``lams``.
+
+    Fits lambda_n = C rho^-n - s to the last three values (exact for the
+    shifted ASC-II spectrum q^-n - shift) and sums 1/(C rho^-m - s) over the
+    continuation.  A degenerate fit falls back to the plain geometric tail of
+    the last two values, which is the s = 0 case of the same model.
+    """
+    if len(lams) >= 3:
+        x0, x1, x2 = lams[-3:]
+        den = x0 + x2 - 2.0 * x1
+        s = (x1 * x1 - x0 * x2) / den if den > 0.0 else math.nan
+        rho = (x0 + s) / (x1 + s) if x1 + s > 0.0 else math.nan
+        if 0.0 < rho < 1.0 and x2 > 0.0 and x2 + s > 0.0:
+            terms = []
+            c = x2 + s
+            for _ in range(_TAIL_MAX_TERMS):
+                c /= rho
+                terms.append(1.0 / (c - s))
+                if terms[-1] <= 1e-18 * terms[0]:
+                    return math.fsum(terms), "shifted geometric"
+    inv_last, inv_prev = 1.0 / lams[-1], 1.0 / lams[-2]
+    ratio = inv_last / inv_prev
+    tail = inv_last * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+    return tail, "geometric"
 
 
 def check_w_factorization(src, n_block=10, threshold=1e-12, digits=0) -> CheckResult:

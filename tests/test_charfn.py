@@ -194,3 +194,76 @@ def test_evaluator_shared_across_threads(asc2_shifted):
         grown = list(pool.map(lambda z: cold.eval(z, 1e-12).value, zs))
     for a, b in zip(grown, serial):
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("args", [(0.5, 0.5, 0.5), (0.3, 0.3, 0.0)])
+def test_eval_independent_of_earlier_evaluations(args):
+    src = js.ASC2Source(*args)
+    fresh = js.CharFnEvaluator(src)
+    expected = [fresh.eval(z) for z in (1.0, 30.0, 120.0)]
+    used = js.CharFnEvaluator(src)
+    used.eval(200.0, 1e-30)
+    used.eval(250.0)
+    got = [used.eval(z) for z in (1.0, 30.0, 120.0)]
+    assert got == expected
+    assert all(v.certified for v in got)
+
+
+def _count_work(monkeypatch):
+    import jacspec.charfn as charfn
+    counts = {"evals": 0, "builds": 0}
+    orig_eval, orig_kappa = charfn.CharFnEvaluator.eval, charfn.kappa_sequence
+
+    def counted_eval(self, *args, **kwargs):
+        counts["evals"] += 1
+        return orig_eval(self, *args, **kwargs)
+
+    def counted_kappa(*args, **kwargs):
+        counts["builds"] += 1
+        return orig_kappa(*args, **kwargs)
+
+    monkeypatch.setattr(charfn.CharFnEvaluator, "eval", counted_eval)
+    monkeypatch.setattr(charfn, "kappa_sequence", counted_kappa)
+    return counts
+
+
+def test_certified_spectrum_work_gate(monkeypatch):
+    # failed kappa builds are not retried and futile sign tightening stops,
+    # so F evaluations and kappa builds stay a small multiple of k
+    counts = _count_work(monkeypatch)
+    res = js.find_spectrum(js.ASC2Source(0.5, 0.5, 0.5), 8, 1e-9)
+    assert res.methods == ["charfn-bisection"] * 8
+    assert counts["evals"] <= 60
+    assert counts["builds"] <= 16
+
+
+def test_capacity_probe_gate_beyond_ratio_cap(monkeypatch):
+    # q = 0.9: the kappa table never reaches a stable decay window, so every
+    # index falls back to the oracle; the failed build size is remembered
+    counts = _count_work(monkeypatch)
+    res = js.find_spectrum(js.ASC2Source(0.9, 0.9, 0.0), 6, 1e-9)
+    assert res.methods == ["oracle-ladder"] * 6
+    assert counts["builds"] <= 16
+
+
+def test_failed_build_size_is_remembered(monkeypatch):
+    ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5))
+    assert not ev._grow(5000)  # beyond the 2^900 coefficient horizon
+    counts = _count_work(monkeypatch)
+    assert not ev._grow(5000)
+    assert not ev._grow(6000)
+    assert counts["builds"] == 0
+    assert ev._grow(100)
+    assert counts["builds"] == 1
+
+
+def test_certified_sign_stops_at_noise_floor(monkeypatch):
+    # at lambda_8 = 127.5 the tail bound is ~1e-67 but the summation noise is
+    # ~4e-5 > |F|: tightening atol cannot resolve the sign, so one round ends it
+    ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5))
+    counts = _count_work(monkeypatch)
+    sign, val = ev.certified_sign(127.5, 1e-6)
+    assert sign == 0
+    assert val.certified
+    assert abs(val.value) + val.tail_bound <= val.noise_estimate
+    assert counts["evals"] == 1

@@ -220,3 +220,13 @@ def test_spectrum_explicit_family_rejected(capsys):
                            "--alphas", "1.0,1.0", "--betas", "3.0,3.0,3.0",
                            "--k", "2")
     assert code == 2
+
+
+def test_verify_large_roots_q03(capsys):
+    # lambda_12 ~ 5.6e5 at q = 0.3: the trace check's truncation ladder must
+    # stabilize at ulp level instead of doubling out of the float range
+    code, out, _ = run_cli(capsys, "verify", "--family", "asc2", "--q", "0.3",
+                           "--a", "0.3")
+    assert code == 0
+    rows = {r["check"]: r for r in parse_csv(out)}
+    assert rows["trace_reconciliation"]["status"] == "pass"

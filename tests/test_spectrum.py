@@ -237,3 +237,58 @@ def test_truncation_guard_nonfinite():
     src = js.ASC2Source(q=0.3, a=0.3)
     with pytest.raises(ValueError):
         js.TruncatedTridiagonal.from_source(src, 700)
+
+
+# float.hex eigenvalues recorded before the kappa-capacity memo and the
+# certified-sign noise stop; both changes must leave them bit-identical
+_GOLDEN = {
+    (0.5, 0.5, 0.5): (
+        ["0x1.0000000225118p-1", "0x1.800000011288ep+0", "0x1.bfffffffdd730p+1",
+         "0x1.dfffffffeeb99p+2", "0x1.effffffff75cep+3", "0x1.f7fffffffbae8p+4",
+         "0x1.fbfffffffdd74p+5", "0x1.fdfffffffeebbp+6"],
+        ["charfn-bisection"] * 8,
+    ),
+    (0.3, 0.3, 0.0): (
+        ["0x1.ffffffff7695dp-1", "0x1.aaaaaaaa886cep+1", "0x1.638e38e385acap+3",
+         "0x1.284bda12f4602p+5", "0x1.edd3c0ca4475ap+6", "0x1.9b85cb5339f13p+8",
+         "0x1.56ef7ec55af3ep+10", "0x1.1dc7944f21208p+12"],
+        ["charfn-bisection"] * 5 + ["oracle-ladder"] * 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("params", sorted(_GOLDEN))
+def test_find_spectrum_golden_bits(params):
+    eigs, methods = _GOLDEN[params]
+    res = js.find_spectrum(js.ASC2Source(*params), 8, 1e-9)
+    assert [float(x).hex() for x in res.eigenvalues] == eigs
+    assert res.methods == methods
+    assert res.unresolved == []
+
+
+def test_truncation_guard_squared_offdiagonal():
+    # q = 0.3: alpha_319 ~ 1e166 is finite but its square, used by the Sturm
+    # pivots, is not; the 320 x 320 block must be refused
+    src = js.ASC2Source(q=0.3, a=0.3)
+    js.TruncatedTridiagonal.from_source(src, 288)
+    with pytest.raises(ValueError, match="320 x 320"):
+        js.TruncatedTridiagonal.from_source(src, 320)
+
+
+def test_ladder_stops_at_ulp_level_for_large_roots():
+    # lambda_12 = 0.3^-11 ~ 5.6e5: 0.01 tol = 1e-12 is below one ulp there,
+    # so only the ulp-aware stabilization test lets the ladder end
+    src = js.ASC2Source(q=0.3, a=0.3)
+    res = js.find_spectrum(src, 12, 1e-10, confirm="oracle")
+    assert res.ladder == [48, 96]
+    assert all(x > 0 for x in res.eigenvalues)
+    for n, lam in enumerate(res.eigenvalues):
+        assert abs(lam - 0.3 ** -n) <= 1e-10 + 1e-12 * 0.3 ** -n
+
+
+def test_oracle_overflow_raises_instead_of_negative_eigenvalues():
+    # the k = 40 ladder for q = 0.3 still cannot stabilize before the float
+    # range ends; it must raise rather than return garbage
+    src = js.ASC2Source(q=0.3, a=0.3)
+    with pytest.raises(ValueError, match="320 x 320"):
+        js.find_spectrum(src, 40, 1e-10, confirm="oracle")

@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 
 import jacspec as js
 from conftest import random_pd_table
-from jacspec.verify import run_suite
+from jacspec.verify import check_trace_reconciliation, run_suite
 
 
 def _by_name(results):
@@ -56,3 +57,28 @@ def test_extended_precision_shrinks_maxima(asc2_shifted):
 def test_check_result_status_strings(asc2_shifted):
     results = run_suite(asc2_shifted)
     assert all(r.status in ("pass", "FAIL", "skip") for r in results)
+
+
+@pytest.mark.parametrize("params", [(0.7, 0.7, 0.05), (0.7, 0.7, -0.05),
+                                    (0.5, 0.5, 0.45), (0.5, 0.5, 0.55)])
+def test_trace_reconciliation_with_shift(params):
+    # the tail lambda_n = C rho^-n - s is fitted, so a shift no longer leaves
+    # a gap of order 1e-5 behind the twelve oracle eigenvalues
+    r = check_trace_reconciliation(js.ASC2Source(*params))
+    assert r.passed
+    assert r.max_residual <= 1e-8
+
+
+def test_trace_reconciliation_detects_planted_error(monkeypatch):
+    from jacspec import second_kind
+    orig = second_kind.trace_inverse
+
+    def off_by_1e5(*args, **kwargs):
+        tr = orig(*args, **kwargs)
+        return second_kind.TraceInverse(value=tr.value + 1e-5,
+                                        tail_bound=tr.tail_bound, terms=tr.terms)
+
+    monkeypatch.setattr(second_kind, "trace_inverse", off_by_1e5)
+    r = check_trace_reconciliation(js.ASC2Source(0.7, 0.7, 0.05))
+    assert not r.passed
+    assert r.max_residual == pytest.approx(1e-5, rel=1e-2)
