@@ -27,6 +27,7 @@ _LADDER_STABILIZE = 0.01  # rung-to-rung stabilization as a fraction of tol
 _LADDER_ULPS = 8.0  # ... but never below this many ulp of the eigenvalue
 _OFFDIAG_LIMIT = math.sqrt(np.finfo(float).max)
 _MAX_WIDEN = 6
+_SWEEP_POINTS = 256  # midpoints per Sturm sweep; a pass costs ~1 shift's time
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,12 @@ class TruncatedTridiagonal:
         return cls(diag=diag, offdiag=off)
 
 
+def _pivmin(off2: np.ndarray) -> float:
+    """Smallest pivot magnitude the Sturm count keeps, given offdiag**2."""
+    big = float(off2.max()) if off2.size else 1.0
+    return max(1.0, big) * 5e-308
+
+
 def sturm_counts(t: TruncatedTridiagonal, xs) -> np.ndarray:
     """Number of eigenvalues of the block below each shift in xs.
 
@@ -69,8 +76,7 @@ def sturm_counts(t: TruncatedTridiagonal, xs) -> np.ndarray:
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     diag = t.diag
     off2 = t.offdiag ** 2
-    big = float(off2.max()) if off2.size else 1.0
-    pivmin = max(1.0, big) * 5e-308
+    pivmin = _pivmin(off2)
     d = diag[0] - xs
     d = np.where(np.abs(d) < pivmin, -pivmin, d)
     count = (d < 0).astype(np.int64)
@@ -85,13 +91,27 @@ def sturm_eigenvalues(t: TruncatedTridiagonal, k: int, tol: float = 1e-10,
                       max_iter: int = 3000) -> np.ndarray:
     """The k smallest eigenvalues of the block, each within tol (or a few ulp).
 
-    Bisection on the Sturm count; all k brackets are narrowed in lockstep so
-    each sweep costs one vectorized pivot pass.
+    Bisection on the Sturm count, all k brackets in lockstep.  A sweep costs
+    one vectorized pivot pass whatever the number of shifts (up to a few
+    hundred), so each sweep counts the whole depth-D tree of midpoints below
+    every live bracket and then replays the D bisection steps from those
+    counts.  The tree holds exactly the floats one-step bisection would
+    visit, so the roots equal its roots bit for bit; max_iter still counts
+    bisection steps, not sweeps.
+
+    Raises ValueError when the pivot floor exceeds tol: the clamped pivots
+    would then move the roots by more than the tolerance.
     """
     if k < 0 or k > t.size:
         raise ValueError(f"need 0 <= k <= N, got k={k}, N={t.size}")
     if k == 0:
         return np.empty(0)
+    pivmin = _pivmin(t.offdiag ** 2)
+    if pivmin > tol:
+        raise ValueError(
+            f"pivot floor {pivmin:.3g} of the {t.size} x {t.size} truncation "
+            f"exceeds the bisection tolerance {tol:.3g}"
+        )
     radius = np.zeros(t.size)
     if t.size > 1:
         a = np.abs(t.offdiag)
@@ -100,19 +120,39 @@ def sturm_eigenvalues(t: TruncatedTridiagonal, k: int, tol: float = 1e-10,
     lo = np.full(k, float(np.min(t.diag - radius)))
     hi = np.full(k, float(np.max(t.diag + radius)))
     targets = np.arange(1, k + 1)
-    for _ in range(max_iter):
-        width = hi - lo
-        floor = np.maximum(tol, 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
-        active = width > floor
-        if not active.any():
-            break
-        mid = 0.5 * (lo + hi)
-        active &= (mid > lo) & (mid < hi)
-        if not active.any():
-            break
-        ge = sturm_counts(t, mid[active]) >= targets[active]
-        hi[active] = np.where(ge, mid[active], hi[active])
-        lo[active] = np.where(~ge, mid[active], lo[active])
+    live = np.arange(k)
+    steps = 0
+    while live.size and steps < max_iter:
+        m = live.size
+        depth = min(max(1, (_SWEEP_POINTS // m + 1).bit_length() - 1),
+                    max_iter - steps)
+        # level j of the tree: the 2**j midpoints of each bracket, in order
+        levels = []
+        a, b = lo[live, None], hi[live, None]
+        for _ in range(depth):
+            mid = 0.5 * (a + b)
+            levels.append(mid)
+            a = np.stack([a, mid], axis=2).reshape(m, -1)
+            b = np.stack([mid, b], axis=2).reshape(m, -1)
+        counts = sturm_counts(t, np.concatenate(levels, axis=1).ravel())
+        counts = counts.reshape(m, -1)
+        rows = np.arange(m)
+        node = np.zeros(m, dtype=np.intp)
+        going = np.ones(m, dtype=bool)
+        # replay one-step bisection down the tree; node indexes level j
+        x_lo, x_hi, target = lo[live], hi[live], targets[live]
+        for j, level in enumerate(levels):
+            mid = level[rows, node]
+            floor = np.maximum(
+                tol, 4.0 * np.spacing(np.maximum(np.abs(x_lo), np.abs(x_hi))))
+            going &= (x_hi - x_lo > floor) & (mid > x_lo) & (mid < x_hi)
+            ge = counts[rows, 2 ** j - 1 + node] >= target
+            x_hi = np.where(going & ge, mid, x_hi)
+            x_lo = np.where(going & ~ge, mid, x_lo)
+            node = 2 * node + ~ge
+        lo[live], hi[live] = x_lo, x_hi
+        live = live[going]
+        steps += depth
     return 0.5 * (lo + hi)
 
 

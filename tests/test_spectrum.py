@@ -292,3 +292,102 @@ def test_oracle_overflow_raises_instead_of_negative_eigenvalues():
     src = js.ASC2Source(q=0.3, a=0.3)
     with pytest.raises(ValueError, match="320 x 320"):
         js.find_spectrum(src, 40, 1e-10, confirm="oracle")
+
+
+def _plain_bisection(t, k, tol, max_iter):
+    """One midpoint per bracket per Sturm sweep: the reference loop."""
+    a = np.abs(t.offdiag)
+    radius = np.concatenate([a, [0.0]]) + np.concatenate([[0.0], a])
+    lo = np.full(k, float(np.min(t.diag - radius)))
+    hi = np.full(k, float(np.max(t.diag + radius)))
+    targets = np.arange(1, k + 1)
+    for _ in range(max_iter):
+        floor = np.maximum(tol, 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+        mid = 0.5 * (lo + hi)
+        active = (hi - lo > floor) & (mid > lo) & (mid < hi)
+        if not active.any():
+            break
+        ge = js.sturm_counts(t, mid[active]) >= targets[active]
+        hi[active] = np.where(ge, mid[active], hi[active])
+        lo[active] = np.where(~ge, mid[active], lo[active])
+    return 0.5 * (lo + hi)
+
+
+_MAX_ITERS = (1, 2, 5, 37, 3000)
+
+
+def test_subtree_bisection_matches_plain_bisection_random():
+    # rounded diagonals give tied eigenvalues, zero off-diagonals split the
+    # block; every k, tolerance and step budget must give the same floats
+    rng = np.random.RandomState(41)
+    for trial in range(320):
+        n = rng.randint(1, 40)
+        diag = rng.uniform(-4.0, 12.0, size=n)
+        off = rng.uniform(-2.0, 2.0, size=n - 1)
+        if trial % 2:
+            diag = np.round(diag)
+        if trial % 3 == 0:
+            off[rng.uniform(size=n - 1) < 0.3] = 0.0
+        t = js.TruncatedTridiagonal(diag=diag, offdiag=off)
+        k = rng.randint(0, n + 1)
+        tol = 10.0 ** rng.uniform(-15, -6)
+        max_iter = _MAX_ITERS[trial % len(_MAX_ITERS)]
+        got = js.sturm_eigenvalues(t, k, tol, max_iter)
+        assert np.array_equal(got, _plain_bisection(t, k, tol, max_iter))
+
+
+@pytest.mark.parametrize("params", [(0.5, 0.5, 0.5), (0.9, 0.9, 0.0),
+                                    (0.3, 0.3, 0.0), (0.6, 0.3, 0.5)])
+def test_subtree_bisection_matches_plain_bisection_asc2(params):
+    src = js.ASC2Source(*params)
+    for n, ks in ((1, (0, 1)), (9, (1, 6, 9)), (64, (0, 6, 40, 64)),
+                  (120, (1, 40))):
+        t = js.TruncatedTridiagonal.from_source(src, n)
+        for k in ks:
+            for tol, max_iter in ((1e-6, 3000), (1e-13, 3000), (1e-15, 37),
+                                  (1e-10, 5)):
+                got = js.sturm_eigenvalues(t, k, tol, max_iter)
+                assert np.array_equal(got, _plain_bisection(t, k, tol, max_iter))
+
+
+def test_pivot_floor_above_tolerance_is_refused():
+    # q = 0.3: at 296 rows offdiag**2 reaches ~3e307 and the pivot floor 1.4
+    # would move lambda_1 = 1 to -0.118; 270 rows (floor 9e-28) are still exact
+    src = js.ASC2Source(q=0.3, a=0.3)
+    t = js.TruncatedTridiagonal.from_source(src, 270)
+    assert np.allclose(js.sturm_eigenvalues(t, 3, 1e-13),
+                       [1.0, 10.0 / 3.0, 100.0 / 9.0], rtol=0, atol=1e-12)
+    t = js.TruncatedTridiagonal.from_source(src, 296)
+    with pytest.raises(ValueError, match="296 x 296"):
+        js.sturm_eigenvalues(t, 3, 1e-13)
+
+
+def _count_sweeps(monkeypatch):
+    import jacspec.spectrum as spectrum
+    calls = [0]
+    orig = spectrum.sturm_counts
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "sturm_counts", counted)
+    return calls
+
+
+def test_oracle_ladder_sweep_gate(monkeypatch):
+    # each sweep resolves several bisection levels per bracket
+    # (one-step bisection: 605 sweeps)
+    calls = _count_sweeps(monkeypatch)
+    res = js.find_spectrum(js.ASC2Source(0.9, 0.9, 0.0), 20, 1e-10,
+                           confirm="oracle")
+    assert res.ladder == [80, 160, 320, 640, 1280]
+    assert calls[0] <= 250
+
+
+def test_certified_spectrum_sweep_gate(monkeypatch):
+    # one-step bisection: 345 sweeps
+    calls = _count_sweeps(monkeypatch)
+    res = js.find_spectrum(js.ASC2Source(0.5, 0.5, 0.5), 8, 1e-9)
+    assert res.methods == ["charfn-bisection"] * 8
+    assert calls[0] <= 100
