@@ -22,6 +22,9 @@ from .sources import CoefficientSource, require_infinite
 
 # conservative working-precision constant for the summation noise estimate
 _NOISE_EPS = 6e-15
+# certified_sign divides atol by _SIGN_ATOL_STEP per round, down to _SIGN_ATOL_MIN
+_SIGN_ATOL_MIN = 1e-280
+_SIGN_ATOL_STEP = 100.0
 
 
 @dataclass(frozen=True)
@@ -202,7 +205,7 @@ class CharFnEvaluator:
         terms = []
         max_term = 0.0
         it = _scaled_iter(self.src, z)
-        for n, u, v, ls in it:
+        for n, u, v, ls, _ in it:
             if n >= n_terms:
                 break
             if u == 0:
@@ -225,8 +228,7 @@ class CharFnEvaluator:
                            method="partial_sum", terms_used=n_terms,
                            certified=certified, noise_estimate=noise)
 
-    def certified_sign(self, x: float, atol: float,
-                       atol_floor: float = 1e-280, shrink: float = 100.0):
+    def certified_sign(self, x: float, atol: float):
         """Certified sign of F(x), tightening atol until the sign resolves.
 
         Returns (sign, CharFnValue); sign 0 means the sign could not be
@@ -240,13 +242,13 @@ class CharFnEvaluator:
             s = val.sign_certified()
             if s != 0:
                 return s, val
-            if not val.certified or a <= atol_floor:
+            if not val.certified or a <= _SIGN_ATOL_MIN:
                 return 0, val
             v = abs(val.value)
             if v + val.tail_bound <= val.noise_estimate:
                 return 0, val
             # aim well below the magnitude we need to resolve
-            a = max(min(a / shrink, v / 10.0), atol_floor)
+            a = max(min(a / _SIGN_ATOL_STEP, v / 10.0), _SIGN_ATOL_MIN)
 
 
 def charfn_partial_sum(src: CoefficientSource, z, atol: float = 1e-12, *,
@@ -273,7 +275,7 @@ def charfn_ratio(src: CoefficientSource, z, n_max: int = 200) -> CharFnValue:
     zero = 0.0 + 0.0j if isinstance(z, complex) else 0.0
     prev = None
     cur = None
-    for (n, uz, vz, lz), (_, u0, v0, l0) in zip(it_z, it_0):
+    for (n, uz, vz, lz, _), (_, u0, v0, l0, _) in zip(it_z, it_0):
         if u0 == 0:
             raise AssumptionViolation(
                 f"P_{n}(0) = 0: source cannot be positive definite"

@@ -54,7 +54,6 @@ class RunConfig:
     gamma: float | None = None
     eig_tol: float = 1e-9
     atol: float = 1e-12
-    rtol: float = 1e-10
     max_terms: int = 20000
     precision_digits: int = 0
     confirm: str = "auto"
@@ -70,7 +69,6 @@ class RunConfig:
             "tolerances": {
                 "eig_tol": self.eig_tol,
                 "atol": self.atol,
-                "rtol": self.rtol,
                 "max_terms": self.max_terms,
                 "precision_digits": self.precision_digits,
             },
@@ -103,7 +101,6 @@ def load_config(path: str | None) -> RunConfig:
     tol = doc.get("tolerances", {})
     cfg.eig_tol = float(tol.get("eig_tol", cfg.eig_tol))
     cfg.atol = float(tol.get("atol", cfg.atol))
-    cfg.rtol = float(tol.get("rtol", cfg.rtol))
     cfg.max_terms = int(tol.get("max_terms", cfg.max_terms))
     cfg.precision_digits = int(tol.get("precision_digits", cfg.precision_digits))
     cfg.confirm = doc.get("confirm", cfg.confirm)
@@ -136,7 +133,7 @@ def apply_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         cfg.family = {"kind": "asc2", "q": args.q, "a": args.a}
     for flag, attr in (("shift", "shift"), ("gamma", "gamma"),
                        ("eig_tol", "eig_tol"), ("atol", "atol"),
-                       ("rtol", "rtol"), ("max_terms", "max_terms"),
+                       ("max_terms", "max_terms"),
                        ("precision", "precision_digits"),
                        ("confirm", "confirm"), ("out", "out"),
                        ("format", "format")):
@@ -153,7 +150,7 @@ def apply_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig, spectral: bool = False) -> None:
-    if not cfg.eig_tol > 0 or not cfg.atol > 0 or not cfg.rtol > 0:
+    if not cfg.eig_tol > 0 or not cfg.atol > 0:
         raise ConfigError("tolerances must be positive")
     if cfg.max_terms < 16:
         raise ConfigError("max_terms is too small to certify anything")
@@ -368,7 +365,6 @@ def _add_shared(p: argparse.ArgumentParser, family: bool = True):
     p.add_argument("--precision", type=int,
                    help="working precision in decimal digits (verify suite)")
     p.add_argument("--atol", type=float)
-    p.add_argument("--rtol", type=float)
     p.add_argument("--max-terms", dest="max_terms", type=int)
     p.add_argument("--gamma", type=float,
                    help="asserted lower spectral bound of the shifted matrix")

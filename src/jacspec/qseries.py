@@ -62,12 +62,7 @@ def qpoch(x, q: float, n: int | None = None):
         return qpoch_inf(x, q)[0]
     if n < 0:
         raise ValueError("n must be nonnegative")
-    p = 1.0 if not isinstance(x, complex) else 1.0 + 0.0j
-    qj = 1.0
-    for _ in range(n):
-        p *= 1.0 - x * qj
-        qj *= q
-    return p
+    return qpoch_seq(x, q, n)[n]
 
 
 def qpoch_inf(x, q: float):

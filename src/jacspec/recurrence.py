@@ -84,44 +84,46 @@ def _exp_signed(log_mag: float, sign):
 
 
 def _scaled_iter(src: CoefficientSource, z, second_kind: bool = False):
-    """Yield (n, u, v, log_scale) with X_n = u e^L and X_{n+1} = v e^L.
+    """Yield (n, u, v, log_scale, alpha_n) with X_n = u e^L and X_{n+1} = v e^L.
 
     X is the orthonormal sequence (X_0 = 1, X_1 = (z - b_0)/a_0) or, with
-    second_kind=True, the second-kind sequence (X_0 = 0, X_1 = 1/a_0).
-    The pair is renormalized whenever it leaves a safe magnitude window, so
-    the iteration itself never overflows.
+    second_kind=True, the second-kind sequence (X_0 = 0, X_1 = 1/a_0);
+    alpha_n is the coefficient of the step to X_{n+1}.  The pair is
+    renormalized whenever it leaves a safe magnitude window, so the iteration
+    itself never overflows.  This is the only reader of coefficients on the
+    scaled path and the only judge of the 2^900 horizon: it raises
+    ConvergenceError at the first index n whose coefficients reach it.
     """
-    a0, b0 = src.coeffs(0)
     one = 1.0 + 0.0j if isinstance(z, complex) else 1.0
-    if second_kind:
-        u, v = 0.0 * one, one / a0
-    else:
-        u, v = one, (z - b0) / a0
     log_scale = 0.0
-    a_prev = a0
     n = 0
-    yield n, u, v, log_scale
     while True:
-        n += 1
         a_n, b_n = src.coeffs(n)
         if not (a_n < _COEFF_HORIZON and abs(b_n) < _COEFF_HORIZON):
             raise ConvergenceError(
-                f"coefficients at n = {n} exceed the working-precision horizon"
+                f"coefficients exceed the working-precision horizon at n = {n}"
             )
-        u, v = v, ((z - b_n) * v - a_prev * u) / a_n
+        if n == 0:
+            if second_kind:
+                u, v = 0.0 * one, one / a_n
+            else:
+                u, v = one, (z - b_n) / a_n
+        else:
+            u, v = v, ((z - b_n) * v - a_prev * u) / a_n
+            s = max(abs(u), abs(v))
+            if s > _RESCALE_HI or s < _RESCALE_LO:
+                e = math.frexp(s)[1]
+                u = _ldexp2(u, -e)
+                v = _ldexp2(v, -e)
+                log_scale += e * _LN2
+        yield n, u, v, log_scale, a_n
         a_prev = a_n
-        s = max(abs(u), abs(v))
-        if s > _RESCALE_HI or s < _RESCALE_LO:
-            e = math.frexp(s)[1]
-            u = _ldexp2(u, -e)
-            v = _ldexp2(v, -e)
-            log_scale += e * _LN2
-        yield n, u, v, log_scale
+        n += 1
 
 
 def _pair_at(src, z, n, second_kind):
     it = _scaled_iter(src, z, second_kind=second_kind)
-    for idx, u, v, ls in it:
+    for idx, u, v, ls, _ in it:
         if idx == n:
             break
     log_u = ls + math.log(abs(u)) if u != 0 else -math.inf
@@ -159,7 +161,7 @@ def log_table(src: CoefficientSource, z, n_max: int, second_kind: bool = False):
     """
     logs = []
     signs = []
-    for n, u, v, ls in _scaled_iter(src, z, second_kind=second_kind):
+    for n, u, v, ls, _ in _scaled_iter(src, z, second_kind=second_kind):
         logs.append(ls + math.log(abs(u)) if u != 0 else -math.inf)
         signs.append(_phase(u))
         if n == n_max:
@@ -211,21 +213,14 @@ def eval_q_assoc(src: CoefficientSource, z, m: int, n: int):
 def q_assoc_forward(src: CoefficientSource, z, m: int, n: int):
     """Q_m^(n)(z) by forward substitution of the defining equations.
 
-    Starts from Q_n^(n) = 0, Q_{n+1}^(n) = 1/alpha_n and runs the recurrence.
-    Quadratic cost over a block; retained as the independent route for
-    checking eval_q_assoc.
+    Starts from Q_n^(n) = 0, Q_{n+1}^(n) = 1/alpha_n and runs the plain
+    recurrence over alpha_n .. alpha_{m-1}.  Quadratic cost over a block;
+    retained as the independent route for checking eval_q_assoc.
     """
     if m <= n:
         return 0.0 + 0.0j if isinstance(z, complex) else 0.0
-    a_n, _ = src.coeffs(n)
-    prev = 0.0 + 0.0j if isinstance(z, complex) else 0.0
-    cur = 1.0 / a_n
-    a_prev = a_n
-    for k in range(n + 1, m):
-        a_k, b_k = src.coeffs(k)
-        prev, cur = cur, ((z - b_k) * cur - a_prev * prev) / a_k
-        a_prev = a_k
-    return cur
+    alphas, betas = zip(*(src.coeffs(k) for k in range(n, m)))
+    return plain_values(alphas, betas, z, m - n, second_kind=True)[-1]
 
 
 @dataclass(frozen=True)
@@ -324,8 +319,8 @@ def plain_values(alphas, betas, z, n_max: int, second_kind: bool = False) -> lis
     """Unscaled recurrence values for generic numerics (floats, mpmath, complex).
 
     alphas/betas are raw coefficient sequences (already shifted if desired).
-    Used by the extended-precision verification path and by test oracles; not
-    overflow-safe.
+    Used by q_assoc_forward, the extended-precision verification path and test
+    oracles; not overflow-safe.
     """
     if second_kind:
         vals = [0 * z, 1 / alphas[0]]

@@ -53,31 +53,33 @@ class TailSeriesEngine:
         self.alphas: list[float] = []
         self.log_t: list[float] = []
         self.sgn_t: list = []
+        self._horizon: str | None = None  # message once the horizon is hit
 
     def ensure_terms(self, count: int) -> None:
         """Extend so that terms t_0 .. t_{count-1} are available.
 
         Raises ConvergenceError once the coefficient family leaves the float
         range (the working-precision horizon); everything already built stays
-        valid.  Prefixes are append-only, so readers of already-published
+        valid, and every later call that needs more terms raises the same
+        error.  Prefixes are append-only, so readers of already-published
         indices never need the growth lock.
         """
-        from .recurrence import _COEFF_HORIZON
         if len(self.log_t) >= count:
             return
         with self._grow_lock:
             while len(self.log_t) < count:
-                a_next, b_next = self.src.coeffs(len(self.log_p))
-                if not (a_next < _COEFF_HORIZON and abs(b_next) < _COEFF_HORIZON):
-                    raise ConvergenceError(
-                        f"coefficients exceed the working-precision horizon at "
-                        f"n = {len(self.log_p)}",
-                        terms=len(self.log_t),
-                    )
-                n, u, v, ls = next(self._iter)
+                if self._horizon is not None:
+                    raise ConvergenceError(self._horizon, terms=len(self.log_t))
+                try:
+                    n, u, v, ls, a_n = next(self._iter)
+                except ConvergenceError as exc:
+                    # the generator is finished once it raises; keep only the
+                    # message, since a kept traceback would pin its frames
+                    self._horizon = str(exc)
+                    continue
                 self.log_p.append(ls + math.log(abs(u)) if u != 0 else -math.inf)
                 self.sgn_p.append(_phase(u))
-                self.alphas.append(a_next)
+                self.alphas.append(a_n)
                 if n >= 1:
                     j = n - 1
                     lt = -(math.log(self.alphas[j])

@@ -40,10 +40,6 @@ class CoefficientSource:
     def is_finite(self) -> bool:
         return self.max_pair_index is not None
 
-    def descriptor(self) -> dict:
-        """JSON-serializable description for report metadata."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ASC2Source(CoefficientSource):
@@ -83,16 +79,9 @@ class ASC2Source(CoefficientSource):
             return math.inf
 
     @property
-    def params(self) -> QParams:
-        return QParams(self.q, self.a)
-
-    @property
     def natural_gamma(self) -> float:
         """Lower spectral bound 1 - shift implied by the W-factorization J >= 1."""
         return 1.0 - self.shift
-
-    def descriptor(self) -> dict:
-        return {"kind": "asc2", "q": self.q, "a": self.a, "shift": self.shift}
 
 
 @dataclass(frozen=True)
@@ -142,19 +131,6 @@ class TableSource(CoefficientSource):
     def max_truncation(self) -> int:
         """Largest N for which the N x N leading block is fully determined."""
         return min(len(self.alphas) + 1, len(self.betas))
-
-    def positivity_violations(self, n_max: int | None = None) -> list[int]:
-        """Indices n with alpha_n <= 0 (violating the standing assumption)."""
-        stop = len(self.alphas) if n_max is None else min(n_max + 1, len(self.alphas))
-        return [n for n in range(stop) if self.alphas[n] <= 0.0]
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": "explicit",
-            "alphas": list(self.alphas),
-            "betas": list(self.betas),
-            "shift": self.shift,
-        }
 
 
 def require_infinite(src: CoefficientSource, what: str) -> None:

@@ -28,6 +28,7 @@ _LADDER_ULPS = 8.0  # ... but never below this many ulp of the eigenvalue
 _OFFDIAG_LIMIT = math.sqrt(np.finfo(float).max)
 _MAX_WIDEN = 6
 _SWEEP_POINTS = 256  # midpoints per Sturm sweep; a pass costs ~1 shift's time
+_LADDER_CAP = 8192  # the ladder stops doubling at this truncation size
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,7 @@ def check_spectral_config(src: CoefficientSource) -> None:
         )
 
 
-def _ladder(src, k, tol, ladder_cap):
+def _ladder(src, k, tol):
     """Double the truncation size until the k smallest roots stabilize.
 
     Two rungs agree when each root moved by at most 0.01 tol or 8 ulp of
@@ -228,7 +229,7 @@ def _ladder(src, k, tol, ladder_cap):
                            _LADDER_ULPS * np.spacing(np.abs(x_next)))
         if np.all(np.abs(x_prev - x_next) <= floor):
             return sizes, x_prev, x_next
-        if n2 >= ladder_cap:
+        if n2 >= _LADDER_CAP:
             return sizes, x_prev, x_next
         n = n2
         x_prev = x_next
@@ -252,7 +253,7 @@ def _slope_estimate(j, oracle, tail_ratio):
 
 def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
                   gamma: float | None = None, max_terms: int = 20000,
-                  ladder_cap: int = 8192, confirm: str = "auto") -> SpectrumResult:
+                  confirm: str = "auto") -> SpectrumResult:
     """Locate the k smallest eigenvalues as certified zeros of F.
 
     confirm:
@@ -273,7 +274,7 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
     if gamma is None and isinstance(src, ASC2Source):
         gamma = src.natural_gamma
 
-    sizes, x_coarse, x_fine = _ladder(src, k, tol, ladder_cap)
+    sizes, x_coarse, x_fine = _ladder(src, k, tol)
     res.ladder = sizes
     otol = max(tol * 1e-3, 1e-15)
     if k > 1:
@@ -350,23 +351,18 @@ def _push_oracle(res, j, lam, bracket, method="oracle-ladder"):
     res.methods.append(method)
 
 
-def _sign_at(evaluator, x, atol):
-    s, val = evaluator.certified_sign(x, atol)
-    return s
-
-
 def _bisect_zero(evaluator, lo, hi, lo_clamp, hi_clamp, tol, atol):
     """Certified-sign bisection; returns (lambda, (lo, hi)) or None."""
-    s_lo = _sign_at(evaluator, lo, atol)
-    s_hi = _sign_at(evaluator, hi, atol)
+    s_lo = evaluator.certified_sign(lo, atol)[0]
+    s_hi = evaluator.certified_sign(hi, atol)[0]
     widen = 0
     base = hi - lo
     while (s_lo == 0 or s_hi == 0 or s_lo == s_hi) and widen < _MAX_WIDEN:
         widen += 1
         lo = max(lo - base * 2.0 ** widen, lo_clamp)
         hi = min(hi + base * 2.0 ** widen, hi_clamp)
-        s_lo = _sign_at(evaluator, lo, atol)
-        s_hi = _sign_at(evaluator, hi, atol)
+        s_lo = evaluator.certified_sign(lo, atol)[0]
+        s_hi = evaluator.certified_sign(hi, atol)[0]
     if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
         return None
     bracket = (lo, hi)
@@ -377,13 +373,13 @@ def _bisect_zero(evaluator, lo, hi, lo_clamp, hi_clamp, tol, atol):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        s_mid = _sign_at(evaluator, mid, atol)
+        s_mid = evaluator.certified_sign(mid, atol)[0]
         if s_mid == 0:
             # probe sits too close to the zero to certify; nudge sideways
             for frac in (0.125, -0.125, 0.25, -0.25):
                 probe = mid + frac * width
                 if lo < probe < hi:
-                    s_probe = _sign_at(evaluator, probe, atol)
+                    s_probe = evaluator.certified_sign(probe, atol)[0]
                     if s_probe != 0:
                         mid, s_mid = probe, s_probe
                         break

@@ -89,8 +89,11 @@ def _n_cap(src, want):
 # ---------------------------------------------------------------------------
 
 def check_coefficient_positivity(src, n_max=40) -> CheckResult:
-    n_stop = _n_cap(src, n_max)
-    violations = [n for n in range(n_stop + 1) if not src.alpha(n) > 0.0]
+    # every off-diagonal of the largest block a table determines
+    count = n_max + 1
+    if isinstance(src, TableSource):
+        count = min(count, src.max_truncation - 1)
+    violations = [n for n in range(count) if not src.alpha(n) > 0.0]
     if not violations:
         return _result("coefficient_positivity", 0.0, 0.0)
     worst = max(-src.alpha(n) for n in violations)
@@ -101,6 +104,9 @@ def check_coefficient_positivity(src, n_max=40) -> CheckResult:
 
 def check_recurrence(src, n_max=40, threshold=1e-12, digits=0) -> CheckResult:
     n_stop = _n_cap(src, max(n_max, 2))
+    if n_stop < 1:
+        return _skip("recurrence_residual", threshold,
+                     "table too short: no index n >= 1")
     zs = list(_REAL_ZS) + [_COMPLEX_Z]
     worst = 0.0
     if digits > 16:
@@ -129,6 +135,9 @@ def check_recurrence(src, n_max=40, threshold=1e-12, digits=0) -> CheckResult:
 
 def check_wronskian(src, m_max=12, threshold=1e-10, digits=0) -> CheckResult:
     m_stop = _n_cap(src, max(m_max, 3))
+    if m_stop < 1:
+        return _skip("wronskian_identity", threshold,
+                     "table too short: no pair m > n")
     zs = (0.0, -0.7, 0.4)
     worst = 0.0
     if digits > 16:
@@ -139,15 +148,13 @@ def check_wronskian(src, m_max=12, threshold=1e-10, digits=0) -> CheckResult:
             p = plain_values(alphas, betas, zc, m_stop)
             qv = plain_values(alphas, betas, zc, m_stop, second_kind=True)
             for n in range(m_stop):
-                fwd_prev, fwd = ctx.mpf(0), 1 / alphas[n]
+                fwd = plain_values(alphas[n:], betas[n:], zc, m_stop - n,
+                                   second_kind=True)
                 for m in range(n + 1, m_stop + 1):
                     cross = qv[m] * p[n] - p[m] * qv[n]
-                    den = abs(qv[m] * p[n]) + abs(p[m] * qv[n]) + abs(fwd)
+                    den = abs(qv[m] * p[n]) + abs(p[m] * qv[n]) + abs(fwd[m - n])
                     if den > 0:
-                        worst = max(worst, float(abs(cross - fwd) / den))
-                    if m <= m_stop - 1:
-                        fwd_prev, fwd = fwd, ((zc - betas[m]) * fwd
-                                              - alphas[m - 1] * fwd_prev) / alphas[m]
+                        worst = max(worst, float(abs(cross - fwd[m - n]) / den))
     else:
         for z in zs:
             for n in range(m_stop):
@@ -163,9 +170,12 @@ def check_wronskian(src, m_max=12, threshold=1e-10, digits=0) -> CheckResult:
 def check_green_identity(src, n_block=12, threshold=1e-10, digits=0) -> CheckResult:
     if isinstance(src, TableSource):
         n_block = min(n_block, src.max_pair_index + 1)
+    if n_block < 2:
+        return _skip("green_identity", threshold,
+                     "table too short: no 2 x 2 block")
     if digits > 16:
         ctx = _mp_context(digits)
-        alphas, betas = _mp_coeffs(src, n_block, ctx)
+        alphas, betas = _mp_coeffs(src, n_block - 1, ctx)
         p = plain_values(alphas, betas, ctx.mpf(0), n_block)
         qv = plain_values(alphas, betas, ctx.mpf(0), n_block, second_kind=True)
         g = [[qv[m] * p[n] - p[m] * qv[n] if m > n else ctx.mpf(0)
@@ -197,12 +207,15 @@ def check_resolvent_identity(src, n_block=12, threshold=1e-10, gamma=None,
                              digits=0) -> CheckResult:
     if isinstance(src, TableSource):
         n_block = min(n_block, src.max_pair_index + 1)
+    if n_block < 2:
+        return _skip("resolvent_identity", threshold,
+                     "table too short: no 2 x 2 block")
     xs = [0.0, 0.1]
     if gamma is not None:
         xs.append(0.3 * gamma)
     if digits > 16:
         ctx = _mp_context(digits)
-        alphas, betas = _mp_coeffs(src, n_block, ctx)
+        alphas, betas = _mp_coeffs(src, n_block - 1, ctx)
         worst = 0.0
         for x in xs:
             xv = ctx.mpf(x)
@@ -246,6 +259,9 @@ def check_two_route_second_kind(src, gamma, n_max=30, threshold=1e-10,
 
 def check_sign_patterns(src, n_max=40) -> CheckResult:
     n_stop = _n_cap(src, n_max)
+    if n_stop < 1:
+        return _skip("sign_patterns", 0.0,
+                     "table too short: no index n >= 1")
     logs_p, sgn_p = log_table(src, 0.0, n_stop)
     logs_q, sgn_q = log_table(src, 0.0, n_stop, second_kind=True)
     bad = 0

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from jacspec.cli import main
 
 
@@ -102,6 +104,28 @@ def test_verify_pass_and_fail_paths(capsys):
     assert rows["coefficient_positivity"]["status"] == "FAIL"
     assert rows["recurrence_residual"]["status"] == "pass"
     assert rows["w_factorization"]["status"] == "skip"
+
+
+@pytest.mark.parametrize("alphas, betas", [("1,0.5", "2,2,2"), ("1", "2,2")])
+def test_verify_short_tables(capsys, alphas, betas):
+    code, out, _ = run_cli(capsys, "verify", "--family", "explicit",
+                           f"--alphas={alphas}", f"--betas={betas}")
+    assert code == 0
+    rows = parse_csv(out)
+    assert len(rows) == 11
+    assert all(r["status"] in ("pass", "skip") for r in rows)
+
+
+@pytest.mark.parametrize("alphas, betas, bad", [
+    ("1,-0.5", "2,2,2", 1), ("1,1,1,1,-0.5", "2,2,2,2,2,2", 4)])
+def test_verify_positivity_of_the_last_off_diagonal(capsys, alphas, betas, bad):
+    code, out, err = run_cli(capsys, "verify", "--family", "explicit",
+                             f"--alphas={alphas}", f"--betas={betas}")
+    assert code == 3
+    rows = {r["check"]: r for r in parse_csv(out)}
+    assert rows["coefficient_positivity"]["status"] == "FAIL"
+    assert rows["coefficient_positivity"]["note"] == \
+        f"nonpositive off-diagonal at n in [{bad}]"
 
 
 def test_identities_defaults(capsys):

@@ -205,3 +205,30 @@ def test_resolvent_identity_random_table():
     rng = np.random.RandomState(5)
     src = random_pd_table(rng, 8)
     assert js.resolvent_identity_check(src, 0.1, 5) <= 1e-12
+
+
+def _forward_reference(src, z, m, n):
+    """Forward substitution as its own loop: the reference for q_assoc_forward."""
+    if m <= n:
+        return 0.0 + 0.0j if isinstance(z, complex) else 0.0
+    a_n, _ = src.coeffs(n)
+    prev = 0.0 + 0.0j if isinstance(z, complex) else 0.0
+    cur = 1.0 / a_n
+    a_prev = a_n
+    for k in range(n + 1, m):
+        a_k, b_k = src.coeffs(k)
+        prev, cur = cur, ((z - b_k) * cur - a_prev * prev) / a_k
+        a_prev = a_k
+    return cur
+
+
+def test_q_assoc_forward_equals_reference_loop():
+    rng = np.random.RandomState(19)
+    sources = [js.ASC2Source(0.5, 0.5, 0.5), js.ASC2Source(0.3, 0.3, 0.0)]
+    sources += [random_pd_table(rng, 14) for _ in range(4)]
+    for src in sources:
+        for z in (0.0, -0.7, 0.4, complex(1.3, 0.7)):
+            for n in range(13):
+                for m in range(n + 1, 14):
+                    got = js.q_assoc_forward(src, z, m, n)
+                    assert got == _forward_reference(src, z, m, n), (src, z, m, n)

@@ -203,3 +203,23 @@ def test_resolvent_diagonal_against_truncation(asc2_shifted):
         e[n] = 1.0
         col = solve_banded((1, 1), ab, e)
         assert table.values[n] * p[n] == pytest.approx(col[n], rel=1e-6)
+
+
+def test_engine_keeps_the_horizon_error():
+    # the scaled iteration is finished once it raises at the 2^900 horizon;
+    # later calls must raise the same error, not StopIteration
+    from jacspec.second_kind import TailSeriesEngine
+    eng = TailSeriesEngine(js.ASC2Source(0.5, 0.5, 0.5), 0.0)
+    with pytest.raises(js.ConvergenceError) as first:
+        eng.ensure_terms(5000)
+    msg = "coefficients exceed the working-precision horizon at n = 900"
+    assert str(first.value) == msg
+    assert first.value.terms == 899
+    built = (list(eng.log_p), list(eng.sgn_p), list(eng.alphas),
+             list(eng.log_t), list(eng.sgn_t))
+    with pytest.raises(js.ConvergenceError) as second:
+        eng.ensure_terms(5000)
+    assert str(second.value) == msg
+    assert second.value.terms == 899
+    eng.ensure_terms(899)  # the built prefix still serves
+    assert (eng.log_p, eng.sgn_p, eng.alphas, eng.log_t, eng.sgn_t) == built

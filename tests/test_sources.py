@@ -3,6 +3,7 @@ import math
 import pytest
 
 from jacspec import ASC2Source, TableSource
+from jacspec.verify import check_coefficient_positivity
 
 
 def test_asc2_coeffs_at_zero():
@@ -47,8 +48,12 @@ def test_table_length_validation():
 
 
 def test_table_positivity_not_enforced_at_construction():
+    # the verify suite reports it; alpha_1 is the last off-diagonal of the
+    # 3 x 3 block the table determines
     src = TableSource(alphas=[1.0, -0.5], betas=[2.0, 2.0, 2.0])
-    assert src.positivity_violations() == [1]
+    r = check_coefficient_positivity(src)
+    assert not r.passed
+    assert r.note == "nonpositive off-diagonal at n in [1]"
 
 
 def test_asc2_parameter_validation():

@@ -82,3 +82,35 @@ def test_trace_reconciliation_detects_planted_error(monkeypatch):
     r = check_trace_reconciliation(js.ASC2Source(0.7, 0.7, 0.05))
     assert not r.passed
     assert r.max_residual == pytest.approx(1e-5, rel=1e-2)
+
+
+def test_horizon_note_of_trace_reconciliation():
+    r = _by_name(run_suite(js.ASC2Source(0.9, 0.9, 0.0)))["trace_reconciliation"]
+    assert not r.passed
+    assert r.note == "coefficients exceed the working-precision horizon at n = 5915"
+
+
+@pytest.mark.parametrize("digits", [0, 30])
+def test_short_tables_skip_what_they_cannot_test(digits):
+    r = _by_name(run_suite(js.TableSource([1.0, 0.5], [2.0, 2.0, 2.0]),
+                           precision_digits=digits))
+    for name in ("recurrence_residual", "wronskian_identity", "sign_patterns"):
+        assert r[name].skipped and r[name].note.startswith("table too short")
+    assert r["green_identity"].passed and r["green_identity"].note == "N = 2"
+    assert r["resolvent_identity"].passed
+    r = _by_name(run_suite(js.TableSource([1.0], [2.0, 2.0]),
+                           precision_digits=digits))
+    for name in ("green_identity", "resolvent_identity"):
+        assert r[name].skipped and r[name].note.startswith("table too short")
+    assert all(x.passed for x in r.values())
+
+
+def test_extended_precision_on_a_table():
+    # the mpmath Green and resolvent checks read no coefficient past the table
+    rng = np.random.RandomState(47)
+    src = random_pd_table(rng, 6)
+    r = _by_name(run_suite(src, precision_digits=30))
+    for name in ("recurrence_residual", "wronskian_identity", "green_identity",
+                 "resolvent_identity"):
+        assert r[name].passed and not r[name].skipped
+        assert r[name].max_residual < 1e-20
