@@ -80,6 +80,17 @@ class RunConfig:
 
 _CONFIG_KEYS = {"family", "shift", "gamma", "tolerances", "confirm", "grid",
                 "output"}
+# "rtol" is accepted and ignored: configs written for older versions carry it
+_TOLERANCE_KEYS = {"eig_tol", "atol", "max_terms", "precision_digits", "rtol"}
+_OUTPUT_KEYS = {"format", "path"}
+
+
+def _check_keys(doc, allowed: set, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(doc) - allowed
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -91,14 +102,13 @@ def load_config(path: str | None) -> RunConfig:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _check_keys(doc, _CONFIG_KEYS, "config")
     cfg.family = doc.get("family")
     cfg.shift = float(doc.get("shift", cfg.shift))
     if doc.get("gamma") is not None:
         cfg.gamma = float(doc["gamma"])
     tol = doc.get("tolerances", {})
+    _check_keys(tol, _TOLERANCE_KEYS, "tolerances")
     cfg.eig_tol = float(tol.get("eig_tol", cfg.eig_tol))
     cfg.atol = float(tol.get("atol", cfg.atol))
     cfg.max_terms = int(tol.get("max_terms", cfg.max_terms))
@@ -106,6 +116,7 @@ def load_config(path: str | None) -> RunConfig:
     cfg.confirm = doc.get("confirm", cfg.confirm)
     cfg.grid = doc.get("grid")
     out = doc.get("output", {})
+    _check_keys(out, _OUTPUT_KEYS, "output")
     cfg.format = out.get("format", cfg.format)
     cfg.out = out.get("path", cfg.out)
     return cfg
@@ -269,15 +280,12 @@ def cmd_charfn(cfg: RunConfig) -> int:
     points = int(cfg.grid["points"])
     if points < 2:
         raise ConfigError("grid needs at least 2 points")
-    zs = np.linspace(float(cfg.grid["z_min"]), float(cfg.grid["z_max"]), points)
-    evaluator = CharFnEvaluator(src, cfg.max_terms)
-    ratio_n = min(400, cfg.max_terms)
+    grid = np.linspace(float(cfg.grid["z_min"]), float(cfg.grid["z_max"]), points)
+    partial = CharFnEvaluator(src, cfg.max_terms).eval_grid(grid, cfg.atol)
+    ratios = charfn_ratio(src, grid, n_max=min(400, cfg.max_terms))
     is_asc2 = isinstance(src, ASC2Source)
     rows = []
-    for z in zs:
-        z = float(z)
-        ps = evaluator.eval(z, cfg.atol)
-        rt = charfn_ratio(src, z, n_max=ratio_n)
+    for z, ps, rt in zip(grid.tolist(), partial, ratios):
         closed = spectrum_product_reference(z, src.q, src.shift) if is_asc2 else None
         rows.append({
             "z": z,

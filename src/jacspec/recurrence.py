@@ -83,6 +83,16 @@ def _exp_signed(log_mag: float, sign):
     return sign * mag
 
 
+def _horizon_coeffs(src: CoefficientSource, n: int) -> tuple[float, float]:
+    """coeffs(n); ConvergenceError once they reach the 2^900 horizon."""
+    a_n, b_n = src.coeffs(n)
+    if not (a_n < _COEFF_HORIZON and abs(b_n) < _COEFF_HORIZON):
+        raise ConvergenceError(
+            f"coefficients exceed the working-precision horizon at n = {n}"
+        )
+    return a_n, b_n
+
+
 def _scaled_iter(src: CoefficientSource, z, second_kind: bool = False):
     """Yield (n, u, v, log_scale, alpha_n) with X_n = u e^L and X_{n+1} = v e^L.
 
@@ -90,19 +100,15 @@ def _scaled_iter(src: CoefficientSource, z, second_kind: bool = False):
     second_kind=True, the second-kind sequence (X_0 = 0, X_1 = 1/a_0);
     alpha_n is the coefficient of the step to X_{n+1}.  The pair is
     renormalized whenever it leaves a safe magnitude window, so the iteration
-    itself never overflows.  This is the only reader of coefficients on the
-    scaled path and the only judge of the 2^900 horizon: it raises
-    ConvergenceError at the first index n whose coefficients reach it.
+    itself never overflows.  Coefficients come through _horizon_coeffs, which
+    raises ConvergenceError at the first index n whose coefficients reach the
+    2^900 horizon.
     """
     one = 1.0 + 0.0j if isinstance(z, complex) else 1.0
     log_scale = 0.0
     n = 0
     while True:
-        a_n, b_n = src.coeffs(n)
-        if not (a_n < _COEFF_HORIZON and abs(b_n) < _COEFF_HORIZON):
-            raise ConvergenceError(
-                f"coefficients exceed the working-precision horizon at n = {n}"
-            )
+        a_n, b_n = _horizon_coeffs(src, n)
         if n == 0:
             if second_kind:
                 u, v = 0.0 * one, one / a_n
@@ -119,6 +125,46 @@ def _scaled_iter(src: CoefficientSource, z, second_kind: bool = False):
         yield n, u, v, log_scale, a_n
         a_prev = a_n
         n += 1
+
+
+def _coeff_reader(src: CoefficientSource):
+    """read(n) -> _horizon_coeffs(src, n), each index fetched from src once."""
+    table: list[tuple[float, float]] = []
+
+    def read(n: int) -> tuple[float, float]:
+        while len(table) <= n:
+            table.append(_horizon_coeffs(src, len(table)))
+        return table[n]
+    return read
+
+
+def _scaled_columns(read, zs: np.ndarray):
+    """Column-wise twin of _scaled_iter over a 1-D float64 vector of real z.
+
+    Yields (n, u, log_scale) with P_n(zs) = u * e^log_scale elementwise; read
+    is a _coeff_reader, asked once per index for the whole vector.  Each
+    column is rescaled on its own by the scalar rule, using only + - * /,
+    abs, maximum, frexp and ldexp, which are exact or correctly rounded, so
+    every column reproduces _scaled_iter(src, z) bit for bit.  The yielded
+    arrays are never mutated afterwards.
+    """
+    log_scale = np.zeros_like(zs)
+    a_n, b_n = read(0)
+    u, v = np.ones_like(zs), (zs - b_n) / a_n
+    n = 0
+    while True:
+        yield n, u, log_scale
+        a_prev = a_n
+        n += 1
+        a_n, b_n = read(n)
+        u, v = v, ((zs - b_n) * v - a_prev * u) / a_n
+        s = np.maximum(np.abs(u), np.abs(v))
+        out = (s > _RESCALE_HI) | (s < _RESCALE_LO)
+        if out.any():
+            e = np.where(out, np.frexp(s)[1], 0)
+            u = np.ldexp(u, -e)
+            v = np.ldexp(v, -e)
+            log_scale = log_scale + e * _LN2
 
 
 def _pair_at(src, z, n, second_kind):
@@ -157,14 +203,17 @@ def log_table(src: CoefficientSource, z, n_max: int, second_kind: bool = False):
     """Log magnitudes and signs/phases of X_0(z) .. X_{n_max}(z).
 
     Returns (logs, signs) as Python lists; logs[n] = ln|X_n(z)| (-inf at an
-    exact zero) and signs[n] is the unit sign or phase.
+    exact zero) and signs[n] is the unit sign or phase.  Reads only the
+    coefficients these values need: indices 0 .. n_max - 1 (and 0 for
+    n_max = 0), so a table determines X_n up to one past its last pair.
     """
     logs = []
     signs = []
     for n, u, v, ls, _ in _scaled_iter(src, z, second_kind=second_kind):
-        logs.append(ls + math.log(abs(u)) if u != 0 else -math.inf)
-        signs.append(_phase(u))
-        if n == n_max:
+        for x in (u, v) if n + 1 == n_max else (u,):
+            logs.append(ls + math.log(abs(x)) if x != 0 else -math.inf)
+            signs.append(_phase(x))
+        if n + 1 >= n_max:
             break
     return logs, signs
 

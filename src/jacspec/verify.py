@@ -81,7 +81,7 @@ def _mp_coeffs(src, n_max, ctx):
 
 def _n_cap(src, want):
     cap = src.max_pair_index
-    return want if cap is None else min(want, cap - 1)
+    return want if cap is None else min(want, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +111,7 @@ def check_recurrence(src, n_max=40, threshold=1e-12, digits=0) -> CheckResult:
     worst = 0.0
     if digits > 16:
         ctx = _mp_context(digits)
-        alphas, betas = _mp_coeffs(src, n_stop + 1, ctx)
+        alphas, betas = _mp_coeffs(src, n_stop, ctx)
         for z in zs:
             zc = ctx.mpc(z) if isinstance(z, complex) else ctx.mpf(z)
             for second in (False, True):
@@ -142,7 +142,7 @@ def check_wronskian(src, m_max=12, threshold=1e-10, digits=0) -> CheckResult:
     worst = 0.0
     if digits > 16:
         ctx = _mp_context(digits)
-        alphas, betas = _mp_coeffs(src, m_stop + 1, ctx)
+        alphas, betas = _mp_coeffs(src, m_stop, ctx)
         for z in zs:
             zc = ctx.mpf(z)
             p = plain_values(alphas, betas, zc, m_stop)

@@ -254,3 +254,45 @@ def test_verify_large_roots_q03(capsys):
     assert code == 0
     rows = {r["check"]: r for r in parse_csv(out)}
     assert rows["trace_reconciliation"]["status"] == "pass"
+
+
+def _run_config(tmp_path, capsys, doc, *argv):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return run_cli(capsys, *argv, "--config", str(path))
+
+
+_CHARFN_DOC = {"family": {"kind": "asc2", "q": 0.5, "a": 0.5}, "shift": 0.5,
+               "grid": {"z_min": -1.0, "z_max": 1.0, "points": 3}}
+
+
+def test_config_misspelled_tolerance_rejected(tmp_path, capsys):
+    # "eig-tol" is not "eig_tol": running with the default 1e-9 would
+    # silently ignore what the user asked for
+    doc = dict(_CHARFN_DOC, tolerances={"eig-tol": 1e-3})
+    code, out, err = _run_config(tmp_path, capsys, doc, "spectrum", "--k", "1")
+    assert code == 2
+    assert out == ""
+    assert "unknown tolerances keys: ['eig-tol']" in err
+
+
+def test_config_legacy_rtol_accepted_and_ignored(tmp_path, capsys):
+    doc = dict(_CHARFN_DOC, tolerances={"atol": 1e-10, "rtol": 1e-6})
+    code, out, err = _run_config(tmp_path, capsys, doc, "charfn",
+                                 "--format", "json")
+    assert code == 0, err
+    tol = json.loads(out)["meta"]["config"]["tolerances"]
+    assert tol["atol"] == 1e-10
+    assert "rtol" not in tol
+    code, plain, _ = _run_config(tmp_path, capsys,
+                                 dict(_CHARFN_DOC, tolerances={"atol": 1e-10}),
+                                 "charfn", "--format", "json")
+    assert plain == out
+
+
+def test_config_unknown_output_key_rejected(tmp_path, capsys):
+    doc = dict(_CHARFN_DOC, output={"format": "json", "fromat": "csv"})
+    code, out, err = _run_config(tmp_path, capsys, doc, "charfn")
+    assert code == 2
+    assert out == ""
+    assert "unknown output keys: ['fromat']" in err

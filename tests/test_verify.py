@@ -3,6 +3,7 @@ import pytest
 
 import jacspec as js
 from conftest import random_pd_table
+from jacspec.recurrence import log_table
 from jacspec.verify import check_trace_reconciliation, run_suite
 
 
@@ -92,17 +93,38 @@ def test_horizon_note_of_trace_reconciliation():
 
 @pytest.mark.parametrize("digits", [0, 30])
 def test_short_tables_skip_what_they_cannot_test(digits):
+    # two pairs determine X_0 .. X_2, so the n = 1 residual and the m = 1
+    # Wronskian pair are checkable; one pair leaves nothing to test
     r = _by_name(run_suite(js.TableSource([1.0, 0.5], [2.0, 2.0, 2.0]),
                            precision_digits=digits))
-    for name in ("recurrence_residual", "wronskian_identity", "sign_patterns"):
-        assert r[name].skipped and r[name].note.startswith("table too short")
-    assert r["green_identity"].passed and r["green_identity"].note == "N = 2"
-    assert r["resolvent_identity"].passed
+    for name, note in (("recurrence_residual", "n <= 1, 5 evaluation points"),
+                       ("wronskian_identity", "m <= 1"),
+                       ("sign_patterns", "n <= 1"),
+                       ("green_identity", "N = 2"),
+                       ("resolvent_identity", "N = 2")):
+        assert r[name].passed and not r[name].skipped and r[name].note == note
     r = _by_name(run_suite(js.TableSource([1.0], [2.0, 2.0]),
                            precision_digits=digits))
-    for name in ("green_identity", "resolvent_identity"):
+    for name in ("recurrence_residual", "wronskian_identity", "sign_patterns",
+                 "green_identity", "resolvent_identity"):
         assert r[name].skipped and r[name].note.startswith("table too short")
     assert all(x.passed for x in r.values())
+
+
+def test_table_checks_read_no_coefficient_past_the_table():
+    # a table with pairs 0 .. m determines X_0 .. X_{m+1}: every check stops
+    # at the last index it needs and never asks the source for pair m + 1
+    rng = np.random.RandomState(11)
+    src = random_pd_table(rng, 5)
+    assert src.max_pair_index == 3
+    r = _by_name(run_suite(src))
+    assert r["recurrence_residual"].note == "n <= 3, 5 evaluation points"
+    assert r["wronskian_identity"].note == "m <= 3"
+    assert r["sign_patterns"].note == "n <= 3"
+    logs, _ = log_table(src, 0.5, 4)
+    assert len(logs) == 5
+    with pytest.raises(IndexError):
+        log_table(src, 0.5, 5)
 
 
 def test_extended_precision_on_a_table():
