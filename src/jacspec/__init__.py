@@ -6,8 +6,8 @@ eigenvalues and the Al-Salam--Carlitz II closed form.
 
 __version__ = "0.1.0"
 
-from .charfn import (CharFnEvaluator, CharFnValue, charfn_partial_sum,
-                     charfn_ratio, hadamard_product, qpochhammer_reference)
+from .charfn import (CharFnEvaluator, CharFnValue, charfn_ratio,
+                     hadamard_product)
 from .errors import AssumptionViolation, ConvergenceError
 from .qseries import (QParams, asc2_orthonormal, asc2_series_vs_product,
                       asc2_v, orthonormal_at_family_point,
@@ -15,8 +15,7 @@ from .qseries import (QParams, asc2_orthonormal, asc2_series_vs_product,
                       qpoch, qpoch_inf, second_kind_at_family_point,
                       spectrum_product_reference, w_factorization_check,
                       weyl_at_family_point)
-from .recurrence import (GreenBlock, ScaledPolyPair, eval_phat, eval_q,
-                         eval_q_assoc, green_block, jacobi_block,
+from .recurrence import (eval_q_assoc, green_block, jacobi_block,
                          q_assoc_forward, recurrence_residuals,
                          resolvent_identity_check)
 from .second_kind import (KappaSequence, SecondKindTable, TraceInverse,
@@ -24,7 +23,7 @@ from .second_kind import (KappaSequence, SecondKindTable, TraceInverse,
                           weyl)
 from .sources import ASC2Source, CoefficientSource, TableSource
 from .spectrum import (SpectrumResult, TruncatedTridiagonal, find_spectrum,
-                       oracle_compare, sturm_counts, sturm_eigenvalues)
+                       sturm_counts, sturm_eigenvalues)
 from .verify import CheckResult, run_suite
 
 __all__ = [
@@ -35,10 +34,8 @@ __all__ = [
     "CheckResult",
     "CoefficientSource",
     "ConvergenceError",
-    "GreenBlock",
     "KappaSequence",
     "QParams",
-    "ScaledPolyPair",
     "SecondKindTable",
     "SpectrumResult",
     "TableSource",
@@ -47,17 +44,13 @@ __all__ = [
     "asc2_orthonormal",
     "asc2_series_vs_product",
     "asc2_v",
-    "charfn_partial_sum",
     "charfn_ratio",
-    "eval_phat",
-    "eval_q",
     "eval_q_assoc",
     "find_spectrum",
     "green_block",
     "hadamard_product",
     "jacobi_block",
     "kappa_sequence",
-    "oracle_compare",
     "orthonormal_at_family_point",
     "phi1_closed_form_check",
     "q_assoc_forward",
@@ -65,7 +58,6 @@ __all__ = [
     "qgauss_check",
     "qpoch",
     "qpoch_inf",
-    "qpochhammer_reference",
     "recurrence_residuals",
     "resolvent_identity_check",
     "run_suite",

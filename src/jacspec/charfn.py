@@ -4,8 +4,8 @@ Two independent evaluation methods are provided: the certified partial sum
 (truncation error bounded through the per-term estimate
 |w_n(0) P_n(z)| <= exp(|z| S) kappa_n with S an upper estimate of sum kappa)
 and the heuristic ratio limit P_n(z)/P_n(0) -> F(z).  A Hadamard product over
-known eigenvalues and the q-Pochhammer closed form for the ASC-II family round
-out the cross-checking toolkit.
+known eigenvalues rounds out the cross-checking toolkit; the ASC-II closed
+form is qseries.spectrum_product_reference.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AssumptionViolation, ConvergenceError
-from .qseries import qpoch_inf
 from .recurrence import _coeff_reader, _phase, _scaled_columns, _scaled_iter
 from .second_kind import _RATIO_CAP, _RATIO_WINDOW, TailSeriesEngine, kappa_sequence
 from .sources import CoefficientSource, require_infinite
@@ -368,14 +367,6 @@ def _grid_sums(read, zs: list[float],
     return sums
 
 
-def charfn_partial_sum(src: CoefficientSource, z, atol: float = 1e-12, *,
-                       max_terms: int = 20000,
-                       evaluator: CharFnEvaluator | None = None) -> CharFnValue:
-    """F(z) by the certified partial sum (see CharFnEvaluator.eval)."""
-    ev = evaluator if evaluator is not None else CharFnEvaluator(src, max_terms)
-    return ev.eval(z, atol)
-
-
 def charfn_ratio(src: CoefficientSource, z, n_max: int = 200):
     """F(z) as the ratio limit P_n(z)/P_n(0) at n = n_max.
 
@@ -478,9 +469,3 @@ def hadamard_product(eigs, z, *, tail_ratio: float | None = None) -> CharFnValue
                        method="hadamard_product", terms_used=len(eigs),
                        certified=True)
 
-
-def qpochhammer_reference(z, q: float, a: float):
-    """Closed-form reference (z; q)_inf / (a; q)_inf for the ASC-II family."""
-    num, _ = qpoch_inf(z, q)
-    den, _ = qpoch_inf(a, q)
-    return num / den

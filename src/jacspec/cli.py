@@ -83,14 +83,29 @@ _CONFIG_KEYS = {"family", "shift", "gamma", "tolerances", "confirm", "grid",
 # "rtol" is accepted and ignored: configs written for older versions carry it
 _TOLERANCE_KEYS = {"eig_tol", "atol", "max_terms", "precision_digits", "rtol"}
 _OUTPUT_KEYS = {"format", "path"}
+# family and grid objects need every one of their keys
+_FAMILY_KEYS = {"asc2": {"kind", "q", "a"}, "explicit": {"kind", "alphas", "betas"}}
+_GRID_KEYS = {"z_min", "z_max", "points"}
 
 
-def _check_keys(doc, allowed: set, where: str) -> None:
+def _check_keys(doc, allowed: set, where: str, required: bool = False) -> None:
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object")
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    missing = allowed - set(doc)
+    if required and missing:
+        raise ConfigError(f"missing {where} keys: {sorted(missing)}")
+
+
+def _check_family(family) -> None:
+    if not isinstance(family, dict):
+        raise ConfigError("family must be a JSON object")
+    kind = family.get("kind")
+    if kind not in ("asc2", "explicit"):
+        raise ConfigError(f"unknown family kind {kind!r}")
+    _check_keys(family, _FAMILY_KEYS[kind], "family", required=True)
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -104,6 +119,8 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     _check_keys(doc, _CONFIG_KEYS, "config")
     cfg.family = doc.get("family")
+    if cfg.family is not None:
+        _check_family(cfg.family)
     cfg.shift = float(doc.get("shift", cfg.shift))
     if doc.get("gamma") is not None:
         cfg.gamma = float(doc["gamma"])
@@ -115,6 +132,8 @@ def load_config(path: str | None) -> RunConfig:
     cfg.precision_digits = int(tol.get("precision_digits", cfg.precision_digits))
     cfg.confirm = doc.get("confirm", cfg.confirm)
     cfg.grid = doc.get("grid")
+    if cfg.grid is not None:
+        _check_keys(cfg.grid, _GRID_KEYS, "grid", required=True)
     out = doc.get("output", {})
     _check_keys(out, _OUTPUT_KEYS, "output")
     cfg.format = out.get("format", cfg.format)
@@ -138,10 +157,17 @@ def apply_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
             }
         else:
             raise ConfigError(f"unknown family {args.family!r}")
-    elif getattr(args, "q", None) is not None and cfg.family is None:
-        if getattr(args, "a", None) is None:
-            raise ConfigError("asc2 family needs --q and --a")
-        cfg.family = {"kind": "asc2", "q": args.q, "a": args.a}
+    else:
+        given = {k: v for k in ("q", "a")
+                 if (v := getattr(args, k, None)) is not None}
+        if given and cfg.family is None:
+            if len(given) < 2:
+                raise ConfigError("asc2 family needs --q and --a")
+            cfg.family = {"kind": "asc2", **given}
+        elif given and cfg.family["kind"] != "asc2":
+            raise ConfigError("--q and --a apply only to an asc2 family")
+        elif given:
+            cfg.family = {**cfg.family, **given}  # override the file's q/a
     for flag, attr in (("shift", "shift"), ("gamma", "gamma"),
                        ("eig_tol", "eig_tol"), ("atol", "atol"),
                        ("max_terms", "max_terms"),
@@ -174,17 +200,15 @@ def validate_config(cfg: RunConfig, spectral: bool = False) -> None:
 def build_source(cfg: RunConfig):
     if cfg.family is None:
         raise ConfigError("no coefficient family configured")
-    kind = cfg.family.get("kind")
+    family = cfg.family  # checked by load_config or built by apply_flags
     try:
-        if kind == "asc2":
-            return ASC2Source(q=float(cfg.family["q"]), a=float(cfg.family["a"]),
+        if family["kind"] == "asc2":
+            return ASC2Source(q=float(family["q"]), a=float(family["a"]),
                               shift=cfg.shift)
-        if kind == "explicit":
-            return TableSource(alphas=cfg.family["alphas"],
-                               betas=cfg.family["betas"], shift=cfg.shift)
-    except (KeyError, ValueError, TypeError) as exc:
+        return TableSource(alphas=family["alphas"], betas=family["betas"],
+                           shift=cfg.shift)
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad family parameters: {exc}") from exc
-    raise ConfigError(f"unknown family kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,15 @@
 Evaluates the orthonormal polynomials P_n(z), the second-kind polynomials
 Q_n(z), the associated polynomials Q_m^(n)(z) and the Green matrix of a
 Jacobi coefficient source.  All evaluation runs in a scaled representation
-(ratio, log magnitude, sign/phase): family values can grow or shrink
-geometrically or faster in n, and raw doubles overflow long before the
-indices the spectral pipeline needs.
+(a pair kept in a fixed magnitude window plus a log scale, read out as log
+magnitude and sign/phase): family values can grow or shrink geometrically or
+faster in n, and raw doubles overflow long before the indices the spectral
+pipeline needs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,37 +40,6 @@ def _ldexp2(x, e: int):
     if isinstance(x, complex):
         return complex(math.ldexp(x.real, e), math.ldexp(x.imag, e))
     return math.ldexp(x, e)
-
-
-@dataclass(frozen=True)
-class ScaledPolyPair:
-    """Overflow-safe value of a consecutive pair (X_n(z), X_{n+1}(z)).
-
-    ratio is X_{n+1}/X_n, or None when X_n(z) = 0 exactly (the in-band
-    exact-zero marker); log_mag and sign_or_phase describe X_n itself, and
-    next_log_mag/next_sign keep the pair reconstructable through a zero.
-    """
-
-    n: int
-    ratio: float | complex | None
-    log_mag: float
-    sign_or_phase: float | complex
-    next_log_mag: float
-    next_sign: float | complex
-
-    @property
-    def is_zero(self) -> bool:
-        return self.ratio is None
-
-    @property
-    def value(self):
-        """X_n(z) as an ordinary float/complex (inf on overflow)."""
-        return _exp_signed(self.log_mag, self.sign_or_phase)
-
-    @property
-    def next_value(self):
-        """X_{n+1}(z)."""
-        return _exp_signed(self.next_log_mag, self.next_sign)
 
 
 def _exp_signed(log_mag: float, sign):
@@ -167,38 +136,6 @@ def _scaled_columns(read, zs: np.ndarray):
             log_scale = log_scale + e * _LN2
 
 
-def _pair_at(src, z, n, second_kind):
-    it = _scaled_iter(src, z, second_kind=second_kind)
-    for idx, u, v, ls, _ in it:
-        if idx == n:
-            break
-    log_u = ls + math.log(abs(u)) if u != 0 else -math.inf
-    log_v = ls + math.log(abs(v)) if v != 0 else -math.inf
-    ratio = None if u == 0 else v / u
-    return ScaledPolyPair(
-        n=n,
-        ratio=ratio,
-        log_mag=log_u,
-        sign_or_phase=_phase(u),
-        next_log_mag=log_v,
-        next_sign=_phase(v),
-    )
-
-
-def eval_phat(src: CoefficientSource, z, n: int) -> ScaledPolyPair:
-    """Scaled pair (P_n(z), P_{n+1}(z)) of the orthonormal polynomials."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _pair_at(src, z, n, second_kind=False)
-
-
-def eval_q(src: CoefficientSource, z, n: int) -> ScaledPolyPair:
-    """Scaled pair (Q_n(z), Q_{n+1}(z)) of the second-kind polynomials."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _pair_at(src, z, n, second_kind=True)
-
-
 def log_table(src: CoefficientSource, z, n_max: int, second_kind: bool = False):
     """Log magnitudes and signs/phases of X_0(z) .. X_{n_max}(z).
 
@@ -272,16 +209,9 @@ def q_assoc_forward(src: CoefficientSource, z, m: int, n: int):
     return plain_values(alphas, betas, z, m - n, second_kind=True)[-1]
 
 
-@dataclass(frozen=True)
-class GreenBlock:
-    """Leading N x N block of the Green matrix, entries G[m, n] = Q_m^(n)(0)."""
-
-    size: int
-    entries: np.ndarray
-
-
-def green_block(src: CoefficientSource, n_block: int) -> GreenBlock:
-    """Strictly lower triangular Green block of size n_block.
+def green_block(src: CoefficientSource, n_block: int) -> np.ndarray:
+    """Strictly lower triangular n_block x n_block Green block,
+    G[m, n] = Q_m^(n)(0).
 
     G is the unique strictly lower triangular right inverse of the Jacobi
     matrix; its entries are the associated polynomials at zero.  The fast
@@ -298,7 +228,7 @@ def green_block(src: CoefficientSource, n_block: int) -> GreenBlock:
     unstable = np.tril(np.abs(g) < _CANCEL_GUARD * (np.abs(t1) + np.abs(t2)), k=-1)
     for m, n in zip(*np.nonzero(unstable)):
         g[m, n] = q_assoc_forward(src, 0.0, int(m), int(n))
-    return GreenBlock(size=n_block, entries=g)
+    return g
 
 
 def jacobi_block(src: CoefficientSource, n_block: int) -> np.ndarray:
@@ -321,7 +251,7 @@ def resolvent_identity_check(src: CoefficientSource, x: float, n_block: int) -> 
     """
     if n_block < 2:
         raise ValueError("block size must be at least 2")
-    g = green_block(src, n_block).entries
+    g = green_block(src, n_block)
     px = np.array(values(src, x, n_block - 1), dtype=float)
     p0 = np.array(values(src, 0.0, n_block - 1), dtype=float)
     gp = g @ px

@@ -186,13 +186,6 @@ class SecondKindTable:
     trunc_len: int
     kappas: list[float] | None = None
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def tail_bound(self) -> float:
-        return max(self.tail_bounds) if self.tail_bounds else 0.0
-
 
 def _validate_domain(src, z, gamma):
     if isinstance(z, complex) and z.imag != 0.0:

@@ -393,11 +393,3 @@ def _bisect_zero(evaluator, lo, hi, lo_clamp, hi_clamp, tol, atol):
             hi = mid
     return 0.5 * (lo + hi), bracket
 
-
-def oracle_compare(src: CoefficientSource, k: int, n_trunc: int,
-                   tol: float = 1e-9, confirm: str = "auto") -> np.ndarray:
-    """|lambda_j(found) - x_{N,j}| for j <= k at truncation size n_trunc."""
-    res = find_spectrum(src, k, tol, confirm=confirm)
-    t = TruncatedTridiagonal.from_source(src, n_trunc)
-    x = sturm_eigenvalues(t, k, max(tol * 1e-3, 1e-15))
-    return np.abs(np.array(res.eigenvalues) - x)

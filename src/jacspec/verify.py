@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import recurrence, second_kind
-from .charfn import CharFnEvaluator
 from .errors import AssumptionViolation, ConvergenceError
 from .qseries import QParams, w_factorization_check
 from .recurrence import (eval_q_assoc, green_block, jacobi_block, log_table,
@@ -193,7 +192,7 @@ def check_green_identity(src, n_block=12, threshold=1e-10, digits=0) -> CheckRes
                 target = 1 if m == n else 0
                 worst = max(worst, float(abs(acc - target) / max(scale, 1)))
         return _result("green_identity", worst, threshold, f"N = {n_block}")
-    g = green_block(src, n_block).entries
+    g = green_block(src, n_block)
     t = jacobi_block(src, n_block)
     prod = t @ g
     resid = prod - np.eye(n_block)
@@ -298,15 +297,17 @@ def check_per_term_bound(src, n_max=60, max_terms=20000) -> CheckResult:
     if src.is_finite:
         return _skip("per_term_growth_bound", 0.0,
                      "requires an unbounded coefficient family")
-    ev = CharFnEvaluator(src, max_terms)
-    ev._grow(n_max + 1)
-    s_up = ev.kappa_sum_upper
+    seq = second_kind.kappa_sequence(src, n_max + 1, max_terms=max_terms)
+    # log w_n(0) = log kappa_n - log|P_n(0)|; entry n_max of a table one
+    # longer comes from the same iterate as the kappa engine's
+    logs_0, _ = log_table(src, 0.0, n_max + 1)
     worst = 0.0
     for z in (-2.0, -0.5, 1.0, 3.0, complex(0.8, 1.1)):
         logs_z, _ = log_table(src, z, n_max)
         for n in range(n_max + 1):
-            lhs = ev._log_w0[n] + logs_z[n]
-            rhs = abs(z) * s_up + math.log(ev._kappa[n])
+            log_kappa = math.log(seq.kappas[n])
+            lhs = (log_kappa - logs_0[n]) + logs_z[n]
+            rhs = abs(z) * seq.total_upper + log_kappa
             worst = max(worst, lhs - rhs)
     # report the worst log excess as a multiplicative overshoot
     return _result("per_term_growth_bound", math.expm1(max(worst, 0.0)), 1e-10,

@@ -10,8 +10,13 @@ def combined_bound(*vals):
     return sum(v.tail_bound + v.noise_estimate for v in vals)
 
 
+def pochhammer_ratio(z, q, a):
+    """ASC-II closed form F(z - a) = (z; q)_inf / (a; q)_inf."""
+    return js.qpoch_inf(z, q)[0] / js.qpoch_inf(a, q)[0]
+
+
 def test_partial_sum_at_origin(asc2_shifted):
-    v = js.charfn_partial_sum(asc2_shifted, 0.0)
+    v = js.CharFnEvaluator(asc2_shifted).eval(0.0)
     assert v.value == 1.0
     assert v.tail_bound == 0.0
     assert v.certified
@@ -23,14 +28,14 @@ def test_ratio_at_origin(asc2_shifted):
 
 def test_partial_sum_pochhammer_point(asc2_shifted):
     # F(q^2 - a) = (q^2; q)inf / (q; q)inf = 1/(1-q) = 2 exactly
-    v = js.charfn_partial_sum(asc2_shifted, -0.25, 1e-13)
+    v = js.CharFnEvaluator(asc2_shifted).eval(-0.25, 1e-13)
     assert v.certified
     assert abs(v.value - 2.0) <= v.tail_bound + v.noise_estimate + 1e-12
 
 
 def test_partial_sum_vanishes_at_eigenvalue(asc2_shifted):
     # z = 1 - a is the smallest eigenvalue of the shifted operator
-    v = js.charfn_partial_sum(asc2_shifted, 0.5, 1e-13)
+    v = js.CharFnEvaluator(asc2_shifted).eval(0.5, 1e-13)
     assert abs(v.value) <= v.tail_bound + v.noise_estimate + 1e-12
 
 
@@ -43,7 +48,7 @@ def test_ratio_limit_example(asc2_shifted):
 
 def test_partial_sum_uncertified_flag(asc2_shifted):
     # z = 30 needs ~150 certified terms; an 80-term budget cannot reach atol
-    v = js.charfn_partial_sum(asc2_shifted, 30.0, atol=1e-12, max_terms=80)
+    v = js.CharFnEvaluator(asc2_shifted, max_terms=80).eval(30.0, atol=1e-12)
     assert not v.certified
     assert v.terms_used <= 80
 
@@ -84,7 +89,7 @@ def test_closed_form_grid(asc2_shifted):
     ev = js.CharFnEvaluator(asc2_shifted)
     for z in np.linspace(-2.0, 3.0, 21):
         v = ev.eval(float(z) - 0.5, 1e-12)
-        ref = js.qpochhammer_reference(float(z), 0.5, 0.5)
+        ref = pochhammer_ratio(float(z), 0.5, 0.5)
         assert abs(v.value - ref) <= v.tail_bound + v.noise_estimate + 1e-12
 
 
@@ -153,9 +158,13 @@ def test_hadamard_explicit_tail_ratio():
 
 
 def test_qpochhammer_reference_values():
-    assert js.qpochhammer_reference(0.5, 0.5, 0.5) == 1.0
-    assert js.qpochhammer_reference(2.0, 0.5, 0.5) == 0.0  # z = q^-1 hits a factor
-    assert js.qpochhammer_reference(0.25, 0.5, 0.5) == pytest.approx(2.0, rel=1e-14)
+    assert pochhammer_ratio(0.5, 0.5, 0.5) == 1.0
+    assert pochhammer_ratio(2.0, 0.5, 0.5) == 0.0  # z = q^-1 hits a factor
+    assert pochhammer_ratio(0.25, 0.5, 0.5) == pytest.approx(2.0, rel=1e-14)
+    # the shifted closed form is the same ratio at z = x + a
+    for x in (-1.5, -0.25, 0.0, 1.5, 2.75):
+        assert js.spectrum_product_reference(x, 0.5, 0.5) == \
+            pochhammer_ratio(x + 0.5, 0.5, 0.5)
 
 
 def test_ratio_rejects_nonpositive_definite():
@@ -170,7 +179,7 @@ def test_ratio_rejects_nonpositive_definite():
 def test_evaluator_reuse_consistency(asc2_shifted):
     ev = js.CharFnEvaluator(asc2_shifted)
     v1 = ev.eval(1.2, 1e-10)
-    v2 = js.charfn_partial_sum(asc2_shifted, 1.2, 1e-10)
+    v2 = js.CharFnEvaluator(asc2_shifted).eval(1.2, 1e-10)
     assert v1.value == pytest.approx(v2.value, rel=1e-14)
 
 

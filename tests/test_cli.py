@@ -296,3 +296,58 @@ def test_config_unknown_output_key_rejected(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "unknown output keys: ['fromat']" in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    (dict(_CHARFN_DOC, family=[1, 2]), "family must be a JSON object"),
+    (dict(_CHARFN_DOC, grid={"z_min": -1.0, "z_max": 1.0}),
+     "missing grid keys: ['points']"),
+    (dict(_CHARFN_DOC, grid={"z_min": -1.0, "z_max": 1.0, "points": 3,
+                             "step": 1}),
+     "unknown grid keys: ['step']"),
+    (dict(_CHARFN_DOC, family={"kind": "asc2", "q": 0.5, "a": 0.5,
+                               "shift": 0.5}),
+     "unknown family keys: ['shift']"),
+    (dict(_CHARFN_DOC, family={"kind": "asc2", "q": 0.5}),
+     "missing family keys: ['a']"),
+    (dict(_CHARFN_DOC, family={"kind": "explicit", "alphas": [1.0]}),
+     "missing family keys: ['betas']"),
+    (dict(_CHARFN_DOC, family={"kind": "explicit", "alphas": [1.0],
+                               "betas": [2.0, 2.0], "q": 0.5}),
+     "unknown family keys: ['q']"),
+    (dict(_CHARFN_DOC, family={"q": 0.5, "a": 0.5}), "unknown family kind None"),
+    (dict(_CHARFN_DOC, family={"kind": ["asc2"], "q": 0.5, "a": 0.5}),
+     "unknown family kind ['asc2']"),
+])
+def test_config_malformed_family_or_grid_rejected(tmp_path, capsys, doc, message):
+    # each of these used to raise a traceback or run with the key ignored
+    code, out, err = _run_config(tmp_path, capsys, doc, "charfn")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_config_family_q_a_overridden_by_flags(tmp_path, capsys):
+    base = {"family": {"kind": "asc2", "q": 0.5, "a": 0.5}, "shift": 0.0}
+    code, out, err = _run_config(tmp_path, capsys, base, "spectrum", "--k", "2",
+                                 "--q", "0.7", "--a", "0.7", "--format", "json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["meta"]["config"]["family"] == {"kind": "asc2", "q": 0.7, "a": 0.7}
+    lams = [row["lambda"] for row in doc["rows"]]
+    assert lams == pytest.approx([1.0, 1.0 / 0.7], abs=1e-8)  # q^-n, not 2^n
+    # one flag overrides one parameter and keeps the other from the file
+    code, out, err = _run_config(tmp_path, capsys, base, "spectrum", "--k", "1",
+                                 "--a", "0.25", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["meta"]["config"]["family"] == {
+        "kind": "asc2", "q": 0.5, "a": 0.25}
+
+
+def test_config_explicit_family_rejects_q_a_flags(tmp_path, capsys):
+    doc = {"family": {"kind": "explicit", "alphas": [1.0, 1.0],
+                      "betas": [3.0, 3.0, 3.0]}}
+    code, out, err = _run_config(tmp_path, capsys, doc, "verify", "--q", "0.5")
+    assert code == 2
+    assert out == ""
+    assert "--q and --a apply only to an asc2 family" in err

@@ -1,0 +1,56 @@
+"""The public surface: the README example runs as printed, and __all__ holds
+exactly the names the package documents."""
+
+import contextlib
+import io
+import pathlib
+import re
+
+import pytest
+
+import jacspec as js
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+PUBLIC_NAMES = [
+    "ASC2Source", "AssumptionViolation", "CharFnEvaluator", "CharFnValue",
+    "CheckResult", "CoefficientSource", "ConvergenceError", "KappaSequence",
+    "QParams", "SecondKindTable", "SpectrumResult", "TableSource",
+    "TraceInverse", "TruncatedTridiagonal", "asc2_orthonormal",
+    "asc2_series_vs_product", "asc2_v", "charfn_ratio", "eval_q_assoc",
+    "find_spectrum", "green_block", "hadamard_product", "jacobi_block",
+    "kappa_sequence", "orthonormal_at_family_point", "phi1_closed_form_check",
+    "q_assoc_forward", "qbinomial_check", "qgauss_check", "qpoch", "qpoch_inf",
+    "recurrence_residuals", "resolvent_identity_check", "run_suite",
+    "second_kind_at_family_point", "second_kind_values",
+    "spectrum_product_reference", "sturm_counts", "sturm_eigenvalues",
+    "trace_inverse", "w_factorization_check", "weyl", "weyl_at_family_point",
+]
+
+REMOVED_NAMES = ["ScaledPolyPair", "eval_phat", "eval_q", "GreenBlock",
+                 "oracle_compare", "charfn_partial_sum", "qpochhammer_reference"]
+
+
+def test_readme_quick_example_runs():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"Quick example:\s*```python\n(.*?)```", text, re.S)
+    assert block is not None, "README has no Quick example block"
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(block.group(1), "README.md", "exec"), namespace)
+    res, v = namespace["res"], namespace["v"]
+    tol = 1e-9
+    for n, lam in enumerate(res.eigenvalues):
+        assert abs(lam - (2.0 ** n - 0.5)) <= tol
+    assert res.methods == ["charfn-bisection"] * 6
+    assert v.certified
+    assert v.value == pytest.approx(2.0, abs=1e-12)
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 43
+    assert sorted(js.__all__) == sorted(PUBLIC_NAMES)
+    for name in js.__all__:
+        assert getattr(js, name) is not None
+    for name in REMOVED_NAMES:
+        assert not hasattr(js, name), name

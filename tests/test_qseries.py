@@ -84,7 +84,7 @@ def test_asc2_closed_sum_matches_recurrence():
         for x in (-1.0, 0.0, 0.8, 1.7, 3.0):
             for n in (1, 5, 12, 25):
                 closed = js.asc2_orthonormal(params, x, n)
-                rec = js.eval_phat(src, x, n).value
+                rec = js.recurrence.values(src, x, n)[n]
                 assert closed == pytest.approx(rec, rel=1e-9, abs=1e-12)
 
 

@@ -11,28 +11,27 @@ from conftest import (P1_AT_A_Q5, P3_AT_A_Q5, Q2_AT_A_Q5, mp_plain_recurrence,
 
 
 def test_phat_initial_value(asc2_shifted):
-    pair = js.eval_phat(asc2_shifted, 0.7, 0)
-    assert pair.value == 1.0
-    assert pair.log_mag == 0.0
-    assert pair.sign_or_phase == 1.0
+    logs, signs = js.recurrence.log_table(asc2_shifted, 0.7, 0)
+    assert (logs, signs) == ([0.0], [1.0])
+    assert js.recurrence.values(asc2_shifted, 0.7, 0) == [1.0]
 
 
 def test_phat_first_step():
     src = js.ASC2Source(q=0.5, a=0.5, shift=0.0)
-    pair = js.eval_phat(src, 0.5, 1)
-    assert pair.value == pytest.approx(P1_AT_A_Q5, rel=1e-14)
+    p1 = js.recurrence.values(src, 0.5, 1)[1]
+    assert p1 == pytest.approx(P1_AT_A_Q5, rel=1e-14)
 
 
 def test_phat_closed_form_third():
     src = js.ASC2Source(q=0.5, a=0.5, shift=0.0)
-    pair = js.eval_phat(src, 0.5, 3)
-    assert pair.value == pytest.approx(P3_AT_A_Q5, rel=1e-13)
+    p3 = js.recurrence.values(src, 0.5, 3)[3]
+    assert p3 == pytest.approx(P3_AT_A_Q5, rel=1e-13)
 
 
 def test_q_initial_values(asc2_shifted):
-    assert js.eval_q(asc2_shifted, 0.7, 0).value == 0.0
-    q1 = js.eval_q(asc2_shifted, -2.0, 1)
-    assert q1.value == pytest.approx(math.sqrt(2.0), rel=1e-14)
+    assert js.recurrence.values(asc2_shifted, 0.7, 0, second_kind=True) == [0.0]
+    q1 = js.recurrence.values(asc2_shifted, -2.0, 1, second_kind=True)[1]
+    assert q1 == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
 
 def test_q_matches_tail_sum_formula():
@@ -42,7 +41,7 @@ def test_q_matches_tail_sum_formula():
     p = js.recurrence.values(src, z, 3)
     alphas = [src.alpha(j) for j in range(2)]
     total = sum(1.0 / (alphas[j] * p[j] * p[j + 1]) for j in range(2))
-    q2 = js.eval_q(src, z, 2).value
+    q2 = js.recurrence.values(src, z, 2, second_kind=True)[2]
     assert q2 == pytest.approx(total * p[2], rel=1e-13)
     assert q2 == pytest.approx(Q2_AT_A_Q5, rel=1e-13)
 
@@ -80,45 +79,38 @@ def test_scaled_matches_mp_oracle_beyond_float_range():
     # growth ~100x per step overflows raw doubles near n = 154; the scaled
     # representation must still agree with a 60-digit plain evaluation
     src = js.TableSource(alphas=[0.01] * 200, betas=[1.0] * 200)
-    pair = js.eval_phat(src, 3.0, 190)
+    logs, signs = js.recurrence.log_table(src, 3.0, 190)
     ref = mp_plain_recurrence(src, 3.0, 190, dps=60)[190]
     import mpmath
-    assert pair.log_mag == pytest.approx(float(mpmath.log(abs(ref))), rel=1e-12)
-    assert pair.sign_or_phase == mpmath.sign(ref)
+    assert logs[190] == pytest.approx(float(mpmath.log(abs(ref))), rel=1e-12)
+    assert signs[190] == mpmath.sign(ref)
 
 
 def test_scaled_value_agrees_with_mp(asc2_shifted):
     for n in (5, 20, 60):
-        pair = js.eval_phat(asc2_shifted, 0.3, n)
+        p_n = js.recurrence.values(asc2_shifted, 0.3, n)[n]
         ref = float(mp_plain_recurrence(asc2_shifted, 0.3, n)[n])
-        assert pair.value == pytest.approx(ref, rel=1e-12)
+        assert p_n == pytest.approx(ref, rel=1e-12)
 
 
 def test_exact_zero_marker():
     # P_1(z) = (z - beta_0)/alpha_0 vanishes at z = beta_0
     src = js.TableSource(alphas=[1.0, 1.0, 1.0, 1.0], betas=[2.0, 3.0, 4.0, 5.0])
-    pair = js.eval_phat(src, 2.0, 1)
-    assert pair.is_zero
-    assert pair.ratio is None
-    assert pair.log_mag == -math.inf
-    assert pair.value == 0.0
-    # the pair keeps P_2 reconstructable and the iteration continues past it
-    nxt = js.eval_phat(src, 2.0, 2)
-    assert nxt.value == pytest.approx(pair.next_value, rel=1e-14)
-    assert nxt.value == pytest.approx(-1.0, rel=1e-14)
-    assert js.eval_phat(src, 2.0, 3).value != 0.0
-
-
-def test_ratio_consistency(asc2_shifted):
-    p5 = js.eval_phat(asc2_shifted, -0.7, 5)
-    p6 = js.eval_phat(asc2_shifted, -0.7, 6)
-    assert p5.ratio == pytest.approx(p6.value / p5.value, rel=1e-12)
+    logs, signs = js.recurrence.log_table(src, 2.0, 3)
+    assert logs[1] == -math.inf
+    assert signs[1] == 1.0  # the sign convention at an exact zero
+    p = js.recurrence.values(src, 2.0, 3)
+    assert p[1] == 0.0
+    # the iteration continues past the zero: P_2 = -alpha_0/alpha_1
+    assert p[2] == pytest.approx(-1.0, rel=1e-14)
+    assert logs[2] == pytest.approx(0.0, abs=1e-15) and signs[2] == -1.0
+    assert p[3] != 0.0
 
 
 def test_q_assoc_trivial_cases(asc2_shifted):
     assert js.eval_q_assoc(asc2_shifted, 0.4, 2, 2) == 0.0
     assert js.eval_q_assoc(asc2_shifted, 0.4, 1, 3) == 0.0
-    q1 = js.eval_q(asc2_shifted, 0.4, 1).value
+    q1 = js.recurrence.values(asc2_shifted, 0.4, 1, second_kind=True)[1]
     assert js.eval_q_assoc(asc2_shifted, 0.4, 1, 0) == pytest.approx(q1, rel=1e-13)
 
 
@@ -163,19 +155,19 @@ def test_q_assoc_at_zero_wronskian(asc2_shifted):
 
 def test_green_block_structure(asc2_shifted):
     g = js.green_block(asc2_shifted, 6)
-    assert g.size == 6
-    assert np.all(np.triu(g.entries) == 0.0)  # strictly lower triangular
+    assert g.shape == (6, 6)
+    assert np.all(np.triu(g) == 0.0)  # strictly lower triangular
 
 
 def test_green_block_first_column():
     src = js.ASC2Source(q=0.5, a=0.5, shift=0.5)
     g = js.green_block(src, 4)
-    assert g.entries[1, 0] == pytest.approx(math.sqrt(2.0), rel=1e-14)
+    assert g[1, 0] == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
 
 def test_green_right_inverse_interior(asc2_shifted):
     n = 6
-    g = js.green_block(asc2_shifted, n).entries
+    g = js.green_block(asc2_shifted, n)
     t = js.jacobi_block(asc2_shifted, n)
     prod = t @ g
     resid = prod - np.eye(n)
@@ -187,7 +179,7 @@ def test_green_right_inverse_random_table():
     rng = np.random.RandomState(3)
     src = random_pd_table(rng, 12)
     n = 8
-    g = js.green_block(src, n).entries
+    g = js.green_block(src, n)
     t = js.jacobi_block(src, n)
     resid = t @ g - np.eye(n)
     assert np.max(np.abs(resid[: n - 1, :])) <= 1e-11

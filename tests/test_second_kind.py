@@ -29,9 +29,9 @@ def test_weyl_frozen_at_interior_point(asc2_shifted):
 def test_weyl_matches_markov_limit(asc2_shifted):
     # -Q_50/P_50 approximates w at z = 0.3 to better than 1e-8
     w = js.weyl(asc2_shifted, 0.3, gamma=0.5, atol=1e-12)
-    p = js.eval_phat(asc2_shifted, 0.3, 50)
-    q = js.eval_q(asc2_shifted, 0.3, 50)
-    markov = -(q.sign_or_phase * p.sign_or_phase) * math.exp(q.log_mag - p.log_mag)
+    lp, sp = js.recurrence.log_table(asc2_shifted, 0.3, 50)
+    lq, sq = js.recurrence.log_table(asc2_shifted, 0.3, 50, second_kind=True)
+    markov = -(sq[50] * sp[50]) * math.exp(lq[50] - lp[50])
     assert abs(markov - w) <= 1e-8
 
 
@@ -59,9 +59,9 @@ def test_weyl_complex_off_axis(asc2_shifted):
     # ratio limit -Q_n/P_n deep in the recurrence
     z = complex(0.3, 0.4)
     w = js.weyl(asc2_shifted, z, atol=1e-13)
-    p = js.eval_phat(asc2_shifted, z, 60)
-    q = js.eval_q(asc2_shifted, z, 60)
-    markov = -(q.sign_or_phase / p.sign_or_phase) * math.exp(q.log_mag - p.log_mag)
+    lp, sp = js.recurrence.log_table(asc2_shifted, z, 60)
+    lq, sq = js.recurrence.log_table(asc2_shifted, z, 60, second_kind=True)
+    markov = -(sq[60] / sp[60]) * math.exp(lq[60] - lp[60])
     assert abs(w - markov) <= 1e-10 * abs(w)
 
 
