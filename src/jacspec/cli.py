@@ -108,6 +108,19 @@ def _check_family(family) -> None:
     _check_keys(family, _FAMILY_KEYS[kind], "family", required=True)
 
 
+def _number(value, key: str, kind=float):
+    """A JSON number converted by ``kind``; ConfigError naming ``key`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    try:
+        converted = kind(value)
+    except (ValueError, OverflowError):  # int() of nan or inf
+        raise ConfigError(f"{key} must be finite, got {value!r}") from None
+    if kind is int and converted != value:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return converted
+
+
 def load_config(path: str | None) -> RunConfig:
     cfg = RunConfig()
     if path is None:
@@ -121,23 +134,30 @@ def load_config(path: str | None) -> RunConfig:
     cfg.family = doc.get("family")
     if cfg.family is not None:
         _check_family(cfg.family)
-    cfg.shift = float(doc.get("shift", cfg.shift))
+    cfg.shift = _number(doc.get("shift", cfg.shift), "shift")
     if doc.get("gamma") is not None:
-        cfg.gamma = float(doc["gamma"])
+        cfg.gamma = _number(doc["gamma"], "gamma")
     tol = doc.get("tolerances", {})
     _check_keys(tol, _TOLERANCE_KEYS, "tolerances")
-    cfg.eig_tol = float(tol.get("eig_tol", cfg.eig_tol))
-    cfg.atol = float(tol.get("atol", cfg.atol))
-    cfg.max_terms = int(tol.get("max_terms", cfg.max_terms))
-    cfg.precision_digits = int(tol.get("precision_digits", cfg.precision_digits))
+    cfg.eig_tol = _number(tol.get("eig_tol", cfg.eig_tol), "tolerances.eig_tol")
+    cfg.atol = _number(tol.get("atol", cfg.atol), "tolerances.atol")
+    cfg.max_terms = _number(tol.get("max_terms", cfg.max_terms),
+                            "tolerances.max_terms", int)
+    cfg.precision_digits = _number(tol.get("precision_digits", cfg.precision_digits),
+                                   "tolerances.precision_digits", int)
     cfg.confirm = doc.get("confirm", cfg.confirm)
-    cfg.grid = doc.get("grid")
-    if cfg.grid is not None:
-        _check_keys(cfg.grid, _GRID_KEYS, "grid", required=True)
+    grid = doc.get("grid")
+    if grid is not None:
+        _check_keys(grid, _GRID_KEYS, "grid", required=True)
+        cfg.grid = {"z_min": _number(grid["z_min"], "grid.z_min"),
+                    "z_max": _number(grid["z_max"], "grid.z_max"),
+                    "points": _number(grid["points"], "grid.points", int)}
     out = doc.get("output", {})
     _check_keys(out, _OUTPUT_KEYS, "output")
     cfg.format = out.get("format", cfg.format)
     cfg.out = out.get("path", cfg.out)
+    if cfg.out is not None and not isinstance(cfg.out, str):
+        raise ConfigError(f"output.path must be a string or null, got {cfg.out!r}")
     return cfg
 
 
@@ -301,10 +321,10 @@ def cmd_charfn(cfg: RunConfig) -> int:
     src = build_source(cfg)
     if not cfg.grid:
         raise ConfigError("charfn needs a grid (--grid MIN:MAX:POINTS)")
-    points = int(cfg.grid["points"])
+    points = cfg.grid["points"]
     if points < 2:
         raise ConfigError("grid needs at least 2 points")
-    grid = np.linspace(float(cfg.grid["z_min"]), float(cfg.grid["z_max"]), points)
+    grid = np.linspace(cfg.grid["z_min"], cfg.grid["z_max"], points)
     partial = CharFnEvaluator(src, cfg.max_terms).eval_grid(grid, cfg.atol)
     ratios = charfn_ratio(src, grid, n_max=min(400, cfg.max_terms))
     is_asc2 = isinstance(src, ASC2Source)
@@ -390,16 +410,24 @@ def cmd_identities(cfg: RunConfig, q_list: list[float]) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_shared(p: argparse.ArgumentParser, family: bool = True):
+_NUMERIC_FLAGS = {
+    "--precision": {"type": int,
+                    "help": "working precision in decimal digits"},
+    "--atol": {"type": float},
+    "--max-terms": {"dest": "max_terms", "type": int},
+    "--gamma": {"type": float,
+                "help": "asserted lower spectral bound of the shifted matrix"},
+}
+
+
+def _add_shared(p: argparse.ArgumentParser, numeric: tuple = (),
+                family: bool = True):
+    """Flags every subcommand takes, plus those of ``numeric`` it reads."""
     p.add_argument("--config", help="JSON configuration document")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--precision", type=int,
-                   help="working precision in decimal digits (verify suite)")
-    p.add_argument("--atol", type=float)
-    p.add_argument("--max-terms", dest="max_terms", type=int)
-    p.add_argument("--gamma", type=float,
-                   help="asserted lower spectral bound of the shifted matrix")
+    for flag in numeric:
+        p.add_argument(flag, **_NUMERIC_FLAGS[flag])
     if family:
         p.add_argument("--family", choices=("asc2", "explicit"))
         p.add_argument("--q", type=float)
@@ -418,17 +446,17 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="locate the k smallest eigenvalues")
-    _add_shared(p)
+    _add_shared(p, ("--max-terms", "--gamma"))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eig-tol", dest="eig_tol", type=float)
     p.add_argument("--confirm", choices=("auto", "require", "oracle"))
 
     p = sub.add_parser("charfn", help="characteristic function over a grid")
-    _add_shared(p)
+    _add_shared(p, ("--atol", "--max-terms"))
     p.add_argument("--grid", help="MIN:MAX:POINTS")
 
     p = sub.add_parser("verify", help="run the structural identity suite")
-    _add_shared(p)
+    _add_shared(p, ("--precision", "--max-terms", "--gamma"))
 
     p = sub.add_parser("identities", help="q-series identity gap report")
     _add_shared(p, family=False)

@@ -37,9 +37,10 @@ class TailSeriesEngine:
     """Incrementally grown per-index data for the tail series at a fixed z.
 
     Holds alpha_j, log|P_j(z)|, sign P_j(z) and the implied series terms
-    t_j = 1/(alpha_j P_j P_{j+1}).  Shared between the second-kind table, the
-    kappa sequence and the characteristic-function evaluator; each prefix is
-    immutable once built, so concurrent readers are safe.
+    t_j = 1/(alpha_j P_j P_{j+1}) with their ratios |t_{j+1}/t_j|, each ratio
+    formed once as its term is built.  Shared between the second-kind table,
+    the kappa sequence and the characteristic-function evaluator; each prefix
+    is immutable once built, so concurrent readers are safe.
     """
 
     def __init__(self, src: CoefficientSource, z):
@@ -53,6 +54,7 @@ class TailSeriesEngine:
         self.alphas: list[float] = []
         self.log_t: list[float] = []
         self.sgn_t: list = []
+        self.ratios: list[float] = []  # |t_{j+1} / t_j|, one per built pair
         self._horizon: str | None = None  # message once the horizon is hit
 
     def ensure_terms(self, count: int) -> None:
@@ -84,9 +86,16 @@ class TailSeriesEngine:
                     j = n - 1
                     lt = -(math.log(self.alphas[j])
                            + self.log_p[j] + self.log_p[j + 1])
-                    self.log_t.append(lt)
+                    if j >= 1:
+                        prev = self.log_t[j - 1]
+                        if prev == -math.inf:
+                            self.ratios.append(math.inf if lt > -math.inf else 0.0)
+                        else:
+                            self.ratios.append(_exp_cap(lt - prev))
                     # t_j carries the INVERSE phase of P_j P_{j+1}
                     self.sgn_t.append(1.0 / (self.sgn_p[j] * self.sgn_p[j + 1]))
+                    # log_t is published last: its length is what readers check
+                    self.log_t.append(lt)
 
     def term(self, j: int):
         if self.log_t[j] == -math.inf:
@@ -95,27 +104,14 @@ class TailSeriesEngine:
 
     def term_ratio(self, j: int):
         """Signed ratio t_{j+1} / t_j."""
-        mag = self.ratio_mag(j)
+        mag = self.ratios[j]
         if isinstance(self.sgn_t[j], complex):
             return self.sgn_t[j + 1] / self.sgn_t[j] * mag
         return self.sgn_t[j + 1] * self.sgn_t[j] * mag
 
-    def ratio_mag(self, j: int) -> float:
-        if self.log_t[j] == -math.inf:
-            return math.inf if self.log_t[j + 1] > -math.inf else 0.0
-        return _exp_cap(self.log_t[j + 1] - self.log_t[j])
-
-    def stable_ratio_at(self, j: int) -> float | None:
-        """Max ratio over the trailing window ending at term j, or None if the
-        window is incomplete or any ratio breaches the 0.9 cap."""
-        if j < _RATIO_WINDOW:
-            return None
-        window = [self.ratio_mag(i) for i in range(j - _RATIO_WINDOW, j)]
-        r_hat = max(window)
-        return r_hat if r_hat < _RATIO_CAP else None
-
     def find_stop(self, atol: float, max_terms: int, min_terms: int = 0):
-        """Smallest J with a stable ratio window and |t_J| < atol (1-r)/r.
+        """Smallest J whose trailing ratio window stays below the 0.9 cap
+        and with |t_J| < atol (1-r)/r, r the window's largest ratio.
 
         Returns (J, r_hat); raises ConvergenceError when the budget runs out.
         """
@@ -137,10 +133,10 @@ class TailSeriesEngine:
             self.ensure_terms(j + 2)
             if self.log_t[j] == -math.inf:
                 return j, 0.5  # terms underflowed to zero; tail is negligible
-            r_hat = self.stable_ratio_at(j)
+            r_hat = max(self.ratios[j - _RATIO_WINDOW:j])
             if r_hat == 0.0:
                 return j, 0.5  # ratios below resolution; tail is negligible
-            if r_hat is not None \
+            if r_hat < _RATIO_CAP \
                     and self.log_t[j] < 700.0 \
                     and math.exp(self.log_t[j]) < atol * (1.0 - r_hat) / r_hat:
                 return j, r_hat
@@ -175,15 +171,12 @@ class TailSeriesEngine:
 class SecondKindTable:
     """w_n(z) values with per-index certified tail bounds.
 
-    trunc_len is the inner-series truncation index: terms of the tail series
-    beyond it are covered by the geometric bound.  kappas is populated only
-    for z = 0 (relative to the shifted source).
+    kappas is populated only for z = 0 (relative to the shifted source).
     """
 
     z: float | complex
     values: list
     tail_bounds: list[float]
-    trunc_len: int
     kappas: list[float] | None = None
 
 
@@ -272,8 +265,7 @@ def second_kind_values(src: CoefficientSource, z, count: int, *,
             sign = eng.sgn_p[n] / eng.sgn_p[n + 1]
             sign = sign.real if isinstance(sign, complex) else sign
             kappas.append(-s_real * sign * mag)
-    return SecondKindTable(z=z, values=vals, tail_bounds=bounds,
-                           trunc_len=j_top + 1, kappas=kappas)
+    return SecondKindTable(z=z, values=vals, tail_bounds=bounds, kappas=kappas)
 
 
 @dataclass
@@ -284,7 +276,6 @@ class KappaSequence:
     partial_sums: list[float]
     tail_estimate: float
     decay_ratio: float
-    terms_used: int
 
     @property
     def total_upper(self) -> float:
@@ -315,12 +306,12 @@ def kappa_sequence(src: CoefficientSource, count: int, *,
     for k in kappas:
         acc += k
         sums.append(acc)
-    ratios = [kappas[i + 1] / kappas[i] for i in range(len(kappas) - 1)]
-    window = ratios[-_RATIO_WINDOW:] if len(ratios) >= _RATIO_WINDOW else ratios
-    decay = max(window) if window else 1.0
+    decay = max((kappas[i + 1] / kappas[i]
+                 for i in range(max(0, count - 1 - _RATIO_WINDOW), count - 1)),
+                default=1.0)
     tail = kappas[-1] * decay / (1.0 - decay) if decay < 1.0 else math.inf
     return KappaSequence(kappas=kappas, partial_sums=sums, tail_estimate=tail,
-                         decay_ratio=decay, terms_used=table.trunc_len)
+                         decay_ratio=decay)
 
 
 @dataclass

@@ -215,11 +215,11 @@ def check_resolvent_identity(src, n_block=12, threshold=1e-10, gamma=None,
     if digits > 16:
         ctx = _mp_context(digits)
         alphas, betas = _mp_coeffs(src, n_block - 1, ctx)
+        p0 = plain_values(alphas, betas, ctx.mpf(0), n_block)
+        qv = plain_values(alphas, betas, ctx.mpf(0), n_block, second_kind=True)
         worst = 0.0
         for x in xs:
             xv = ctx.mpf(x)
-            p0 = plain_values(alphas, betas, ctx.mpf(0), n_block)
-            qv = plain_values(alphas, betas, ctx.mpf(0), n_block, second_kind=True)
             px = plain_values(alphas, betas, xv, n_block)
             for n in range(n_block):
                 acc = px[n] - p0[n]

@@ -318,6 +318,22 @@ def test_config_unknown_output_key_rejected(tmp_path, capsys):
     (dict(_CHARFN_DOC, family={"q": 0.5, "a": 0.5}), "unknown family kind None"),
     (dict(_CHARFN_DOC, family={"kind": ["asc2"], "q": 0.5, "a": 0.5}),
      "unknown family kind ['asc2']"),
+    (dict(_CHARFN_DOC, shift=None), "shift must be a number, got None"),
+    (dict(_CHARFN_DOC, gamma=[1]), "gamma must be a number, got [1]"),
+    (dict(_CHARFN_DOC, tolerances={"atol": [1]}),
+     "tolerances.atol must be a number, got [1]"),
+    (dict(_CHARFN_DOC, tolerances={"max_terms": float("inf")}),
+     "tolerances.max_terms must be finite, got inf"),
+    (dict(_CHARFN_DOC, grid={"z_min": None, "z_max": 1.0, "points": 3}),
+     "grid.z_min must be a number, got None"),
+    (dict(_CHARFN_DOC, grid={"z_min": -1.0, "z_max": 1.0, "points": [3]}),
+     "grid.points must be a number, got [3]"),
+    (dict(_CHARFN_DOC, grid={"z_min": -1.0, "z_max": 1.0, "points": 3.7}),
+     "grid.points must be an integer, got 3.7"),
+    (dict(_CHARFN_DOC, output={"path": 7}),
+     "output.path must be a string or null, got 7"),
+    (dict(_CHARFN_DOC, output={"path": 1}),  # would write to, then close, fd 1
+     "output.path must be a string or null, got 1"),
 ])
 def test_config_malformed_family_or_grid_rejected(tmp_path, capsys, doc, message):
     # each of these used to raise a traceback or run with the key ignored
@@ -325,6 +341,23 @@ def test_config_malformed_family_or_grid_rejected(tmp_path, capsys, doc, message
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("spectrum", "--atol"), ("spectrum", "--precision"),
+    ("charfn", "--precision"), ("charfn", "--gamma"),
+    ("verify", "--atol"),
+    ("identities", "--atol"), ("identities", "--precision"),
+    ("identities", "--max-terms"), ("identities", "--gamma"),
+])
+def test_subcommand_rejects_flags_it_does_not_read(capsys, command, flag):
+    family = [] if command == "identities" else ["--q", "0.5", "--a", "0.5"]
+    extra = {"spectrum": ["--k", "1"], "charfn": ["--grid=0:1:2"],
+             "verify": [], "identities": ["--q-list", "0.5"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *family, *extra, flag, "3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
 def test_config_family_q_a_overridden_by_flags(tmp_path, capsys):

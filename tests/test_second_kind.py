@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -216,10 +217,97 @@ def test_engine_keeps_the_horizon_error():
     assert str(first.value) == msg
     assert first.value.terms == 899
     built = (list(eng.log_p), list(eng.sgn_p), list(eng.alphas),
-             list(eng.log_t), list(eng.sgn_t))
+             list(eng.log_t), list(eng.sgn_t), list(eng.ratios))
+    assert len(eng.ratios) == 898  # one ratio per pair of built terms
     with pytest.raises(js.ConvergenceError) as second:
         eng.ensure_terms(5000)
     assert str(second.value) == msg
     assert second.value.terms == 899
     eng.ensure_terms(899)  # the built prefix still serves
-    assert (eng.log_p, eng.sgn_p, eng.alphas, eng.log_t, eng.sgn_t) == built
+    assert (eng.log_p, eng.sgn_p, eng.alphas, eng.log_t, eng.sgn_t,
+            eng.ratios) == built
+
+
+# Reference for the stored ratio list: the five-ratio window rebuilt from the
+# term logs at every candidate stop, as the engine once did.
+def _ref_ratio(eng, j):
+    if eng.log_t[j] == -math.inf:
+        return math.inf if eng.log_t[j + 1] > -math.inf else 0.0
+    x = eng.log_t[j + 1] - eng.log_t[j]
+    return math.inf if x > 709.0 else math.exp(x)
+
+
+def _ref_find_stop(eng, atol, max_terms, min_terms=0):
+    """(J, r_hat) as the per-candidate window finds it; None past the budget."""
+    for j in range(max(min_terms, 5), max_terms):
+        eng.ensure_terms(j + 2)
+        if eng.log_t[j] == -math.inf:
+            return j, 0.5
+        r_hat = max(_ref_ratio(eng, i) for i in range(j - 5, j))
+        if r_hat == 0.0:
+            return j, 0.5
+        if r_hat < 0.9 and eng.log_t[j] < 700.0 \
+                and math.exp(eng.log_t[j]) < atol * (1.0 - r_hat) / r_hat:
+            return j, r_hat
+    return None
+
+
+def _ref_backward_sums(eng, j_top, r_hat):
+    spread = r_hat / (1.0 - r_hat)
+    s = [1.0] * (j_top + 1)
+    h = [0.0] * (j_top + 1)
+    s[j_top] = 1.0 + 0.5 * spread
+    h[j_top] = 0.5 * spread
+    for n in range(j_top - 1, -1, -1):
+        rho = eng.sgn_t[n + 1] * eng.sgn_t[n] * _ref_ratio(eng, n)
+        s[n] = 1.0 + rho * s[n + 1]
+        h[n] = abs(rho) * h[n + 1]
+    return s, h
+
+
+@pytest.mark.parametrize("q, a, shift", [(0.5, 0.5, 0.5), (0.3, 0.3, 0.0),
+                                         (0.6, 0.3, 0.5), (0.7, 0.7, 0.0)])
+def test_stored_ratios_match_the_per_candidate_window(q, a, shift):
+    from jacspec.second_kind import TailSeriesEngine
+    src = js.ASC2Source(q, a, shift)
+    for z in (0.0, -0.7):
+        eng = TailSeriesEngine(src, z)
+        for atol in (1e-8, 1e-12, 1e-15):
+            for min_terms in (0, 40, 200):
+                ref = _ref_find_stop(eng, atol, 20000, min_terms)
+                j, r_hat = eng.find_stop(atol, 20000, min_terms)
+                assert (j, float.hex(r_hat)) == (ref[0], float.hex(ref[1]))
+                got = eng.backward_sums(j + 16, r_hat)
+                want = _ref_backward_sums(eng, j + 16, r_hat)
+                assert [list(map(float.hex, v)) for v in got] \
+                    == [list(map(float.hex, v)) for v in want]
+
+
+def test_failing_kappa_build_matches_the_reference():
+    # (0.9, 0.9, 0) never shows a window below the 0.9 cap, so the search
+    # walks to the coefficient horizon and raises there
+    from jacspec.second_kind import TailSeriesEngine
+    src = js.ASC2Source(0.9, 0.9, 0.0)
+    with pytest.raises(js.ConvergenceError) as got:
+        js.kappa_sequence(src, 400)
+    with pytest.raises(js.ConvergenceError) as want:
+        _ref_find_stop(TailSeriesEngine(src, 0.0), 1e-12, 20000, min_terms=401)
+    assert (str(got.value), got.value.terms) == (str(want.value), want.value.terms)
+    assert got.value.terms == 5914
+
+
+@pytest.mark.parametrize("q, a, shift, count, fails, budget", [
+    (0.5, 0.5, 0.5, 830, False, 4500),
+    (0.9, 0.9, 0.0, 400, True, 6500),  # the failing build above
+])
+def test_kappa_build_exp_calls(monkeypatch, q, a, shift, count, fails, budget):
+    # each term ratio is formed once, when its term is built; rebuilding the
+    # window at every candidate stop took 5,888 and 27,560 calls here
+    from jacspec import second_kind
+    exp_cap = second_kind._exp_cap
+    calls = []
+    monkeypatch.setattr(second_kind, "_exp_cap",
+                        lambda x: calls.append(x) or exp_cap(x))
+    with pytest.raises(js.ConvergenceError) if fails else contextlib.nullcontext():
+        js.kappa_sequence(js.ASC2Source(q, a, shift), count)
+    assert len(calls) <= budget

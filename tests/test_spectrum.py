@@ -399,3 +399,37 @@ def test_certified_spectrum_sweep_gate(monkeypatch):
     res = js.find_spectrum(js.ASC2Source(0.5, 0.5, 0.5), 8, 1e-9)
     assert res.methods == ["charfn-bisection"] * 8
     assert calls[0] <= 100
+
+
+class _WeaklyCoupled(js.CoefficientSource):
+    """alpha = (1e-12, 1e-6, 0.5 2^n, ...), beta = (1, 1 + 2e-10, 4^n, ...):
+    the two smallest roots sit 2e-10 apart, below 10 tol at tol = 1e-9."""
+
+    def alpha(self, n):
+        return (1e-12, 1e-6)[n] if n < 2 else 0.5 * 2.0 ** n
+
+    def beta(self, n):
+        return (1.0, 1.0 + 2e-10)[n] if n < 2 else 4.0 ** n
+
+
+def test_near_degenerate_roots_rerun_the_oracle(monkeypatch):
+    from jacspec import spectrum
+    runs = []
+    orig = spectrum.sturm_eigenvalues
+
+    def recorded(t, k, tol):
+        runs.append((t.size, tol))
+        return orig(t, k, tol)
+
+    monkeypatch.setattr(spectrum, "sturm_eigenvalues", recorded)
+    res = js.find_spectrum(_WeaklyCoupled(), 3, 1e-9, confirm="oracle")
+    assert res.ladder == [12, 24]
+    # both rungs run again at about 1e-3 of the root gap
+    assert [n for n, _ in runs] == [12, 24, 12, 24]
+    assert runs[2][1] == runs[3][1] == pytest.approx(2.0e-13, rel=1e-2)
+    assert runs[2][1] < runs[0][1]
+    lam1, lam2 = res.eigenvalues[:2]
+    assert lam1 == pytest.approx(1.0000000000000182, abs=1e-14)
+    assert lam2 == pytest.approx(1.0000000001999934, abs=1e-14)
+    assert lam2 - lam1 == pytest.approx(2.0e-10, rel=1e-3)
+    assert res.brackets[0][1] <= res.brackets[1][0]
