@@ -34,7 +34,7 @@ from .errors import AssumptionViolation, ConvergenceError
 from .qseries import (phi1_closed_form_check, phi1_unit_argument,
                       qbinomial_check, qgauss_check, spectrum_product_reference)
 from .sources import ASC2Source, TableSource
-from .spectrum import find_spectrum
+from .spectrum import CONFIRM_POLICIES, find_spectrum
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -146,6 +146,9 @@ def load_config(path: str | None) -> RunConfig:
     cfg.precision_digits = _number(tol.get("precision_digits", cfg.precision_digits),
                                    "tolerances.precision_digits", int)
     cfg.confirm = doc.get("confirm", cfg.confirm)
+    if cfg.confirm not in CONFIRM_POLICIES:
+        raise ConfigError(f"confirm must be one of {'|'.join(CONFIRM_POLICIES)}, "
+                          f"got {cfg.confirm!r}")
     grid = doc.get("grid")
     if grid is not None:
         _check_keys(grid, _GRID_KEYS, "grid", required=True)
@@ -449,7 +452,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_shared(p, ("--max-terms", "--gamma"))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eig-tol", dest="eig_tol", type=float)
-    p.add_argument("--confirm", choices=("auto", "require", "oracle"))
+    p.add_argument("--confirm", choices=CONFIRM_POLICIES)
 
     p = sub.add_parser("charfn", help="characteristic function over a grid")
     _add_shared(p, ("--atol", "--max-terms"))

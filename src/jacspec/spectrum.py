@@ -29,6 +29,9 @@ _OFFDIAG_LIMIT = math.sqrt(np.finfo(float).max)
 _MAX_WIDEN = 6
 _SWEEP_POINTS = 256  # midpoints per Sturm sweep; a pass costs ~1 shift's time
 _LADDER_CAP = 8192  # the ladder stops doubling at this truncation size
+_TAIL_CHECK = 16  # rows between the early-exit checks of a Sturm sweep
+_PIVMIN_SCALE = 5e-308  # pivot floor per unit of the largest offdiag**2
+CONFIRM_POLICIES = ("auto", "require", "oracle")  # see find_spectrum
 
 
 @dataclass(frozen=True)
@@ -64,24 +67,67 @@ class TruncatedTridiagonal:
 def _pivmin(off2: np.ndarray) -> float:
     """Smallest pivot magnitude the Sturm count keeps, given offdiag**2."""
     big = float(off2.max()) if off2.size else 1.0
-    return max(1.0, big) * 5e-308
+    return max(1.0, big) * _PIVMIN_SCALE
 
 
-def sturm_counts(t: TruncatedTridiagonal, xs) -> np.ndarray:
+def sturm_counts(t: TruncatedTridiagonal, xs, *, limit=None) -> np.ndarray:
     """Number of eigenvalues of the block below each shift in xs.
 
     Counts negative pivots of the LDL^T factorization of T - x I; zero pivots
     are replaced by -pivmin (LAPACK convention), which both breaks ties
     deterministically and keeps the next division finite.
+
+    The sweep stops once every count is decided, with two exits, checked
+    every 16 rows:
+
+    - Saturation.  With ``limit`` set, a shift whose running count has
+      reached ``limit`` is decided: its returned count is some value
+      >= limit, not necessarily the exact one.  A caller that only asks
+      ``count >= target`` with ``target <= limit`` gets the same answers.
+      With ``limit=None`` every count is exact.
+    - Settled tail.  Let c be the least pivot and X the largest shift among
+      the open (undecided) shifts.  If c >= pivmin and the scalar recurrence
+      L_j = (diag_j - X) - off2_{j-1} / L_{j-1}, started from L = c, stays
+      >= pivmin over every remaining row, the open counts cannot change.
+      IEEE subtraction and division are correctly rounded, hence monotone:
+      each open shift's computed pivot satisfies d_j(x) >= L_j >= pivmin by
+      induction, so it is never clamped and never negative.  A failed
+      attempt is not retried before the row where it failed, which keeps
+      the scalar work linear per sweep.  On an unbounded diagonal (a trace
+      class inverse) the tail settles early and most rows are skipped.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     diag = t.diag
     off2 = t.offdiag ** 2
     pivmin = _pivmin(off2)
+    n = t.size
     d = diag[0] - xs
     d = np.where(np.abs(d) < pivmin, -pivmin, d)
     count = (d < 0).astype(np.int64)
-    for i in range(1, t.size):
+    diag_list = off2_list = None
+    retry = 0  # no settled-tail attempt before this row
+    for i in range(1, n):
+        if i % _TAIL_CHECK == 0:
+            d_open, x_open = d, xs
+            if limit is not None:
+                is_open = count < limit
+                d_open, x_open = d[is_open], xs[is_open]
+            if not d_open.size:
+                return count
+            lj = float(d_open.min())
+            if i >= retry and lj >= pivmin:
+                if diag_list is None:
+                    diag_list, off2_list = diag.tolist(), off2.tolist()
+                x_max = float(x_open.max())
+                j = i
+                while j < n:
+                    lj = (diag_list[j] - x_max) - off2_list[j - 1] / lj
+                    if not lj >= pivmin:
+                        break
+                    j += 1
+                if j == n:
+                    return count
+                retry = j
         d = (diag[i] - xs) - off2[i - 1] / d
         d = np.where(np.abs(d) < pivmin, -pivmin, d)
         count += d < 0
@@ -98,7 +144,8 @@ def sturm_eigenvalues(t: TruncatedTridiagonal, k: int, tol: float = 1e-10,
     every live bracket and then replays the D bisection steps from those
     counts.  The tree holds exactly the floats one-step bisection would
     visit, so the roots equal its roots bit for bit; max_iter still counts
-    bisection steps, not sweeps.
+    bisection steps, not sweeps.  The replay only asks count >= target, so
+    each sweep saturates at the largest live target (see sturm_counts).
 
     Raises ValueError when the pivot floor exceeds tol: the clamped pivots
     would then move the roots by more than the tolerance.
@@ -135,7 +182,8 @@ def sturm_eigenvalues(t: TruncatedTridiagonal, k: int, tol: float = 1e-10,
             levels.append(mid)
             a = np.stack([a, mid], axis=2).reshape(m, -1)
             b = np.stack([mid, b], axis=2).reshape(m, -1)
-        counts = sturm_counts(t, np.concatenate(levels, axis=1).ravel())
+        counts = sturm_counts(t, np.concatenate(levels, axis=1).ravel(),
+                              limit=int(targets[live].max()))
         counts = counts.reshape(m, -1)
         rows = np.arange(m)
         node = np.zeros(m, dtype=np.intp)
@@ -207,6 +255,39 @@ def check_spectral_config(src: CoefficientSource) -> None:
         )
 
 
+def _usable_size(src, n, otol):
+    """Largest m <= n whose m x m block the oracle can use at otol.
+
+    A block is usable when from_source accepts it (its entries and
+    offdiag**2 stay in the float range) and its pivot floor is at most otol,
+    so that sturm_eigenvalues accepts it too.  Both conditions hold for a
+    block exactly when they hold row by row, so the usable sizes are a
+    prefix of 1, 2, ...
+    """
+    diag = np.array([src.beta(i) - src.shift for i in range(n)], dtype=float)
+    off = np.array([src.alpha(i) for i in range(n - 1)], dtype=float)
+    with np.errstate(over="ignore"):
+        floor = np.maximum(1.0, off ** 2) * _PIVMIN_SCALE
+    bad_off = ~((np.abs(off) < _OFFDIAG_LIMIT) & (floor <= otol))
+    m = n
+    if not np.all(np.isfinite(diag)):
+        m = int(np.argmin(np.isfinite(diag)))
+    if np.any(bad_off):
+        m = min(m, int(np.argmax(bad_off)) + 1)
+    return m
+
+
+def _rung(src, n, otol):
+    """The n x n block, or the largest usable block below that size."""
+    try:
+        t = TruncatedTridiagonal.from_source(src, n)
+        if _pivmin(t.offdiag ** 2) <= otol:
+            return t
+    except ValueError:
+        pass
+    return TruncatedTridiagonal.from_source(src, _usable_size(src, n, otol))
+
+
 def _ladder(src, k, tol):
     """Double the truncation size until the k smallest roots stabilize.
 
@@ -214,24 +295,37 @@ def _ladder(src, k, tol):
     itself, whichever is larger; an absolute test alone is below one ulp
     once the roots are large and could never be met.
 
+    A rung (the first included) that would pass the largest usable size is
+    clamped to that size; see _usable_size.  On a fast-growing source such
+    as ASC-II at q = 0.3 this lets the last rung end just inside the float
+    range instead of failing there.  If the clamp leaves no rung larger than
+    the current one, or the clamped rung does not stabilize, ValueError is
+    raised rather than an unstabilized root returned.
+
     Returns (sizes, x_coarse, x_fine) for the last two rungs; x_coarse comes
     from the smaller truncation, so componentwise x_coarse >= x_fine >= lambda.
     """
     otol = max(tol * 1e-3, 1e-15)
-    n = max(4 * k, 8)
-    sizes = [n]
-    x_prev = sturm_eigenvalues(TruncatedTridiagonal.from_source(src, n), k, otol)
+    t = _rung(src, max(4 * k, 8), otol)
+    sizes = [t.size]
+    x_prev = sturm_eigenvalues(t, k, otol)
     while True:
-        n2 = 2 * n
-        x_next = sturm_eigenvalues(TruncatedTridiagonal.from_source(src, n2), k, otol)
-        sizes.append(n2)
-        floor = np.maximum(_LADDER_STABILIZE * tol,
-                           _LADDER_ULPS * np.spacing(np.abs(x_next)))
-        if np.all(np.abs(x_prev - x_next) <= floor):
+        n = sizes[-1]
+        t = _rung(src, 2 * n, otol)
+        if t.size > n:
+            x_next = sturm_eigenvalues(t, k, otol)
+            sizes.append(t.size)
+            floor = np.maximum(_LADDER_STABILIZE * tol,
+                               _LADDER_ULPS * np.spacing(np.abs(x_next)))
+            if np.all(np.abs(x_prev - x_next) <= floor):
+                return sizes, x_prev, x_next
+        if t.size < 2 * n:
+            m = sizes[-1]
+            raise ValueError(
+                f"the {k} smallest roots have not stabilized at {m} x {m}, "
+                f"the largest truncation usable at tolerance {otol:.3g}")
+        if t.size >= _LADDER_CAP:
             return sizes, x_prev, x_next
-        if n2 >= _LADDER_CAP:
-            return sizes, x_prev, x_next
-        n = n2
         x_prev = x_next
 
 
@@ -265,7 +359,7 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if confirm not in ("auto", "require", "oracle"):
+    if confirm not in CONFIRM_POLICIES:
         raise ValueError(f"unknown confirm policy {confirm!r}")
     res = SpectrumResult(k=k)
     if k == 0:

@@ -343,6 +343,19 @@ def test_config_malformed_family_or_grid_rejected(tmp_path, capsys, doc, message
     assert message in err
 
 
+@pytest.mark.parametrize("command", ["charfn", "verify", "spectrum"])
+@pytest.mark.parametrize("confirm", ["bogus", None, ["auto"]])
+def test_config_unknown_confirm_rejected(tmp_path, capsys, command, confirm):
+    # charfn and verify never read confirm; they used to run with exit 0 and
+    # echo the bad value in the report header
+    argv = ["--k", "1"] if command == "spectrum" else []
+    doc = dict(_CHARFN_DOC, confirm=confirm)
+    code, out, err = _run_config(tmp_path, capsys, doc, command, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"confirm must be one of auto|require|oracle, got {confirm!r}" in err
+
+
 @pytest.mark.parametrize("command, flag", [
     ("spectrum", "--atol"), ("spectrum", "--precision"),
     ("charfn", "--precision"), ("charfn", "--gamma"),

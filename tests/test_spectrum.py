@@ -294,12 +294,24 @@ def test_ladder_stops_at_ulp_level_for_large_roots():
         assert abs(lam - 0.3 ** -n) <= 1e-10 + 1e-12 * 0.3 ** -n
 
 
-def test_oracle_overflow_raises_instead_of_negative_eigenvalues():
-    # the k = 40 ladder for q = 0.3 still cannot stabilize before the float
-    # range ends; it must raise rather than return garbage
+def test_oracle_ladder_clamps_its_last_rung_to_the_usable_size():
+    # q = 0.3, otol = 1e-13: 283 rows is the largest block whose pivot floor
+    # stays below otol (284 rows: 4.0e-13), so the rung after 160 is 283
     src = js.ASC2Source(q=0.3, a=0.3)
-    with pytest.raises(ValueError, match="320 x 320"):
-        js.find_spectrum(src, 40, 1e-10, confirm="oracle")
+    res = js.find_spectrum(src, 40, 1e-10, confirm="oracle")
+    assert res.ladder == [160, 283]
+    for n, lam in enumerate(res.eigenvalues):
+        assert abs(lam - 0.3 ** -n) <= 1e-10 + 1e-12 * 0.3 ** -n
+
+
+def test_oracle_overflow_raises_instead_of_negative_eigenvalues():
+    # the first rung 4k = 320 (k = 80) or 284 (k = 71) is clamped to 283
+    # rows, and no larger usable rung is left to confirm it: the ladder must
+    # raise rather than return unconfirmed roots
+    src = js.ASC2Source(q=0.3, a=0.3)
+    for k in (71, 80):
+        with pytest.raises(ValueError, match="not stabilized at 283 x 283"):
+            js.find_spectrum(src, k, 1e-10, confirm="oracle")
 
 
 def _plain_bisection(t, k, tol, max_iter):
@@ -433,3 +445,98 @@ def test_near_degenerate_roots_rerun_the_oracle(monkeypatch):
     assert lam2 == pytest.approx(1.0000000001999934, abs=1e-14)
     assert lam2 - lam1 == pytest.approx(2.0e-10, rel=1e-3)
     assert res.brackets[0][1] <= res.brackets[1][0]
+
+
+def _full_counts(t, xs):
+    """Every pivot of every row: the Sturm sweep without its early exits."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    off2 = t.offdiag ** 2
+    pivmin = max(1.0, float(off2.max()) if off2.size else 1.0) * 5e-308
+    d = t.diag[0] - xs
+    d = np.where(np.abs(d) < pivmin, -pivmin, d)
+    count = (d < 0).astype(np.int64)
+    for i in range(1, t.size):
+        d = (t.diag[i] - xs) - off2[i - 1] / d
+        d = np.where(np.abs(d) < pivmin, -pivmin, d)
+        count += d < 0
+    return count
+
+
+def _probe_shifts(t, roots):
+    """Shifts log-spaced from both ends of the Gershgorin interval, its ends
+    and their neighbours, and shifts at and beside the given roots."""
+    a = np.abs(t.offdiag)
+    radius = np.concatenate([a, [0.0]]) + np.concatenate([[0.0], a])
+    lo = float(np.min(t.diag - radius))
+    hi = float(np.max(t.diag + radius))
+    steps = (hi - lo) * np.logspace(-16.0, 0.0, 40)
+    ends = np.array([lo, hi])
+    roots = np.asarray(roots, dtype=float)
+    return np.concatenate([
+        lo + steps, hi - steps, ends, np.nextafter(ends, -np.inf),
+        np.nextafter(ends, np.inf), roots, np.nextafter(roots, -np.inf),
+        np.nextafter(roots, np.inf), roots * (1.0 - 1e-9), roots * (1.0 + 1e-9),
+    ])
+
+
+def _assert_count_contract(t, xs, limits):
+    ref = _full_counts(t, xs)
+    assert np.array_equal(js.sturm_counts(t, xs), ref)
+    for limit in limits:
+        got = js.sturm_counts(t, xs, limit=limit)
+        # below the limit a count is exact; at or above it, any value >= limit
+        assert np.all((got == ref) | ((got >= limit) & (ref >= limit)))
+
+
+def test_sturm_counts_early_exits_keep_the_count_contract_random():
+    # rounded diagonals give tied roots, zero off-diagonals split the block;
+    # every third block has a fast-growing diagonal whose tail settles early
+    rng = np.random.RandomState(43)
+    for trial in range(60):
+        n = rng.randint(1, 300)
+        diag = rng.uniform(-4.0, 12.0, size=n)
+        if trial % 3 == 2:
+            diag += 1.5 ** np.arange(n)
+        off = rng.uniform(-2.0, 2.0, size=n - 1)
+        if trial % 2:
+            diag = np.round(diag)
+        if trial % 4 == 0:
+            off[rng.uniform(size=n - 1) < 0.3] = 0.0
+        t = js.TruncatedTridiagonal(diag=diag, offdiag=off)
+        roots = js.sturm_eigenvalues(t, min(n, 12), 1e-12)
+        limits = sorted({1, rng.randint(1, n + 1), n})
+        _assert_count_contract(t, _probe_shifts(t, roots), limits)
+
+
+@pytest.mark.parametrize("q, sizes", [(0.3, (80, 160, 283)),
+                                      (0.5, (80, 160, 320, 480)),
+                                      (0.9, (80, 320, 1280))])
+def test_sturm_counts_early_exits_keep_the_count_contract_asc2(q, sizes):
+    src = js.ASC2Source(q, q, 0.0)
+    for n in sizes:
+        t = js.TruncatedTridiagonal.from_source(src, n)
+        roots = js.sturm_eigenvalues(t, 20, 1e-13)
+        _assert_count_contract(t, _probe_shifts(t, roots), (1, 7, 20, n))
+
+
+def test_subtree_bisection_matches_plain_bisection_q09_320_rows():
+    # the saturating sweeps of sturm_eigenvalues against exact counts
+    t = js.TruncatedTridiagonal.from_source(js.ASC2Source(0.9, 0.9, 0.0), 320)
+    for tol in (1e-10, 1e-13):
+        got = js.sturm_eigenvalues(t, 20, tol)
+        assert np.array_equal(got, _plain_bisection(t, 20, tol, 3000))
+
+
+def test_settled_tail_still_counts_pivots_below_the_floor():
+    # offdiag_30 = 1e150 lifts the pivot floor to 5e-8; at x = 1 the pivot of
+    # row 16 is 1e-9 > 0, below the floor, so it is clamped to -pivmin and
+    # counted.  The settled-tail recurrence must fail there, not pass it.
+    diag = np.full(32, 10.0)
+    diag[16] = 1.0 + 1e-9
+    diag[31] = 1e301
+    off = np.zeros(31)
+    off[30] = 1e150
+    t = js.TruncatedTridiagonal(diag=diag, offdiag=off)
+    xs = [1.0, 1.0 - 1e-6, 0.5]
+    assert js.sturm_counts(t, xs).tolist() == [1, 0, 0]
+    assert np.array_equal(js.sturm_counts(t, xs), _full_counts(t, xs))
