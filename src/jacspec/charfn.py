@@ -73,9 +73,11 @@ class CharFnEvaluator:
     """Shared-state evaluator: one kappa table serves many z evaluations.
 
     Table growth is serialized by a lock and published prefixes are never
-    mutated, so evaluations may run from worker threads.  The smallest kappa
-    count that failed to build is remembered, so the table capacity is probed
-    once per evaluator rather than once per term plan.
+    mutated, so evaluations may run from worker threads.  The table capacity
+    starts at max_terms; the first build that fails (budget, coefficient
+    horizon or no stable decay window) fixes it once, by bisection between the
+    table length and the failed count, so it is probed once per evaluator and
+    every later plan sees the same limit.
     """
 
     def __init__(self, src: CoefficientSource, max_terms: int = 20000):
@@ -88,41 +90,50 @@ class CharFnEvaluator:
         self._log_w0: list[float] = []
         self._sgn_w0: list[float] = []
         self._sum_upper: float | None = None
-        # smallest kappa count whose build failed (budget, coefficient
-        # horizon or no stable decay window); larger counts fail as well
-        self._failed_count: int | None = None
+        self._capacity = max_terms  # lowered once, by the first failed build
 
     # -- kappa table management -------------------------------------------
 
     def _grow(self, count: int) -> bool:
-        """Extend the kappa table to ``count`` entries; False when the budget,
-        the coefficient horizon or the decay window does not allow it."""
-        if count > self.max_terms:
+        """Extend the kappa table to ``count`` entries; False beyond the
+        capacity, which the first failed build fixes."""
+        if count > self._capacity:
             return False
         if count <= len(self._kappa):
             return True
         with self._grow_lock:
-            if count <= len(self._kappa):
+            if count > self._capacity:
+                return False
+            if count <= len(self._kappa) or self._build(count):
                 return True
-            if self._failed_count is not None and count >= self._failed_count:
-                return False
-            try:
-                seq = kappa_sequence(self.src, count, max_terms=self.max_terms,
-                                     engine=self._engine)
-            except ConvergenceError:
-                self._failed_count = count
-                return False
-            lp = self._engine.log_p
-            sp = self._engine.sgn_p
-            log_w0 = [math.log(k) - lp[n] for n, k in enumerate(seq.kappas)]
-            sgn_w0 = [sp[n] for n in range(count)]
-            # publish each table with a single reference swap
-            self._log_w0 = log_w0
-            self._sgn_w0 = sgn_w0
-            self._kappa = seq.kappas
-            if self._sum_upper is None:
-                self._sum_upper = seq.total_upper
-            return True
+            # the first failure: bisect between the table length (each
+            # successful build raises it) and the smallest failed count
+            hi = count
+            while hi - len(self._kappa) > 8:
+                mid = (len(self._kappa) + hi) // 2
+                if not self._build(mid):
+                    hi = mid
+            self._capacity = len(self._kappa)
+            return False
+
+    def _build(self, count: int) -> bool:
+        """Build and publish a ``count``-entry table; the caller holds the lock."""
+        try:
+            seq = kappa_sequence(self.src, count, max_terms=self.max_terms,
+                                 engine=self._engine)
+        except ConvergenceError:
+            return False
+        lp = self._engine.log_p
+        sp = self._engine.sgn_p
+        log_w0 = [math.log(k) - lp[n] for n, k in enumerate(seq.kappas)]
+        sgn_w0 = [sp[n] for n in range(count)]
+        # publish each table with a single reference swap
+        self._log_w0 = log_w0
+        self._sgn_w0 = sgn_w0
+        self._kappa = seq.kappas
+        if self._sum_upper is None:
+            self._sum_upper = seq.total_upper
+        return True
 
     @property
     def kappa_sum_upper(self) -> float:
@@ -153,18 +164,6 @@ class CharFnEvaluator:
             return math.inf
         return k[n_terms] / (1.0 - r)
 
-    def _achievable_terms(self, failed: int) -> int:
-        """Largest kappa count that can actually be built, by bisection."""
-        lo = len(self._kappa)
-        hi = failed
-        while hi - lo > 8:
-            mid = (lo + hi) // 2
-            if self._grow(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
     def plan_terms(self, z_abs: float, atol: float):
         """Smallest grown term count whose certified bound meets atol.
 
@@ -176,22 +175,15 @@ class CharFnEvaluator:
         log_target = math.log(atol)
         n = 16
         best = math.inf
-        ceiling = self.max_terms - _RATIO_WINDOW - 1
         while True:
+            ceiling = self._capacity - _RATIO_WINDOW - 1
             if n > ceiling:
                 n = ceiling
             if n < 4:
                 return None, best
             t = self._tail_upper(n)
             if t is None:
-                # budget or horizon hit; shrink the ceiling and retry there
-                ceiling = min(ceiling,
-                              self._achievable_terms(n + _RATIO_WINDOW + 1)
-                              - _RATIO_WINDOW - 1)
-                if ceiling < 4:
-                    return None, best
-                n = ceiling
-                continue
+                continue  # the failed build has lowered the capacity
             if 0.0 < t < math.inf:
                 log_bound = math.log(z_abs) + z_abs * s_up + math.log(t) \
                     if z_abs > 0 else -math.inf

@@ -210,6 +210,13 @@ def apply_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig, spectral: bool = False) -> None:
+    numbers = [("tolerances.eig_tol", cfg.eig_tol), ("tolerances.atol", cfg.atol),
+               ("gamma", cfg.gamma)]
+    if cfg.grid:
+        numbers += [(f"grid.{key}", cfg.grid[key]) for key in ("z_min", "z_max")]
+    for key, value in numbers:
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
     if not cfg.eig_tol > 0 or not cfg.atol > 0:
         raise ConfigError("tolerances must be positive")
     if cfg.max_terms < 16:

@@ -101,6 +101,8 @@ class TableSource(CoefficientSource):
         object.__setattr__(self, "alphas", tuple(float(a) for a in alphas))
         object.__setattr__(self, "betas", tuple(float(b) for b in betas))
         object.__setattr__(self, "shift", float(shift))
+        if not math.isfinite(self.shift):
+            raise ValueError("shift must be finite")
         if len(self.betas) < 2 or len(self.alphas) < len(self.betas) - 1:
             raise ValueError(
                 "table lengths must satisfy len(alphas) >= len(betas) - 1 >= 1"

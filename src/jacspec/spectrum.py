@@ -255,14 +255,15 @@ def check_spectral_config(src: CoefficientSource) -> None:
         )
 
 
-def _usable_size(src, n, otol):
-    """Largest m <= n whose m x m block the oracle can use at otol.
+def _rung(src, n, otol):
+    """The n x n block, cut at the first row the oracle cannot use at otol.
 
-    A block is usable when from_source accepts it (its entries and
-    offdiag**2 stay in the float range) and its pivot floor is at most otol,
-    so that sturm_eigenvalues accepts it too.  Both conditions hold for a
-    block exactly when they hold row by row, so the usable sizes are a
-    prefix of 1, 2, ...
+    A row is unusable when its diagonal entry or its offdiag**2 leaves the
+    float range (from_source refuses it) or offdiag**2 lifts the pivot floor
+    above otol (sturm_eigenvalues refuses it).  A block is usable exactly
+    when each of its rows is, so the usable sizes are a prefix of 1, 2, ...
+    and the cut block equals from_source at its size.  The coefficients are
+    read once.
     """
     diag = np.array([src.beta(i) - src.shift for i in range(n)], dtype=float)
     off = np.array([src.alpha(i) for i in range(n - 1)], dtype=float)
@@ -274,41 +275,31 @@ def _usable_size(src, n, otol):
         m = int(np.argmin(np.isfinite(diag)))
     if np.any(bad_off):
         m = min(m, int(np.argmax(bad_off)) + 1)
-    return m
+    return TruncatedTridiagonal(diag=diag[:m], offdiag=off[:m - 1])
 
 
-def _rung(src, n, otol):
-    """The n x n block, or the largest usable block below that size."""
-    try:
-        t = TruncatedTridiagonal.from_source(src, n)
-        if _pivmin(t.offdiag ** 2) <= otol:
-            return t
-    except ValueError:
-        pass
-    return TruncatedTridiagonal.from_source(src, _usable_size(src, n, otol))
-
-
-def _ladder(src, k, tol):
+def _ladder(src, k, tol, otol):
     """Double the truncation size until the k smallest roots stabilize.
 
     Two rungs agree when each root moved by at most 0.01 tol or 8 ulp of
     itself, whichever is larger; an absolute test alone is below one ulp
     once the roots are large and could never be met.
 
-    A rung (the first included) that would pass the largest usable size is
-    clamped to that size; see _usable_size.  On a fast-growing source such
-    as ASC-II at q = 0.3 this lets the last rung end just inside the float
-    range instead of failing there.  If the clamp leaves no rung larger than
-    the current one, or the clamped rung does not stabilize, ValueError is
-    raised rather than an unstabilized root returned.
+    Each rung reads its coefficients once (_rung), and a rung (the first
+    included) that would pass the largest usable size is clamped to that
+    size.  On a fast-growing source such as ASC-II at q = 0.3 this lets the
+    last rung end just inside the float range instead of failing there.  If
+    the clamp leaves no rung larger than the current one, or the clamped
+    rung does not stabilize, ValueError is raised rather than an
+    unstabilized root returned.
 
-    Returns (sizes, x_coarse, x_fine) for the last two rungs; x_coarse comes
-    from the smaller truncation, so componentwise x_coarse >= x_fine >= lambda.
+    Returns (sizes, t_coarse, t_fine, x_coarse, x_fine): every rung size,
+    then the last two blocks and their roots at otol; x_coarse comes from
+    the smaller truncation, so componentwise x_coarse >= x_fine >= lambda.
     """
-    otol = max(tol * 1e-3, 1e-15)
-    t = _rung(src, max(4 * k, 8), otol)
-    sizes = [t.size]
-    x_prev = sturm_eigenvalues(t, k, otol)
+    t_prev = _rung(src, max(4 * k, 8), otol)
+    sizes = [t_prev.size]
+    x_prev = sturm_eigenvalues(t_prev, k, otol)
     while True:
         n = sizes[-1]
         t = _rung(src, 2 * n, otol)
@@ -318,15 +309,15 @@ def _ladder(src, k, tol):
             floor = np.maximum(_LADDER_STABILIZE * tol,
                                _LADDER_ULPS * np.spacing(np.abs(x_next)))
             if np.all(np.abs(x_prev - x_next) <= floor):
-                return sizes, x_prev, x_next
+                return sizes, t_prev, t, x_prev, x_next
         if t.size < 2 * n:
             m = sizes[-1]
             raise ValueError(
                 f"the {k} smallest roots have not stabilized at {m} x {m}, "
                 f"the largest truncation usable at tolerance {otol:.3g}")
         if t.size >= _LADDER_CAP:
-            return sizes, x_prev, x_next
-        x_prev = x_next
+            return sizes, t_prev, t, x_prev, x_next
+        t_prev, x_prev = t, x_next
 
 
 def _slope_estimate(j, oracle, tail_ratio):
@@ -368,9 +359,9 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
     if gamma is None and isinstance(src, ASC2Source):
         gamma = src.natural_gamma
 
-    sizes, x_coarse, x_fine = _ladder(src, k, tol)
-    res.ladder = sizes
     otol = max(tol * 1e-3, 1e-15)
+    sizes, t_coarse, t_fine, x_coarse, x_fine = _ladder(src, k, tol, otol)
+    res.ladder = sizes
     if k > 1:
         # near-degenerate oracle pairs: tighten the oracle tolerance so the
         # separation midpoints used as bracket clamps can be trusted
@@ -379,8 +370,6 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
             otol_ref = max(min_gap * 1e-3, 1e-15)
             if otol_ref < otol:
                 otol = otol_ref
-                t_coarse = TruncatedTridiagonal.from_source(src, sizes[-2])
-                t_fine = TruncatedTridiagonal.from_source(src, sizes[-1])
                 x_coarse = sturm_eigenvalues(t_coarse, k, otol)
                 x_fine = sturm_eigenvalues(t_fine, k, otol)
     res.oracle_values = [float(x) for x in x_fine]
@@ -395,6 +384,12 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
         ulp = 4.0 * math.ulp(abs(lam_oracle) + 1.0)
         pad_lo = max(3.0 * gap, tol, 8.0 * otol, ulp)
         pad_hi = max(tol, 8.0 * otol, ulp)
+        if j == 0 and gamma is not None and lam_oracle + pad_hi < gamma:
+            # the bracket would start above the root it must contain
+            raise AssumptionViolation(
+                f"gamma {gamma!r} exceeds the smallest oracle root "
+                f"{lam_oracle!r} by more than its padding {pad_hi:.3g}; "
+                "gamma must be a lower bound of the spectrum")
         lo = lam_oracle - pad_lo
         hi = float(x_coarse[j]) + pad_hi
         lo_clamp = 0.5 * (float(x_fine[j - 1]) + lam_oracle) if j >= 1 else (

@@ -256,14 +256,28 @@ def test_capacity_probe_gate_beyond_ratio_cap(monkeypatch):
 
 
 def test_failed_build_size_is_remembered(monkeypatch):
+    # 5000 terms pass the 2^900 coefficient horizon; the failure bisects the
+    # capacity once, from the 64-term bootstrap table, and leaves the table
+    # there, so no later call builds (831 would build: the bisection stops
+    # within 8 terms of the limit)
     ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5))
-    assert not ev._grow(5000)  # beyond the 2^900 coefficient horizon
+    ev.kappa_sum_upper
+    assert not ev._grow(5000)
+    assert ev._capacity == 830 == len(ev._kappa)
     counts = _count_work(monkeypatch)
     assert not ev._grow(5000)
-    assert not ev._grow(6000)
-    assert counts["builds"] == 0
+    assert not ev._grow(831)
     assert ev._grow(100)
-    assert counts["builds"] == 1
+    assert counts["builds"] == 0
+
+
+def test_term_plan_independent_of_an_earlier_plan():
+    # q = 0.9: the first plan hits the capacity; a second plan on the same
+    # evaluator used to bisect it again from the grown table and use more terms
+    ev = js.CharFnEvaluator(js.ASC2Source(0.9, 0.9, 0.045326))
+    first, second = ev.eval(5.0, 1e-12), ev.eval(5.0, 1e-12)
+    assert first.terms_used == second.terms_used
+    assert first.value.hex() == second.value.hex()
 
 
 def test_certified_sign_stops_at_noise_floor(monkeypatch):

@@ -334,10 +334,43 @@ def test_config_unknown_output_key_rejected(tmp_path, capsys):
      "output.path must be a string or null, got 7"),
     (dict(_CHARFN_DOC, output={"path": 1}),  # would write to, then close, fd 1
      "output.path must be a string or null, got 1"),
+    # non-finite numbers (JSON NaN/Infinity) used to run or fail downstream
+    (dict(_CHARFN_DOC, tolerances={"eig_tol": float("inf")}),
+     "tolerances.eig_tol must be finite, got inf"),
+    (dict(_CHARFN_DOC, tolerances={"atol": float("nan")}),
+     "tolerances.atol must be finite, got nan"),
+    (dict(_CHARFN_DOC, gamma=float("inf")), "gamma must be finite, got inf"),
+    (dict(_CHARFN_DOC, grid={"z_min": -float("inf"), "z_max": 1.0, "points": 3}),
+     "grid.z_min must be finite, got -inf"),
+    (dict(_CHARFN_DOC, grid={"z_min": -1.0, "z_max": float("nan"), "points": 3}),
+     "grid.z_max must be finite, got nan"),
+    (dict(_CHARFN_DOC, family={"kind": "explicit", "alphas": [1.0, 1.0],
+                               "betas": [3.0, 3.0, 3.0]}, shift=float("inf")),
+     "bad family parameters: shift must be finite"),
 ])
 def test_config_malformed_family_or_grid_rejected(tmp_path, capsys, doc, message):
     # each of these used to raise a traceback or run with the key ignored
     code, out, err = _run_config(tmp_path, capsys, doc, "charfn")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["charfn", "--grid=-1:nan:3"], "grid.z_max must be finite, got nan"),
+    (["charfn", "--grid=-1:inf:3"], "grid.z_max must be finite, got inf"),
+    (["charfn", "--grid=-1:1:3", "--atol", "inf"],
+     "tolerances.atol must be finite, got inf"),
+    (["spectrum", "--k", "2", "--eig-tol", "inf"],
+     "tolerances.eig_tol must be finite, got inf"),
+    (["spectrum", "--k", "2", "--gamma", "inf"], "gamma must be finite, got inf"),
+    (["spectrum", "--k", "2", "--gamma", "5"],
+     "gamma 5.0 exceeds the smallest oracle root"),
+])
+def test_non_finite_flags_and_high_gamma_rejected(capsys, argv, message):
+    # the nan grid and --atol inf used to exit 0, the others to exit 2 with
+    # "-inf + inf in fsum"; --gamma 5 returned lambda_1 = 1.75 as certified
+    code, out, err = run_cli(capsys, *argv, "--q", "0.5", "--a", "0.5")
     assert code == 2
     assert out == ""
     assert message in err

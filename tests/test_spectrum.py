@@ -304,6 +304,34 @@ def test_oracle_ladder_clamps_its_last_rung_to_the_usable_size():
         assert abs(lam - 0.3 ** -n) <= 1e-10 + 1e-12 * 0.3 ** -n
 
 
+def test_rung_matches_from_source_at_usable_sizes():
+    # one coefficient read per rung, cut at the first unusable row: the block
+    # equals from_source at its size, array for array
+    from jacspec.spectrum import _rung
+    for args in [(0.5, 0.5, 0.5), (0.3, 0.3, 0.0), (0.9, 0.9, 0.0)]:
+        src = js.ASC2Source(*args)
+        for n in (1, 2, 8, 40, 160, 283):
+            t, ref = _rung(src, n, 1e-13), js.TruncatedTridiagonal.from_source(src, n)
+            assert np.array_equal(t.diag, ref.diag)
+            assert np.array_equal(t.offdiag, ref.offdiag)
+    src = js.ASC2Source(0.3, 0.3)
+    cut, ref = _rung(src, 320, 1e-13), js.TruncatedTridiagonal.from_source(src, 283)
+    assert np.array_equal(cut.diag, ref.diag)
+    assert np.array_equal(cut.offdiag, ref.offdiag)
+
+
+@pytest.mark.parametrize("confirm", ["auto", "oracle"])
+def test_gamma_above_the_spectrum_rejected(confirm):
+    # lambda_1 = 1: gamma = 5 used to clamp the first bracket to the inverted
+    # (2.5, 1.000000001) and return 1.75 as a certified eigenvalue
+    src = js.ASC2Source(0.5, 0.5, 0.0)
+    with pytest.raises(js.AssumptionViolation,
+                       match="gamma 5.0 exceeds the smallest oracle root 0.99"):
+        js.find_spectrum(src, 2, 1e-9, gamma=5.0, confirm=confirm)
+    res = js.find_spectrum(src, 2, 1e-9, gamma=src.natural_gamma, confirm=confirm)
+    assert abs(res.eigenvalues[0] - 1.0) <= 1e-9
+
+
 def test_oracle_overflow_raises_instead_of_negative_eigenvalues():
     # the first rung 4k = 320 (k = 80) or 284 (k = 71) is clamped to 283
     # rows, and no larger usable rung is left to confirm it: the ladder must
