@@ -135,17 +135,33 @@ def sturm_counts(t: TruncatedTridiagonal, xs, *, limit=None) -> np.ndarray:
 
 
 def sturm_eigenvalues(t: TruncatedTridiagonal, k: int, tol: float = 1e-10,
-                      max_iter: int = 3000) -> np.ndarray:
+                      max_iter: int = 3000, *, hint=None) -> np.ndarray:
     """The k smallest eigenvalues of the block, each within tol (or a few ulp).
 
-    Bisection on the Sturm count, all k brackets in lockstep.  A sweep costs
-    one vectorized pivot pass whatever the number of shifts (up to a few
-    hundred), so each sweep counts the whole depth-D tree of midpoints below
-    every live bracket and then replays the D bisection steps from those
-    counts.  The tree holds exactly the floats one-step bisection would
-    visit, so the roots equal its roots bit for bit; max_iter still counts
-    bisection steps, not sweeps.  The replay only asks count >= target, so
-    each sweep saturates at the largest live target (see sturm_counts).
+    One-step bisection on the Sturm count from the Gershgorin interval, each
+    bracket on its own, that sweeps only for counts it does not yet know.
+    The computed count is monotone in the shift under IEEE arithmetic
+    (Kahan 1966; Demmel, Dhillon and Ren 1995, the basis of LAPACK dstebz),
+    so every swept shift s with count c decides the step of every bracket
+    whose midpoint lies beyond it: a midpoint >= s has count >= c, one <= s
+    has count <= c.  Two arrays hold what the sweeps so far decide, for
+    every target j at once: up[j] is the least swept shift with count >= j,
+    down[j] the largest with count < j.  Each bracket replays bisection
+    steps while its midpoint is >= up[j] (hi = mid) or <= down[j]
+    (lo = mid).  When some bracket needs an unknown count, one sweep counts
+    the depth-D tree of midpoints below each distinct live bracket, about
+    256 shifts in all, so a cold start, where all k brackets are the
+    Gershgorin interval, goes 8 levels deep.  The steps are those of
+    one-step bisection with the same stopping tests, so the roots equal its
+    roots bit for bit, and max_iter counts each bracket's bisection steps,
+    not sweeps.  The steps only ask count >= target, so each sweep
+    saturates at the largest live target (see sturm_counts).
+
+    hint: approximate roots, e.g. those of a smaller truncation, which
+    interlace as x_{N,j} >= x_{2N,j}.  One extra sweep first counts the
+    shifts max(tol, 4 ulp) above and below each finite hint.  Any hint,
+    however wrong (far off, in any order, of any length), leaves the roots
+    unchanged: it only adds known counts, and costs at most that sweep.
 
     Raises ValueError when the pivot floor exceeds tol: the clamped pivots
     would then move the roots by more than the tolerance.
@@ -165,44 +181,69 @@ def sturm_eigenvalues(t: TruncatedTridiagonal, k: int, tol: float = 1e-10,
         a = np.abs(t.offdiag)
         radius[:-1] += a
         radius[1:] += a
-    lo = np.full(k, float(np.min(t.diag - radius)))
-    hi = np.full(k, float(np.max(t.diag + radius)))
-    targets = np.arange(1, k + 1)
-    live = np.arange(k)
-    steps = 0
-    while live.size and steps < max_iter:
-        m = live.size
+    lo = [float(np.min(t.diag - radius))] * k
+    hi = [float(np.max(t.diag + radius))] * k
+    steps = [0] * k
+    up = np.full(k, np.inf)  # up[j-1]: least swept shift with count >= j
+    down = np.full(k, -np.inf)  # down[j-1]: largest swept shift with count < j
+
+    def sweep(xs, limit):
+        counts = np.minimum(sturm_counts(t, xs, limit=limit), k)
+        least = np.full(k + 1, np.inf)
+        np.minimum.at(least, counts, xs)
+        np.minimum(up, np.minimum.accumulate(least[::-1])[::-1][1:], out=up)
+        exact = counts < limit  # a saturated count is only a lower bound
+        most = np.full(k + 1, -np.inf)
+        np.maximum.at(most, counts[exact], xs[exact])
+        np.maximum(down, np.maximum.accumulate(most)[:-1], out=down)
+
+    if hint is not None:
+        h = np.asarray(hint, dtype=float).ravel()
+        h = h[np.isfinite(h)]
+        if h.size:
+            pad = np.maximum(tol, 4.0 * np.spacing(np.abs(h)))
+            sweep(np.concatenate([h - pad, h + pad]), k)
+    live = range(k)
+    while True:
+        # replay every step the known counts decide; collect the brackets
+        # that wait for an unknown count
+        ups, downs = up.tolist(), down.tolist()
+        waiting = []
+        for j in live:
+            x_lo, x_hi, used = lo[j], hi[j], steps[j]
+            while used < max_iter:
+                # stop at width <= max(tol, 4 ulp(max(|lo|, |hi|))) or once
+                # the midpoint is no longer strictly inside
+                mid = 0.5 * (x_lo + x_hi)
+                width = x_hi - x_lo
+                if not (width > tol and x_lo < mid < x_hi and width > 4.0
+                        * math.ulp(x_hi if x_hi >= -x_lo else x_lo)):
+                    break
+                if mid >= ups[j]:
+                    x_hi = mid
+                elif mid <= downs[j]:
+                    x_lo = mid
+                else:
+                    waiting.append(j)
+                    break
+                used += 1
+            lo[j], hi[j], steps[j] = x_lo, x_hi, used
+        if not waiting:
+            return 0.5 * (np.array(lo) + np.array(hi))
+        live = waiting
+        pairs = sorted({(lo[j], hi[j]) for j in live})
+        m = len(pairs)
         depth = min(max(1, (_SWEEP_POINTS // m + 1).bit_length() - 1),
-                    max_iter - steps)
-        # level j of the tree: the 2**j midpoints of each bracket, in order
-        levels = []
-        a, b = lo[live, None], hi[live, None]
+                    max_iter - min(steps[j] for j in live))
+        # halve every subinterval of each bracket depth times; the inner
+        # edges are then the 2**depth - 1 midpoints of its tree
+        edges = np.array(pairs)
         for _ in range(depth):
-            mid = 0.5 * (a + b)
-            levels.append(mid)
-            a = np.stack([a, mid], axis=2).reshape(m, -1)
-            b = np.stack([mid, b], axis=2).reshape(m, -1)
-        counts = sturm_counts(t, np.concatenate(levels, axis=1).ravel(),
-                              limit=int(targets[live].max()))
-        counts = counts.reshape(m, -1)
-        rows = np.arange(m)
-        node = np.zeros(m, dtype=np.intp)
-        going = np.ones(m, dtype=bool)
-        # replay one-step bisection down the tree; node indexes level j
-        x_lo, x_hi, target = lo[live], hi[live], targets[live]
-        for j, level in enumerate(levels):
-            mid = level[rows, node]
-            floor = np.maximum(
-                tol, 4.0 * np.spacing(np.maximum(np.abs(x_lo), np.abs(x_hi))))
-            going &= (x_hi - x_lo > floor) & (mid > x_lo) & (mid < x_hi)
-            ge = counts[rows, 2 ** j - 1 + node] >= target
-            x_hi = np.where(going & ge, mid, x_hi)
-            x_lo = np.where(going & ~ge, mid, x_lo)
-            node = 2 * node + ~ge
-        lo[live], hi[live] = x_lo, x_hi
-        live = live[going]
-        steps += depth
-    return 0.5 * (lo + hi)
+            finer = np.empty((m, 2 * edges.shape[1] - 1))
+            finer[:, ::2] = edges
+            finer[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
+            edges = finer
+        sweep(edges[:, 1:-1].ravel(), live[-1] + 1)
 
 
 @dataclass
@@ -304,7 +345,7 @@ def _ladder(src, k, tol, otol):
         n = sizes[-1]
         t = _rung(src, 2 * n, otol)
         if t.size > n:
-            x_next = sturm_eigenvalues(t, k, otol)
+            x_next = sturm_eigenvalues(t, k, otol, hint=x_prev)
             sizes.append(t.size)
             floor = np.maximum(_LADDER_STABILIZE * tol,
                                _LADDER_ULPS * np.spacing(np.abs(x_next)))
@@ -370,8 +411,8 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
             otol_ref = max(min_gap * 1e-3, 1e-15)
             if otol_ref < otol:
                 otol = otol_ref
-                x_coarse = sturm_eigenvalues(t_coarse, k, otol)
-                x_fine = sturm_eigenvalues(t_fine, k, otol)
+                x_coarse = sturm_eigenvalues(t_coarse, k, otol, hint=x_coarse)
+                x_fine = sturm_eigenvalues(t_fine, k, otol, hint=x_fine)
     res.oracle_values = [float(x) for x in x_fine]
     inv_ratios = [x_fine[i] / x_fine[i + 1] for i in range(k - 1)]
     tail_ratio = max(inv_ratios[-4:]) if inv_ratios else None

@@ -27,7 +27,7 @@ from .recurrence import (eval_q_assoc, green_block, jacobi_block, log_table,
                          plain_values, q_assoc_forward, recurrence_residuals,
                          resolvent_identity_check)
 from .sources import ASC2Source, CoefficientSource, TableSource
-from .spectrum import find_spectrum
+from .spectrum import TruncatedTridiagonal, find_spectrum, sturm_counts
 
 _REAL_ZS = (0.0, 0.4, -1.0, 2.7)
 _COMPLEX_Z = complex(1.3, 0.7)
@@ -394,9 +394,24 @@ def check_w_factorization(src, n_block=10, threshold=1e-12, digits=0) -> CheckRe
 
 def run_suite(src: CoefficientSource, *, gamma: float | None = None,
               precision_digits: int = 0, max_terms: int = 20000) -> list[CheckResult]:
-    """Run every applicable check and return the per-check results."""
+    """Run every applicable check and return the per-check results.
+
+    A gamma above the spectrum of an infinite source raises
+    AssumptionViolation: the smallest root of the 24 x 24 truncation bounds
+    lambda_1 from above, so a Sturm count > 0 just below gamma proves it.
+    The margin, 1e-12 of |gamma| + |shift|, covers the rounding of the
+    shifted entries.
+    """
     if gamma is None and isinstance(src, ASC2Source):
         gamma = src.natural_gamma
+    if gamma is not None and not src.is_finite:
+        t = TruncatedTridiagonal.from_source(src, 24)
+        below = gamma - 1e-12 * (abs(gamma) + abs(src.shift))
+        if int(sturm_counts(t, [below])[0]) > 0:
+            raise AssumptionViolation(
+                f"gamma {gamma!r} is above the smallest eigenvalue of the "
+                "24 x 24 truncation, an upper bound of lambda_1; gamma must "
+                "be a lower bound of the spectrum")
     digits = precision_digits if precision_digits and precision_digits > 16 else 0
     out = [
         check_coefficient_positivity(src),

@@ -366,10 +366,13 @@ def test_config_malformed_family_or_grid_rejected(tmp_path, capsys, doc, message
     (["spectrum", "--k", "2", "--gamma", "inf"], "gamma must be finite, got inf"),
     (["spectrum", "--k", "2", "--gamma", "5"],
      "gamma 5.0 exceeds the smallest oracle root"),
+    (["verify", "--gamma", "1.5"], "gamma 1.5 is above the smallest eigenvalue"),
+    (["verify", "--gamma", "5"], "gamma 5.0 is above the smallest eigenvalue"),
 ])
 def test_non_finite_flags_and_high_gamma_rejected(capsys, argv, message):
     # the nan grid and --atol inf used to exit 0, the others to exit 2 with
-    # "-inf + inf in fsum"; --gamma 5 returned lambda_1 = 1.75 as certified
+    # "-inf + inf in fsum"; --gamma 5 returned lambda_1 = 1.75 as certified;
+    # verify --gamma 1.5 passed every check and --gamma 5 failed on P_1 = 0
     code, out, err = run_cli(capsys, *argv, "--q", "0.5", "--a", "0.5")
     assert code == 2
     assert out == ""

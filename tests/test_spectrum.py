@@ -424,21 +424,23 @@ def _count_sweeps(monkeypatch):
 
 
 def test_oracle_ladder_sweep_gate(monkeypatch):
-    # each sweep resolves several bisection levels per bracket
-    # (one-step bisection: 605 sweeps)
+    # sweeps only for unknown counts, each rung warm-started from the last
+    # (one-step bisection: 605 sweeps; one tree per bracket, cold rungs: 206;
+    # now 63)
     calls = _count_sweeps(monkeypatch)
     res = js.find_spectrum(js.ASC2Source(0.9, 0.9, 0.0), 20, 1e-10,
                            confirm="oracle")
     assert res.ladder == [80, 160, 320, 640, 1280]
-    assert calls[0] <= 250
+    assert calls[0] <= 95
 
 
 def test_certified_spectrum_sweep_gate(monkeypatch):
-    # one-step bisection: 345 sweeps
+    # one-step bisection: 345 sweeps; one tree per bracket, cold rungs: 71;
+    # now 27
     calls = _count_sweeps(monkeypatch)
     res = js.find_spectrum(js.ASC2Source(0.5, 0.5, 0.5), 8, 1e-9)
     assert res.methods == ["charfn-bisection"] * 8
-    assert calls[0] <= 100
+    assert calls[0] <= 40
 
 
 class _WeaklyCoupled(js.CoefficientSource):
@@ -457,9 +459,9 @@ def test_near_degenerate_roots_rerun_the_oracle(monkeypatch):
     runs = []
     orig = spectrum.sturm_eigenvalues
 
-    def recorded(t, k, tol):
+    def recorded(t, k, tol, **kwargs):
         runs.append((t.size, tol))
-        return orig(t, k, tol)
+        return orig(t, k, tol, **kwargs)
 
     monkeypatch.setattr(spectrum, "sturm_eigenvalues", recorded)
     res = js.find_spectrum(_WeaklyCoupled(), 3, 1e-9, confirm="oracle")
@@ -568,3 +570,100 @@ def test_settled_tail_still_counts_pivots_below_the_floor():
     xs = [1.0, 1.0 - 1e-6, 0.5]
     assert js.sturm_counts(t, xs).tolist() == [1, 0, 0]
     assert np.array_equal(js.sturm_counts(t, xs), _full_counts(t, xs))
+
+
+def _monotone_probe_shifts(t, roots, rng):
+    """Sorted shifts that crowd the roots: _probe_shifts, chains of adjacent
+    floats through each root and random shifts over the Gershgorin range."""
+    xs = [_probe_shifts(t, roots)]
+    for r in roots:
+        xs.append(r + np.spacing(r) * np.arange(-6.0, 7.0))
+    xs.append(rng.uniform(xs[0].min(), xs[0].max(), size=200))
+    return np.sort(np.concatenate(xs))
+
+
+def _assert_counts_monotone(t, xs, limits):
+    counts = js.sturm_counts(t, xs)
+    assert np.all(np.diff(counts) >= 0)
+    for limit in limits:
+        got = np.minimum(js.sturm_counts(t, xs, limit=limit), limit)
+        assert np.all(np.diff(got) >= 0)
+
+
+def test_sturm_counts_monotone_in_the_shift_random():
+    # the known-count replay of sturm_eigenvalues rests on this: a computed
+    # count never falls as the shift rises
+    rng = np.random.RandomState(47)
+    for trial in range(60):
+        n = rng.randint(1, 300)
+        diag = rng.uniform(-4.0, 12.0, size=n)
+        if trial % 3 == 2:
+            diag += 1.5 ** np.arange(n)
+        off = rng.uniform(-2.0, 2.0, size=n - 1)
+        if trial % 2:
+            diag = np.round(diag)
+        if trial % 4 == 0:
+            off[rng.uniform(size=n - 1) < 0.3] = 0.0
+        t = js.TruncatedTridiagonal(diag=diag, offdiag=off)
+        roots = js.sturm_eigenvalues(t, min(n, 12), 1e-12)
+        limits = sorted({1, rng.randint(1, n + 1), n})
+        _assert_counts_monotone(t, _monotone_probe_shifts(t, roots, rng), limits)
+
+
+@pytest.mark.parametrize("q, sizes", [(0.3, (40, 160, 283)),
+                                      (0.5, (80, 320)),
+                                      (0.9, (80, 320, 1280))])
+def test_sturm_counts_monotone_in_the_shift_asc2(q, sizes):
+    from jacspec.spectrum import _rung
+    rng = np.random.RandomState(53)
+    src = js.ASC2Source(q, q, 0.0)
+    for n in sizes:
+        t = _rung(src, n, 1e-13)
+        roots = js.sturm_eigenvalues(t, 20, 1e-13)
+        _assert_counts_monotone(t, _monotone_probe_shifts(t, roots, rng),
+                                (1, 7, 20))
+
+
+def _wrong_hints(roots, other):
+    """Hints far off, reversed, from another block, exact, or malformed."""
+    return [roots * 1e6 + 1e3, -1e6 - roots, roots[::-1], other,
+            roots, np.nextafter(roots, np.inf), [], [np.nan, np.inf],
+            np.concatenate([roots, roots + 1.0])]
+
+
+def test_hints_never_move_the_roots_random():
+    rng = np.random.RandomState(59)
+    for trial in range(60):
+        n = rng.randint(1, 40)
+        diag = rng.uniform(-4.0, 12.0, size=n)
+        off = rng.uniform(-2.0, 2.0, size=n - 1)
+        if trial % 2:
+            diag = np.round(diag)
+        if trial % 3 == 0:
+            off[rng.uniform(size=n - 1) < 0.3] = 0.0
+        t = js.TruncatedTridiagonal(diag=diag, offdiag=off)
+        k = rng.randint(1, n + 1)
+        tol = 10.0 ** rng.uniform(-15, -6)
+        max_iter = _MAX_ITERS[trial % len(_MAX_ITERS)]
+        ref = js.sturm_eigenvalues(t, k, tol, max_iter)
+        other = rng.uniform(-4.0, 12.0, size=k)
+        for hint in _wrong_hints(ref, other):
+            got = js.sturm_eigenvalues(t, k, tol, max_iter, hint=hint)
+            assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("params", [(0.5, 0.5, 0.5), (0.9, 0.9, 0.0),
+                                    (0.3, 0.3, 0.0)])
+def test_hints_never_move_the_roots_asc2(params):
+    from jacspec.spectrum import _rung
+    src = js.ASC2Source(*params)
+    other = js.sturm_eigenvalues(_rung(js.ASC2Source(0.7, 0.7, 0.2), 80, 1e-13),
+                                 20, 1e-13)
+    for n in (40, 80, 160):
+        t = _rung(src, n, 1e-13)
+        for tol in (1e-13, 1e-8):
+            ref = js.sturm_eigenvalues(t, 20, tol)
+            coarse = js.sturm_eigenvalues(_rung(src, n // 2, 1e-13), 20, tol)
+            for hint in _wrong_hints(ref, other) + [coarse]:
+                got = js.sturm_eigenvalues(t, 20, tol, hint=hint)
+                assert np.array_equal(got, ref)

@@ -136,3 +136,24 @@ def test_extended_precision_on_a_table():
                  "resolvent_identity"):
         assert r[name].passed and not r[name].skipped
         assert r[name].max_residual < 1e-20
+
+
+def test_gamma_above_the_spectrum_rejected():
+    # lambda_1 = 1 at (0.5, 0.5, 0): gamma 1.5 used to pass every check
+    src = js.ASC2Source(0.5, 0.5, 0.0)
+    with pytest.raises(js.AssumptionViolation, match="gamma 1.5 is above"):
+        run_suite(src, gamma=1.5)
+
+
+@pytest.mark.parametrize("params", [(0.5, 0.005, 0.999999), (0.3, 0.003, 1 - 1e-9),
+                                    (0.9, 0.9, -5.0)])
+def test_natural_gamma_passes_the_gamma_check(params):
+    # near shift 1 the rounding of beta_0 - shift puts the float block's
+    # smallest root 1e-10 relative below 1 - shift; the margin must cover it
+    from jacspec.spectrum import TruncatedTridiagonal, sturm_counts
+    src = js.ASC2Source(*params)
+    g = src.natural_gamma
+    t = TruncatedTridiagonal.from_source(src, 24)
+    relative_only = int(sturm_counts(t, [g * (1 - 1e-12)])[0])
+    assert relative_only == (1 if src.shift > 0.99 else 0)
+    run_suite(src)  # no AssumptionViolation
