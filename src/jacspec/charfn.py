@@ -59,21 +59,20 @@ class CharFnValue:
 
 
 class _Plan(NamedTuple):
-    """Term plan of one z != 0, with the kappa-derived tables its terms use:
-    the lists published when it was made (later growth publishes new ones)."""
+    """Term plan of one z != 0."""
 
     n_terms: int
     log_bound: float
     certified: bool
-    log_w0: list[float]
-    sgn_w0: list[float]
 
 
 class CharFnEvaluator:
     """Shared-state evaluator: one kappa table serves many z evaluations.
 
-    Table growth is serialized by a lock and published prefixes are never
-    mutated, so evaluations may run from worker threads.  The table capacity
+    The table is append-only: growth is serialized by a lock and appends only
+    the entries past the current length, so an entry never changes once
+    published.  eval(z) therefore does not depend on earlier evaluations or on
+    thread timing, and evaluations may run from worker threads.  The capacity
     starts at max_terms; the first build that fails (budget, coefficient
     horizon or no stable decay window) fixes it once, by bisection between the
     table length and the failed count, so it is probed once per evaluator and
@@ -88,7 +87,6 @@ class CharFnEvaluator:
         self._grow_lock = threading.Lock()
         self._kappa: list[float] = []
         self._log_w0: list[float] = []
-        self._sgn_w0: list[float] = []
         self._sum_upper: float | None = None
         self._capacity = max_terms  # lowered once, by the first failed build
 
@@ -117,20 +115,19 @@ class CharFnEvaluator:
             return False
 
     def _build(self, count: int) -> bool:
-        """Build and publish a ``count``-entry table; the caller holds the lock."""
+        """Build a ``count``-entry table and append its entries past the
+        current length; the caller holds the lock."""
         try:
             seq = kappa_sequence(self.src, count, max_terms=self.max_terms,
                                  engine=self._engine)
         except ConvergenceError:
             return False
         lp = self._engine.log_p
-        sp = self._engine.sgn_p
-        log_w0 = [math.log(k) - lp[n] for n, k in enumerate(seq.kappas)]
-        sgn_w0 = [sp[n] for n in range(count)]
-        # publish each table with a single reference swap
-        self._log_w0 = log_w0
-        self._sgn_w0 = sgn_w0
-        self._kappa = seq.kappas
+        new = seq.kappas[len(self._kappa):]
+        self._log_w0.extend([math.log(k) - lp[n]
+                             for n, k in enumerate(new, len(self._kappa))])
+        # _kappa is extended last: its length is what readers check
+        self._kappa.extend(new)
         if self._sum_upper is None:
             self._sum_upper = seq.total_upper
         return True
@@ -139,9 +136,8 @@ class CharFnEvaluator:
     def kappa_sum_upper(self) -> float:
         """Certified-style upper estimate S for sum kappa_n."""
         if self._sum_upper is None:
-            for base in (64, 32, 16, 8):
-                if self._grow(base):
-                    break
+            # a failed build bisects down from here, through 32, 16 and 8
+            self._grow(min(64, self._capacity))
             if self._sum_upper is None:
                 raise ConvergenceError(
                     "kappa table cannot reach a stable decay window"
@@ -169,8 +165,11 @@ class CharFnEvaluator:
 
         Returns (n_terms, log_bound); n_terms is None when neither the term
         budget nor the coefficient horizon allows reaching atol, in which case
-        log_bound reports the best achievable bound.
+        log_bound reports the best achievable bound.  n_terms is None only
+        once the table has reached its capacity.
         """
+        if not 0.0 < atol < math.inf:
+            raise ValueError(f"atol must be finite and positive, got {atol!r}")
         s_up = self.kappa_sum_upper
         log_target = math.log(atol)
         n = 16
@@ -197,21 +196,19 @@ class CharFnEvaluator:
     # -- evaluation ---------------------------------------------------------
 
     def _plan(self, z_abs: float, atol: float) -> _Plan:
-        """plan_terms, or the grown table for an uncertified point."""
+        """plan_terms, or the whole table (then at capacity) for an
+        uncertified point."""
         n_terms, log_bound = self.plan_terms(z_abs, atol)
         certified = n_terms is not None
-        if not certified:
-            n_terms = min(self.max_terms, max(len(self._kappa), 64))
-            self._grow(n_terms)
-            n_terms = len(self._kappa)
-        return _Plan(n_terms, log_bound, certified, self._log_w0, self._sgn_w0)
+        return _Plan(n_terms if certified else len(self._kappa), log_bound,
+                     certified)
 
     def eval(self, z, atol: float = 1e-12) -> CharFnValue:
         """Certified partial-sum evaluation of F(z)."""
         if z == 0:
             return _at_origin(z, "partial_sum", True)
         plan = self._plan(abs(z), atol)
-        n_terms, log_w0, sgn_w0 = plan.n_terms, plan.log_w0, plan.sgn_w0
+        n_terms, log_w0, sgn_p = plan.n_terms, self._log_w0, self._engine.sgn_p
         is_c = isinstance(z, complex)
         terms = []
         max_term = 0.0
@@ -223,7 +220,7 @@ class CharFnEvaluator:
                 terms.append(0.0 if not is_c else 0.0 + 0.0j)
                 continue
             lt = log_w0[n] + ls + math.log(abs(u))
-            t = sgn_w0[n] * _phase(u) * (math.exp(lt) if lt < 709 else math.inf)
+            t = sgn_p[n] * _phase(u) * (math.exp(lt) if lt < 709 else math.inf)
             terms.append(t)
             max_term = max(max_term, abs(t))
         if is_c:
@@ -237,12 +234,13 @@ class CharFnEvaluator:
         """eval at every real z of zs, bit for bit, through one column-wise
         recurrence per block of points.
 
-        The term plans run in grid order, so each point sees the kappa table
-        eval would have seen in a loop over zs.  Points are then stepped
-        together through _scaled_columns, sorted by term count, in blocks
-        whose term matrix stays within _GRID_BLOCK_BYTES.  Each term takes
-        math.log and math.exp per element (numpy's differ in the last ulp)
-        and each sum math.fsum over the terms in index order, as in eval.
+        Every point reads the one append-only kappa table, so each result
+        equals eval's at that point whatever was evaluated before.  Points
+        are stepped together through _scaled_columns, sorted by term count,
+        in blocks whose term matrix stays within _GRID_BLOCK_BYTES.  Each
+        term takes math.log and math.exp per element (numpy's differ in the
+        last ulp) and each sum math.fsum over the terms in index order, as
+        in eval.
         """
         zs = [float(z) for z in zs]
         plans = [None if z == 0 else self._plan(abs(z), atol) for z in zs]
@@ -257,7 +255,8 @@ class CharFnEvaluator:
         for start in range(0, len(order), width):
             block = order[start:start + width]
             sums = _grid_sums(read, [zs[j] for j in block],
-                              [plans[j] for j in block])
+                              [plans[j].n_terms for j in block],
+                              self._log_w0, self._engine.sgn_p)
             for j, (total, max_term) in zip(block, sums):
                 out[j] = _partial_sum_value(zs[j], plans[j], total, max_term)
         return out
@@ -303,27 +302,16 @@ def _partial_sum_value(z, plan: _Plan, total, max_term: float) -> CharFnValue:
                        certified=plan.certified, noise_estimate=noise)
 
 
-def _grid_sums(read, zs: list[float],
-               plans: list[_Plan]) -> list[tuple[float, float]]:
+def _grid_sums(read, zs: list[float], counts: list[int], log_w0: list[float],
+               sgn_p: list[float]) -> list[tuple[float, float]]:
     """(sum of the terms, largest |term|) of every point of a block, as eval
-    forms them.
+    forms them from log w_n(0) and sign P_n(0).
 
     The terms w_n(0) P_n(z) fill an (n_terms, points) matrix, freed on
-    return.  plans are sorted by descending term count, so the points still
-    summing at index n are a prefix of the block.
+    return.  counts (the term count of each point) descend, so the points
+    still summing at index n are a prefix of the block.
     """
-    counts = [p.n_terms for p in plans]
     n_top = counts[0]
-    tables = list({id(p.log_w0): p for p in plans}.values())  # one per table
-    slot = {id(p.log_w0): i for i, p in enumerate(tables)}
-    col_table = np.array([slot[id(p.log_w0)] for p in plans])
-
-    def by_index(lists):  # (n_top, tables) array, zero-padded
-        return np.array([lst[:n_top] + [0.0] * (n_top - len(lst))
-                         for lst in lists]).T
-    log_w0 = by_index([p.log_w0 for p in tables])
-    sgn_w0 = by_index([p.sgn_w0 for p in tables])
-
     terms = np.zeros((n_top, len(zs)))
     k = len(zs)
     for n, u, ls in _scaled_columns(read, np.array(zs)):
@@ -332,13 +320,12 @@ def _grid_sums(read, zs: list[float],
         while counts[k - 1] <= n:
             k -= 1
         u = u[:k]
-        cols = col_table[:k]
         mag = np.abs(u)
         zero = mag == 0.0  # eval takes these terms as 0
         has_zero = zero.any()
         if has_zero:
             mag[zero] = 1.0
-        lt = (log_w0[n, cols] + ls[:k]) + np.fromiter(
+        lt = (log_w0[n] + ls[:k]) + np.fromiter(
             map(math.log, mag.tolist()), float, k)
         over = lt >= 709.0  # eval takes these terms as inf
         has_over = over.any()
@@ -347,7 +334,7 @@ def _grid_sums(read, zs: list[float],
         exp_lt = np.fromiter(map(math.exp, lt.tolist()), float, k)
         if has_over:
             exp_lt[over] = math.inf
-        t = sgn_w0[n, cols] * np.copysign(1.0, u) * exp_lt
+        t = sgn_p[n] * np.copysign(1.0, u) * exp_lt
         if has_zero:
             t[zero] = 0.0
         terms[n, :k] = t

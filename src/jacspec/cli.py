@@ -121,6 +121,16 @@ def _number(value, key: str, kind=float):
     return converted
 
 
+def _flag_number(text: str, what: str, kind=float):
+    """A command-line field converted by ``kind``; ConfigError naming ``what``
+    otherwise."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what} must be {noun}, got {text!r}") from None
+
+
 def load_config(path: str | None) -> RunConfig:
     cfg = RunConfig()
     if path is None:
@@ -175,8 +185,10 @@ def apply_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
                 raise ConfigError("explicit family needs --alphas and --betas")
             cfg.family = {
                 "kind": "explicit",
-                "alphas": [float(x) for x in args.alphas.split(",")],
-                "betas": [float(x) for x in args.betas.split(",")],
+                "alphas": [_flag_number(x, "--alphas entry")
+                           for x in args.alphas.split(",")],
+                "betas": [_flag_number(x, "--betas entry")
+                          for x in args.betas.split(",")],
             }
         else:
             raise ConfigError(f"unknown family {args.family!r}")
@@ -204,8 +216,9 @@ def apply_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         parts = args.grid.split(":")
         if len(parts) != 3:
             raise ConfigError("--grid must be MIN:MAX:POINTS")
-        cfg.grid = {"z_min": float(parts[0]), "z_max": float(parts[1]),
-                    "points": int(parts[2])}
+        cfg.grid = {"z_min": _flag_number(parts[0], "--grid MIN"),
+                    "z_max": _flag_number(parts[1], "--grid MAX"),
+                    "points": _flag_number(parts[2], "--grid POINTS", int)}
     return cfg
 
 

@@ -391,6 +391,8 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if confirm not in CONFIRM_POLICIES:
         raise ValueError(f"unknown confirm policy {confirm!r}")
     res = SpectrumResult(k=k)

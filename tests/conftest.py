@@ -16,6 +16,25 @@ def asc2_plain():
     return ASC2Source(q=0.5, a=0.5, shift=0.0)
 
 
+@pytest.fixture
+def marked_builds(monkeypatch):
+    """Scale the kappas of every evaluator build by 1 + count 2^-40.
+
+    A rebuilt table could differ from an earlier one in its last bits; the
+    mark makes each entry show which build it came from, so any mix of table
+    versions changes the results.
+    """
+    from jacspec import charfn
+    orig = charfn.kappa_sequence
+
+    def marked(src, count, **kwargs):
+        seq = orig(src, count, **kwargs)
+        seq.kappas = [k * (1.0 + count * 2.0 ** -40) for k in seq.kappas]
+        return seq
+
+    monkeypatch.setattr(charfn, "kappa_sequence", marked)
+
+
 def random_pd_table(rng, n, shift=0.0):
     """Random positive-definite tridiagonal table via J = W W^T + d I.
 

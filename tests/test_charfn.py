@@ -186,9 +186,10 @@ def test_evaluator_reuse_consistency(asc2_shifted):
 def test_evaluator_shared_across_threads(asc2_shifted):
     # warmed-up tables are read-only; parallel grid evaluation must match the
     # serial result bit for bit
+    import sys
     from concurrent.futures import ThreadPoolExecutor
 
-    zs = [float(z) for z in np.linspace(-3.0, 3.0, 16)]
+    zs = [float(z) for z in np.linspace(-3.0, 3.0, 16)] + [30.0, 60.0, 120.0]
     ev = js.CharFnEvaluator(asc2_shifted)
     ev.eval(max(zs, key=abs), 1e-12)  # warm up the kappa table
     serial = [ev.eval(z, 1e-12).value for z in zs]
@@ -196,13 +197,18 @@ def test_evaluator_shared_across_threads(asc2_shifted):
         parallel = list(pool.map(lambda z: ev.eval(z, 1e-12).value, zs))
     assert serial == parallel
 
-    # concurrent growth from a cold evaluator must also be safe (values then
-    # agree to round-off, and nothing crashes on the shared generator)
+    # concurrent growth from a cold evaluator must also be safe, and give the
+    # same values: the append-only table never changes a published entry
     cold = js.CharFnEvaluator(asc2_shifted)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        grown = list(pool.map(lambda z: cold.eval(z, 1e-12).value, zs))
-    for a, b in zip(grown, serial):
-        assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            grown = list(pool.map(lambda z: cold.eval(z, 1e-12).value, zs))
+    finally:
+        sys.setswitchinterval(interval)
+    assert grown == serial
+    assert len(cold._log_w0) == len(cold._kappa)
 
 
 @pytest.mark.parametrize("args", [(0.5, 0.5, 0.5), (0.3, 0.3, 0.0)])
@@ -216,6 +222,34 @@ def test_eval_independent_of_earlier_evaluations(args):
     got = [used.eval(z) for z in (1.0, 30.0, 120.0)]
     assert got == expected
     assert all(v.certified for v in got)
+
+
+@pytest.mark.parametrize("args", [(0.5, 0.5, 0.5), (0.3, 0.3, 0.0)])
+def test_eval_independent_of_table_growth_with_marked_builds(marked_builds, args):
+    # every build is marked by its size, so reading an entry from any build
+    # but the first to reach it shows in the value bits
+    src = js.ASC2Source(*args)
+    zs = (1.0, 30.0, 120.0)
+    expected = [js.CharFnEvaluator(src).eval(z) for z in zs]
+    used = js.CharFnEvaluator(src)
+    used.eval(250.0, 1e-30)
+    got = [used.eval(z) for z in zs]
+    assert [(v.value.hex(), v.tail_bound.hex(), v.terms_used) for v in got] == \
+        [(v.value.hex(), v.tail_bound.hex(), v.terms_used) for v in expected]
+
+
+@pytest.mark.parametrize("atol", [0.0, -1e-9, math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda ev, atol: ev.plan_terms(1.0, atol),
+    lambda ev, atol: ev.eval(1.0, atol),
+    lambda ev, atol: ev.eval_grid([0.5, 1.0], atol),
+    lambda ev, atol: ev.certified_sign(1.0, atol),
+], ids=["plan_terms", "eval", "eval_grid", "certified_sign"])
+def test_atol_must_be_finite_and_positive(asc2_shifted, call, atol):
+    # eval(1.0, 0.0) used to raise "math domain error"; eval(1.0, nan)
+    # returned an uncertified value with tail_bound 8.9e-247
+    with pytest.raises(ValueError, match="^atol must be finite and positive"):
+        call(js.CharFnEvaluator(asc2_shifted), atol)
 
 
 def _count_work(monkeypatch):

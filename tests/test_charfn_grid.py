@@ -129,18 +129,10 @@ def test_huge_z_grid_is_warning_free():
     assert all(math.isfinite(v.value) for v in got + ratio)
 
 
-def test_eval_grid_uses_the_table_each_point_was_planned_with(monkeypatch):
-    # a rebuilt kappa table may differ from the one it replaces in the last
-    # bits; mark every build by its size so that any mix-up shows
-    from jacspec import charfn
-    orig = charfn.kappa_sequence
-
-    def marked(src, count, **kwargs):
-        seq = orig(src, count, **kwargs)
-        seq.kappas = [k * (1.0 + count * 2.0 ** -40) for k in seq.kappas]
-        return seq
-
-    monkeypatch.setattr(charfn, "kappa_sequence", marked)
+def test_eval_grid_uses_the_table_each_point_was_planned_with(marked_builds):
+    # the grid plans every point before it sums any; with builds marked by
+    # their size, a point summed with entries of a build other than the one
+    # the scalar eval reads would show
     params, grid, atol, max_terms = GRIDS["uncertified-far"]
     src = js.ASC2Source(*params)
     ev = js.CharFnEvaluator(src, max_terms)

@@ -368,11 +368,18 @@ def test_config_malformed_family_or_grid_rejected(tmp_path, capsys, doc, message
      "gamma 5.0 exceeds the smallest oracle root"),
     (["verify", "--gamma", "1.5"], "gamma 1.5 is above the smallest eigenvalue"),
     (["verify", "--gamma", "5"], "gamma 5.0 is above the smallest eigenvalue"),
+    (["charfn", "--grid=1:x:3"], "--grid MAX must be a number, got 'x'"),
+    (["charfn", "--grid=1:2:3.5"], "--grid POINTS must be an integer, got '3.5'"),
+    (["spectrum", "--k", "2", "--family", "explicit", "--alphas", "1,x",
+      "--betas", "2,2,2"], "--alphas entry must be a number, got 'x'"),
+    (["spectrum", "--k", "2", "--family", "explicit", "--alphas", "1,1",
+      "--betas", "2,,2"], "--betas entry must be a number, got ''"),
 ])
 def test_non_finite_flags_and_high_gamma_rejected(capsys, argv, message):
     # the nan grid and --atol inf used to exit 0, the others to exit 2 with
     # "-inf + inf in fsum"; --gamma 5 returned lambda_1 = 1.75 as certified;
-    # verify --gamma 1.5 passed every check and --gamma 5 failed on P_1 = 0
+    # verify --gamma 1.5 passed every check and --gamma 5 failed on P_1 = 0;
+    # malformed --grid, --alphas and --betas fields did not name the flag
     code, out, err = run_cli(capsys, *argv, "--q", "0.5", "--a", "0.5")
     assert code == 2
     assert out == ""

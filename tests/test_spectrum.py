@@ -133,6 +133,14 @@ def test_find_spectrum_k_zero(asc2_shifted):
     assert res.eigenvalues == [] and res.ok
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+def test_find_spectrum_tol_must_be_finite_and_positive(asc2_shifted, tol):
+    # nan used to raise "need 0 <= k <= N", inf "-inf + inf in fsum"; 0 and
+    # -1e-9 returned every index as oracle-ladder
+    with pytest.raises(ValueError, match="^tol must be finite and positive"):
+        js.find_spectrum(asc2_shifted, 3, tol)
+
+
 def test_find_spectrum_rejects_indeterminate():
     src = js.ASC2Source(q=0.5, a=0.7, shift=0.5)
     with pytest.raises(js.AssumptionViolation):
