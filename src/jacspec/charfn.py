@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AssumptionViolation, ConvergenceError
-from .recurrence import _coeff_reader, _phase, _scaled_columns, _scaled_iter
+from .recurrence import _LN2, _coeff_reader, _scaled_columns, _scaled_iter
 from .second_kind import _RATIO_CAP, _RATIO_WINDOW, TailSeriesEngine, kappa_sequence
 from .sources import CoefficientSource, require_infinite
 
@@ -86,9 +86,14 @@ class CharFnEvaluator:
         self._engine = TailSeriesEngine(src, 0.0)
         self._grow_lock = threading.Lock()
         self._kappa: list[float] = []
-        self._log_w0: list[float] = []
+        # w_n(0) = _w0_mant[n] * 2**_w0_exp[n], the mantissa signed
+        self._w0_mant: list[float] = []
+        self._w0_exp: list[int] = []
         self._sum_upper: float | None = None
         self._capacity = max_terms  # lowered once, by the first failed build
+        # _tail_upper(n) by n, None included: fixed once computed, since the
+        # table only grows and the capacity only falls
+        self._tails: dict[int, float | None] = {}
 
     # -- kappa table management -------------------------------------------
 
@@ -122,10 +127,13 @@ class CharFnEvaluator:
                                  engine=self._engine)
         except ConvergenceError:
             return False
-        lp = self._engine.log_p
+        lp, sp = self._engine.log_p, self._engine.sgn_p
         new = seq.kappas[len(self._kappa):]
-        self._log_w0.extend([math.log(k) - lp[n]
-                             for n, k in enumerate(new, len(self._kappa))])
+        for n, k in enumerate(new, len(self._kappa)):
+            lw = math.log(k) - lp[n]  # log |w_n(0)|
+            e = math.floor(lw / _LN2)
+            self._w0_exp.append(e)
+            self._w0_mant.append(sp[n] * math.exp(lw - e * _LN2))
         # _kappa is extended last: its length is what readers check
         self._kappa.extend(new)
         if self._sum_upper is None:
@@ -149,16 +157,18 @@ class CharFnEvaluator:
 
         None when the table cannot be grown that far (budget or coefficient
         horizon); inf when it grew but the decay window is not below the cap.
+        Memoized per n_terms.
         """
-        if not self._grow(n_terms + _RATIO_WINDOW + 1):
-            return None
-        k = self._kappa
-        window = [k[i + 1] / k[i] for i in range(n_terms - 1,
-                                                 n_terms + _RATIO_WINDOW - 1)]
-        r = max(window)
-        if r >= _RATIO_CAP:
-            return math.inf
-        return k[n_terms] / (1.0 - r)
+        if n_terms in self._tails:
+            return self._tails[n_terms]
+        t = None
+        if self._grow(n_terms + _RATIO_WINDOW + 1):
+            k = self._kappa
+            r = max(k[i + 1] / k[i] for i in range(n_terms - 1,
+                                                   n_terms + _RATIO_WINDOW - 1))
+            t = math.inf if r >= _RATIO_CAP else k[n_terms] / (1.0 - r)
+        self._tails[n_terms] = t
+        return t
 
     def plan_terms(self, z_abs: float, atol: float):
         """Smallest grown term count whose certified bound meets atol.
@@ -208,26 +218,24 @@ class CharFnEvaluator:
         if z == 0:
             return _at_origin(z, "partial_sum", True)
         plan = self._plan(abs(z), atol)
-        n_terms, log_w0, sgn_p = plan.n_terms, self._log_w0, self._engine.sgn_p
+        n_terms, mant, exps = plan.n_terms, self._w0_mant, self._w0_exp
         is_c = isinstance(z, complex)
+        scale = _ldexp_complex if is_c else _ldexp_inf
         terms = []
         max_term = 0.0
-        it = _scaled_iter(self.src, z)
-        for n, u, v, ls, _ in it:
+        for n, u, v, ls, _ in _scaled_iter(self.src, z):
             if n >= n_terms:
                 break
-            if u == 0:
-                terms.append(0.0 if not is_c else 0.0 + 0.0j)
-                continue
-            lt = log_w0[n] + ls + math.log(abs(u))
-            t = sgn_p[n] * _phase(u) * (math.exp(lt) if lt < 709 else math.inf)
+            # ls sums whole rescale exponents times ln 2, each rounded once;
+            # their error is far below ln 2 / 2, so rounding recovers the sum
+            t = scale(mant[n] * u, exps[n] + round(ls / _LN2))
             terms.append(t)
             max_term = max(max_term, abs(t))
         if is_c:
-            total = complex(math.fsum(t.real for t in terms),
-                            math.fsum(t.imag for t in terms))
+            total = complex(_fsum_inf([t.real for t in terms]),
+                            _fsum_inf([t.imag for t in terms]))
         else:
-            total = math.fsum(terms)
+            total = _fsum_inf(terms)
         return _partial_sum_value(z, plan, total, max_term)
 
     def eval_grid(self, zs, atol: float = 1e-12) -> list[CharFnValue]:
@@ -238,9 +246,9 @@ class CharFnEvaluator:
         equals eval's at that point whatever was evaluated before.  Points
         are stepped together through _scaled_columns, sorted by term count,
         in blocks whose term matrix stays within _GRID_BLOCK_BYTES.  Each
-        term takes math.log and math.exp per element (numpy's differ in the
-        last ulp) and each sum math.fsum over the terms in index order, as
-        in eval.
+        term is formed as in eval, by one multiply and one ldexp (exact up
+        to the float range, where it becomes a signed inf), and each sum is
+        _fsum_inf over the terms in index order.
         """
         zs = [float(z) for z in zs]
         plans = [None if z == 0 else self._plan(abs(z), atol) for z in zs]
@@ -256,7 +264,7 @@ class CharFnEvaluator:
             block = order[start:start + width]
             sums = _grid_sums(read, [zs[j] for j in block],
                               [plans[j].n_terms for j in block],
-                              self._log_w0, self._engine.sgn_p)
+                              self._w0_mant, self._w0_exp)
             for j, (total, max_term) in zip(block, sums):
                 out[j] = _partial_sum_value(zs[j], plans[j], total, max_term)
         return out
@@ -302,46 +310,55 @@ def _partial_sum_value(z, plan: _Plan, total, max_term: float) -> CharFnValue:
                        certified=plan.certified, noise_estimate=noise)
 
 
-def _grid_sums(read, zs: list[float], counts: list[int], log_w0: list[float],
-               sgn_p: list[float]) -> list[tuple[float, float]]:
-    """(sum of the terms, largest |term|) of every point of a block, as eval
-    forms them from log w_n(0) and sign P_n(0).
+def _ldexp_inf(x: float, e: int) -> float:
+    """x * 2**e, or inf of the sign of x beyond the float range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
-    The terms w_n(0) P_n(z) fill an (n_terms, points) matrix, freed on
-    return.  counts (the term count of each point) descend, so the points
-    still summing at index n are a prefix of the block.
+
+def _ldexp_complex(x: complex, e: int) -> complex:
+    """_ldexp_inf of each part of x."""
+    return complex(_ldexp_inf(x.real, e), _ldexp_inf(x.imag, e))
+
+
+def _fsum_inf(xs: list[float]) -> float:
+    """math.fsum, or the signed inf of a sum beyond the float range (where
+    fsum raises), from the sum of the terms scaled by 2**-64."""
+    try:
+        return math.fsum(xs)
+    except OverflowError:
+        return _ldexp_inf(math.fsum([math.ldexp(x, -64) for x in xs]), 64)
+
+
+def _grid_sums(read, zs: list[float], counts: list[int], mant: list[float],
+               exps: list[int]) -> list[tuple[float, float]]:
+    """(sum of the terms, largest |term|) of every point of a block, with
+    each term w_n(0) P_n(z) = ldexp(mant[n] u, exps[n] + round(ls / ln 2))
+    formed as eval forms it.
+
+    The terms fill an (n_terms, points) matrix, freed on return.  counts
+    (the term count of each point) descend, so the points still summing at
+    index n are a prefix of the block.
     """
     n_top = counts[0]
     terms = np.zeros((n_top, len(zs)))
     k = len(zs)
-    for n, u, ls in _scaled_columns(read, np.array(zs)):
-        if n >= n_top:
-            break
-        while counts[k - 1] <= n:
-            k -= 1
-        u = u[:k]
-        mag = np.abs(u)
-        zero = mag == 0.0  # eval takes these terms as 0
-        has_zero = zero.any()
-        if has_zero:
-            mag[zero] = 1.0
-        lt = (log_w0[n] + ls[:k]) + np.fromiter(
-            map(math.log, mag.tolist()), float, k)
-        over = lt >= 709.0  # eval takes these terms as inf
-        has_over = over.any()
-        if has_over:
-            lt[over] = 0.0
-        exp_lt = np.fromiter(map(math.exp, lt.tolist()), float, k)
-        if has_over:
-            exp_lt[over] = math.inf
-        t = sgn_p[n] * np.copysign(1.0, u) * exp_lt
-        if has_zero:
-            t[zero] = 0.0
-        terms[n, :k] = t
+    ls_seen, ls_exp = None, None
+    with np.errstate(over="ignore"):  # an overflowing term is a signed inf
+        for n, u, ls in _scaled_columns(read, np.array(zs)):
+            if n >= n_top:
+                break
+            while counts[k - 1] <= n:
+                k -= 1
+            if ls is not ls_seen:  # _scaled_columns replaces ls on a rescale
+                ls_seen, ls_exp = ls, np.rint(ls / _LN2).astype(np.int64)
+            np.ldexp(mant[n] * u[:k], exps[n] + ls_exp[:k], out=terms[n, :k])
     sums = []
     for c, count in enumerate(counts):
         col = terms[:count, c]
-        sums.append((math.fsum(col.tolist()),
+        sums.append((_fsum_inf(col.tolist()),
                      float(np.max(np.abs(col), initial=0.0))))
     return sums
 

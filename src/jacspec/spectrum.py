@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charfn import CharFnEvaluator
-from .errors import AssumptionViolation
+from .errors import AssumptionViolation, ConvergenceError
 from .qseries import QParams, require_certified_regime
 from .sources import ASC2Source, CoefficientSource, require_infinite
 
@@ -448,7 +448,10 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
 
         slope = _slope_estimate(j, res.oracle_values, tail_ratio)
         target_atol = max(0.02 * slope * tol, 1e-280)
-        feasible = evaluator.plan_terms(abs(hi), target_atol)[0] is not None
+        try:
+            feasible = evaluator.plan_terms(abs(hi), target_atol)[0] is not None
+        except ConvergenceError:  # no kappa table fits within max_terms
+            feasible = False
         if not feasible:
             if confirm == "require":
                 res.unresolved.append(j + 1)

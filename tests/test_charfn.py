@@ -100,7 +100,8 @@ def test_per_term_bound_on_grid(asc2_shifted):
     for z in (-2.0, 1.0, 3.5, complex(1.0, 1.0)):
         logs_z, _ = js.recurrence.log_table(asc2_shifted, z, 59)
         for n in range(60):
-            lhs = ev._log_w0[n] + logs_z[n]
+            lhs = (math.log(abs(ev._w0_mant[n])) + ev._w0_exp[n] * math.log(2.0)
+                   + logs_z[n])
             rhs = abs(z) * s_up + math.log(ev._kappa[n])
             assert lhs <= rhs + 1e-10
 
@@ -208,7 +209,7 @@ def test_evaluator_shared_across_threads(asc2_shifted):
     finally:
         sys.setswitchinterval(interval)
     assert grown == serial
-    assert len(cold._log_w0) == len(cold._kappa)
+    assert len(cold._w0_mant) == len(cold._w0_exp) == len(cold._kappa)
 
 
 @pytest.mark.parametrize("args", [(0.5, 0.5, 0.5), (0.3, 0.3, 0.0)])
@@ -324,3 +325,21 @@ def test_certified_sign_stops_at_noise_floor(monkeypatch):
     assert val.certified
     assert abs(val.value) + val.tail_bound <= val.noise_estimate
     assert counts["evals"] == 1
+
+
+@pytest.mark.parametrize("max_terms", [20000, 200])
+def test_tail_estimates_are_computed_once_per_size(monkeypatch, max_terms):
+    # the table only grows and the capacity only falls, so each _tail_upper(n)
+    # is fixed once computed, None included (beyond the coefficient horizon
+    # at 20000, beyond the budget at 200); a second plan grows nothing
+    ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5), max_terms)
+    first = [ev.plan_terms(z, 1e-12) for z in (1.0, 60.0, 250.0)]
+    assert None in ev._tails.values()
+    grows = []
+    orig = ev._grow
+    monkeypatch.setattr(ev, "_grow", lambda count: grows.append(count) or orig(count))
+    assert [ev.plan_terms(z, 1e-12) for z in (1.0, 60.0, 250.0)] == first
+    assert grows == []
+    fresh = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5), max_terms)
+    assert [fresh._tail_upper(n) for n in sorted(ev._tails)] == \
+        [ev._tails[n] for n in sorted(ev._tails)]

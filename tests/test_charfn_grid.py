@@ -3,7 +3,9 @@
 CharFnEvaluator.eval_grid and the array form of charfn_ratio step a whole
 z-grid through one column-wise recurrence; every point must equal the scalar
 eval / charfn_ratio result bit for bit, raise where the scalar path raises,
-and the charfn report must stay byte-identical.
+and the charfn report must keep its pinned bytes.  Both partial-sum paths form
+each term as ldexp(mantissa of w_n(0) * u, its exponent + the recurrence's
+rescale exponent), which the tests at the end pin down.
 """
 
 import contextlib
@@ -16,8 +18,9 @@ import numpy as np
 import pytest
 
 import jacspec as js
-from jacspec import cli, sources
-from jacspec.errors import AssumptionViolation
+from jacspec import charfn, cli, sources
+from jacspec.errors import AssumptionViolation, ConvergenceError
+from jacspec.recurrence import _LN2, _coeff_reader, _scaled_iter
 
 
 def _key(v):
@@ -159,13 +162,14 @@ def _charfn_report(*argv):
     return out.getvalue()
 
 
-# SHA-256 of the reports of the scalar per-point implementation, which looped
-# over CharFnEvaluator.eval and charfn_ratio one z at a time
+# SHA-256 of the reports with each partial-sum term formed as
+# ldexp(m_n u, e_n + round(log_scale / ln 2)) from w_n(0) = m_n 2^e_n; the
+# grid path gives them bit for bit, as the scalar eval does at every point
 GOLDEN = {
     ("--q=0.5", "--a=0.5", "--shift=0.5", "--grid=-1.0:250.0:400"):
-        "2f5ef47eb351692cb6c3116011b4fe5c0e36ffb713f004bfa6b8d9ff624c967e",
+        "1b1485e2adecb528b95d92f3734ce980dbe5c3866c76eec05cc5d0bd52ebec90",
     ("--q=0.7", "--a=0.7", "--shift=0.0", "--grid=-1.0:40.0:400"):
-        "e53dc7cc9d80e8cf8a0794110632df19439739bb4c91c7e9fe11a744f94fe0e8",
+        "a445fbbffc10644bb7c44e606366f3a8370170d9da8bf693bad5a3afdbc15e9a",
 }
 
 
@@ -190,3 +194,97 @@ def test_charfn_coefficient_reads_do_not_scale_with_the_grid(monkeypatch):
     monkeypatch.setattr(sources.ASC2Source, "coeffs", counted)
     _charfn_report("--q=0.5", "--a=0.5", "--shift=0.5", "--grid=-1:250:400")
     assert calls[0] <= 2 * 2133
+
+
+# -- the power-of-two term kernel ---------------------------------------------
+
+def test_terms_beyond_the_float_range_are_signed_infs_on_both_paths():
+    # on the negative axis every term is positive; at (0.5, 0.5, 0.5) the sum
+    # passes the float range near -5.5e13, the largest term near -5.7e13
+    src = js.ASC2Source(0.5, 0.5, 0.5)
+    zs = [-1e13, -5.4e13, -5.6e13, -1e14, -1e20]
+    ev = js.CharFnEvaluator(src)
+    scalar = [ev.eval(z, 1e-12) for z in zs]
+    assert _keys(js.CharFnEvaluator(src).eval_grid(zs, 1e-12)) == _keys(scalar)
+    assert math.isfinite(scalar[0].value)
+    assert all(v.value == math.inf for v in scalar[1:])
+    n = len(ev._kappa)
+    sums = charfn._grid_sums(_coeff_reader(src), zs, [n] * len(zs),
+                             ev._w0_mant, ev._w0_exp)
+    (total, _), (total_54, _), (total_56, top_56) = sums[:3]
+    assert math.isfinite(total) and math.isfinite(total_54)
+    # a term between e^709 and the largest float stays finite
+    assert math.exp(709.0) < top_56 < math.inf
+    assert total_56 == math.inf  # math.fsum raises OverflowError here
+    assert all(t == m == math.inf for t, m in sums[3:])
+
+
+def test_term_scaling_saturates_at_the_float_limit():
+    # ldexp keeps every term up to the largest float (about e^709.78) and
+    # turns the rest into an inf of the term's sign
+    big = math.ldexp(1.5, 1023)
+    assert charfn._ldexp_inf(1.5, 1023) == big > math.exp(709.0)
+    assert charfn._ldexp_inf(-1.0, 1024) == -math.inf
+    assert charfn._ldexp_inf(1.0, -1100) == 0.0
+    with np.errstate(over="ignore"):
+        assert np.ldexp(np.array([1.5, -1.0]), [1023, 1024]).tolist() == \
+            [big, -math.inf]
+    top = math.ldexp(1.0 - 2.0 ** -53, 1024)  # the largest float
+    assert charfn._fsum_inf([top, top]) == math.inf
+    assert charfn._fsum_inf([-top, -top, 1.0]) == -math.inf
+    assert charfn._fsum_inf([top, top, -top]) == top
+    assert charfn._fsum_inf([0.5, 0.25]) == math.fsum([0.5, 0.25])
+
+
+def test_complex_terms_overflow_per_part():
+    # a term whose real part passes the float range keeps its imaginary part
+    got = charfn._ldexp_complex(complex(1.5, -(2.0 ** -60)), 1024)
+    assert got.real == math.inf and got.imag == -(2.0 ** 964)
+    got = charfn._ldexp_complex(complex(2.0 ** -60, -1.5), 1024)
+    assert got.real == 2.0 ** 964 and got.imag == -math.inf
+    # an eval whose terms overflow returns instead of raising OverflowError
+    ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5))
+    assert ev.eval(complex(-1e14, 1e-3), 1e-12).value.real == math.inf
+    small = ev.eval(complex(-1e13, 1e3), 1e-12).value
+    assert math.isfinite(small.real) and math.isfinite(small.imag)
+
+
+@pytest.mark.parametrize("z", [0.0, -1e6, 1e6, -1e100, complex(3.0, 2.0)])
+def test_rescale_exponent_is_recovered_by_rounding(z):
+    # log_scale adds whole rescale exponents times ln 2; along (0.9, 0.9, 0)
+    # up to its 5,914-term coefficient horizon (1,928 rescales at -1e100) the
+    # rounded ratio stays far inside ln 2 / 2 of the integer it stands for
+    src = js.ASC2Source(0.9, 0.9, 0.0)
+    worst, n = 0.0, 0
+    with pytest.raises(ConvergenceError):
+        for n, _, _, ls, _ in _scaled_iter(src, z):
+            worst = max(worst, abs(ls / _LN2 - round(ls / _LN2)))
+    assert n == 5914
+    assert worst <= 1e-6
+
+
+def _product_scale(q, shift, z):
+    """M(z) = prod_n (1 + |z| / (q^-n - shift)), which bounds |F(z)|."""
+    acc, n = 0.0, 0
+    while True:
+        x = abs(z) / (q ** -n - shift)
+        if x < 1e-18:
+            return math.exp(acc)
+        acc += math.log1p(x)
+        n += 1
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_charfn_grid_matches_the_closed_form(argv):
+    # every point of the report's grid (certified or not) lies within
+    # 1e-14 M(z) of (z + shift; q)_inf / (shift; q)_inf
+    import mpmath
+    q, a, shift = (float(x.split("=")[1]) for x in argv[:3])
+    lo, hi, count = argv[3].split("=")[1].split(":")
+    zs = np.linspace(float(lo), float(hi), int(count)).tolist()
+    got = js.CharFnEvaluator(js.ASC2Source(q, a, shift)).eval_grid(zs, 1e-12)
+    with mpmath.workdps(30):
+        den = mpmath.qp(shift, q)
+        for z, v in zip(zs, got):
+            ref = float(mpmath.qp(mpmath.mpf(z) + shift, q) / den)
+            assert abs(v.value - ref) <= 1e-14 * _product_scale(q, shift, z)

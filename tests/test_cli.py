@@ -59,6 +59,25 @@ def test_spectrum_require_exit_code(capsys):
     assert parse_csv(out)  # partial report still emitted
 
 
+@pytest.mark.parametrize("confirm, code, n_rows", [
+    ("auto", 0, 3), ("require", 4, 0)])
+def test_spectrum_without_a_kappa_table(capsys, confirm, code, n_rows):
+    # at max_terms 40 no kappa table of (0.5, 0.5, 0.5) reaches a stable decay
+    # window, so no certificate fits: the oracle value stands under auto and
+    # every index is unresolved under require
+    got, out, err = run_cli(
+        capsys, "spectrum", "--q", "0.5", "--a", "0.5", "--shift", "0.5",
+        "--k", "3", "--max-terms", "40", "--confirm", confirm)
+    assert got == code
+    rows = parse_csv(out)
+    assert len(rows) == n_rows
+    assert all(row["residual"] == "nan" for row in rows)
+    for row, ref in zip(rows, (0.5, 1.5, 3.5)):
+        assert abs(float(row["lambda"]) - ref) <= 1e-9
+    if confirm == "require":
+        assert "unresolved eigenvalue indices: [1, 2, 3]" in err
+
+
 def test_charfn_grid(capsys):
     code, out, _ = run_cli(
         capsys, "charfn", "--family", "asc2", "--q", "0.5", "--a", "0.5",
