@@ -15,9 +15,6 @@ from .qseries import (QParams, asc2_orthonormal, asc2_series_vs_product,
                       qpoch, qpoch_inf, second_kind_at_family_point,
                       spectrum_product_reference, w_factorization_check,
                       weyl_at_family_point)
-from .recurrence import (eval_q_assoc, green_block, jacobi_block,
-                         q_assoc_forward, recurrence_residuals,
-                         resolvent_identity_check)
 from .second_kind import (KappaSequence, SecondKindTable, TraceInverse,
                           kappa_sequence, second_kind_values, trace_inverse,
                           weyl)
@@ -45,21 +42,15 @@ __all__ = [
     "asc2_series_vs_product",
     "asc2_v",
     "charfn_ratio",
-    "eval_q_assoc",
     "find_spectrum",
-    "green_block",
     "hadamard_product",
-    "jacobi_block",
     "kappa_sequence",
     "orthonormal_at_family_point",
     "phi1_closed_form_check",
-    "q_assoc_forward",
     "qbinomial_check",
     "qgauss_check",
     "qpoch",
     "qpoch_inf",
-    "recurrence_residuals",
-    "resolvent_identity_check",
     "run_suite",
     "second_kind_at_family_point",
     "second_kind_values",

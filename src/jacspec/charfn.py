@@ -175,12 +175,16 @@ class CharFnEvaluator:
 
         Returns (n_terms, log_bound); n_terms is None when neither the term
         budget nor the coefficient horizon allows reaching atol, in which case
-        log_bound reports the best achievable bound.  n_terms is None only
-        once the table has reached its capacity.
+        log_bound reports the best achievable bound (inf when no kappa table
+        can be built at all).  n_terms is None only once the table has
+        reached its capacity.
         """
         if not 0.0 < atol < math.inf:
             raise ValueError(f"atol must be finite and positive, got {atol!r}")
-        s_up = self.kappa_sum_upper
+        try:
+            s_up = self.kappa_sum_upper
+        except ConvergenceError:
+            return None, math.inf
         log_target = math.log(atol)
         n = 16
         best = math.inf
@@ -325,11 +329,14 @@ def _ldexp_complex(x: complex, e: int) -> complex:
 
 def _fsum_inf(xs: list[float]) -> float:
     """math.fsum, or the signed inf of a sum beyond the float range (where
-    fsum raises), from the sum of the terms scaled by 2**-64."""
+    fsum raises), from the sum of the terms scaled by 2**-64; nan when terms
+    of both signs are beyond it (fsum's "-inf + inf")."""
     try:
         return math.fsum(xs)
     except OverflowError:
         return _ldexp_inf(math.fsum([math.ldexp(x, -64) for x in xs]), 64)
+    except ValueError:
+        return math.nan
 
 
 def _grid_sums(read, zs: list[float], counts: list[int], mant: list[float],

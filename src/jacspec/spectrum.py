@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charfn import CharFnEvaluator
-from .errors import AssumptionViolation, ConvergenceError
+from .errors import AssumptionViolation
 from .qseries import QParams, require_certified_regime
 from .sources import ASC2Source, CoefficientSource, require_infinite
 
@@ -331,8 +331,8 @@ def _ladder(src, k, tol, otol):
     size.  On a fast-growing source such as ASC-II at q = 0.3 this lets the
     last rung end just inside the float range instead of failing there.  If
     the clamp leaves no rung larger than the current one, or the clamped
-    rung does not stabilize, ValueError is raised rather than an
-    unstabilized root returned.
+    rung or a rung of _LADDER_CAP rows or more does not stabilize,
+    ValueError is raised rather than an unstabilized root returned.
 
     Returns (sizes, t_coarse, t_fine, x_coarse, x_fine): every rung size,
     then the last two blocks and their roots at otol; x_coarse comes from
@@ -351,13 +351,13 @@ def _ladder(src, k, tol, otol):
                                _LADDER_ULPS * np.spacing(np.abs(x_next)))
             if np.all(np.abs(x_prev - x_next) <= floor):
                 return sizes, t_prev, t, x_prev, x_next
-        if t.size < 2 * n:
+        if t.size < 2 * n or t.size >= _LADDER_CAP:
             m = sizes[-1]
+            limit = (f"the ladder cap {_LADDER_CAP}" if m >= _LADDER_CAP else
+                     f"the largest truncation usable at tolerance {otol:.3g}")
             raise ValueError(
                 f"the {k} smallest roots have not stabilized at {m} x {m}, "
-                f"the largest truncation usable at tolerance {otol:.3g}")
-        if t.size >= _LADDER_CAP:
-            return sizes, t_prev, t, x_prev, x_next
+                f"{limit}")
         t_prev, x_prev = t, x_next
 
 
@@ -448,11 +448,7 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
 
         slope = _slope_estimate(j, res.oracle_values, tail_ratio)
         target_atol = max(0.02 * slope * tol, 1e-280)
-        try:
-            feasible = evaluator.plan_terms(abs(hi), target_atol)[0] is not None
-        except ConvergenceError:  # no kappa table fits within max_terms
-            feasible = False
-        if not feasible:
+        if evaluator.plan_terms(abs(hi), target_atol)[0] is None:
             if confirm == "require":
                 res.unresolved.append(j + 1)
                 _push_oracle(res, j, lam_oracle, (lo, hi), method="unresolved")

@@ -8,9 +8,11 @@ agreement for the second-kind functions, the kappa positivity and
 monotonicity pattern, the per-term growth bound, trace reconciliation against
 located eigenvalues, and the W W^T + I factorization of the ASC-II family.
 
-An optional extended-precision mode (precision in decimal digits) reruns the
-pure-recurrence identities through mpmath; residual maxima shrink accordingly,
-which separates genuine identity failures from float64 round-off.
+The four pure-recurrence identities (recurrence, Wronskian, Green, resolvent)
+run in mpmath only: at the requested precision when it is above 16 decimal
+digits, otherwise at 53 bits, float64's mantissa.  Their maxima therefore
+shrink with the precision, which separates genuine identity failures from
+round-off.
 """
 
 from __future__ import annotations
@@ -18,20 +20,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import recurrence, second_kind
 from .errors import AssumptionViolation, ConvergenceError
 from .qseries import QParams, w_factorization_check
-from .recurrence import (eval_q_assoc, green_block, jacobi_block, log_table,
-                         plain_values, q_assoc_forward, recurrence_residuals,
-                         resolvent_identity_check)
+from .recurrence import log_table, plain_values
 from .sources import ASC2Source, CoefficientSource, TableSource
 from .spectrum import TruncatedTridiagonal, find_spectrum, sturm_counts
 
 _REAL_ZS = (0.0, 0.4, -1.0, 2.7)
 _COMPLEX_Z = complex(1.3, 0.7)
 _TAIL_MAX_TERMS = 10000
+# last index n of the recurrence, positivity, sign-pattern and kappa checks
+_N_MAX = 40
+_TWO_ROUTE_N_MAX = 30
+_PER_TERM_N_MAX = 60
+# largest m of the Wronskian pairs (m, n); sizes of the Green, resolvent and
+# W blocks; eigenvalues in the trace reconciliation
+_WRONSKIAN_M_MAX = 12
+_GREEN_BLOCK = 12
+_W_BLOCK = 10
+_TRACE_K = 12
+# correct digits a cross-identity Green entry must keep (see _green)
+_GREEN_DIGITS = 12
+_RECURRENCE_THRESHOLD = 1e-12
+_IDENTITY_THRESHOLD = 1e-10  # Wronskian, Green, resolvent, two-route
+_TRACE_THRESHOLD = 1e-6
+_W_THRESHOLD = 1e-12
 
 
 @dataclass
@@ -59,9 +73,13 @@ def _skip(name, threshold, note):
 
 
 def _mp_context(digits):
+    """mpmath context at ``digits`` decimal digits above 16, else 53 bits."""
     import mpmath
     ctx = mpmath.mp.clone()
-    ctx.dps = digits
+    if digits > 16:
+        ctx.dps = digits
+    else:
+        ctx.prec = 53
     return ctx
 
 
@@ -87,9 +105,9 @@ def _n_cap(src, want):
 # individual checks
 # ---------------------------------------------------------------------------
 
-def check_coefficient_positivity(src, n_max=40) -> CheckResult:
+def check_coefficient_positivity(src) -> CheckResult:
     # every off-diagonal of the largest block a table determines
-    count = n_max + 1
+    count = _N_MAX + 1
     if isinstance(src, TableSource):
         count = min(count, src.max_truncation - 1)
     violations = [n for n in range(count) if not src.alpha(n) > 0.0]
@@ -101,144 +119,139 @@ def check_coefficient_positivity(src, n_max=40) -> CheckResult:
                    f"nonpositive off-diagonal at n in {violations}")
 
 
-def check_recurrence(src, n_max=40, threshold=1e-12, digits=0) -> CheckResult:
-    n_stop = _n_cap(src, max(n_max, 2))
+def check_recurrence(src, digits=0) -> CheckResult:
+    n_stop = _n_cap(src, _N_MAX)
     if n_stop < 1:
-        return _skip("recurrence_residual", threshold,
+        return _skip("recurrence_residual", _RECURRENCE_THRESHOLD,
                      "table too short: no index n >= 1")
     zs = list(_REAL_ZS) + [_COMPLEX_Z]
     worst = 0.0
-    if digits > 16:
-        ctx = _mp_context(digits)
-        alphas, betas = _mp_coeffs(src, n_stop, ctx)
-        for z in zs:
-            zc = ctx.mpc(z) if isinstance(z, complex) else ctx.mpf(z)
-            for second in (False, True):
-                vals = plain_values(alphas, betas, zc, n_stop + 1,
-                                    second_kind=second)
-                for n in range(1, n_stop + 1):
-                    t1 = alphas[n] * vals[n + 1]
-                    t2 = (betas[n] - zc) * vals[n]
-                    t3 = alphas[n - 1] * vals[n - 1]
-                    den = abs(t1) + abs(t2) + abs(t3)
-                    if den > 0:
-                        worst = max(worst, float(abs(t1 + t2 + t3) / den))
-    else:
-        for z in zs:
-            for second in (False, True):
-                res = recurrence_residuals(src, z, n_stop, second_kind=second)
-                worst = max(worst, max(res))
-    return _result("recurrence_residual", worst, threshold,
+    ctx = _mp_context(digits)
+    alphas, betas = _mp_coeffs(src, n_stop, ctx)
+    for z in zs:
+        zc = ctx.mpc(z) if isinstance(z, complex) else ctx.mpf(z)
+        for second in (False, True):
+            vals = plain_values(alphas, betas, zc, n_stop + 1,
+                                second_kind=second)
+            for n in range(1, n_stop + 1):
+                t1 = alphas[n] * vals[n + 1]
+                t2 = (betas[n] - zc) * vals[n]
+                t3 = alphas[n - 1] * vals[n - 1]
+                den = abs(t1) + abs(t2) + abs(t3)
+                if den > 0:
+                    worst = max(worst, float(abs(t1 + t2 + t3) / den))
+    return _result("recurrence_residual", worst, _RECURRENCE_THRESHOLD,
                    f"n <= {n_stop}, {len(zs)} evaluation points")
 
 
-def check_wronskian(src, m_max=12, threshold=1e-10, digits=0) -> CheckResult:
-    m_stop = _n_cap(src, max(m_max, 3))
+def check_wronskian(src, digits=0) -> CheckResult:
+    m_stop = _n_cap(src, _WRONSKIAN_M_MAX)
     if m_stop < 1:
-        return _skip("wronskian_identity", threshold,
+        return _skip("wronskian_identity", _IDENTITY_THRESHOLD,
                      "table too short: no pair m > n")
-    zs = (0.0, -0.7, 0.4)
     worst = 0.0
-    if digits > 16:
-        ctx = _mp_context(digits)
-        alphas, betas = _mp_coeffs(src, m_stop, ctx)
-        for z in zs:
-            zc = ctx.mpf(z)
-            p = plain_values(alphas, betas, zc, m_stop)
-            qv = plain_values(alphas, betas, zc, m_stop, second_kind=True)
-            for n in range(m_stop):
-                fwd = plain_values(alphas[n:], betas[n:], zc, m_stop - n,
-                                   second_kind=True)
-                for m in range(n + 1, m_stop + 1):
-                    cross = qv[m] * p[n] - p[m] * qv[n]
-                    den = abs(qv[m] * p[n]) + abs(p[m] * qv[n]) + abs(fwd[m - n])
-                    if den > 0:
-                        worst = max(worst, float(abs(cross - fwd[m - n]) / den))
-    else:
-        for z in zs:
-            for n in range(m_stop):
-                for m in range(n + 1, m_stop + 1):
-                    cross = eval_q_assoc(src, z, m, n)
-                    fwd = q_assoc_forward(src, z, m, n)
-                    den = abs(cross) + abs(fwd)
-                    if den > 0:
-                        worst = max(worst, abs(cross - fwd) / den)
-    return _result("wronskian_identity", worst, threshold, f"m <= {m_stop}")
+    ctx = _mp_context(digits)
+    alphas, betas = _mp_coeffs(src, m_stop, ctx)
+    for z in (0.0, -0.7, 0.4):
+        zc = ctx.mpf(z)
+        p = plain_values(alphas, betas, zc, m_stop)
+        qv = plain_values(alphas, betas, zc, m_stop, second_kind=True)
+        for n in range(m_stop):
+            fwd = plain_values(alphas[n:], betas[n:], zc, m_stop - n,
+                               second_kind=True)
+            for m in range(n + 1, m_stop + 1):
+                cross = qv[m] * p[n] - p[m] * qv[n]
+                den = abs(qv[m] * p[n]) + abs(p[m] * qv[n]) + abs(fwd[m - n])
+                if den > 0:
+                    worst = max(worst, float(abs(cross - fwd[m - n]) / den))
+    return _result("wronskian_identity", worst, _IDENTITY_THRESHOLD,
+                   f"m <= {m_stop}")
 
 
-def check_green_identity(src, n_block=12, threshold=1e-10, digits=0) -> CheckResult:
-    if isinstance(src, TableSource):
-        n_block = min(n_block, src.max_pair_index + 1)
+def _green(alphas, betas, n_block, ctx):
+    """(P_*(0), G): P_0(0) .. P_{n_block}(0) and the n_block x n_block Green
+    block G[m][n] = Q_m^(n)(0), zero for m <= n.
+
+    Entries come from the cross identity Q_m(0) P_n(0) - P_m(0) Q_n(0).  Its
+    two products cancel more and more with the indices, so an entry left
+    with fewer than _GREEN_DIGITS correct digits at the working precision is
+    recomputed by forward substitution from Q_n^(n) = 0, Q_{n+1}^(n) =
+    1/alpha_n.
+    """
+    zero = ctx.mpf(0)
+    p = plain_values(alphas, betas, zero, n_block)
+    qv = plain_values(alphas, betas, zero, n_block, second_kind=True)
+    guard = 10 ** _GREEN_DIGITS * ctx.eps
+    g = [[zero] * n_block for _ in range(n_block)]
+    for n in range(n_block - 1):
+        fwd = None
+        for m in range(n + 1, n_block):
+            t1, t2 = qv[m] * p[n], p[m] * qv[n]
+            g[m][n] = t1 - t2
+            if abs(g[m][n]) < guard * (abs(t1) + abs(t2)):
+                if fwd is None:
+                    fwd = plain_values(alphas[n:], betas[n:], zero,
+                                       n_block - 1 - n, second_kind=True)
+                g[m][n] = fwd[m - n]
+    return p, g
+
+
+def check_green_identity(src, digits=0) -> CheckResult:
+    n_block = _n_cap(src, _GREEN_BLOCK - 1) + 1
     if n_block < 2:
-        return _skip("green_identity", threshold,
+        return _skip("green_identity", _IDENTITY_THRESHOLD,
                      "table too short: no 2 x 2 block")
-    if digits > 16:
-        ctx = _mp_context(digits)
-        alphas, betas = _mp_coeffs(src, n_block - 1, ctx)
-        p = plain_values(alphas, betas, ctx.mpf(0), n_block)
-        qv = plain_values(alphas, betas, ctx.mpf(0), n_block, second_kind=True)
-        g = [[qv[m] * p[n] - p[m] * qv[n] if m > n else ctx.mpf(0)
-              for n in range(n_block)] for m in range(n_block)]
-        worst = 0.0
-        for m in range(n_block - 1):
-            for n in range(n_block):
-                acc = betas[m] * g[m][n]
-                scale = abs(acc)
-                if m > 0:
-                    acc += alphas[m - 1] * g[m - 1][n]
-                    scale += abs(alphas[m - 1] * g[m - 1][n])
-                acc += alphas[m] * g[m + 1][n]
-                scale += abs(alphas[m] * g[m + 1][n])
-                target = 1 if m == n else 0
-                worst = max(worst, float(abs(acc - target) / max(scale, 1)))
-        return _result("green_identity", worst, threshold, f"N = {n_block}")
-    g = green_block(src, n_block)
-    t = jacobi_block(src, n_block)
-    prod = t @ g
-    resid = prod - np.eye(n_block)
-    scale = np.maximum(np.abs(t) @ np.abs(g), 1.0)
-    rel = np.abs(resid) / scale
-    worst = float(np.max(rel[: n_block - 1, :]))  # boundary row excluded
-    return _result("green_identity", worst, threshold, f"N = {n_block}")
+    ctx = _mp_context(digits)
+    alphas, betas = _mp_coeffs(src, n_block - 1, ctx)
+    _, g = _green(alphas, betas, n_block, ctx)
+    worst = 0.0
+    for m in range(n_block - 1):  # the boundary row is excluded
+        for n in range(n_block):
+            acc = betas[m] * g[m][n]
+            scale = abs(acc)
+            if m > 0:
+                acc += alphas[m - 1] * g[m - 1][n]
+                scale += abs(alphas[m - 1] * g[m - 1][n])
+            acc += alphas[m] * g[m + 1][n]
+            scale += abs(alphas[m] * g[m + 1][n])
+            target = 1 if m == n else 0
+            worst = max(worst, float(abs(acc - target) / max(scale, 1)))
+    return _result("green_identity", worst, _IDENTITY_THRESHOLD,
+                   f"N = {n_block}")
 
 
-def check_resolvent_identity(src, n_block=12, threshold=1e-10, gamma=None,
-                             digits=0) -> CheckResult:
-    if isinstance(src, TableSource):
-        n_block = min(n_block, src.max_pair_index + 1)
+def check_resolvent_identity(src, gamma=None, digits=0) -> CheckResult:
+    n_block = _n_cap(src, _GREEN_BLOCK - 1) + 1
     if n_block < 2:
-        return _skip("resolvent_identity", threshold,
+        return _skip("resolvent_identity", _IDENTITY_THRESHOLD,
                      "table too short: no 2 x 2 block")
     xs = [0.0, 0.1]
     if gamma is not None:
         xs.append(0.3 * gamma)
-    if digits > 16:
-        ctx = _mp_context(digits)
-        alphas, betas = _mp_coeffs(src, n_block - 1, ctx)
-        p0 = plain_values(alphas, betas, ctx.mpf(0), n_block)
-        qv = plain_values(alphas, betas, ctx.mpf(0), n_block, second_kind=True)
-        worst = 0.0
-        for x in xs:
-            xv = ctx.mpf(x)
-            px = plain_values(alphas, betas, xv, n_block)
-            for n in range(n_block):
-                acc = px[n] - p0[n]
-                scale = abs(px[n]) + abs(p0[n])
-                for kk in range(n):
-                    gmn = qv[n] * p0[kk] - p0[n] * qv[kk]
-                    acc -= xv * gmn * px[kk]
-                    scale += abs(xv * gmn * px[kk])
-                if scale > 0:
-                    worst = max(worst, float(abs(acc) / scale))
-        return _result("resolvent_identity", worst, threshold, f"N = {n_block}")
-    worst = max(resolvent_identity_check(src, x, n_block) for x in xs)
-    return _result("resolvent_identity", worst, threshold, f"N = {n_block}")
+    ctx = _mp_context(digits)
+    alphas, betas = _mp_coeffs(src, n_block - 1, ctx)
+    p0, g = _green(alphas, betas, n_block, ctx)
+    worst = 0.0
+    for x in xs:
+        xv = ctx.mpf(x)
+        px = plain_values(alphas, betas, xv, n_block)
+        for n in range(n_block):
+            # row n of (I - x G) P_*(x) - P_*(0)
+            acc = px[n] - p0[n]
+            scale = abs(px[n]) + abs(p0[n])
+            for kk in range(n):
+                acc -= xv * g[n][kk] * px[kk]
+                scale += abs(xv * g[n][kk] * px[kk])
+            if scale > 0:
+                worst = max(worst, float(abs(acc) / scale))
+    return _result("resolvent_identity", worst, _IDENTITY_THRESHOLD,
+                   f"N = {n_block}")
 
 
-def check_two_route_second_kind(src, gamma, n_max=30, threshold=1e-10,
-                                max_terms=20000) -> CheckResult:
+def check_two_route_second_kind(src, gamma, max_terms=20000) -> CheckResult:
+    n_max = _TWO_ROUTE_N_MAX
     if src.is_finite:
-        return _skip("second_kind_two_route", threshold,
+        return _skip("second_kind_two_route", _IDENTITY_THRESHOLD,
                      "requires an unbounded coefficient family")
     zs = [0.0, -1.0, 0.3 * gamma]
     worst = 0.0
@@ -253,11 +266,11 @@ def check_two_route_second_kind(src, gamma, n_max=30, threshold=1e-10,
             den = abs(w0 * p[n]) + abs(qv[n]) + abs(table.values[n])
             if den > 0:
                 worst = max(worst, abs(table.values[n] - alt) / den)
-    return _result("second_kind_two_route", worst, threshold, f"n <= {n_max}")
+    return _result("second_kind_two_route", worst, _IDENTITY_THRESHOLD, f"n <= {n_max}")
 
 
-def check_sign_patterns(src, n_max=40) -> CheckResult:
-    n_stop = _n_cap(src, n_max)
+def check_sign_patterns(src) -> CheckResult:
+    n_stop = _n_cap(src, _N_MAX)
     if n_stop < 1:
         return _skip("sign_patterns", 0.0,
                      "table too short: no index n >= 1")
@@ -273,7 +286,8 @@ def check_sign_patterns(src, n_max=40) -> CheckResult:
     return _result("sign_patterns", float(bad), 0.0, f"n <= {n_stop}")
 
 
-def check_kappa_monotonic(src, n_max=40, max_terms=20000) -> CheckResult:
+def check_kappa_monotonic(src, max_terms=20000) -> CheckResult:
+    n_max = _N_MAX
     if src.is_finite:
         return _skip("kappa_positivity_monotonic", 0.0,
                      "requires an unbounded coefficient family")
@@ -293,7 +307,8 @@ def check_kappa_monotonic(src, n_max=40, max_terms=20000) -> CheckResult:
                    f"n <= {n_max}")
 
 
-def check_per_term_bound(src, n_max=60, max_terms=20000) -> CheckResult:
+def check_per_term_bound(src, max_terms=20000) -> CheckResult:
+    n_max = _PER_TERM_N_MAX
     if src.is_finite:
         return _skip("per_term_growth_bound", 0.0,
                      "requires an unbounded coefficient family")
@@ -314,23 +329,22 @@ def check_per_term_bound(src, n_max=60, max_terms=20000) -> CheckResult:
                    f"n <= {n_max}")
 
 
-def check_trace_reconciliation(src, k=12, threshold=1e-6,
-                               max_terms=20000) -> CheckResult:
+def check_trace_reconciliation(src, max_terms=20000) -> CheckResult:
     if src.is_finite:
-        return _skip("trace_reconciliation", threshold,
+        return _skip("trace_reconciliation", _TRACE_THRESHOLD,
                      "requires an unbounded coefficient family")
     try:
         tr = second_kind.trace_inverse(src, 1e-8, max_terms=max_terms)
     except ConvergenceError as exc:
         return CheckResult(name="trace_reconciliation", passed=False,
                            skipped=False, max_residual=math.inf,
-                           threshold=threshold, note=str(exc))
-    res = find_spectrum(src, k, 1e-10, confirm="oracle")
+                           threshold=_TRACE_THRESHOLD, note=str(exc))
+    res = find_spectrum(src, _TRACE_K, 1e-10, confirm="oracle")
     inv = [1.0 / lam for lam in res.eigenvalues]
     tail, model = _inverse_tail(res.eigenvalues)
     gap = abs(tr.value - (math.fsum(inv) + tail))
-    return _result("trace_reconciliation", gap, threshold,
-                   f"{k} eigenvalues + {model} tail")
+    return _result("trace_reconciliation", gap, _TRACE_THRESHOLD,
+                   f"{_TRACE_K} eigenvalues + {model} tail")
 
 
 def _inverse_tail(lams) -> tuple[float, str]:
@@ -360,9 +374,10 @@ def _inverse_tail(lams) -> tuple[float, str]:
     return tail, "geometric"
 
 
-def check_w_factorization(src, n_block=10, threshold=1e-12, digits=0) -> CheckResult:
+def check_w_factorization(src, digits=0) -> CheckResult:
+    n_block = _W_BLOCK
     if not isinstance(src, ASC2Source):
-        return _skip("w_factorization", threshold,
+        return _skip("w_factorization", _W_THRESHOLD,
                      "defined for the ASC-II family only")
     if digits > 16:
         ctx = _mp_context(digits)
@@ -386,10 +401,10 @@ def check_w_factorization(src, n_block=10, threshold=1e-12, digits=0) -> CheckRe
                     mn = min(m, n)
                     acc -= ctx.sqrt(a * q ** (-2 * mn - 1) * (1 - q ** (mn + 1)))
                 worst = max(worst, abs(acc))
-        return _result("w_factorization", float(worst / scale), threshold,
+        return _result("w_factorization", float(worst / scale), _W_THRESHOLD,
                        f"N = {n_block}")
     gap = w_factorization_check(QParams(src.q, src.a), n_block)
-    return _result("w_factorization", gap, threshold, f"N = {n_block}")
+    return _result("w_factorization", gap, _W_THRESHOLD, f"N = {n_block}")
 
 
 def run_suite(src: CoefficientSource, *, gamma: float | None = None,
@@ -427,7 +442,7 @@ def run_suite(src: CoefficientSource, *, gamma: float | None = None,
             out.append(check_two_route_second_kind(src, gamma,
                                                    max_terms=max_terms))
         else:
-            out.append(_skip("second_kind_two_route", 1e-10,
+            out.append(_skip("second_kind_two_route", _IDENTITY_THRESHOLD,
                              "needs gamma and an unbounded family"))
         out.append(check_kappa_monotonic(src, max_terms=max_terms))
         out.append(check_per_term_bound(src, max_terms=max_terms))

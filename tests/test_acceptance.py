@@ -14,6 +14,8 @@ import pytest
 
 import jacspec as js
 from conftest import random_pd_table
+from jacspec.verify import (check_recurrence, check_resolvent_identity,
+                            check_wronskian)
 
 
 @contextmanager
@@ -119,31 +121,20 @@ def test_acceptance_5_structural_identity_suite():
         asc2_b = js.ASC2Source(q=0.3, a=0.3)
         tables = [random_pd_table(rng, 20) for _ in range(5)]
 
-        # recurrence residuals, n <= 40, relative tolerance 1e-12
-        for src in (asc2, asc2_b):
-            for z in (0.0, 0.4, -1.0, 2.7, complex(1.3, 0.7)):
-                for second in (False, True):
-                    r = js.recurrence_residuals(src, z, 40, second_kind=second)
-                    assert max(r) <= 1e-12
-        for src in tables:
-            for z in (0.0, -0.6, 1.1):
-                assert max(js.recurrence_residuals(src, z, 16)) <= 1e-12
-
-        # associated-polynomial identity vs forward substitution, m <= 12
+        # the verify rows, at default (53-bit) precision: recurrence
+        # residuals with relative tolerance 1e-12 (n <= 40 on ASC-II, every
+        # index a table determines), the associated-polynomial identity vs
+        # forward substitution for m <= 12, and the Green-based
+        # reconstruction of P_*(x) from P_*(0) at x = 0, 0.1, 0.3 on N <= 12
         for src in (asc2, asc2_b, *tables):
-            for z in (0.0, -0.7, 0.4):
-                for n in range(0, 11):
-                    for m in range(n + 1, 13):
-                        a = js.eval_q_assoc(src, z, m, n)
-                        b = js.q_assoc_forward(src, z, m, n)
-                        den = abs(a) + abs(b)
-                        if den > 0:
-                            assert abs(a - b) / den <= 1e-10
-
-        # Green-based reconstruction of P_*(x) from P_*(0), N <= 12
-        for src in (asc2, asc2_b, *tables):
-            for x in (0.1, 0.3):
-                assert js.resolvent_identity_check(src, x, 12) <= 1e-10
+            rows = {r.name: r for r in (
+                check_recurrence(src), check_wronskian(src),
+                check_resolvent_identity(src, gamma=1.0))}
+            assert rows["recurrence_residual"].max_residual <= 1e-12
+            assert rows["wronskian_identity"].note == "m <= 12"
+            assert rows["wronskian_identity"].max_residual <= 1e-10
+            assert rows["resolvent_identity"].max_residual <= 1e-10
+            assert all(r.passed and not r.skipped for r in rows.values())
 
         # W-factorization, N = 10
         assert js.w_factorization_check(js.QParams(0.5, 0.5), 10) <= 1e-12

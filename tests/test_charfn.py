@@ -343,3 +343,17 @@ def test_tail_estimates_are_computed_once_per_size(monkeypatch, max_terms):
     fresh = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5), max_terms)
     assert [fresh._tail_upper(n) for n in sorted(ev._tails)] == \
         [ev._tails[n] for n in sorted(ev._tails)]
+
+
+def test_missing_kappa_table_gives_uncertified_values():
+    # at max_terms 40 no kappa table of (0.5, 0.5, 0.5) reaches a stable decay
+    # window: every point is uncertified over the empty table, F = 1
+    ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5), max_terms=40)
+    assert ev.plan_terms(1.0, 1e-12) == (None, math.inf)
+    vals = [ev.eval(z, 1e-12) for z in (1.0, 15.5, 30.0)]
+    assert ev.eval_grid([1.0, 15.5, 30.0], 1e-12) == vals
+    for v in vals:
+        assert (v.value, v.tail_bound, v.terms_used, v.certified) == \
+            (1.0, math.inf, 0, False)
+    with pytest.raises(js.ConvergenceError):
+        ev.kappa_sum_upper

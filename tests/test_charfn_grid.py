@@ -288,3 +288,26 @@ def test_charfn_grid_matches_the_closed_form(argv):
         for z, v in zip(zs, got):
             ref = float(mpmath.qp(mpmath.mpf(z) + shift, q) / den)
             assert abs(v.value - ref) <= 1e-14 * _product_scale(q, shift, z)
+
+
+def test_terms_of_both_signs_beyond_the_float_range_sum_to_nan():
+    # at z = 1e20 terms of both signs overflow to +-inf, where math.fsum
+    # raises "-inf + inf"; the point is uncertified there, and its value nan
+    ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5))
+    v = ev.eval(1e20, 1e-12)
+    assert _keys(ev.eval_grid([1e20], 1e-12)) == [_key(v)]
+    assert math.isnan(v.value) and not v.certified
+
+
+def test_first_pair_is_rescaled_like_every_later_one():
+    # X_1 = (z - b_0)/a_0 ~ 1e160 left the rescale window unchecked, so the
+    # next step's (z - b_1) X_1 overflowed to nan; every term of F(-1e160) is
+    # positive, so F is +inf
+    ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = ev.eval(-1e160, 1e-12)
+        assert _keys(ev.eval_grid([-1e160], 1e-12)) == [_key(v)]
+    assert v.value == math.inf and not v.certified
+    logs, signs = js.recurrence.log_table(ev.src, -1e160, 3)
+    assert all(math.isfinite(x) for x in logs) and signs == [1.0, -1.0, 1.0, -1.0]

@@ -96,6 +96,22 @@ def test_charfn_grid(capsys):
             assert tail == 0.0
 
 
+@pytest.mark.parametrize("argv, f_partial", [
+    # terms of both signs beyond the float range: nan, printed as null
+    (("--grid=1e19:1e20:3", "--format", "json"), [None, None, None]),
+    # the first recurrence pair beyond the rescale window: F = +inf
+    (("--grid=-1e160:-1e159:2", "--format", "json"), ["Infinity"] * 2),
+    # no kappa table within max_terms 40: uncertified, over no terms
+    (("--grid=1:30:3", "--max-terms", "40", "--format", "json"), [1.0] * 3),
+])
+def test_charfn_uncertifiable_grids_still_report(capsys, argv, f_partial):
+    code, out, err = run_cli(capsys, "charfn", "--q", "0.5", "--a", "0.5",
+                             "--shift", "0.5", *argv)
+    assert (code, err) == (0, "")
+    rows = json.loads(out, parse_constant=str)["rows"]
+    assert [r["f_partial"] for r in rows] == f_partial
+
+
 def test_charfn_single_point_rejected(capsys):
     code, _, err = run_cli(capsys, "charfn", "--family", "asc2", "--q", "0.5",
                            "--a", "0.5", "--shift", "0.5", "--grid=0:1:1")

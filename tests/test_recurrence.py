@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 import jacspec as js
 from conftest import (P1_AT_A_Q5, P3_AT_A_Q5, Q2_AT_A_Q5, mp_plain_recurrence,
                       random_pd_table)
+from jacspec.verify import (_green, _mp_coeffs, _mp_context,
+                            check_green_identity, check_resolvent_identity,
+                            check_wronskian)
 
 
 def test_phat_initial_value(asc2_shifted):
@@ -46,11 +49,49 @@ def test_q_matches_tail_sum_formula():
     assert q2 == pytest.approx(Q2_AT_A_Q5, rel=1e-13)
 
 
+def _phase(x):
+    if x == 0:
+        return 1.0
+    return x / abs(x) if isinstance(x, complex) else math.copysign(1.0, x)
+
+
+def _log_abs(x):
+    return math.log(abs(x)) if x != 0 else -math.inf
+
+
+def recurrence_residuals(src, z, n_max, second_kind=False):
+    """Relative residuals of the three-term recurrence, n = 1 .. n_max.
+
+    Rebuilds each triple X_{n-1}, X_n, X_{n+1} from the (log magnitude,
+    sign) entries of log_table and forms |a_n X_{n+1} + (b_n - z) X_n +
+    a_{n-1} X_{n-1}| over the sum of the three term magnitudes, combined at
+    a shared exponent so the residual means the same at any index.
+    """
+    logs, signs = js.recurrence.log_table(src, z, n_max + 1,
+                                          second_kind=second_kind)
+    out = []
+    for n in range(1, n_max + 1):
+        (a_prev, _), (a_n, b_n) = src.coeffs(n - 1), src.coeffs(n)
+        w = b_n - z
+        exps = [logs[n + 1] + _log_abs(a_n), logs[n] + _log_abs(w),
+                logs[n - 1] + _log_abs(a_prev)]
+        sgns = [signs[n + 1] * _phase(a_n), signs[n] * _phase(w),
+                signs[n - 1] * _phase(a_prev)]
+        top = max(exps)
+        if top == -math.inf:
+            out.append(0.0)
+            continue
+        terms = [s * math.exp(e - top) for e, s in zip(exps, sgns)]
+        denom = sum(abs(t) for t in terms)
+        out.append(abs(sum(terms)) / denom if denom > 0 else 0.0)
+    return out
+
+
 @pytest.mark.parametrize("z", [0.0, 0.4, -1.0, 2.7, complex(1.3, 0.7)])
 def test_recurrence_residual_asc2(asc2_shifted, z):
-    res = js.recurrence_residuals(asc2_shifted, z, 40)
+    res = recurrence_residuals(asc2_shifted, z, 40)
     assert max(res) <= 1e-12
-    res_q = js.recurrence_residuals(asc2_shifted, z, 40, second_kind=True)
+    res_q = recurrence_residuals(asc2_shifted, z, 40, second_kind=True)
     assert max(res_q) <= 1e-12
 
 
@@ -59,7 +100,7 @@ def test_recurrence_residual_random_tables():
     for _ in range(5):
         src = random_pd_table(rng, 30)
         for z in (0.0, -0.6, 1.1):
-            res = js.recurrence_residuals(src, z, 25)
+            res = recurrence_residuals(src, z, 25)
             assert max(res) <= 1e-12
 
 
@@ -71,7 +112,7 @@ def test_recurrence_residual_random_tables():
 )
 def test_recurrence_residual_property(alphas, betas, z):
     src = js.TableSource(alphas=alphas, betas=betas)
-    res = js.recurrence_residuals(src, z, 8)
+    res = recurrence_residuals(src, z, 8)
     assert max(res) <= 1e-12
 
 
@@ -107,120 +148,84 @@ def test_exact_zero_marker():
     assert p[3] != 0.0
 
 
-def test_q_assoc_trivial_cases(asc2_shifted):
-    assert js.eval_q_assoc(asc2_shifted, 0.4, 2, 2) == 0.0
-    assert js.eval_q_assoc(asc2_shifted, 0.4, 1, 3) == 0.0
-    q1 = js.recurrence.values(asc2_shifted, 0.4, 1, second_kind=True)[1]
-    assert js.eval_q_assoc(asc2_shifted, 0.4, 1, 0) == pytest.approx(q1, rel=1e-13)
+# The Green block G[m, n] = Q_m^(n)(0) is built in mpmath by the verify
+# suite (verify._green); at 53 bits it must match float64-level accuracy.
+
+def _green53(src, n_block):
+    ctx = _mp_context(0)
+    alphas, betas = _mp_coeffs(src, n_block - 1, ctx)
+    return alphas, _green(alphas, betas, n_block, ctx)[1]
 
 
 def test_q_assoc_against_forward_substitution():
+    # the Wronskian check compares the cross identity Q_m P_n - P_m Q_n with
+    # forward substitution at z = 0, -0.7 and 0.4 for every n < m <= 12
     rng = np.random.RandomState(11)
     sources = [js.ASC2Source(q=0.5, a=0.5, shift=0.5),
                js.ASC2Source(q=0.3, a=0.3)]
     sources += [random_pd_table(rng, 14) for _ in range(4)]
     for src in sources:
-        for z in (0.0, -0.7, 0.4):
-            for n in range(0, 11):
-                for m in range(n + 1, 12):
-                    a = js.eval_q_assoc(src, z, m, n)
-                    b = js.q_assoc_forward(src, z, m, n)
-                    scale = abs(a) + abs(b)
-                    if scale > 0:
-                        assert abs(a - b) / scale <= 1e-10
+        r = check_wronskian(src)
+        assert r.note == "m <= 12"
+        assert r.passed and r.max_residual <= 1e-10
 
 
 def test_q_assoc_cancellation_prone_entry_vs_mp():
     # deep adjacent indices on a strongly growing table: the cross products
-    # cancel by ~15 digits, so this pins the fallback route to an independent
-    # 50-digit evaluation
+    # cancel by many digits, so this pins the forward-substitution route of
+    # the 53-bit Green block to an independent 50-digit evaluation
     rng = np.random.RandomState(11)
     for _ in range(2):
         src = random_pd_table(rng, 14)
-    import mpmath
-    for (m, n, z) in ((11, 10, -0.7), (11, 9, 0.0), (10, 9, 0.4)):
-        got = js.eval_q_assoc(src, z, m, n)
-        p = mp_plain_recurrence(src, z, m, dps=50)
-        q = mp_plain_recurrence(src, z, m, second_kind=True, dps=50)
+    _, g = _green53(src, 12)
+    p = mp_plain_recurrence(src, 0.0, 11, dps=50)
+    q = mp_plain_recurrence(src, 0.0, 11, second_kind=True, dps=50)
+    for (m, n) in ((11, 10), (11, 9), (10, 9), (11, 0), (6, 2)):
         ref = float(q[m] * p[n] - p[m] * q[n])
-        assert got == pytest.approx(ref, rel=1e-11)
+        assert float(g[m][n]) == pytest.approx(ref, rel=1e-11)
 
 
 def test_q_assoc_at_zero_wronskian(asc2_shifted):
-    # identity route vs direct forward solve at the Green-matrix point z = 0
-    a = js.eval_q_assoc(asc2_shifted, 0.0, 2, 1)
-    b = js.q_assoc_forward(asc2_shifted, 0.0, 2, 1)
-    assert a == pytest.approx(b, rel=1e-12)
+    # identity route vs direct forward solve at the Green-matrix point z = 0:
+    # Q_2^(1)(0) = 1/alpha_1
+    alphas, g = _green53(asc2_shifted, 4)
+    assert float(g[2][1]) == pytest.approx(float(1 / alphas[1]), rel=1e-12)
 
 
 def test_green_block_structure(asc2_shifted):
-    g = js.green_block(asc2_shifted, 6)
-    assert g.shape == (6, 6)
-    assert np.all(np.triu(g) == 0.0)  # strictly lower triangular
+    _, g = _green53(asc2_shifted, 6)
+    assert len(g) == 6 and all(len(row) == 6 for row in g)
+    assert all(g[m][n] == 0 for m in range(6) for n in range(m, 6))
 
 
 def test_green_block_first_column():
     src = js.ASC2Source(q=0.5, a=0.5, shift=0.5)
-    g = js.green_block(src, 4)
-    assert g[1, 0] == pytest.approx(math.sqrt(2.0), rel=1e-14)
+    _, g = _green53(src, 4)
+    assert float(g[1][0]) == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
 
 def test_green_right_inverse_interior(asc2_shifted):
-    n = 6
-    g = js.green_block(asc2_shifted, n)
-    t = js.jacobi_block(asc2_shifted, n)
-    prod = t @ g
-    resid = prod - np.eye(n)
     # interior rows only; the last row sees the truncation boundary
-    assert np.max(np.abs(resid[: n - 1, :])) <= 1e-10 * max(1.0, np.max(np.abs(g)))
+    r = check_green_identity(asc2_shifted)
+    assert r.note == "N = 12"
+    assert r.passed and r.max_residual <= 1e-10
 
 
 def test_green_right_inverse_random_table():
     rng = np.random.RandomState(3)
     src = random_pd_table(rng, 12)
-    n = 8
-    g = js.green_block(src, n)
-    t = js.jacobi_block(src, n)
-    resid = t @ g - np.eye(n)
-    assert np.max(np.abs(resid[: n - 1, :])) <= 1e-11
-
-
-def test_resolvent_identity_zero_at_origin(asc2_shifted):
-    assert js.resolvent_identity_check(asc2_shifted, 0.0, 8) == 0.0
+    r = check_green_identity(src)
+    assert r.passed and r.max_residual <= 1e-11
 
 
 def test_resolvent_identity_asc2(asc2_shifted):
-    assert js.resolvent_identity_check(asc2_shifted, 0.3, 12) <= 1e-10
+    # gamma 1 puts x = 0.3 among the reconstruction points
+    r = check_resolvent_identity(asc2_shifted, gamma=1.0)
+    assert r.passed and r.max_residual <= 1e-10
 
 
 def test_resolvent_identity_random_table():
     rng = np.random.RandomState(5)
     src = random_pd_table(rng, 8)
-    assert js.resolvent_identity_check(src, 0.1, 5) <= 1e-12
-
-
-def _forward_reference(src, z, m, n):
-    """Forward substitution as its own loop: the reference for q_assoc_forward."""
-    if m <= n:
-        return 0.0 + 0.0j if isinstance(z, complex) else 0.0
-    a_n, _ = src.coeffs(n)
-    prev = 0.0 + 0.0j if isinstance(z, complex) else 0.0
-    cur = 1.0 / a_n
-    a_prev = a_n
-    for k in range(n + 1, m):
-        a_k, b_k = src.coeffs(k)
-        prev, cur = cur, ((z - b_k) * cur - a_prev * prev) / a_k
-        a_prev = a_k
-    return cur
-
-
-def test_q_assoc_forward_equals_reference_loop():
-    rng = np.random.RandomState(19)
-    sources = [js.ASC2Source(0.5, 0.5, 0.5), js.ASC2Source(0.3, 0.3, 0.0)]
-    sources += [random_pd_table(rng, 14) for _ in range(4)]
-    for src in sources:
-        for z in (0.0, -0.7, 0.4, complex(1.3, 0.7)):
-            for n in range(13):
-                for m in range(n + 1, 14):
-                    got = js.q_assoc_forward(src, z, m, n)
-                    assert got == _forward_reference(src, z, m, n), (src, z, m, n)
+    r = check_resolvent_identity(src)
+    assert r.passed and r.max_residual <= 1e-12

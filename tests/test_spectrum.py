@@ -675,3 +675,15 @@ def test_hints_never_move_the_roots_asc2(params):
             for hint in _wrong_hints(ref, other) + [coarse]:
                 got = js.sturm_eigenvalues(t, 20, tol, hint=hint)
                 assert np.array_equal(got, ref)
+
+
+def test_ladder_raises_at_the_cap_instead_of_returning_unstabilized_roots(
+        monkeypatch):
+    # q = 0.995 converges slowly: the 8- and 16-row roots differ far beyond
+    # the stabilization floor, and 16 rows is the cap here
+    from jacspec import spectrum
+    monkeypatch.setattr(spectrum, "_LADDER_CAP", 16)
+    src = js.ASC2Source(0.995, 0.995, 0.0)
+    with pytest.raises(ValueError,
+                       match="not stabilized at 16 x 16, the ladder cap 16"):
+        js.find_spectrum(src, 2, 1e-9, confirm="oracle")

@@ -1,10 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import jacspec as js
 from conftest import random_pd_table
 from jacspec.recurrence import log_table
-from jacspec.verify import check_trace_reconciliation, run_suite
+from jacspec.verify import (check_green_identity, check_resolvent_identity,
+                            check_trace_reconciliation, run_suite)
 
 
 def _by_name(results):
@@ -157,3 +160,35 @@ def test_natural_gamma_passes_the_gamma_check(params):
     relative_only = int(sturm_counts(t, [g * (1 - 1e-12)])[0])
     assert relative_only == (1 if src.shift > 0.99 else 0)
     run_suite(src)  # no AssumptionViolation
+
+
+# sha256 of `jacspec verify --precision=30` at two ASC-II configurations; the
+# mpmath identity checks must keep these reports byte for byte
+_PRECISION_30_REPORTS = {
+    ("--q=0.5", "--a=0.5", "--shift=0.5"):
+        "50669432914cd0db76c335becca8dcadf70265b621d5c271d8a408834490159b",
+    ("--q=0.7", "--a=0.7", "--shift=0.0"):
+        "d7016f7872317bbe68073020192ad763c1744956d9edfb921358834f9eb0cf9a",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_PRECISION_30_REPORTS))
+def test_precision_30_reports_are_pinned(argv, capsys):
+    from jacspec.cli import main
+    assert main(["verify", *argv, "--precision=30"]) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == _PRECISION_30_REPORTS[argv]
+
+
+@pytest.mark.parametrize("digits", [0, 30])
+@pytest.mark.parametrize("params", [(0.1, 0.01, 0.0), (0.2, 0.2, 0.0),
+                                    (0.9, 0.9, 0.0), (0.99, 0.099, -1.0)])
+def test_green_rows_pass_where_the_cross_identity_cancels(params, digits):
+    # the two products of Q_m P_n - P_m Q_n cancel in all or most of the
+    # digits of a 53-bit run here (and of a 30-digit run at (0.99, 0.099,
+    # -1)); the Green block recomputes such entries by forward substitution
+    src = js.ASC2Source(*params)
+    for check in (check_green_identity, check_resolvent_identity):
+        r = check(src, digits=digits)
+        assert r.passed and r.max_residual <= 1e-11, (check.__name__, r)
