@@ -267,8 +267,9 @@ def _fmt_cell(x) -> str:
 
 
 def _json_cell(x):
-    if isinstance(x, float) and math.isnan(x):
-        return None
+    """nan as null and +-inf as the CSV text "inf"/"-inf": strict JSON."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return None if math.isnan(x) else _fmt_cell(x)
     return x
 
 

@@ -56,6 +56,11 @@ class TailSeriesEngine:
         self.sgn_t: list = []
         self.ratios: list[float] = []  # |t_{j+1} / t_j|, one per built pair
         self._horizon: str | None = None  # message once the horizon is hit
+        # atol -> (lo, hi): no candidate stop in [lo, hi) passes at that atol,
+        # as seen by searches that raised.  Every span written is one that
+        # was seen to fail, so an update lost to a concurrent search only
+        # costs a rescan.
+        self._no_stop: dict[float, tuple[int, int]] = {}
 
     def ensure_terms(self, count: int) -> None:
         """Extend so that terms t_0 .. t_{count-1} are available.
@@ -114,33 +119,47 @@ class TailSeriesEngine:
         and with |t_J| < atol (1-r)/r, r the window's largest ratio.
 
         Returns (J, r_hat); raises ConvergenceError when the budget runs out.
+        Whether a candidate passes depends only on J and atol, so a search
+        that raises keeps, per atol, the span of candidates it saw fail, and
+        later searches jump over it: a failed search repeats its error
+        without rescanning.
         """
-        j = max(min_terms, _RATIO_WINDOW)
-        while True:
-            if j >= max_terms:
-                self.ensure_terms(max_terms)
-                terms = [self.term(i) for i in range(max_terms)]
-                if isinstance(self.z, complex):
-                    partial = -complex(math.fsum(t.real for t in terms),
-                                       math.fsum(t.imag for t in terms))
-                else:
-                    partial = -math.fsum(terms)
-                raise ConvergenceError(
-                    f"tail series not certified within {max_terms} terms at z={self.z}",
-                    partial=partial,
-                    terms=max_terms,
-                )
-            self.ensure_terms(j + 2)
-            if self.log_t[j] == -math.inf:
-                return j, 0.5  # terms underflowed to zero; tail is negligible
-            r_hat = max(self.ratios[j - _RATIO_WINDOW:j])
-            if r_hat == 0.0:
-                return j, 0.5  # ratios below resolution; tail is negligible
-            if r_hat < _RATIO_CAP \
-                    and self.log_t[j] < 700.0 \
-                    and math.exp(self.log_t[j]) < atol * (1.0 - r_hat) / r_hat:
-                return j, r_hat
-            j += 1
+        j = start = max(min_terms, _RATIO_WINDOW)
+        lo, hi = self._no_stop.get(atol, (0, 0))
+        try:
+            while True:
+                if lo <= j < hi:
+                    j = hi
+                if j >= max_terms:
+                    self.ensure_terms(max_terms)
+                    terms = [self.term(i) for i in range(max_terms)]
+                    if isinstance(self.z, complex):
+                        partial = -complex(math.fsum(t.real for t in terms),
+                                           math.fsum(t.imag for t in terms))
+                    else:
+                        partial = -math.fsum(terms)
+                    raise ConvergenceError(
+                        f"tail series not certified within {max_terms} terms at z={self.z}",
+                        partial=partial,
+                        terms=max_terms,
+                    )
+                self.ensure_terms(j + 2)
+                if self.log_t[j] == -math.inf:
+                    return j, 0.5  # terms underflowed to zero; tail is negligible
+                r_hat = max(self.ratios[j - _RATIO_WINDOW:j])
+                if r_hat == 0.0:
+                    return j, 0.5  # ratios below resolution; tail is negligible
+                if r_hat < _RATIO_CAP \
+                        and self.log_t[j] < 700.0 \
+                        and math.exp(self.log_t[j]) < atol * (1.0 - r_hat) / r_hat:
+                    return j, r_hat
+                j += 1
+        except ConvergenceError:
+            # every candidate in [start, j) has failed
+            if start <= hi and lo <= j:
+                start, j = min(start, lo), max(j, hi)
+            self._no_stop[atol] = (start, j)
+            raise
 
     def backward_sums(self, j_top: int, r_hat: float):
         """S_n = sum_{j>=n} t_j / t_n for n = 0..j_top, with half-width bounds.

@@ -73,12 +73,24 @@ def _pivmin(off2: np.ndarray) -> float:
 def sturm_counts(t: TruncatedTridiagonal, xs, *, limit=None) -> np.ndarray:
     """Number of eigenvalues of the block below each shift in xs.
 
-    Counts negative pivots of the LDL^T factorization of T - x I; zero pivots
-    are replaced by -pivmin (LAPACK convention), which both breaks ties
-    deterministically and keeps the next division finite.
+    Counts negative pivots of the LDL^T factorization of T - x I; pivots of
+    magnitude below pivmin are replaced by -pivmin (LAPACK convention), which
+    both breaks ties deterministically and keeps the next division finite.
+
+    The rows are stepped in blocks of 16, for all shifts at once: one outer
+    subtraction forms diag_j - x for the block, then each row takes one
+    in-place division and one in-place subtraction, with no clamp.  One test
+    after the block looks for a pivot below pivmin (or a non-finite one, which
+    only a sub-floor pivot or an overflow makes); if there is any, the block
+    is redone row by row with the clamp from the same entry pivots.  When no
+    pivot of the block is below the floor the clamp changes nothing, so both
+    routes run the same IEEE operations in the same order: the counts equal
+    those of the clamped row-by-row loop bit for bit.  The unclamped pass runs
+    under np.errstate, since a sub-floor pivot may divide by zero there; the
+    clamped redo does not, so it warns exactly where the row loop would.
 
     The sweep stops once every count is decided, with two exits, checked
-    every 16 rows:
+    between blocks, every 16 rows:
 
     - Saturation.  With ``limit`` set, a shift whose running count has
       reached ``limit`` is decided: its returned count is some value
@@ -101,13 +113,15 @@ def sturm_counts(t: TruncatedTridiagonal, xs, *, limit=None) -> np.ndarray:
     off2 = t.offdiag ** 2
     pivmin = _pivmin(off2)
     n = t.size
-    d = diag[0] - xs
-    d = np.where(np.abs(d) < pivmin, -pivmin, d)
-    count = (d < 0).astype(np.int64)
-    diag_list = off2_list = None
+    diag_list, off2_list = diag.tolist(), off2.tolist()
+    count = np.zeros(xs.shape, dtype=np.int64)
+    if not xs.size:
+        return count
+    tmp = np.empty_like(xs)
+    d = None  # pivots of the last row stepped
     retry = 0  # no settled-tail attempt before this row
-    for i in range(1, n):
-        if i % _TAIL_CHECK == 0:
+    for i in range(0, n, _TAIL_CHECK):
+        if i:
             d_open, x_open = d, xs
             if limit is not None:
                 is_open = count < limit
@@ -116,8 +130,6 @@ def sturm_counts(t: TruncatedTridiagonal, xs, *, limit=None) -> np.ndarray:
                 return count
             lj = float(d_open.min())
             if i >= retry and lj >= pivmin:
-                if diag_list is None:
-                    diag_list, off2_list = diag.tolist(), off2.tolist()
                 x_max = float(x_open.max())
                 j = i
                 while j < n:
@@ -128,9 +140,28 @@ def sturm_counts(t: TruncatedTridiagonal, xs, *, limit=None) -> np.ndarray:
                 if j == n:
                     return count
                 retry = j
-        d = (diag[i] - xs) - off2[i - 1] / d
-        d = np.where(np.abs(d) < pivmin, -pivmin, d)
-        count += d < 0
+        i1 = min(i + _TAIL_CHECK, n)
+        block = np.subtract.outer(diag[i:i1], xs)
+        prev = d
+        # a pivot below the floor may divide by zero or overflow here; the
+        # block is then redone with the clamp, outside this errstate
+        with np.errstate(all="ignore"):
+            for j, row in zip(range(i, i1), block):
+                if j:
+                    np.divide(off2_list[j - 1], prev, out=tmp)
+                    np.subtract(row, tmp, out=row)
+                prev = row
+        a = np.abs(block)
+        if a.min() < pivmin or not a.max() < math.inf:
+            prev = d
+            for j, row in zip(range(i, i1), block):
+                p = diag[j] - xs
+                if j:
+                    p = p - off2[j - 1] / prev
+                row[:] = np.where(np.abs(p) < pivmin, -pivmin, p)
+                prev = row
+        count += (block < 0).sum(axis=0)
+        d = block[-1]
     return count
 
 

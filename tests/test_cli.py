@@ -99,8 +99,9 @@ def test_charfn_grid(capsys):
 @pytest.mark.parametrize("argv, f_partial", [
     # terms of both signs beyond the float range: nan, printed as null
     (("--grid=1e19:1e20:3", "--format", "json"), [None, None, None]),
-    # the first recurrence pair beyond the rescale window: F = +inf
-    (("--grid=-1e160:-1e159:2", "--format", "json"), ["Infinity"] * 2),
+    # the first recurrence pair beyond the rescale window: F = +inf, written
+    # as the string the CSV report prints
+    (("--grid=-1e160:-1e159:2", "--format", "json"), ["inf"] * 2),
     # no kappa table within max_terms 40: uncertified, over no terms
     (("--grid=1:30:3", "--max-terms", "40", "--format", "json"), [1.0] * 3),
 ])
@@ -108,8 +109,24 @@ def test_charfn_uncertifiable_grids_still_report(capsys, argv, f_partial):
     code, out, err = run_cli(capsys, "charfn", "--q", "0.5", "--a", "0.5",
                              "--shift", "0.5", *argv)
     assert (code, err) == (0, "")
-    rows = json.loads(out, parse_constant=str)["rows"]
+    rows = json.loads(out, parse_constant=_reject_constant)["rows"]
     assert [r["f_partial"] for r in rows] == f_partial
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def test_charfn_json_report_is_strict_json(capsys):
+    # infinite cells in several columns, both signs, and nan cells
+    code, out, err = run_cli(capsys, "charfn", "--q", "0.5", "--a", "0.5",
+                             "--shift", "0.5", "--grid=1e19:1e20:3",
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out, parse_constant=_reject_constant)
+    json.dumps(payload, allow_nan=False)
+    cells = {c for r in payload["rows"] for c in r.values()}
+    assert {"inf", "-inf", None} <= cells
 
 
 def test_charfn_single_point_rejected(capsys):

@@ -296,6 +296,57 @@ def test_failing_kappa_build_matches_the_reference():
     assert got.value.terms == 5914
 
 
+def test_repeated_failing_kappa_builds_skip_the_known_span(monkeypatch):
+    # the capacity search of CharFnEvaluator at (0.9, 0.9, 0) on one engine:
+    # each candidate stop reads ensure_terms once, and only the first failing
+    # build walks the candidates up to the horizon; the builds that succeed
+    # in between must not make the later failures rescan
+    from jacspec.second_kind import TailSeriesEngine
+    src = js.ASC2Source(0.9, 0.9, 0.0)
+    eng = TailSeriesEngine(src, 0.0)
+    calls = []
+    ensure = eng.ensure_terms
+    monkeypatch.setattr(eng, "ensure_terms",
+                        lambda count: calls.append(count) or ensure(count))
+    errors = []
+    for count in (518, 390, 326, 358, 374, 366, 390):
+        calls.clear()
+        try:
+            js.kappa_sequence(src, count, engine=eng)
+        except js.ConvergenceError as exc:
+            errors.append((str(exc), exc.terms, len(calls)))
+        else:
+            assert count in (326, 358)
+    assert errors[0][2] > 5000
+    # 390 checks 391..518, 374 checks 375..390, 366 checks 367..374; each
+    # then jumps to the horizon in one read
+    assert [e[2] for e in errors[1:]] == [129, 17, 9, 1]
+    assert {e[:2] for e in errors} == {(errors[0][0], 5914)}
+
+
+@pytest.mark.parametrize("q, a, shift", [(0.5, 0.5, 0.5), (0.3, 0.3, 0.0)])
+def test_find_stop_memo_is_order_independent(q, a, shift):
+    # candidates known to fail are skipped; the stop found, and the error at
+    # the budget, are those of a search that scans every candidate
+    from jacspec.second_kind import TailSeriesEngine
+    src = js.ASC2Source(q, a, shift)
+    eng = TailSeriesEngine(src, 0.0)
+    rng = np.random.RandomState(61)
+    for _ in range(60):
+        atol = float(rng.choice([1e-8, 1e-12, 1e-15]))
+        min_terms = int(rng.randint(0, 300))
+        max_terms = int(rng.choice([30, 120, 20000]))
+        ref = _ref_find_stop(TailSeriesEngine(src, 0.0), atol, max_terms,
+                             min_terms)
+        if ref is None:
+            with pytest.raises(js.ConvergenceError) as exc:
+                eng.find_stop(atol, max_terms, min_terms)
+            assert exc.value.terms == max_terms
+        else:
+            j, r_hat = eng.find_stop(atol, max_terms, min_terms)
+            assert (j, float.hex(r_hat)) == (ref[0], float.hex(ref[1]))
+
+
 @pytest.mark.parametrize("q, a, shift, count, fails, budget", [
     (0.5, 0.5, 0.5, 830, False, 4500),
     (0.9, 0.9, 0.0, 400, True, 6500),  # the failing build above

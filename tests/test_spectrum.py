@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -578,6 +580,62 @@ def test_settled_tail_still_counts_pivots_below_the_floor():
     xs = [1.0, 1.0 - 1e-6, 0.5]
     assert js.sturm_counts(t, xs).tolist() == [1, 0, 0]
     assert np.array_equal(js.sturm_counts(t, xs), _full_counts(t, xs))
+
+
+def _block_with_pivot(n, row, value, split=False):
+    """diag 3, offdiag 1, except that at x = 0 the pivot of `row` is exactly
+    `value`: diag[row] = value and the offdiag into it is 0.  With split,
+    the offdiag out of it is 0 as well, so the unclamped next step divides
+    0 by the pivot (0/0 for a zero pivot) instead of 1."""
+    diag = np.full(n, 3.0)
+    off = np.ones(n - 1)
+    diag[row] = value
+    if row:
+        off[row - 1] = 0.0
+    if split and row < n - 1:
+        off[row] = 0.0
+    return js.TruncatedTridiagonal(diag=diag, offdiag=off)
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 31, 32, 33, 40])
+@pytest.mark.parametrize("value", [0.0, -0.0, 1e-310])
+@pytest.mark.parametrize("split", [False, True])
+def test_sturm_counts_pivots_at_the_floor_in_any_block(n, value, split):
+    # a zero, a negative zero or a subnormal pivot (below pivmin = 5e-308) is
+    # clamped to -pivmin and counted; the unclamped block step must notice
+    # it wherever it falls: first row, inside a block, a block's last or
+    # first row, or the last partial block, also when the step after it
+    # makes a nan (0/0) rather than an infinity
+    xs = np.concatenate([[0.0, -1e-300, 1e-300], np.linspace(-1.0, 6.0, 29)])
+    for row in sorted({0, 1, 7, 15, 16, 17, 31, 32, 37, n - 1} & set(range(n))):
+        t = _block_with_pivot(n, row, value, split)
+        assert _full_counts(t, xs)[0] == 1  # the clamped pivot alone
+        _assert_count_contract(t, xs, sorted({1, n // 2 + 1, n}))
+
+
+def test_sturm_counts_zero_pivot_raises_no_warning():
+    # the unclamped step divides by the zero pivot (1/0 or 0/0) and by the
+    # subnormal one (overflow) before the block is redone with the clamp
+    xs = np.array([0.0, 1.0])
+    for value, split in itertools.product((0.0, -0.0, 1e-310), (False, True)):
+        t = _block_with_pivot(20, 5, value, split)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = js.sturm_counts(t, xs)
+        assert np.array_equal(got, _full_counts(t, xs))
+        assert got[0] == 1  # the clamped pivot, and no other, is negative
+
+
+def test_sturm_counts_saturation_exits_at_block_boundaries():
+    # every pivot is negative below x = 0, so the running count is i after i
+    # rows; a saturated sweep stops at the first check (every 16 rows) where
+    # the count has reached the limit
+    t = js.TruncatedTridiagonal(diag=np.full(40, -1.0), offdiag=np.zeros(39))
+    xs = np.array([0.0, 0.5])
+    assert _full_counts(t, xs).tolist() == [40, 40]
+    for limit, exit_count in ((1, 16), (16, 16), (17, 32), (32, 32), (33, 40)):
+        assert js.sturm_counts(t, xs, limit=limit).tolist() == [exit_count] * 2
+    _assert_count_contract(t, xs, (1, 16, 17, 32, 33, 40))
 
 
 def _monotone_probe_shifts(t, roots, rng):
