@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import AssumptionViolation, ConvergenceError
 from .recurrence import _LN2, _coeff_reader, _scaled_columns, _scaled_iter
-from .second_kind import _RATIO_CAP, _RATIO_WINDOW, TailSeriesEngine, kappa_sequence
+from .second_kind import (_RATIO_CAP, _RATIO_WINDOW, TailSeriesEngine,
+                          _kappa_entries, kappa_sequence)
 from .sources import CoefficientSource, require_infinite
 
 # conservative working-precision constant for the summation noise estimate
@@ -69,21 +70,26 @@ class _Plan(NamedTuple):
 class CharFnEvaluator:
     """Shared-state evaluator: one kappa table serves many z evaluations.
 
-    The table is append-only: growth is serialized by a lock and appends only
-    the entries past the current length, so an entry never changes once
-    published.  eval(z) therefore does not depend on earlier evaluations or on
-    thread timing, and evaluations may run from worker threads.  The capacity
-    starts at max_terms; the first build that fails (budget, coefficient
-    horizon or no stable decay window) fixes it once, by bisection between the
-    table length and the failed count, so it is probed once per evaluator and
-    every later plan sees the same limit.
+    The table is append-only: growth is serialized by a lock, and a build
+    computes only the entries past the current length (the first build runs
+    kappa_sequence, whose total also gives kappa_sum_upper), so an entry
+    never changes once published.  eval(z) therefore does not depend on
+    earlier evaluations or on thread timing, and evaluations may run from
+    worker threads.  The capacity starts at max_terms; the first build that
+    fails (budget, coefficient horizon or no stable decay window) fixes it
+    once, by bisection between the table length and the failed count, so it
+    is probed once per evaluator and every later plan sees the same limit.
+
+    One _coeff_reader serves the tail-series engine, eval and eval_grid, so
+    each coefficient index is read from the source once per evaluator.
     """
 
     def __init__(self, src: CoefficientSource, max_terms: int = 20000):
         require_infinite(src, "characteristic function evaluation")
         self.src = src
         self.max_terms = max_terms
-        self._engine = TailSeriesEngine(src, 0.0)
+        self._read = _coeff_reader(src)
+        self._engine = TailSeriesEngine(src, 0.0, self._read)
         self._grow_lock = threading.Lock()
         self._kappa: list[float] = []
         # w_n(0) = _w0_mant[n] * 2**_w0_exp[n], the mantissa signed
@@ -120,23 +126,27 @@ class CharFnEvaluator:
             return False
 
     def _build(self, count: int) -> bool:
-        """Build a ``count``-entry table and append its entries past the
-        current length; the caller holds the lock."""
+        """Extend the table to ``count`` entries by computing only the new
+        ones; the caller holds the lock."""
+        start = len(self._kappa)
         try:
-            seq = kappa_sequence(self.src, count, max_terms=self.max_terms,
-                                 engine=self._engine)
+            if start == 0:
+                seq = kappa_sequence(self.src, count, max_terms=self.max_terms,
+                                     engine=self._engine)
+                new = seq.kappas
+            else:
+                new = _kappa_entries(self._engine, start, count, self.max_terms)
         except ConvergenceError:
             return False
         lp, sp = self._engine.log_p, self._engine.sgn_p
-        new = seq.kappas[len(self._kappa):]
-        for n, k in enumerate(new, len(self._kappa)):
+        for n, k in enumerate(new, start):
             lw = math.log(k) - lp[n]  # log |w_n(0)|
             e = math.floor(lw / _LN2)
             self._w0_exp.append(e)
             self._w0_mant.append(sp[n] * math.exp(lw - e * _LN2))
         # _kappa is extended last: its length is what readers check
         self._kappa.extend(new)
-        if self._sum_upper is None:
+        if start == 0:
             self._sum_upper = seq.total_upper
         return True
 
@@ -227,7 +237,7 @@ class CharFnEvaluator:
         scale = _ldexp_complex if is_c else _ldexp_inf
         terms = []
         max_term = 0.0
-        for n, u, v, ls, _ in _scaled_iter(self.src, z):
+        for n, u, v, ls, _ in _scaled_iter(self._read, z):
             if n >= n_terms:
                 break
             # ls sums whole rescale exponents times ln 2, each rounded once;
@@ -263,10 +273,9 @@ class CharFnEvaluator:
         if not order:
             return out
         width = max(1, _GRID_BLOCK_BYTES // (8 * max(plans[order[0]].n_terms, 1)))
-        read = _coeff_reader(self.src)
         for start in range(0, len(order), width):
             block = order[start:start + width]
-            sums = _grid_sums(read, [zs[j] for j in block],
+            sums = _grid_sums(self._read, [zs[j] for j in block],
                               [plans[j].n_terms for j in block],
                               self._w0_mant, self._w0_exp)
             for j, (total, max_term) in zip(block, sums):
@@ -386,8 +395,9 @@ def charfn_ratio(src: CoefficientSource, z, n_max: int = 200):
     if z == 0:
         return _at_origin(z, "ratio_limit", False)
     require_infinite(src, "ratio-limit evaluation")
-    it_z = _scaled_iter(src, z)
-    it_0 = _scaled_iter(src, 0.0)
+    read = _coeff_reader(src)
+    it_z = _scaled_iter(read, z)
+    it_0 = _scaled_iter(read, 0.0)
     zero = 0.0 + 0.0j if isinstance(z, complex) else 0.0
     prev = None
     cur = None

@@ -351,10 +351,10 @@ def cmd_charfn(cfg: RunConfig) -> int:
     grid = np.linspace(cfg.grid["z_min"], cfg.grid["z_max"], points)
     partial = CharFnEvaluator(src, cfg.max_terms).eval_grid(grid, cfg.atol)
     ratios = charfn_ratio(src, grid, n_max=min(400, cfg.max_terms))
-    is_asc2 = isinstance(src, ASC2Source)
+    closed_forms = spectrum_product_reference(grid, src.q, src.shift) \
+        if isinstance(src, ASC2Source) else [None] * points
     rows = []
-    for z, ps, rt in zip(grid.tolist(), partial, ratios):
-        closed = spectrum_product_reference(z, src.q, src.shift) if is_asc2 else None
+    for z, ps, rt, closed in zip(grid.tolist(), partial, ratios, closed_forms):
         rows.append({
             "z": z,
             "f_partial": float(ps.value),

@@ -373,7 +373,12 @@ def spectrum_product_reference(z, q: float, shift: float = 0.0):
 
     With eigenvalues {q^-n - shift} the eigenvalue product telescopes into
     (z + shift; q)_inf / (shift; q)_inf.
+
+    z may also be a 1-D numpy array of real points: the result is then a list
+    with the value at every point, bit for bit, from one denominator.
     """
-    num, _ = qpoch_inf(z + shift, q)
     den, _ = qpoch_inf(shift, q)
+    if isinstance(z, np.ndarray):
+        return [qpoch_inf(x + shift, q)[0] / den for x in z.tolist()]
+    num, _ = qpoch_inf(z + shift, q)
     return num / den

@@ -12,6 +12,7 @@ over raw coefficient lists, for mpmath and test oracles.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -62,22 +63,22 @@ def _horizon_coeffs(src: CoefficientSource, n: int) -> tuple[float, float]:
     return a_n, b_n
 
 
-def _scaled_iter(src: CoefficientSource, z, second_kind: bool = False):
+def _scaled_iter(read, z, second_kind: bool = False):
     """Yield (n, u, v, log_scale, alpha_n) with X_n = u e^L and X_{n+1} = v e^L.
 
     X is the orthonormal sequence (X_0 = 1, X_1 = (z - b_0)/a_0) or, with
     second_kind=True, the second-kind sequence (X_0 = 0, X_1 = 1/a_0);
     alpha_n is the coefficient of the step to X_{n+1}.  The pair, the first
     included, is renormalized whenever it leaves a safe magnitude window, so
-    the iteration itself never overflows.  Coefficients come through
-    _horizon_coeffs, which raises ConvergenceError at the first index n whose
-    coefficients reach the 2^900 horizon.
+    the iteration itself never overflows.  read is a _coeff_reader, which
+    raises ConvergenceError at the first index n whose coefficients reach the
+    2^900 horizon.
     """
     one = 1.0 + 0.0j if isinstance(z, complex) else 1.0
     log_scale = 0.0
     n = 0
     while True:
-        a_n, b_n = _horizon_coeffs(src, n)
+        a_n, b_n = read(n)
         if n == 0:
             if second_kind:
                 u, v = 0.0 * one, one / a_n
@@ -97,13 +98,23 @@ def _scaled_iter(src: CoefficientSource, z, second_kind: bool = False):
 
 
 def _coeff_reader(src: CoefficientSource):
-    """read(n) -> _horizon_coeffs(src, n), each index fetched from src once."""
+    """read(n) -> _horizon_coeffs(src, n), each index fetched from src once.
+
+    One reader may serve several recurrences, from several threads: its
+    table (read.table) grows under a lock, by appends only, so every index is
+    published once and never changes.  An index at the horizon is not
+    stored, so each read of it asks src again and raises again.
+    """
     table: list[tuple[float, float]] = []
+    lock = threading.Lock()
 
     def read(n: int) -> tuple[float, float]:
-        while len(table) <= n:
-            table.append(_horizon_coeffs(src, len(table)))
+        if n >= len(table):
+            with lock:
+                while len(table) <= n:
+                    table.append(_horizon_coeffs(src, len(table)))
         return table[n]
+    read.table = table
     return read
 
 
@@ -114,7 +125,7 @@ def _scaled_columns(read, zs: np.ndarray):
     is a _coeff_reader, asked once per index for the whole vector.  Each
     column is rescaled on its own by the scalar rule, using only + - * /,
     abs, maximum, frexp and ldexp, which are exact or correctly rounded, so
-    every column reproduces _scaled_iter(src, z) bit for bit.  The yielded
+    every column reproduces _scaled_iter(read, z) bit for bit.  The yielded
     arrays are never mutated afterwards.
     """
     log_scale = np.zeros_like(zs)
@@ -146,7 +157,8 @@ def log_table(src: CoefficientSource, z, n_max: int, second_kind: bool = False):
     """
     logs = []
     signs = []
-    for n, u, v, ls, _ in _scaled_iter(src, z, second_kind=second_kind):
+    for n, u, v, ls, _ in _scaled_iter(_coeff_reader(src), z,
+                                       second_kind=second_kind):
         for x in (u, v) if n + 1 == n_max else (u,):
             logs.append(ls + math.log(abs(x)) if x != 0 else -math.inf)
             signs.append(_phase(x))

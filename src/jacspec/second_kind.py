@@ -10,6 +10,9 @@ leading term out of the sum; S_n is accumulated by a backward recursion over
 term ratios, so no intermediate ever overflows.  Truncation is certified from
 the observed term-ratio decay: the stopping rule requires the ratio to sit
 below 0.9 over a five-term window, then bounds the tail geometrically.
+Since S_n depends only on the sums above it, the kappa entries n >= start
+can be computed without the ones below (_kappa_entries), which is how a
+characteristic-function evaluator grows its table.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import threading
 from dataclasses import dataclass
 
 from .errors import AssumptionViolation, ConvergenceError
-from .recurrence import _phase, _scaled_iter
+from .recurrence import _coeff_reader, _phase, _scaled_iter
 from .sources import CoefficientSource, require_infinite
 
 _RATIO_CAP = 0.9
@@ -40,14 +43,17 @@ class TailSeriesEngine:
     t_j = 1/(alpha_j P_j P_{j+1}) with their ratios |t_{j+1}/t_j|, each ratio
     formed once as its term is built.  Shared between the second-kind table,
     the kappa sequence and the characteristic-function evaluator; each prefix
-    is immutable once built, so concurrent readers are safe.
+    is immutable once built, so concurrent readers are safe.  read, when
+    given, is a _coeff_reader of src to draw the coefficients from, so that
+    an owner can share one coefficient cache between the engine and its own
+    recurrences.
     """
 
-    def __init__(self, src: CoefficientSource, z):
+    def __init__(self, src: CoefficientSource, z, read=None):
         require_infinite(src, "tail series evaluation")
         self.src = src
         self.z = z
-        self._iter = _scaled_iter(src, z)
+        self._iter = _scaled_iter(read if read is not None else _coeff_reader(src), z)
         self._grow_lock = threading.Lock()  # generators are not reentrant
         self.log_p: list[float] = []
         self.sgn_p: list = []
@@ -161,42 +167,41 @@ class TailSeriesEngine:
             self._no_stop[atol] = (start, j)
             raise
 
-    def backward_sums(self, j_top: int, r_hat: float):
-        """S_n = sum_{j>=n} t_j / t_n for n = 0..j_top, with half-width bounds.
+    def backward_sums(self, j_top: int, r_hat: float, low: int = 0):
+        """S_n = sum_{j>=n} t_j / t_n for n = low..j_top, with half-width
+        bounds; both lists are indexed by n - low.
 
         The start value S_{j_top} deviates from 1 by at most r_hat/(1-r_hat);
         the midpoint estimate and its uncertainty half-width propagate downward
-        through the exact relation S_n = 1 + rho_n S_{n+1}.
+        through the exact relation S_n = 1 + rho_n S_{n+1}, so S_n depends on
+        low only in where the recursion stops.
         """
         self.ensure_terms(j_top + 2)
         spread = r_hat / (1.0 - r_hat)
+        size = j_top + 1 - low
         if isinstance(self.z, complex):
-            s = [1.0 + 0.0j] * (j_top + 1)
-            h = [0.0] * (j_top + 1)
-            h[j_top] = spread  # disc of radius `spread` centered at 1
+            s = [1.0 + 0.0j] * size
+            h = [0.0] * size
+            h[-1] = spread  # disc of radius `spread` centered at 1
         else:
-            s = [1.0] * (j_top + 1)
-            h = [0.0] * (j_top + 1)
-            s[j_top] = 1.0 + 0.5 * spread  # interval [1, 1 + spread]
-            h[j_top] = 0.5 * spread
-        for n in range(j_top - 1, -1, -1):
-            rho = self.term_ratio(n)
-            s[n] = 1.0 + rho * s[n + 1]
-            h[n] = abs(rho) * h[n + 1]
+            s = [1.0] * size
+            h = [0.0] * size
+            s[-1] = 1.0 + 0.5 * spread  # interval [1, 1 + spread]
+            h[-1] = 0.5 * spread
+        for i in range(size - 2, -1, -1):
+            rho = self.term_ratio(low + i)
+            s[i] = 1.0 + rho * s[i + 1]
+            h[i] = abs(rho) * h[i + 1]
         return s, h
 
 
 @dataclass
 class SecondKindTable:
-    """w_n(z) values with per-index certified tail bounds.
-
-    kappas is populated only for z = 0 (relative to the shifted source).
-    """
+    """w_n(z) values with per-index certified tail bounds."""
 
     z: float | complex
     values: list
     tail_bounds: list[float]
-    kappas: list[float] | None = None
 
 
 def _validate_domain(src, z, gamma):
@@ -233,41 +238,34 @@ def second_kind_values(src: CoefficientSource, z, count: int, *,
     """Table of w_n(z) for n < count via the tail series, each with a bound.
 
     Cross-checkable against the alternative route w(z) P_n(z) + Q_n(z).
-    Passing atol=None skips the absolute criterion and certifies the values to
-    near machine relative precision instead (used by the kappa path).
     """
     if count < 1:
         raise ValueError("count must be positive")
     _validate_domain(src, z, gamma)
     eng = engine if engine is not None else TailSeriesEngine(src, z)
-    stop_atol = atol if atol is not None else 1e-12
-    j_stop, r_hat = eng.find_stop(stop_atol, max_terms, min_terms=count + 1)
-
-    extra = 16
-    while True:
-        j_top = min(j_stop + extra, max_terms - 1)
-        eng.ensure_terms(j_top + 2)
+    j_stop, r_hat = eng.find_stop(atol, max_terms, min_terms=count + 1)
+    for j_top in _sum_tops(j_stop, max_terms):
         s, h = eng.backward_sums(j_top, r_hat)
         vals, bounds = [], []
-        accepted = True
         for n in range(count):
-            if eng.log_p[n + 1] == -math.inf:
-                raise AssumptionViolation(f"P_{n + 1}(z) = 0 on the evaluation path")
-            scale = _exp_cap(-math.log(eng.alphas[n]) - eng.log_p[n + 1])
-            if scale == math.inf:
-                raise AssumptionViolation(
-                    f"1/P_{n + 1}(z) overflows; z too close to a polynomial root"
-                )
+            scale = _inverse_scale(eng, n)
             w_n = -s[n] / eng.sgn_p[n + 1] * scale
             b_n = h[n] * scale
-            rel = h[n] / abs(s[n]) if abs(s[n]) > 0 else math.inf
-            if rel > 1e-15 or (atol is not None and b_n > atol):
-                accepted = False
+            if _relative_width(s[n], h[n]) > 1e-15 or b_n > atol:
                 break
             vals.append(w_n)
             bounds.append(b_n)
-        if accepted:
-            break
+        else:
+            return SecondKindTable(z=z, values=vals, tail_bounds=bounds)
+
+
+def _sum_tops(j_stop: int, max_terms: int):
+    """The top indices j_stop + 16, 32, 64, ... to start backward sums from,
+    the last one at the budget's end; asking past it raises ConvergenceError."""
+    extra = 16
+    while True:
+        j_top = min(j_stop + extra, max_terms - 1)
+        yield j_top
         if j_top >= max_terms - 1:
             raise ConvergenceError(
                 f"per-index tail bounds not certified within {max_terms} terms",
@@ -275,16 +273,61 @@ def second_kind_values(src: CoefficientSource, z, count: int, *,
             )
         extra *= 2
 
-    kappas = None
-    if z == 0:
-        kappas = []
-        for n in range(count):
-            mag = _exp_cap(-math.log(eng.alphas[n]) + eng.log_p[n] - eng.log_p[n + 1])
-            s_real = s[n].real if isinstance(s[n], complex) else s[n]
-            sign = eng.sgn_p[n] / eng.sgn_p[n + 1]
-            sign = sign.real if isinstance(sign, complex) else sign
-            kappas.append(-s_real * sign * mag)
-    return SecondKindTable(z=z, values=vals, tail_bounds=bounds, kappas=kappas)
+
+def _inverse_scale(eng: TailSeriesEngine, n: int) -> float:
+    """1/(alpha_n |P_{n+1}(z)|); AssumptionViolation where P_{n+1}(z) = 0 or
+    where the value overflows."""
+    if eng.log_p[n + 1] == -math.inf:
+        raise AssumptionViolation(f"P_{n + 1}(z) = 0 on the evaluation path")
+    scale = _exp_cap(-math.log(eng.alphas[n]) - eng.log_p[n + 1])
+    if scale == math.inf:
+        raise AssumptionViolation(
+            f"1/P_{n + 1}(z) overflows; z too close to a polynomial root"
+        )
+    return scale
+
+
+def _relative_width(s, h: float) -> float:
+    """h / |s|, the relative half-width of a backward sum (inf at s = 0)."""
+    return h / abs(s) if abs(s) > 0 else math.inf
+
+
+def _kappa_entries(engine: TailSeriesEngine, start: int, count: int,
+                   max_terms: int) -> list[float]:
+    """kappa_n = w_n(0) P_n(0) for start <= n < count, on a z = 0 engine.
+
+    The tail series stops as for a certified 1e-12 table of count entries,
+    then extends j_top = j_stop + 16, 32, ... until every S_n of the range
+    is known to 1e-15 relative.  Only S_{j_top} .. S_start are summed, and
+    each S_n depends only on S_{j_top} and the ratios from n to j_top, so an
+    entry equals the one a build from 0 gives.  Every ratio is positive at
+    z = 0 and S_n >= 1, so h_n / S_n does not grow as n falls: the entries
+    below start, built earlier, pass wherever the range does, and a build
+    of [start, count) succeeds or fails exactly as one of [0, count).
+    Signals AssumptionViolation if an entry is not positive, which would
+    contradict positive definiteness of the source.
+    """
+    j_stop, r_hat = engine.find_stop(1e-12, max_terms, min_terms=count + 1)
+    for j_top in _sum_tops(j_stop, max_terms):
+        s, h = engine.backward_sums(j_top, r_hat, low=start)
+        for n in range(start, count):
+            _inverse_scale(engine, n)
+            if _relative_width(s[n - start], h[n - start]) > 1e-15:
+                break
+        else:
+            break
+    lp, sp, alphas = engine.log_p, engine.sgn_p, engine.alphas
+    kappas = []
+    for n in range(start, count):
+        mag = _exp_cap(-math.log(alphas[n]) + lp[n] - lp[n + 1])
+        kappa = -s[n - start] * (sp[n] / sp[n + 1]) * mag
+        if not kappa > 0.0:
+            raise AssumptionViolation(
+                f"kappa_{n} = {kappa} is not positive; "
+                "source is not a positive-definite configuration"
+            )
+        kappas.append(kappa)
+    return kappas
 
 
 @dataclass
@@ -308,18 +351,13 @@ def kappa_sequence(src: CoefficientSource, count: int, *,
     """First ``count`` kappa values with partial sums and a decay-based tail.
 
     Signals AssumptionViolation if any computed kappa fails to be positive,
-    which would contradict positive definiteness of the source.
+    which would contradict positive definiteness of the source.  engine, when
+    given, is a z = 0 TailSeriesEngine of src to build on.
     """
-    # z = 0 always lies below gamma for a positive-definite configuration
-    table = second_kind_values(src, 0.0, count, gamma=math.inf,
-                               atol=None, max_terms=max_terms, engine=engine)
-    kappas = table.kappas
-    bad = [n for n, k in enumerate(kappas) if not k > 0.0]
-    if bad:
-        raise AssumptionViolation(
-            f"kappa_{bad[0]} = {kappas[bad[0]]} is not positive; "
-            "source is not a positive-definite configuration"
-        )
+    if count < 1:
+        raise ValueError("count must be positive")
+    eng = engine if engine is not None else TailSeriesEngine(src, 0.0)
+    kappas = _kappa_entries(eng, 0, count, max_terms)
     sums = []
     acc = 0.0
     for k in kappas:

@@ -22,17 +22,18 @@ def marked_builds(monkeypatch):
 
     A rebuilt table could differ from an earlier one in its last bits; the
     mark makes each entry show which build it came from, so any mix of table
-    versions changes the results.
+    versions changes the results.  Every build computes its entries through
+    _kappa_entries: the first through kappa_sequence, the rest directly.
     """
-    from jacspec import charfn
-    orig = charfn.kappa_sequence
+    from jacspec import charfn, second_kind
+    orig = second_kind._kappa_entries
 
-    def marked(src, count, **kwargs):
-        seq = orig(src, count, **kwargs)
-        seq.kappas = [k * (1.0 + count * 2.0 ** -40) for k in seq.kappas]
-        return seq
+    def marked(engine, start, count, max_terms):
+        kappas = orig(engine, start, count, max_terms)
+        return [k * (1.0 + count * 2.0 ** -40) for k in kappas]
 
-    monkeypatch.setattr(charfn, "kappa_sequence", marked)
+    monkeypatch.setattr(second_kind, "_kappa_entries", marked)
+    monkeypatch.setattr(charfn, "_kappa_entries", marked)
 
 
 def random_pd_table(rng, n, shift=0.0):

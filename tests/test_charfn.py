@@ -210,6 +210,10 @@ def test_evaluator_shared_across_threads(asc2_shifted):
         sys.setswitchinterval(interval)
     assert grown == serial
     assert len(cold._w0_mant) == len(cold._w0_exp) == len(cold._kappa)
+    # the engine and every eval thread grew one coefficient cache: each index
+    # was published once, in its place
+    table = cold._read.table
+    assert table == [asc2_shifted.coeffs(i) for i in range(len(table))]
 
 
 @pytest.mark.parametrize("args", [(0.5, 0.5, 0.5), (0.3, 0.3, 0.0)])
@@ -256,18 +260,23 @@ def test_atol_must_be_finite_and_positive(asc2_shifted, call, atol):
 def _count_work(monkeypatch):
     import jacspec.charfn as charfn
     counts = {"evals": 0, "builds": 0}
-    orig_eval, orig_kappa = charfn.CharFnEvaluator.eval, charfn.kappa_sequence
+    orig_eval = charfn.CharFnEvaluator.eval
 
     def counted_eval(self, *args, **kwargs):
         counts["evals"] += 1
         return orig_eval(self, *args, **kwargs)
 
-    def counted_kappa(*args, **kwargs):
-        counts["builds"] += 1
-        return orig_kappa(*args, **kwargs)
+    def counted(orig):
+        def build(*args, **kwargs):
+            counts["builds"] += 1
+            return orig(*args, **kwargs)
+        return build
 
+    # an evaluator's first build runs kappa_sequence, every later one
+    # _kappa_entries
     monkeypatch.setattr(charfn.CharFnEvaluator, "eval", counted_eval)
-    monkeypatch.setattr(charfn, "kappa_sequence", counted_kappa)
+    for name in ("kappa_sequence", "_kappa_entries"):
+        monkeypatch.setattr(charfn, name, counted(getattr(charfn, name)))
     return counts
 
 
@@ -304,6 +313,63 @@ def test_failed_build_size_is_remembered(monkeypatch):
     assert not ev._grow(831)
     assert ev._grow(100)
     assert counts["builds"] == 0
+
+
+@pytest.mark.parametrize("args, capacity", [
+    ((0.5, 0.5, 0.5), 830), ((0.3, 0.3, 0.0), 478), ((0.9, 0.9, 0.0), 358),
+])
+def test_incremental_builds_equal_builds_from_zero(monkeypatch, args, capacity):
+    # a build computes only the entries past the table; they must be those
+    # of a build of the whole count, and a build must fail exactly where the
+    # whole build fails, so that the growth and bisection keep their path
+    from jacspec import charfn, second_kind
+    src = js.ASC2Source(*args)
+    builds = []
+    orig = second_kind._kappa_entries
+
+    def recorded(engine, start, count, max_terms):
+        builds.append((start, count, None))
+        builds[-1] = (start, count, orig(engine, start, count, max_terms))
+        return builds[-1][2]
+
+    monkeypatch.setattr(second_kind, "_kappa_entries", recorded)
+    monkeypatch.setattr(charfn, "_kappa_entries", recorded)
+    ev = js.CharFnEvaluator(src)
+    assert ev.plan_terms(1000.0, 1e-300)[0] is None
+    assert ev._capacity == capacity == len(ev._kappa)
+    monkeypatch.undo()
+    assert any(new is None for *_, new in builds)
+    assert any(start > 0 and new is not None for start, _, new in builds)
+    for start, count, new in builds:
+        if new is None:
+            with pytest.raises(js.ConvergenceError):
+                js.kappa_sequence(src, count)
+        else:
+            whole = js.kappa_sequence(src, count).kappas
+            assert list(map(float.hex, new)) == list(map(float.hex, whole[start:]))
+
+
+@pytest.mark.parametrize("args, k", [((0.5, 0.5, 0.5), 8), ((0.9, 0.9, 0.0), 6)])
+def test_find_spectrum_reads_each_coefficient_once(monkeypatch, args, k):
+    # the evaluator's engine, eval and eval_grid share one coefficient cache;
+    # when every scalar eval re-read the coefficients from index 0, the run
+    # at (0.5, 0.5, 0.5) read 13,059 times for 901 indices.  (0.9, 0.9, 0)
+    # certifies nothing and walks its engine to the coefficient horizon; an
+    # index there is never stored, and only it may be read again.
+    from collections import Counter
+
+    from jacspec import sources
+    reads = Counter()
+    orig = sources.ASC2Source.coeffs
+
+    def counted(self, n):
+        reads[n] += 1
+        return orig(self, n)
+
+    monkeypatch.setattr(sources.ASC2Source, "coeffs", counted)
+    js.find_spectrum(js.ASC2Source(*args), k, 1e-9, confirm="auto")
+    assert sorted(reads) == list(range(len(reads)))
+    assert {n for n, c in reads.items() if c > 1} <= {len(reads) - 1}
 
 
 def test_term_plan_independent_of_an_earlier_plan():

@@ -182,8 +182,8 @@ def test_charfn_report_is_byte_identical_to_the_scalar_path(argv):
 def test_charfn_coefficient_reads_do_not_scale_with_the_grid(monkeypatch):
     # the per-point loop read 578,901 coefficients here (each point stepped
     # its own recurrence, and the ratio its own z = 0 chain); the grid path
-    # reads 2,133: the kappa table, one pass to the largest term count and
-    # one ratio pass of 400 steps
+    # reads 1,302: the kappa table, whose coefficient cache the partial-sum
+    # pass shares, and one ratio pass of 400 steps
     calls = [0]
     orig = sources.ASC2Source.coeffs
 
@@ -194,6 +194,18 @@ def test_charfn_coefficient_reads_do_not_scale_with_the_grid(monkeypatch):
     monkeypatch.setattr(sources.ASC2Source, "coeffs", counted)
     _charfn_report("--q=0.5", "--a=0.5", "--shift=0.5", "--grid=-1:250:400")
     assert calls[0] <= 2 * 2133
+
+
+def test_charfn_report_computes_the_closed_form_denominator_once(monkeypatch):
+    # one (z + shift; q)_inf per point and one (shift; q)_inf per report,
+    # where each point used to compute both
+    from jacspec import qseries
+    calls = []
+    orig = qseries.qpoch_inf
+    monkeypatch.setattr(qseries, "qpoch_inf",
+                        lambda x, q: calls.append(x) or orig(x, q))
+    _charfn_report("--q=0.5", "--a=0.5", "--shift=0.5", "--grid=-1:250:400")
+    assert len(calls) == 401 and calls.count(0.5) == 1
 
 
 # -- the power-of-two term kernel ---------------------------------------------
@@ -257,7 +269,7 @@ def test_rescale_exponent_is_recovered_by_rounding(z):
     src = js.ASC2Source(0.9, 0.9, 0.0)
     worst, n = 0.0, 0
     with pytest.raises(ConvergenceError):
-        for n, _, _, ls, _ in _scaled_iter(src, z):
+        for n, _, _, ls, _ in _scaled_iter(_coeff_reader(src), z):
             worst = max(worst, abs(ls / _LN2 - round(ls / _LN2)))
     assert n == 5914
     assert worst <= 1e-6

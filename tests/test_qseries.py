@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -234,6 +235,14 @@ def test_spectrum_product_reference_shift_identity():
     # (0.25;q)inf/(0.5;q)inf = 1/(1-q) = 2 at q = 0.5
     val = js.spectrum_product_reference(-0.25, 0.5, shift=0.5)
     assert val == pytest.approx(2.0, rel=1e-14)
+
+
+def test_spectrum_product_reference_grid_matches_scalar():
+    # the array form divides by one (shift; q)_inf, computed once
+    zs = np.linspace(-1.0, 250.0, 41)
+    got = js.spectrum_product_reference(zs, 0.5, shift=0.5)
+    assert list(map(float.hex, got)) == \
+        [js.spectrum_product_reference(z, 0.5, shift=0.5).hex() for z in zs.tolist()]
 
 
 def test_qpoch_seq_prefix():

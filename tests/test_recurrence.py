@@ -229,3 +229,25 @@ def test_resolvent_identity_random_table():
     src = random_pd_table(rng, 8)
     r = check_resolvent_identity(src)
     assert r.passed and r.max_residual <= 1e-12
+
+
+def test_coeff_reader_grown_from_threads_publishes_each_index_once():
+    # eight threads grow one cache at once; appending without the lock put
+    # some index twice, and every later one out of place
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from jacspec.recurrence import _coeff_reader
+    src = js.ASC2Source(0.5, 0.5, 0.5)
+    read = _coeff_reader(src)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda t: [read(n) for n in range(t, 800, 3)],
+                                range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    want = [src.coeffs(n) for n in range(800)]
+    assert read.table == want
+    assert got == [want[t:800:3] for t in range(8)]
