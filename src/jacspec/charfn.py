@@ -17,10 +17,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import second_kind
 from .errors import AssumptionViolation, ConvergenceError
 from .recurrence import _LN2, _coeff_reader, _scaled_columns, _scaled_iter
 from .second_kind import (_RATIO_CAP, _RATIO_WINDOW, TailSeriesEngine,
-                          _kappa_entries, kappa_sequence)
+                          kappa_sequence)
 from .sources import CoefficientSource, require_infinite
 
 # conservative working-precision constant for the summation noise estimate
@@ -80,16 +81,16 @@ class CharFnEvaluator:
     once, by bisection between the table length and the failed count, so it
     is probed once per evaluator and every later plan sees the same limit.
 
-    One _coeff_reader serves the tail-series engine, eval and eval_grid, so
-    each coefficient index is read from the source once per evaluator.
+    The tail-series engine's _coeff_reader also serves eval and eval_grid,
+    so each coefficient index is read from the source once per evaluator.
     """
 
     def __init__(self, src: CoefficientSource, max_terms: int = 20000):
         require_infinite(src, "characteristic function evaluation")
         self.src = src
         self.max_terms = max_terms
-        self._read = _coeff_reader(src)
-        self._engine = TailSeriesEngine(src, 0.0, self._read)
+        self._engine = TailSeriesEngine(src, 0.0)
+        self._read = self._engine.read
         self._grow_lock = threading.Lock()
         self._kappa: list[float] = []
         # w_n(0) = _w0_mant[n] * 2**_w0_exp[n], the mantissa signed
@@ -127,7 +128,12 @@ class CharFnEvaluator:
 
     def _build(self, count: int) -> bool:
         """Extend the table to ``count`` entries by computing only the new
-        ones; the caller holds the lock."""
+        ones; the caller holds the lock.
+
+        Every build computes its entries through second_kind._kappa_entries.
+        The first one calls it through kappa_sequence, whose total_upper is
+        kappa_sum_upper; a later one calls it directly.
+        """
         start = len(self._kappa)
         try:
             if start == 0:
@@ -135,7 +141,8 @@ class CharFnEvaluator:
                                      engine=self._engine)
                 new = seq.kappas
             else:
-                new = _kappa_entries(self._engine, start, count, self.max_terms)
+                new = second_kind._kappa_entries(self._engine, start, count,
+                                                 self.max_terms)
         except ConvergenceError:
             return False
         lp, sp = self._engine.log_p, self._engine.sgn_p

@@ -43,17 +43,17 @@ class TailSeriesEngine:
     t_j = 1/(alpha_j P_j P_{j+1}) with their ratios |t_{j+1}/t_j|, each ratio
     formed once as its term is built.  Shared between the second-kind table,
     the kappa sequence and the characteristic-function evaluator; each prefix
-    is immutable once built, so concurrent readers are safe.  read, when
-    given, is a _coeff_reader of src to draw the coefficients from, so that
-    an owner can share one coefficient cache between the engine and its own
-    recurrences.
+    is immutable once built, so concurrent readers are safe.  read is the
+    engine's _coeff_reader of src; an owner may run its own recurrences on
+    it, so that each coefficient index is fetched from src once.
     """
 
-    def __init__(self, src: CoefficientSource, z, read=None):
+    def __init__(self, src: CoefficientSource, z):
         require_infinite(src, "tail series evaluation")
         self.src = src
         self.z = z
-        self._iter = _scaled_iter(read if read is not None else _coeff_reader(src), z)
+        self.read = _coeff_reader(src)
+        self._iter = _scaled_iter(self.read, z)
         self._grow_lock = threading.Lock()  # generators are not reentrant
         self.log_p: list[float] = []
         self.sgn_p: list = []
@@ -301,9 +301,13 @@ def _kappa_entries(engine: TailSeriesEngine, start: int, count: int,
     is known to 1e-15 relative.  Only S_{j_top} .. S_start are summed, and
     each S_n depends only on S_{j_top} and the ratios from n to j_top, so an
     entry equals the one a build from 0 gives.  Every ratio is positive at
-    z = 0 and S_n >= 1, so h_n / S_n does not grow as n falls: the entries
-    below start, built earlier, pass wherever the range does, and a build
-    of [start, count) succeeds or fails exactly as one of [0, count).
+    z = 0 and S_n >= 1, so in exact arithmetic h_n / S_n does not grow as n
+    falls and the entries below start, built earlier, pass wherever the
+    range does.  In floating point that holds up to rounding of widths
+    within a few ulps of 1e-15, so a build of [start, count) succeeds or
+    fails as one of [0, count) would except at that threshold; on the
+    pinned ASC-II configurations both routes give the same entries and the
+    same capacities (test_incremental_builds_equal_builds_from_zero).
     Signals AssumptionViolation if an entry is not positive, which would
     contradict positive definiteness of the source.
     """

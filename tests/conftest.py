@@ -23,9 +23,10 @@ def marked_builds(monkeypatch):
     A rebuilt table could differ from an earlier one in its last bits; the
     mark makes each entry show which build it came from, so any mix of table
     versions changes the results.  Every build computes its entries through
-    _kappa_entries: the first through kappa_sequence, the rest directly.
+    second_kind._kappa_entries: the first through kappa_sequence, the rest
+    directly.
     """
-    from jacspec import charfn, second_kind
+    from jacspec import second_kind
     orig = second_kind._kappa_entries
 
     def marked(engine, start, count, max_terms):
@@ -33,7 +34,6 @@ def marked_builds(monkeypatch):
         return [k * (1.0 + count * 2.0 ** -40) for k in kappas]
 
     monkeypatch.setattr(second_kind, "_kappa_entries", marked)
-    monkeypatch.setattr(charfn, "_kappa_entries", marked)
 
 
 def random_pd_table(rng, n, shift=0.0):

@@ -259,6 +259,7 @@ def test_atol_must_be_finite_and_positive(asc2_shifted, call, atol):
 
 def _count_work(monkeypatch):
     import jacspec.charfn as charfn
+    import jacspec.second_kind as second_kind
     counts = {"evals": 0, "builds": 0}
     orig_eval = charfn.CharFnEvaluator.eval
 
@@ -266,17 +267,15 @@ def _count_work(monkeypatch):
         counts["evals"] += 1
         return orig_eval(self, *args, **kwargs)
 
-    def counted(orig):
-        def build(*args, **kwargs):
-            counts["builds"] += 1
-            return orig(*args, **kwargs)
-        return build
+    orig_entries = second_kind._kappa_entries
 
-    # an evaluator's first build runs kappa_sequence, every later one
-    # _kappa_entries
+    def counted_entries(*args, **kwargs):
+        counts["builds"] += 1
+        return orig_entries(*args, **kwargs)
+
+    # every evaluator build computes its entries through _kappa_entries
     monkeypatch.setattr(charfn.CharFnEvaluator, "eval", counted_eval)
-    for name in ("kappa_sequence", "_kappa_entries"):
-        monkeypatch.setattr(charfn, name, counted(getattr(charfn, name)))
+    monkeypatch.setattr(second_kind, "_kappa_entries", counted_entries)
     return counts
 
 
@@ -322,7 +321,7 @@ def test_incremental_builds_equal_builds_from_zero(monkeypatch, args, capacity):
     # a build computes only the entries past the table; they must be those
     # of a build of the whole count, and a build must fail exactly where the
     # whole build fails, so that the growth and bisection keep their path
-    from jacspec import charfn, second_kind
+    from jacspec import second_kind
     src = js.ASC2Source(*args)
     builds = []
     orig = second_kind._kappa_entries
@@ -333,7 +332,6 @@ def test_incremental_builds_equal_builds_from_zero(monkeypatch, args, capacity):
         return builds[-1][2]
 
     monkeypatch.setattr(second_kind, "_kappa_entries", recorded)
-    monkeypatch.setattr(charfn, "_kappa_entries", recorded)
     ev = js.CharFnEvaluator(src)
     assert ev.plan_terms(1000.0, 1e-300)[0] is None
     assert ev._capacity == capacity == len(ev._kappa)
