@@ -71,15 +71,14 @@ class _Plan(NamedTuple):
 class CharFnEvaluator:
     """Shared-state evaluator: one kappa table serves many z evaluations.
 
-    The table is append-only: growth is serialized by a lock, and a build
-    computes only the entries past the current length (the first build runs
-    kappa_sequence, whose total also gives kappa_sum_upper), so an entry
-    never changes once published.  eval(z) therefore does not depend on
-    earlier evaluations or on thread timing, and evaluations may run from
-    worker threads.  The capacity starts at max_terms; the first build that
-    fails (budget, coefficient horizon or no stable decay window) fixes it
-    once, by bisection between the table length and the failed count, so it
-    is probed once per evaluator and every later plan sees the same limit.
+    The table is append-only: growth is serialized by a lock, and every
+    build is a kappa_sequence call on one z = 0 engine, which computes only
+    the entries past the table (the first build's total_upper is
+    kappa_sum_upper), so an entry never changes once published, and eval(z)
+    depends neither on earlier evaluations nor on thread timing.  The
+    capacity starts at max_terms; the first build that fails (budget,
+    coefficient horizon or no stable decay window) fixes it once, at the
+    largest count that builds, and grows the table to it.
 
     The tail-series engine's _coeff_reader also serves eval and eval_grid,
     so each coefficient index is read from the source once per evaluator.
@@ -116,35 +115,25 @@ class CharFnEvaluator:
                 return False
             if count <= len(self._kappa) or self._build(count):
                 return True
-            # the first failure: bisect between the table length (each
-            # successful build raises it) and the smallest failed count
-            hi = count
-            while hi - len(self._kappa) > 8:
-                mid = (len(self._kappa) + hi) // 2
-                if not self._build(mid):
-                    hi = mid
-            self._capacity = len(self._kappa)
+            # the first failure fixes the capacity, and the table grows to it
+            capacity = second_kind._kappa_capacity(self._engine, count,
+                                                   self.max_terms)
+            if capacity > len(self._kappa):
+                self._build(capacity)
+            self._capacity = capacity
             return False
 
     def _build(self, count: int) -> bool:
-        """Extend the table to ``count`` entries by computing only the new
-        ones; the caller holds the lock.
-
-        Every build computes its entries through second_kind._kappa_entries.
-        The first one calls it through kappa_sequence, whose total_upper is
-        kappa_sum_upper; a later one calls it directly.
-        """
+        """Extend the table to ``count`` entries through kappa_sequence on
+        the engine, which computes only the new ones; False where the build
+        fails.  The caller holds the lock."""
         start = len(self._kappa)
         try:
-            if start == 0:
-                seq = kappa_sequence(self.src, count, max_terms=self.max_terms,
-                                     engine=self._engine)
-                new = seq.kappas
-            else:
-                new = second_kind._kappa_entries(self._engine, start, count,
-                                                 self.max_terms)
+            seq = kappa_sequence(self.src, count, max_terms=self.max_terms,
+                                 engine=self._engine)
         except ConvergenceError:
             return False
+        new = seq.kappas[start:]
         lp, sp = self._engine.log_p, self._engine.sgn_p
         for n, k in enumerate(new, start):
             lw = math.log(k) - lp[n]  # log |w_n(0)|
@@ -161,7 +150,7 @@ class CharFnEvaluator:
     def kappa_sum_upper(self) -> float:
         """Certified-style upper estimate S for sum kappa_n."""
         if self._sum_upper is None:
-            # a failed build bisects down from here, through 32, 16 and 8
+            # a failed first build fixes the capacity and builds up to it
             self._grow(min(64, self._capacity))
             if self._sum_upper is None:
                 raise ConvergenceError(
@@ -198,6 +187,8 @@ class CharFnEvaluator:
         """
         if not 0.0 < atol < math.inf:
             raise ValueError(f"atol must be finite and positive, got {atol!r}")
+        if not 0.0 <= z_abs < math.inf:
+            raise ValueError(f"z must be finite, got |z| = {z_abs!r}")
         try:
             s_up = self.kappa_sum_upper
         except ConvergenceError:

@@ -230,6 +230,9 @@ def validate_config(cfg: RunConfig, spectral: bool = False) -> None:
     for key, value in numbers:
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value!r}")
+    if cfg.grid and not math.isfinite(cfg.grid["z_max"] - cfg.grid["z_min"]):
+        raise ConfigError("grid span z_max - z_min must be finite, got "
+                          f"{cfg.grid['z_min']!r}:{cfg.grid['z_max']!r}")
     if not cfg.eig_tol > 0 or not cfg.atol > 0:
         raise ConfigError("tolerances must be positive")
     if cfg.max_terms < 16:

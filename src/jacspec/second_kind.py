@@ -10,13 +10,14 @@ leading term out of the sum; S_n is accumulated by a backward recursion over
 term ratios, so no intermediate ever overflows.  Truncation is certified from
 the observed term-ratio decay: the stopping rule requires the ratio to sit
 below 0.9 over a five-term window, then bounds the tail geometrically.
-Since S_n depends only on the sums above it, the kappa entries n >= start
-can be computed without the ones below (_kappa_entries), which is how a
-characteristic-function evaluator grows its table.
+Since S_n depends only on the sums above it, kappa_sequence grows the
+kappa table a z = 0 engine holds by its new entries only (_kappa_entries).
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -62,11 +63,7 @@ class TailSeriesEngine:
         self.sgn_t: list = []
         self.ratios: list[float] = []  # |t_{j+1} / t_j|, one per built pair
         self._horizon: str | None = None  # message once the horizon is hit
-        # atol -> (lo, hi): no candidate stop in [lo, hi) passes at that atol,
-        # as seen by searches that raised.  Every span written is one that
-        # was seen to fail, so an update lost to a concurrent search only
-        # costs a rescan.
-        self._no_stop: dict[float, tuple[int, int]] = {}
+        self.kappas: list[float] = []  # kappa_sequence's table; one build at a time
 
     def ensure_terms(self, count: int) -> None:
         """Extend so that terms t_0 .. t_{count-1} are available.
@@ -121,51 +118,39 @@ class TailSeriesEngine:
         return self.sgn_t[j + 1] * self.sgn_t[j] * mag
 
     def find_stop(self, atol: float, max_terms: int, min_terms: int = 0):
-        """Smallest J whose trailing ratio window stays below the 0.9 cap
-        and with |t_J| < atol (1-r)/r, r the window's largest ratio.
+        """Smallest J >= min_terms whose trailing ratio window stays below
+        the 0.9 cap and with |t_J| < atol (1-r)/r, r the window's largest
+        ratio.
 
-        Returns (J, r_hat); raises ConvergenceError when the budget runs out.
-        Whether a candidate passes depends only on J and atol, so a search
-        that raises keeps, per atol, the span of candidates it saw fail, and
-        later searches jump over it: a failed search repeats its error
-        without rescanning.
+        Returns (J, r_hat); raises ConvergenceError when the budget runs out
+        or the terms reach the coefficient horizon first.  Whether a
+        candidate passes depends only on J and atol.
         """
-        j = start = max(min_terms, _RATIO_WINDOW)
-        lo, hi = self._no_stop.get(atol, (0, 0))
-        try:
-            while True:
-                if lo <= j < hi:
-                    j = hi
-                if j >= max_terms:
-                    self.ensure_terms(max_terms)
-                    terms = [self.term(i) for i in range(max_terms)]
-                    if isinstance(self.z, complex):
-                        partial = -complex(math.fsum(t.real for t in terms),
-                                           math.fsum(t.imag for t in terms))
-                    else:
-                        partial = -math.fsum(terms)
-                    raise ConvergenceError(
-                        f"tail series not certified within {max_terms} terms at z={self.z}",
-                        partial=partial,
-                        terms=max_terms,
-                    )
-                self.ensure_terms(j + 2)
-                if self.log_t[j] == -math.inf:
-                    return j, 0.5  # terms underflowed to zero; tail is negligible
-                r_hat = max(self.ratios[j - _RATIO_WINDOW:j])
-                if r_hat == 0.0:
-                    return j, 0.5  # ratios below resolution; tail is negligible
-                if r_hat < _RATIO_CAP \
-                        and self.log_t[j] < 700.0 \
-                        and math.exp(self.log_t[j]) < atol * (1.0 - r_hat) / r_hat:
-                    return j, r_hat
-                j += 1
-        except ConvergenceError:
-            # every candidate in [start, j) has failed
-            if start <= hi and lo <= j:
-                start, j = min(start, lo), max(j, hi)
-            self._no_stop[atol] = (start, j)
-            raise
+        for j in range(max(min_terms, _RATIO_WINDOW), max_terms):
+            self.ensure_terms(j + 2)
+            if self.log_t[j] == -math.inf:
+                return j, 0.5  # terms underflowed to zero; tail is negligible
+            r_hat = max(self.ratios[j - _RATIO_WINDOW:j])
+            if r_hat == 0.0:
+                return j, 0.5  # ratios below resolution; tail is negligible
+            if r_hat < _RATIO_CAP \
+                    and self.log_t[j] < 700.0 \
+                    and math.exp(self.log_t[j]) < atol * (1.0 - r_hat) / r_hat:
+                return j, r_hat
+        self.ensure_terms(max_terms)
+        raise ConvergenceError(
+            f"tail series not certified within {max_terms} terms at z={self.z}",
+            partial=self.partial_sum(max_terms),
+            terms=max_terms,
+        )
+
+    def partial_sum(self, count: int):
+        """-(t_0 + ... + t_{count-1}), summed exactly (fsum) per part."""
+        terms = [self.term(i) for i in range(count)]
+        if isinstance(self.z, complex):
+            return -complex(math.fsum(t.real for t in terms),
+                            math.fsum(t.imag for t in terms))
+        return -math.fsum(terms)
 
     def backward_sums(self, j_top: int, r_hat: float, low: int = 0):
         """S_n = sum_{j>=n} t_j / t_n for n = low..j_top, with half-width
@@ -224,17 +209,12 @@ def weyl(src: CoefficientSource, z, *, gamma: float | None = None,
     _validate_domain(src, z, gamma)
     eng = TailSeriesEngine(src, z)
     j_stop, _ = eng.find_stop(atol, max_terms)
-    terms = [eng.term(i) for i in range(j_stop + 1)]
-    if isinstance(z, complex):
-        return -complex(math.fsum(t.real for t in terms),
-                        math.fsum(t.imag for t in terms))
-    return -math.fsum(terms)
+    return eng.partial_sum(j_stop + 1)
 
 
 def second_kind_values(src: CoefficientSource, z, count: int, *,
                        gamma: float | None = None, atol: float = 1e-12,
-                       max_terms: int = 20000,
-                       engine: TailSeriesEngine | None = None) -> SecondKindTable:
+                       max_terms: int = 20000) -> SecondKindTable:
     """Table of w_n(z) for n < count via the tail series, each with a bound.
 
     Cross-checkable against the alternative route w(z) P_n(z) + Q_n(z).
@@ -242,7 +222,7 @@ def second_kind_values(src: CoefficientSource, z, count: int, *,
     if count < 1:
         raise ValueError("count must be positive")
     _validate_domain(src, z, gamma)
-    eng = engine if engine is not None else TailSeriesEngine(src, z)
+    eng = TailSeriesEngine(src, z)
     j_stop, r_hat = eng.find_stop(atol, max_terms, min_terms=count + 1)
     for j_top in _sum_tops(j_stop, max_terms):
         s, h = eng.backward_sums(j_top, r_hat)
@@ -292,37 +272,32 @@ def _relative_width(s, h: float) -> float:
     return h / abs(s) if abs(s) > 0 else math.inf
 
 
+def _kappa_sums(engine: TailSeriesEngine, count: int, max_terms: int,
+                low: int, stop: tuple[int, float] | None = None):
+    """Backward sums S_n, n >= low, with half-widths, of a kappa build of
+    count entries: from ``stop`` (find_stop's for a 1e-12 table of count
+    entries by default), j_top = J + 16, 32, ... grows until S_{count-1} is
+    known to 1e-15 relative, else ConvergenceError.  At z = 0 every ratio is
+    positive and S_n >= 1, so h_n / S_n falls with n: the lower entries are
+    known as well.  low only sets where the sums stop, so no entry, and no
+    count's success, depends on the entries built before."""
+    j_stop, r_hat = stop or engine.find_stop(1e-12, max_terms, count + 1)
+    for j_top in _sum_tops(j_stop, max_terms):
+        s, h = engine.backward_sums(j_top, r_hat, low=low)
+        if not _relative_width(s[count - 1 - low], h[count - 1 - low]) > 1e-15:
+            return s, h
+
+
 def _kappa_entries(engine: TailSeriesEngine, start: int, count: int,
                    max_terms: int) -> list[float]:
-    """kappa_n = w_n(0) P_n(0) for start <= n < count, on a z = 0 engine.
-
-    The tail series stops as for a certified 1e-12 table of count entries,
-    then extends j_top = j_stop + 16, 32, ... until every S_n of the range
-    is known to 1e-15 relative.  Only S_{j_top} .. S_start are summed, and
-    each S_n depends only on S_{j_top} and the ratios from n to j_top, so an
-    entry equals the one a build from 0 gives.  Every ratio is positive at
-    z = 0 and S_n >= 1, so in exact arithmetic h_n / S_n does not grow as n
-    falls and the entries below start, built earlier, pass wherever the
-    range does.  In floating point that holds up to rounding of widths
-    within a few ulps of 1e-15, so a build of [start, count) succeeds or
-    fails as one of [0, count) would except at that threshold; on the
-    pinned ASC-II configurations both routes give the same entries and the
-    same capacities (test_incremental_builds_equal_builds_from_zero).
-    Signals AssumptionViolation if an entry is not positive, which would
-    contradict positive definiteness of the source.
-    """
-    j_stop, r_hat = engine.find_stop(1e-12, max_terms, min_terms=count + 1)
-    for j_top in _sum_tops(j_stop, max_terms):
-        s, h = engine.backward_sums(j_top, r_hat, low=start)
-        for n in range(start, count):
-            _inverse_scale(engine, n)
-            if _relative_width(s[n - start], h[n - start]) > 1e-15:
-                break
-        else:
-            break
+    """kappa_n = w_n(0) P_n(0) for start <= n < count (_kappa_sums).
+    AssumptionViolation where an entry is not positive or P_{n+1}(0) = 0,
+    which would contradict positive definiteness of the source."""
+    s, _ = _kappa_sums(engine, count, max_terms, start)
     lp, sp, alphas = engine.log_p, engine.sgn_p, engine.alphas
     kappas = []
     for n in range(start, count):
+        _inverse_scale(engine, n)
         mag = _exp_cap(-math.log(alphas[n]) + lp[n] - lp[n + 1])
         kappa = -s[n - start] * (sp[n] / sp[n + 1]) * mag
         if not kappa > 0.0:
@@ -332,6 +307,37 @@ def _kappa_entries(engine: TailSeriesEngine, start: int, count: int,
             )
         kappas.append(kappa)
     return kappas
+
+
+def _kappa_capacity(engine: TailSeriesEngine, failed: int,
+                    max_terms: int) -> int:
+    """The largest count a kappa build on engine reaches, given that the
+    build of ``failed`` entries raised, with no further build: one scan
+    lists the stops from the held entries to the failed build's own, if
+    any, and the counts in between are bisected on _kappa_sums from each
+    count's stop down to its last entry only.
+    """
+    held = len(engine.kappas)
+    stops, j = [], held  # stops as (J, r_hat)
+    try:
+        while j <= failed:
+            stops.append(engine.find_stop(1e-12, max_terms, min_terms=j + 1))
+            j = stops[-1][0]
+    except ConvergenceError:
+        pass  # no stop past j
+
+    def fails(count: int) -> bool:
+        stop = next((s for s in stops if s[0] > count), None)
+        if stop is None:
+            return True
+        try:
+            _kappa_sums(engine, count, max_terms, count - 1, stop)
+        except ConvergenceError:
+            return True
+        return False
+
+    # the counts that build come first: bisect for the first that fails
+    return held + bisect.bisect_left(range(held + 1, failed), True, key=fails)
 
 
 @dataclass
@@ -354,19 +360,18 @@ def kappa_sequence(src: CoefficientSource, count: int, *,
                    engine: TailSeriesEngine | None = None) -> KappaSequence:
     """First ``count`` kappa values with partial sums and a decay-based tail.
 
-    Signals AssumptionViolation if any computed kappa fails to be positive,
-    which would contradict positive definiteness of the source.  engine, when
-    given, is a z = 0 TailSeriesEngine of src to build on.
+    engine, when given, is a z = 0 TailSeriesEngine of src whose entries
+    (engine.kappas) are kept, so calls on it compute each entry once.
+    Signals AssumptionViolation if a computed kappa is not positive.
     """
     if count < 1:
         raise ValueError("count must be positive")
     eng = engine if engine is not None else TailSeriesEngine(src, 0.0)
-    kappas = _kappa_entries(eng, 0, count, max_terms)
-    sums = []
-    acc = 0.0
-    for k in kappas:
-        acc += k
-        sums.append(acc)
+    held = len(eng.kappas)
+    if count > held:
+        eng.kappas.extend(_kappa_entries(eng, held, count, max_terms))
+    kappas = eng.kappas[:count]
+    sums = list(itertools.accumulate(kappas))
     decay = max((kappas[i + 1] / kappas[i]
                  for i in range(max(0, count - 1 - _RATIO_WINDOW), count - 1)),
                 default=1.0)
@@ -384,19 +389,19 @@ class TraceInverse:
 
 def trace_inverse(src: CoefficientSource, atol: float, *,
                   max_terms: int = 20000) -> TraceInverse:
-    """tr (J - shift)^{-1} = sum kappa_n, summed to a certified tail <= atol."""
+    """tr (J - shift)^{-1} = sum kappa_n, summed to a certified tail <= atol;
+    the count doubles from 32 on one engine, which computes each entry once."""
     count = 32
     engine = TailSeriesEngine(src, 0.0)
-    last = None
+    seq = None
     while count <= max_terms:
         seq = kappa_sequence(src, count, max_terms=max_terms, engine=engine)
-        last = seq
         if seq.decay_ratio < _RATIO_CAP and seq.tail_estimate <= atol:
             return TraceInverse(value=seq.partial_sums[-1],
                                 tail_bound=seq.tail_estimate, terms=count)
         count *= 2
     raise ConvergenceError(
         f"trace tail not below {atol} within {max_terms} terms",
-        partial=last.partial_sums[-1] if last else None,
+        partial=seq.partial_sums[-1] if seq else None,
         terms=max_terms,
     )

@@ -53,15 +53,13 @@ class TruncatedTridiagonal:
     def from_source(cls, src: CoefficientSource, n: int) -> "TruncatedTridiagonal":
         if n < 1:
             raise ValueError("truncation size must be positive")
-        diag = np.array([src.beta(i) - src.shift for i in range(n)], dtype=float)
-        off = np.array([src.alpha(i) for i in range(n - 1)], dtype=float)
-        # the Sturm pivots use offdiag**2, so that must stay finite as well
-        if not (np.all(np.isfinite(diag))
-                and np.all(np.abs(off) < _OFFDIAG_LIMIT)):
+        # with no pivot-floor limit, _rung cuts where the float range ends
+        t = _rung(src, n, math.inf)
+        if t.size < n:
             raise ValueError(
                 f"entries of the {n} x {n} truncation leave the float range"
             )
-        return cls(diag=diag, offdiag=off)
+        return t
 
 
 def _pivmin(off2: np.ndarray) -> float:

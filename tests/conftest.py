@@ -22,9 +22,9 @@ def marked_builds(monkeypatch):
 
     A rebuilt table could differ from an earlier one in its last bits; the
     mark makes each entry show which build it came from, so any mix of table
-    versions changes the results.  Every build computes its entries through
-    second_kind._kappa_entries: the first through kappa_sequence, the rest
-    directly.
+    versions changes the results.  Every build is a kappa_sequence call,
+    which computes the entries past those its engine holds through
+    second_kind._kappa_entries.
     """
     from jacspec import second_kind
     orig = second_kind._kappa_entries

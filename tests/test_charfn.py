@@ -257,6 +257,20 @@ def test_atol_must_be_finite_and_positive(asc2_shifted, call, atol):
         call(js.CharFnEvaluator(asc2_shifted), atol)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda ev, z: ev.plan_terms(abs(z), 1e-12),
+    lambda ev, z: ev.eval(z),
+    lambda ev, z: ev.eval(complex(1.0, z)),
+    lambda ev, z: ev.eval_grid([0.5, z]),
+    lambda ev, z: ev.certified_sign(z, 1e-12),
+], ids=["plan_terms", "eval", "eval_complex", "eval_grid", "certified_sign"])
+def test_z_must_be_finite(asc2_shifted, call, z):
+    # eval(nan) returned certified=True with tail_bound 0.0 and 16 terms
+    with pytest.raises(ValueError, match="^z must be finite"):
+        call(js.CharFnEvaluator(asc2_shifted), z)
+
+
 def _count_work(monkeypatch):
     import jacspec.charfn as charfn
     import jacspec.second_kind as second_kind
@@ -273,7 +287,7 @@ def _count_work(monkeypatch):
         counts["builds"] += 1
         return orig_entries(*args, **kwargs)
 
-    # every evaluator build computes its entries through _kappa_entries
+    # every evaluator build computes its new entries through _kappa_entries
     monkeypatch.setattr(charfn.CharFnEvaluator, "eval", counted_eval)
     monkeypatch.setattr(second_kind, "_kappa_entries", counted_entries)
     return counts
@@ -299,28 +313,28 @@ def test_capacity_probe_gate_beyond_ratio_cap(monkeypatch):
 
 
 def test_failed_build_size_is_remembered(monkeypatch):
-    # 5000 terms pass the 2^900 coefficient horizon; the failure bisects the
-    # capacity once, from the 64-term bootstrap table, and leaves the table
-    # there, so no later call builds (831 would build: the bisection stops
-    # within 8 terms of the limit)
+    # 5000 terms pass the 2^900 coefficient horizon; the failure fixes the
+    # capacity once, at the largest count that builds, and grows the table
+    # there, so no later call builds
     ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5))
     ev.kappa_sum_upper
     assert not ev._grow(5000)
-    assert ev._capacity == 830 == len(ev._kappa)
+    assert ev._capacity == 832 == len(ev._kappa)
     counts = _count_work(monkeypatch)
     assert not ev._grow(5000)
-    assert not ev._grow(831)
+    assert not ev._grow(833)
     assert ev._grow(100)
     assert counts["builds"] == 0
 
 
 @pytest.mark.parametrize("args, capacity", [
-    ((0.5, 0.5, 0.5), 830), ((0.3, 0.3, 0.0), 478), ((0.9, 0.9, 0.0), 358),
+    ((0.5, 0.5, 0.5), 832), ((0.3, 0.3, 0.0), 482), ((0.9, 0.9, 0.0), 361),
 ])
 def test_incremental_builds_equal_builds_from_zero(monkeypatch, args, capacity):
     # a build computes only the entries past the table; they must be those
     # of a build of the whole count, and a build must fail exactly where the
-    # whole build fails, so that the growth and bisection keep their path
+    # whole build fails, so that the table and its capacity do not depend on
+    # the growth path
     from jacspec import second_kind
     src = js.ASC2Source(*args)
     builds = []
@@ -345,6 +359,69 @@ def test_incremental_builds_equal_builds_from_zero(monkeypatch, args, capacity):
         else:
             whole = js.kappa_sequence(src, count).kappas
             assert list(map(float.hex, new)) == list(map(float.hex, whole[start:]))
+
+
+# The largest count whose kappa build succeeds, at max_terms 20000, 200, 63
+# and 40.  The coefficient horizon limits the first column, the budget the
+# others; (0.5, 0.5, 0.5) builds no table within 40 terms.
+CAPACITIES = {
+    (0.5, 0.5, 0.5): (832, 152, 15, 0),
+    (0.3, 0.3, 0.0): (482, 172, 35, 12),
+    (0.9, 0.9, 0.0): (361, 16, 5, 3),
+    (0.4, 0.2, 0.3): (645, 179, 42, 19),
+}
+
+
+def _count_raising_builds(monkeypatch):
+    import jacspec.charfn as charfn
+    raised = []
+    orig = charfn.kappa_sequence
+
+    def counted(src, count, **kwargs):
+        try:
+            return orig(src, count, **kwargs)
+        except js.ConvergenceError:
+            raised.append(count)
+            raise
+
+    monkeypatch.setattr(charfn, "kappa_sequence", counted)
+    return raised
+
+
+@pytest.mark.parametrize("args", sorted(CAPACITIES))
+@pytest.mark.parametrize("column, max_terms", enumerate((20000, 200, 63, 40)))
+def test_capacity_is_the_largest_count_that_builds(monkeypatch, args, column,
+                                                   max_terms):
+    # the first failed build fixes the capacity from the data the engine
+    # holds, with no further failing build; brute force agrees: a build
+    # from 0 of the capacity succeeds and one of a single entry more raises
+    src = js.ASC2Source(*args)
+    raised = _count_raising_builds(monkeypatch)
+    ev = js.CharFnEvaluator(src, max_terms)
+    assert ev.plan_terms(1000.0, 1e-300)[0] is None
+    ev.eval_grid([1.0, 50.0, 900.0])
+    capacity = CAPACITIES[args][column]
+    assert ev._capacity == capacity == len(ev._kappa)
+    assert len(raised) == 1
+    monkeypatch.undo()
+    if capacity:
+        js.kappa_sequence(src, capacity, max_terms=max_terms)
+    with pytest.raises(js.ConvergenceError):
+        js.kappa_sequence(src, capacity + 1, max_terms=max_terms)
+
+
+@pytest.mark.parametrize("args", sorted(CAPACITIES))
+def test_capacity_does_not_depend_on_the_growth_path(args):
+    # one direct build past the horizon and the doubling of term plans fix
+    # the same capacity and the same table, bit for bit
+    src = js.ASC2Source(*args)
+    direct = js.CharFnEvaluator(src)
+    assert not direct._grow(5000)
+    doubled = js.CharFnEvaluator(src)
+    doubled.plan_terms(1000.0, 1e-300)
+    assert direct._capacity == doubled._capacity == CAPACITIES[args][0]
+    assert list(map(float.hex, direct._kappa)) == \
+        list(map(float.hex, doubled._kappa))
 
 
 @pytest.mark.parametrize("args, k", [((0.5, 0.5, 0.5), 8), ((0.9, 0.9, 0.0), 6)])

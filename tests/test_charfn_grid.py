@@ -164,10 +164,11 @@ def _charfn_report(*argv):
 
 # SHA-256 of the reports with each partial-sum term formed as
 # ldexp(m_n u, e_n + round(log_scale / ln 2)) from w_n(0) = m_n 2^e_n; the
-# grid path gives them bit for bit, as the scalar eval does at every point
+# grid path gives them bit for bit, as the scalar eval does at every point.
+# The (0.5, 0.5, 0.5) tail bounds follow the exact kappa-table capacity, 832
 GOLDEN = {
     ("--q=0.5", "--a=0.5", "--shift=0.5", "--grid=-1.0:250.0:400"):
-        "1b1485e2adecb528b95d92f3734ce980dbe5c3866c76eec05cc5d0bd52ebec90",
+        "ff79b88a24e24ca4311614f6b5e4a69e977aaa5cd1cc86ab841b1c5090abcd26",
     ("--q=0.7", "--a=0.7", "--shift=0.0", "--grid=-1.0:40.0:400"):
         "a445fbbffc10644bb7c44e606366f3a8370170d9da8bf693bad5a3afdbc15e9a",
 }

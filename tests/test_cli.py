@@ -426,12 +426,16 @@ def test_config_malformed_family_or_grid_rejected(tmp_path, capsys, doc, message
       "--betas", "2,2,2"], "--alphas entry must be a number, got 'x'"),
     (["spectrum", "--k", "2", "--family", "explicit", "--alphas", "1,1",
       "--betas", "2,,2"], "--betas entry must be a number, got ''"),
+    # the span overflowed in linspace: nan and inf rows, exit 0
+    (["charfn", "--grid=-1e308:1e308:3"],
+     "grid span z_max - z_min must be finite, got -1e+308:1e+308"),
 ])
 def test_non_finite_flags_and_high_gamma_rejected(capsys, argv, message):
     # the nan grid and --atol inf used to exit 0, the others to exit 2 with
     # "-inf + inf in fsum"; --gamma 5 returned lambda_1 = 1.75 as certified;
     # verify --gamma 1.5 passed every check and --gamma 5 failed on P_1 = 0;
-    # malformed --grid, --alphas and --betas fields did not name the flag
+    # malformed --grid, --alphas and --betas fields did not name the flag;
+    # a grid whose span overflows printed nan and inf rows and exited 0
     code, out, err = run_cli(capsys, *argv, "--q", "0.5", "--a", "0.5")
     assert code == 2
     assert out == ""

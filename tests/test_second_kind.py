@@ -296,38 +296,50 @@ def test_failing_kappa_build_matches_the_reference():
     assert got.value.terms == 5914
 
 
-def test_repeated_failing_kappa_builds_skip_the_known_span(monkeypatch):
-    # the capacity search of CharFnEvaluator at (0.9, 0.9, 0) on one engine:
-    # each candidate stop reads ensure_terms once, and only the first failing
-    # build walks the candidates up to the horizon; the builds that succeed
-    # in between must not make the later failures rescan
+@pytest.mark.parametrize("q, a, shift, counts", [
+    (0.5, 0.5, 0.5, (64, 70, 134, 262, 518, 832)),
+    (0.3, 0.3, 0.0, (64, 70, 134, 262, 482)),
+    (0.9, 0.9, 0.0, (64, 70, 134, 262, 361)),
+    (0.4, 0.2, 0.3, (64, 70, 134, 262, 518, 645)),
+])
+def test_kappa_sequence_on_a_grown_engine_equals_a_fresh_build(q, a, shift,
+                                                               counts):
+    # the engine keeps its entries, and each call computes only those past
+    # them; every summary field equals that of a build from 0, bit for bit.
+    # A smaller count reads the held prefix, which is not always a build of
+    # that count from 0: a build's top few entries can differ by an ulp.
     from jacspec.second_kind import TailSeriesEngine
-    src = js.ASC2Source(0.9, 0.9, 0.0)
+    src = js.ASC2Source(q, a, shift)
     eng = TailSeriesEngine(src, 0.0)
-    calls = []
-    ensure = eng.ensure_terms
-    monkeypatch.setattr(eng, "ensure_terms",
-                        lambda count: calls.append(count) or ensure(count))
-    errors = []
-    for count in (518, 390, 326, 358, 374, 366, 390):
-        calls.clear()
-        try:
-            js.kappa_sequence(src, count, engine=eng)
-        except js.ConvergenceError as exc:
-            errors.append((str(exc), exc.terms, len(calls)))
-        else:
-            assert count in (326, 358)
-    assert errors[0][2] > 5000
-    # 390 checks 391..518, 374 checks 375..390, 366 checks 367..374; each
-    # then jumps to the horizon in one read
-    assert [e[2] for e in errors[1:]] == [129, 17, 9, 1]
-    assert {e[:2] for e in errors} == {(errors[0][0], 5914)}
+
+    def bits(seq):
+        return (list(map(float.hex, seq.kappas)),
+                list(map(float.hex, seq.partial_sums)),
+                seq.tail_estimate.hex(), seq.decay_ratio.hex())
+
+    for count in counts:
+        grown = js.kappa_sequence(src, count, engine=eng)
+        assert bits(grown) == bits(js.kappa_sequence(src, count))
+    assert len(eng.kappas) == counts[-1]
+    assert js.kappa_sequence(src, 10, engine=eng).kappas == eng.kappas[:10]
+
+
+@pytest.mark.parametrize("q, a, shift", [(0.5, 0.5, 0.5), (0.3, 0.3, 0.0),
+                                         (0.9, 0.9, 0.0), (0.4, 0.2, 0.3)])
+def test_every_entry_of_a_build_is_known_to_1e_15(q, a, shift):
+    # a build tests only its last entry; h_n / S_n falls with n at z = 0,
+    # so every entry below it must be known as well
+    from jacspec.second_kind import TailSeriesEngine, _kappa_sums
+    src = js.ASC2Source(q, a, shift)
+    for count in (1, 5, 17, 64, 70, 134, 262, 361):
+        s, h = _kappa_sums(TailSeriesEngine(src, 0.0), count, 20000, 0)
+        assert max(hn / sn for sn, hn in zip(s[:count], h[:count])) <= 1e-15
 
 
 @pytest.mark.parametrize("q, a, shift", [(0.5, 0.5, 0.5), (0.3, 0.3, 0.0)])
 def test_find_stop_memo_is_order_independent(q, a, shift):
-    # candidates known to fail are skipped; the stop found, and the error at
-    # the budget, are those of a search that scans every candidate
+    # searches on one engine in any order: the stop found, and the error at
+    # the budget, are those of a fresh search that scans every candidate
     from jacspec.second_kind import TailSeriesEngine
     src = js.ASC2Source(q, a, shift)
     eng = TailSeriesEngine(src, 0.0)
