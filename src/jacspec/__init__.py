@@ -6,22 +6,16 @@ eigenvalues and the Al-Salam--Carlitz II closed form.
 
 __version__ = "0.1.0"
 
-from .charfn import (CharFnEvaluator, CharFnValue, charfn_ratio,
-                     hadamard_product)
+from .charfn import CharFnEvaluator, CharFnValue, charfn_ratio
 from .errors import AssumptionViolation, ConvergenceError
-from .qseries import (QParams, asc2_orthonormal, asc2_series_vs_product,
-                      asc2_v, orthonormal_at_family_point,
-                      phi1_closed_form_check, qbinomial_check, qgauss_check,
-                      qpoch, qpoch_inf, second_kind_at_family_point,
-                      spectrum_product_reference, w_factorization_check,
-                      weyl_at_family_point)
+from .qseries import (QParams, phi1_closed_form_check, qbinomial_check,
+                      qgauss_check, qpoch_inf, spectrum_product_reference)
 from .second_kind import (KappaSequence, SecondKindTable, TraceInverse,
-                          kappa_sequence, second_kind_values, trace_inverse,
-                          weyl)
+                          kappa_sequence, second_kind_values, trace_inverse)
 from .sources import ASC2Source, CoefficientSource, TableSource
 from .spectrum import (SpectrumResult, TruncatedTridiagonal, find_spectrum,
                        sturm_counts, sturm_eigenvalues)
-from .verify import CheckResult, run_suite
+from .verify import CheckResult, run_suite, w_factorization_check
 
 __all__ = [
     "ASC2Source",
@@ -38,27 +32,18 @@ __all__ = [
     "TableSource",
     "TraceInverse",
     "TruncatedTridiagonal",
-    "asc2_orthonormal",
-    "asc2_series_vs_product",
-    "asc2_v",
     "charfn_ratio",
     "find_spectrum",
-    "hadamard_product",
     "kappa_sequence",
-    "orthonormal_at_family_point",
     "phi1_closed_form_check",
     "qbinomial_check",
     "qgauss_check",
-    "qpoch",
     "qpoch_inf",
     "run_suite",
-    "second_kind_at_family_point",
     "second_kind_values",
     "spectrum_product_reference",
     "sturm_counts",
     "sturm_eigenvalues",
     "trace_inverse",
     "w_factorization_check",
-    "weyl",
-    "weyl_at_family_point",
 ]

@@ -3,9 +3,8 @@
 Two independent evaluation methods are provided: the certified partial sum
 (truncation error bounded through the per-term estimate
 |w_n(0) P_n(z)| <= exp(|z| S) kappa_n with S an upper estimate of sum kappa)
-and the heuristic ratio limit P_n(z)/P_n(0) -> F(z).  A Hadamard product over
-known eigenvalues rounds out the cross-checking toolkit; the ASC-II closed
-form is qseries.spectrum_product_reference.
+and the heuristic ratio limit P_n(z)/P_n(0) -> F(z).  The ASC-II closed form
+is qseries.spectrum_product_reference.
 """
 
 from __future__ import annotations
@@ -18,10 +17,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import second_kind
-from .errors import AssumptionViolation, ConvergenceError
+from .errors import ConvergenceError
 from .recurrence import _LN2, _coeff_reader, _scaled_columns, _scaled_iter
 from .second_kind import (_RATIO_CAP, _RATIO_WINDOW, TailSeriesEngine,
-                          kappa_sequence)
+                          _zero_at_origin, kappa_sequence)
 from .sources import CoefficientSource, require_infinite
 
 # conservative working-precision constant for the summation noise estimate
@@ -72,13 +71,13 @@ class CharFnEvaluator:
     """Shared-state evaluator: one kappa table serves many z evaluations.
 
     The table is append-only: growth is serialized by a lock, and every
-    build is a kappa_sequence call on one z = 0 engine, which computes only
-    the entries past the table (the first build's total_upper is
-    kappa_sum_upper), so an entry never changes once published, and eval(z)
-    depends neither on earlier evaluations nor on thread timing.  The
-    capacity starts at max_terms; the first build that fails (budget,
-    coefficient horizon or no stable decay window) fixes it once, at the
-    largest count that builds, and grows the table to it.
+    build is a kappa_sequence call on one z = 0 engine, which holds the
+    table (engine.kappas) and computes only the entries past it (the first
+    build's total_upper is kappa_sum_upper), so an entry never changes once
+    published, and eval(z) depends neither on earlier evaluations nor on
+    thread timing.  The capacity starts at max_terms; the first build that
+    fails (budget, coefficient horizon or no stable decay window) fixes it
+    once, at the largest count that builds, and grows the table to it.
 
     The tail-series engine's _coeff_reader also serves eval and eval_grid,
     so each coefficient index is read from the source once per evaluator.
@@ -91,8 +90,8 @@ class CharFnEvaluator:
         self._engine = TailSeriesEngine(src, 0.0)
         self._read = self._engine.read
         self._grow_lock = threading.Lock()
-        self._kappa: list[float] = []
-        # w_n(0) = _w0_mant[n] * 2**_w0_exp[n], the mantissa signed
+        # w_n(0) = _w0_mant[n] * 2**_w0_exp[n], the mantissa signed, for the
+        # kappa_n of self._engine.kappas; len(_w0_mant) is the table size
         self._w0_mant: list[float] = []
         self._w0_exp: list[int] = []
         self._sum_upper: float | None = None
@@ -108,17 +107,17 @@ class CharFnEvaluator:
         capacity, which the first failed build fixes."""
         if count > self._capacity:
             return False
-        if count <= len(self._kappa):
+        if count <= len(self._w0_mant):
             return True
         with self._grow_lock:
             if count > self._capacity:
                 return False
-            if count <= len(self._kappa) or self._build(count):
+            if count <= len(self._w0_mant) or self._build(count):
                 return True
             # the first failure fixes the capacity, and the table grows to it
             capacity = second_kind._kappa_capacity(self._engine, count,
                                                    self.max_terms)
-            if capacity > len(self._kappa):
+            if capacity > len(self._w0_mant):
                 self._build(capacity)
             self._capacity = capacity
             return False
@@ -127,23 +126,21 @@ class CharFnEvaluator:
         """Extend the table to ``count`` entries through kappa_sequence on
         the engine, which computes only the new ones; False where the build
         fails.  The caller holds the lock."""
-        start = len(self._kappa)
+        start = len(self._w0_mant)
         try:
             seq = kappa_sequence(self.src, count, max_terms=self.max_terms,
                                  engine=self._engine)
         except ConvergenceError:
             return False
-        new = seq.kappas[start:]
+        if start == 0:
+            self._sum_upper = seq.total_upper
         lp, sp = self._engine.log_p, self._engine.sgn_p
-        for n, k in enumerate(new, start):
+        for n, k in enumerate(seq.kappas[start:], start):
             lw = math.log(k) - lp[n]  # log |w_n(0)|
             e = math.floor(lw / _LN2)
             self._w0_exp.append(e)
+            # _w0_mant is appended last: its length is what readers check
             self._w0_mant.append(sp[n] * math.exp(lw - e * _LN2))
-        # _kappa is extended last: its length is what readers check
-        self._kappa.extend(new)
-        if start == 0:
-            self._sum_upper = seq.total_upper
         return True
 
     @property
@@ -169,7 +166,7 @@ class CharFnEvaluator:
             return self._tails[n_terms]
         t = None
         if self._grow(n_terms + _RATIO_WINDOW + 1):
-            k = self._kappa
+            k = self._engine.kappas
             r = max(k[i + 1] / k[i] for i in range(n_terms - 1,
                                                    n_terms + _RATIO_WINDOW - 1))
             t = math.inf if r >= _RATIO_CAP else k[n_terms] / (1.0 - r)
@@ -222,7 +219,7 @@ class CharFnEvaluator:
         uncertified point."""
         n_terms, log_bound = self.plan_terms(z_abs, atol)
         certified = n_terms is not None
-        return _Plan(n_terms if certified else len(self._kappa), log_bound,
+        return _Plan(n_terms if certified else len(self._w0_mant), log_bound,
                      certified)
 
     def eval(self, z, atol: float = 1e-12) -> CharFnValue:
@@ -429,10 +426,6 @@ def _ratio_grid(src, zs: list, n_max: int) -> list[CharFnValue]:
             for z, cur, prev in zip(zs, iterates[-1], prevs)]
 
 
-def _zero_at_origin(n: int) -> AssumptionViolation:
-    return AssumptionViolation(f"P_{n}(0) = 0: source cannot be positive definite")
-
-
 def _ratio_iterate(uz, lz, u0, l0, zero):
     """P_n(z)/P_n(0) from the scaled values of both columns."""
     if uz == 0:
@@ -446,37 +439,3 @@ def _ratio_value(z, cur, prev, n_max: int) -> CharFnValue:
     noise = _NOISE_EPS * math.sqrt(max(n_max, 1)) * (1.0 + abs(cur))
     return CharFnValue(z=z, value=cur, tail_bound=diff, method="ratio_limit",
                        terms_used=n_max, certified=False, noise_estimate=noise)
-
-
-def hadamard_product(eigs, z, *, tail_ratio: float | None = None) -> CharFnValue:
-    """prod_n (1 - z / lambda_n) over the supplied eigenvalues with a tail bound.
-
-    The omitted factors are controlled through the geometric estimate of
-    sum 1/lambda beyond the last eigenvalue; if no ratio can be inferred
-    (fewer than two eigenvalues and no tail_ratio given) the value is exact
-    over the given factors but flagged uncertified.
-    """
-    eigs = list(eigs)
-    if not eigs:
-        raise ValueError("need at least one eigenvalue")
-    if any(e <= 0 for e in eigs):
-        raise ValueError("eigenvalues must be positive")
-    if any(b <= a for a, b in zip(eigs, eigs[1:])):
-        raise ValueError("eigenvalues must be strictly increasing")
-    value = 1.0 if not isinstance(z, complex) else 1.0 + 0.0j
-    for lam in eigs:
-        value *= 1.0 - z / lam
-    if tail_ratio is None and len(eigs) >= 2:
-        window = [eigs[i] / eigs[i + 1] for i in range(max(0, len(eigs) - 4),
-                                                       len(eigs) - 1)]
-        tail_ratio = max(window)
-    if tail_ratio is None or not tail_ratio < 1.0:
-        return CharFnValue(z=z, value=value, tail_bound=math.inf,
-                           method="hadamard_product", terms_used=len(eigs),
-                           certified=False)
-    tail_inv_sum = (1.0 / eigs[-1]) * tail_ratio / (1.0 - tail_ratio)
-    bound = abs(value) * math.expm1(abs(z) * tail_inv_sum)
-    return CharFnValue(z=z, value=value, tail_bound=bound,
-                       method="hadamard_product", terms_used=len(eigs),
-                       certified=True)
-

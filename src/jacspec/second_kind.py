@@ -1,5 +1,6 @@
-"""Functions of the second kind, the Weyl function, the kappa sequence
-kappa_n = w_n(0) P_n(0) and the trace of the inverse operator.
+"""Functions of the second kind w_n(z), whose first entry w_0(z) is the Weyl
+function w(z), the kappa sequence kappa_n = w_n(0) P_n(0) and the trace of
+the inverse operator.
 
 Everything is driven by the tail series
 
@@ -105,11 +106,6 @@ class TailSeriesEngine:
                     # log_t is published last: its length is what readers check
                     self.log_t.append(lt)
 
-    def term(self, j: int):
-        if self.log_t[j] == -math.inf:
-            return 0.0 * self.sgn_t[j]
-        return self.sgn_t[j] * _exp_cap(self.log_t[j])
-
     def term_ratio(self, j: int):
         """Signed ratio t_{j+1} / t_j."""
         mag = self.ratios[j]
@@ -140,17 +136,8 @@ class TailSeriesEngine:
         self.ensure_terms(max_terms)
         raise ConvergenceError(
             f"tail series not certified within {max_terms} terms at z={self.z}",
-            partial=self.partial_sum(max_terms),
             terms=max_terms,
         )
-
-    def partial_sum(self, count: int):
-        """-(t_0 + ... + t_{count-1}), summed exactly (fsum) per part."""
-        terms = [self.term(i) for i in range(count)]
-        if isinstance(self.z, complex):
-            return -complex(math.fsum(t.real for t in terms),
-                            math.fsum(t.imag for t in terms))
-        return -math.fsum(terms)
 
     def backward_sums(self, j_top: int, r_hat: float, low: int = 0):
         """S_n = sum_{j>=n} t_j / t_n for n = low..j_top, with half-width
@@ -199,25 +186,15 @@ def _validate_domain(src, z, gamma):
         raise ValueError(f"z = {zr} must lie strictly below gamma = {gamma}")
 
 
-def weyl(src: CoefficientSource, z, *, gamma: float | None = None,
-         atol: float = 1e-12, max_terms: int = 20000):
-    """Weyl function w(z) = -sum_j 1/(alpha_j P_j(z) P_{j+1}(z)).
-
-    Summed until the certified geometric tail drops below atol.  z must lie
-    strictly below the configured spectral lower bound gamma.
-    """
-    _validate_domain(src, z, gamma)
-    eng = TailSeriesEngine(src, z)
-    j_stop, _ = eng.find_stop(atol, max_terms)
-    return eng.partial_sum(j_stop + 1)
-
-
 def second_kind_values(src: CoefficientSource, z, count: int, *,
                        gamma: float | None = None, atol: float = 1e-12,
                        max_terms: int = 20000) -> SecondKindTable:
-    """Table of w_n(z) for n < count via the tail series, each with a bound.
+    """Table of w_n(z) for n < count via the tail series, each with a bound;
+    values[0] is the Weyl function w(z) = -sum_j 1/(alpha_j P_j(z) P_{j+1}(z)).
 
-    Cross-checkable against the alternative route w(z) P_n(z) + Q_n(z).
+    z must lie strictly below the configured spectral lower bound gamma, or
+    off the real axis (uncertified).  Cross-checkable against the
+    alternative route w(z) P_n(z) + Q_n(z).
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -288,11 +265,20 @@ def _kappa_sums(engine: TailSeriesEngine, count: int, max_terms: int,
             return s, h
 
 
+def _zero_at_origin(n: int) -> AssumptionViolation:
+    return AssumptionViolation(f"P_{n}(0) = 0: source cannot be positive definite")
+
+
 def _kappa_entries(engine: TailSeriesEngine, start: int, count: int,
                    max_terms: int) -> list[float]:
     """kappa_n = w_n(0) P_n(0) for start <= n < count (_kappa_sums).
-    AssumptionViolation where an entry is not positive or P_{n+1}(0) = 0,
-    which would contradict positive definiteness of the source."""
+    AssumptionViolation where P_{n+1}(0) = 0, checked before any sum is
+    formed, or where an entry is not positive: either contradicts positive
+    definiteness of the source."""
+    engine.ensure_terms(count + 1)
+    for n in range(start + 1, count + 1):
+        if engine.log_p[n] == -math.inf:
+            raise _zero_at_origin(n)
     s, _ = _kappa_sums(engine, count, max_terms, start)
     lp, sp, alphas = engine.log_p, engine.sgn_p, engine.alphas
     kappas = []

@@ -9,10 +9,10 @@ monotonicity pattern, the per-term growth bound, trace reconciliation against
 located eigenvalues, and the W W^T + I factorization of the ASC-II family.
 
 The four pure-recurrence identities (recurrence, Wronskian, Green, resolvent)
-run in mpmath only: at the requested precision when it is above 16 decimal
-digits, otherwise at 53 bits, float64's mantissa.  Their maxima therefore
-shrink with the precision, which separates genuine identity failures from
-round-off.
+and the W factorization run in mpmath only: at the requested precision when
+it is above 16 decimal digits, otherwise at 53 bits, float64's mantissa.
+Their maxima therefore shrink with the precision, which separates genuine
+identity failures from round-off.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import recurrence, second_kind
 from .errors import AssumptionViolation, ConvergenceError
-from .qseries import QParams, w_factorization_check
+from .qseries import QParams
 from .recurrence import log_table, plain_values
 from .sources import ASC2Source, CoefficientSource, TableSource
 from .spectrum import TruncatedTridiagonal, find_spectrum, sturm_counts
@@ -374,37 +374,47 @@ def _inverse_tail(lams) -> tuple[float, str]:
     return tail, "geometric"
 
 
+def w_factorization_check(params: QParams, n: int, digits: int = 0) -> float:
+    """Max entry gap of the factorization J = W W^T + I over the leading
+    n x n block of the ASC-II matrix, relative to its largest entry
+    (a + 1) q^-(n-1), in mpmath at ``digits`` (_mp_context).
+
+    W is lower bidiagonal with W_kk = sqrt(a) q^{-k/2} and
+    W_{k+1,k} = q^{-(k+1)/2} sqrt(1 - q^{k+1}).
+    """
+    if n < 2:
+        raise ValueError("block size must be at least 2")
+    ctx = _mp_context(digits)
+    q, a = ctx.mpf(params.q), ctx.mpf(params.a)
+
+    def w(m, k):  # W[m][k]
+        if k == m:
+            return ctx.sqrt(a) * q ** (-ctx.mpf(m) / 2)
+        if k == m - 1:
+            return q ** (-ctx.mpf(m) / 2) * ctx.sqrt(1 - q ** m)
+        return ctx.mpf(0)
+
+    worst = ctx.mpf(0)
+    for m in range(n):
+        for k in range(n):
+            acc = ctx.mpf(1) if m == k else ctx.mpf(0)
+            for j in range(min(m, k) + 1):
+                acc += w(m, j) * w(k, j)
+            if m == k:
+                acc -= (a + 1) * q ** (-k)
+            elif abs(m - k) == 1:
+                mk = min(m, k)
+                acc -= ctx.sqrt(a * q ** (-2 * mk - 1) * (1 - q ** (mk + 1)))
+            worst = max(worst, abs(acc))
+    return float(worst / ((a + 1) * q ** (-(n - 1))))
+
+
 def check_w_factorization(src, digits=0) -> CheckResult:
-    n_block = _W_BLOCK
     if not isinstance(src, ASC2Source):
         return _skip("w_factorization", _W_THRESHOLD,
                      "defined for the ASC-II family only")
-    if digits > 16:
-        ctx = _mp_context(digits)
-        q, a = ctx.mpf(src.q), ctx.mpf(src.a)
-        worst = ctx.mpf(0)
-        scale = (a + 1) * q ** (-(n_block - 1))
-        for m in range(n_block):
-            for n in range(n_block):
-                acc = ctx.mpf(1) if m == n else ctx.mpf(0)
-                for kk in range(min(m, n) + 1):
-                    wm = (ctx.sqrt(a) * q ** (-ctx.mpf(m) / 2) if kk == m
-                          else q ** (-ctx.mpf(m) / 2) * ctx.sqrt(1 - q ** m)
-                          if kk == m - 1 else ctx.mpf(0))
-                    wn = (ctx.sqrt(a) * q ** (-ctx.mpf(n) / 2) if kk == n
-                          else q ** (-ctx.mpf(n) / 2) * ctx.sqrt(1 - q ** n)
-                          if kk == n - 1 else ctx.mpf(0))
-                    acc += wm * wn
-                if m == n:
-                    acc -= (a + 1) * q ** (-n)
-                elif abs(m - n) == 1:
-                    mn = min(m, n)
-                    acc -= ctx.sqrt(a * q ** (-2 * mn - 1) * (1 - q ** (mn + 1)))
-                worst = max(worst, abs(acc))
-        return _result("w_factorization", float(worst / scale), _W_THRESHOLD,
-                       f"N = {n_block}")
-    gap = w_factorization_check(QParams(src.q, src.a), n_block)
-    return _result("w_factorization", gap, _W_THRESHOLD, f"N = {n_block}")
+    gap = w_factorization_check(QParams(src.q, src.a), _W_BLOCK, digits)
+    return _result("w_factorization", gap, _W_THRESHOLD, f"N = {_W_BLOCK}")
 
 
 def run_suite(src: CoefficientSource, *, gamma: float | None = None,

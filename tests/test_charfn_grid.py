@@ -116,6 +116,17 @@ def test_ratio_grid_raises_at_the_first_zero_of_p_n_at_origin():
     assert js.charfn_ratio(src, np.zeros(3))[0].value == 1.0
 
 
+def test_kappa_builds_raise_at_the_first_zero_of_p_n_at_origin():
+    # P_2(0) = 0 is found before any backward sum is formed, so neither call
+    # walks the term budget or meets an inf - inf in a sum
+    src = _ZeroAtTwo()
+    with pytest.raises(AssumptionViolation, match=r"^P_2\(0\) = 0") as seq:
+        js.kappa_sequence(src, 5)
+    with pytest.raises(AssumptionViolation) as ev:
+        js.CharFnEvaluator(src).eval(0.3)
+    assert str(ev.value) == str(seq.value)
+
+
 def test_huge_z_grid_is_warning_free():
     # RuntimeWarning is an error under pytest already; make it explicit so the
     # test also holds where that setting is absent
@@ -221,7 +232,7 @@ def test_terms_beyond_the_float_range_are_signed_infs_on_both_paths():
     assert _keys(js.CharFnEvaluator(src).eval_grid(zs, 1e-12)) == _keys(scalar)
     assert math.isfinite(scalar[0].value)
     assert all(v.value == math.inf for v in scalar[1:])
-    n = len(ev._kappa)
+    n = len(ev._engine.kappas)
     sums = charfn._grid_sums(_coeff_reader(src), zs, [n] * len(zs),
                              ev._w0_mant, ev._w0_exp)
     (total, _), (total_54, _), (total_56, top_56) = sums[:3]

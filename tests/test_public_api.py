@@ -16,21 +16,21 @@ PUBLIC_NAMES = [
     "ASC2Source", "AssumptionViolation", "CharFnEvaluator", "CharFnValue",
     "CheckResult", "CoefficientSource", "ConvergenceError", "KappaSequence",
     "QParams", "SecondKindTable", "SpectrumResult", "TableSource",
-    "TraceInverse", "TruncatedTridiagonal", "asc2_orthonormal",
-    "asc2_series_vs_product", "asc2_v", "charfn_ratio",
-    "find_spectrum", "hadamard_product",
-    "kappa_sequence", "orthonormal_at_family_point", "phi1_closed_form_check",
-    "qbinomial_check", "qgauss_check", "qpoch", "qpoch_inf", "run_suite",
-    "second_kind_at_family_point", "second_kind_values",
+    "TraceInverse", "TruncatedTridiagonal", "charfn_ratio", "find_spectrum",
+    "kappa_sequence", "phi1_closed_form_check", "qbinomial_check",
+    "qgauss_check", "qpoch_inf", "run_suite", "second_kind_values",
     "spectrum_product_reference", "sturm_counts", "sturm_eigenvalues",
-    "trace_inverse", "w_factorization_check", "weyl", "weyl_at_family_point",
+    "trace_inverse", "w_factorization_check",
 ]
 
 REMOVED_NAMES = ["ScaledPolyPair", "eval_phat", "eval_q", "GreenBlock",
                  "oracle_compare", "charfn_partial_sum", "qpochhammer_reference",
                  "eval_q_assoc", "q_assoc_forward", "green_block",
                  "jacobi_block", "resolvent_identity_check",
-                 "recurrence_residuals"]
+                 "recurrence_residuals", "weyl", "hadamard_product", "asc2_v",
+                 "asc2_orthonormal", "asc2_series_vs_product",
+                 "orthonormal_at_family_point", "weyl_at_family_point",
+                 "second_kind_at_family_point", "qpoch"]
 
 
 def test_readme_quick_example_runs():
@@ -50,9 +50,20 @@ def test_readme_quick_example_runs():
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 37
+    assert len(PUBLIC_NAMES) == 28
     assert sorted(js.__all__) == sorted(PUBLIC_NAMES)
     for name in js.__all__:
         assert getattr(js, name) is not None
     for name in REMOVED_NAMES:
         assert not hasattr(js, name), name
+
+
+def test_readme_maps_every_removed_name():
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"### Removed from the public API\n(.*?)\n#", text, re.S)
+    assert section is not None, "README has no removed-names section"
+    # every name quoted in the first cell of a table row
+    removed = set()
+    for cell in re.findall(r"^\| (.*?) \| .* \|$", section.group(1), re.M):
+        removed.update(re.findall(r"`(\w+)[`(.]", cell))
+    assert sorted(set(REMOVED_NAMES) - removed) == []

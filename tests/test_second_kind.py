@@ -5,31 +5,38 @@ import numpy as np
 import pytest
 
 import jacspec as js
+from asc2_reference import (orthonormal_at_family_point,
+                            second_kind_at_family_point)
 from conftest import (TRACE_Q5_SHIFTED, W2_AT_A_Q5, W_AT_A_Q5,
                       WEYL_SHIFTED_03)
 
 
+def weyl(src, z, **kw):
+    """The Weyl function w(z) = w_0(z), the first entry of a one-entry table."""
+    return js.second_kind_values(src, z, 1, **kw).values[0]
+
+
 def test_weyl_at_family_point(asc2_shifted):
     # shifted source at z = 0 is the unshifted matrix at x = a
-    w = js.weyl(asc2_shifted, 0.0, gamma=0.5, atol=1e-14)
+    w = weyl(asc2_shifted, 0.0, gamma=0.5, atol=1e-14)
     assert w == pytest.approx(W_AT_A_Q5, abs=2e-14)
-    closed = js.weyl_at_family_point(js.QParams(0.5, 0.5))
+    closed = second_kind_at_family_point(js.QParams(0.5, 0.5), 0)
     assert w == pytest.approx(closed, abs=2e-14)
 
 
 def test_weyl_positive_below_spectrum(asc2_shifted):
     for z in (-3.0, -1.0, 0.0, 0.3):
-        assert js.weyl(asc2_shifted, z, gamma=0.5) > 0.0
+        assert weyl(asc2_shifted, z, gamma=0.5) > 0.0
 
 
 def test_weyl_frozen_at_interior_point(asc2_shifted):
-    w = js.weyl(asc2_shifted, 0.3, gamma=0.5, atol=1e-13)
+    w = weyl(asc2_shifted, 0.3, gamma=0.5, atol=1e-13)
     assert w == pytest.approx(WEYL_SHIFTED_03, rel=1e-12)
 
 
 def test_weyl_matches_markov_limit(asc2_shifted):
     # -Q_50/P_50 approximates w at z = 0.3 to better than 1e-8
-    w = js.weyl(asc2_shifted, 0.3, gamma=0.5, atol=1e-12)
+    w = weyl(asc2_shifted, 0.3, gamma=0.5, atol=1e-12)
     lp, sp = js.recurrence.log_table(asc2_shifted, 0.3, 50)
     lq, sq = js.recurrence.log_table(asc2_shifted, 0.3, 50, second_kind=True)
     markov = -(sq[50] * sp[50]) * math.exp(lq[50] - lp[50])
@@ -38,28 +45,28 @@ def test_weyl_matches_markov_limit(asc2_shifted):
 
 def test_weyl_domain_validation(asc2_shifted):
     with pytest.raises(ValueError):
-        js.weyl(asc2_shifted, 0.8, gamma=0.5)
+        weyl(asc2_shifted, 0.8, gamma=0.5)
     with pytest.raises(ValueError):
-        js.weyl(asc2_shifted, 0.3)  # gamma required on the real axis
+        weyl(asc2_shifted, 0.3)  # gamma required on the real axis
 
 
 def test_weyl_rejects_tables():
     src = js.TableSource(alphas=[1.0] * 9, betas=[3.0] * 10)
     with pytest.raises(ValueError):
-        js.weyl(src, 0.0, gamma=1.0)
+        weyl(src, 0.0, gamma=1.0)
 
 
 def test_weyl_nonconvergence_budget(asc2_shifted):
     with pytest.raises(js.ConvergenceError) as exc:
-        js.weyl(asc2_shifted, 0.3, gamma=0.5, atol=1e-13, max_terms=8)
-    assert exc.value.partial is not None
+        weyl(asc2_shifted, 0.3, gamma=0.5, atol=1e-13, max_terms=8)
+    assert exc.value.terms == 8
 
 
 def test_weyl_complex_off_axis(asc2_shifted):
     # complex z is exposed (uncertified path); consistency against the
     # ratio limit -Q_n/P_n deep in the recurrence
     z = complex(0.3, 0.4)
-    w = js.weyl(asc2_shifted, z, atol=1e-13)
+    w = weyl(asc2_shifted, z, atol=1e-13)
     lp, sp = js.recurrence.log_table(asc2_shifted, z, 60)
     lq, sq = js.recurrence.log_table(asc2_shifted, z, 60, second_kind=True)
     markov = -(sq[60] / sp[60]) * math.exp(lq[60] - lp[60])
@@ -69,7 +76,7 @@ def test_weyl_complex_off_axis(asc2_shifted):
 def test_second_kind_complex_table(asc2_shifted):
     z = complex(-0.5, 1.0)
     table = js.second_kind_values(asc2_shifted, z, 6, atol=1e-12)
-    w = js.weyl(asc2_shifted, z, atol=1e-13)
+    w = weyl(asc2_shifted, z, atol=1e-13)
     assert table.values[0] == pytest.approx(w, rel=1e-10)
     # the component sequence must be square-summable: magnitudes decay
     mags = [abs(v) for v in table.values]
@@ -78,14 +85,14 @@ def test_second_kind_complex_table(asc2_shifted):
 
 def test_second_kind_first_entry_is_weyl(asc2_shifted):
     table = js.second_kind_values(asc2_shifted, -0.4, 5, gamma=0.5)
-    w = js.weyl(asc2_shifted, -0.4, gamma=0.5)
+    w = weyl(asc2_shifted, -0.4, gamma=0.5)
     assert table.values[0] == pytest.approx(w, rel=1e-12)
 
 
 def test_second_kind_closed_form_w2(asc2_shifted):
     table = js.second_kind_values(asc2_shifted, 0.0, 3, gamma=0.5, atol=1e-14)
     assert table.values[2] == pytest.approx(W2_AT_A_Q5, rel=1e-12)
-    closed = js.second_kind_at_family_point(js.QParams(0.5, 0.5), 2)
+    closed = second_kind_at_family_point(js.QParams(0.5, 0.5), 2)
     assert table.values[2] == pytest.approx(closed, rel=1e-12)
 
 
@@ -130,7 +137,7 @@ def test_kappa_positive_and_decaying(asc2_shifted):
 
 def test_kappa_first_is_weyl(asc2_shifted):
     seq = js.kappa_sequence(asc2_shifted, 5)
-    w = js.weyl(asc2_shifted, 0.0, gamma=0.5, atol=1e-14)
+    w = weyl(asc2_shifted, 0.0, gamma=0.5, atol=1e-14)
     assert seq.kappas[0] == pytest.approx(w, rel=1e-12)
 
 
@@ -139,8 +146,8 @@ def test_kappa_closed_form(asc2_shifted):
     params = js.QParams(0.5, 0.5)
     seq = js.kappa_sequence(asc2_shifted, 12)
     for n in range(12):
-        closed = js.second_kind_at_family_point(params, n) \
-            * js.orthonormal_at_family_point(params, n)
+        closed = second_kind_at_family_point(params, n) \
+            * orthonormal_at_family_point(params, n)
         assert seq.kappas[n] == pytest.approx(closed, rel=1e-11)
 
 
@@ -180,7 +187,7 @@ def test_trace_budget_failure(asc2_shifted):
 
 def test_trace_lower_bound_is_weyl(asc2_shifted):
     tr = js.trace_inverse(asc2_shifted, 1e-8)
-    w = js.weyl(asc2_shifted, 0.0, gamma=0.5)
+    w = weyl(asc2_shifted, 0.0, gamma=0.5)
     assert tr.value >= w
 
 

@@ -7,7 +7,8 @@ import jacspec as js
 from conftest import random_pd_table
 from jacspec.recurrence import log_table
 from jacspec.verify import (check_green_identity, check_resolvent_identity,
-                            check_trace_reconciliation, run_suite)
+                            check_trace_reconciliation, check_w_factorization,
+                            run_suite)
 
 
 def _by_name(results):
@@ -192,3 +193,16 @@ def test_green_rows_pass_where_the_cross_identity_cancels(params, digits):
     for check in (check_green_identity, check_resolvent_identity):
         r = check(src, digits=digits)
         assert r.passed and r.max_residual <= 1e-11, (check.__name__, r)
+
+
+@pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+@pytest.mark.parametrize("a_over_q", [1.0, 0.1])
+def test_w_factorization_one_path_at_both_precisions(q, a_over_q):
+    # one mpmath route: 53 bits by default, 30 digits on request, and the
+    # extended run's residual is the smaller one
+    src = js.ASC2Source(q, q * a_over_q, 0.0)
+    r53 = check_w_factorization(src, digits=0)
+    r30 = check_w_factorization(src, digits=30)
+    for r in (r53, r30):
+        assert r.passed and not r.skipped and r.max_residual <= 1e-12, r
+    assert r30.max_residual < r53.max_residual
