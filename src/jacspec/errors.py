@@ -2,14 +2,11 @@
 
 
 class ConvergenceError(RuntimeError):
-    """A certified series truncation could not be reached within the term budget.
+    """A certified series truncation could not be reached within the term
+    budget; ``terms`` is the budget or term count reached (may be None)."""
 
-    The partial result accumulated so far is stored in ``partial`` (may be None).
-    """
-
-    def __init__(self, message, partial=None, terms=None):
+    def __init__(self, message, terms=None):
         super().__init__(message)
-        self.partial = partial
         self.terms = terms
 
 

@@ -18,6 +18,9 @@ from .errors import AssumptionViolation
 
 # Per-factor truncation threshold for infinite q-Pochhammer products.
 _POCH_FACTOR_EPS = 2.0 ** -60
+# Term threshold and term budget of the 2phi1 sums.
+_SUM_ATOL = 1e-15
+_SUM_MAX_TERMS = 100_000
 
 
 @dataclass(frozen=True)
@@ -83,18 +86,19 @@ def qpoch_inf(x, q: float):
 # Basic hypergeometric sums and identity checks
 # ---------------------------------------------------------------------------
 
-def phi1(a, b, c, q: float, z, atol: float = 1e-15, max_terms: int = 100_000):
+def phi1(a, b, c, q: float, z):
     """2phi1(a, b; c; q, z) by direct summation.
 
-    Stops once ten consecutive terms fall below atol * (1 - r), r being the
-    observed term-magnitude ratio.  Raises on a vanishing denominator factor.
+    Stops once ten consecutive terms fall below 1e-15 (1 - r), r being the
+    observed term-magnitude ratio, or after 100,000 terms.  Raises on a
+    vanishing denominator factor.
     """
     term = 1.0 + 0.0j if any(isinstance(v, complex) for v in (a, b, c, z)) else 1.0
     total = term
     qj = 1.0
     r_hat = abs(q)
     small_run = 0
-    for l in range(max_terms):
+    for l in range(_SUM_MAX_TERMS):
         denom = (1.0 - c * qj) * (1.0 - q * qj)
         if denom == 0:
             raise ZeroDivisionError(f"2phi1 denominator vanishes at term {l + 1}")
@@ -104,7 +108,7 @@ def phi1(a, b, c, q: float, z, atol: float = 1e-15, max_terms: int = 100_000):
         qj *= q
         if prev > 0:
             r_hat = max(abs(term) / prev, abs(q))
-        if r_hat < 1.0 and abs(term) < atol * (1.0 - r_hat):
+        if r_hat < 1.0 and abs(term) < _SUM_ATOL * (1.0 - r_hat):
             small_run += 1
             if small_run >= 10:
                 break
@@ -113,12 +117,12 @@ def phi1(a, b, c, q: float, z, atol: float = 1e-15, max_terms: int = 100_000):
     return total
 
 
-def phi1_unit_argument(a, c, q: float, atol: float = 1e-15):
+def phi1_unit_argument(a, c, q: float):
     """2phi1(a, q; qc; q, q): the b = q case collapses to sum (a;q)_l q^l / (qc;q)_l."""
-    return phi1(a, q, q * c, q, q, atol=atol)
+    return phi1(a, q, q * c, q, q)
 
 
-def phi1_closed_form_check(a, c, q: float, atol: float = 1e-15):
+def phi1_closed_form_check(a, c, q: float):
     """Compare 2phi1(a, q; qc; q, q) against ((1-c)/(a-c)) (1 - (a;q)_inf/(c;q)_inf).
 
     Returns (lhs, rhs, gap).  At the removable singularity a = c the right side
@@ -127,7 +131,7 @@ def phi1_closed_form_check(a, c, q: float, atol: float = 1e-15):
     for k in range(64):
         if abs(c - q ** (-k)) <= 1e-13 * max(1.0, abs(c)):
             raise ValueError("c must avoid {1, 1/q, 1/q^2, ...}")
-    lhs = phi1_unit_argument(a, c, q, atol=atol)
+    lhs = phi1_unit_argument(a, c, q)
     if abs(a - c) <= 1e-12 * max(1.0, abs(c)):
         s = 0.0 if not isinstance(c, complex) else 0.0 + 0.0j
         qj = 1.0
@@ -140,7 +144,7 @@ def phi1_closed_form_check(a, c, q: float, atol: float = 1e-15):
     return lhs, rhs, abs(lhs - rhs)
 
 
-def qgauss_check(a, b, c, q: float, atol: float = 1e-15):
+def qgauss_check(a, b, c, q: float):
     """q-Gauss summation: 2phi1(a, b; c; q, c/(ab)) against its product form.
 
     Requires |c/(ab)| < 1 for convergence.  Returns (lhs, rhs, gap).
@@ -148,7 +152,7 @@ def qgauss_check(a, b, c, q: float, atol: float = 1e-15):
     z = c / (a * b)
     if not abs(z) < 1.0:
         raise ValueError(f"q-Gauss requires |c/(ab)| < 1, got {abs(z)}")
-    lhs = phi1(a, b, c, q, z, atol=atol)
+    lhs = phi1(a, b, c, q, z)
     rhs = (
         qpoch_inf(c / a, q)[0]
         * qpoch_inf(c / b, q)[0]
@@ -157,30 +161,17 @@ def qgauss_check(a, b, c, q: float, atol: float = 1e-15):
     return lhs, rhs, abs(lhs - rhs)
 
 
-def qbinomial_check(u, z, q: float, atol: float = 1e-15, max_terms: int = 100_000):
+def qbinomial_check(u, z, q: float):
     """q-binomial theorem: sum_l ((u;q)_l/(q;q)_l) z^l against (uz;q)_inf/(z;q)_inf.
 
-    Requires |z| < 1.  Returns (lhs, rhs, gap).
+    The left side is phi1 with b = c = 0.  Requires |z| < 1.  Returns
+    (lhs, rhs, gap).
     """
     if not abs(z) < 1.0:
         raise ValueError(f"q-binomial requires |z| < 1, got {abs(z)}")
-    term = 1.0 + 0.0j if any(isinstance(v, complex) for v in (u, z)) else 1.0
-    total = term
-    qj = 1.0
-    small_run = 0
-    r_hat = abs(z)
-    for l in range(max_terms):
-        term = term * (1.0 - u * qj) * z / (1.0 - q * qj)
-        total += term
-        qj *= q
-        if r_hat < 1.0 and abs(term) < atol * (1.0 - r_hat):
-            small_run += 1
-            if small_run >= 10:
-                break
-        else:
-            small_run = 0
+    lhs = phi1(u, 0.0, 0.0, q, z)
     rhs = qpoch_inf(u * z, q)[0] / qpoch_inf(z, q)[0]
-    return total, rhs, abs(total - rhs)
+    return lhs, rhs, abs(lhs - rhs)
 
 
 def spectrum_product_reference(z, q: float, shift: float = 0.0):

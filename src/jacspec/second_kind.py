@@ -379,7 +379,6 @@ def trace_inverse(src: CoefficientSource, atol: float, *,
     the count doubles from 32 on one engine, which computes each entry once."""
     count = 32
     engine = TailSeriesEngine(src, 0.0)
-    seq = None
     while count <= max_terms:
         seq = kappa_sequence(src, count, max_terms=max_terms, engine=engine)
         if seq.decay_ratio < _RATIO_CAP and seq.tail_estimate <= atol:
@@ -388,6 +387,4 @@ def trace_inverse(src: CoefficientSource, atol: float, *,
         count *= 2
     raise ConvergenceError(
         f"trace tail not below {atol} within {max_terms} terms",
-        partial=seq.partial_sums[-1] if seq else None,
-        terms=max_terms,
-    )
+        terms=max_terms)

@@ -40,6 +40,11 @@ class CoefficientSource:
     def is_finite(self) -> bool:
         return self.max_pair_index is not None
 
+    @property
+    def natural_gamma(self) -> float | None:
+        """Lower spectral bound of J - shift the family implies, or None."""
+        return None
+
 
 @dataclass(frozen=True)
 class ASC2Source(CoefficientSource):

@@ -5,10 +5,10 @@ The truncation oracle uses Sturm sign-count bisection on the leading N x N
 block; its eigenvalues are the roots of P_N and decrease monotonically to the
 operator eigenvalues as N grows.  find_spectrum brackets each eigenvalue with
 a two-size truncation ladder, confirms a certified sign change of the
-characteristic function inside the bracket, and bisects.  Where the certified
-evaluation is infeasible within the term budget (the exp(|z| S) factor in the
-tail certificate grows with the eigenvalue), the oracle value is reported with
-explicit provenance instead.
+characteristic function inside the bracket, and bisects.  Where F cannot
+certify a sign, out of the term budget (the exp(|z| S) tail factor grows with
+the eigenvalue) or at the float64 summation noise floor, the oracle value is
+reported with explicit provenance instead.
 """
 
 from __future__ import annotations
@@ -281,8 +281,9 @@ class SpectrumResult:
 
     methods[j] is "charfn-bisection" for eigenvalues confirmed by a certified
     sign change of the characteristic function, "oracle-ladder" where the
-    certificate was out of budget and the stabilized truncation value stands,
-    and "unresolved" for indices that also appear in ``unresolved``.
+    stabilized truncation value stands, and "unresolved" for indices that
+    also appear in ``unresolved``: an index F could not certify under
+    "require", or a same-sign contradiction (see find_spectrum).
     residuals/tail_bounds are NaN whenever no F evaluation backs the entry.
     """
 
@@ -412,11 +413,14 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
     """Locate the k smallest eigenvalues as certified zeros of F.
 
     confirm:
-      "auto"    certify by F sign change wherever the tail certificate fits
-                the term budget, otherwise report the oracle value with
-                "oracle-ladder" provenance;
-      "require" treat an out-of-budget certificate as an unresolved index;
+      "auto"    certify by F sign change where F can certify a sign; where it
+                cannot, out of the term budget or at the summation noise
+                floor, report the oracle value as "oracle-ladder";
+      "require" treat an index out of budget or at the noise floor as
+                unresolved;
       "oracle"  skip F entirely (truncation ladder only).
+    A same-sign contradiction (F certifies one sign at both ends of the
+    widened bracket) is unresolved under "auto" and "require".
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -428,7 +432,7 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
     if k == 0:
         return res
     check_spectral_config(src)
-    if gamma is None and isinstance(src, ASC2Source):
+    if gamma is None:
         gamma = src.natural_gamma
 
     otol = max(tol * 1e-3, 1e-15)
@@ -471,48 +475,51 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
         lo = max(lo, lo_clamp)
         hi = min(hi, hi_clamp)
 
-        if confirm == "oracle":
-            _push_oracle(res, j, lam_oracle, (lo, hi))
-            continue
-
-        slope = _slope_estimate(j, res.oracle_values, tail_ratio)
-        target_atol = max(0.02 * slope * tol, 1e-280)
-        if evaluator.plan_terms(abs(hi), target_atol)[0] is None:
-            if confirm == "require":
-                res.unresolved.append(j + 1)
-                _push_oracle(res, j, lam_oracle, (lo, hi), method="unresolved")
-            else:
-                _push_oracle(res, j, lam_oracle, (lo, hi))
-            continue
-
-        located = _bisect_zero(evaluator, lo, hi, lo_clamp, hi_clamp,
-                               tol, target_atol)
-        if located is None:
-            res.unresolved.append(j + 1)
-            _push_oracle(res, j, lam_oracle, (lo, hi), method="unresolved")
-            continue
-        lam, bracket = located
-        final = evaluator.eval(lam, target_atol)
-        res.eigenvalues.append(lam)
-        res.residuals.append(abs(final.value))
-        res.tail_bounds.append(final.tail_bound)
-        res.brackets.append(bracket)
-        res.oracle_gaps.append(abs(lam - lam_oracle))
-        res.methods.append("charfn-bisection")
+        outcome = "no-sign"  # F certifies nothing out of budget or under "oracle"
+        if confirm != "oracle":
+            slope = _slope_estimate(j, res.oracle_values, tail_ratio)
+            target_atol = max(0.02 * slope * tol, 1e-280)
+            if evaluator.plan_terms(abs(hi), target_atol)[0] is not None:
+                outcome, lam, bracket = _bisect_zero(
+                    evaluator, lo, hi, lo_clamp, hi_clamp, tol, target_atol)
+        method = _provenance(confirm, outcome)
+        if method == "charfn-bisection":
+            final = evaluator.eval(lam, target_atol)
+            _push_row(res, j, method, lam, bracket, abs(final.value),
+                      final.tail_bound, abs(lam - lam_oracle))
+        else:
+            _push_row(res, j, method, lam_oracle, (lo, hi))
     return res
 
 
-def _push_oracle(res, j, lam, bracket, method="oracle-ladder"):
+def _provenance(confirm, outcome):
+    """The one map from (policy, _bisect_zero outcome) to an index's method."""
+    if confirm == "oracle" or (confirm == "auto" and outcome == "no-sign"):
+        return "oracle-ladder"
+    return "charfn-bisection" if outcome == "certified" else "unresolved"
+
+
+def _push_row(res, j, method, lam, bracket, residual=math.nan,
+              tail_bound=math.nan, gap=0.0):
+    """Append index j's row; an "unresolved" one also adds j + 1 to
+    res.unresolved."""
+    if method == "unresolved":
+        res.unresolved.append(j + 1)
     res.eigenvalues.append(lam)
-    res.residuals.append(math.nan)
-    res.tail_bounds.append(math.nan)
+    res.residuals.append(residual)
+    res.tail_bounds.append(tail_bound)
     res.brackets.append(bracket)
-    res.oracle_gaps.append(0.0)
+    res.oracle_gaps.append(gap)
     res.methods.append(method)
 
 
 def _bisect_zero(evaluator, lo, hi, lo_clamp, hi_clamp, tol, atol):
-    """Certified-sign bisection; returns (lambda, (lo, hi)) or None."""
+    """Certified-sign bisection; returns (outcome, lambda, (lo, hi)).
+
+    "certified" comes with the zero and its bracket; "no-sign" (F certified
+    no sign, at an end after widening or at a midpoint) and "same-sign" (one
+    certified sign at both ends, contradicting the oracle) with None, None.
+    """
     s_lo = evaluator.certified_sign(lo, atol)[0]
     s_hi = evaluator.certified_sign(hi, atol)[0]
     widen = 0
@@ -523,8 +530,10 @@ def _bisect_zero(evaluator, lo, hi, lo_clamp, hi_clamp, tol, atol):
         hi = min(hi + base * 2.0 ** widen, hi_clamp)
         s_lo = evaluator.certified_sign(lo, atol)[0]
         s_hi = evaluator.certified_sign(hi, atol)[0]
-    if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
-        return None
+    if s_lo == 0 or s_hi == 0:
+        return "no-sign", None, None
+    if s_lo == s_hi:
+        return "same-sign", None, None
     bracket = (lo, hi)
     while True:
         width = hi - lo
@@ -546,10 +555,9 @@ def _bisect_zero(evaluator, lo, hi, lo_clamp, hi_clamp, tol, atol):
         if s_mid == 0:
             if width <= 8.0 * tol:
                 break
-            return None
+            return "no-sign", None, None
         if s_mid == s_lo:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi), bracket
-
+    return "certified", 0.5 * (lo + hi), bracket

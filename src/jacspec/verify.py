@@ -427,7 +427,7 @@ def run_suite(src: CoefficientSource, *, gamma: float | None = None,
     The margin, 1e-12 of |gamma| + |shift|, covers the rounding of the
     shifted entries.
     """
-    if gamma is None and isinstance(src, ASC2Source):
+    if gamma is None:
         gamma = src.natural_gamma
     if gamma is not None and not src.is_finite:
         t = TruncatedTridiagonal.from_source(src, 24)

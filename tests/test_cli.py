@@ -60,6 +60,39 @@ def test_spectrum_require_exit_code(capsys):
 
 
 @pytest.mark.parametrize("confirm, code, n_rows", [
+    ("auto", 0, 8), ("require", 4, 0)])
+def test_spectrum_at_the_noise_floor(capsys, confirm, code, n_rows):
+    # F cannot certify a sign at any of these indices: under auto each takes
+    # the oracle value, under require each is unresolved
+    got, out, err = run_cli(
+        capsys, "spectrum", "--q", "0.8432", "--a", "0.5243",
+        "--shift=-0.7103", "--k", "8", "--eig-tol", "1e-9",
+        "--confirm", confirm)
+    assert got == code
+    rows = parse_csv(out)
+    assert len(rows) == n_rows
+    for n, row in enumerate(rows):
+        ref = 0.8432 ** -n + 0.7103
+        assert abs(float(row["lambda"]) - ref) <= 1e-9 + 1e-12 * ref
+        assert row["residual"] == "nan"
+    if confirm == "require":
+        assert "unresolved eigenvalue indices: [1, 2, 3, 4, 5, 6, 7, 8]" in err
+
+
+def test_spectrum_same_sign_contradiction_exits_3(capsys, monkeypatch):
+    # F certifying +1 everywhere contradicts the oracle: unresolved even
+    # under auto
+    from jacspec.charfn import CharFnEvaluator
+    monkeypatch.setattr(CharFnEvaluator, "certified_sign",
+                        lambda self, x, atol: (1, None))
+    code, out, err = run_cli(capsys, "spectrum", "--q", "0.5", "--a", "0.5",
+                             "--shift", "0.5", "--k", "2")
+    assert code == 3
+    assert parse_csv(out) == []
+    assert "unresolved eigenvalue indices: [1, 2]" in err
+
+
+@pytest.mark.parametrize("confirm, code, n_rows", [
     ("auto", 0, 3), ("require", 4, 0)])
 def test_spectrum_without_a_kappa_table(capsys, confirm, code, n_rows):
     # at max_terms 40 no kappa table of (0.5, 0.5, 0.5) reaches a stable decay

@@ -251,6 +251,78 @@ def test_confirm_require_reports_unresolved(asc2_shifted):
     assert res.unresolved  # indices beyond the certification budget
 
 
+# Inside the certified regime near q = 0.8 the term plan fits the budget, but
+# at some indices F's sign stays below the float64 summation noise floor, at
+# an end of the widened bracket or at a bisection midpoint.  The indices F
+# certifies at k = 8, tol = 1e-9:
+_NOISE_FLOOR = {
+    (0.8432, 0.5243, -0.7103): [],
+    (0.8407, 0.0832, -0.1241): [1],
+    (0.7956, 0.5928, -0.5579): [1, 2, 7, 8],
+}
+
+
+@pytest.mark.parametrize("params", sorted(_NOISE_FLOOR))
+def test_confirm_auto_falls_back_at_the_noise_floor(params):
+    q, a, shift = params
+    res = js.find_spectrum(js.ASC2Source(q, a, shift), 8, 1e-9)
+    assert res.ok
+    certified = _NOISE_FLOOR[params]
+    assert res.methods == ["charfn-bisection" if j in certified
+                           else "oracle-ladder" for j in range(1, 9)]
+    for n, lam in enumerate(res.eigenvalues):
+        ref = q ** -n - shift
+        assert abs(lam - ref) <= 1e-9 + 1e-12 * abs(ref)
+    for j, method in enumerate(res.methods):
+        if method == "oracle-ladder":  # the oracle value, no F behind it
+            assert res.eigenvalues[j] == res.oracle_values[j]
+            assert math.isnan(res.residuals[j]) and res.oracle_gaps[j] == 0.0
+
+
+@pytest.mark.parametrize("params", sorted(_NOISE_FLOOR))
+def test_confirm_require_leaves_noise_floor_indices_unresolved(params):
+    res = js.find_spectrum(js.ASC2Source(*params), 8, 1e-9, confirm="require")
+    certified = _NOISE_FLOOR[params]
+    assert res.unresolved == [j for j in range(1, 9) if j not in certified]
+    assert res.methods == ["charfn-bisection" if j in certified
+                           else "unresolved" for j in range(1, 9)]
+
+
+@pytest.fixture
+def same_sign_everywhere(monkeypatch):
+    """F certifies +1 at every point, which no bracket of a zero allows."""
+    monkeypatch.setattr(js.CharFnEvaluator, "certified_sign",
+                        lambda self, x, atol: (1, None))
+
+
+@pytest.mark.parametrize("confirm, methods", [
+    ("auto", ["unresolved"] * 2), ("require", ["unresolved"] * 2),
+    ("oracle", ["oracle-ladder"] * 2)])
+def test_same_sign_at_both_ends_is_unresolved(same_sign_everywhere, confirm,
+                                              methods):
+    # a certified sign that contradicts the oracle is no noise-floor case:
+    # auto does not fall back on it
+    res = js.find_spectrum(js.ASC2Source(0.5, 0.5, 0.5), 2, 1e-9,
+                           confirm=confirm)
+    assert res.methods == methods
+    assert res.unresolved == ([] if confirm == "oracle" else [1, 2])
+    assert res.eigenvalues == res.oracle_values
+
+
+@pytest.mark.parametrize("confirm, outcome, method", [
+    ("auto", "certified", "charfn-bisection"),
+    ("auto", "no-sign", "oracle-ladder"),
+    ("auto", "same-sign", "unresolved"),
+    ("require", "certified", "charfn-bisection"),
+    ("require", "no-sign", "unresolved"),
+    ("require", "same-sign", "unresolved"),
+    ("oracle", "no-sign", "oracle-ladder"),
+])
+def test_provenance_of_each_policy_and_outcome(confirm, outcome, method):
+    from jacspec.spectrum import _provenance
+    assert _provenance(confirm, outcome) == method
+
+
 def test_truncation_guard_nonfinite():
     src = js.ASC2Source(q=0.3, a=0.3)
     with pytest.raises(ValueError):
