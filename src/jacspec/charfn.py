@@ -112,26 +112,27 @@ class CharFnEvaluator:
         with self._grow_lock:
             if count > self._capacity:
                 return False
-            if count <= len(self._w0_mant) or self._build(count):
+            if count <= len(self._w0_mant):
                 return True
-            # the first failure fixes the capacity, and the table grows to it
-            capacity = second_kind._kappa_capacity(self._engine, count,
-                                                   self.max_terms)
+            try:
+                self._build(count)
+                return True
+            except ConvergenceError as exc:
+                # the first failure fixes the capacity, and the table grows to it
+                capacity = second_kind._kappa_capacity(self._engine, count,
+                                                       self.max_terms, exc)
             if capacity > len(self._w0_mant):
                 self._build(capacity)
             self._capacity = capacity
             return False
 
-    def _build(self, count: int) -> bool:
+    def _build(self, count: int) -> None:
         """Extend the table to ``count`` entries through kappa_sequence on
-        the engine, which computes only the new ones; False where the build
-        fails.  The caller holds the lock."""
+        the engine, which computes only the new ones; a failed build raises
+        its ConvergenceError.  The caller holds the lock."""
         start = len(self._w0_mant)
-        try:
-            seq = kappa_sequence(self.src, count, max_terms=self.max_terms,
-                                 engine=self._engine)
-        except ConvergenceError:
-            return False
+        seq = kappa_sequence(self.src, count, max_terms=self.max_terms,
+                             engine=self._engine)
         if start == 0:
             self._sum_upper = seq.total_upper
         lp, sp = self._engine.log_p, self._engine.sgn_p
@@ -141,7 +142,6 @@ class CharFnEvaluator:
             self._w0_exp.append(e)
             # _w0_mant is appended last: its length is what readers check
             self._w0_mant.append(sp[n] * math.exp(lw - e * _LN2))
-        return True
 
     @property
     def kappa_sum_upper(self) -> float:

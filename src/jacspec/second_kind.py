@@ -47,7 +47,9 @@ class TailSeriesEngine:
     the kappa sequence and the characteristic-function evaluator; each prefix
     is immutable once built, so concurrent readers are safe.  read is the
     engine's _coeff_reader of src; an owner may run its own recurrences on
-    it, so that each coefficient index is fetched from src once.
+    it, so that each coefficient index is fetched from src once.  kappas is
+    kappa_sequence's table, grown by one build at a time under _kappa_lock,
+    which is taken before the growth lock.
     """
 
     def __init__(self, src: CoefficientSource, z):
@@ -64,7 +66,8 @@ class TailSeriesEngine:
         self.sgn_t: list = []
         self.ratios: list[float] = []  # |t_{j+1} / t_j|, one per built pair
         self._horizon: str | None = None  # message once the horizon is hit
-        self.kappas: list[float] = []  # kappa_sequence's table; one build at a time
+        self._kappa_lock = threading.Lock()
+        self.kappas: list[float] = []
 
     def ensure_terms(self, count: int) -> None:
         """Extend so that terms t_0 .. t_{count-1} are available.
@@ -257,12 +260,18 @@ def _kappa_sums(engine: TailSeriesEngine, count: int, max_terms: int,
     known to 1e-15 relative, else ConvergenceError.  At z = 0 every ratio is
     positive and S_n >= 1, so h_n / S_n falls with n: the lower entries are
     known as well.  low only sets where the sums stop, so no entry, and no
-    count's success, depends on the entries built before."""
+    count's success, depends on the entries built before.  A
+    ConvergenceError raised after the stop is known carries it as ``stop``
+    (see _kappa_capacity)."""
     j_stop, r_hat = stop or engine.find_stop(1e-12, max_terms, count + 1)
-    for j_top in _sum_tops(j_stop, max_terms):
-        s, h = engine.backward_sums(j_top, r_hat, low=low)
-        if not _relative_width(s[count - 1 - low], h[count - 1 - low]) > 1e-15:
-            return s, h
+    try:
+        for j_top in _sum_tops(j_stop, max_terms):
+            s, h = engine.backward_sums(j_top, r_hat, low=low)
+            if not _relative_width(s[count - 1 - low], h[count - 1 - low]) > 1e-15:
+                return s, h
+    except ConvergenceError as exc:
+        exc.stop = j_stop
+        raise
 
 
 def _zero_at_origin(n: int) -> AssumptionViolation:
@@ -295,28 +304,23 @@ def _kappa_entries(engine: TailSeriesEngine, start: int, count: int,
     return kappas
 
 
-def _kappa_capacity(engine: TailSeriesEngine, failed: int,
-                    max_terms: int) -> int:
+def _kappa_capacity(engine: TailSeriesEngine, failed: int, max_terms: int,
+                    error: ConvergenceError) -> int:
     """The largest count a kappa build on engine reaches, given that the
-    build of ``failed`` entries raised, with no further build: one scan
-    lists the stops from the held entries to the failed build's own, if
-    any, and the counts in between are bisected on _kappa_sums from each
-    count's stop down to its last entry only.
+    build of ``failed`` entries raised ``error``, with no further build.
+
+    Whether a candidate passes find_stop depends only on it, so the stop of
+    a smaller count is at most the failed build's own (error.stop, see
+    _kappa_sums), or at most ``failed`` where that build's search found
+    none.  The counts in between are bisected, each with its stop search
+    capped there and _kappa_sums run down to its last entry only.
     """
     held = len(engine.kappas)
-    stops, j = [], held  # stops as (J, r_hat)
-    try:
-        while j <= failed:
-            stops.append(engine.find_stop(1e-12, max_terms, min_terms=j + 1))
-            j = stops[-1][0]
-    except ConvergenceError:
-        pass  # no stop past j
+    bound = min(getattr(error, "stop", failed) + 1, max_terms)
 
     def fails(count: int) -> bool:
-        stop = next((s for s in stops if s[0] > count), None)
-        if stop is None:
-            return True
         try:
+            stop = engine.find_stop(1e-12, bound, min_terms=count + 1)
             _kappa_sums(engine, count, max_terms, count - 1, stop)
         except ConvergenceError:
             return True
@@ -347,15 +351,16 @@ def kappa_sequence(src: CoefficientSource, count: int, *,
     """First ``count`` kappa values with partial sums and a decay-based tail.
 
     engine, when given, is a z = 0 TailSeriesEngine of src whose entries
-    (engine.kappas) are kept, so calls on it compute each entry once.
-    Signals AssumptionViolation if a computed kappa is not positive.
+    (engine.kappas) are kept, so calls on it compute each entry once;
+    calls from several threads build one at a time.  Signals AssumptionViolation if a computed kappa is not positive.
     """
     if count < 1:
         raise ValueError("count must be positive")
     eng = engine if engine is not None else TailSeriesEngine(src, 0.0)
-    held = len(eng.kappas)
-    if count > held:
-        eng.kappas.extend(_kappa_entries(eng, held, count, max_terms))
+    with eng._kappa_lock:
+        held = len(eng.kappas)
+        if count > held:
+            eng.kappas.extend(_kappa_entries(eng, held, count, max_terms))
     kappas = eng.kappas[:count]
     sums = list(itertools.accumulate(kappas))
     decay = max((kappas[i + 1] / kappas[i]

@@ -164,7 +164,7 @@ def sturm_counts(t: TruncatedTridiagonal, xs, *, limit=None) -> np.ndarray:
 
 
 def sturm_eigenvalues(t: TruncatedTridiagonal, k: int, tol: float = 1e-10,
-                      max_iter: int = 3000, *, hint=None) -> np.ndarray:
+                      *, hint=None) -> np.ndarray:
     """The k smallest eigenvalues of the block, each within tol (or a few ulp).
 
     One-step bisection on the Sturm count from the Gershgorin interval, each
@@ -182,9 +182,10 @@ def sturm_eigenvalues(t: TruncatedTridiagonal, k: int, tol: float = 1e-10,
     256 shifts in all, so a cold start, where all k brackets are the
     Gershgorin interval, goes 8 levels deep.  The steps are those of
     one-step bisection with the same stopping tests, so the roots equal its
-    roots bit for bit, and max_iter counts each bracket's bisection steps,
-    not sweeps.  The steps only ask count >= target, so each sweep
-    saturates at the largest live target (see sturm_counts).
+    roots bit for bit.  tol is at least the pivot floor of 5e-308, so each
+    bracket stops after fewer than 2,100 halvings of its finite Gershgorin
+    interval.  The steps only ask count >= target, so each sweep saturates
+    at the largest live target (see sturm_counts).
 
     hint: approximate roots, e.g. those of a smaller truncation, which
     interlace as x_{N,j} >= x_{2N,j}.  One extra sweep first counts the
@@ -212,7 +213,6 @@ def sturm_eigenvalues(t: TruncatedTridiagonal, k: int, tol: float = 1e-10,
         radius[1:] += a
     lo = [float(np.min(t.diag - radius))] * k
     hi = [float(np.max(t.diag + radius))] * k
-    steps = [0] * k
     up = np.full(k, np.inf)  # up[j-1]: least swept shift with count >= j
     down = np.full(k, -np.inf)  # down[j-1]: largest swept shift with count < j
 
@@ -239,8 +239,8 @@ def sturm_eigenvalues(t: TruncatedTridiagonal, k: int, tol: float = 1e-10,
         ups, downs = up.tolist(), down.tolist()
         waiting = []
         for j in live:
-            x_lo, x_hi, used = lo[j], hi[j], steps[j]
-            while used < max_iter:
+            x_lo, x_hi = lo[j], hi[j]
+            while True:
                 # stop at width <= max(tol, 4 ulp(max(|lo|, |hi|))) or once
                 # the midpoint is no longer strictly inside
                 mid = 0.5 * (x_lo + x_hi)
@@ -255,15 +255,13 @@ def sturm_eigenvalues(t: TruncatedTridiagonal, k: int, tol: float = 1e-10,
                 else:
                     waiting.append(j)
                     break
-                used += 1
-            lo[j], hi[j], steps[j] = x_lo, x_hi, used
+            lo[j], hi[j] = x_lo, x_hi
         if not waiting:
             return 0.5 * (np.array(lo) + np.array(hi))
         live = waiting
         pairs = sorted({(lo[j], hi[j]) for j in live})
         m = len(pairs)
-        depth = min(max(1, (_SWEEP_POINTS // m + 1).bit_length() - 1),
-                    max_iter - min(steps[j] for j in live))
+        depth = max(1, (_SWEEP_POINTS // m + 1).bit_length() - 1)
         # halve every subinterval of each bracket depth times; the inner
         # edges are then the 2**depth - 1 midpoints of its tree
         edges = np.array(pairs)

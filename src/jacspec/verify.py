@@ -291,13 +291,15 @@ def check_kappa_monotonic(src, max_terms=20000) -> CheckResult:
     if src.is_finite:
         return _skip("kappa_positivity_monotonic", 0.0,
                      "requires an unbounded coefficient family")
+    engine = second_kind.TailSeriesEngine(src, 0.0)
     try:
-        seq = second_kind.kappa_sequence(src, n_max + 1, max_terms=max_terms)
+        seq = second_kind.kappa_sequence(src, n_max + 1, max_terms=max_terms,
+                                         engine=engine)
     except AssumptionViolation as exc:
         return CheckResult(name="kappa_positivity_monotonic", passed=False,
                            skipped=False, max_residual=math.inf, threshold=0.0,
                            note=str(exc))
-    logs_p, _ = log_table(src, 0.0, n_max + 1)
+    logs_p = engine.log_p  # log|P_n(0)| of the build's own recurrence
     ratio_logs = [math.log(k) - 2.0 * logs_p[n] for n, k in enumerate(seq.kappas)]
     worst = 0.0
     for i in range(len(ratio_logs) - 1):
@@ -312,10 +314,10 @@ def check_per_term_bound(src, max_terms=20000) -> CheckResult:
     if src.is_finite:
         return _skip("per_term_growth_bound", 0.0,
                      "requires an unbounded coefficient family")
-    seq = second_kind.kappa_sequence(src, n_max + 1, max_terms=max_terms)
-    # log w_n(0) = log kappa_n - log|P_n(0)|; entry n_max of a table one
-    # longer comes from the same iterate as the kappa engine's
-    logs_0, _ = log_table(src, 0.0, n_max + 1)
+    engine = second_kind.TailSeriesEngine(src, 0.0)
+    seq = second_kind.kappa_sequence(src, n_max + 1, max_terms=max_terms,
+                                     engine=engine)
+    logs_0 = engine.log_p  # log w_n(0) = log kappa_n - log|P_n(0)|
     worst = 0.0
     for z in (-2.0, -0.5, 1.0, 3.0, complex(0.8, 1.1)):
         logs_z, _ = log_table(src, z, n_max)
@@ -380,33 +382,23 @@ def w_factorization_check(params: QParams, n: int, digits: int = 0) -> float:
     (a + 1) q^-(n-1), in mpmath at ``digits`` (_mp_context).
 
     W is lower bidiagonal with W_kk = sqrt(a) q^{-k/2} and
-    W_{k+1,k} = q^{-(k+1)/2} sqrt(1 - q^{k+1}).
+    W_{k+1,k} = q^{-(k+1)/2} sqrt(1 - q^{k+1}), so W W^T + I is tridiagonal
+    like J and only the band is compared; its entry above the diagonal is
+    the product below it in the other order, the same mpmath number.
     """
     if n < 2:
         raise ValueError("block size must be at least 2")
     ctx = _mp_context(digits)
     q, a = ctx.mpf(params.q), ctx.mpf(params.a)
-
-    def w(m, k):  # W[m][k]
-        if k == m:
-            return ctx.sqrt(a) * q ** (-ctx.mpf(m) / 2)
-        if k == m - 1:
-            return q ** (-ctx.mpf(m) / 2) * ctx.sqrt(1 - q ** m)
-        return ctx.mpf(0)
-
-    worst = ctx.mpf(0)
-    for m in range(n):
-        for k in range(n):
-            acc = ctx.mpf(1) if m == k else ctx.mpf(0)
-            for j in range(min(m, k) + 1):
-                acc += w(m, j) * w(k, j)
-            if m == k:
-                acc -= (a + 1) * q ** (-k)
-            elif abs(m - k) == 1:
-                mk = min(m, k)
-                acc -= ctx.sqrt(a * q ** (-2 * mk - 1) * (1 - q ** (mk + 1)))
-            worst = max(worst, abs(acc))
-    return float(worst / ((a + 1) * q ** (-(n - 1))))
+    alphas, betas = _mp_coeffs(ASC2Source(params.q, params.a), n - 1, ctx)
+    half = [q ** (-ctx.mpf(k) / 2) for k in range(n)]
+    diag = [ctx.sqrt(a) * h for h in half]  # W_kk
+    sub = [h * ctx.sqrt(1 - q ** k) for k, h in enumerate(half)]  # W_{k,k-1}
+    worst = max(abs((1 + sub[k] * sub[k]) + diag[k] * diag[k] - betas[k])
+                for k in range(n))
+    worst = max(worst, *(abs(sub[k] * diag[k - 1] - alphas[k - 1])
+                         for k in range(1, n)))
+    return float(worst / betas[n - 1])
 
 
 def check_w_factorization(src, digits=0) -> CheckResult:

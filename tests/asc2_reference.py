@@ -2,8 +2,9 @@
 that the tests compare the package against: the orthonormal polynomials
 P_n(x) from their explicit finite sum, P_n(a) and w_n(a) at the family
 point, both sides of the series/product identity
-1 - (z - a) sum_n w_n(a) P_n(z) = (z;q)_inf / (a;q)_inf, and the Hadamard
-product over known eigenvalues.  No code in jacspec calls them.
+1 - (z - a) sum_n w_n(a) P_n(z) = (z;q)_inf / (a;q)_inf, the Hadamard
+product over known eigenvalues, and the dense W W^T + I product.  No code in
+jacspec calls them.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 
 from jacspec import AssumptionViolation, CharFnValue, QParams, qpoch_inf
 from jacspec.qseries import require_certified_regime
+from jacspec.verify import _mp_context
 
 
 def qpoch_seq(x, q: float, n_max: int) -> list:
@@ -158,3 +160,33 @@ def hadamard_product(eigs, z, *, tail_ratio: float | None = None) -> CharFnValue
     return CharFnValue(z=z, value=value, tail_bound=bound,
                        method="hadamard_product", terms_used=len(eigs),
                        certified=True)
+
+
+def dense_w_factorization_gap(params: QParams, n: int, digits: int = 0) -> float:
+    """verify.w_factorization_check over every entry of the n x n block:
+    the full product W W^T + I, zeros off the band included."""
+    if n < 2:
+        raise ValueError("block size must be at least 2")
+    ctx = _mp_context(digits)
+    q, a = ctx.mpf(params.q), ctx.mpf(params.a)
+
+    def w(m, k):  # W[m][k]
+        if k == m:
+            return ctx.sqrt(a) * q ** (-ctx.mpf(m) / 2)
+        if k == m - 1:
+            return q ** (-ctx.mpf(m) / 2) * ctx.sqrt(1 - q ** m)
+        return ctx.mpf(0)
+
+    worst = ctx.mpf(0)
+    for m in range(n):
+        for k in range(n):
+            acc = ctx.mpf(1) if m == k else ctx.mpf(0)
+            for j in range(min(m, k) + 1):
+                acc += w(m, j) * w(k, j)
+            if m == k:
+                acc -= (a + 1) * q ** (-k)
+            elif abs(m - k) == 1:
+                mk = min(m, k)
+                acc -= ctx.sqrt(a * q ** (-2 * mk - 1) * (1 - q ** (mk + 1)))
+            worst = max(worst, abs(acc))
+    return float(worst / ((a + 1) * q ** (-(n - 1))))

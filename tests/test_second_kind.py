@@ -331,6 +331,54 @@ def test_kappa_sequence_on_a_grown_engine_equals_a_fresh_build(q, a, shift,
     assert js.kappa_sequence(src, 10, engine=eng).kappas == eng.kappas[:10]
 
 
+def test_threads_growing_one_engine_keep_one_table():
+    # each build reads the held length and extends the table; without the
+    # engine's kappa lock, racing builds appended the same entries again
+    import sys
+    import threading
+    from jacspec.second_kind import TailSeriesEngine
+    src = js.ASC2Source(0.5, 0.5, 0.5)
+    want = list(map(float.hex, js.kappa_sequence(src, 200).kappas))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            eng = TailSeriesEngine(src, 0.0)
+            threads = [threading.Thread(target=js.kappa_sequence,
+                                        args=(src, count), kwargs={"engine": eng})
+                       for count in (50, 120, 200, 200)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert list(map(float.hex, eng.kappas)) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("args, max_terms, failed, stop, capacity", [
+    ((0.5, 0.5, 0.5), 58, 32, 39, 10),
+    ((0.3, 0.3, 0.0), 37, 16, 22, 9),
+    ((0.7, 0.7, 0.0), 100, 32, 54, 8),
+])
+def test_capacity_reads_the_stop_the_failed_build_found(args, max_terms,
+                                                        failed, stop, capacity):
+    # here the failed build's stop lies past its count and the sums from it
+    # fail; smaller counts with that same stop build, so the capacity search
+    # must look up to that stop, not only up to the failed count
+    from jacspec.second_kind import TailSeriesEngine, _kappa_capacity
+    src = js.ASC2Source(*args)
+    eng = TailSeriesEngine(src, 0.0)
+    with pytest.raises(js.ConvergenceError) as exc:
+        js.kappa_sequence(src, failed, max_terms=max_terms, engine=eng)
+    assert exc.value.stop == stop
+    assert _kappa_capacity(eng, failed, max_terms, exc.value) == capacity
+    js.kappa_sequence(src, capacity, max_terms=max_terms)
+    with pytest.raises(js.ConvergenceError):
+        js.kappa_sequence(src, capacity + 1, max_terms=max_terms)
+
+
 @pytest.mark.parametrize("q, a, shift", [(0.5, 0.5, 0.5), (0.3, 0.3, 0.0),
                                          (0.9, 0.9, 0.0), (0.4, 0.2, 0.3)])
 def test_every_entry_of_a_build_is_known_to_1e_15(q, a, shift):

@@ -1,14 +1,17 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 import jacspec as js
+from asc2_reference import dense_w_factorization_gap
 from conftest import random_pd_table
 from jacspec.recurrence import log_table
-from jacspec.verify import (check_green_identity, check_resolvent_identity,
+from jacspec.verify import (_inverse_tail, check_green_identity,
+                            check_resolvent_identity,
                             check_trace_reconciliation, check_w_factorization,
-                            run_suite)
+                            run_suite, w_factorization_check)
 
 
 def _by_name(results):
@@ -206,3 +209,24 @@ def test_w_factorization_one_path_at_both_precisions(q, a_over_q):
     for r in (r53, r30):
         assert r.passed and not r.skipped and r.max_residual <= 1e-12, r
     assert r30.max_residual < r53.max_residual
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("a_over_q", [1.0, 0.1])
+@pytest.mark.parametrize("digits", [0, 30])
+def test_w_factorization_band_equals_the_dense_product(q, a_over_q, digits):
+    # W is lower bidiagonal, so every entry of W W^T + I - J off the band is
+    # an exact zero and the band's gaps are the dense loop's, bit for bit
+    params = js.QParams(q, q * a_over_q)
+    for n in (2, 10, 17):
+        assert float.hex(w_factorization_check(params, n, digits)) \
+            == float.hex(dense_w_factorization_gap(params, n, digits))
+
+
+def test_inverse_tail_geometric_fallback():
+    # fewer than three values, or three that fit no shifted geometric
+    # model, fall back to the plain geometric tail of the last two
+    tail, model = _inverse_tail([1.0, 2.0, 3.0])
+    assert model == "geometric"
+    assert tail == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert _inverse_tail([3.0, 2.0, 1.0]) == (math.inf, "geometric")
