@@ -27,10 +27,11 @@ _LADDER_STABILIZE = 0.01  # rung-to-rung stabilization as a fraction of tol
 _LADDER_ULPS = 8.0  # ... but never below this many ulp of the eigenvalue
 _OFFDIAG_LIMIT = math.sqrt(np.finfo(float).max)
 _MAX_WIDEN = 6
-_SWEEP_POINTS = 256  # midpoints per Sturm sweep; a pass costs ~1 shift's time
+_SWEEP_POINTS = 512  # shifts per tree or gallop sweep, costing ~1.5x one shift
 _LADDER_CAP = 8192  # the ladder stops doubling at this truncation size
 _TAIL_CHECK = 16  # rows between the early-exit checks of a Sturm sweep
 _PIVMIN_SCALE = 5e-308  # pivot floor per unit of the largest offdiag**2
+_OTOL_FLOOR = 1e-15  # the finest oracle tolerance find_spectrum bisects to
 CONFIRM_POLICIES = ("auto", "require", "oracle")  # see find_spectrum
 
 
@@ -178,20 +179,27 @@ def sturm_eigenvalues(t: TruncatedTridiagonal, k: int, tol: float = 1e-10,
     down[j] the largest with count < j.  Each bracket replays bisection
     steps while its midpoint is >= up[j] (hi = mid) or <= down[j]
     (lo = mid).  When some bracket needs an unknown count, one sweep counts
-    the depth-D tree of midpoints below each distinct live bracket, about
-    256 shifts in all, so a cold start, where all k brackets are the
-    Gershgorin interval, goes 8 levels deep.  The steps are those of
+    the depth-D tree of midpoints below each distinct live bracket, at most
+    _SWEEP_POINTS = 512 shifts in all, so a cold start, where all k brackets
+    are the Gershgorin interval, goes 9 levels deep.  The steps are those of
     one-step bisection with the same stopping tests, so the roots equal its
-    roots bit for bit.  tol is at least the pivot floor of 5e-308, so each
-    bracket stops after fewer than 2,100 halvings of its finite Gershgorin
-    interval.  The steps only ask count >= target, so each sweep saturates
-    at the largest live target (see sturm_counts).
+    roots bit for bit.  The stop width max(tol, 4 ulp(max(|lo|, |hi|))) never
+    grows as a bracket shrinks, so the replay computes it only when the
+    width falls to the last value computed, not at every step.  tol is at
+    least the pivot floor of 5e-308, so each bracket stops after fewer than
+    2,100 halvings of its finite Gershgorin interval.  The steps only ask
+    count >= target, so each sweep saturates at the largest live target (see
+    sturm_counts).
 
     hint: approximate roots, e.g. those of a smaller truncation, which
     interlace as x_{N,j} >= x_{2N,j}.  One extra sweep first counts the
-    shifts max(tol, 4 ulp) above and below each finite hint.  Any hint,
-    however wrong (far off, in any order, of any length), leaves the roots
-    unchanged: it only adds known counts, and costs at most that sweep.
+    shifts max(tol, 4 ulp) above and below each finite hint.  A root more
+    than that pad from every hint is left with a wide known bracket; one
+    more sweep gallops toward it in geometric steps from the bracket's known
+    end (see _gallop_shifts), so the tree sweeps start near the root.  Any
+    hint, however wrong (far off, in any order, of any length), leaves the
+    roots unchanged: it only adds known counts, and costs at most these two
+    sweeps.
 
     Raises ValueError when the pivot floor exceeds tol: the clamped pivots
     would then move the roots by more than the tolerance.
@@ -232,22 +240,29 @@ def sturm_eigenvalues(t: TruncatedTridiagonal, k: int, tol: float = 1e-10,
         if h.size:
             pad = np.maximum(tol, 4.0 * np.spacing(np.abs(h)))
             sweep(np.concatenate([h - pad, h + pad]), k)
+            gallop = _gallop_shifts(up, down, lo[0], hi[0], tol)
+            if gallop.size:
+                sweep(gallop, k)
     live = range(k)
+    limits = [math.inf] * k  # each bracket's last computed stop width
     while True:
         # replay every step the known counts decide; collect the brackets
         # that wait for an unknown count
         ups, downs = up.tolist(), down.tolist()
         waiting = []
         for j in live:
-            x_lo, x_hi = lo[j], hi[j]
+            x_lo, x_hi, limit = lo[j], hi[j], limits[j]
             while True:
                 # stop at width <= max(tol, 4 ulp(max(|lo|, |hi|))) or once
-                # the midpoint is no longer strictly inside
+                # the midpoint is no longer strictly inside; a width above
+                # the last computed stop width is above the current one
                 mid = 0.5 * (x_lo + x_hi)
                 width = x_hi - x_lo
-                if not (width > tol and x_lo < mid < x_hi and width > 4.0
-                        * math.ulp(x_hi if x_hi >= -x_lo else x_lo)):
-                    break
+                if not (width > limit and x_lo < mid < x_hi):
+                    limit = max(tol, 4.0 * math.ulp(
+                        x_hi if x_hi >= -x_lo else x_lo))
+                    if not (width > limit and x_lo < mid < x_hi):
+                        break
                 if mid >= ups[j]:
                     x_hi = mid
                 elif mid <= downs[j]:
@@ -255,7 +270,7 @@ def sturm_eigenvalues(t: TruncatedTridiagonal, k: int, tol: float = 1e-10,
                 else:
                     waiting.append(j)
                     break
-            lo[j], hi[j] = x_lo, x_hi
+            lo[j], hi[j], limits[j] = x_lo, x_hi, limit
         if not waiting:
             return 0.5 * (np.array(lo) + np.array(hi))
         live = waiting
@@ -271,6 +286,39 @@ def sturm_eigenvalues(t: TruncatedTridiagonal, k: int, tol: float = 1e-10,
             finer[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
             edges = finer
         sweep(edges[:, 1:-1].ravel(), live[-1] + 1)
+
+
+def _gallop_shifts(up, down, g_lo, g_hi, tol):
+    """Shifts that gallop toward each root whose known bracket is still wide.
+
+    A target's gallop starts at its known end s, up[j] if finite, else
+    down[j], and runs to its other end, or to the Gershgorin end g_lo or g_hi
+    when that is unknown.  If that span is more than 4 pads, pad = max(tol,
+    4 ulp(s)), the target gets the shifts s -+ pad * r**i strictly inside
+    it, falling from up[j] or rising from down[j].  With m galloping targets,
+    each takes at most _SWEEP_POINTS // m shifts (none when m exceeds
+    _SWEEP_POINTS), and r is 4, or the least ratio whose last shift reaches
+    the other end.
+    """
+    from_up = up < np.inf
+    start = np.where(from_up, up, down)
+    end = np.where(from_up, np.maximum(down, g_lo), g_hi)
+    with np.errstate(invalid="ignore", over="ignore"):
+        pad = np.maximum(tol, 4.0 * np.spacing(np.abs(start)))
+        span = np.abs(start - end)
+        wide = np.isfinite(start) & (span > 4.0 * pad)
+        m = int(wide.sum())
+        per = _SWEEP_POINTS // m if m else 0
+        if not per:
+            return np.empty(0)
+        start, end, pad, span = start[wide], end[wide], pad[wide], span[wide]
+        ratio = np.maximum(4.0, (span / pad) ** (1.0 / max(per - 1, 1)))
+        step = np.where(from_up[wide], -pad, pad)
+        # a step past the float range is inf here, and falls outside below
+        xs = start[:, None] + step[:, None] * ratio[:, None] ** np.arange(per)
+    lo = np.minimum(start, end)[:, None]
+    hi = np.maximum(start, end)[:, None]
+    return xs[(lo < xs) & (xs < hi)]
 
 
 @dataclass
@@ -316,12 +364,26 @@ def check_spectral_config(src: CoefficientSource) -> None:
             raise AssumptionViolation(
                 f"shift {src.shift} is not below the ASC-II spectral floor 1"
             )
-    t = TruncatedTridiagonal.from_source(src, 24)
+    t = _gate_block(src)
     if int(sturm_counts(t, [0.0])[0]) > 0:
         raise AssumptionViolation(
             "truncated block has eigenvalues below zero; source is not a "
             "positive-definite configuration"
         )
+
+
+def _gate_block(src: CoefficientSource) -> TruncatedTridiagonal:
+    """The leading block, of at most 24 rows, that the configuration gates
+    count pivots on: the usable prefix at the finest oracle tolerance
+    (_rung's rule at 1e-15).
+
+    On a fast-growing source the full 24 rows can leave the float range (for
+    ASC-II at q below about 1e-7.5), or lift the pivot floor 5e-308 max
+    offdiag**2 high enough to clamp the leading pivots negative (q = 1e-7).
+    Any leading block's smallest root bounds lambda_1 from above, so a
+    shorter block serves the same gates.
+    """
+    return _rung(src, 24, _OTOL_FLOOR)
 
 
 def _rung(src, n, otol):
@@ -354,6 +416,11 @@ def _ladder(src, k, tol, otol):
     itself, whichever is larger; an absolute test alone is below one ulp
     once the roots are large and could never be met.
 
+    Every rung is warm-started with a hint (see sturm_eigenvalues): the
+    first with its k smallest diagonal entries, each later one with the
+    previous rung's roots.  A hint only saves sweeps; the roots are those of
+    an unhinted call.
+
     Each rung reads its coefficients once (_rung), and a rung (the first
     included) that would pass the largest usable size is clamped to that
     size.  On a fast-growing source such as ASC-II at q = 0.3 this lets the
@@ -368,7 +435,8 @@ def _ladder(src, k, tol, otol):
     """
     t_prev = _rung(src, max(4 * k, 8), otol)
     sizes = [t_prev.size]
-    x_prev = sturm_eigenvalues(t_prev, k, otol)
+    x_prev = sturm_eigenvalues(t_prev, k, otol,
+                               hint=np.sort(t_prev.diag)[:k])
     while True:
         n = sizes[-1]
         t = _rung(src, 2 * n, otol)
@@ -433,7 +501,7 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
     if gamma is None:
         gamma = src.natural_gamma
 
-    otol = max(tol * 1e-3, 1e-15)
+    otol = max(tol * 1e-3, _OTOL_FLOOR)
     sizes, t_coarse, t_fine, x_coarse, x_fine = _ladder(src, k, tol, otol)
     res.ladder = sizes
     if k > 1:
@@ -441,7 +509,7 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
         # separation midpoints used as bracket clamps can be trusted
         min_gap = float(np.min(np.diff(x_fine)))
         if min_gap < 10.0 * tol and min_gap > 0.0:
-            otol_ref = max(min_gap * 1e-3, 1e-15)
+            otol_ref = max(min_gap * 1e-3, _OTOL_FLOOR)
             if otol_ref < otol:
                 otol = otol_ref
                 x_coarse = sturm_eigenvalues(t_coarse, k, otol, hint=x_coarse)

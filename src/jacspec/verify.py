@@ -25,7 +25,7 @@ from .errors import AssumptionViolation, ConvergenceError
 from .qseries import QParams
 from .recurrence import log_table, plain_values
 from .sources import ASC2Source, CoefficientSource, TableSource
-from .spectrum import TruncatedTridiagonal, find_spectrum, sturm_counts
+from .spectrum import _gate_block, find_spectrum, sturm_counts
 
 _REAL_ZS = (0.0, 0.4, -1.0, 2.7)
 _COMPLEX_Z = complex(1.3, 0.7)
@@ -414,21 +414,22 @@ def run_suite(src: CoefficientSource, *, gamma: float | None = None,
     """Run every applicable check and return the per-check results.
 
     A gamma above the spectrum of an infinite source raises
-    AssumptionViolation: the smallest root of the 24 x 24 truncation bounds
-    lambda_1 from above, so a Sturm count > 0 just below gamma proves it.
-    The margin, 1e-12 of |gamma| + |shift|, covers the rounding of the
+    AssumptionViolation: the smallest root of a leading truncation (the
+    block of spectrum._gate_block, 24 x 24 unless the source grows too fast)
+    bounds lambda_1 from above, so a Sturm count > 0 just below gamma proves
+    it.  The margin, 1e-12 of |gamma| + |shift|, covers the rounding of the
     shifted entries.
     """
     if gamma is None:
         gamma = src.natural_gamma
     if gamma is not None and not src.is_finite:
-        t = TruncatedTridiagonal.from_source(src, 24)
+        t = _gate_block(src)
         below = gamma - 1e-12 * (abs(gamma) + abs(src.shift))
         if int(sturm_counts(t, [below])[0]) > 0:
             raise AssumptionViolation(
                 f"gamma {gamma!r} is above the smallest eigenvalue of the "
-                "24 x 24 truncation, an upper bound of lambda_1; gamma must "
-                "be a lower bound of the spectrum")
+                f"{t.size} x {t.size} truncation, an upper bound of lambda_1; "
+                "gamma must be a lower bound of the spectrum")
     digits = precision_digits if precision_digits and precision_digits > 16 else 0
     out = [
         check_coefficient_positivity(src),

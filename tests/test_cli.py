@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -47,6 +48,16 @@ def test_spectrum_rejects_indeterminate(capsys):
                              "--q", "0.5", "--a", "0.7", "--k", "3")
     assert code == 2
     assert "indeterminate" in err
+
+
+def test_spectrum_at_tiny_q(capsys):
+    # the configuration gate rejected every q <= 1e-7 with exit code 2
+    code, out, err = run_cli(capsys, "spectrum", "--q", "1e-10", "--a", "1e-10",
+                             "--shift", "0", "--k", "2")
+    assert code == 0
+    lams = [float(row["lambda"]) for row in parse_csv(out)]
+    assert abs(lams[0] - 1.0) <= 1e-9
+    assert abs(lams[1] - 1e10) <= 8.0 * math.ulp(1e10)
 
 
 def test_spectrum_require_exit_code(capsys):

@@ -148,7 +148,17 @@ def test_extended_precision_on_a_table():
 def test_gamma_above_the_spectrum_rejected():
     # lambda_1 = 1 at (0.5, 0.5, 0): gamma 1.5 used to pass every check
     src = js.ASC2Source(0.5, 0.5, 0.0)
-    with pytest.raises(js.AssumptionViolation, match="gamma 1.5 is above"):
+    with pytest.raises(js.AssumptionViolation,
+                       match="gamma 1.5 is above .* of the 24 x 24 truncation"):
+        run_suite(src, gamma=1.5)
+
+
+def test_gamma_gate_at_tiny_q_uses_the_usable_block():
+    # the 24-row block of q = 1e-10 leaves the float range, which raised a
+    # bare ValueError; the usable 16-row prefix still bounds lambda_1 = 1
+    src = js.ASC2Source(1e-10, 1e-10, 0.0)
+    with pytest.raises(js.AssumptionViolation,
+                       match="gamma 1.5 is above .* of the 16 x 16 truncation"):
         run_suite(src, gamma=1.5)
 
 
