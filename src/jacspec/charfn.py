@@ -10,7 +10,6 @@ is qseries.spectrum_product_reference.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,8 +18,9 @@ import numpy as np
 from . import second_kind
 from .errors import ConvergenceError
 from .recurrence import _LN2, _coeff_reader, _scaled_columns, _scaled_iter
-from .second_kind import (_RATIO_CAP, _RATIO_WINDOW, TailSeriesEngine,
-                          _zero_at_origin, kappa_sequence)
+# unused here (second_kind grows the table): perfbench hooks kappa_sequence here
+from .second_kind import (_RATIO_CAP, _RATIO_WINDOW, _SUM_TERMS,  # noqa: F401
+                          TailSeriesEngine, _zero_at_origin, kappa_sequence)
 from .sources import CoefficientSource, require_infinite
 
 # conservative working-precision constant for the summation noise estimate
@@ -70,14 +70,13 @@ class _Plan(NamedTuple):
 class CharFnEvaluator:
     """Shared-state evaluator: one kappa table serves many z evaluations.
 
-    The table is append-only: growth is serialized by a lock, and every
-    build is a kappa_sequence call on one z = 0 engine, which holds the
-    table (engine.kappas) and computes only the entries past it (the first
-    build's total_upper is kappa_sum_upper), so an entry never changes once
-    published, and eval(z) depends neither on earlier evaluations nor on
-    thread timing.  The capacity starts at max_terms; the first build that
-    fails (budget, coefficient horizon or no stable decay window) fixes it
-    once, at the largest count that builds, and grows the table to it.
+    The table, with the w_n(0) of F's terms, is the z = 0 engine's, grown
+    by second_kind, which computes only the entries past it, so an entry
+    never changes once published, and eval(z) depends neither on earlier
+    evaluations nor on thread timing.  The evaluator only asks for counts.
+    Its capacity starts at max_terms; the first build that fails (budget,
+    coefficient horizon or no stable decay window) fixes it, at the largest
+    count that builds, and grows the table to it.
 
     The tail-series engine's _coeff_reader also serves eval and eval_grid,
     so each coefficient index is read from the source once per evaluator.
@@ -89,12 +88,6 @@ class CharFnEvaluator:
         self.max_terms = max_terms
         self._engine = TailSeriesEngine(src, 0.0)
         self._read = self._engine.read
-        self._grow_lock = threading.Lock()
-        # w_n(0) = _w0_mant[n] * 2**_w0_exp[n], the mantissa signed, for the
-        # kappa_n of self._engine.kappas; len(_w0_mant) is the table size
-        self._w0_mant: list[float] = []
-        self._w0_exp: list[int] = []
-        self._sum_upper: float | None = None
         self._capacity = max_terms  # lowered once, by the first failed build
         # _tail_upper(n) by n, None included: fixed once computed, since the
         # table only grows and the capacity only falls
@@ -104,56 +97,22 @@ class CharFnEvaluator:
 
     def _grow(self, count: int) -> bool:
         """Extend the kappa table to ``count`` entries; False beyond the
-        capacity, which the first failed build fixes."""
-        if count > self._capacity:
-            return False
-        if count <= len(self._w0_mant):
-            return True
-        with self._grow_lock:
-            if count > self._capacity:
-                return False
-            if count <= len(self._w0_mant):
-                return True
-            try:
-                self._build(count)
-                return True
-            except ConvergenceError as exc:
-                # the first failure fixes the capacity, and the table grows to it
-                capacity = second_kind._kappa_capacity(self._engine, count,
-                                                       self.max_terms, exc)
-            if capacity > len(self._w0_mant):
-                self._build(capacity)
-            self._capacity = capacity
-            return False
-
-    def _build(self, count: int) -> None:
-        """Extend the table to ``count`` entries through kappa_sequence on
-        the engine, which computes only the new ones; a failed build raises
-        its ConvergenceError.  The caller holds the lock."""
-        start = len(self._w0_mant)
-        seq = kappa_sequence(self.src, count, max_terms=self.max_terms,
-                             engine=self._engine)
-        if start == 0:
-            self._sum_upper = seq.total_upper
-        lp, sp = self._engine.log_p, self._engine.sgn_p
-        for n, k in enumerate(seq.kappas[start:], start):
-            lw = math.log(k) - lp[n]  # log |w_n(0)|
-            e = math.floor(lw / _LN2)
-            self._w0_exp.append(e)
-            # _w0_mant is appended last: its length is what readers check
-            self._w0_mant.append(sp[n] * math.exp(lw - e * _LN2))
+        capacity, which the first failed build fixes and grows the table to
+        (second_kind._grow_kappas).  Threads that race past that build find
+        the same capacity: it depends on src and max_terms only."""
+        held = second_kind._grow_kappas(self._engine, min(count, self._capacity),
+                                        self.max_terms)
+        if held < count:
+            self._capacity = held
+        return held == count
 
     @property
     def kappa_sum_upper(self) -> float:
-        """Certified-style upper estimate S for sum kappa_n."""
-        if self._sum_upper is None:
-            # a failed first build fixes the capacity and builds up to it
-            self._grow(min(64, self._capacity))
-            if self._sum_upper is None:
-                raise ConvergenceError(
-                    "kappa table cannot reach a stable decay window"
-                )
-        return self._sum_upper
+        """S for sum kappa_n from the first min(64, capacity) entries: a
+        partial sum plus a tail from the observed decay (an estimate)."""
+        self._grow(_SUM_TERMS)
+        return second_kind._sum_upper(
+            self._engine.kappas[:min(_SUM_TERMS, self._capacity)])
 
     def _tail_upper(self, n_terms: int) -> float | None:
         """Upper estimate of sum_{k>=n_terms} kappa_k from the observed decay.
@@ -219,15 +178,16 @@ class CharFnEvaluator:
         uncertified point."""
         n_terms, log_bound = self.plan_terms(z_abs, atol)
         certified = n_terms is not None
-        return _Plan(n_terms if certified else len(self._w0_mant), log_bound,
-                     certified)
+        return _Plan(n_terms if certified else len(self._engine.w0_mant),
+                     log_bound, certified)
 
     def eval(self, z, atol: float = 1e-12) -> CharFnValue:
         """Certified partial-sum evaluation of F(z)."""
         if z == 0:
             return _at_origin(z, "partial_sum", True)
         plan = self._plan(abs(z), atol)
-        n_terms, mant, exps = plan.n_terms, self._w0_mant, self._w0_exp
+        eng = self._engine
+        n_terms, mant, exps = plan.n_terms, eng.w0_mant, eng.w0_exp
         is_c = isinstance(z, complex)
         scale = _ldexp_complex if is_c else _ldexp_inf
         terms = []
@@ -272,7 +232,7 @@ class CharFnEvaluator:
             block = order[start:start + width]
             sums = _grid_sums(self._read, [zs[j] for j in block],
                               [plans[j].n_terms for j in block],
-                              self._w0_mant, self._w0_exp)
+                              self._engine.w0_mant, self._engine.w0_exp)
             for j, (total, max_term) in zip(block, sums):
                 out[j] = _partial_sum_value(zs[j], plans[j], total, max_term)
         return out

@@ -13,6 +13,8 @@ the observed term-ratio decay: the stopping rule requires the ratio to sit
 below 0.9 over a five-term window, then bounds the tail geometrically.
 Since S_n depends only on the sums above it, kappa_sequence grows the
 kappa table a z = 0 engine holds by its new entries only (_kappa_entries).
+This module owns that table, with the w_n(0) of F's terms beside it: its
+growth (_grow_kappas) and its sum estimate S (_sum_upper).
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ import threading
 from dataclasses import dataclass
 
 from .errors import AssumptionViolation, ConvergenceError
-from .recurrence import _coeff_reader, _phase, _scaled_iter
+from .recurrence import _LN2, _coeff_reader, _phase, _scaled_iter
 from .sources import CoefficientSource, require_infinite
 
 _RATIO_CAP = 0.9
 _RATIO_WINDOW = 5
+_SUM_TERMS = 64  # entries of the kappa sum estimate S (_sum_upper)
 
 
 def _exp_cap(x: float) -> float:
@@ -48,8 +51,9 @@ class TailSeriesEngine:
     is immutable once built, so concurrent readers are safe.  read is the
     engine's _coeff_reader of src; an owner may run its own recurrences on
     it, so that each coefficient index is fetched from src once.  kappas is
-    kappa_sequence's table, grown by one build at a time under _kappa_lock,
-    which is taken before the growth lock.
+    kappa_sequence's table, with w_n(0) = w0_mant[n] 2^w0_exp[n] beside it,
+    grown by one build at a time under _kappa_lock, which is taken before
+    the growth lock; w0_mant is extended last: its length is the table's.
     """
 
     def __init__(self, src: CoefficientSource, z):
@@ -68,6 +72,8 @@ class TailSeriesEngine:
         self._horizon: str | None = None  # message once the horizon is hit
         self._kappa_lock = threading.Lock()
         self.kappas: list[float] = []
+        self.w0_exp: list[int] = []
+        self.w0_mant: list[float] = []
 
     def ensure_terms(self, count: int) -> None:
         """Extend so that terms t_0 .. t_{count-1} are available.
@@ -116,7 +122,7 @@ class TailSeriesEngine:
             return self.sgn_t[j + 1] / self.sgn_t[j] * mag
         return self.sgn_t[j + 1] * self.sgn_t[j] * mag
 
-    def find_stop(self, atol: float, max_terms: int, min_terms: int = 0):
+    def find_stop(self, atol: float, max_terms: int, min_terms: int):
         """Smallest J >= min_terms whose trailing ratio window stays below
         the 0.9 cap and with |t_J| < atol (1-r)/r, r the window's largest
         ratio.
@@ -262,7 +268,7 @@ def _kappa_sums(engine: TailSeriesEngine, count: int, max_terms: int,
     known as well.  low only sets where the sums stop, so no entry, and no
     count's success, depends on the entries built before.  A
     ConvergenceError raised after the stop is known carries it as ``stop``
-    (see _kappa_capacity)."""
+    (see _grow_kappas)."""
     j_stop, r_hat = stop or engine.find_stop(1e-12, max_terms, count + 1)
     try:
         for j_top in _sum_tops(j_stop, max_terms):
@@ -304,32 +310,6 @@ def _kappa_entries(engine: TailSeriesEngine, start: int, count: int,
     return kappas
 
 
-def _kappa_capacity(engine: TailSeriesEngine, failed: int, max_terms: int,
-                    error: ConvergenceError) -> int:
-    """The largest count a kappa build on engine reaches, given that the
-    build of ``failed`` entries raised ``error``, with no further build.
-
-    Whether a candidate passes find_stop depends only on it, so the stop of
-    a smaller count is at most the failed build's own (error.stop, see
-    _kappa_sums), or at most ``failed`` where that build's search found
-    none.  The counts in between are bisected, each with its stop search
-    capped there and _kappa_sums run down to its last entry only.
-    """
-    held = len(engine.kappas)
-    bound = min(getattr(error, "stop", failed) + 1, max_terms)
-
-    def fails(count: int) -> bool:
-        try:
-            stop = engine.find_stop(1e-12, bound, min_terms=count + 1)
-            _kappa_sums(engine, count, max_terms, count - 1, stop)
-        except ConvergenceError:
-            return True
-        return False
-
-    # the counts that build come first: bisect for the first that fails
-    return held + bisect.bisect_left(range(held + 1, failed), True, key=fails)
-
-
 @dataclass
 class KappaSequence:
     """kappa_n = w_n(0) P_n(0) > 0 with partial sums and an empirical tail."""
@@ -345,23 +325,9 @@ class KappaSequence:
         return self.partial_sums[-1] + self.tail_estimate
 
 
-def kappa_sequence(src: CoefficientSource, count: int, *,
-                   max_terms: int = 20000,
-                   engine: TailSeriesEngine | None = None) -> KappaSequence:
-    """First ``count`` kappa values with partial sums and a decay-based tail.
-
-    engine, when given, is a z = 0 TailSeriesEngine of src whose entries
-    (engine.kappas) are kept, so calls on it compute each entry once;
-    calls from several threads build one at a time.  Signals AssumptionViolation if a computed kappa is not positive.
-    """
-    if count < 1:
-        raise ValueError("count must be positive")
-    eng = engine if engine is not None else TailSeriesEngine(src, 0.0)
-    with eng._kappa_lock:
-        held = len(eng.kappas)
-        if count > held:
-            eng.kappas.extend(_kappa_entries(eng, held, count, max_terms))
-    kappas = eng.kappas[:count]
+def _summary(kappas: list[float]) -> KappaSequence:
+    """KappaSequence of the leading entries ``kappas`` of a table."""
+    count = len(kappas)
     sums = list(itertools.accumulate(kappas))
     decay = max((kappas[i + 1] / kappas[i]
                  for i in range(max(0, count - 1 - _RATIO_WINDOW), count - 1)),
@@ -369,6 +335,76 @@ def kappa_sequence(src: CoefficientSource, count: int, *,
     tail = kappas[-1] * decay / (1.0 - decay) if decay < 1.0 else math.inf
     return KappaSequence(kappas=kappas, partial_sums=sums, tail_estimate=tail,
                          decay_ratio=decay)
+
+
+def kappa_sequence(src: CoefficientSource, count: int, *,
+                   max_terms: int = 20000,
+                   engine: TailSeriesEngine | None = None) -> KappaSequence:
+    """First ``count`` kappa values with partial sums and a decay-based tail.
+
+    engine, when given, is a z = 0 TailSeriesEngine of src (ValueError
+    otherwise) whose entries (engine.kappas) are kept, so calls on it
+    compute each entry once; calls from several threads build one at a
+    time.  Signals AssumptionViolation if a computed kappa is not positive.
+    """
+    if count < 1:
+        raise ValueError("count must be positive")
+    eng = TailSeriesEngine(src, 0.0) if engine is None else engine
+    if eng.src != src or eng.z != 0:
+        raise ValueError(f"engine must be a z = 0 TailSeriesEngine of {src!r}")
+    with eng._kappa_lock:
+        held = len(eng.kappas)
+        if count > held:
+            eng.kappas.extend(_kappa_entries(eng, held, count, max_terms))
+            for n in range(held, count):
+                lw = math.log(eng.kappas[n]) - eng.log_p[n]  # log |w_n(0)|
+                e = math.floor(lw / _LN2)
+                eng.w0_exp.append(e)
+                eng.w0_mant.append(eng.sgn_p[n] * math.exp(lw - e * _LN2))
+    return _summary(eng.kappas[:count])
+
+
+def _grow_kappas(engine: TailSeriesEngine, count: int, max_terms: int) -> int:
+    """Grow engine's table to ``count`` entries through kappa_sequence and
+    return count, or where that build fails, grow it to its capacity, the
+    largest count that builds, and return that.
+
+    Whether a candidate passes find_stop depends only on it, so the stop of
+    a smaller count is at most the failed build's own (its ConvergenceError's
+    stop, see _kappa_sums), or at most ``count`` where that build's search
+    found none.  The counts in between are bisected, each with its stop
+    search capped there and _kappa_sums run down to its last entry only.
+    """
+    if count <= len(engine.w0_mant):
+        return count
+    try:
+        kappa_sequence(engine.src, count, max_terms=max_terms, engine=engine)
+        return count
+    except ConvergenceError as exc:
+        bound = min(getattr(exc, "stop", count) + 1, max_terms)
+
+    def fails(n: int) -> bool:
+        try:
+            stop = engine.find_stop(1e-12, bound, min_terms=n + 1)
+            _kappa_sums(engine, n, max_terms, n - 1, stop)
+        except ConvergenceError:
+            return True
+        return False
+
+    # the counts that build come first: bisect for the first that fails
+    held = len(engine.kappas)
+    capacity = held + bisect.bisect_left(range(held + 1, count), True, key=fails)
+    if capacity > len(engine.w0_mant):  # the pairs are published last
+        kappa_sequence(engine.src, capacity, max_terms=max_terms, engine=engine)
+    return capacity
+
+
+def _sum_upper(kappas: list[float]) -> float:
+    """S for sum kappa_n: total_upper of the entries a build of _SUM_TERMS
+    reaches (_grow_kappas), an estimate, not a bound; ConvergenceError at 0."""
+    if not kappas:
+        raise ConvergenceError("kappa table cannot reach a stable decay window")
+    return _summary(kappas).total_upper
 
 
 @dataclass
@@ -379,11 +415,14 @@ class TraceInverse:
 
 
 def trace_inverse(src: CoefficientSource, atol: float, *,
-                  max_terms: int = 20000) -> TraceInverse:
+                  max_terms: int = 20000,
+                  engine: TailSeriesEngine | None = None) -> TraceInverse:
     """tr (J - shift)^{-1} = sum kappa_n, summed to a certified tail <= atol;
-    the count doubles from 32 on one engine, which computes each entry once."""
+    the count doubles from 32 on one engine (given as for kappa_sequence, or
+    a new one), which computes each entry once."""
     count = 32
-    engine = TailSeriesEngine(src, 0.0)
+    if engine is None:
+        engine = TailSeriesEngine(src, 0.0)
     while count <= max_terms:
         seq = kappa_sequence(src, count, max_terms=max_terms, engine=engine)
         if seq.decay_ratio < _RATIO_CAP and seq.tail_estimate <= atol:

@@ -286,12 +286,8 @@ def check_sign_patterns(src) -> CheckResult:
     return _result("sign_patterns", float(bad), 0.0, f"n <= {n_stop}")
 
 
-def check_kappa_monotonic(src, max_terms=20000) -> CheckResult:
+def check_kappa_monotonic(src, engine, max_terms=20000) -> CheckResult:
     n_max = _N_MAX
-    if src.is_finite:
-        return _skip("kappa_positivity_monotonic", 0.0,
-                     "requires an unbounded coefficient family")
-    engine = second_kind.TailSeriesEngine(src, 0.0)
     try:
         seq = second_kind.kappa_sequence(src, n_max + 1, max_terms=max_terms,
                                          engine=engine)
@@ -309,12 +305,11 @@ def check_kappa_monotonic(src, max_terms=20000) -> CheckResult:
                    f"n <= {n_max}")
 
 
-def check_per_term_bound(src, max_terms=20000) -> CheckResult:
+def check_per_term_bound(src, engine, max_terms=20000) -> CheckResult:
     n_max = _PER_TERM_N_MAX
-    if src.is_finite:
-        return _skip("per_term_growth_bound", 0.0,
-                     "requires an unbounded coefficient family")
-    engine = second_kind.TailSeriesEngine(src, 0.0)
+    # the S of F's certificate, built first so that the entries below are held
+    held = second_kind._grow_kappas(engine, second_kind._SUM_TERMS, max_terms)
+    s_up = second_kind._sum_upper(engine.kappas[:held])
     seq = second_kind.kappa_sequence(src, n_max + 1, max_terms=max_terms,
                                      engine=engine)
     logs_0 = engine.log_p  # log w_n(0) = log kappa_n - log|P_n(0)|
@@ -324,19 +319,17 @@ def check_per_term_bound(src, max_terms=20000) -> CheckResult:
         for n in range(n_max + 1):
             log_kappa = math.log(seq.kappas[n])
             lhs = (log_kappa - logs_0[n]) + logs_z[n]
-            rhs = abs(z) * seq.total_upper + log_kappa
+            rhs = abs(z) * s_up + log_kappa
             worst = max(worst, lhs - rhs)
     # report the worst log excess as a multiplicative overshoot
     return _result("per_term_growth_bound", math.expm1(max(worst, 0.0)), 1e-10,
                    f"n <= {n_max}")
 
 
-def check_trace_reconciliation(src, max_terms=20000) -> CheckResult:
-    if src.is_finite:
-        return _skip("trace_reconciliation", _TRACE_THRESHOLD,
-                     "requires an unbounded coefficient family")
+def check_trace_reconciliation(src, engine, max_terms=20000) -> CheckResult:
     try:
-        tr = second_kind.trace_inverse(src, 1e-8, max_terms=max_terms)
+        tr = second_kind.trace_inverse(src, 1e-8, max_terms=max_terms,
+                                       engine=engine)
     except ConvergenceError as exc:
         return CheckResult(name="trace_reconciliation", passed=False,
                            skipped=False, max_residual=math.inf,
@@ -447,9 +440,16 @@ def run_suite(src: CoefficientSource, *, gamma: float | None = None,
         else:
             out.append(_skip("second_kind_two_route", _IDENTITY_THRESHOLD,
                              "needs gamma and an unbounded family"))
-        out.append(check_kappa_monotonic(src, max_terms=max_terms))
-        out.append(check_per_term_bound(src, max_terms=max_terms))
-        out.append(check_trace_reconciliation(src, max_terms=max_terms))
+        if src.is_finite:
+            out += [_skip(name, threshold, "requires an unbounded coefficient family")
+                    for name, threshold in (("kappa_positivity_monotonic", 0.0),
+                                            ("per_term_growth_bound", 0.0),
+                                            ("trace_reconciliation", _TRACE_THRESHOLD))]
+        else:  # one z = 0 engine's table serves the three kappa checks
+            engine = second_kind.TailSeriesEngine(src, 0.0)
+            out.append(check_kappa_monotonic(src, engine, max_terms=max_terms))
+            out.append(check_per_term_bound(src, engine, max_terms=max_terms))
+            out.append(check_trace_reconciliation(src, engine, max_terms=max_terms))
     else:
         note = "skipped: coefficient positivity failed"
         for name in ("sign_patterns", "second_kind_two_route",

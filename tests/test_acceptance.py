@@ -164,13 +164,14 @@ def test_acceptance_5_structural_identity_suite():
             ev = js.CharFnEvaluator(src)
             ev._grow(41)
             s_up = ev.kappa_sum_upper
+            eng = ev._engine
             for z in (-2.0, -0.5, 1.0, 3.0, complex(0.8, 1.1)):
                 logs_z, _ = js.recurrence.log_table(src, z, 40)
                 for n in range(41):
-                    lhs = (math.log(abs(ev._w0_mant[n])) + ev._w0_exp[n] * math.log(2.0)
+                    lhs = (math.log(abs(eng.w0_mant[n])) + eng.w0_exp[n] * math.log(2.0)
                            + logs_z[n])
                     assert lhs <= abs(z) * s_up \
-                        + math.log(ev._engine.kappas[n]) + 1e-10
+                        + math.log(eng.kappas[n]) + 1e-10
 
 
 def test_acceptance_6_qseries_suite():

@@ -98,12 +98,13 @@ def test_per_term_bound_on_grid(asc2_shifted):
     ev = js.CharFnEvaluator(asc2_shifted)
     ev._grow(60)
     s_up = ev.kappa_sum_upper
+    eng = ev._engine
     for z in (-2.0, 1.0, 3.5, complex(1.0, 1.0)):
         logs_z, _ = js.recurrence.log_table(asc2_shifted, z, 59)
         for n in range(60):
-            lhs = (math.log(abs(ev._w0_mant[n])) + ev._w0_exp[n] * math.log(2.0)
+            lhs = (math.log(abs(eng.w0_mant[n])) + eng.w0_exp[n] * math.log(2.0)
                    + logs_z[n])
-            rhs = abs(z) * s_up + math.log(ev._engine.kappas[n])
+            rhs = abs(z) * s_up + math.log(eng.kappas[n])
             assert lhs <= rhs + 1e-10
 
 
@@ -210,7 +211,7 @@ def test_evaluator_shared_across_threads(asc2_shifted):
     finally:
         sys.setswitchinterval(interval)
     assert grown == serial
-    assert len(cold._w0_mant) == len(cold._w0_exp) \
+    assert len(cold._engine.w0_mant) == len(cold._engine.w0_exp) \
         == len(cold._engine.kappas)
     # the engine and every eval thread grew one coefficient cache: each index
     # was published once, in its place
@@ -375,9 +376,9 @@ CAPACITIES = {
 
 
 def _count_raising_builds(monkeypatch):
-    import jacspec.charfn as charfn
+    import jacspec.second_kind as second_kind
     raised = []
-    orig = charfn.kappa_sequence
+    orig = second_kind.kappa_sequence
 
     def counted(src, count, **kwargs):
         try:
@@ -386,7 +387,7 @@ def _count_raising_builds(monkeypatch):
             raised.append(count)
             raise
 
-    monkeypatch.setattr(charfn, "kappa_sequence", counted)
+    monkeypatch.setattr(second_kind, "kappa_sequence", counted)
     return raised
 
 
@@ -474,15 +475,18 @@ def test_certified_sign_stops_at_noise_floor(monkeypatch):
 def test_tail_estimates_are_computed_once_per_size(monkeypatch, max_terms):
     # the table only grows and the capacity only falls, so each _tail_upper(n)
     # is fixed once computed, None included (beyond the coefficient horizon
-    # at 20000, beyond the budget at 200); a second plan grows nothing
+    # at 20000, beyond the budget at 200); a second plan grows nothing, and
+    # only S's lookup of its 64 entries asks for a count
     ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5), max_terms)
     first = [ev.plan_terms(z, 1e-12) for z in (1.0, 60.0, 250.0)]
     assert None in ev._tails.values()
     grows = []
     orig = ev._grow
     monkeypatch.setattr(ev, "_grow", lambda count: grows.append(count) or orig(count))
+    counts = _count_work(monkeypatch)
     assert [ev.plan_terms(z, 1e-12) for z in (1.0, 60.0, 250.0)] == first
-    assert grows == []
+    assert grows == [64] * 3
+    assert counts["builds"] == 0
     fresh = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5), max_terms)
     assert [fresh._tail_upper(n) for n in sorted(ev._tails)] == \
         [ev._tails[n] for n in sorted(ev._tails)]
@@ -500,3 +504,53 @@ def test_missing_kappa_table_gives_uncertified_values():
             (1.0, math.inf, 0, False)
     with pytest.raises(js.ConvergenceError):
         ev.kappa_sum_upper
+
+
+@pytest.mark.parametrize("args", sorted(CAPACITIES))
+@pytest.mark.parametrize("column, max_terms", [(0, 20000), (2, 63)])
+def test_kappa_sum_upper_does_not_depend_on_the_first_build(args, column,
+                                                           max_terms):
+    # S is the total_upper of the first min(64, capacity) entries.  It was
+    # that of whichever build came first: at (0.9, 0.9, 0) a first build of
+    # 41, 64 or 200 entries gave 0x1.4727326358ea4p+3, 0x1.40723ea72574ep+3
+    # or 0x1.4000000000033p+3
+    src = js.ASC2Source(*args)
+    capacity = CAPACITIES[args][column]
+    want = js.kappa_sequence(src, min(64, capacity),
+                             max_terms=max_terms).total_upper
+    for first in (41, 64, 200):
+        ev = js.CharFnEvaluator(src, max_terms)
+        ev._grow(first)
+        assert ev.kappa_sum_upper.hex() == want.hex()
+        assert ev._capacity == (capacity if max(first, 64) > capacity
+                                else max_terms)
+
+
+def test_threads_growing_one_evaluator_keep_one_table():
+    # four eval_grid calls at once grow one table, with its w_n(0) pairs, to
+    # the bits of a single-threaded build
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    src = js.ASC2Source(0.5, 0.5, 0.5)
+    grids = [np.linspace(-1.0, hi, 9) for hi in (40.0, 120.0, 250.0, 900.0)]
+    alone = js.CharFnEvaluator(src)
+    want = [alone.eval_grid(zs) for zs in grids]
+    eng = alone._engine
+
+    def bits(e):
+        return (list(map(float.hex, e.kappas)), list(map(float.hex, e.w0_mant)),
+                e.w0_exp)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            ev = js.CharFnEvaluator(src)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(ev.eval_grid, grids))
+            assert got == want
+            assert len(ev._engine.kappas) == len(ev._engine.w0_mant) \
+                == len(ev._engine.w0_exp)
+            assert bits(ev._engine) == bits(eng)
+    finally:
+        sys.setswitchinterval(interval)

@@ -234,7 +234,7 @@ def test_terms_beyond_the_float_range_are_signed_infs_on_both_paths():
     assert all(v.value == math.inf for v in scalar[1:])
     n = len(ev._engine.kappas)
     sums = charfn._grid_sums(_coeff_reader(src), zs, [n] * len(zs),
-                             ev._w0_mant, ev._w0_exp)
+                             ev._engine.w0_mant, ev._engine.w0_exp)
     (total, _), (total_54, _), (total_56, top_56) = sums[:3]
     assert math.isfinite(total) and math.isfinite(total_54)
     # a term between e^709 and the largest float stays finite

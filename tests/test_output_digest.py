@@ -1,10 +1,13 @@
 """Smoke test of tools/output_digest.py, the per-job output digest of the
-benchmark workloads."""
+benchmark workloads, and the seed-0 digests it must reproduce."""
 
 import importlib.util
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
+# `python3 tools/output_digest.py --seeds 0`; only a change that sets out to
+# change outputs regenerates it, and says so
+SEED_0 = Path(__file__).resolve().parent / "output_digest_seed0.txt"
 
 
 def _tool():
@@ -34,3 +37,14 @@ def test_two_runs_give_the_same_digests(tmp_path, capsys):
     label = first["spectrum-oracle", 0, 2][1]
     assert capsys.readouterr().err == (
         f"changed: spectrum-oracle seed 0 job 2 {label}\n1 of 4 jobs changed\n")
+
+
+def test_seed_0_outputs_are_bit_identical_to_the_committed_digests():
+    # every eigenvalue, F value and report byte of the 13 seed-0 jobs
+    tool = _tool()
+    want = tool._read(SEED_0)
+    got = tool.digests(tool.jobs.WORKLOADS, [0])
+    changed = sorted(key for key in want.keys() | got.keys()
+                     if want.get(key) != got.get(key))
+    assert changed == []
+    assert len(got) == 13

@@ -367,13 +367,13 @@ def test_capacity_reads_the_stop_the_failed_build_found(args, max_terms,
     # here the failed build's stop lies past its count and the sums from it
     # fail; smaller counts with that same stop build, so the capacity search
     # must look up to that stop, not only up to the failed count
-    from jacspec.second_kind import TailSeriesEngine, _kappa_capacity
+    from jacspec.second_kind import TailSeriesEngine, _grow_kappas
     src = js.ASC2Source(*args)
     eng = TailSeriesEngine(src, 0.0)
     with pytest.raises(js.ConvergenceError) as exc:
         js.kappa_sequence(src, failed, max_terms=max_terms, engine=eng)
     assert exc.value.stop == stop
-    assert _kappa_capacity(eng, failed, max_terms, exc.value) == capacity
+    assert _grow_kappas(eng, failed, max_terms) == capacity == len(eng.kappas)
     js.kappa_sequence(src, capacity, max_terms=max_terms)
     with pytest.raises(js.ConvergenceError):
         js.kappa_sequence(src, capacity + 1, max_terms=max_terms)
@@ -429,3 +429,53 @@ def test_kappa_build_exp_calls(monkeypatch, q, a, shift, count, fails, budget):
     with pytest.raises(js.ConvergenceError) if fails else contextlib.nullcontext():
         js.kappa_sequence(js.ASC2Source(q, a, shift), count)
     assert len(calls) <= budget
+
+
+def _kappas_through(engine, src):
+    return js.kappa_sequence(src, 10, engine=engine).kappas
+
+
+def _trace_through(engine, src):
+    return js.trace_inverse(src, 1e-8, engine=engine).value
+
+
+@pytest.mark.parametrize("call", [_kappas_through, _trace_through])
+def test_an_engine_of_another_source_is_rejected(call):
+    # it returned the kappas of (0.3, 0.3, 0): kappa_0 0.912... where the
+    # source's is 1.422...
+    from jacspec.second_kind import TailSeriesEngine
+    other = TailSeriesEngine(js.ASC2Source(0.3, 0.3, 0.0), 0.0)
+    with pytest.raises(ValueError, match="^engine must be a z = 0"):
+        call(other, js.ASC2Source(0.5, 0.5, 0.5))
+    assert other.kappas == []
+
+
+@pytest.mark.parametrize("call", [_kappas_through, _trace_through])
+def test_an_engine_away_from_zero_is_rejected(call):
+    # at z = -1 it returned positive numbers that are not kappas
+    from jacspec.second_kind import TailSeriesEngine
+    src = js.ASC2Source(0.5, 0.5, 0.5)
+    with pytest.raises(ValueError, match="^engine must be a z = 0"):
+        call(TailSeriesEngine(src, -1.0), src)
+    # an equal source and z = 0 pass, and give a fresh engine's values
+    assert call(TailSeriesEngine(js.ASC2Source(0.5, 0.5, 0.5), 0.0), src) == \
+        call(None, src)
+
+
+@pytest.mark.parametrize("q, a, shift", [(0.5, 0.5, 0.5), (0.9, 0.9, 0.0)])
+def test_w0_pairs_stand_beside_the_kappas(q, a, shift):
+    # w_n(0) = kappa_n / P_n(0), kept as a signed mantissa and a power of two
+    # for every entry of the table, whatever the builds that made it
+    from jacspec.recurrence import log_table
+    from jacspec.second_kind import TailSeriesEngine
+    src = js.ASC2Source(q, a, shift)
+    eng = TailSeriesEngine(src, 0.0)
+    for count in (5, 41, 64, 100):
+        js.kappa_sequence(src, count, engine=eng)
+    assert len(eng.w0_mant) == len(eng.w0_exp) == len(eng.kappas) == 100
+    logs, signs = log_table(src, 0.0, 99)
+    for n, k in enumerate(eng.kappas):
+        assert 1.0 <= abs(eng.w0_mant[n]) <= 2.0
+        assert math.copysign(1.0, eng.w0_mant[n]) == signs[n]
+        log_w = math.log(abs(eng.w0_mant[n])) + eng.w0_exp[n] * math.log(2.0)
+        assert log_w == pytest.approx(math.log(k) - logs[n], abs=1e-12)

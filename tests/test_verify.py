@@ -8,6 +8,7 @@ import jacspec as js
 from asc2_reference import dense_w_factorization_gap
 from conftest import random_pd_table
 from jacspec.recurrence import log_table
+from jacspec.second_kind import TailSeriesEngine
 from jacspec.verify import (_inverse_tail, check_green_identity,
                             check_resolvent_identity,
                             check_trace_reconciliation, check_w_factorization,
@@ -72,7 +73,8 @@ def test_check_result_status_strings(asc2_shifted):
 def test_trace_reconciliation_with_shift(params):
     # the tail lambda_n = C rho^-n - s is fitted, so a shift no longer leaves
     # a gap of order 1e-5 behind the twelve oracle eigenvalues
-    r = check_trace_reconciliation(js.ASC2Source(*params))
+    src = js.ASC2Source(*params)
+    r = check_trace_reconciliation(src, TailSeriesEngine(src, 0.0))
     assert r.passed
     assert r.max_residual <= 1e-8
 
@@ -87,7 +89,8 @@ def test_trace_reconciliation_detects_planted_error(monkeypatch):
                                         tail_bound=tr.tail_bound, terms=tr.terms)
 
     monkeypatch.setattr(second_kind, "trace_inverse", off_by_1e5)
-    r = check_trace_reconciliation(js.ASC2Source(0.7, 0.7, 0.05))
+    src = js.ASC2Source(0.7, 0.7, 0.05)
+    r = check_trace_reconciliation(src, TailSeriesEngine(src, 0.0))
     assert not r.passed
     assert r.max_residual == pytest.approx(1e-5, rel=1e-2)
 
@@ -240,3 +243,35 @@ def test_inverse_tail_geometric_fallback():
     assert model == "geometric"
     assert tail == pytest.approx(2.0 / 3.0, rel=1e-15)
     assert _inverse_tail([3.0, 2.0, 1.0]) == (math.inf, "geometric")
+
+
+def test_one_kappa_table_per_verify_job(monkeypatch, capsys):
+    # the three kappa checks share run_suite's z = 0 engine, and S's build of
+    # 64 entries comes before the 61 the per-term check reads.  Each job made
+    # 4 z = 0 engines, and the two jobs 7 table-extending builds, when every
+    # check grew a table of its own
+    from jacspec import second_kind
+    from jacspec.cli import main
+    engines, extending = [], []
+    init = second_kind.TailSeriesEngine.__init__
+    build = second_kind.kappa_sequence
+
+    def counted_init(self, src, z):
+        init(self, src, z)
+        engines.append(z == 0)
+
+    def counted_build(src, count, **kwargs):
+        eng = kwargs.get("engine")
+        held = len(eng.kappas) if eng is not None else 0
+        seq = build(src, count, **kwargs)
+        extending.append(eng is None or len(eng.kappas) > held)
+        return seq
+
+    monkeypatch.setattr(second_kind.TailSeriesEngine, "__init__", counted_init)
+    monkeypatch.setattr(second_kind, "kappa_sequence", counted_build)
+    for argv in sorted(_PRECISION_30_REPORTS):
+        engines.clear()
+        assert main(["verify", *argv, "--precision=30"]) == 0
+        assert sum(engines) <= 2
+    capsys.readouterr()
+    assert sum(extending) <= 5
