@@ -9,6 +9,7 @@ is qseries.spectrum_product_reference.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -77,9 +78,6 @@ class CharFnEvaluator:
     Its capacity starts at max_terms; the first build that fails (budget,
     coefficient horizon or no stable decay window) fixes it, at the largest
     count that builds, and grows the table to it.
-
-    The tail-series engine's _coeff_reader also serves eval and eval_grid,
-    so each coefficient index is read from the source once per evaluator.
     """
 
     def __init__(self, src: CoefficientSource, max_terms: int = 20000):
@@ -87,7 +85,6 @@ class CharFnEvaluator:
         self.src = src
         self.max_terms = max_terms
         self._engine = TailSeriesEngine(src, 0.0)
-        self._read = self._engine.read
         self._capacity = max_terms  # lowered once, by the first failed build
         # _tail_upper(n) by n, None included: fixed once computed, since the
         # table only grows and the capacity only falls
@@ -106,10 +103,11 @@ class CharFnEvaluator:
             self._capacity = held
         return held == count
 
-    @property
+    @functools.cached_property
     def kappa_sum_upper(self) -> float:
-        """S for sum kappa_n from the first min(64, capacity) entries: a
-        partial sum plus a tail from the observed decay (an estimate)."""
+        """S for sum kappa_n, computed once from the first min(64, capacity)
+        entries: a partial sum plus a tail from the observed decay (an
+        estimate)."""
         self._grow(_SUM_TERMS)
         return second_kind._sum_upper(
             self._engine.kappas[:min(_SUM_TERMS, self._capacity)])
@@ -192,7 +190,7 @@ class CharFnEvaluator:
         scale = _ldexp_complex if is_c else _ldexp_inf
         terms = []
         max_term = 0.0
-        for n, u, v, ls, _ in _scaled_iter(self._read, z):
+        for n, u, v, ls in _scaled_iter(_coeff_reader(self.src), z):
             if n >= n_terms:
                 break
             # ls sums whole rescale exponents times ln 2, each rounded once;
@@ -230,7 +228,7 @@ class CharFnEvaluator:
         width = max(1, _GRID_BLOCK_BYTES // (8 * max(plans[order[0]].n_terms, 1)))
         for start in range(0, len(order), width):
             block = order[start:start + width]
-            sums = _grid_sums(self._read, [zs[j] for j in block],
+            sums = _grid_sums(_coeff_reader(self.src), [zs[j] for j in block],
                               [plans[j].n_terms for j in block],
                               self._engine.w0_mant, self._engine.w0_exp)
             for j, (total, max_term) in zip(block, sums):
@@ -356,7 +354,7 @@ def charfn_ratio(src: CoefficientSource, z, n_max: int = 200):
     zero = 0.0 + 0.0j if isinstance(z, complex) else 0.0
     prev = None
     cur = None
-    for (n, uz, vz, lz, _), (_, u0, v0, l0, _) in zip(it_z, it_0):
+    for (n, uz, vz, lz), (_, u0, v0, l0) in zip(it_z, it_0):
         if u0 == 0:
             raise _zero_at_origin(n)
         prev = cur

@@ -106,6 +106,17 @@ def _check_family(family) -> None:
     if kind not in ("asc2", "explicit"):
         raise ConfigError(f"unknown family kind {kind!r}")
     _check_keys(family, _FAMILY_KEYS[kind], "family", required=True)
+    # checked, not converted: the report echoes the family as written
+    if kind == "asc2":
+        _number(family["q"], "family.q")
+        _number(family["a"], "family.a")
+        return
+    for key in ("alphas", "betas"):
+        if not isinstance(family[key], list):
+            raise ConfigError(f"family.{key} must be an array of numbers, "
+                              f"got {family[key]!r}")
+        for i, x in enumerate(family[key]):
+            _number(x, f"family.{key}[{i}]")
 
 
 def _number(value, key: str, kind=float):

@@ -64,15 +64,14 @@ def _horizon_coeffs(src: CoefficientSource, n: int) -> tuple[float, float]:
 
 
 def _scaled_iter(read, z, second_kind: bool = False):
-    """Yield (n, u, v, log_scale, alpha_n) with X_n = u e^L and X_{n+1} = v e^L.
+    """Yield (n, u, v, log_scale) with X_n = u e^L and X_{n+1} = v e^L.
 
     X is the orthonormal sequence (X_0 = 1, X_1 = (z - b_0)/a_0) or, with
-    second_kind=True, the second-kind sequence (X_0 = 0, X_1 = 1/a_0);
-    alpha_n is the coefficient of the step to X_{n+1}.  The pair, the first
-    included, is renormalized whenever it leaves a safe magnitude window, so
-    the iteration itself never overflows.  read is a _coeff_reader, which
-    raises ConvergenceError at the first index n whose coefficients reach the
-    2^900 horizon.
+    second_kind=True, the second-kind sequence (X_0 = 0, X_1 = 1/a_0).  The
+    pair, the first included, is renormalized whenever it leaves a safe
+    magnitude window, so the iteration itself never overflows.  read is a
+    _coeff_reader, which raises ConvergenceError at the first index n whose
+    coefficients reach the 2^900 horizon.
     """
     one = 1.0 + 0.0j if isinstance(z, complex) else 1.0
     log_scale = 0.0
@@ -92,21 +91,21 @@ def _scaled_iter(read, z, second_kind: bool = False):
             u = _ldexp2(u, -e)
             v = _ldexp2(v, -e)
             log_scale += e * _LN2
-        yield n, u, v, log_scale, a_n
+        yield n, u, v, log_scale
         a_prev = a_n
         n += 1
 
 
 def _coeff_reader(src: CoefficientSource):
-    """read(n) -> _horizon_coeffs(src, n), each index fetched from src once.
-
-    One reader may serve several recurrences, from several threads: its
-    table (read.table) grows under a lock, by appends only, so every index is
-    published once and never changes.  An index at the horizon is not
-    stored, so each read of it asks src again and raises again.
+    """read(n) -> _horizon_coeffs(src, n) over src's one coefficient table
+    (read.table), kept on the object outside its fields (eq, hash and repr
+    ignore it) and shared, from any thread, by every recurrence on src.
+    The table grows under a lock, by appends only, so each index is fetched
+    from src and published once.  An index at the horizon is not stored;
+    each read of it raises.  The object keeps the table, not the reader,
+    which holds src: src's last reference still frees both.
     """
-    table: list[tuple[float, float]] = []
-    lock = threading.Lock()
+    table, lock = vars(src).setdefault("_coeff_table", ([], threading.Lock()))
 
     def read(n: int) -> tuple[float, float]:
         if n >= len(table):
@@ -157,7 +156,7 @@ def log_table(src: CoefficientSource, z, n_max: int, second_kind: bool = False):
     """
     logs = []
     signs = []
-    for n, u, v, ls, _ in _scaled_iter(_coeff_reader(src), z,
+    for n, u, v, ls in _scaled_iter(_coeff_reader(src), z,
                                        second_kind=second_kind):
         for x in (u, v) if n + 1 == n_max else (u,):
             logs.append(ls + math.log(abs(x)) if x != 0 else -math.inf)

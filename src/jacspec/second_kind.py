@@ -44,13 +44,12 @@ def _exp_cap(x: float) -> float:
 class TailSeriesEngine:
     """Incrementally grown per-index data for the tail series at a fixed z.
 
-    Holds alpha_j, log|P_j(z)|, sign P_j(z) and the implied series terms
+    Holds log|P_j(z)|, sign P_j(z) and the implied series terms
     t_j = 1/(alpha_j P_j P_{j+1}) with their ratios |t_{j+1}/t_j|, each ratio
     formed once as its term is built.  Shared between the second-kind table,
     the kappa sequence and the characteristic-function evaluator; each prefix
-    is immutable once built, so concurrent readers are safe.  read is the
-    engine's _coeff_reader of src; an owner may run its own recurrences on
-    it, so that each coefficient index is fetched from src once.  kappas is
+    is immutable once built, so concurrent readers are safe.  coeffs is
+    src's coefficient table (_coeff_reader), with alpha_j.  kappas is
     kappa_sequence's table, with w_n(0) = w0_mant[n] 2^w0_exp[n] beside it,
     grown by one build at a time under _kappa_lock, which is taken before
     the growth lock; w0_mant is extended last: its length is the table's.
@@ -60,12 +59,11 @@ class TailSeriesEngine:
         require_infinite(src, "tail series evaluation")
         self.src = src
         self.z = z
-        self.read = _coeff_reader(src)
-        self._iter = _scaled_iter(self.read, z)
+        self.coeffs = _coeff_reader(src).table
+        self._iter = _scaled_iter(_coeff_reader(src), z)
         self._grow_lock = threading.Lock()  # generators are not reentrant
         self.log_p: list[float] = []
         self.sgn_p: list = []
-        self.alphas: list[float] = []
         self.log_t: list[float] = []
         self.sgn_t: list = []
         self.ratios: list[float] = []  # |t_{j+1} / t_j|, one per built pair
@@ -91,7 +89,7 @@ class TailSeriesEngine:
                 if self._horizon is not None:
                     raise ConvergenceError(self._horizon, terms=len(self.log_t))
                 try:
-                    n, u, v, ls, a_n = next(self._iter)
+                    n, u, v, ls = next(self._iter)
                 except ConvergenceError as exc:
                     # the generator is finished once it raises; keep only the
                     # message, since a kept traceback would pin its frames
@@ -99,10 +97,9 @@ class TailSeriesEngine:
                     continue
                 self.log_p.append(ls + math.log(abs(u)) if u != 0 else -math.inf)
                 self.sgn_p.append(_phase(u))
-                self.alphas.append(a_n)
                 if n >= 1:
-                    j = n - 1
-                    lt = -(math.log(self.alphas[j])
+                    j = n - 1  # the reader holds alpha_j since step j
+                    lt = -(math.log(self.coeffs[j][0])
                            + self.log_p[j] + self.log_p[j + 1])
                     if j >= 1:
                         prev = self.log_t[j - 1]
@@ -245,7 +242,7 @@ def _inverse_scale(eng: TailSeriesEngine, n: int) -> float:
     where the value overflows."""
     if eng.log_p[n + 1] == -math.inf:
         raise AssumptionViolation(f"P_{n + 1}(z) = 0 on the evaluation path")
-    scale = _exp_cap(-math.log(eng.alphas[n]) - eng.log_p[n + 1])
+    scale = _exp_cap(-math.log(eng.coeffs[n][0]) - eng.log_p[n + 1])
     if scale == math.inf:
         raise AssumptionViolation(
             f"1/P_{n + 1}(z) overflows; z too close to a polynomial root"
@@ -295,11 +292,11 @@ def _kappa_entries(engine: TailSeriesEngine, start: int, count: int,
         if engine.log_p[n] == -math.inf:
             raise _zero_at_origin(n)
     s, _ = _kappa_sums(engine, count, max_terms, start)
-    lp, sp, alphas = engine.log_p, engine.sgn_p, engine.alphas
+    lp, sp, coeffs = engine.log_p, engine.sgn_p, engine.coeffs
     kappas = []
     for n in range(start, count):
         _inverse_scale(engine, n)
-        mag = _exp_cap(-math.log(alphas[n]) + lp[n] - lp[n + 1])
+        mag = _exp_cap(-math.log(coeffs[n][0]) + lp[n] - lp[n + 1])
         kappa = -s[n - start] * (sp[n] / sp[n + 1]) * mag
         if not kappa > 0.0:
             raise AssumptionViolation(

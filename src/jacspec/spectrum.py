@@ -37,13 +37,14 @@ CONFIRM_POLICIES = ("auto", "require", "oracle")  # see find_spectrum
 
 @dataclass(frozen=True)
 class TruncatedTridiagonal:
-    """Leading N x N block of the shifted Jacobi matrix (finite section)."""
+    """Leading N x N block of the shifted Jacobi matrix (finite section);
+    N = 0 is the empty block."""
 
     diag: np.ndarray
     offdiag: np.ndarray
 
     def __post_init__(self):
-        if len(self.offdiag) != len(self.diag) - 1:
+        if len(self.offdiag) != max(len(self.diag) - 1, 0):
             raise ValueError("offdiag must be one entry shorter than diag")
 
     @property
@@ -392,9 +393,10 @@ def _rung(src, n, otol):
     A row is unusable when its diagonal entry or its offdiag**2 leaves the
     float range (from_source refuses it) or offdiag**2 lifts the pivot floor
     above otol (sturm_eigenvalues refuses it).  A block is usable exactly
-    when each of its rows is, so the usable sizes are a prefix of 1, 2, ...
-    and the cut block equals from_source at its size.  The coefficients are
-    read once.
+    when each of its rows is, so the usable sizes are a prefix of 0, 1, 2,
+    ... and the cut block equals from_source at its size.  The coefficients
+    are read once, by src.alpha and src.beta: _coeff_reader refuses entries
+    past the 2^900 horizon, and coeffs(n) gives no beta without its alpha.
     """
     diag = np.array([src.beta(i) - src.shift for i in range(n)], dtype=float)
     off = np.array([src.alpha(i) for i in range(n - 1)], dtype=float)
@@ -406,7 +408,7 @@ def _rung(src, n, otol):
         m = int(np.argmin(np.isfinite(diag)))
     if np.any(bad_off):
         m = min(m, int(np.argmax(bad_off)) + 1)
-    return TruncatedTridiagonal(diag=diag[:m], offdiag=off[:m - 1])
+    return TruncatedTridiagonal(diag=diag[:m], offdiag=off[:max(m - 1, 0)])
 
 
 def _ladder(src, k, tol, otol):
@@ -425,15 +427,18 @@ def _ladder(src, k, tol, otol):
     included) that would pass the largest usable size is clamped to that
     size.  On a fast-growing source such as ASC-II at q = 0.3 this lets the
     last rung end just inside the float range instead of failing there.  If
-    the clamp leaves no rung larger than the current one, or the clamped
-    rung or a rung of _LADDER_CAP rows or more does not stabilize,
-    ValueError is raised rather than an unstabilized root returned.
+    the clamp leaves a first rung of fewer than k rows or no rung larger
+    than the current one, or the clamped rung or a rung of _LADDER_CAP rows
+    or more does not stabilize, ValueError is raised rather than an
+    unstabilized root returned.
 
     Returns (sizes, t_coarse, t_fine, x_coarse, x_fine): every rung size,
     then the last two blocks and their roots at otol; x_coarse comes from
     the smaller truncation, so componentwise x_coarse >= x_fine >= lambda.
     """
     t_prev = _rung(src, max(4 * k, 8), otol)
+    if t_prev.size < k:
+        raise _not_stabilized(k, t_prev.size, otol)
     sizes = [t_prev.size]
     x_prev = sturm_eigenvalues(t_prev, k, otol,
                                hint=np.sort(t_prev.diag)[:k])
@@ -448,13 +453,16 @@ def _ladder(src, k, tol, otol):
             if np.all(np.abs(x_prev - x_next) <= floor):
                 return sizes, t_prev, t, x_prev, x_next
         if t.size < 2 * n or t.size >= _LADDER_CAP:
-            m = sizes[-1]
-            limit = (f"the ladder cap {_LADDER_CAP}" if m >= _LADDER_CAP else
-                     f"the largest truncation usable at tolerance {otol:.3g}")
-            raise ValueError(
-                f"the {k} smallest roots have not stabilized at {m} x {m}, "
-                f"{limit}")
+            raise _not_stabilized(k, sizes[-1], otol)
         t_prev, x_prev = t, x_next
+
+
+def _not_stabilized(k, m, otol):
+    """The ladder's ValueError when its last rung has m rows."""
+    limit = (f"the ladder cap {_LADDER_CAP}" if m >= _LADDER_CAP else
+             f"the largest truncation usable at tolerance {otol:.3g}")
+    return ValueError(
+        f"the {k} smallest roots have not stabilized at {m} x {m}, {limit}")
 
 
 def _slope_estimate(j, oracle, tail_ratio):

@@ -101,6 +101,16 @@ def _n_cap(src, want):
     return want if cap is None else min(want, cap)
 
 
+def _mp_tables(src, digits):
+    """The mpmath identity checks' (ctx, alphas, betas, green): _mp_coeffs
+    to n = _n_cap(src, _N_MAX) and _green's block, ([], []) below 2 x 2."""
+    ctx = _mp_context(digits)
+    alphas, betas = _mp_coeffs(src, _n_cap(src, _N_MAX), ctx)
+    n_block = min(_GREEN_BLOCK, len(alphas))
+    green = _green(alphas, betas, n_block, ctx) if n_block >= 2 else ([], [])
+    return ctx, alphas, betas, green
+
+
 # ---------------------------------------------------------------------------
 # individual checks
 # ---------------------------------------------------------------------------
@@ -119,15 +129,13 @@ def check_coefficient_positivity(src) -> CheckResult:
                    f"nonpositive off-diagonal at n in {violations}")
 
 
-def check_recurrence(src, digits=0) -> CheckResult:
-    n_stop = _n_cap(src, _N_MAX)
+def check_recurrence(ctx, alphas, betas) -> CheckResult:
+    n_stop = len(alphas) - 1
     if n_stop < 1:
         return _skip("recurrence_residual", _RECURRENCE_THRESHOLD,
                      "table too short: no index n >= 1")
     zs = list(_REAL_ZS) + [_COMPLEX_Z]
     worst = 0.0
-    ctx = _mp_context(digits)
-    alphas, betas = _mp_coeffs(src, n_stop, ctx)
     for z in zs:
         zc = ctx.mpc(z) if isinstance(z, complex) else ctx.mpf(z)
         for second in (False, True):
@@ -144,14 +152,12 @@ def check_recurrence(src, digits=0) -> CheckResult:
                    f"n <= {n_stop}, {len(zs)} evaluation points")
 
 
-def check_wronskian(src, digits=0) -> CheckResult:
-    m_stop = _n_cap(src, _WRONSKIAN_M_MAX)
+def check_wronskian(ctx, alphas, betas) -> CheckResult:
+    m_stop = min(_WRONSKIAN_M_MAX, len(alphas) - 1)
     if m_stop < 1:
         return _skip("wronskian_identity", _IDENTITY_THRESHOLD,
                      "table too short: no pair m > n")
     worst = 0.0
-    ctx = _mp_context(digits)
-    alphas, betas = _mp_coeffs(src, m_stop, ctx)
     for z in (0.0, -0.7, 0.4):
         zc = ctx.mpf(z)
         p = plain_values(alphas, betas, zc, m_stop)
@@ -196,17 +202,14 @@ def _green(alphas, betas, n_block, ctx):
     return p, g
 
 
-def check_green_identity(src, digits=0) -> CheckResult:
-    n_block = _n_cap(src, _GREEN_BLOCK - 1) + 1
-    if n_block < 2:
+def check_green_identity(alphas, betas, green) -> CheckResult:
+    g = green[1]
+    if len(g) < 2:
         return _skip("green_identity", _IDENTITY_THRESHOLD,
                      "table too short: no 2 x 2 block")
-    ctx = _mp_context(digits)
-    alphas, betas = _mp_coeffs(src, n_block - 1, ctx)
-    _, g = _green(alphas, betas, n_block, ctx)
     worst = 0.0
-    for m in range(n_block - 1):  # the boundary row is excluded
-        for n in range(n_block):
+    for m in range(len(g) - 1):  # the boundary row is excluded
+        for n in range(len(g)):
             acc = betas[m] * g[m][n]
             scale = abs(acc)
             if m > 0:
@@ -217,20 +220,19 @@ def check_green_identity(src, digits=0) -> CheckResult:
             target = 1 if m == n else 0
             worst = max(worst, float(abs(acc - target) / max(scale, 1)))
     return _result("green_identity", worst, _IDENTITY_THRESHOLD,
-                   f"N = {n_block}")
+                   f"N = {len(g)}")
 
 
-def check_resolvent_identity(src, gamma=None, digits=0) -> CheckResult:
-    n_block = _n_cap(src, _GREEN_BLOCK - 1) + 1
+def check_resolvent_identity(ctx, alphas, betas, green,
+                             gamma=None) -> CheckResult:
+    p0, g = green
+    n_block = len(g)
     if n_block < 2:
         return _skip("resolvent_identity", _IDENTITY_THRESHOLD,
                      "table too short: no 2 x 2 block")
     xs = [0.0, 0.1]
     if gamma is not None:
         xs.append(0.3 * gamma)
-    ctx = _mp_context(digits)
-    alphas, betas = _mp_coeffs(src, n_block - 1, ctx)
-    p0, g = _green(alphas, betas, n_block, ctx)
     worst = 0.0
     for x in xs:
         xv = ctx.mpf(x)
@@ -423,13 +425,13 @@ def run_suite(src: CoefficientSource, *, gamma: float | None = None,
                 f"gamma {gamma!r} is above the smallest eigenvalue of the "
                 f"{t.size} x {t.size} truncation, an upper bound of lambda_1; "
                 "gamma must be a lower bound of the spectrum")
-    digits = precision_digits if precision_digits and precision_digits > 16 else 0
+    ctx, alphas, betas, green = _mp_tables(src, precision_digits)
     out = [
         check_coefficient_positivity(src),
-        check_recurrence(src, digits=digits),
-        check_wronskian(src, digits=digits),
-        check_green_identity(src, digits=digits),
-        check_resolvent_identity(src, gamma=gamma, digits=digits),
+        check_recurrence(ctx, alphas, betas),
+        check_wronskian(ctx, alphas, betas),
+        check_green_identity(alphas, betas, green),
+        check_resolvent_identity(ctx, alphas, betas, green, gamma=gamma),
     ]
     pd_ok = out[0].passed
     if pd_ok:
@@ -456,5 +458,5 @@ def run_suite(src: CoefficientSource, *, gamma: float | None = None,
                      "kappa_positivity_monotonic", "per_term_growth_bound",
                      "trace_reconciliation"):
             out.append(_skip(name, 0.0, note))
-    out.append(check_w_factorization(src, digits=digits))
+    out.append(check_w_factorization(src, digits=precision_digits))
     return out

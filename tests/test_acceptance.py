@@ -15,8 +15,8 @@ import pytest
 import jacspec as js
 from asc2_reference import asc2_series_vs_product
 from conftest import random_pd_table
-from jacspec.verify import (check_recurrence, check_resolvent_identity,
-                            check_wronskian)
+from jacspec.verify import (_mp_tables, check_recurrence,
+                            check_resolvent_identity, check_wronskian)
 
 
 @contextmanager
@@ -128,9 +128,10 @@ def test_acceptance_5_structural_identity_suite():
         # forward substitution for m <= 12, and the Green-based
         # reconstruction of P_*(x) from P_*(0) at x = 0, 0.1, 0.3 on N <= 12
         for src in (asc2, asc2_b, *tables):
+            mp = _mp_tables(src, 0)
             rows = {r.name: r for r in (
-                check_recurrence(src), check_wronskian(src),
-                check_resolvent_identity(src, gamma=1.0))}
+                check_recurrence(*mp[:3]), check_wronskian(*mp[:3]),
+                check_resolvent_identity(*mp, gamma=1.0))}
             assert rows["recurrence_residual"].max_residual <= 1e-12
             assert rows["wronskian_identity"].note == "m <= 12"
             assert rows["wronskian_identity"].max_residual <= 1e-10

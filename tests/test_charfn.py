@@ -5,6 +5,7 @@ import pytest
 
 import jacspec as js
 from asc2_reference import hadamard_product
+from jacspec.recurrence import _coeff_reader
 
 
 def combined_bound(*vals):
@@ -202,7 +203,7 @@ def test_evaluator_shared_across_threads(asc2_shifted):
 
     # concurrent growth from a cold evaluator must also be safe, and give the
     # same values: the append-only table never changes a published entry
-    cold = js.CharFnEvaluator(asc2_shifted)
+    cold = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -213,9 +214,10 @@ def test_evaluator_shared_across_threads(asc2_shifted):
     assert grown == serial
     assert len(cold._engine.w0_mant) == len(cold._engine.w0_exp) \
         == len(cold._engine.kappas)
-    # the engine and every eval thread grew one coefficient cache: each index
-    # was published once, in its place
-    table = cold._read.table
+    # the engine and every eval thread grew the source's one coefficient
+    # table: each index was published once, in its place
+    table = _coeff_reader(cold.src).table
+    assert len(table) > len(cold._engine.kappas)
     assert table == [asc2_shifted.coeffs(i) for i in range(len(table))]
 
 
@@ -475,8 +477,8 @@ def test_certified_sign_stops_at_noise_floor(monkeypatch):
 def test_tail_estimates_are_computed_once_per_size(monkeypatch, max_terms):
     # the table only grows and the capacity only falls, so each _tail_upper(n)
     # is fixed once computed, None included (beyond the coefficient horizon
-    # at 20000, beyond the budget at 200); a second plan grows nothing, and
-    # only S's lookup of its 64 entries asks for a count
+    # at 20000, beyond the budget at 200); S is computed once, so a second
+    # plan asks for no count and grows nothing
     ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5), max_terms)
     first = [ev.plan_terms(z, 1e-12) for z in (1.0, 60.0, 250.0)]
     assert None in ev._tails.values()
@@ -485,7 +487,7 @@ def test_tail_estimates_are_computed_once_per_size(monkeypatch, max_terms):
     monkeypatch.setattr(ev, "_grow", lambda count: grows.append(count) or orig(count))
     counts = _count_work(monkeypatch)
     assert [ev.plan_terms(z, 1e-12) for z in (1.0, 60.0, 250.0)] == first
-    assert grows == [64] * 3
+    assert grows == []
     assert counts["builds"] == 0
     fresh = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5), max_terms)
     assert [fresh._tail_upper(n) for n in sorted(ev._tails)] == \
@@ -554,3 +556,71 @@ def test_threads_growing_one_evaluator_keep_one_table():
             assert bits(ev._engine) == bits(eng)
     finally:
         sys.setswitchinterval(interval)
+
+
+def _count_coeffs(monkeypatch):
+    """Counter of ASC2Source.coeffs calls by index."""
+    import collections
+    calls = collections.Counter()
+    orig = js.ASC2Source.coeffs
+
+    def counted(self, n):
+        calls[n] += 1
+        return orig(self, n)
+
+    monkeypatch.setattr(js.ASC2Source, "coeffs", counted)
+    return calls
+
+
+def test_every_recurrence_on_a_source_shares_its_one_table(monkeypatch):
+    # the source object keeps one coefficient table, so the evaluator, both
+    # forms of charfn_ratio, log_table, second_kind_values and run_suite
+    # fetch each index from it once
+    from jacspec.recurrence import log_table
+    calls = _count_coeffs(monkeypatch)
+    src = js.ASC2Source(0.5, 0.5, 0.5)
+    read = _coeff_reader(src)
+    js.CharFnEvaluator(src).eval_grid(np.linspace(-1.0, 60.0, 50))
+    js.charfn_ratio(src, 2.5, n_max=300)
+    js.charfn_ratio(src, np.linspace(-1.0, 60.0, 50), n_max=400)
+    log_table(src, complex(0.3, 0.4), 500)
+    js.second_kind_values(src, -1.0, 20, gamma=src.natural_gamma)
+    js.run_suite(src)
+    assert _coeff_reader(src).table is read.table
+    assert set(calls.values()) == {1}
+    assert len(read.table) == len(calls) == max(calls) + 1
+
+
+@pytest.mark.parametrize("argv, reads", [
+    (["--q=0.5", "--a=0.5", "--shift=0.5", "--grid=-1.0:250.0:400"], 901),
+    (["--q=0.7", "--a=0.7", "--shift=0.0", "--grid=-1.0:40.0:400"], 650),
+])
+def test_a_charfn_job_reads_each_coefficient_once(monkeypatch, capsys, argv,
+                                                  reads):
+    # the partial-sum and ratio columns share the source's reader; the
+    # ratio column had one of its own, and these jobs read 1302 and 1051
+    from jacspec.cli import main
+    calls = _count_coeffs(monkeypatch)
+    assert main(["charfn", *argv, "--format=json"]) == 0
+    capsys.readouterr()
+    assert sum(calls.values()) == len(calls) == reads
+
+
+def test_kappa_sum_upper_is_computed_once(monkeypatch):
+    # S was rebuilt from its 64 entries on every plan_terms call: 400 times
+    # for this grid.  With no kappa table, every call raises again
+    from jacspec import second_kind
+    sums = []
+    orig = second_kind._sum_upper
+    monkeypatch.setattr(second_kind, "_sum_upper",
+                        lambda kappas: sums.append(len(kappas)) or orig(kappas))
+    ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5))
+    ev.eval_grid(np.linspace(-1.0, 250.0, 400))
+    ev.eval(3.0)
+    assert ev.kappa_sum_upper == ev.kappa_sum_upper
+    assert sums == [64]
+    empty = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5), max_terms=40)
+    for _ in range(2):
+        with pytest.raises(js.ConvergenceError):
+            empty.kappa_sum_upper
+    assert sums == [64, 0, 0]

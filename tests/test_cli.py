@@ -540,3 +540,34 @@ def test_config_explicit_family_rejects_q_a_flags(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "--q and --a apply only to an asc2 family" in err
+
+
+@pytest.mark.parametrize("family, message", [
+    ({"kind": "explicit", "alphas": "12", "betas": "345"},
+     "family.alphas must be an array of numbers, got '12'"),
+    ({"kind": "explicit", "alphas": [1.0, 2.0], "betas": "345"},
+     "family.betas must be an array of numbers, got '345'"),
+    ({"kind": "explicit", "alphas": [1.0, "2"], "betas": [3.0, 4.0, 5.0]},
+     "family.alphas[1] must be a number, got '2'"),
+    ({"kind": "asc2", "q": 0.5, "a": True}, "family.a must be a number, got True"),
+    ({"kind": "asc2", "q": "0.5", "a": 0.5},
+     "family.q must be a number, got '0.5'"),
+], ids=["alphas-string", "betas-string", "alphas-entry", "a-bool", "q-string"])
+def test_config_family_values_must_be_numbers(tmp_path, capsys, family, message):
+    # each ran and exited 0: "12" became the table (1, 2), true became
+    # a = 1.0 and "0.5" became q = 0.5, while "shift": "0.5" was rejected
+    code, out, err = _run_config(tmp_path, capsys, {"family": family}, "verify")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_config_family_is_echoed_as_written(tmp_path, capsys):
+    # the values are checked, not converted: integer entries echo as integers
+    family = {"kind": "explicit", "alphas": [1, 1], "betas": [3, 3.0, 3]}
+    code, out, err = _run_config(tmp_path, capsys, {"family": family},
+                                 "verify", "--format", "json")
+    assert code == 0, err
+    echoed = json.loads(out)["meta"]["config"]["family"]
+    assert echoed == family
+    assert [type(x) for x in echoed["betas"]] == [int, float, int]

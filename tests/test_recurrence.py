@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import jacspec as js
 from conftest import (P1_AT_A_Q5, P3_AT_A_Q5, Q2_AT_A_Q5, mp_plain_recurrence,
                       random_pd_table)
-from jacspec.verify import (_green, _mp_coeffs, _mp_context,
+from jacspec.verify import (_green, _mp_coeffs, _mp_context, _mp_tables,
                             check_green_identity, check_resolvent_identity,
                             check_wronskian)
 
@@ -165,7 +165,7 @@ def test_q_assoc_against_forward_substitution():
                js.ASC2Source(q=0.3, a=0.3)]
     sources += [random_pd_table(rng, 14) for _ in range(4)]
     for src in sources:
-        r = check_wronskian(src)
+        r = check_wronskian(*_mp_tables(src, 0)[:3])
         assert r.note == "m <= 12"
         assert r.passed and r.max_residual <= 1e-10
 
@@ -206,7 +206,7 @@ def test_green_block_first_column():
 
 def test_green_right_inverse_interior(asc2_shifted):
     # interior rows only; the last row sees the truncation boundary
-    r = check_green_identity(asc2_shifted)
+    r = check_green_identity(*_mp_tables(asc2_shifted, 0)[1:])
     assert r.note == "N = 12"
     assert r.passed and r.max_residual <= 1e-10
 
@@ -214,20 +214,20 @@ def test_green_right_inverse_interior(asc2_shifted):
 def test_green_right_inverse_random_table():
     rng = np.random.RandomState(3)
     src = random_pd_table(rng, 12)
-    r = check_green_identity(src)
+    r = check_green_identity(*_mp_tables(src, 0)[1:])
     assert r.passed and r.max_residual <= 1e-11
 
 
 def test_resolvent_identity_asc2(asc2_shifted):
     # gamma 1 puts x = 0.3 among the reconstruction points
-    r = check_resolvent_identity(asc2_shifted, gamma=1.0)
+    r = check_resolvent_identity(*_mp_tables(asc2_shifted, 0), gamma=1.0)
     assert r.passed and r.max_residual <= 1e-10
 
 
 def test_resolvent_identity_random_table():
     rng = np.random.RandomState(5)
     src = random_pd_table(rng, 8)
-    r = check_resolvent_identity(src)
+    r = check_resolvent_identity(*_mp_tables(src, 0))
     assert r.passed and r.max_residual <= 1e-12
 
 
@@ -251,3 +251,55 @@ def test_coeff_reader_grown_from_threads_publishes_each_index_once():
     want = [src.coeffs(n) for n in range(800)]
     assert read.table == want
     assert got == [want[t:800:3] for t in range(8)]
+
+
+def test_one_coefficient_table_per_source_object_from_threads():
+    # eight threads that ask a fresh source for a reader at once all read
+    # the one table the source keeps; eq, hash and repr ignore it, and
+    # dataclasses.replace gives a new object with a table of its own
+    import dataclasses
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    from jacspec.recurrence import _coeff_reader
+    src = js.ASC2Source(0.5, 0.5, 0.5)
+    barrier = threading.Barrier(8)
+
+    def reader(_):
+        barrier.wait(timeout=30)
+        return _coeff_reader(src)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(reader, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    table = got[0].table
+    assert all(r.table is table for r in got)
+    assert _coeff_reader(src).table is table
+    got[3](5)
+    twin = js.ASC2Source(0.5, 0.5, 0.5)
+    assert (src, hash(src), repr(src)) == (twin, hash(twin), repr(twin))
+    copy = dataclasses.replace(src)
+    assert _coeff_reader(copy).table is not table
+    assert _coeff_reader(copy).table == [] and len(table) == 6
+
+
+def test_a_source_and_its_coefficient_table_free_without_the_gc():
+    # the source keeps its table, not the reader that refers back to it: a
+    # kept reader made a cycle that only the cyclic collector freed
+    import gc
+    import weakref
+    gc.disable()
+    try:
+        src = js.ASC2Source(0.5, 0.5, 0.5)
+        js.recurrence.log_table(src, 0.5, 50)
+        js.CharFnEvaluator(src).eval(2.0)
+        gone = weakref.ref(src)
+        del src
+        assert gone() is None
+    finally:
+        gc.enable()

@@ -223,16 +223,15 @@ def test_engine_keeps_the_horizon_error():
     msg = "coefficients exceed the working-precision horizon at n = 900"
     assert str(first.value) == msg
     assert first.value.terms == 899
-    built = (list(eng.log_p), list(eng.sgn_p), list(eng.alphas),
-             list(eng.log_t), list(eng.sgn_t), list(eng.ratios))
+    built = (list(eng.log_p), list(eng.sgn_p), list(eng.log_t),
+             list(eng.sgn_t), list(eng.ratios))
     assert len(eng.ratios) == 898  # one ratio per pair of built terms
     with pytest.raises(js.ConvergenceError) as second:
         eng.ensure_terms(5000)
     assert str(second.value) == msg
     assert second.value.terms == 899
     eng.ensure_terms(899)  # the built prefix still serves
-    assert (eng.log_p, eng.sgn_p, eng.alphas, eng.log_t, eng.sgn_t,
-            eng.ratios) == built
+    assert (eng.log_p, eng.sgn_p, eng.log_t, eng.sgn_t, eng.ratios) == built
 
 
 # Reference for the stored ratio list: the five-ratio window rebuilt from the

@@ -925,3 +925,28 @@ def test_ladder_raises_at_the_cap_instead_of_returning_unstabilized_roots(
     with pytest.raises(ValueError,
                        match="not stabilized at 16 x 16, the ladder cap 16"):
         js.find_spectrum(src, 2, 1e-9, confirm="oracle")
+
+
+def test_a_first_row_past_the_float_range_names_the_float_range():
+    # beta_0 - shift overflows, so no row is usable: the slice off[:m - 1]
+    # at m = 0 kept all but the last offdiag entry, and the block's shape
+    # check raised "offdiag must be one entry shorter than diag"
+    src = js.TableSource([1.0], [1e308, 1.0], shift=-1e308)
+    with pytest.raises(ValueError, match="^entries of the 2 x 2 truncation "
+                                         "leave the float range$"):
+        js.TruncatedTridiagonal.from_source(src, 2)
+
+
+@pytest.mark.parametrize("k", [12, 17])
+def test_a_usable_block_smaller_than_k_raises_the_ladder_error(capsys, k):
+    # q = 1e-10: 16 rows are usable at the finest oracle tolerance.  At
+    # k = 17 the first rung reached sturm_eigenvalues, which raised "need
+    # 0 <= k <= N, got k=17, N=16"; both k now get the ladder's message
+    from jacspec.cli import main
+    want = (f"the {k} smallest roots have not stabilized at 16 x 16, the "
+            "largest truncation usable at tolerance 1e-12")
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        js.find_spectrum(js.ASC2Source(1e-10, 1e-10, 0.0), k, 1e-9)
+    assert main(["spectrum", "--q", "1e-10", "--a", "1e-10", "--shift", "0",
+                 "--k", str(k)]) == 2
+    assert capsys.readouterr().err == f"error: {want}\n"

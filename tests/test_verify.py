@@ -9,7 +9,7 @@ from asc2_reference import dense_w_factorization_gap
 from conftest import random_pd_table
 from jacspec.recurrence import log_table
 from jacspec.second_kind import TailSeriesEngine
-from jacspec.verify import (_inverse_tail, check_green_identity,
+from jacspec.verify import (_inverse_tail, _mp_tables, check_green_identity,
                             check_resolvent_identity,
                             check_trace_reconciliation, check_w_factorization,
                             run_suite, w_factorization_check)
@@ -205,10 +205,9 @@ def test_green_rows_pass_where_the_cross_identity_cancels(params, digits):
     # the two products of Q_m P_n - P_m Q_n cancel in all or most of the
     # digits of a 53-bit run here (and of a 30-digit run at (0.99, 0.099,
     # -1)); the Green block recomputes such entries by forward substitution
-    src = js.ASC2Source(*params)
-    for check in (check_green_identity, check_resolvent_identity):
-        r = check(src, digits=digits)
-        assert r.passed and r.max_residual <= 1e-11, (check.__name__, r)
+    mp = _mp_tables(js.ASC2Source(*params), digits)
+    for r in (check_green_identity(*mp[1:]), check_resolvent_identity(*mp)):
+        assert r.passed and r.max_residual <= 1e-11, r
 
 
 @pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
@@ -275,3 +274,29 @@ def test_one_kappa_table_per_verify_job(monkeypatch, capsys):
         assert sum(engines) <= 2
     capsys.readouterr()
     assert sum(extending) <= 5
+
+
+def test_run_suite_builds_one_mpmath_table_and_one_green_block(monkeypatch):
+    # the recurrence, Wronskian, Green and resolvent checks share one
+    # context, one pair of coefficient lists and one Green block (the W
+    # check keeps its own context and unshifted lists); every check reads
+    # the source's one coefficient reader.  A job made 5 contexts, 5 lists,
+    # 2 Green blocks and 17 readers
+    import collections
+    from jacspec import verify
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: counts.update([name]) or fn(*args,
+                                                                   **kwargs)
+
+    for name in ("_mp_context", "_mp_coeffs", "_green"):
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    reads = collections.Counter()
+    coeffs = js.ASC2Source.coeffs
+    monkeypatch.setattr(js.ASC2Source, "coeffs",
+                        lambda self, n: reads.update([n]) or coeffs(self, n))
+    results = run_suite(js.ASC2Source(0.5, 0.5, 0.5), precision_digits=30)
+    assert all(r.passed for r in results)
+    assert counts == {"_mp_context": 2, "_mp_coeffs": 2, "_green": 1}
+    assert set(reads.values()) == {1}
