@@ -29,9 +29,9 @@ _NOISE_EPS = 6e-15
 # certified_sign divides atol by _SIGN_ATOL_STEP per round, down to _SIGN_ATOL_MIN
 _SIGN_ATOL_MIN = 1e-280
 _SIGN_ATOL_STEP = 100.0
-# eval_grid steps its columns in blocks whose term matrix (terms x columns
-# float64) stays within this many bytes
-_GRID_BLOCK_BYTES = 1 << 20
+# _grid_sums steps its points in blocks whose terms (largest term count x
+# points, float64) stay within this many bytes: 832 x 400 is one block
+_GRID_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -207,33 +207,35 @@ class CharFnEvaluator:
 
     def eval_grid(self, zs, atol: float = 1e-12) -> list[CharFnValue]:
         """eval at every real z of zs, bit for bit, through one column-wise
-        recurrence per block of points.
+        recurrence per block of points (_grid_sums).
 
         Every point reads the one append-only kappa table, so each result
-        equals eval's at that point whatever was evaluated before.  Points
-        are stepped together through _scaled_columns, sorted by term count,
-        in blocks whose term matrix stays within _GRID_BLOCK_BYTES.  Each
+        equals eval's at that point whatever was evaluated before.  Each
         term is formed as in eval, by one multiply and one ldexp (exact up
         to the float range, where it becomes a signed inf), and each sum is
         _fsum_inf over the terms in index order.
         """
+        return self._grid(zs, atol)[0]
+
+    def _grid(self, zs, atol: float, n_max: int | None = None):
+        """eval_grid(zs, atol) and, for an n_max, [charfn_ratio(src, z,
+        n_max) for z in zs] (else None), from one _grid_sums call."""
         zs = [float(z) for z in zs]
         plans = [None if z == 0 else self._plan(abs(z), atol) for z in zs]
-        out = [_at_origin(z, "partial_sum", True) if p is None else None
-               for z, p in zip(zs, plans)]
-        order = sorted((j for j, p in enumerate(plans) if p is not None),
-                       key=lambda j: -plans[j].n_terms)
-        if not order:
-            return out
-        width = max(1, _GRID_BLOCK_BYTES // (8 * max(plans[order[0]].n_terms, 1)))
-        for start in range(0, len(order), width):
-            block = order[start:start + width]
-            sums = _grid_sums(_coeff_reader(self.src), [zs[j] for j in block],
-                              [plans[j].n_terms for j in block],
-                              self._engine.w0_mant, self._engine.w0_exp)
-            for j, (total, max_term) in zip(block, sums):
-                out[j] = _partial_sum_value(zs[j], plans[j], total, max_term)
-        return out
+        live = [j for j, p in enumerate(plans) if p is not None]
+        partial = [_at_origin(z, "partial_sum", True) for z in zs]
+        sums, iterates = _grid_sums(_coeff_reader(self.src), [zs[j] for j in live],
+                                    [plans[j].n_terms for j in live],
+                                    self._engine.w0_mant, self._engine.w0_exp,
+                                    n_max)
+        for j, (total, max_term) in zip(live, sums):
+            partial[j] = _partial_sum_value(zs[j], plans[j], total, max_term)
+        if n_max is None:
+            return partial, None
+        ratio = [_at_origin(z, "ratio_limit", False) for z in zs]
+        for j, (cur, prev) in zip(live, iterates):
+            ratio[j] = _ratio_value(zs[j], cur, prev, n_max)
+        return partial, ratio
 
     def certified_sign(self, x: float, atol: float):
         """Certified sign of F(x), tightening atol until the sign resolves.
@@ -302,34 +304,77 @@ def _fsum_inf(xs: list[float]) -> float:
 
 
 def _grid_sums(read, zs: list[float], counts: list[int], mant: list[float],
-               exps: list[int]) -> list[tuple[float, float]]:
-    """(sum of the terms, largest |term|) of every point of a block, with
-    each term w_n(0) P_n(z) = ldexp(mant[n] u, exps[n] + round(ls / ln 2))
-    formed as eval forms it.
+               exps: list[int], n_max: int | None = None):
+    """(sums, iterates) of every point of zs, in the order of zs, from one
+    column-wise recurrence per block of points.
 
-    The terms fill an (n_terms, points) matrix, freed on return.  counts
-    (the term count of each point) descend, so the points still summing at
-    index n are a prefix of the block.
+    sums[j] is (sum of the terms, largest |term|) over the counts[j] terms
+    w_n(0) P_n(z) = ldexp(mant[n] u, exps[n] + round(ls / ln 2)), formed as
+    eval forms them.  For an n_max, iterates[j] is (P_n(z)/P_n(0) at n_max,
+    at n_max - 1 or None), formed as charfn_ratio forms them; otherwise it
+    is None.  Points are stepped sorted by descending count, in blocks whose
+    terms stay within _GRID_BLOCK_BYTES (_sweep).
+    """
+    order = sorted(range(len(zs)), key=lambda j: -counts[j])
+    width = max(1, _GRID_BLOCK_BYTES // (8 * max(max(counts, default=0), 1)))
+    sums, iterates = [None] * len(zs), [None] * len(zs)
+    for start in range(0, len(order), width):
+        block = order[start:start + width]
+        got = _sweep(read, [zs[j] for j in block], [counts[j] for j in block],
+                     mant, exps, n_max)
+        for j, s, it in zip(block, *got):
+            sums[j], iterates[j] = s, it
+    return sums, iterates
+
+
+def _sweep(read, zs: list[float], counts: list[int], mant: list[float],
+           exps: list[int], n_max: int | None):
+    """_grid_sums of one block whose counts descend, so the points still
+    summing at index n are a prefix of the block.
+
+    The block's points, and for an n_max one z = 0 column after them, are
+    stepped once, to the larger of counts[0] and n_max.  The terms fill one
+    buffer of sum(counts) floats, freed on return.  The ratio keeps the
+    (u, log_scale) rows at n_max - 1 and n_max, and raises at the first
+    P_n(0) = 0 up to n_max, as charfn_ratio does.
     """
     n_top = counts[0]
-    terms = np.zeros((n_top, len(zs)))
+    # point c's terms fill terms[start[c]:start[c + 1]], index by index
+    start = np.concatenate(([0], np.cumsum(counts)))
+    terms = np.empty(start[-1])
     k = len(zs)
     ls_seen, ls_exp = None, None
+    ratio = n_max is not None  # the z = 0 column still has rows to check
+    rows = []  # (u, log_scale) at n_max - 1 and n_max
     with np.errstate(over="ignore"):  # an overflowing term is a signed inf
-        for n, u, ls in _scaled_columns(read, np.array(zs)):
+        for n, u, ls in _scaled_columns(read, np.array(zs + [0.0] if ratio
+                                                       else zs)):
+            if ratio:
+                if u[-1] == 0:
+                    raise _zero_at_origin(n)
+                if n >= n_max - 1:
+                    rows.append((u.tolist(), ls.tolist()))
+                ratio = n != n_max
             if n >= n_top:
+                if ratio:
+                    continue  # the ratio steps on without terms
                 break
             while counts[k - 1] <= n:
                 k -= 1
             if ls is not ls_seen:  # _scaled_columns replaces ls on a rescale
                 ls_seen, ls_exp = ls, np.rint(ls / _LN2).astype(np.int64)
-            np.ldexp(mant[n] * u[:k], exps[n] + ls_exp[:k], out=terms[n, :k])
+            terms[start[:k] + n] = np.ldexp(mant[n] * u[:k], exps[n] + ls_exp[:k])
     sums = []
-    for c, count in enumerate(counts):
-        col = terms[:count, c]
+    for c in range(len(zs)):
+        col = terms[start[c]:start[c + 1]]
         sums.append((_fsum_inf(col.tolist()),
                      float(np.max(np.abs(col), initial=0.0))))
-    return sums
+    if not rows:
+        return sums, [None] * len(zs)
+    iterates = [[_ratio_iterate(uz, lz, u[-1], ls[-1], 0.0)
+                 for uz, lz in zip(u[:-1], ls)] for u, ls in rows]
+    prevs = iterates[0] if len(iterates) == 2 else [None] * len(zs)
+    return sums, list(zip(iterates[-1], prevs))
 
 
 def charfn_ratio(src: CoefficientSource, z, n_max: int = 200):
@@ -344,7 +389,16 @@ def charfn_ratio(src: CoefficientSource, z, n_max: int = 200):
     recurrence over the grid and a z = 0 column beside it.
     """
     if isinstance(z, np.ndarray):
-        return _ratio_grid(src, z.tolist(), n_max)
+        zs = z.tolist()
+        out = [_at_origin(x, "ratio_limit", False) for x in zs]
+        live = [j for j, x in enumerate(zs) if x != 0]
+        if live:
+            require_infinite(src, "ratio-limit evaluation")
+            _, iterates = _grid_sums(_coeff_reader(src), [zs[j] for j in live],
+                                     [0] * len(live), [], [], n_max)
+            for j, (cur, prev) in zip(live, iterates):
+                out[j] = _ratio_value(zs[j], cur, prev, n_max)
+        return out
     if z == 0:
         return _at_origin(z, "ratio_limit", False)
     require_infinite(src, "ratio-limit evaluation")
@@ -362,26 +416,6 @@ def charfn_ratio(src: CoefficientSource, z, n_max: int = 200):
         if n == n_max:
             break
     return _ratio_value(z, cur, prev, n_max)
-
-
-def _ratio_grid(src, zs: list, n_max: int) -> list[CharFnValue]:
-    if all(z == 0 for z in zs):
-        return [_at_origin(z, "ratio_limit", False) for z in zs]
-    require_infinite(src, "ratio-limit evaluation")
-    rows = []  # (u, log_scale) at n_max - 1 and n_max
-    for n, u, ls in _scaled_columns(_coeff_reader(src), np.array(zs + [0.0])):
-        if u[-1] == 0:
-            raise _zero_at_origin(n)
-        if n >= n_max - 1:
-            rows.append((u.tolist(), ls.tolist()))
-        if n == n_max:
-            break
-    iterates = [[_ratio_iterate(uz, lz, u[-1], ls[-1], 0.0)
-                 for uz, lz in zip(u, ls)] for u, ls in rows]
-    prevs = iterates[0] if len(iterates) == 2 else [None] * len(zs)
-    return [_at_origin(z, "ratio_limit", False) if z == 0
-            else _ratio_value(z, cur, prev, n_max)
-            for z, cur, prev in zip(zs, iterates[-1], prevs)]
 
 
 def _ratio_iterate(uz, lz, u0, l0, zero):

@@ -82,6 +82,31 @@ def qpoch_inf(x, q: float):
     return p, bound
 
 
+def _qpoch_column(z: np.ndarray, shift: float, q: float) -> list[float]:
+    """qpoch_inf(x + shift, q)[0] at every x of a real vector, bit for bit:
+    the scalar loop's products over the one qj sequence, each point
+    multiplying until its own stop, |x + shift| q^j < _POCH_FACTOR_EPS."""
+    if not (0.0 < q < 1.0):
+        raise ValueError(f"q must lie in (0, 1), got {q}")
+    # the scalar loop overflows to inf (and then nan) without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = z + shift
+        ax = np.abs(xs)
+        p = np.ones(xs.shape)
+        qj = 1.0
+        for _ in range(100_001):  # the scalar loop's factor cap
+            live = ax * qj >= _POCH_FACTOR_EPS
+            if not live.any():
+                break
+            p[live] *= 1.0 - xs[live] * qj
+            qj *= q
+        # where the factor cap stops a point, qpoch_inf's truncation bound
+        # abs(p) expm1(|x| q^j / (1 - q)) can overflow: raise as it raises
+        for tail_sum in (ax[live] * qj / (1.0 - q)).tolist():
+            math.expm1(tail_sum)
+    return p.tolist()
+
+
 # ---------------------------------------------------------------------------
 # Basic hypergeometric sums and identity checks
 # ---------------------------------------------------------------------------
@@ -185,6 +210,6 @@ def spectrum_product_reference(z, q: float, shift: float = 0.0):
     """
     den, _ = qpoch_inf(shift, q)
     if isinstance(z, np.ndarray):
-        return [qpoch_inf(x + shift, q)[0] / den for x in z.tolist()]
+        return [p / den for p in _qpoch_column(z, shift, q)]
     num, _ = qpoch_inf(z + shift, q)
     return num / den

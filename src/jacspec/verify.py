@@ -103,9 +103,15 @@ def _n_cap(src, want):
 
 def _mp_tables(src, digits):
     """The mpmath identity checks' (ctx, alphas, betas, green): _mp_coeffs
-    to n = _n_cap(src, _N_MAX) and _green's block, ([], []) below 2 x 2."""
+    to n = _n_cap(src, _N_MAX) and _green's block, ([], []) below 2 x 2.
+
+    The recurrence divides by each alpha_n, so both lists stop before the
+    first alpha_n = 0 (a coefficient_positivity failure), and the checks
+    see the shorter table."""
     ctx = _mp_context(digits)
     alphas, betas = _mp_coeffs(src, _n_cap(src, _N_MAX), ctx)
+    usable = next((n for n, a in enumerate(alphas) if a == 0), len(alphas))
+    alphas, betas = alphas[:usable], betas[:usable]
     n_block = min(_GREEN_BLOCK, len(alphas))
     green = _green(alphas, betas, n_block, ctx) if n_block >= 2 else ([], [])
     return ctx, alphas, betas, green

@@ -11,6 +11,7 @@ rescale exponent), which the tests at the end pin down.
 import contextlib
 import hashlib
 import io
+import json
 import math
 import warnings
 
@@ -209,15 +210,74 @@ def test_charfn_coefficient_reads_do_not_scale_with_the_grid(monkeypatch):
 
 
 def test_charfn_report_computes_the_closed_form_denominator_once(monkeypatch):
-    # one (z + shift; q)_inf per point and one (shift; q)_inf per report,
-    # where each point used to compute both
+    # one scalar (shift; q)_inf per report; every (z + shift; q)_inf comes
+    # from one vectorized product over the grid
     from jacspec import qseries
     calls = []
     orig = qseries.qpoch_inf
     monkeypatch.setattr(qseries, "qpoch_inf",
                         lambda x, q: calls.append(x) or orig(x, q))
     _charfn_report("--q=0.5", "--a=0.5", "--shift=0.5", "--grid=-1:250:400")
-    assert len(calls) == 401 and calls.count(0.5) == 1
+    assert calls == [0.5]
+
+
+# (source, grid, atol, max_terms) of the fused report sweep: a grid through
+# z = 0, term counts that all stop below n_max = 40 (no kappa table within
+# 40 terms: n_top = 0), counts below n_max = 400, and counts above it
+SWEEPS = {
+    "contains-zero": GRIDS["contains-zero"],
+    "no-terms": ((0.5, 0.5, 0.5), np.linspace(1.0, 30.0, 3), 1e-12, 40),
+    "negative-only": GRIDS["negative-only"],
+    "report": ((0.5, 0.5, 0.5), np.linspace(-1.0, 250.0, 40), 1e-12, 20000),
+}
+
+
+@pytest.mark.parametrize("block_bytes", [1, 1 << 22])
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_report_sweep_matches_both_scalar_paths(monkeypatch, name, block_bytes):
+    # one sweep gives the partial sums and the ratio column of the report,
+    # each bit for bit the scalar path's, in one-point blocks or one block
+    params, grid, atol, max_terms = SWEEPS[name]
+    src = js.ASC2Source(*params)
+    n_max = min(400, max_terms)
+    monkeypatch.setattr(charfn, "_GRID_BLOCK_BYTES", block_bytes)
+    partial, ratio = js.CharFnEvaluator(src, max_terms)._grid(grid, atol, n_max)
+    ev = js.CharFnEvaluator(src, max_terms)
+    zs = grid.tolist()
+    assert _keys(partial) == [_key(ev.eval(z, atol)) for z in zs]
+    assert _keys(ratio) == [_key(js.charfn_ratio(src, z, n_max)) for z in zs]
+    counts = [v.terms_used for v in partial]
+    if name == "no-terms":
+        assert counts == [0] * len(zs)
+    elif name != "report":
+        assert 0 < max(counts) < n_max
+    else:
+        assert max(counts) > n_max
+
+
+def test_report_f_ratio_column_is_the_scalar_ratio(monkeypatch):
+    monkeypatch.setattr(charfn, "_GRID_BLOCK_BYTES", 1)
+    rows = json.loads(_charfn_report("--q=0.3", "--a=0.3", "--shift=0.0",
+                                     "--grid=-40:-0.5:25"))["rows"]
+    src = js.ASC2Source(0.3, 0.3, 0.0)
+    assert [r["f_ratio"] for r in rows] == \
+        [js.charfn_ratio(src, r["z"], 400).value for r in rows]
+
+
+def test_charfn_report_steps_the_grid_once(monkeypatch):
+    # the partial sums (832 terms) and the ratio column (n = 400) come from
+    # one sweep of rows 0 .. 832; the separate passes stepped about 2,570
+    rows = [0]
+    orig = charfn._scaled_columns
+
+    def counted(read, zs):
+        for row in orig(read, zs):
+            rows[0] += 1
+            yield row
+
+    monkeypatch.setattr(charfn, "_scaled_columns", counted)
+    _charfn_report("--q=0.5", "--a=0.5", "--shift=0.5", "--grid=-1:250:400")
+    assert rows[0] <= 834
 
 
 # -- the power-of-two term kernel ---------------------------------------------
@@ -233,8 +293,8 @@ def test_terms_beyond_the_float_range_are_signed_infs_on_both_paths():
     assert math.isfinite(scalar[0].value)
     assert all(v.value == math.inf for v in scalar[1:])
     n = len(ev._engine.kappas)
-    sums = charfn._grid_sums(_coeff_reader(src), zs, [n] * len(zs),
-                             ev._engine.w0_mant, ev._engine.w0_exp)
+    sums, _ = charfn._grid_sums(_coeff_reader(src), zs, [n] * len(zs),
+                                ev._engine.w0_mant, ev._engine.w0_exp)
     (total, _), (total_54, _), (total_56, top_56) = sums[:3]
     assert math.isfinite(total) and math.isfinite(total_54)
     # a term between e^709 and the largest float stays finite

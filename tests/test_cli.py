@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -222,6 +223,35 @@ def test_verify_positivity_of_the_last_off_diagonal(capsys, alphas, betas, bad):
     assert rows["coefficient_positivity"]["status"] == "FAIL"
     assert rows["coefficient_positivity"]["note"] == \
         f"nonpositive off-diagonal at n in [{bad}]"
+
+
+# SHA-256 of the one-pair alpha_0 = 0 report, which every identity check
+# skips as too short
+_ZERO_ALPHA_REPORT = \
+    "befe9b682d67e0a1ac39e763be660f6767540a3464552ca2ab41cfe1d11ee21c"
+
+
+@pytest.mark.parametrize("alphas, betas, cut", [
+    ("0", "2,2", 0), ("0,1", "2,2,2", 0), ("1,0,1", "2,2,2,2", 1),
+    ("1,1,0", "2,2,2,2", 2)])
+def test_verify_zero_off_diagonal_fails_positivity(capsys, alphas, betas, cut):
+    # the mpmath checks divide by every alpha_n of their table: a zero one
+    # cuts the table there instead of raising ZeroDivisionError (exit 1)
+    code, out, err = run_cli(capsys, "verify", "--family", "explicit",
+                             f"--alphas={alphas}", f"--betas={betas}")
+    assert code == 3
+    assert err == "failed checks: ['coefficient_positivity']\n"
+    rows = {r["check"]: r for r in parse_csv(out)}
+    assert rows["coefficient_positivity"]["note"] == \
+        f"nonpositive off-diagonal at n in [{cut}]"
+    identities = ("recurrence_residual", "wronskian_identity",
+                  "green_identity", "resolvent_identity")
+    status = [rows[name]["status"] for name in identities]
+    # a table cut at alpha_n keeps alpha_0 .. alpha_{n-1}: every identity
+    # needs two of them
+    assert status == ["skip" if cut < 2 else "pass"] * 4
+    if alphas == "0":
+        assert hashlib.sha256(out.encode()).hexdigest() == _ZERO_ALPHA_REPORT
 
 
 def test_identities_defaults(capsys):

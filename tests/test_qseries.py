@@ -234,6 +234,42 @@ def test_spectrum_product_reference_grid_matches_scalar():
         [js.spectrum_product_reference(z, 0.5, shift=0.5).hex() for z in zs.tolist()]
 
 
+# points of both signs, stopping after few or many factors, beyond the float
+# range in the product (1e300), and nan (no factor at all)
+_PRODUCT_POINTS = np.array([-1e300, -1e10, -3.0, -0.5, 0.0, 0.25, 1.5, 1e5,
+                            1e200, math.nan])
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.999])
+@pytest.mark.parametrize("shift", [0.0, 0.5, -3.0])
+def test_vectorized_product_equals_scalar_qpoch(q, shift):
+    # one masked product over the grid, each point with its own stop, and
+    # no RuntimeWarning where the scalar product overflows quietly
+    xs = _PRODUCT_POINTS
+    if q > 0.99:  # the factor cap binds beyond |x| = 1e25 (see below)
+        xs = xs[~(abs(xs) > 1e20)]
+    got = js.spectrum_product_reference(xs, q, shift)
+    den = js.qpoch_inf(shift, q)[0]
+    assert list(map(float.hex, got)) == \
+        [float.hex(js.qpoch_inf(x + shift, q)[0] / den) for x in xs.tolist()]
+
+
+def test_vectorized_product_raises_where_the_scalar_bound_does():
+    # the 100,001-factor cap stops |x| = 1e5 early at q = 0.9999, and 1e200
+    # at q = 0.999, where the bound's expm1 overflows; 1e-3 is capped too at
+    # q = 0.9999, with a finite bound
+    for x, q in ((1e5, 0.9999), (1e200, 0.999)):
+        with pytest.raises(OverflowError) as scalar:
+            js.qpoch_inf(x, q)
+        with pytest.raises(OverflowError) as vector:
+            js.spectrum_product_reference(np.array([1e-3, x]), q)
+    assert str(vector.value) == str(scalar.value)
+    got = js.spectrum_product_reference(np.array([1e-3]), 0.9999)
+    assert got == [js.spectrum_product_reference(1e-3, 0.9999)]
+    with pytest.raises(ValueError, match="q must lie in"):
+        js.spectrum_product_reference(np.array([1.0]), 1.0)
+
+
 def test_qpoch_seq_prefix():
     seq = qpoch_seq(0.5, 0.5, 3)
     assert seq == [1.0, 0.5, 0.375, 0.328125]
