@@ -1,15 +1,23 @@
 """Characteristic entire function F(z) = 1 - z sum_n w_n(0) P_n(z).
 
 Two independent evaluation methods are provided: the certified partial sum
-(truncation error bounded through the per-term estimate
-|w_n(0) P_n(z)| <= exp(|z| S) kappa_n with S an upper estimate of sum kappa)
 and the heuristic ratio limit P_n(z)/P_n(0) -> F(z).  The ASC-II closed form
 is qseries.spectrum_product_reference.
+
+The partial sum's truncation error is bounded through the majorant F(-|z|):
+each term factors as w_n(0) P_n(z) = kappa_n g_n(z), g_n(z) = prod_j
+(1 - z/x_{n,j}) over the positive zeros of P_n, which decrease in n to the
+eigenvalues, so |g_n(z)| <= g_n(-|z|) <= F(-|z|) and
+
+    |F(z) - F_N(z)| <= |z| T_N F(-|z|),    T_N >= sum_{n>=N} kappa_n.
+
+F(-r) grows with r, and F(-R) <= F_M(-R) / (1 - R T_M) wherever R T_M < 1,
+where every term of F_M(-R) is positive; CharFnEvaluator._majorant gives this
+bound once per power-of-two radius R.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -17,18 +25,25 @@ from typing import NamedTuple
 import numpy as np
 
 from . import second_kind
-from .errors import ConvergenceError
 from .recurrence import _LN2, _coeff_reader, _scaled_columns, _scaled_iter
 # unused here (second_kind grows the table): perfbench hooks kappa_sequence here
-from .second_kind import (_RATIO_CAP, _RATIO_WINDOW, _SUM_TERMS,  # noqa: F401
+from .second_kind import (_RATIO_CAP, _RATIO_WINDOW,  # noqa: F401
                           TailSeriesEngine, _zero_at_origin, kappa_sequence)
 from .sources import CoefficientSource, require_infinite
 
 # conservative working-precision constant for the summation noise estimate
 _NOISE_EPS = 6e-15
+# relative pad of the majorant's partial sum F_M(-R) for the rounding of its
+# terms, all positive: each is formed from a stable forward recurrence and a
+# kappa entry known to 1e-15, far below this pad up to the 2^900 horizon
+_MAJORANT_PAD = 1e-6
 # certified_sign divides atol by _SIGN_ATOL_STEP per round, down to _SIGN_ATOL_MIN
 _SIGN_ATOL_MIN = 1e-280
 _SIGN_ATOL_STEP = 100.0
+# the kappa table's first build: the top entries of a smaller build can sit an
+# ulp or two from those of a larger one (a build of 22 at (0.5, 0.5, 0.5)),
+# so a table started smaller would depend on the order of its builds
+_FIRST_BUILD = 64
 # _grid_sums steps its points in blocks whose terms (largest term count x
 # points, float64) stay within this many bytes: 832 x 400 is one block
 _GRID_BLOCK_BYTES = 1 << 22
@@ -89,28 +104,21 @@ class CharFnEvaluator:
         # _tail_upper(n) by n, None included: fixed once computed, since the
         # table only grows and the capacity only falls
         self._tails: dict[int, float | None] = {}
+        self._majorants: dict[float, float] = {}  # _majorant(R) by R
 
     # -- kappa table management -------------------------------------------
 
     def _grow(self, count: int) -> bool:
-        """Extend the kappa table to ``count`` entries; False beyond the
-        capacity, which the first failed build fixes and grows the table to
-        (second_kind._grow_kappas).  Threads that race past that build find
-        the same capacity: it depends on src and max_terms only."""
-        held = second_kind._grow_kappas(self._engine, min(count, self._capacity),
-                                        self.max_terms)
-        if held < count:
+        """Extend the kappa table to at least ``count`` entries, and to at
+        least _FIRST_BUILD; False beyond the capacity, which the first failed
+        build fixes and grows the table to (second_kind._grow_kappas).
+        Threads that race past that build find the same capacity: it depends
+        on src and max_terms only."""
+        want = min(max(count, _FIRST_BUILD), self._capacity)
+        held = second_kind._grow_kappas(self._engine, want, self.max_terms)
+        if held < want:
             self._capacity = held
-        return held == count
-
-    @functools.cached_property
-    def kappa_sum_upper(self) -> float:
-        """S for sum kappa_n, computed once from the first min(64, capacity)
-        entries: a partial sum plus a tail from the observed decay (an
-        estimate)."""
-        self._grow(_SUM_TERMS)
-        return second_kind._sum_upper(
-            self._engine.kappas[:min(_SUM_TERMS, self._capacity)])
+        return held >= count
 
     def _tail_upper(self, n_terms: int) -> float | None:
         """Upper estimate of sum_{k>=n_terms} kappa_k from the observed decay.
@@ -130,44 +138,76 @@ class CharFnEvaluator:
         self._tails[n_terms] = t
         return t
 
-    def plan_terms(self, z_abs: float, atol: float):
-        """Smallest grown term count whose certified bound meets atol.
+    def _ladder(self):
+        """(n, _tail_upper(n)) over the term counts 16, 32, 64, ..., the last
+        one the capacity's ceiling, for every finite positive tail."""
+        n = 16
+        while True:
+            ceiling = self._capacity - _RATIO_WINDOW - 1
+            n = min(n, ceiling)
+            if n < 4:
+                return
+            t = self._tail_upper(n)
+            if t is None:
+                continue  # the failed build has lowered the capacity
+            if 0.0 < t < math.inf:
+                yield n, t
+            if n >= ceiling:
+                return
+            n = min(2 * n, ceiling)
 
-        Returns (n_terms, log_bound); n_terms is None when neither the term
-        budget nor the coefficient horizon allows reaching atol, in which case
-        log_bound reports the best achievable bound (inf when no kappa table
-        can be built at all).  n_terms is None only once the table has
-        reached its capacity.
+    def _majorant(self, radius: float) -> float:
+        """U(R) >= F(-R), hence >= |g_n(z)| for every n and |z| <= R.
+
+        U(R) = F_M(-R) (1 + pad) / (1 - R T_M), with M the first count of
+        the ladder whose tail has R T_M <= 1/2 and F_M(-R) formed as eval
+        forms its partial sums; inf when no count within the capacity
+        qualifies or F_M(-R) leaves the float range, in which case the
+        ladder has run to the capacity.  Memoized per radius, so it depends
+        on src, max_terms and R only.
+        """
+        if radius in self._majorants:
+            return self._majorants[radius]
+        u = None
+        # after an overflow of F_M(-R) the ladder runs on, to the capacity
+        for n, t in self._ladder():
+            if u is None and radius * t <= 0.5:
+                f_m = 1.0 + radius * _fsum_inf(self._terms(-radius, n))
+                u = f_m * (1.0 + _MAJORANT_PAD) / (1.0 - radius * t)
+                if u < math.inf:
+                    break
+        u = math.inf if u is None else u
+        self._majorants[radius] = u
+        return u
+
+    def plan_terms(self, z_abs: float, atol: float):
+        """Smallest ladder count N whose bound |z| T_N U(R) meets atol, R the
+        power of two above |z| (_majorant).
+
+        Returns (n_terms, log_bound); n_terms is None when U(R) is infinite
+        or no count within the term budget and the coefficient horizon
+        reaches atol, in which case log_bound reports the best achievable
+        bound (inf when there is no U(R)).  n_terms is None only once the
+        table has reached its capacity.
         """
         if not 0.0 < atol < math.inf:
             raise ValueError(f"atol must be finite and positive, got {atol!r}")
         if not 0.0 <= z_abs < math.inf:
             raise ValueError(f"z must be finite, got |z| = {z_abs!r}")
-        try:
-            s_up = self.kappa_sum_upper
-        except ConvergenceError:
-            return None, math.inf
+        log_scale = -math.inf
+        if z_abs > 0:
+            u = self._majorant(_ldexp_inf(1.0, math.frexp(z_abs)[1]))
+            if u == math.inf:
+                return None, math.inf
+            log_scale = math.log(z_abs) + math.log(u)
         log_target = math.log(atol)
-        n = 16
         best = math.inf
-        while True:
-            ceiling = self._capacity - _RATIO_WINDOW - 1
-            if n > ceiling:
-                n = ceiling
-            if n < 4:
-                return None, best
-            t = self._tail_upper(n)
-            if t is None:
-                continue  # the failed build has lowered the capacity
-            if 0.0 < t < math.inf:
-                log_bound = math.log(z_abs) + z_abs * s_up + math.log(t) \
-                    if z_abs > 0 else -math.inf
-                best = min(best, log_bound)
-                if log_bound <= log_target:
-                    return n, log_bound
-            if n >= ceiling:
-                return None, best
-            n = min(2 * n, ceiling)
+        for n, t in self._ladder():
+            log_bound = log_scale + math.log(t)
+            best = min(best, log_bound)
+            if log_bound <= log_target:
+                return n, log_bound
+        return None, best
 
     # -- evaluation ---------------------------------------------------------
 
@@ -184,26 +224,29 @@ class CharFnEvaluator:
         if z == 0:
             return _at_origin(z, "partial_sum", True)
         plan = self._plan(abs(z), atol)
-        eng = self._engine
-        n_terms, mant, exps = plan.n_terms, eng.w0_mant, eng.w0_exp
-        is_c = isinstance(z, complex)
-        scale = _ldexp_complex if is_c else _ldexp_inf
-        terms = []
-        max_term = 0.0
-        for n, u, v, ls in _scaled_iter(_coeff_reader(self.src), z):
-            if n >= n_terms:
-                break
-            # ls sums whole rescale exponents times ln 2, each rounded once;
-            # their error is far below ln 2 / 2, so rounding recovers the sum
-            t = scale(mant[n] * u, exps[n] + round(ls / _LN2))
-            terms.append(t)
-            max_term = max(max_term, abs(t))
-        if is_c:
+        terms = self._terms(z, plan.n_terms)
+        max_term = max((abs(t) for t in terms), default=0.0)
+        if isinstance(z, complex):
             total = complex(_fsum_inf([t.real for t in terms]),
                             _fsum_inf([t.imag for t in terms]))
         else:
             total = _fsum_inf(terms)
         return _partial_sum_value(z, plan, total, max_term)
+
+    def _terms(self, z, n_terms: int) -> list:
+        """The first n_terms terms w_n(0) P_n(z) of F's sum, each formed by
+        one multiply and one ldexp (a signed inf beyond the float range)."""
+        eng = self._engine
+        mant, exps = eng.w0_mant, eng.w0_exp
+        scale = _ldexp_complex if isinstance(z, complex) else _ldexp_inf
+        terms = []
+        for n, u, v, ls in _scaled_iter(_coeff_reader(self.src), z):
+            if n >= n_terms:
+                break
+            # ls sums whole rescale exponents times ln 2, each rounded once;
+            # their error is far below ln 2 / 2, so rounding recovers the sum
+            terms.append(scale(mant[n] * u, exps[n] + round(ls / _LN2)))
+        return terms
 
     def eval_grid(self, zs, atol: float = 1e-12) -> list[CharFnValue]:
         """eval at every real z of zs, bit for bit, through one column-wise
@@ -294,11 +337,13 @@ def _ldexp_complex(x: complex, e: int) -> complex:
 def _fsum_inf(xs: list[float]) -> float:
     """math.fsum, or the signed inf of a sum beyond the float range (where
     fsum raises), from the sum of the terms scaled by 2**-64; nan when terms
-    of both signs are beyond it (fsum's "-inf + inf")."""
+    of both signs are beyond it (fsum's "-inf + inf"), which the scaled sum
+    can meet after an intermediate overflow of the first."""
     try:
-        return math.fsum(xs)
-    except OverflowError:
-        return _ldexp_inf(math.fsum([math.ldexp(x, -64) for x in xs]), 64)
+        try:
+            return math.fsum(xs)
+        except OverflowError:
+            return _ldexp_inf(math.fsum([math.ldexp(x, -64) for x in xs]), 64)
     except ValueError:
         return math.nan
 
@@ -386,8 +431,11 @@ def charfn_ratio(src: CoefficientSource, z, n_max: int = 200):
 
     z may also be a 1-D numpy array of real points: the result is then a list
     with the scalar result of every point, bit for bit, from one column-wise
-    recurrence over the grid and a z = 0 column beside it.
+    recurrence over the grid and a z = 0 column beside it.  Either form
+    raises ValueError for a negative n_max, which no step would meet.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max!r}")
     if isinstance(z, np.ndarray):
         zs = z.tolist()
         out = [_at_origin(x, "ratio_limit", False) for x in zs]

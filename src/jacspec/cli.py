@@ -383,6 +383,11 @@ def cmd_charfn(cfg: RunConfig) -> int:
     emit_report("charfn", cfg,
                 ["z", "f_partial", "tail_bound", "f_ratio", "ratio_gap",
                  "closed_form", "closed_gap"], rows)
+    unbounded = sum(1 for c in closed_forms if c is not None and math.isnan(c))
+    if unbounded:
+        print(f"note: closed_form is nan at {unbounded} of {points} grid points: "
+              "the q-Pochhammer product or its truncation bound leaves the "
+              "float range", file=sys.stderr)
     return EXIT_OK
 
 

@@ -85,7 +85,10 @@ def qpoch_inf(x, q: float):
 def _qpoch_column(z: np.ndarray, shift: float, q: float) -> list[float]:
     """qpoch_inf(x + shift, q)[0] at every x of a real vector, bit for bit:
     the scalar loop's products over the one qj sequence, each point
-    multiplying until its own stop, |x + shift| q^j < _POCH_FACTOR_EPS."""
+    multiplying until its own stop, |x + shift| q^j < _POCH_FACTOR_EPS.
+    nan where qpoch_inf raises OverflowError: the factor cap stops that
+    point and its truncation bound leaves the float range, so its product
+    has no bound."""
     if not (0.0 < q < 1.0):
         raise ValueError(f"q must lie in (0, 1), got {q}")
     # the scalar loop overflows to inf (and then nan) without a warning
@@ -101,9 +104,12 @@ def _qpoch_column(z: np.ndarray, shift: float, q: float) -> list[float]:
             p[live] *= 1.0 - xs[live] * qj
             qj *= q
         # where the factor cap stops a point, qpoch_inf's truncation bound
-        # abs(p) expm1(|x| q^j / (1 - q)) can overflow: raise as it raises
-        for tail_sum in (ax[live] * qj / (1.0 - q)).tolist():
-            math.expm1(tail_sum)
+        # abs(p) expm1(|x| q^j / (1 - q)) can overflow, where it raises
+        for i in np.flatnonzero(live).tolist():
+            try:
+                math.expm1(ax[i] * qj / (1.0 - q))
+            except OverflowError:
+                p[i] = math.nan
     return p.tolist()
 
 
@@ -206,10 +212,16 @@ def spectrum_product_reference(z, q: float, shift: float = 0.0):
     (z + shift; q)_inf / (shift; q)_inf.
 
     z may also be a 1-D numpy array of real points: the result is then a list
-    with the value at every point, bit for bit, from one denominator.
+    with the value at every point, bit for bit, from one denominator, and
+    nan at every point where the scalar form raises OverflowError (a
+    truncation bound beyond the float range).
     """
-    den, _ = qpoch_inf(shift, q)
     if isinstance(z, np.ndarray):
+        try:
+            den, _ = qpoch_inf(shift, q)
+        except OverflowError:
+            return [math.nan] * len(z)  # no bounded denominator
         return [p / den for p in _qpoch_column(z, shift, q)]
+    den, _ = qpoch_inf(shift, q)
     num, _ = qpoch_inf(z + shift, q)
     return num / den

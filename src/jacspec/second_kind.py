@@ -14,7 +14,8 @@ below 0.9 over a five-term window, then bounds the tail geometrically.
 Since S_n depends only on the sums above it, kappa_sequence grows the
 kappa table a z = 0 engine holds by its new entries only (_kappa_entries).
 This module owns that table, with the w_n(0) of F's terms beside it: its
-growth (_grow_kappas) and its sum estimate S (_sum_upper).
+growth (_grow_kappas) and the sum estimate S (_sum_upper) of the paper's
+per-term bound exp(|z| S), which verify's per_term_growth_bound row tests.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ block; its eigenvalues are the roots of P_N and decrease monotonically to the
 operator eigenvalues as N grows.  find_spectrum brackets each eigenvalue with
 a two-size truncation ladder, confirms a certified sign change of the
 characteristic function inside the bracket, and bisects.  Where F cannot
-certify a sign, out of the term budget (the exp(|z| S) tail factor grows with
-the eigenvalue) or at the float64 summation noise floor, the oracle value is
-reported with explicit provenance instead.
+certify a sign, out of the term budget (the tail bound |z| T_N F(-|z|) grows
+with the eigenvalue, see charfn) or at the float64 summation noise floor, the
+oracle value is reported with explicit provenance instead.
 """
 
 from __future__ import annotations

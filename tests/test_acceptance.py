@@ -160,12 +160,12 @@ def test_acceptance_5_structural_identity_suite():
                           for n, k in enumerate(seq.kappas)]
             assert all(b < a for a, b in zip(ratio_logs, ratio_logs[1:]))
 
-        # per-term growth bound on the test grid
+        # per-term growth bound on the test grid, with S the kappa sum
+        # estimate of the first 64 entries
         for src in (asc2, asc2_b):
             ev = js.CharFnEvaluator(src)
-            ev._grow(41)
-            s_up = ev.kappa_sum_upper
             eng = ev._engine
+            s_up = js.kappa_sequence(src, 64, engine=eng).total_upper
             for z in (-2.0, -0.5, 1.0, 3.0, complex(0.8, 1.1)):
                 logs_z, _ = js.recurrence.log_table(src, z, 40)
                 for n in range(41):

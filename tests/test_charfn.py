@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jacspec as js
 from asc2_reference import hadamard_product
@@ -96,23 +98,25 @@ def test_closed_form_grid(asc2_shifted):
 
 
 def test_per_term_bound_on_grid(asc2_shifted):
+    # |w_n(0) P_n(z)| = kappa_n |g_n(z)| <= kappa_n U(R), R the power of two
+    # above |z|: the per-term majorant of F's certificate
     ev = js.CharFnEvaluator(asc2_shifted)
     ev._grow(60)
-    s_up = ev.kappa_sum_upper
     eng = ev._engine
     for z in (-2.0, 1.0, 3.5, complex(1.0, 1.0)):
+        u = ev._majorant(math.ldexp(1.0, math.frexp(abs(z))[1]))
         logs_z, _ = js.recurrence.log_table(asc2_shifted, z, 59)
         for n in range(60):
             lhs = (math.log(abs(eng.w0_mant[n])) + eng.w0_exp[n] * math.log(2.0)
                    + logs_z[n])
-            rhs = abs(z) * s_up + math.log(eng.kappas[n])
+            rhs = math.log(u) + math.log(eng.kappas[n])
             assert lhs <= rhs + 1e-10
 
 
 def test_entire_order_bound(asc2_shifted):
     # |F(z)| <= exp(C |z|) with C = 2 sum kappa on the test grid
     ev = js.CharFnEvaluator(asc2_shifted)
-    c = 2.0 * ev.kappa_sum_upper
+    c = 2.0 * js.kappa_sequence(asc2_shifted, 64).total_upper
     for z in np.linspace(-4.0, 4.0, 17):
         v = ev.eval(float(z), 1e-10)
         assert abs(v.value) <= math.exp(c * abs(z)) * (1.0 + 1e-9)
@@ -178,6 +182,16 @@ def test_ratio_rejects_nonpositive_definite():
     tbl = js.TableSource(alphas=[1.0] * 9, betas=[2.0] * 10)
     with pytest.raises(ValueError):
         js.charfn_ratio(tbl, 0.5)
+
+
+@pytest.mark.parametrize("z", [2.5, 0.0, np.array([-1.0, 0.0, 2.5])],
+                         ids=["scalar", "origin", "array"])
+def test_ratio_rejects_a_negative_n_max(asc2_shifted, z):
+    # no step meets n == -1: both forms stepped to the coefficient horizon
+    # (ConvergenceError at n = 900 here), and on a source without one
+    # would never return
+    with pytest.raises(ValueError, match="^n_max must be nonnegative"):
+        js.charfn_ratio(asc2_shifted, z, n_max=-1)
 
 
 def test_evaluator_reuse_consistency(asc2_shifted):
@@ -322,7 +336,7 @@ def test_failed_build_size_is_remembered(monkeypatch):
     # capacity once, at the largest count that builds, and grows the table
     # there, so no later call builds
     ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5))
-    ev.kappa_sum_upper
+    assert ev._grow(64)
     assert not ev._grow(5000)
     assert ev._capacity == 832 == len(ev._engine.kappas)
     counts = _count_work(monkeypatch)
@@ -477,16 +491,18 @@ def test_certified_sign_stops_at_noise_floor(monkeypatch):
 def test_tail_estimates_are_computed_once_per_size(monkeypatch, max_terms):
     # the table only grows and the capacity only falls, so each _tail_upper(n)
     # is fixed once computed, None included (beyond the coefficient horizon
-    # at 20000, beyond the budget at 200); S is computed once, so a second
-    # plan asks for no count and grows nothing
+    # at 20000, beyond the budget at 200, reached by the 1e-300 plan); U(R)
+    # is computed once per R, so a second plan asks for no count and grows
+    # nothing
+    plans = ((1.0, 1e-12), (60.0, 1e-12), (250.0, 1e-300))
     ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5), max_terms)
-    first = [ev.plan_terms(z, 1e-12) for z in (1.0, 60.0, 250.0)]
+    first = [ev.plan_terms(z, atol) for z, atol in plans]
     assert None in ev._tails.values()
     grows = []
     orig = ev._grow
     monkeypatch.setattr(ev, "_grow", lambda count: grows.append(count) or orig(count))
     counts = _count_work(monkeypatch)
-    assert [ev.plan_terms(z, 1e-12) for z in (1.0, 60.0, 250.0)] == first
+    assert [ev.plan_terms(z, atol) for z, atol in plans] == first
     assert grows == []
     assert counts["builds"] == 0
     fresh = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5), max_terms)
@@ -504,18 +520,19 @@ def test_missing_kappa_table_gives_uncertified_values():
     for v in vals:
         assert (v.value, v.tail_bound, v.terms_used, v.certified) == \
             (1.0, math.inf, 0, False)
-    with pytest.raises(js.ConvergenceError):
-        ev.kappa_sum_upper
+    assert ev._majorant(2.0) == math.inf
 
 
 @pytest.mark.parametrize("args", sorted(CAPACITIES))
 @pytest.mark.parametrize("column, max_terms", [(0, 20000), (2, 63)])
 def test_kappa_sum_upper_does_not_depend_on_the_first_build(args, column,
                                                            max_terms):
-    # S is the total_upper of the first min(64, capacity) entries.  It was
-    # that of whichever build came first: at (0.9, 0.9, 0) a first build of
-    # 41, 64 or 200 entries gave 0x1.4727326358ea4p+3, 0x1.40723ea72574ep+3
-    # or 0x1.4000000000033p+3
+    # S, the sum estimate of verify's per_term_growth_bound row, is the
+    # total_upper of the first min(64, capacity) entries.  It was that of
+    # whichever build came first: at (0.9, 0.9, 0) a first build of 41, 64
+    # or 200 entries gave 0x1.4727326358ea4p+3, 0x1.40723ea72574ep+3 or
+    # 0x1.4000000000033p+3
+    from jacspec import second_kind
     src = js.ASC2Source(*args)
     capacity = CAPACITIES[args][column]
     want = js.kappa_sequence(src, min(64, capacity),
@@ -523,7 +540,10 @@ def test_kappa_sum_upper_does_not_depend_on_the_first_build(args, column,
     for first in (41, 64, 200):
         ev = js.CharFnEvaluator(src, max_terms)
         ev._grow(first)
-        assert ev.kappa_sum_upper.hex() == want.hex()
+        # as check_per_term_bound forms S on its engine
+        held = second_kind._grow_kappas(ev._engine, second_kind._SUM_TERMS,
+                                        max_terms)
+        assert second_kind._sum_upper(ev._engine.kappas[:held]).hex() == want.hex()
         assert ev._capacity == (capacity if max(first, 64) > capacity
                                 else max_terms)
 
@@ -592,13 +612,21 @@ def test_every_recurrence_on_a_source_shares_its_one_table(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, reads", [
-    (["--q=0.5", "--a=0.5", "--shift=0.5", "--grid=-1.0:250.0:400"], 901),
-    (["--q=0.7", "--a=0.7", "--shift=0.0", "--grid=-1.0:40.0:400"], 650),
+    (["--q=0.5", "--a=0.5", "--shift=0.5", "--grid=-1.0:250.0:400",
+      "--atol=1e-300"], 901),
+    (["--q=0.7", "--a=0.7", "--shift=0.0", "--grid=-1.0:40.0:400",
+      "--atol=1e-30"], 650),
+    (["--q=0.5", "--a=0.5", "--shift=0.5", "--grid=-1.0:250.0:400"], 401),
+    (["--q=0.7", "--a=0.7", "--shift=0.0", "--grid=-1.0:40.0:400"], 401),
 ])
 def test_a_charfn_job_reads_each_coefficient_once(monkeypatch, capsys, argv,
                                                   reads):
     # the partial-sum and ratio columns share the source's reader; the
-    # ratio column had one of its own, and these jobs read 1302 and 1051
+    # ratio column had one of its own, and the first two jobs read 1302 and
+    # 1051.  Their kappa tables reach past the ratio column's 401 indices:
+    # at atol 1e-300 to the 2^900 coefficient horizon, index 900, and at
+    # 1e-30 to 518 entries.  At the default atol the tables (134 and 262
+    # entries) stay within those 401 indices
     from jacspec.cli import main
     calls = _count_coeffs(monkeypatch)
     assert main(["charfn", *argv, "--format=json"]) == 0
@@ -606,21 +634,75 @@ def test_a_charfn_job_reads_each_coefficient_once(monkeypatch, capsys, argv,
     assert sum(calls.values()) == len(calls) == reads
 
 
-def test_kappa_sum_upper_is_computed_once(monkeypatch):
-    # S was rebuilt from its 64 entries on every plan_terms call: 400 times
-    # for this grid.  With no kappa table, every call raises again
-    from jacspec import second_kind
-    sums = []
-    orig = second_kind._sum_upper
-    monkeypatch.setattr(second_kind, "_sum_upper",
-                        lambda kappas: sums.append(len(kappas)) or orig(kappas))
+def test_majorant_is_computed_once_per_radius(monkeypatch):
+    # U(R) is memoized per power-of-two radius R: the 400 points on
+    # [-1, 250] form F_M(-R) at R = 1/2 .. 256 once each, and a later eval in
+    # one of those octaves forms none.  With no kappa table, every R is inf
+    # and forms no partial sum at all
+    radii = []
+    orig = js.CharFnEvaluator._terms
+
+    def counted(self, z, n_terms):
+        if not isinstance(z, complex) and z < 0:
+            radii.append(-z)
+        return orig(self, z, n_terms)
+
+    monkeypatch.setattr(js.CharFnEvaluator, "_terms", counted)
     ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5))
-    ev.eval_grid(np.linspace(-1.0, 250.0, 400))
+    zs = np.linspace(-1.0, 250.0, 400)
+    ev.eval_grid(zs)
+    want = sorted({math.ldexp(1.0, math.frexp(abs(z))[1]) for z in zs if z})
+    assert sorted(radii) == want == sorted(ev._majorants)
+    assert want[0] == 0.5 and want[-1] == 256.0
     ev.eval(3.0)
-    assert ev.kappa_sum_upper == ev.kappa_sum_upper
-    assert sums == [64]
+    assert ev._majorant(4.0) == ev._majorants[4.0]
+    assert sorted(radii) == want
     empty = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5), max_terms=40)
     for _ in range(2):
-        with pytest.raises(js.ConvergenceError):
-            empty.kappa_sum_upper
-    assert sums == [64, 0, 0]
+        assert empty._majorant(1.0) == math.inf
+    assert sorted(radii) == want
+
+
+def _coefficient_rounding(q, shift, z):
+    """Relative allowance, per unit of M(z) = F(-|z|), for the float64
+    rounding of the coefficients, which neither error term of an eval
+    covers: each eigenvalue of the rounded matrix moves by about
+    8 eps (lambda_n + |shift|) at most, and |dF/dlambda_n| <= M(z) |z| /
+    (lambda_n (lambda_n + |z|)).  Near shift = 1, where lambda_1 = 1 - shift
+    is small, this exceeds the summation noise: at (0.582, 0.414, 0.99937)
+    F(-6.13) = 4.3e6 sits 6.4e-7 from the closed form at any term count."""
+    total, n = 0.0, 0
+    while True:
+        lam = q ** -n - shift
+        total += abs(z) * (lam + abs(shift)) / (lam * (lam + abs(z)))
+        if lam > 1e20 * max(abs(z), 1.0):
+            return 8.0 * 2.0 ** -52 * total
+        n += 1
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(q=st.floats(1e-3, 0.85), a_frac=st.floats(1e-3, 1.0),
+       shift=st.floats(-2.0, 1.0, exclude_max=True, exclude_min=True),
+       fracs=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+def test_certified_evals_meet_the_closed_form(q, a_frac, shift, fracs):
+    # the majorant certificate across 0 < a <= q <= 0.85: U(R) >= F(-R), and
+    # every certified eval at real z up to 4 lambda_3 and at 1.3+0.7j lies
+    # within its tail bound and noise estimate of the closed form, with
+    # atol relative to M(z) = F(-|z|), the size of the product
+    src = js.ASC2Source(q, q * a_frac, shift)
+    ev = js.CharFnEvaluator(src)
+    for r in (1.0, 16.0, 256.0):
+        assert ev._majorant(r) >= js.spectrum_product_reference(-r, q, shift)
+    lam_3 = q ** -2 - shift
+    certified = 0
+    for z in [4.0 * lam_3 * f for f in fracs] + [4.0 * lam_3, complex(1.3, 0.7)]:
+        scale = js.spectrum_product_reference(-abs(z), q, shift)
+        v = ev.eval(z, 1e-12 * scale)
+        if not v.certified:
+            continue
+        certified += 1
+        ref = js.spectrum_product_reference(z, q, shift)
+        allow = v.tail_bound + v.noise_estimate \
+            + scale * _coefficient_rounding(q, shift, z)
+        assert abs(v.value - ref) <= allow, z
+    assert certified > 0

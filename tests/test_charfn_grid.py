@@ -46,7 +46,8 @@ GRIDS = {
     "contains-zero": ((0.5, 0.5, 0.5), np.linspace(-2.0, 2.0, 9), 1e-12, 20000),
     "negative-only": ((0.3, 0.3, 0.0), np.linspace(-40.0, -0.5, 25), 1e-12, 20000),
     "uncertified-budget": ((0.5, 0.5, 0.5), np.linspace(-5.0, 60.0, 14), 1e-12, 80),
-    "uncertified-far": ((0.5, 0.5, 0.5), np.linspace(-1.0, 250.0, 41), 1e-12, 20000),
+    # beyond |z| ~ 2.6e11 the bound needs more terms than the 832-entry table
+    "uncertified-far": ((0.5, 0.5, 0.5), np.linspace(-1.0, 1e12, 41), 1e-12, 20000),
     "table-order": ((0.5, 0.5, 0.5),
                     np.array([200.0, 1.0, 30.0, 120.0, -3.0, 250.0, 0.5, 0.0]),
                     1e-30, 20000),
@@ -177,12 +178,13 @@ def _charfn_report(*argv):
 # SHA-256 of the reports with each partial-sum term formed as
 # ldexp(m_n u, e_n + round(log_scale / ln 2)) from w_n(0) = m_n 2^e_n; the
 # grid path gives them bit for bit, as the scalar eval does at every point.
-# The (0.5, 0.5, 0.5) tail bounds follow the exact kappa-table capacity, 832
+# The tail bounds are |z| T_N U(R), with U(R) >= F(-R) the majorant of the
+# power of two R above |z|; every point of both reports is certified
 GOLDEN = {
     ("--q=0.5", "--a=0.5", "--shift=0.5", "--grid=-1.0:250.0:400"):
-        "ff79b88a24e24ca4311614f6b5e4a69e977aaa5cd1cc86ab841b1c5090abcd26",
+        "ff673c30c19d6b6d28aa0b4f927779bc021893e0be796da6867419519b22cb60",
     ("--q=0.7", "--a=0.7", "--shift=0.0", "--grid=-1.0:40.0:400"):
-        "a445fbbffc10644bb7c44e606366f3a8370170d9da8bf693bad5a3afdbc15e9a",
+        "b416c981bbf53c226d135d066e6e80a69082f5134d2d3a8e5a323ab1d3e20e39",
 }
 
 
@@ -223,12 +225,13 @@ def test_charfn_report_computes_the_closed_form_denominator_once(monkeypatch):
 
 # (source, grid, atol, max_terms) of the fused report sweep: a grid through
 # z = 0, term counts that all stop below n_max = 40 (no kappa table within
-# 40 terms: n_top = 0), counts below n_max = 400, and counts above it
+# 40 terms: n_top = 0), counts below n_max = 400, and counts above it (the
+# report's grid at atol 1e-100: 512 terms)
 SWEEPS = {
     "contains-zero": GRIDS["contains-zero"],
     "no-terms": ((0.5, 0.5, 0.5), np.linspace(1.0, 30.0, 3), 1e-12, 40),
     "negative-only": GRIDS["negative-only"],
-    "report": ((0.5, 0.5, 0.5), np.linspace(-1.0, 250.0, 40), 1e-12, 20000),
+    "report": ((0.5, 0.5, 0.5), np.linspace(-1.0, 250.0, 40), 1e-100, 20000),
 }
 
 
@@ -253,6 +256,23 @@ def test_report_sweep_matches_both_scalar_paths(monkeypatch, name, block_bytes):
         assert 0 < max(counts) < n_max
     else:
         assert max(counts) > n_max
+
+
+def test_charfn_report_sums_only_the_terms_its_bounds_need(monkeypatch):
+    # with the tail bound |z| T_N U(R), U(R) >= F(-R), the benchmark's
+    # (0.5, 0.5, 0.5) report sums 49,408 terms over a 134-entry kappa table;
+    # the exp(|z| S) factor took 257,278 terms and the 832-entry capacity
+    work = []
+    orig = charfn._grid_sums
+
+    def counted(read, zs, counts, mant, exps, n_max=None):
+        work.append((sum(counts), len(mant)))
+        return orig(read, zs, counts, mant, exps, n_max)
+
+    monkeypatch.setattr(charfn, "_grid_sums", counted)
+    _charfn_report("--q=0.5", "--a=0.5", "--shift=0.5", "--grid=-1.0:250.0:400")
+    assert sum(terms for terms, _ in work) <= 52_000
+    assert max(table for _, table in work) <= 140
 
 
 def test_report_f_ratio_column_is_the_scalar_ratio(monkeypatch):
@@ -318,6 +338,18 @@ def test_term_scaling_saturates_at_the_float_limit():
     assert charfn._fsum_inf([-top, -top, 1.0]) == -math.inf
     assert charfn._fsum_inf([top, top, -top]) == top
     assert charfn._fsum_inf([0.5, 0.25]) == math.fsum([0.5, 0.25])
+
+
+def test_terms_of_both_signs_beyond_the_float_range_sum_to_nan():
+    # at z = 1e14 the alternating terms overflow fsum's partials before its
+    # infs of both signs meet; the scaled retry raised "-inf + inf in fsum"
+    top = math.ldexp(1.0 - 2.0 ** -53, 1024)
+    assert math.isnan(charfn._fsum_inf([top, top, math.inf, -math.inf]))
+    src = js.ASC2Source(0.5, 0.5, 0.5)
+    ev = js.CharFnEvaluator(src)
+    got = ev.eval(1e14, 1e-12)
+    assert math.isnan(got.value) and not got.certified
+    assert _keys(js.CharFnEvaluator(src).eval_grid([1e14], 1e-12)) == [_key(got)]
 
 
 def test_complex_terms_overflow_per_part():

@@ -64,7 +64,7 @@ def test_spectrum_at_tiny_q(capsys):
 def test_spectrum_require_exit_code(capsys):
     code, out, err = run_cli(
         capsys, "spectrum", "--family", "asc2", "--q", "0.5", "--a", "0.5",
-        "--shift", "0.5", "--k", "10", "--max-terms", "300",
+        "--shift", "0.5", "--k", "10", "--max-terms", "100",
         "--confirm", "require",
     )
     assert code == 4
@@ -160,6 +160,22 @@ def test_charfn_uncertifiable_grids_still_report(capsys, argv, f_partial):
 
 def _reject_constant(name):
     raise AssertionError(f"{name} is not JSON")
+
+
+def test_charfn_report_completes_where_the_closed_form_has_no_bound(capsys):
+    # at q = 0.9999 the closed form's product stops at its 100,001-factor
+    # cap; at z = 2000 the truncation bound expm1(|z| q^j / (1 - q)) leaves
+    # the float range, which raised OverflowError out of the report (exit 1)
+    code, out, err = run_cli(capsys, "charfn", "--q", "0.9999", "--a", "0.9999",
+                             "--shift", "0", "--grid=-1:2000:3",
+                             "--format", "json")
+    assert code == 0
+    rows = json.loads(out, parse_constant=_reject_constant)["rows"]
+    assert [(r["closed_form"], r["closed_gap"]) for r in rows][2] == (None, None)
+    assert rows[0]["closed_form"] is not None
+    assert err == ("note: closed_form is nan at 1 of 3 grid points: the "
+                   "q-Pochhammer product or its truncation bound leaves the "
+                   "float range\n")
 
 
 def test_charfn_json_report_is_strict_json(capsys):

@@ -254,18 +254,25 @@ def test_vectorized_product_equals_scalar_qpoch(q, shift):
         [float.hex(js.qpoch_inf(x + shift, q)[0] / den) for x in xs.tolist()]
 
 
-def test_vectorized_product_raises_where_the_scalar_bound_does():
+def test_vectorized_product_is_nan_where_the_scalar_bound_raises():
     # the 100,001-factor cap stops |x| = 1e5 early at q = 0.9999, and 1e200
-    # at q = 0.999, where the bound's expm1 overflows; 1e-3 is capped too at
-    # q = 0.9999, with a finite bound
+    # at q = 0.999, where the bound's expm1 overflows: the scalar form
+    # raises, and the array form, which raised too, is nan there and keeps
+    # the bits of every other point; 1e-3 is capped too at q = 0.9999, with
+    # a finite bound
     for x, q in ((1e5, 0.9999), (1e200, 0.999)):
-        with pytest.raises(OverflowError) as scalar:
+        with pytest.raises(OverflowError):
             js.qpoch_inf(x, q)
-        with pytest.raises(OverflowError) as vector:
-            js.spectrum_product_reference(np.array([1e-3, x]), q)
-    assert str(vector.value) == str(scalar.value)
-    got = js.spectrum_product_reference(np.array([1e-3]), 0.9999)
-    assert got == [js.spectrum_product_reference(1e-3, 0.9999)]
+        got = js.spectrum_product_reference(np.array([1e-3, x, -2.0]), q)
+        assert math.isnan(got[1])
+        assert [got[0], got[2]] == [js.spectrum_product_reference(v, q)
+                                    for v in (1e-3, -2.0)]
+    # a denominator with no bound (shift 0.5 at q = 0.99999) leaves no
+    # point with a value
+    with pytest.raises(OverflowError):
+        js.qpoch_inf(0.5, 0.99999)
+    got = js.spectrum_product_reference(np.array([1e-3, -2.0]), 0.99999, 0.5)
+    assert all(math.isnan(v) for v in got)
     with pytest.raises(ValueError, match="q must lie in"):
         js.spectrum_product_reference(np.array([1.0]), 1.0)
 
