@@ -44,8 +44,8 @@ _SIGN_ATOL_STEP = 100.0
 # ulp or two from those of a larger one (a build of 22 at (0.5, 0.5, 0.5)),
 # so a table started smaller would depend on the order of its builds
 _FIRST_BUILD = 64
-# _grid_sums steps its points in blocks whose terms (largest term count x
-# points, float64) stay within this many bytes: 832 x 400 is one block
+# bytes of a _grid_sums block, points x largest term count float64 (its buffer
+# holds the sum of its counts, no more): 800 points of 262 terms are one block
 _GRID_BLOCK_BYTES = 1 << 22
 
 
@@ -196,7 +196,7 @@ class CharFnEvaluator:
             raise ValueError(f"z must be finite, got |z| = {z_abs!r}")
         log_scale = -math.inf
         if z_abs > 0:
-            u = self._majorant(_ldexp_inf(1.0, math.frexp(z_abs)[1]))
+            u = self._majorant(_radius(z_abs))
             if u == math.inf:
                 return None, math.inf
             log_scale = math.log(z_abs) + math.log(u)
@@ -319,6 +319,11 @@ def _partial_sum_value(z, plan: _Plan, total, max_term: float) -> CharFnValue:
     return CharFnValue(z=z, value=value, tail_bound=tail_bound,
                        method="partial_sum", terms_used=plan.n_terms,
                        certified=plan.certified, noise_estimate=noise)
+
+
+def _radius(z_abs: float) -> float:
+    """R, the power of two above |z|, whose majorant U(R) bounds F(-|z|)."""
+    return _ldexp_inf(1.0, math.frexp(z_abs)[1])
 
 
 def _ldexp_inf(x: float, e: int) -> float:

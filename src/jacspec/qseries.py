@@ -75,7 +75,7 @@ def qpoch_inf(x, q: float):
         p *= 1.0 - x * qj
         qj *= q
         j += 1
-        if j > 100_000:  # unreachable for q < 1; defensive
+        if j > 100_000:  # a cost cap, met at q >= ~0.9996; the bound covers it
             break
     tail_sum = ax * qj / (1.0 - q)
     bound = abs(p) * math.expm1(tail_sum)

@@ -13,9 +13,8 @@ the observed term-ratio decay: the stopping rule requires the ratio to sit
 below 0.9 over a five-term window, then bounds the tail geometrically.
 Since S_n depends only on the sums above it, kappa_sequence grows the
 kappa table a z = 0 engine holds by its new entries only (_kappa_entries).
-This module owns that table, with the w_n(0) of F's terms beside it: its
-growth (_grow_kappas) and the sum estimate S (_sum_upper) of the paper's
-per-term bound exp(|z| S), which verify's per_term_growth_bound row tests.
+This module owns that table, with the w_n(0) of F's terms beside it, and its
+growth to a capacity (_grow_kappas), which CharFnEvaluator asks for.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .sources import CoefficientSource, require_infinite
 
 _RATIO_CAP = 0.9
 _RATIO_WINDOW = 5
-_SUM_TERMS = 64  # entries of the kappa sum estimate S (_sum_upper)
 
 
 def _exp_cap(x: float) -> float:
@@ -340,10 +338,12 @@ def kappa_sequence(src: CoefficientSource, count: int, *,
                    engine: TailSeriesEngine | None = None) -> KappaSequence:
     """First ``count`` kappa values with partial sums and a decay-based tail.
 
-    engine, when given, is a z = 0 TailSeriesEngine of src (ValueError
-    otherwise) whose entries (engine.kappas) are kept, so calls on it
-    compute each entry once; calls from several threads build one at a
-    time.  Signals AssumptionViolation if a computed kappa is not positive.
+    A bare call builds exactly ``count`` entries; its top ones can differ by
+    an ulp from a larger build's, while CharFnEvaluator's tables start at 64
+    entries and agree bit for bit.  engine, when given, is a z = 0
+    TailSeriesEngine of src (ValueError otherwise) whose entries are kept,
+    so calls on it compute each entry once, one build at a time.  Signals
+    AssumptionViolation if a computed kappa is not positive.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -395,14 +395,6 @@ def _grow_kappas(engine: TailSeriesEngine, count: int, max_terms: int) -> int:
     if capacity > len(engine.w0_mant):  # the pairs are published last
         kappa_sequence(engine.src, capacity, max_terms=max_terms, engine=engine)
     return capacity
-
-
-def _sum_upper(kappas: list[float]) -> float:
-    """S for sum kappa_n: total_upper of the entries a build of _SUM_TERMS
-    reaches (_grow_kappas), an estimate, not a bound; ConvergenceError at 0."""
-    if not kappas:
-        raise ConvergenceError("kappa table cannot reach a stable decay window")
-    return _summary(kappas).total_upper
 
 
 @dataclass

@@ -5,8 +5,9 @@ source and reports measured maxima: recurrence residuals, the cross identity
 for associated polynomials against forward substitution, the Green-block right
 inverse, the resolvent-style reconstruction of P_*(x) from P_*(0), two-route
 agreement for the second-kind functions, the kappa positivity and
-monotonicity pattern, the per-term growth bound, trace reconciliation against
-located eigenvalues, and the W W^T + I factorization of the ASC-II family.
+monotonicity pattern and F's per-term bound on one CharFnEvaluator's table,
+trace reconciliation against located eigenvalues, and the W W^T + I
+factorization of the ASC-II family.
 
 The four pure-recurrence identities (recurrence, Wronskian, Green, resolvent)
 and the W factorization run in mpmath only: at the requested precision when
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import recurrence, second_kind
+from . import charfn, recurrence, second_kind
 from .errors import AssumptionViolation, ConvergenceError
 from .qseries import QParams
 from .recurrence import log_table, plain_values
@@ -46,6 +47,8 @@ _RECURRENCE_THRESHOLD = 1e-12
 _IDENTITY_THRESHOLD = 1e-10  # Wronskian, Green, resolvent, two-route
 _TRACE_THRESHOLD = 1e-6
 _W_THRESHOLD = 1e-12
+_KAPPA_ROWS = (("kappa_positivity_monotonic", 0.0), ("per_term_growth_bound", 0.0),
+               ("trace_reconciliation", _TRACE_THRESHOLD))
 
 
 @dataclass
@@ -294,55 +297,53 @@ def check_sign_patterns(src) -> CheckResult:
     return _result("sign_patterns", float(bad), 0.0, f"n <= {n_stop}")
 
 
-def check_kappa_monotonic(src, engine, max_terms=20000) -> CheckResult:
-    n_max = _N_MAX
+def check_kappa_monotonic(ev) -> CheckResult:
     try:
-        seq = second_kind.kappa_sequence(src, n_max + 1, max_terms=max_terms,
-                                         engine=engine)
+        ev._grow(_N_MAX + 1)  # stops at the table's capacity
     except AssumptionViolation as exc:
         return CheckResult(name="kappa_positivity_monotonic", passed=False,
                            skipped=False, max_residual=math.inf, threshold=0.0,
                            note=str(exc))
-    logs_p = engine.log_p  # log|P_n(0)| of the build's own recurrence
-    ratio_logs = [math.log(k) - 2.0 * logs_p[n] for n, k in enumerate(seq.kappas)]
-    worst = 0.0
-    for i in range(len(ratio_logs) - 1):
-        worst = max(worst, ratio_logs[i + 1] - ratio_logs[i])
+    kappas = ev._engine.kappas[:_N_MAX + 1]
+    if not kappas:
+        return _skip("kappa_positivity_monotonic", 0.0,
+                     "no kappa table builds within the term budget")
+    logs_p = ev._engine.log_p  # log|P_n(0)| of the build's own recurrence
+    ratio_logs = [math.log(k) - 2.0 * logs_p[n] for n, k in enumerate(kappas)]
     # strict decrease means every successive log difference is negative
+    worst = max((b - a for a, b in zip(ratio_logs, ratio_logs[1:])), default=0.0)
     return _result("kappa_positivity_monotonic", max(worst, 0.0), 0.0,
-                   f"n <= {n_max}")
+                   f"n <= {len(kappas) - 1}")
 
 
-def check_per_term_bound(src, engine, max_terms=20000) -> CheckResult:
-    n_max = _PER_TERM_N_MAX
-    # the S of F's certificate, built first so that the entries below are held
-    held = second_kind._grow_kappas(engine, second_kind._SUM_TERMS, max_terms)
-    s_up = second_kind._sum_upper(engine.kappas[:held])
-    seq = second_kind.kappa_sequence(src, n_max + 1, max_terms=max_terms,
-                                     engine=engine)
-    logs_0 = engine.log_p  # log w_n(0) = log kappa_n - log|P_n(0)|
-    worst = 0.0
-    for z in (-2.0, -0.5, 1.0, 3.0, complex(0.8, 1.1)):
-        logs_z, _ = log_table(src, z, n_max)
-        for n in range(n_max + 1):
-            log_kappa = math.log(seq.kappas[n])
-            lhs = (log_kappa - logs_0[n]) + logs_z[n]
-            rhs = abs(z) * s_up + log_kappa
-            worst = max(worst, lhs - rhs)
-    # report the worst log excess as a multiplicative overshoot
-    return _result("per_term_growth_bound", math.expm1(max(worst, 0.0)), 1e-10,
-                   f"n <= {n_max}")
+def check_per_term_bound(ev) -> CheckResult:
+    """|w_n(0) P_n(z)| <= kappa_n U(R), R the power of two above |z|: the
+    per-term bound of F's certificate, on the terms eval sums and the
+    majorant U(R) >= F(-R) it plans with (charfn)."""
+    ev._grow(_PER_TERM_N_MAX + 1)  # stops at the table's capacity
+    kappas = ev._engine.kappas[:_PER_TERM_N_MAX + 1]
+    zs = (-2.0, -0.5, 1.0, 3.0, complex(0.8, 1.1))
+    us = [ev._majorant(charfn._radius(abs(z))) for z in zs]
+    if math.inf in us:
+        return _skip("per_term_growth_bound", 1e-10,
+                     f"U(R) is infinite at {us.count(math.inf)} of {len(zs)} "
+                     "points: no kappa tail of the table gives F a majorant")
+    worst = max(abs(t) / k / u for z, u in zip(zs, us)
+                for t, k in zip(ev._terms(z, len(kappas)), kappas))
+    # report the worst ratio |term| / (kappa_n U(R)) above 1 as an overshoot
+    return _result("per_term_growth_bound", max(worst - 1.0, 0.0), 1e-10,
+                   f"n <= {len(kappas) - 1}")
 
 
-def check_trace_reconciliation(src, engine, max_terms=20000) -> CheckResult:
+def check_trace_reconciliation(ev) -> CheckResult:
     try:
-        tr = second_kind.trace_inverse(src, 1e-8, max_terms=max_terms,
-                                       engine=engine)
-    except ConvergenceError as exc:
+        tr = second_kind.trace_inverse(ev.src, 1e-8, max_terms=ev.max_terms,
+                                       engine=ev._engine)
+        res = find_spectrum(ev.src, _TRACE_K, 1e-10, confirm="oracle")
+    except (ConvergenceError, ValueError) as exc:
         return CheckResult(name="trace_reconciliation", passed=False,
                            skipped=False, max_residual=math.inf,
                            threshold=_TRACE_THRESHOLD, note=str(exc))
-    res = find_spectrum(src, _TRACE_K, 1e-10, confirm="oracle")
     inv = [1.0 / lam for lam in res.eigenvalues]
     tail, model = _inverse_tail(res.eigenvalues)
     gap = abs(tr.value - (math.fsum(inv) + tail))
@@ -450,14 +451,15 @@ def run_suite(src: CoefficientSource, *, gamma: float | None = None,
                              "needs gamma and an unbounded family"))
         if src.is_finite:
             out += [_skip(name, threshold, "requires an unbounded coefficient family")
-                    for name, threshold in (("kappa_positivity_monotonic", 0.0),
-                                            ("per_term_growth_bound", 0.0),
-                                            ("trace_reconciliation", _TRACE_THRESHOLD))]
-        else:  # one z = 0 engine's table serves the three kappa checks
-            engine = second_kind.TailSeriesEngine(src, 0.0)
-            out.append(check_kappa_monotonic(src, engine, max_terms=max_terms))
-            out.append(check_per_term_bound(src, engine, max_terms=max_terms))
-            out.append(check_trace_reconciliation(src, engine, max_terms=max_terms))
+                    for name, threshold in _KAPPA_ROWS]
+        else:  # the evaluator's kappa table serves the three kappa checks
+            ev = charfn.CharFnEvaluator(src, max_terms)
+            out.append(check_kappa_monotonic(ev))
+            if out[-1].max_residual != math.inf:
+                out += [check_per_term_bound(ev), check_trace_reconciliation(ev)]
+            else:  # a build met P_n(0) = 0 or kappa_n <= 0: there is no table
+                out += [_skip(name, threshold, "skipped: kappa positivity failed")
+                        for name, threshold in _KAPPA_ROWS[1:]]
     else:
         note = "skipped: coefficient positivity failed"
         for name in ("sign_patterns", "second_kind_two_route",

@@ -2,7 +2,17 @@
 
 import pytest
 
-from jacspec import ASC2Source, TableSource
+from jacspec import ASC2Source, CoefficientSource, TableSource
+
+
+class ZeroAtTwo(CoefficientSource):
+    """alpha_n = 1, beta = (2, 0.5, 2, 2, ...): P_2(0) = 2 beta_1 - 1 = 0."""
+
+    def alpha(self, n):
+        return 1.0
+
+    def beta(self, n):
+        return 0.5 if n == 1 else 2.0
 
 
 @pytest.fixture

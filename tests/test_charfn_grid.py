@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import jacspec as js
+from conftest import ZeroAtTwo
 from jacspec import charfn, cli, sources
 from jacspec.errors import AssumptionViolation, ConvergenceError
 from jacspec.recurrence import _LN2, _coeff_reader, _scaled_iter
@@ -94,18 +95,8 @@ def test_grid_paths_on_a_table_raise_as_the_scalar_paths():
     assert _outcome(lambda: js.CharFnEvaluator(tbl))[0] is ValueError
 
 
-class _ZeroAtTwo(sources.CoefficientSource):
-    """alpha_n = 1, beta = (2, 0.5, 2, 2, ...): P_2(0) = 2 beta_1 - 1 = 0."""
-
-    def alpha(self, n):
-        return 1.0
-
-    def beta(self, n):
-        return 0.5 if n == 1 else 2.0
-
-
 def test_ratio_grid_raises_at_the_first_zero_of_p_n_at_origin():
-    src = _ZeroAtTwo()
+    src = ZeroAtTwo()
     grid = np.array([0.0, -1.0, 3.0])
     with pytest.raises(AssumptionViolation, match=r"^P_2\(0\) = 0") as scalar:
         js.charfn_ratio(src, -1.0)
@@ -121,7 +112,7 @@ def test_ratio_grid_raises_at_the_first_zero_of_p_n_at_origin():
 def test_kappa_builds_raise_at_the_first_zero_of_p_n_at_origin():
     # P_2(0) = 0 is found before any backward sum is formed, so neither call
     # walks the term budget or meets an inf - inf in a sum
-    src = _ZeroAtTwo()
+    src = ZeroAtTwo()
     with pytest.raises(AssumptionViolation, match=r"^P_2\(0\) = 0") as seq:
         js.kappa_sequence(src, 5)
     with pytest.raises(AssumptionViolation) as ev:

@@ -398,6 +398,28 @@ def test_verify_large_roots_q03(capsys):
     assert rows["trace_reconciliation"]["status"] == "pass"
 
 
+@pytest.mark.parametrize("q, capacity", [(1e-3, None), (1e-4, 48), (3e-5, 40),
+                                         (1e-5, 35)])
+def test_verify_at_tiny_q_reports_every_row(capsys, q, capacity):
+    # the coefficients leave the float range near n = 68 at q = 1e-4: the
+    # kappa table stops at its capacity and the kappa rows test what it
+    # holds, where verify used to exit 4 with no report.  Only the trace
+    # row fails, since the oracle ladder cannot stabilize 12 roots
+    code, out, err = run_cli(capsys, "verify", "--family", "asc2", "--q",
+                             str(q), "--a", str(q), "--shift", "0")
+    rows = {r["check"]: r for r in parse_csv(out)}
+    assert len(rows) == 11
+    failed = {name for name, r in rows.items() if r["status"] != "pass"}
+    if capacity is None:
+        assert (code, failed) == (0, set())
+        return
+    assert (code, failed) == (3, {"trace_reconciliation"})
+    assert "have not stabilized" in rows["trace_reconciliation"]["note"]
+    assert rows["kappa_positivity_monotonic"]["note"] == \
+        f"n <= {min(40, capacity - 1)}"
+    assert rows["per_term_growth_bound"]["note"] == f"n <= {capacity - 1}"
+
+
 def _run_config(tmp_path, capsys, doc, *argv):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))

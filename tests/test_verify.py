@@ -6,11 +6,10 @@ import pytest
 
 import jacspec as js
 from asc2_reference import dense_w_factorization_gap
-from conftest import random_pd_table
+from conftest import ZeroAtTwo, random_pd_table
 from jacspec.recurrence import log_table
-from jacspec.second_kind import TailSeriesEngine
 from jacspec.verify import (_inverse_tail, _mp_tables, check_green_identity,
-                            check_resolvent_identity,
+                            check_kappa_monotonic, check_resolvent_identity,
                             check_trace_reconciliation, check_w_factorization,
                             run_suite, w_factorization_check)
 
@@ -74,7 +73,7 @@ def test_trace_reconciliation_with_shift(params):
     # the tail lambda_n = C rho^-n - s is fitted, so a shift no longer leaves
     # a gap of order 1e-5 behind the twelve oracle eigenvalues
     src = js.ASC2Source(*params)
-    r = check_trace_reconciliation(src, TailSeriesEngine(src, 0.0))
+    r = check_trace_reconciliation(js.CharFnEvaluator(src))
     assert r.passed
     assert r.max_residual <= 1e-8
 
@@ -90,7 +89,7 @@ def test_trace_reconciliation_detects_planted_error(monkeypatch):
 
     monkeypatch.setattr(second_kind, "trace_inverse", off_by_1e5)
     src = js.ASC2Source(0.7, 0.7, 0.05)
-    r = check_trace_reconciliation(src, TailSeriesEngine(src, 0.0))
+    r = check_trace_reconciliation(js.CharFnEvaluator(src))
     assert not r.passed
     assert r.max_residual == pytest.approx(1e-5, rel=1e-2)
 
@@ -245,8 +244,8 @@ def test_inverse_tail_geometric_fallback():
 
 
 def test_one_kappa_table_per_verify_job(monkeypatch, capsys):
-    # the three kappa checks share run_suite's z = 0 engine, and S's build of
-    # 64 entries comes before the 61 the per-term check reads.  Each job made
+    # the three kappa checks share the evaluator's z = 0 engine, whose first
+    # build of 64 entries holds the 41 and 61 the checks read.  Each job made
     # 4 z = 0 engines, and the two jobs 7 table-extending builds, when every
     # check grew a table of its own
     from jacspec import second_kind
@@ -300,3 +299,115 @@ def test_run_suite_builds_one_mpmath_table_and_one_green_block(monkeypatch):
     assert all(r.passed for r in results)
     assert counts == {"_mp_context": 2, "_mp_coeffs": 2, "_green": 1}
     assert set(reads.values()) == {1}
+
+
+def _kappa_rows(src):
+    """The three kappa rows of run_suite(src), by name."""
+    r = _by_name(run_suite(src))
+    return {name: r[name] for name in ("kappa_positivity_monotonic",
+                                       "per_term_growth_bound",
+                                       "trace_reconciliation")}
+
+
+@pytest.mark.parametrize("params", [(0.5, 0.5, 0.5), (0.7, 0.7, 0.0)])
+def test_per_term_bound_tests_the_pipeline_majorant(monkeypatch, params):
+    # |w_n(0) P_n(z)| <= kappa_n U(R) at all five points, on the terms eval
+    # sums and the U(R) it plans with; the largest |term| / (kappa_n U(R))
+    # is 0.42 and 0.30 here, so a majorant 100 times too small, or terms 4
+    # times too large, must fail the row
+    from jacspec.charfn import CharFnEvaluator
+    from jacspec.verify import check_per_term_bound
+    src = js.ASC2Source(*params)
+    r = _kappa_rows(src)["per_term_growth_bound"]
+    assert (r.status, r.max_residual, r.note) == ("pass", 0.0, "n <= 60")
+    majorant = CharFnEvaluator._majorant
+    with monkeypatch.context() as m:
+        m.setattr(CharFnEvaluator, "_majorant",
+                  lambda self, radius: majorant(self, radius) / 100)
+        r = _kappa_rows(src)["per_term_growth_bound"]
+    assert r.status == "FAIL" and r.max_residual > 10, r
+    # U(R) is memoized, so the scaled terms below leave it as it is
+    ev = CharFnEvaluator(src)
+    assert check_per_term_bound(ev).passed
+    terms = ev._terms
+    ev._terms = lambda z, n: [4 * t for t in terms(z, n)]
+    r = check_per_term_bound(ev)
+    assert r.status == "FAIL" and r.max_residual > 0.1, r
+
+
+def test_per_term_bound_skips_without_a_majorant():
+    # at (0.9, 0.9, 0) no kappa decay window passes the 0.9 cap, so U(R) is
+    # infinite at every radius and F certifies nothing: the row cannot test
+    # the bound and says why
+    r = _kappa_rows(js.ASC2Source(0.9, 0.9, 0.0))["per_term_growth_bound"]
+    assert r.skipped
+    assert r.note.startswith("U(R) is infinite at 5 of 5 points")
+
+
+def test_kappa_rows_read_the_evaluators_table(monkeypatch):
+    # each row reads the table of the evaluator it is given, and in
+    # run_suite every kappa build and the trace sum run on the one
+    # evaluator's engine: verify keeps no z = 0 table of its own
+    from jacspec import charfn, second_kind, verify
+    evaluators, engines = [], []
+
+    class Recorded(charfn.CharFnEvaluator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            evaluators.append(self)
+
+    # a table the rows did not read: the monotonic row sees its bump
+    ev = charfn.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5))
+    ev._grow(64)
+    ev._engine.kappas[30] *= 1e3
+    r = verify.check_kappa_monotonic(ev)
+    assert r.status == "FAIL" and r.note == "n <= 40"
+    build, trace = second_kind.kappa_sequence, second_kind.trace_inverse
+    monkeypatch.setattr(charfn, "CharFnEvaluator", Recorded)
+    monkeypatch.setattr(second_kind, "kappa_sequence", lambda *a, **kw:
+                        engines.append(kw.get("engine")) or build(*a, **kw))
+    monkeypatch.setattr(second_kind, "trace_inverse", lambda *a, **kw:
+                        engines.append(kw.get("engine")) or trace(*a, **kw))
+    r = _kappa_rows(js.ASC2Source(0.5, 0.5, 0.5))
+    assert all(x.passed and not x.skipped for x in r.values())
+    [ev] = evaluators
+    assert engines and all(e is ev._engine for e in engines)
+
+
+def test_kappa_positivity_failure_is_a_row():
+    # the table's first build meets P_2(0) = 0: the monotonic row fails with
+    # the reason, and the two rows that need the table are skipped, where
+    # run_suite used to raise
+    r = _kappa_rows(ZeroAtTwo())
+    assert r["kappa_positivity_monotonic"].status == "FAIL"
+    assert r["kappa_positivity_monotonic"].note.startswith("P_2(0) = 0")
+    for name in ("per_term_growth_bound", "trace_reconciliation"):
+        assert r[name].skipped
+        assert r[name].note == "skipped: kappa positivity failed"
+
+
+class _NoGamma(js.CoefficientSource):
+    """ASC-II (0.5, 0.5, 0.5) with no natural gamma: no two-route row."""
+
+    shift = 0.5
+
+    def alpha(self, n):
+        return js.ASC2Source(0.5, 0.5, 0.5).alpha(n)
+
+    def beta(self, n):
+        return js.ASC2Source(0.5, 0.5, 0.5).beta(n)
+
+
+def test_kappa_rows_without_a_kappa_table():
+    # within 40 terms no kappa build of (0.5, 0.5, 0.5) reaches a stable
+    # decay window: the table stays empty, the rows that read it are skips
+    # that say why, and the trace fails, where run_suite used to raise
+    ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5), max_terms=40)
+    r = check_kappa_monotonic(ev)
+    assert r.skipped and r.note == "no kappa table builds within the term budget"
+    assert ev._engine.kappas == []
+    r = _by_name(run_suite(_NoGamma(), max_terms=40))
+    assert r["kappa_positivity_monotonic"].skipped
+    assert r["per_term_growth_bound"].skipped
+    assert r["per_term_growth_bound"].note.startswith("U(R) is infinite")
+    assert r["trace_reconciliation"].status == "FAIL"
