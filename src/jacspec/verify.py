@@ -1,19 +1,25 @@
 """Invariant verification suite.
 
 Runs the structural identities behind the spectral pipeline on a configured
-source and reports measured maxima: recurrence residuals, the cross identity
-for associated polynomials against forward substitution, the Green-block right
-inverse, the resolvent-style reconstruction of P_*(x) from P_*(0), two-route
-agreement for the second-kind functions, the kappa positivity and
-monotonicity pattern and F's per-term bound on one CharFnEvaluator's table,
-trace reconciliation against located eigenvalues, and the W W^T + I
-factorization of the ASC-II family.
+source and reports measured maxima: the float64 recurrence kernels against an
+mpmath column, the cross identity for associated polynomials against forward
+substitution, the Green-block right inverse, the resolvent-style
+reconstruction of P_*(x) from P_*(0), two-route agreement for the second-kind
+functions, the kappa positivity and monotonicity pattern and F's per-term
+bound on one CharFnEvaluator's table, trace reconciliation against located
+eigenvalues, and the W W^T + I factorization of the ASC-II family.
 
-The four pure-recurrence identities (recurrence, Wronskian, Green, resolvent)
-and the W factorization run in mpmath only: at the requested precision when
-it is above 16 decimal digits, otherwise at 53 bits, float64's mantissa.
-Their maxima therefore shrink with the precision, which separates genuine
-identity failures from round-off.
+The recurrence row compares the float64 kernels (log_table's _scaled_iter
+and the grid path _scaled_columns) with one mpmath column of P_n per point,
+so its maximum is float64 rounding at every precision.  The Wronskian,
+Green and resolvent identities and the W factorization run in mpmath only:
+at the requested precision when it is above 16 decimal digits, otherwise at
+53 bits, float64's mantissa.  Their maxima therefore shrink with the
+precision, which separates genuine identity failures from round-off.
+
+Rows that step the float64 recurrence (recurrence, sign patterns, two-route)
+stop below the first coefficient pair at the 2^900 horizon and say so in
+their note.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 from . import charfn, recurrence, second_kind
 from .errors import AssumptionViolation, ConvergenceError
 from .qseries import QParams
-from .recurrence import log_table, plain_values
+from .recurrence import _LN2, log_table, plain_values
 from .sources import ASC2Source, CoefficientSource, TableSource
 from .spectrum import _gate_block, find_spectrum, sturm_counts
 
@@ -34,6 +40,12 @@ _TAIL_MAX_TERMS = 10000
 # last index n of the recurrence, positivity, sign-pattern and kappa checks
 _N_MAX = 40
 _TWO_ROUTE_N_MAX = 30
+# coefficient pairs the two-route tail series reads past n_max: it stops at
+# j >= n_max + 2 and sums back from j + 16 (second_kind._sum_tops), and its
+# term t_j reads pair j + 2.  The stop search starts at j = 5 whatever n_max,
+# so no n_max below 3 reads less
+_TWO_ROUTE_PAD = 21
+_TWO_ROUTE_N_MIN = 3
 _PER_TERM_N_MAX = 60
 # largest m of the Wronskian pairs (m, n); sizes of the Green, resolvent and
 # W blocks; eigenvalues in the trace reconciliation
@@ -73,6 +85,28 @@ def _result(name, residual, threshold, note=""):
 def _skip(name, threshold, note):
     return CheckResult(name=name, passed=True, skipped=True,
                        max_residual=math.nan, threshold=threshold, note=note)
+
+
+def _fail(name, threshold, note):
+    return CheckResult(name=name, passed=False, skipped=False,
+                       max_residual=math.inf, threshold=threshold, note=note)
+
+
+def _readable(src, count):
+    """How many of the coefficient pairs 0 .. count - 1 lie below the 2^900
+    horizon, read through src's one coefficient reader."""
+    read = recurrence._coeff_reader(src)
+    for n in range(count):
+        try:
+            read(n)
+        except ConvergenceError:
+            return n
+    return count
+
+
+def _upto(n, capped):
+    """A row's index range, marked where the coefficient horizon cut it."""
+    return f"n <= {n}" + (" (coefficient horizon)" if capped else "")
 
 
 def _mp_context(digits):
@@ -138,27 +172,81 @@ def check_coefficient_positivity(src) -> CheckResult:
                    f"nonpositive off-diagonal at n in {violations}")
 
 
-def check_recurrence(ctx, alphas, betas) -> CheckResult:
-    n_stop = len(alphas) - 1
+def _log_gap(ctx, column, logs, phases):
+    """Largest gap between an mpmath column and a float64 one (ln|X_n| and
+    sign or phase, as log_table gives them), in ln|X_n| or in sign or phase
+    (a sign mismatch reads 2); inf where one side alone is zero."""
+    worst = 0.0
+    for v, lf, pf in zip(column, logs, phases):
+        if not v or lf == -math.inf:
+            if v or lf > -math.inf:
+                return math.inf
+            continue
+        mag = abs(v)
+        m, e = ctx.frexp(mag)
+        pv = complex(v / mag) if isinstance(pf, complex) else (1.0 if v > 0 else -1.0)
+        worst = max(worst, abs(math.log(float(m)) + e * _LN2 - lf), abs(pv - pf))
+    return worst
+
+
+def _step_residual(ctx, alphas, betas, zc, logs, phases):
+    """Largest relative residual of a float64 column in the mpmath
+    recurrence: |X_0 - 1|, then |a_n X_{n+1} + (b_n - z) X_n + a_{n-1}
+    X_{n-1}| over the sum of the three magnitudes."""
+    xs = [ph * ctx.exp(lg) if lg > -math.inf else ctx.zero
+          for lg, ph in zip(logs, phases)]
+    worst = float(abs(xs[0] - 1))
+    for n in range(len(xs) - 1):
+        terms = [alphas[n] * xs[n + 1], (betas[n] - zc) * xs[n]]
+        if n:
+            terms.append(alphas[n - 1] * xs[n - 1])
+        den = sum(abs(t) for t in terms)
+        if den > 0:
+            worst = max(worst, float(abs(sum(terms)) / den))
+    return worst
+
+
+def check_recurrence(src, ctx, alphas, betas) -> CheckResult:
+    """The float64 kernels against one mpmath column P_0 .. P_n per point
+    (plain_values): log_table (_scaled_iter) at all five points and
+    _scaled_columns, the grid path, at the four real ones.  Near a zero of
+    some P_n, or near an eigenvalue, where P_n(z) follows the recessive
+    solution, the gap measures conditioning rather than the kernel, so a
+    column whose gap passes the threshold is judged by its residual in the
+    mpmath recurrence instead, which a correct kernel keeps at rounding
+    level at any z."""
+    import numpy as np
+    # _scaled_columns reads pair n before it yields P_n
+    n_stop = _readable(src, len(alphas)) - 1
+    capped = n_stop < len(alphas) - 1
     if n_stop < 1:
         return _skip("recurrence_residual", _RECURRENCE_THRESHOLD,
-                     "table too short: no index n >= 1")
+                     "no index n >= 1 below the coefficient horizon" if capped
+                     else "table too short: no index n >= 1")
+    grid = []
+    for n, u, ls in recurrence._scaled_columns(recurrence._coeff_reader(src),
+                                               np.array(_REAL_ZS)):
+        grid.append((u, ls))
+        if n == n_stop:
+            break
+    u, ls = (np.array(x) for x in zip(*grid))
+    with np.errstate(divide="ignore"):
+        grid_logs = np.where(u != 0, ls + np.log(np.abs(u)), -math.inf)
     zs = list(_REAL_ZS) + [_COMPLEX_Z]
     worst = 0.0
-    for z in zs:
+    for i, z in enumerate(zs):
         zc = ctx.mpc(z) if isinstance(z, complex) else ctx.mpf(z)
-        for second in (False, True):
-            vals = plain_values(alphas, betas, zc, n_stop + 1,
-                                second_kind=second)
-            for n in range(1, n_stop + 1):
-                t1 = alphas[n] * vals[n + 1]
-                t2 = (betas[n] - zc) * vals[n]
-                t3 = alphas[n - 1] * vals[n - 1]
-                den = abs(t1) + abs(t2) + abs(t3)
-                if den > 0:
-                    worst = max(worst, float(abs(t1 + t2 + t3) / den))
+        column = plain_values(alphas, betas, zc, n_stop)
+        floats = [log_table(src, z, n_stop)]
+        if i < len(_REAL_ZS):
+            floats.append((grid_logs[:, i].tolist(), np.sign(u[:, i]).tolist()))
+        for logs, phases in floats:
+            gap = _log_gap(ctx, column, logs, phases)
+            if not gap <= _RECURRENCE_THRESHOLD:
+                gap = _step_residual(ctx, alphas, betas, zc, logs, phases)
+            worst = max(worst, gap)
     return _result("recurrence_residual", worst, _RECURRENCE_THRESHOLD,
-                   f"n <= {n_stop}, {len(zs)} evaluation points")
+                   f"{_upto(n_stop, capped)}, {len(zs)} evaluation points")
 
 
 def check_wronskian(ctx, alphas, betas) -> CheckResult:
@@ -260,15 +348,23 @@ def check_resolvent_identity(ctx, alphas, betas, green,
 
 
 def check_two_route_second_kind(src, gamma, max_terms=20000) -> CheckResult:
-    n_max = _TWO_ROUTE_N_MAX
     if src.is_finite:
         return _skip("second_kind_two_route", _IDENTITY_THRESHOLD,
                      "requires an unbounded coefficient family")
+    reach = _readable(src, _TWO_ROUTE_N_MAX + _TWO_ROUTE_PAD)
+    n_max = min(_TWO_ROUTE_N_MAX, reach - _TWO_ROUTE_PAD)
+    if n_max < _TWO_ROUTE_N_MIN:
+        return _skip("second_kind_two_route", _IDENTITY_THRESHOLD,
+                     f"the coefficient horizon at n = {reach} leaves no index")
     zs = [0.0, -1.0, 0.3 * gamma]
+    try:
+        tables = [second_kind.second_kind_values(src, z, n_max + 1, gamma=gamma,
+                                                 atol=1e-13, max_terms=max_terms)
+                  for z in zs]
+    except ConvergenceError as exc:
+        return _fail("second_kind_two_route", _IDENTITY_THRESHOLD, str(exc))
     worst = 0.0
-    for z in zs:
-        table = second_kind.second_kind_values(src, z, n_max + 1, gamma=gamma,
-                                               atol=1e-13, max_terms=max_terms)
+    for z, table in zip(zs, tables):
         w0 = table.values[0]
         p = recurrence.values(src, z, n_max)
         qv = recurrence.values(src, z, n_max, second_kind=True)
@@ -277,14 +373,18 @@ def check_two_route_second_kind(src, gamma, max_terms=20000) -> CheckResult:
             den = abs(w0 * p[n]) + abs(qv[n]) + abs(table.values[n])
             if den > 0:
                 worst = max(worst, abs(table.values[n] - alt) / den)
-    return _result("second_kind_two_route", worst, _IDENTITY_THRESHOLD, f"n <= {n_max}")
+    return _result("second_kind_two_route", worst, _IDENTITY_THRESHOLD,
+                   _upto(n_max, n_max < _TWO_ROUTE_N_MAX))
 
 
 def check_sign_patterns(src) -> CheckResult:
-    n_stop = _n_cap(src, _N_MAX)
+    n_table = _n_cap(src, _N_MAX)
+    n_stop = _readable(src, n_table)  # log_table reads pairs 0 .. n_stop - 1
+    capped = n_stop < n_table
     if n_stop < 1:
         return _skip("sign_patterns", 0.0,
-                     "table too short: no index n >= 1")
+                     "no index n >= 1 below the coefficient horizon" if capped
+                     else "table too short: no index n >= 1")
     logs_p, sgn_p = log_table(src, 0.0, n_stop)
     logs_q, sgn_q = log_table(src, 0.0, n_stop, second_kind=True)
     bad = 0
@@ -294,16 +394,14 @@ def check_sign_patterns(src) -> CheckResult:
             bad += 1
         if n >= 1 and (sgn_q[n] != -want or logs_q[n] == -math.inf):
             bad += 1
-    return _result("sign_patterns", float(bad), 0.0, f"n <= {n_stop}")
+    return _result("sign_patterns", float(bad), 0.0, _upto(n_stop, capped))
 
 
 def check_kappa_monotonic(ev) -> CheckResult:
     try:
         ev._grow(_N_MAX + 1)  # stops at the table's capacity
     except AssumptionViolation as exc:
-        return CheckResult(name="kappa_positivity_monotonic", passed=False,
-                           skipped=False, max_residual=math.inf, threshold=0.0,
-                           note=str(exc))
+        return _fail("kappa_positivity_monotonic", 0.0, str(exc))
     kappas = ev._engine.kappas[:_N_MAX + 1]
     if not kappas:
         return _skip("kappa_positivity_monotonic", 0.0,
@@ -341,9 +439,7 @@ def check_trace_reconciliation(ev) -> CheckResult:
                                        engine=ev._engine)
         res = find_spectrum(ev.src, _TRACE_K, 1e-10, confirm="oracle")
     except (ConvergenceError, ValueError) as exc:
-        return CheckResult(name="trace_reconciliation", passed=False,
-                           skipped=False, max_residual=math.inf,
-                           threshold=_TRACE_THRESHOLD, note=str(exc))
+        return _fail("trace_reconciliation", _TRACE_THRESHOLD, str(exc))
     inv = [1.0 / lam for lam in res.eigenvalues]
     tail, model = _inverse_tail(res.eigenvalues)
     gap = abs(tr.value - (math.fsum(inv) + tail))
@@ -435,7 +531,7 @@ def run_suite(src: CoefficientSource, *, gamma: float | None = None,
     ctx, alphas, betas, green = _mp_tables(src, precision_digits)
     out = [
         check_coefficient_positivity(src),
-        check_recurrence(ctx, alphas, betas),
+        check_recurrence(src, ctx, alphas, betas),
         check_wronskian(ctx, alphas, betas),
         check_green_identity(alphas, betas, green),
         check_resolvent_identity(ctx, alphas, betas, green, gamma=gamma),

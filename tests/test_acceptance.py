@@ -130,7 +130,7 @@ def test_acceptance_5_structural_identity_suite():
         for src in (asc2, asc2_b, *tables):
             mp = _mp_tables(src, 0)
             rows = {r.name: r for r in (
-                check_recurrence(*mp[:3]), check_wronskian(*mp[:3]),
+                check_recurrence(src, *mp[:3]), check_wronskian(*mp[:3]),
                 check_resolvent_identity(*mp, gamma=1.0))}
             assert rows["recurrence_residual"].max_residual <= 1e-12
             assert rows["wronskian_identity"].note == "m <= 12"

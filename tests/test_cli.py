@@ -270,6 +270,39 @@ def test_verify_zero_off_diagonal_fails_positivity(capsys, alphas, betas, cut):
         assert hashlib.sha256(out.encode()).hexdigest() == _ZERO_ALPHA_REPORT
 
 
+@pytest.mark.parametrize("q", ["1e-6", "1e-8", "1e-10", "1e-12"])
+def test_verify_below_the_coefficient_horizon(capsys, q):
+    # the coefficient pairs reach 2^900 at n = 46 (q = 1e-6) down to 23
+    # (q = 1e-12): the float64 rows stop below it, where verify exited 4
+    # with no report; the oracle ladder still cannot reconcile the trace
+    code, out, err = run_cli(capsys, "verify", "--q", q, "--a", q,
+                             "--shift", "0")
+    assert code == 3
+    rows = {r["check"]: r for r in parse_csv(out)}
+    assert len(rows) == 11
+    assert rows["trace_reconciliation"]["status"] == "FAIL"
+    assert "coefficient horizon" in rows["sign_patterns"]["note"] \
+        or q == "1e-6"
+
+
+@pytest.mark.parametrize("max_terms, code", [("40", 3), ("100", 0)])
+def test_verify_tail_budget_failure_is_a_row(capsys, max_terms, code):
+    # 40 terms do not certify the two-route tail series at z = 0: its
+    # ConvergenceError is a FAIL row that carries the message, where it
+    # escaped run_suite and verify exited 4 with no report
+    got, out, err = run_cli(capsys, "verify", "--q", "0.5", "--a", "0.5",
+                            "--shift", "0.5", "--max-terms", max_terms)
+    assert got == code
+    rows = {r["check"]: r for r in parse_csv(out)}
+    assert len(rows) == 11
+    row = rows["second_kind_two_route"]
+    if code == 3:
+        assert (row["status"], row["note"]) == (
+            "FAIL", "tail series not certified within 40 terms at z=0.0")
+    else:
+        assert (row["status"], row["note"]) == ("pass", "n <= 30")
+
+
 def test_identities_defaults(capsys):
     code, out, _ = run_cli(capsys, "identities")
     assert code == 0
@@ -300,8 +333,10 @@ def test_verify_extended_precision_flag(capsys):
                            "--a", "0.5", "--shift", "0.5", "--precision", "30")
     assert code == 0
     rows = {r["check"]: r for r in parse_csv(out)}
-    # identity maxima shrink far below float64 round-off at 30 digits
-    assert float(rows["recurrence_residual"]["max_residual"]) < 1e-25
+    # the recurrence row measures the float64 kernels against a 30-digit
+    # column, so it stays at float64 round-off; the mpmath-only W check
+    # shrinks far below it at 30 digits
+    assert 1e-17 < float(rows["recurrence_residual"]["max_residual"]) <= 1e-13
     assert float(rows["w_factorization"]["max_residual"]) < 1e-25
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jacspec as js
 from asc2_reference import dense_w_factorization_gap
@@ -56,10 +58,14 @@ def test_suite_detects_injected_negative_alpha():
 def test_extended_precision_shrinks_maxima(asc2_shifted):
     r64 = _by_name(run_suite(asc2_shifted))
     r30 = _by_name(run_suite(asc2_shifted, precision_digits=30))
-    for name in ("recurrence_residual", "wronskian_identity", "green_identity",
+    for name in ("wronskian_identity", "green_identity",
                  "resolvent_identity", "w_factorization"):
         assert r30[name].max_residual < r64[name].max_residual
         assert r30[name].max_residual < 1e-20
+    # the recurrence row measures the float64 kernels, whose rounding a
+    # 30-digit reference column does not shrink
+    for r in (r64, r30):
+        assert 1e-17 < r["recurrence_residual"].max_residual <= 1e-13
 
 
 def test_check_result_status_strings(asc2_shifted):
@@ -144,7 +150,10 @@ def test_extended_precision_on_a_table():
     for name in ("recurrence_residual", "wronskian_identity", "green_identity",
                  "resolvent_identity"):
         assert r[name].passed and not r[name].skipped
+    for name in ("wronskian_identity", "green_identity", "resolvent_identity"):
         assert r[name].max_residual < 1e-20
+    # float64 kernels against a 30-digit column: float64 round-off
+    assert r["recurrence_residual"].max_residual <= 1e-14
 
 
 def test_gamma_above_the_spectrum_rejected():
@@ -182,9 +191,9 @@ def test_natural_gamma_passes_the_gamma_check(params):
 # mpmath identity checks must keep these reports byte for byte
 _PRECISION_30_REPORTS = {
     ("--q=0.5", "--a=0.5", "--shift=0.5"):
-        "50669432914cd0db76c335becca8dcadf70265b621d5c271d8a408834490159b",
+        "33ee2bbcc40548972d40cc9e8f3daddd17c32076937947ecfec9bf655978c854",
     ("--q=0.7", "--a=0.7", "--shift=0.0"):
-        "d7016f7872317bbe68073020192ad763c1744956d9edfb921358834f9eb0cf9a",
+        "56012f6b1a0a468be004c937a0ae919a552c3d721159621a2f5e8dc8577572d9",
 }
 
 
@@ -410,4 +419,90 @@ def test_kappa_rows_without_a_kappa_table():
     assert r["kappa_positivity_monotonic"].skipped
     assert r["per_term_growth_bound"].skipped
     assert r["per_term_growth_bound"].note.startswith("U(R) is infinite")
+    assert r["trace_reconciliation"].status == "FAIL"
+
+
+def _kernel_mutant(name):
+    """recurrence.<name> with a_prev * u scaled by 1 + 1e-7 in its step."""
+    import inspect
+    import textwrap
+    from jacspec import recurrence
+    code = textwrap.dedent(inspect.getsource(getattr(recurrence, name)))
+    assert code.count("a_prev * u") == 1
+    namespace = dict(vars(recurrence))
+    exec(code.replace("a_prev * u", "a_prev * u * (1 + 1e-7)"), namespace)
+    return namespace[name]
+
+
+@pytest.mark.parametrize("kernel", ["_scaled_iter", "_scaled_columns"])
+@pytest.mark.parametrize("params", [(0.5, 0.5, 0.5), (0.7, 0.7, 0.0)])
+def test_recurrence_row_fails_on_a_kernel_mutant(monkeypatch, kernel, params):
+    # the row compares log_table (_scaled_iter) and the grid path
+    # (_scaled_columns) with an mpmath column, so a 1e-7 slip in either
+    # kernel's step fails it, where the row used to check mpmath against
+    # itself and passed both
+    from jacspec import recurrence
+    from jacspec.verify import check_recurrence
+    src = js.ASC2Source(*params)
+    mp = _mp_tables(src, 30)[:3]
+    r = check_recurrence(src, *mp)
+    assert (r.status, r.note) == ("pass", "n <= 40, 5 evaluation points")
+    assert r.max_residual <= 1e-12
+    monkeypatch.setattr(recurrence, kernel, _kernel_mutant(kernel))
+    r = check_recurrence(src, *mp)
+    assert r.status == "FAIL" and r.max_residual > 1e-9, r
+
+
+@pytest.mark.parametrize("params", [(0.5, 0.5, 0.6), (0.5, 0.5, -0.7)])
+def test_recurrence_row_at_an_eigenvalue(params):
+    # z = 0.4 and z = 2.7 are eigenvalues here (q^-n - shift), where P_n
+    # follows the recessive solution: the float64 and mpmath columns part
+    # by up to 1e-4 in ln|P_n|, as conditioning, not as a kernel error.
+    # The row then judges each column by its residual in the mpmath
+    # recurrence, which stays at rounding level
+    from jacspec.verify import _REAL_ZS, check_recurrence
+    src = js.ASC2Source(*params)
+    assert 1.0 - src.shift in _REAL_ZS or 2.0 - src.shift in _REAL_ZS
+    for digits in (0, 30):
+        r = check_recurrence(src, *_mp_tables(src, digits)[:3])
+        assert r.passed and r.max_residual <= 1e-13, r
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(log_q=st.floats(-5.0, math.log10(0.9999)),
+       a_over_q=st.floats(1e-6, 1.0), shift=st.floats(-2.0, 0.999),
+       digits=st.sampled_from([0, 30]))
+def test_recurrence_row_passes_across_the_regime(log_q, a_over_q, shift,
+                                                 digits):
+    from jacspec.verify import check_recurrence
+    q = 10.0 ** log_q
+    src = js.ASC2Source(q, q * a_over_q, shift)
+    r = check_recurrence(src, *_mp_tables(src, digits)[:3])
+    assert r.passed and r.max_residual <= 1e-12, r
+    assert r.note == "n <= 40, 5 evaluation points"
+
+
+@pytest.mark.parametrize("q, notes", [
+    (1e-6, ("n <= 40, 5 evaluation points", "n <= 40",
+            "n <= 25 (coefficient horizon)")),
+    (1e-8, ("n <= 33 (coefficient horizon), 5 evaluation points",
+            "n <= 34 (coefficient horizon)", "n <= 13 (coefficient horizon)")),
+    (1e-10, ("n <= 27 (coefficient horizon), 5 evaluation points",
+             "n <= 28 (coefficient horizon)", "n <= 7 (coefficient horizon)")),
+    (1e-12, ("n <= 22 (coefficient horizon), 5 evaluation points",
+             "n <= 23 (coefficient horizon)", None))])
+def test_float_rows_stop_at_the_coefficient_horizon(q, notes):
+    # the coefficient pairs of q <= 1e-6 reach 2^900 at n = 46, 34, 28 and
+    # 23: the rows that step the float64 recurrence stop below it and say
+    # so, where the two-route and sign rows raised and verify printed no
+    # report.  At q = 1e-12 the two-route tail series cannot stop below it
+    r = _by_name(run_suite(js.ASC2Source(q, q, 0.0), precision_digits=30))
+    names = ("recurrence_residual", "sign_patterns", "second_kind_two_route")
+    for name, note in zip(names, notes):
+        if note is None:
+            assert r[name].skipped, r[name]
+            assert r[name].note == "the coefficient horizon at n = 23 " \
+                "leaves no index"
+        else:
+            assert r[name].status == "pass" and r[name].note == note, r[name]
     assert r["trace_reconciliation"].status == "FAIL"
