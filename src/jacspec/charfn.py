@@ -19,6 +19,7 @@ bound once per power-of-two radius R.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -76,10 +77,10 @@ class CharFnValue:
 
 
 class _Plan(NamedTuple):
-    """Term plan of one z != 0."""
+    """Term plan of one z."""
 
     n_terms: int
-    log_bound: float
+    tail_bound: float  # exp(log_bound) of plan_terms
     certified: bool
 
 
@@ -101,10 +102,11 @@ class CharFnEvaluator:
         self.max_terms = max_terms
         self._engine = TailSeriesEngine(src, 0.0)
         self._capacity = max_terms  # lowered once, by the first failed build
-        # _tail_upper(n) by n, None included: fixed once computed, since the
-        # table only grows and the capacity only falls
-        self._tails: dict[int, float | None] = {}
         self._majorants: dict[float, float] = {}  # _majorant(R) by R
+        # _rung's ladder so far and the next count it tries, 0 once it ended
+        self._rungs: list[tuple[int, float, float]] = []
+        self._next_count = 16
+        self._rung_lock = threading.Lock()
 
     # -- kappa table management -------------------------------------------
 
@@ -125,36 +127,37 @@ class CharFnEvaluator:
 
         None when the table cannot be grown that far (budget or coefficient
         horizon); inf when it grew but the decay window is not below the cap.
-        Memoized per n_terms.
         """
-        if n_terms in self._tails:
-            return self._tails[n_terms]
-        t = None
-        if self._grow(n_terms + _RATIO_WINDOW + 1):
-            k = self._engine.kappas
-            r = max(k[i + 1] / k[i] for i in range(n_terms - 1,
-                                                   n_terms + _RATIO_WINDOW - 1))
-            t = math.inf if r >= _RATIO_CAP else k[n_terms] / (1.0 - r)
-        self._tails[n_terms] = t
-        return t
+        if not self._grow(n_terms + _RATIO_WINDOW + 1):
+            return None
+        k = self._engine.kappas
+        r = max(k[i + 1] / k[i] for i in range(n_terms - 1,
+                                               n_terms + _RATIO_WINDOW - 1))
+        return math.inf if r >= _RATIO_CAP else k[n_terms] / (1.0 - r)
 
-    def _ladder(self):
-        """(n, _tail_upper(n)) over the term counts 16, 32, 64, ..., the last
-        one the capacity's ceiling, for every finite positive tail."""
-        n = 16
-        while True:
-            ceiling = self._capacity - _RATIO_WINDOW - 1
-            n = min(n, ceiling)
-            if n < 4:
-                return
-            t = self._tail_upper(n)
-            if t is None:
-                continue  # the failed build has lowered the capacity
-            if 0.0 < t < math.inf:
-                yield n, t
-            if n >= ceiling:
-                return
-            n = min(2 * n, ceiling)
+    def _rung(self, i: int):
+        """The ladder's i-th (n, T_n, log T_n), or None past its end: the
+        counts 16, 32, 64, ..., the last the capacity's ceiling, that have a
+        finite positive tail T_n = _tail_upper(n).  It is walked under
+        _rung_lock, once (a rung is fixed once walked: the table only grows
+        and the capacity only falls) and no further than a caller asks, so
+        the table grows in the order plans need it."""
+        rungs = self._rungs
+        if i < len(rungs):
+            return rungs[i]
+        with self._rung_lock:
+            n = self._next_count
+            while len(rungs) <= i and n:
+                ceiling = self._capacity - _RATIO_WINDOW - 1
+                n = min(n, ceiling)
+                t = self._tail_upper(n) if n >= 4 else 0.0  # n < 4 ends it
+                if t is None:
+                    continue  # the failed build has lowered the capacity
+                if 0.0 < t < math.inf:
+                    rungs.append((n, t, math.log(t)))
+                n = 0 if n >= ceiling else min(2 * n, ceiling)
+            self._next_count = n
+        return rungs[i] if i < len(rungs) else None
 
     def _majorant(self, radius: float) -> float:
         """U(R) >= F(-R), hence >= |g_n(z)| for every n and |z| <= R.
@@ -170,12 +173,15 @@ class CharFnEvaluator:
             return self._majorants[radius]
         u = None
         # after an overflow of F_M(-R) the ladder runs on, to the capacity
-        for n, t in self._ladder():
+        i = 0
+        while (rung := self._rung(i)) is not None:
+            n, t, _ = rung
             if u is None and radius * t <= 0.5:
                 f_m = 1.0 + radius * _fsum_inf(self._terms(-radius, n))
                 u = f_m * (1.0 + _MAJORANT_PAD) / (1.0 - radius * t)
                 if u < math.inf:
                     break
+            i += 1
         u = math.inf if u is None else u
         self._majorants[radius] = u
         return u
@@ -202,11 +208,13 @@ class CharFnEvaluator:
             log_scale = math.log(z_abs) + math.log(u)
         log_target = math.log(atol)
         best = math.inf
-        for n, t in self._ladder():
-            log_bound = log_scale + math.log(t)
+        i = 0
+        while (rung := self._rung(i)) is not None:
+            log_bound = log_scale + rung[2]
             best = min(best, log_bound)
             if log_bound <= log_target:
-                return n, log_bound
+                return rung[0], log_bound
+            i += 1
         return None, best
 
     # -- evaluation ---------------------------------------------------------
@@ -217,7 +225,8 @@ class CharFnEvaluator:
         n_terms, log_bound = self.plan_terms(z_abs, atol)
         certified = n_terms is not None
         return _Plan(n_terms if certified else len(self._engine.w0_mant),
-                     log_bound, certified)
+                     math.exp(log_bound) if log_bound < 709 else math.inf,
+                     certified)
 
     def eval(self, z, atol: float = 1e-12) -> CharFnValue:
         """Certified partial-sum evaluation of F(z)."""
@@ -231,7 +240,7 @@ class CharFnEvaluator:
                             _fsum_inf([t.imag for t in terms]))
         else:
             total = _fsum_inf(terms)
-        return _partial_sum_value(z, plan, total, max_term)
+        return _partial_sum_value(z, plan, 1.0 - z * total, max_term)
 
     def _terms(self, z, n_terms: int) -> list:
         """The first n_terms terms w_n(0) P_n(z) of F's sum, each formed by
@@ -258,27 +267,28 @@ class CharFnEvaluator:
         to the float range, where it becomes a signed inf), and each sum is
         _fsum_inf over the terms in index order.
         """
-        return self._grid(zs, atol)[0]
-
-    def _grid(self, zs, atol: float, n_max: int | None = None):
-        """eval_grid(zs, atol) and, for an n_max, [charfn_ratio(src, z,
-        n_max) for z in zs] (else None), from one _grid_sums call."""
         zs = [float(z) for z in zs]
-        plans = [None if z == 0 else self._plan(abs(z), atol) for z in zs]
-        live = [j for j, p in enumerate(plans) if p is not None]
-        partial = [_at_origin(z, "partial_sum", True) for z in zs]
+        values, plans, peaks, _ = self._grid(zs, atol)
+        return [_partial_sum_value(z, plan, value, peak) if z != 0 else
+                _at_origin(z, "partial_sum", True)
+                for z, value, plan, peak in zip(zs, values, plans, peaks)]
+
+    def _grid(self, zs: list[float], atol: float, n_max: int | None = None):
+        """Columns of eval_grid(zs, atol) from one _grid_sums call: (values,
+        plans, largest |term|s, ratio values); the ratio values are those of
+        charfn_ratio(src, z, n_max) for an n_max, else None."""
+        plans = [self._plan(abs(z), atol) if z != 0 else _Plan(0, 0.0, True)
+                 for z in zs]
+        live = [j for j, z in enumerate(zs) if z != 0]
+        values, peaks, ratio = [1.0] * len(zs), [0.0] * len(zs), [1.0] * len(zs)
         sums, iterates = _grid_sums(_coeff_reader(self.src), [zs[j] for j in live],
                                     [plans[j].n_terms for j in live],
                                     self._engine.w0_mant, self._engine.w0_exp,
                                     n_max)
-        for j, (total, max_term) in zip(live, sums):
-            partial[j] = _partial_sum_value(zs[j], plans[j], total, max_term)
-        if n_max is None:
-            return partial, None
-        ratio = [_at_origin(z, "ratio_limit", False) for z in zs]
-        for j, (cur, prev) in zip(live, iterates):
-            ratio[j] = _ratio_value(zs[j], cur, prev, n_max)
-        return partial, ratio
+        for j, (total, peak), it in zip(live, sums, iterates):
+            values[j], peaks[j] = 1.0 - zs[j] * total, peak
+            ratio[j] = it[0] if it else None
+        return values, plans, peaks, None if n_max is None else ratio
 
     def certified_sign(self, x: float, atol: float):
         """Certified sign of F(x), tightening atol until the sign resolves.
@@ -309,14 +319,11 @@ def _at_origin(z, method: str, certified: bool) -> CharFnValue:
                        terms_used=0, certified=certified)
 
 
-def _partial_sum_value(z, plan: _Plan, total, max_term: float) -> CharFnValue:
-    """CharFnValue of the partial sum `total` of a planned evaluation."""
-    tail_bound = math.exp(plan.log_bound) if plan.log_bound < 709 else math.inf
-    value = 1.0 - z * total
+def _partial_sum_value(z, plan: _Plan, value, max_term: float) -> CharFnValue:
+    """CharFnValue of the value 1 - z (partial sum) of a planned evaluation."""
     noise = _NOISE_EPS * math.sqrt(max(plan.n_terms, 1)) * (
-        1.0 + abs(z) * max_term + abs(value)
-    )
-    return CharFnValue(z=z, value=value, tail_bound=tail_bound,
+        1.0 + abs(z) * max_term + abs(value))
+    return CharFnValue(z=z, value=value, tail_bound=plan.tail_bound,
                        method="partial_sum", terms_used=plan.n_terms,
                        certified=plan.certified, noise_estimate=noise)
 
@@ -384,14 +391,15 @@ def _sweep(read, zs: list[float], counts: list[int], mant: list[float],
 
     The block's points, and for an n_max one z = 0 column after them, are
     stepped once, to the larger of counts[0] and n_max.  The terms fill one
-    buffer of sum(counts) floats, freed on return.  The ratio keeps the
+    buffer of sum(counts) + 1 floats, freed on return.  The ratio keeps the
     (u, log_scale) rows at n_max - 1 and n_max, and raises at the first
     P_n(0) = 0 up to n_max, as charfn_ratio does.
     """
     n_top = counts[0]
-    # point c's terms fill terms[start[c]:start[c + 1]], index by index
+    # point c's terms fill terms[start[c]:start[c + 1]], index by index, and
+    # a 0 follows them all
     start = np.concatenate(([0], np.cumsum(counts)))
-    terms = np.empty(start[-1])
+    terms = np.zeros(start[-1] + 1)
     k = len(zs)
     ls_seen, ls_exp = None, None
     ratio = n_max is not None  # the z = 0 column still has rows to check
@@ -414,11 +422,12 @@ def _sweep(read, zs: list[float], counts: list[int], mant: list[float],
             if ls is not ls_seen:  # _scaled_columns replaces ls on a rescale
                 ls_seen, ls_exp = ls, np.rint(ls / _LN2).astype(np.int64)
             terms[start[:k] + n] = np.ldexp(mant[n] * u[:k], exps[n] + ls_exp[:k])
-    sums = []
-    for c in range(len(zs)):
-        col = terms[start[c]:start[c + 1]]
-        sums.append((_fsum_inf(col.tolist()),
-                     float(np.max(np.abs(col), initial=0.0))))
+    bounds = start.tolist()
+    totals = [_fsum_inf(terms[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+    # largest |term|s: reduceat reads a column without terms (one of the
+    # last, as the counts descend) as the entry at its start, the final 0
+    peaks = np.maximum.reduceat(np.abs(terms, out=terms), start[:-1]).tolist()
+    sums = list(zip(totals, peaks))
     if not rows:
         return sums, [None] * len(zs)
     iterates = [[_ratio_iterate(uz, lz, u[-1], ls[-1], 0.0)

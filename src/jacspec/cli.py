@@ -281,27 +281,37 @@ def _fmt_cell(x) -> str:
     return str(x)
 
 
-def _json_cell(x):
-    """nan as null and +-inf as the CSV text "inf"/"-inf": strict JSON."""
-    if isinstance(x, float) and not math.isfinite(x):
-        return None if math.isnan(x) else _fmt_cell(x)
-    return x
+_JSON = json.JSONEncoder(sort_keys=True, indent=2).encode  # the JSON layout
+
+
+def _json_cell(x) -> str:
+    """_JSON's text of a row cell, but nan as null and +-inf as the CSV text
+    "inf"/"-inf": strict JSON."""
+    if not isinstance(x, float):
+        return _JSON(x).replace("\n", "\n      ")
+    return (float.__repr__(x) if math.isfinite(x) else
+            "null" if x != x else f'"{x}"')
+
+
+def _json_report(meta: dict, columns: list[str], rows: list[dict]) -> str:
+    """_JSON({"meta": meta, "rows": rows}) + newline, each row cut to the
+    columns and its cells written by _json_cell, through one template per
+    row over the sorted column names."""
+    keys = sorted(set(columns))
+    fields = ",\n".join(f'      {_JSON(c).replace("%", "%%")}: %s' for c in keys)
+    row = f"    {{\n{fields}\n    }}" if keys else "    {}"
+    body = ",\n".join(row % tuple(_json_cell(r[c]) for c in keys) for r in rows)
+    meta_text = _JSON(meta).replace("\n", "\n  ")
+    rows_text = f"[\n{body}\n  ]" if rows else "[]"
+    return f'{{\n  "meta": {meta_text},\n  "rows": {rows_text}\n}}\n'
 
 
 def emit_report(command: str, cfg: RunConfig, columns: list[str],
                 rows: list[dict]) -> str:
-    meta = {
-        "tool": "jacspec",
-        "version": __version__,
-        "command": command,
-        "config": cfg.echo(),
-    }
+    meta = {"tool": "jacspec", "version": __version__, "command": command,
+            "config": cfg.echo()}
     if cfg.format == "json":
-        payload = {
-            "meta": meta,
-            "rows": [{c: _json_cell(r[c]) for c in columns} for r in rows],
-        }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _json_report(meta, columns, rows)
     else:
         buf = io.StringIO()
         buf.write(f"# jacspec {command} report\n")
@@ -309,8 +319,7 @@ def emit_report(command: str, cfg: RunConfig, columns: list[str],
         buf.write(f"# config: {json.dumps(cfg.echo(), sort_keys=True)}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for r in rows:
-            writer.writerow([_fmt_cell(r[c]) for c in columns])
+        writer.writerows([_fmt_cell(r[c]) for c in columns] for r in rows)
         text = buf.getvalue()
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
@@ -334,20 +343,11 @@ def cmd_spectrum(cfg: RunConfig, k: int) -> int:
         return EXIT_OK
     res = find_spectrum(src, k, cfg.eig_tol, gamma=cfg.gamma,
                         max_terms=cfg.max_terms, confirm=cfg.confirm)
-    rows = []
-    for j in range(len(res.eigenvalues)):
-        if (j + 1) in res.unresolved:
-            continue
-        rows.append({
-            "index": j + 1,
-            "lambda": res.eigenvalues[j],
-            "residual": res.residuals[j],
-            "tail_bound": res.tail_bounds[j],
-            "bracket_lo": res.brackets[j][0],
-            "bracket_hi": res.brackets[j][1],
-            "oracle_value": res.oracle_values[j],
-            "oracle_gap": res.oracle_gaps[j],
-        })
+    rows = [{"index": j + 1, "lambda": lam, "residual": res.residuals[j],
+             "tail_bound": res.tail_bounds[j], "bracket_lo": res.brackets[j][0],
+             "bracket_hi": res.brackets[j][1],
+             "oracle_value": res.oracle_values[j], "oracle_gap": res.oracle_gaps[j]}
+            for j, lam in enumerate(res.eigenvalues) if j + 1 not in res.unresolved]
     emit_report("spectrum", cfg, columns, rows)
     if res.unresolved:
         print(f"unresolved eigenvalue indices: {res.unresolved}", file=sys.stderr)
@@ -364,26 +364,18 @@ def cmd_charfn(cfg: RunConfig) -> int:
     if points < 2:
         raise ConfigError("grid needs at least 2 points")
     grid = np.linspace(cfg.grid["z_min"], cfg.grid["z_max"], points)
+    zs = grid.tolist()
     # both columns from one sweep of the grid: eval_grid's and charfn_ratio's
-    partial, ratios = CharFnEvaluator(src, cfg.max_terms)._grid(
-        grid, cfg.atol, n_max=min(400, cfg.max_terms))
-    closed_forms = spectrum_product_reference(grid, src.q, src.shift) \
-        if isinstance(src, ASC2Source) else [None] * points
-    rows = []
-    for z, ps, rt, closed in zip(grid.tolist(), partial, ratios, closed_forms):
-        rows.append({
-            "z": z,
-            "f_partial": float(ps.value),
-            "tail_bound": ps.tail_bound,
-            "f_ratio": float(rt.value),
-            "ratio_gap": abs(ps.value - rt.value),
-            "closed_form": closed,
-            "closed_gap": abs(ps.value - closed) if closed is not None else None,
-        })
+    values, plans, _, ratios = CharFnEvaluator(src, cfg.max_terms)._grid(
+        zs, cfg.atol, n_max=min(400, cfg.max_terms))
+    closed_forms = spectrum_product_reference(grid, src.q, src.shift)
+    rows = [{"z": z, "f_partial": v, "tail_bound": p.tail_bound, "f_ratio": r,
+             "ratio_gap": abs(v - r), "closed_form": c, "closed_gap": abs(v - c)}
+            for z, v, p, r, c in zip(zs, values, plans, ratios, closed_forms)]
     emit_report("charfn", cfg,
                 ["z", "f_partial", "tail_bound", "f_ratio", "ratio_gap",
                  "closed_form", "closed_gap"], rows)
-    unbounded = sum(1 for c in closed_forms if c is not None and math.isnan(c))
+    unbounded = sum(1 for c in closed_forms if math.isnan(c))
     if unbounded:
         print(f"note: closed_form is nan at {unbounded} of {points} grid points: "
               "the q-Pochhammer product or its truncation bound leaves the "
@@ -397,13 +389,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     results = run_suite(src, gamma=cfg.gamma,
                         precision_digits=cfg.precision_digits,
                         max_terms=cfg.max_terms)
-    rows = [{
-        "check": r.name,
-        "status": r.status,
-        "max_residual": r.max_residual,
-        "threshold": r.threshold,
-        "note": r.note,
-    } for r in results]
+    rows = [{"check": r.name, "status": r.status, "max_residual": r.max_residual,
+             "threshold": r.threshold, "note": r.note} for r in results]
     emit_report("verify", cfg,
                 ["check", "status", "max_residual", "threshold", "note"], rows)
     failed = [r.name for r in results if not r.skipped and not r.passed]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charfn import CharFnEvaluator
-from .errors import AssumptionViolation
+from .errors import AssumptionViolation, ConvergenceError
 from .qseries import QParams, require_certified_regime
 from .sources import ASC2Source, CoefficientSource, require_infinite
 
@@ -457,12 +457,16 @@ def _ladder(src, k, tol, otol):
         t_prev, x_prev = t, x_next
 
 
+class _LadderCapError(ConvergenceError, ValueError):
+    """The ladder reached its cap: uncertified, not a configuration error."""
+
+
 def _not_stabilized(k, m, otol):
     """The ladder's ValueError when its last rung has m rows."""
-    limit = (f"the ladder cap {_LADDER_CAP}" if m >= _LADDER_CAP else
-             f"the largest truncation usable at tolerance {otol:.3g}")
-    return ValueError(
-        f"the {k} smallest roots have not stabilized at {m} x {m}, {limit}")
+    text = f"the {k} smallest roots have not stabilized at {m} x {m}, "
+    if m >= _LADDER_CAP:
+        return _LadderCapError(text + f"the ladder cap {_LADDER_CAP}")
+    return ValueError(text + f"the largest truncation usable at tolerance {otol:.3g}")
 
 
 def _slope_estimate(j, oracle, tail_ratio):

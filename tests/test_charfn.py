@@ -489,15 +489,15 @@ def test_certified_sign_stops_at_noise_floor(monkeypatch):
 
 @pytest.mark.parametrize("max_terms", [20000, 200])
 def test_tail_estimates_are_computed_once_per_size(monkeypatch, max_terms):
-    # the table only grows and the capacity only falls, so each _tail_upper(n)
-    # is fixed once computed, None included (beyond the coefficient horizon
-    # at 20000, beyond the budget at 200, reached by the 1e-300 plan); U(R)
-    # is computed once per R, so a second plan asks for no count and grows
-    # nothing
+    # the table only grows and the capacity only falls, so each rung of the
+    # ladder, with its _tail_upper(n), is fixed once walked, and a failed
+    # build (beyond the coefficient horizon at 20000, beyond the budget at
+    # 200, reached by the 1e-300 plan) is not retried; U(R) is computed once
+    # per R, so a second plan asks for no count and grows nothing
     plans = ((1.0, 1e-12), (60.0, 1e-12), (250.0, 1e-300))
     ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5), max_terms)
     first = [ev.plan_terms(z, atol) for z, atol in plans]
-    assert None in ev._tails.values()
+    assert ev._capacity < max_terms and ev._next_count == 0
     grows = []
     orig = ev._grow
     monkeypatch.setattr(ev, "_grow", lambda count: grows.append(count) or orig(count))
@@ -506,8 +506,30 @@ def test_tail_estimates_are_computed_once_per_size(monkeypatch, max_terms):
     assert grows == []
     assert counts["builds"] == 0
     fresh = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5), max_terms)
-    assert [fresh._tail_upper(n) for n in sorted(ev._tails)] == \
-        [ev._tails[n] for n in sorted(ev._tails)]
+    assert [(n, fresh._tail_upper(n)) for n, _, _ in ev._rungs] == \
+        [(n, t) for n, t, _ in ev._rungs]
+
+
+@pytest.mark.parametrize("args, grid", [((0.5, 0.5, 0.5), (-1.0, 250.0)),
+                                        ((0.7, 0.7, 0.0), (-1.0, 40.0))])
+@pytest.mark.parametrize("atol", [1e-12, 1e-300])
+def test_plans_do_not_depend_on_the_order_of_their_points(args, grid, atol):
+    # every plan reads the ladder from its first rung and walks it no further
+    # than it needs, so ascending, descending and shuffled points on fresh
+    # evaluators get the same plans, rungs and kappa table, bit for bit (at
+    # 1e-300 through the failed build that fixes the capacity)
+    import random
+    zs = np.linspace(*grid, 400).tolist()
+    shuffled = zs[:]
+    random.Random(0).shuffle(shuffled)
+    seen = []
+    for order in (zs, zs[::-1], shuffled):
+        ev = js.CharFnEvaluator(js.ASC2Source(*args))
+        plans = {z: ev.plan_terms(abs(z), atol) for z in order}
+        seen.append(([plans[z] for z in zs], ev._rungs, ev._capacity,
+                     list(map(float.hex, ev._engine.kappas))))
+    assert seen[0] == seen[1] == seen[2]
+    assert (None in [n for n, _ in seen[0][0]]) == (atol == 1e-300)
 
 
 def test_missing_kappa_table_gives_uncertified_values():
@@ -543,8 +565,8 @@ def test_capacity_does_not_depend_on_the_first_build(args, column, max_terms):
 
 
 def test_threads_growing_one_evaluator_keep_one_table():
-    # four eval_grid calls at once grow one table, with its w_n(0) pairs, to
-    # the bits of a single-threaded build
+    # four eval_grid calls at once grow one table, with its w_n(0) pairs, and
+    # one ladder, to the bits of a single-threaded build
     import sys
     from concurrent.futures import ThreadPoolExecutor
     src = js.ASC2Source(0.5, 0.5, 0.5)
@@ -568,6 +590,8 @@ def test_threads_growing_one_evaluator_keep_one_table():
             assert len(ev._engine.kappas) == len(ev._engine.w0_mant) \
                 == len(ev._engine.w0_exp)
             assert bits(ev._engine) == bits(eng)
+            # the ladder's rungs are walked once each, in order
+            assert ev._rungs == alone._rungs
     finally:
         sys.setswitchinterval(interval)
 

@@ -229,18 +229,25 @@ SWEEPS = {
 @pytest.mark.parametrize("block_bytes", [1, 1 << 22])
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_report_sweep_matches_both_scalar_paths(monkeypatch, name, block_bytes):
-    # one sweep gives the partial sums and the ratio column of the report,
-    # each bit for bit the scalar path's, in one-point blocks or one block
+    # one sweep gives the report's columns, the partial sums with their tail
+    # bounds and the ratio values, each bit for bit the scalar path's, in
+    # one-point blocks or one block
     params, grid, atol, max_terms = SWEEPS[name]
     src = js.ASC2Source(*params)
     n_max = min(400, max_terms)
     monkeypatch.setattr(charfn, "_GRID_BLOCK_BYTES", block_bytes)
-    partial, ratio = js.CharFnEvaluator(src, max_terms)._grid(grid, atol, n_max)
-    ev = js.CharFnEvaluator(src, max_terms)
     zs = grid.tolist()
-    assert _keys(partial) == [_key(ev.eval(z, atol)) for z in zs]
-    assert _keys(ratio) == [_key(js.charfn_ratio(src, z, n_max)) for z in zs]
-    counts = [v.terms_used for v in partial]
+    values, plans, _, ratio = js.CharFnEvaluator(src, max_terms)._grid(
+        zs, atol, n_max)
+    ev = js.CharFnEvaluator(src, max_terms)
+    want = [ev.eval(z, atol) for z in zs]
+    assert list(map(float.hex, values)) == [float.hex(v.value) for v in want]
+    assert [float.hex(p.tail_bound) for p in plans] == \
+        [float.hex(v.tail_bound) for v in want]
+    assert list(map(float.hex, ratio)) == [
+        float.hex(js.charfn_ratio(src, z, n_max).value) for z in zs]
+    counts = [p.n_terms for p in plans]
+    assert counts == [v.terms_used for v in want]
     if name == "no-terms":
         assert counts == [0] * len(zs)
     elif name != "report":

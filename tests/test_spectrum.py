@@ -931,6 +931,22 @@ def test_ladder_raises_at_the_cap_instead_of_returning_unstabilized_roots(
         js.find_spectrum(src, 2, 1e-9, confirm="oracle")
 
 
+@pytest.mark.parametrize("cap, k", [(16, 2), (8192, 4)])
+def test_the_ladder_cap_exits_uncertified(monkeypatch, capsys, cap, k):
+    # q = 0.995 lies in the certified regime, so a ladder that reaches its
+    # cap is an uncertified result (exit 4), not a configuration error (exit
+    # 2, which the clamp to the usable size keeps); the error stays a
+    # ValueError, as the test above requires
+    from jacspec import spectrum
+    from jacspec.cli import main
+    monkeypatch.setattr(spectrum, "_LADDER_CAP", cap)
+    assert main(["spectrum", "--q", "0.995", "--a", "0.995", "--shift", "0",
+                 "--k", str(k)]) == 4
+    assert capsys.readouterr().err == (
+        f"uncertified: the {k} smallest roots have not stabilized at "
+        f"{cap} x {cap}, the ladder cap {cap}\n")
+
+
 def test_a_first_row_past_the_float_range_names_the_float_range():
     # beta_0 - shift overflows, so no row is usable: the slice off[:m - 1]
     # at m = 0 kept all but the last offdiag entry, and the block's shape
