@@ -45,7 +45,7 @@ _SIGN_ATOL_STEP = 100.0
 # ulp or two from those of a larger one (a build of 22 at (0.5, 0.5, 0.5)),
 # so a table started smaller would depend on the order of its builds
 _FIRST_BUILD = 64
-# bytes of a _grid_sums block, points x largest term count float64 (its buffer
+# bytes of a _grid block, points x largest term count float64 (its buffer
 # holds the sum of its counts, no more): 800 points of 262 terms are one block
 _GRID_BLOCK_BYTES = 1 << 22
 
@@ -240,7 +240,12 @@ class CharFnEvaluator:
                             _fsum_inf([t.imag for t in terms]))
         else:
             total = _fsum_inf(terms)
-        return _partial_sum_value(z, plan, 1.0 - z * total, max_term)
+        value = 1.0 - z * total
+        noise = _NOISE_EPS * math.sqrt(max(plan.n_terms, 1)) * (
+            1.0 + abs(z) * max_term + abs(value))
+        return CharFnValue(z=z, value=value, tail_bound=plan.tail_bound,
+                           method="partial_sum", terms_used=plan.n_terms,
+                           certified=plan.certified, noise_estimate=noise)
 
     def _terms(self, z, n_terms: int) -> list:
         """The first n_terms terms w_n(0) P_n(z) of F's sum, each formed by
@@ -257,38 +262,34 @@ class CharFnEvaluator:
             terms.append(scale(mant[n] * u, exps[n] + round(ls / _LN2)))
         return terms
 
-    def eval_grid(self, zs, atol: float = 1e-12) -> list[CharFnValue]:
-        """eval at every real z of zs, bit for bit, through one column-wise
-        recurrence per block of points (_grid_sums).
+    def _grid(self, zs: list[float], atol: float, n_max: int):
+        """The columns of the charfn report over the real points zs:
+        (values, plans, ratios), where values[j] and plans[j] are the value
+        and term plan of eval(zs[j], atol) and ratios[j] the value of
+        charfn_ratio(src, zs[j], n_max), each bit for bit.
 
         Every point reads the one append-only kappa table, so each result
-        equals eval's at that point whatever was evaluated before.  Each
-        term is formed as in eval, by one multiply and one ldexp (exact up
-        to the float range, where it becomes a signed inf), and each sum is
-        _fsum_inf over the terms in index order.
+        equals eval's at that point whatever was evaluated before.  The
+        points are stepped sorted by descending term count, in blocks whose
+        terms stay within _GRID_BLOCK_BYTES, one column-wise recurrence per
+        block (_sweep).
         """
-        zs = [float(z) for z in zs]
-        values, plans, peaks, _ = self._grid(zs, atol)
-        return [_partial_sum_value(z, plan, value, peak) if z != 0 else
-                _at_origin(z, "partial_sum", True)
-                for z, value, plan, peak in zip(zs, values, plans, peaks)]
-
-    def _grid(self, zs: list[float], atol: float, n_max: int | None = None):
-        """Columns of eval_grid(zs, atol) from one _grid_sums call: (values,
-        plans, largest |term|s, ratio values); the ratio values are those of
-        charfn_ratio(src, z, n_max) for an n_max, else None."""
         plans = [self._plan(abs(z), atol) if z != 0 else _Plan(0, 0.0, True)
                  for z in zs]
-        live = [j for j, z in enumerate(zs) if z != 0]
-        values, peaks, ratio = [1.0] * len(zs), [0.0] * len(zs), [1.0] * len(zs)
-        sums, iterates = _grid_sums(_coeff_reader(self.src), [zs[j] for j in live],
-                                    [plans[j].n_terms for j in live],
-                                    self._engine.w0_mant, self._engine.w0_exp,
-                                    n_max)
-        for j, (total, peak), it in zip(live, sums, iterates):
-            values[j], peaks[j] = 1.0 - zs[j] * total, peak
-            ratio[j] = it[0] if it else None
-        return values, plans, peaks, None if n_max is None else ratio
+        live = sorted((j for j, z in enumerate(zs) if z != 0),
+                      key=lambda j: -plans[j].n_terms)
+        values, ratios = [1.0] * len(zs), [1.0] * len(zs)
+        top = plans[live[0]].n_terms if live else 0
+        width = max(1, _GRID_BLOCK_BYTES // (8 * max(top, 1)))
+        read, eng = _coeff_reader(self.src), self._engine
+        for start in range(0, len(live), width):
+            block = live[start:start + width]
+            sums, block_ratios = _sweep(read, [zs[j] for j in block],
+                                        [plans[j].n_terms for j in block],
+                                        eng.w0_mant, eng.w0_exp, n_max)
+            for j, total, ratio in zip(block, sums, block_ratios):
+                values[j], ratios[j] = 1.0 - zs[j] * total, ratio
+        return values, plans, ratios
 
     def certified_sign(self, x: float, atol: float):
         """Certified sign of F(x), tightening atol until the sign resolves.
@@ -317,15 +318,6 @@ def _at_origin(z, method: str, certified: bool) -> CharFnValue:
     """F(0) = 1 exactly."""
     return CharFnValue(z=z, value=1.0, tail_bound=0.0, method=method,
                        terms_used=0, certified=certified)
-
-
-def _partial_sum_value(z, plan: _Plan, value, max_term: float) -> CharFnValue:
-    """CharFnValue of the value 1 - z (partial sum) of a planned evaluation."""
-    noise = _NOISE_EPS * math.sqrt(max(plan.n_terms, 1)) * (
-        1.0 + abs(z) * max_term + abs(value))
-    return CharFnValue(z=z, value=value, tail_bound=plan.tail_bound,
-                       method="partial_sum", terms_used=plan.n_terms,
-                       certified=plan.certified, noise_estimate=noise)
 
 
 def _radius(z_abs: float) -> float:
@@ -360,61 +352,34 @@ def _fsum_inf(xs: list[float]) -> float:
         return math.nan
 
 
-def _grid_sums(read, zs: list[float], counts: list[int], mant: list[float],
-               exps: list[int], n_max: int | None = None):
-    """(sums, iterates) of every point of zs, in the order of zs, from one
-    column-wise recurrence per block of points.
-
-    sums[j] is (sum of the terms, largest |term|) over the counts[j] terms
-    w_n(0) P_n(z) = ldexp(mant[n] u, exps[n] + round(ls / ln 2)), formed as
-    eval forms them.  For an n_max, iterates[j] is (P_n(z)/P_n(0) at n_max,
-    at n_max - 1 or None), formed as charfn_ratio forms them; otherwise it
-    is None.  Points are stepped sorted by descending count, in blocks whose
-    terms stay within _GRID_BLOCK_BYTES (_sweep).
-    """
-    order = sorted(range(len(zs)), key=lambda j: -counts[j])
-    width = max(1, _GRID_BLOCK_BYTES // (8 * max(max(counts, default=0), 1)))
-    sums, iterates = [None] * len(zs), [None] * len(zs)
-    for start in range(0, len(order), width):
-        block = order[start:start + width]
-        got = _sweep(read, [zs[j] for j in block], [counts[j] for j in block],
-                     mant, exps, n_max)
-        for j, s, it in zip(block, *got):
-            sums[j], iterates[j] = s, it
-    return sums, iterates
-
-
 def _sweep(read, zs: list[float], counts: list[int], mant: list[float],
-           exps: list[int], n_max: int | None):
-    """_grid_sums of one block whose counts descend, so the points still
-    summing at index n are a prefix of the block.
+           exps: list[int], n_max: int):
+    """(sums, ratios) of one block of points whose counts descend, so the
+    points still summing at index n are a prefix of the block.
 
-    The block's points, and for an n_max one z = 0 column after them, are
-    stepped once, to the larger of counts[0] and n_max.  The terms fill one
-    buffer of sum(counts) + 1 floats, freed on return.  The ratio keeps the
-    (u, log_scale) rows at n_max - 1 and n_max, and raises at the first
-    P_n(0) = 0 up to n_max, as charfn_ratio does.
+    sums[c] is the sum of the counts[c] terms w_n(0) P_n(z) = ldexp(mant[n]
+    u, exps[n] + round(ls / ln 2)), formed as eval forms them, and ratios[c]
+    is P_n(z)/P_n(0) at n_max, formed as charfn_ratio forms it.  The block's
+    points and one z = 0 column after them are stepped once, to the larger
+    of counts[0] and n_max; the terms fill one buffer of sum(counts) floats,
+    freed on return.  Raises at the first P_n(0) = 0 up to n_max, as
+    charfn_ratio does.
     """
     n_top = counts[0]
-    # point c's terms fill terms[start[c]:start[c + 1]], index by index, and
-    # a 0 follows them all
+    # point c's terms fill terms[start[c]:start[c + 1]], index by index
     start = np.concatenate(([0], np.cumsum(counts)))
-    terms = np.zeros(start[-1] + 1)
+    terms = np.zeros(start[-1])
     k = len(zs)
     ls_seen, ls_exp = None, None
-    ratio = n_max is not None  # the z = 0 column still has rows to check
-    rows = []  # (u, log_scale) at n_max - 1 and n_max
     with np.errstate(over="ignore"):  # an overflowing term is a signed inf
-        for n, u, ls in _scaled_columns(read, np.array(zs + [0.0] if ratio
-                                                       else zs)):
-            if ratio:
+        for n, u, ls in _scaled_columns(read, np.array(zs + [0.0])):
+            if n <= n_max:
                 if u[-1] == 0:
                     raise _zero_at_origin(n)
-                if n >= n_max - 1:
-                    rows.append((u.tolist(), ls.tolist()))
-                ratio = n != n_max
+                if n == n_max:
+                    row_u, row_ls = u.tolist(), ls.tolist()
             if n >= n_top:
-                if ratio:
+                if n < n_max:
                     continue  # the ratio steps on without terms
                 break
             while counts[k - 1] <= n:
@@ -423,17 +388,9 @@ def _sweep(read, zs: list[float], counts: list[int], mant: list[float],
                 ls_seen, ls_exp = ls, np.rint(ls / _LN2).astype(np.int64)
             terms[start[:k] + n] = np.ldexp(mant[n] * u[:k], exps[n] + ls_exp[:k])
     bounds = start.tolist()
-    totals = [_fsum_inf(terms[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
-    # largest |term|s: reduceat reads a column without terms (one of the
-    # last, as the counts descend) as the entry at its start, the final 0
-    peaks = np.maximum.reduceat(np.abs(terms, out=terms), start[:-1]).tolist()
-    sums = list(zip(totals, peaks))
-    if not rows:
-        return sums, [None] * len(zs)
-    iterates = [[_ratio_iterate(uz, lz, u[-1], ls[-1], 0.0)
-                 for uz, lz in zip(u[:-1], ls)] for u, ls in rows]
-    prevs = iterates[0] if len(iterates) == 2 else [None] * len(zs)
-    return sums, list(zip(iterates[-1], prevs))
+    sums = [_fsum_inf(terms[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+    return sums, [_ratio_iterate(uz, lz, row_u[-1], row_ls[-1], 0.0)
+                  for uz, lz in zip(row_u[:-1], row_ls)]
 
 
 def charfn_ratio(src: CoefficientSource, z, n_max: int = 200):
@@ -441,26 +398,11 @@ def charfn_ratio(src: CoefficientSource, z, n_max: int = 200):
 
     The recorded tail_bound is the difference of the last two iterates, an
     empirical convergence indicator only; the result is never marked
-    certified.  Signals a violated positivity assumption if P_n(0) = 0.
-
-    z may also be a 1-D numpy array of real points: the result is then a list
-    with the scalar result of every point, bit for bit, from one column-wise
-    recurrence over the grid and a z = 0 column beside it.  Either form
+    certified.  Signals a violated positivity assumption if P_n(0) = 0, and
     raises ValueError for a negative n_max, which no step would meet.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max!r}")
-    if isinstance(z, np.ndarray):
-        zs = z.tolist()
-        out = [_at_origin(x, "ratio_limit", False) for x in zs]
-        live = [j for j, x in enumerate(zs) if x != 0]
-        if live:
-            require_infinite(src, "ratio-limit evaluation")
-            _, iterates = _grid_sums(_coeff_reader(src), [zs[j] for j in live],
-                                     [0] * len(live), [], [], n_max)
-            for j, (cur, prev) in zip(live, iterates):
-                out[j] = _ratio_value(zs[j], cur, prev, n_max)
-        return out
     if z == 0:
         return _at_origin(z, "ratio_limit", False)
     require_infinite(src, "ratio-limit evaluation")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -365,8 +366,8 @@ def cmd_charfn(cfg: RunConfig) -> int:
         raise ConfigError("grid needs at least 2 points")
     grid = np.linspace(cfg.grid["z_min"], cfg.grid["z_max"], points)
     zs = grid.tolist()
-    # both columns from one sweep of the grid: eval_grid's and charfn_ratio's
-    values, plans, _, ratios = CharFnEvaluator(src, cfg.max_terms)._grid(
+    # both columns from one sweep of the grid: eval's and charfn_ratio's
+    values, plans, ratios = CharFnEvaluator(src, cfg.max_terms)._grid(
         zs, cfg.atol, n_max=min(400, cfg.max_terms))
     closed_forms = spectrum_product_reference(grid, src.q, src.shift)
     rows = [{"z": z, "f_partial": v, "tail_bound": p.tail_bound, "f_ratio": r,
@@ -469,6 +470,7 @@ def _add_shared(p: argparse.ArgumentParser, numeric: tuple = (),
         p.add_argument("--betas", help="comma-separated explicit diagonal")
 
 
+@functools.cache  # argparse objects reference each other: build them once
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jacspec",
@@ -512,7 +514,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg)
         if args.command == "identities":
-            q_list = [float(x) for x in args.q_list.split(",") if x]
+            q_list = [_flag_number(x, "--q-list entry")
+                      for x in args.q_list.split(",") if x]
             return cmd_identities(cfg, q_list)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, AssumptionViolation) as exc:

@@ -404,8 +404,8 @@ def check_kappa_monotonic(ev) -> CheckResult:
         return _fail("kappa_positivity_monotonic", 0.0, str(exc))
     kappas = ev._engine.kappas[:_N_MAX + 1]
     if not kappas:
-        return _skip("kappa_positivity_monotonic", 0.0,
-                     "no kappa table builds within the term budget")
+        return _skip("kappa_positivity_monotonic", 0.0, ev._engine._horizon
+                     or "no kappa table builds within the term budget")
     logs_p = ev._engine.log_p  # log|P_n(0)| of the build's own recurrence
     ratio_logs = [math.log(k) - 2.0 * logs_p[n] for n, k in enumerate(kappas)]
     # strict decrease means every successive log difference is negative

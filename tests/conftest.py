@@ -2,7 +2,8 @@
 
 import pytest
 
-from jacspec import ASC2Source, CoefficientSource, TableSource
+from jacspec import (ASC2Source, CharFnEvaluator, CoefficientSource,
+                     TableSource, charfn_ratio)
 
 
 class ZeroAtTwo(CoefficientSource):
@@ -13,6 +14,27 @@ class ZeroAtTwo(CoefficientSource):
 
     def beta(self, n):
         return 0.5 if n == 1 else 2.0
+
+
+def grid_rows(ev, zs, atol, n_max):
+    """The report sweep's columns of ev._grid(zs, atol, n_max), one row per
+    point: value, tail bound, term count, certified flag and ratio, floats
+    as float.hex."""
+    values, plans, ratios = ev._grid(zs, atol, n_max)
+    return [(float.hex(v), float.hex(p.tail_bound), p.n_terms, p.certified,
+             float.hex(r)) for v, p, r in zip(values, plans, ratios)]
+
+
+def scalar_rows(src, zs, atol, n_max, max_terms=20000):
+    """grid_rows from the scalar paths: eval on one fresh evaluator, point by
+    point, and charfn_ratio."""
+    ev = CharFnEvaluator(src, max_terms)
+    rows = []
+    for z in zs:
+        v = ev.eval(z, atol)
+        rows.append((float.hex(v.value), float.hex(v.tail_bound), v.terms_used,
+                     v.certified, float.hex(charfn_ratio(src, z, n_max).value)))
+    return rows
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import jacspec as js
 from asc2_reference import hadamard_product
+from conftest import grid_rows, scalar_rows
 from jacspec.recurrence import _coeff_reader
 
 
@@ -184,10 +185,9 @@ def test_ratio_rejects_nonpositive_definite():
         js.charfn_ratio(tbl, 0.5)
 
 
-@pytest.mark.parametrize("z", [2.5, 0.0, np.array([-1.0, 0.0, 2.5])],
-                         ids=["scalar", "origin", "array"])
+@pytest.mark.parametrize("z", [2.5, 0.0], ids=["scalar", "origin"])
 def test_ratio_rejects_a_negative_n_max(asc2_shifted, z):
-    # no step meets n == -1: both forms stepped to the coefficient horizon
+    # no step meets n == -1: charfn_ratio stepped to the coefficient horizon
     # (ConvergenceError at n = 900 here), and on a source without one
     # would never return
     with pytest.raises(ValueError, match="^n_max must be nonnegative"):
@@ -262,11 +262,12 @@ def test_eval_independent_of_table_growth_with_marked_builds(marked_builds, args
         [(v.value.hex(), v.tail_bound.hex(), v.terms_used) for v in expected]
 
 
+# "eval_grid" is the report's grid sweep, CharFnEvaluator._grid
 @pytest.mark.parametrize("atol", [0.0, -1e-9, math.nan, math.inf])
 @pytest.mark.parametrize("call", [
     lambda ev, atol: ev.plan_terms(1.0, atol),
     lambda ev, atol: ev.eval(1.0, atol),
-    lambda ev, atol: ev.eval_grid([0.5, 1.0], atol),
+    lambda ev, atol: ev._grid([0.5, 1.0], atol, 400),
     lambda ev, atol: ev.certified_sign(1.0, atol),
 ], ids=["plan_terms", "eval", "eval_grid", "certified_sign"])
 def test_atol_must_be_finite_and_positive(asc2_shifted, call, atol):
@@ -281,7 +282,7 @@ def test_atol_must_be_finite_and_positive(asc2_shifted, call, atol):
     lambda ev, z: ev.plan_terms(abs(z), 1e-12),
     lambda ev, z: ev.eval(z),
     lambda ev, z: ev.eval(complex(1.0, z)),
-    lambda ev, z: ev.eval_grid([0.5, z]),
+    lambda ev, z: ev._grid([0.5, z], 1e-12, 400),
     lambda ev, z: ev.certified_sign(z, 1e-12),
 ], ids=["plan_terms", "eval", "eval_complex", "eval_grid", "certified_sign"])
 def test_z_must_be_finite(asc2_shifted, call, z):
@@ -418,11 +419,14 @@ def test_capacity_is_the_largest_count_that_builds(monkeypatch, args, column,
     raised = _count_raising_builds(monkeypatch)
     ev = js.CharFnEvaluator(src, max_terms)
     assert ev.plan_terms(1000.0, 1e-300)[0] is None
-    ev.eval_grid([1.0, 50.0, 900.0])
+    zs = [1.0, 50.0, 900.0]
+    n_max = min(400, max_terms)
+    rows = grid_rows(ev, zs, 1e-12, n_max)
     capacity = CAPACITIES[args][column]
     assert ev._capacity == capacity == len(ev._engine.kappas)
     assert len(raised) == 1
     monkeypatch.undo()
+    assert rows == scalar_rows(src, zs, 1e-12, n_max, max_terms)
     if capacity:
         js.kappa_sequence(src, capacity, max_terms=max_terms)
     with pytest.raises(js.ConvergenceError):
@@ -445,9 +449,9 @@ def test_capacity_does_not_depend_on_the_growth_path(args):
 
 @pytest.mark.parametrize("args, k", [((0.5, 0.5, 0.5), 8), ((0.9, 0.9, 0.0), 6)])
 def test_find_spectrum_reads_each_coefficient_once(monkeypatch, args, k):
-    # the evaluator's engine, eval and eval_grid share one coefficient cache;
-    # when every scalar eval re-read the coefficients from index 0, the run
-    # at (0.5, 0.5, 0.5) read 13,059 times for 901 indices.  (0.9, 0.9, 0)
+    # the evaluator's engine and eval share one coefficient cache; when
+    # every scalar eval re-read the coefficients from index 0, the run at
+    # (0.5, 0.5, 0.5) read 13,059 times for 901 indices.  (0.9, 0.9, 0)
     # certifies nothing and walks its engine to the coefficient horizon; an
     # index there is never stored, and only it may be read again.
     from collections import Counter
@@ -537,8 +541,10 @@ def test_missing_kappa_table_gives_uncertified_values():
     # window: every point is uncertified over the empty table, F = 1
     ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5), max_terms=40)
     assert ev.plan_terms(1.0, 1e-12) == (None, math.inf)
-    vals = [ev.eval(z, 1e-12) for z in (1.0, 15.5, 30.0)]
-    assert ev.eval_grid([1.0, 15.5, 30.0], 1e-12) == vals
+    zs = [1.0, 15.5, 30.0]
+    vals = [ev.eval(z, 1e-12) for z in zs]
+    assert grid_rows(ev, zs, 1e-12, 40) == \
+        scalar_rows(ev.src, zs, 1e-12, 40, 40)
     for v in vals:
         assert (v.value, v.tail_bound, v.terms_used, v.certified) == \
             (1.0, math.inf, 0, False)
@@ -565,14 +571,16 @@ def test_capacity_does_not_depend_on_the_first_build(args, column, max_terms):
 
 
 def test_threads_growing_one_evaluator_keep_one_table():
-    # four eval_grid calls at once grow one table, with its w_n(0) pairs, and
+    # four grid sweeps at once grow one table, with its w_n(0) pairs, and
     # one ladder, to the bits of a single-threaded build
     import sys
     from concurrent.futures import ThreadPoolExecutor
     src = js.ASC2Source(0.5, 0.5, 0.5)
-    grids = [np.linspace(-1.0, hi, 9) for hi in (40.0, 120.0, 250.0, 900.0)]
+    grids = [np.linspace(-1.0, hi, 9).tolist()
+             for hi in (40.0, 120.0, 250.0, 900.0)]
     alone = js.CharFnEvaluator(src)
-    want = [alone.eval_grid(zs) for zs in grids]
+    want = [grid_rows(alone, zs, 1e-12, 400) for zs in grids]
+    assert want == [scalar_rows(src, zs, 1e-12, 400) for zs in grids]
     eng = alone._engine
 
     def bits(e):
@@ -585,7 +593,8 @@ def test_threads_growing_one_evaluator_keep_one_table():
         for _ in range(3):
             ev = js.CharFnEvaluator(src)
             with ThreadPoolExecutor(max_workers=4) as pool:
-                got = list(pool.map(ev.eval_grid, grids))
+                got = list(pool.map(
+                    lambda zs: grid_rows(ev, zs, 1e-12, 400), grids))
             assert got == want
             assert len(ev._engine.kappas) == len(ev._engine.w0_mant) \
                 == len(ev._engine.w0_exp)
@@ -611,16 +620,16 @@ def _count_coeffs(monkeypatch):
 
 
 def test_every_recurrence_on_a_source_shares_its_one_table(monkeypatch):
-    # the source object keeps one coefficient table, so the evaluator, both
-    # forms of charfn_ratio, log_table, second_kind_values and run_suite
+    # the source object keeps one coefficient table, so the evaluator, its
+    # grid sweep, charfn_ratio, log_table, second_kind_values and run_suite
     # fetch each index from it once
     from jacspec.recurrence import log_table
     calls = _count_coeffs(monkeypatch)
     src = js.ASC2Source(0.5, 0.5, 0.5)
     read = _coeff_reader(src)
-    js.CharFnEvaluator(src).eval_grid(np.linspace(-1.0, 60.0, 50))
+    js.CharFnEvaluator(src)._grid(np.linspace(-1.0, 60.0, 50).tolist(), 1e-12,
+                                  400)
     js.charfn_ratio(src, 2.5, n_max=300)
-    js.charfn_ratio(src, np.linspace(-1.0, 60.0, 50), n_max=400)
     log_table(src, complex(0.3, 0.4), 500)
     js.second_kind_values(src, -1.0, 20, gamma=src.natural_gamma)
     js.run_suite(src)
@@ -667,8 +676,8 @@ def test_majorant_is_computed_once_per_radius(monkeypatch):
 
     monkeypatch.setattr(js.CharFnEvaluator, "_terms", counted)
     ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5))
-    zs = np.linspace(-1.0, 250.0, 400)
-    ev.eval_grid(zs)
+    zs = np.linspace(-1.0, 250.0, 400).tolist()
+    ev._grid(zs, 1e-12, 400)
     want = sorted({math.ldexp(1.0, math.frexp(abs(z))[1]) for z in zs if z})
     assert sorted(radii) == want == sorted(ev._majorants)
     assert want[0] == 0.5 and want[-1] == 256.0

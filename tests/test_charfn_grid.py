@@ -1,11 +1,15 @@
-"""The grid paths of the characteristic function against the scalar ones.
+"""The report's grid path of the characteristic function against the
+scalar ones.
 
-CharFnEvaluator.eval_grid and the array form of charfn_ratio step a whole
-z-grid through one column-wise recurrence; every point must equal the scalar
-eval / charfn_ratio result bit for bit, raise where the scalar path raises,
-and the charfn report must keep its pinned bytes.  Both partial-sum paths form
-each term as ldexp(mantissa of w_n(0) * u, its exponent + the recurrence's
-rescale exponent), which the tests at the end pin down.
+CharFnEvaluator._grid steps a whole z-grid through one column-wise
+recurrence per block of points (_sweep) and gives the charfn report's
+columns; at every point the partial sum, its tail bound, term count and
+certified flag must equal the scalar eval's bit for bit, and the ratio
+column charfn_ratio's, it must raise where the scalar paths raise, and the
+charfn report must keep its pinned bytes.  "eval_grid" and "ratio_grid" in
+the test names stand for these two column sets of _grid.  Both partial-sum
+paths form each term as ldexp(mantissa of w_n(0) * u, its exponent + the
+recurrence's rescale exponent), which the tests at the end pin down.
 """
 
 import contextlib
@@ -19,15 +23,10 @@ import numpy as np
 import pytest
 
 import jacspec as js
-from conftest import ZeroAtTwo
+from conftest import ZeroAtTwo, grid_rows, scalar_rows
 from jacspec import charfn, cli, sources
 from jacspec.errors import AssumptionViolation, ConvergenceError
 from jacspec.recurrence import _LN2, _coeff_reader, _scaled_iter
-
-
-def _key(v):
-    return (v.z, float.hex(v.value), float.hex(v.tail_bound),
-            float.hex(v.noise_estimate), v.terms_used, v.certified, v.method)
 
 
 def _outcome(fn):
@@ -38,8 +37,14 @@ def _outcome(fn):
         return (type(exc), str(exc))
 
 
-def _keys(result):
-    return [_key(v) for v in result] if isinstance(result, list) else result
+def _assert_grid_is_scalar(src, zs, atol, max_terms=20000, n_max=400):
+    """_grid's rows equal the scalar paths' rows, or both raise alike;
+    returns the scalar outcome."""
+    scalar = _outcome(lambda: scalar_rows(src, zs, atol, n_max, max_terms))
+    got = _outcome(lambda: grid_rows(js.CharFnEvaluator(src, max_terms), zs,
+                                     atol, n_max))
+    assert got == scalar
+    return scalar
 
 
 # (source, grid, atol, max_terms)
@@ -61,52 +66,49 @@ GRIDS = {
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
 def test_eval_grid_matches_scalar_eval(name):
+    # at the report's n_max = min(400, max_terms)
     params, grid, atol, max_terms = GRIDS[name]
-    src = js.ASC2Source(*params)
-    zs = grid.tolist()
-    ev_s = js.CharFnEvaluator(src, max_terms)
-    ev_g = js.CharFnEvaluator(src, max_terms)
-    scalar = _keys(_outcome(lambda: [ev_s.eval(z, atol) for z in zs]))
-    grid_res = _keys(_outcome(lambda: ev_g.eval_grid(zs, atol)))
-    assert grid_res == scalar
-    if isinstance(scalar, list) and name.startswith("uncertified"):
-        assert not all(v[5] for v in scalar)
+    scalar = _assert_grid_is_scalar(js.ASC2Source(*params), grid.tolist(), atol,
+                                    max_terms, min(400, max_terms))
+    assert isinstance(scalar, list)
+    if name.startswith("uncertified"):
+        assert not all(row[3] for row in scalar)
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 37, 400])
 @pytest.mark.parametrize("name", sorted(GRIDS))
 def test_ratio_grid_matches_scalar_ratio(name, n_max):
-    params, grid, _, _ = GRIDS[name]
-    src = js.ASC2Source(*params)
-    scalar = _keys(_outcome(
-        lambda: [js.charfn_ratio(src, z, n_max=n_max) for z in grid.tolist()]))
-    assert _keys(_outcome(lambda: js.charfn_ratio(src, grid, n_max=n_max))) == scalar
+    params, grid, atol, max_terms = GRIDS[name]
+    _assert_grid_is_scalar(js.ASC2Source(*params), grid.tolist(), atol,
+                           max_terms, n_max)
 
 
 def test_grid_paths_on_a_table_raise_as_the_scalar_paths():
     tbl = js.TableSource(alphas=[1.0] * 9, betas=[2.0] * 10)
-    grid = np.array([-1.0, 0.0, 0.5])
-    scalar = _outcome(lambda: [js.charfn_ratio(tbl, z) for z in grid.tolist()])
+    zs = [-1.0, 0.0, 0.5]
+    scalar = _assert_grid_is_scalar(tbl, zs, 1e-12)
     assert scalar[0] is ValueError
-    assert _outcome(lambda: js.charfn_ratio(tbl, grid)) == scalar
-    # F(0) = 1 needs no coefficient, on either path
-    assert _keys(js.charfn_ratio(tbl, np.zeros(2))) == \
-        [_key(js.charfn_ratio(tbl, 0.0))] * 2
-    assert _outcome(lambda: js.CharFnEvaluator(tbl))[0] is ValueError
+    assert _outcome(lambda: js.charfn_ratio(tbl, -1.0))[0] is ValueError
+    # F(0) = 1 needs no coefficient
+    assert js.charfn_ratio(tbl, 0.0).value == 1.0
 
 
 def test_ratio_grid_raises_at_the_first_zero_of_p_n_at_origin():
+    # with max_terms 6 no kappa build is tried (the ladder's first count
+    # would be below 4), so the grid reaches P_2(0) = 0 in _sweep's z = 0
+    # column, and every point is uncertified over the empty table
     src = ZeroAtTwo()
-    grid = np.array([0.0, -1.0, 3.0])
+    zs = [0.0, -1.0, 3.0]
     with pytest.raises(AssumptionViolation, match=r"^P_2\(0\) = 0") as scalar:
         js.charfn_ratio(src, -1.0)
-    with pytest.raises(AssumptionViolation) as vector:
-        js.charfn_ratio(src, grid)
-    assert str(vector.value) == str(scalar.value)
+    with pytest.raises(AssumptionViolation) as grid:
+        js.CharFnEvaluator(src, 6)._grid(zs, 1e-12, 400)
+    assert str(grid.value) == str(scalar.value)
     # before index 2 nothing is wrong yet, and z = 0 alone never steps
-    assert _keys(js.charfn_ratio(src, grid, n_max=1)) == \
-        [_key(js.charfn_ratio(src, z, n_max=1)) for z in grid.tolist()]
-    assert js.charfn_ratio(src, np.zeros(3))[0].value == 1.0
+    rows = _assert_grid_is_scalar(src, zs, 1e-12, 6, n_max=1)
+    assert [row[2:4] for row in rows] == [(0, True), (0, False), (0, False)]
+    assert grid_rows(js.CharFnEvaluator(src, 6), [0.0] * 3, 1e-12, 400) == \
+        [(float.hex(1.0), float.hex(0.0), 0, True, float.hex(1.0))] * 3
 
 
 def test_kappa_builds_raise_at_the_first_zero_of_p_n_at_origin():
@@ -124,16 +126,13 @@ def test_huge_z_grid_is_warning_free():
     # RuntimeWarning is an error under pytest already; make it explicit so the
     # test also holds where that setting is absent
     src = js.ASC2Source(0.5, 0.5, 0.5)
-    grid = np.linspace(-1e6, 1e6, 21)
+    zs = np.linspace(-1e6, 1e6, 21).tolist()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = js.CharFnEvaluator(src).eval_grid(grid, 1e-12)
-        ratio = js.charfn_ratio(src, grid, n_max=400)
-    ev = js.CharFnEvaluator(src)
-    assert _keys(got) == [_key(ev.eval(z, 1e-12)) for z in grid.tolist()]
-    assert _keys(ratio) == [_key(js.charfn_ratio(src, z, n_max=400))
-                            for z in grid.tolist()]
-    assert all(math.isfinite(v.value) for v in got + ratio)
+        got = grid_rows(js.CharFnEvaluator(src), zs, 1e-12, 400)
+    assert got == scalar_rows(src, zs, 1e-12, 400)
+    assert all(math.isfinite(float.fromhex(row[i])) for row in got
+               for i in (0, 4))
 
 
 def test_eval_grid_uses_the_table_each_point_was_planned_with(marked_builds):
@@ -141,22 +140,20 @@ def test_eval_grid_uses_the_table_each_point_was_planned_with(marked_builds):
     # their size, a point summed with entries of a build other than the one
     # the scalar eval reads would show
     params, grid, atol, max_terms = GRIDS["uncertified-far"]
-    src = js.ASC2Source(*params)
-    ev = js.CharFnEvaluator(src, max_terms)
-    scalar = [_key(ev.eval(z, atol)) for z in grid.tolist()]
-    assert _keys(js.CharFnEvaluator(src, max_terms).eval_grid(grid, atol)) == scalar
+    _assert_grid_is_scalar(js.ASC2Source(*params), grid.tolist(), atol,
+                           max_terms)
 
 
 def test_eval_grid_blocks_do_not_change_values(monkeypatch):
     # one-column blocks and one block for the whole grid give the same values
-    from jacspec import charfn
     src = js.ASC2Source(0.5, 0.5, 0.5)
-    zs = np.linspace(-1.0, 250.0, 23)
-    want = _keys(js.CharFnEvaluator(src).eval_grid(zs))
+    zs = np.linspace(-1.0, 250.0, 23).tolist()
+    want = grid_rows(js.CharFnEvaluator(src), zs, 1e-12, 400)
+    assert want == scalar_rows(src, zs, 1e-12, 400)
     monkeypatch.setattr(charfn, "_GRID_BLOCK_BYTES", 1)
-    assert _keys(js.CharFnEvaluator(src).eval_grid(zs)) == want
+    assert grid_rows(js.CharFnEvaluator(src), zs, 1e-12, 400) == want
     monkeypatch.setattr(charfn, "_GRID_BLOCK_BYTES", 1 << 30)
-    assert _keys(js.CharFnEvaluator(src).eval_grid(zs)) == want
+    assert grid_rows(js.CharFnEvaluator(src), zs, 1e-12, 400) == want
 
 
 def _charfn_report(*argv):
@@ -237,7 +234,7 @@ def test_report_sweep_matches_both_scalar_paths(monkeypatch, name, block_bytes):
     n_max = min(400, max_terms)
     monkeypatch.setattr(charfn, "_GRID_BLOCK_BYTES", block_bytes)
     zs = grid.tolist()
-    values, plans, _, ratio = js.CharFnEvaluator(src, max_terms)._grid(
+    values, plans, ratio = js.CharFnEvaluator(src, max_terms)._grid(
         zs, atol, n_max)
     ev = js.CharFnEvaluator(src, max_terms)
     want = [ev.eval(z, atol) for z in zs]
@@ -261,13 +258,13 @@ def test_charfn_report_sums_only_the_terms_its_bounds_need(monkeypatch):
     # (0.5, 0.5, 0.5) report sums 49,408 terms over a 134-entry kappa table;
     # the exp(|z| S) factor took 257,278 terms and the 832-entry capacity
     work = []
-    orig = charfn._grid_sums
+    orig = charfn._sweep
 
-    def counted(read, zs, counts, mant, exps, n_max=None):
+    def counted(read, zs, counts, mant, exps, n_max):
         work.append((sum(counts), len(mant)))
         return orig(read, zs, counts, mant, exps, n_max)
 
-    monkeypatch.setattr(charfn, "_grid_sums", counted)
+    monkeypatch.setattr(charfn, "_sweep", counted)
     _charfn_report("--q=0.5", "--a=0.5", "--shift=0.5", "--grid=-1.0:250.0:400")
     assert sum(terms for terms, _ in work) <= 52_000
     assert max(table for _, table in work) <= 140
@@ -307,18 +304,18 @@ def test_terms_beyond_the_float_range_are_signed_infs_on_both_paths():
     zs = [-1e13, -5.4e13, -5.6e13, -1e14, -1e20]
     ev = js.CharFnEvaluator(src)
     scalar = [ev.eval(z, 1e-12) for z in zs]
-    assert _keys(js.CharFnEvaluator(src).eval_grid(zs, 1e-12)) == _keys(scalar)
+    _assert_grid_is_scalar(src, zs, 1e-12)
     assert math.isfinite(scalar[0].value)
     assert all(v.value == math.inf for v in scalar[1:])
     n = len(ev._engine.kappas)
-    sums, _ = charfn._grid_sums(_coeff_reader(src), zs, [n] * len(zs),
-                                ev._engine.w0_mant, ev._engine.w0_exp)
-    (total, _), (total_54, _), (total_56, top_56) = sums[:3]
+    sums, _ = charfn._sweep(_coeff_reader(src), zs, [n] * len(zs),
+                            ev._engine.w0_mant, ev._engine.w0_exp, 0)
+    total, total_54, total_56 = sums[:3]
     assert math.isfinite(total) and math.isfinite(total_54)
     # a term between e^709 and the largest float stays finite
-    assert math.exp(709.0) < top_56 < math.inf
+    assert math.exp(709.0) < max(ev._terms(zs[2], n)) < math.inf
     assert total_56 == math.inf  # math.fsum raises OverflowError here
-    assert all(t == m == math.inf for t, m in sums[3:])
+    assert all(t == math.inf for t in sums[3:])
 
 
 def test_term_scaling_saturates_at_the_float_limit():
@@ -338,16 +335,15 @@ def test_term_scaling_saturates_at_the_float_limit():
     assert charfn._fsum_inf([0.5, 0.25]) == math.fsum([0.5, 0.25])
 
 
-def test_terms_of_both_signs_beyond_the_float_range_sum_to_nan():
+def test_fsum_partials_that_overflow_before_infs_meet_give_nan():
     # at z = 1e14 the alternating terms overflow fsum's partials before its
     # infs of both signs meet; the scaled retry raised "-inf + inf in fsum"
     top = math.ldexp(1.0 - 2.0 ** -53, 1024)
     assert math.isnan(charfn._fsum_inf([top, top, math.inf, -math.inf]))
     src = js.ASC2Source(0.5, 0.5, 0.5)
-    ev = js.CharFnEvaluator(src)
-    got = ev.eval(1e14, 1e-12)
+    got = js.CharFnEvaluator(src).eval(1e14, 1e-12)
     assert math.isnan(got.value) and not got.certified
-    assert _keys(js.CharFnEvaluator(src).eval_grid([1e14], 1e-12)) == [_key(got)]
+    _assert_grid_is_scalar(src, [1e14], 1e-12)
 
 
 def test_complex_terms_overflow_per_part():
@@ -396,20 +392,21 @@ def test_charfn_grid_matches_the_closed_form(argv):
     q, a, shift = (float(x.split("=")[1]) for x in argv[:3])
     lo, hi, count = argv[3].split("=")[1].split(":")
     zs = np.linspace(float(lo), float(hi), int(count)).tolist()
-    got = js.CharFnEvaluator(js.ASC2Source(q, a, shift)).eval_grid(zs, 1e-12)
+    got, _, _ = js.CharFnEvaluator(js.ASC2Source(q, a, shift))._grid(
+        zs, 1e-12, 400)
     with mpmath.workdps(30):
         den = mpmath.qp(shift, q)
         for z, v in zip(zs, got):
             ref = float(mpmath.qp(mpmath.mpf(z) + shift, q) / den)
-            assert abs(v.value - ref) <= 1e-14 * _product_scale(q, shift, z)
+            assert abs(v - ref) <= 1e-14 * _product_scale(q, shift, z)
 
 
 def test_terms_of_both_signs_beyond_the_float_range_sum_to_nan():
     # at z = 1e20 terms of both signs overflow to +-inf, where math.fsum
     # raises "-inf + inf"; the point is uncertified there, and its value nan
-    ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5))
-    v = ev.eval(1e20, 1e-12)
-    assert _keys(ev.eval_grid([1e20], 1e-12)) == [_key(v)]
+    src = js.ASC2Source(0.5, 0.5, 0.5)
+    v = js.CharFnEvaluator(src).eval(1e20, 1e-12)
+    _assert_grid_is_scalar(src, [1e20], 1e-12)
     assert math.isnan(v.value) and not v.certified
 
 
@@ -421,7 +418,7 @@ def test_first_pair_is_rescaled_like_every_later_one():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         v = ev.eval(-1e160, 1e-12)
-        assert _keys(ev.eval_grid([-1e160], 1e-12)) == [_key(v)]
+        _assert_grid_is_scalar(ev.src, [-1e160], 1e-12)
     assert v.value == math.inf and not v.certified
     logs, signs = js.recurrence.log_table(ev.src, -1e160, 3)
     assert all(math.isfinite(x) for x in logs) and signs == [1.0, -1.0, 1.0, -1.0]

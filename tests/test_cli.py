@@ -328,6 +328,33 @@ def test_identities_empty_grid(capsys):
     assert parse_csv(out) == []
 
 
+def test_identities_rejects_a_malformed_q_list_entry(capsys):
+    # the entry went to float() unnamed: "could not convert string to float"
+    code, out, err = run_cli(capsys, "identities", "--q-list=0.3,abc")
+    assert code == 2
+    assert out == ""
+    assert "error: --q-list entry must be a number, got 'abc'" in err
+
+
+def test_a_cli_call_leaves_little_cyclic_garbage(capsys):
+    # a parser built on every call left about 360 argparse objects, which
+    # reference each other, to the cyclic collector per charfn call
+    import gc
+    argv = ["charfn", "--q=0.5", "--a=0.5", "--shift=0.5", "--grid=-1:2:5"]
+    assert main(argv) == 0  # builds what a process builds once
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        left = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+    assert left < 100
+
+
 def test_verify_extended_precision_flag(capsys):
     code, out, _ = run_cli(capsys, "verify", "--family", "asc2", "--q", "0.5",
                            "--a", "0.5", "--shift", "0.5", "--precision", "30")

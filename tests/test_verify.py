@@ -415,6 +415,13 @@ def test_kappa_rows_without_a_kappa_table():
     r = check_kappa_monotonic(ev)
     assert r.skipped and r.note == "no kappa table builds within the term budget"
     assert ev._engine.kappas == []
+    # at q = 1e-12 the coefficients leave the float range before a table
+    # builds, and the note says so rather than blaming the term budget
+    ev = js.CharFnEvaluator(js.ASC2Source(1e-12, 1e-12, 0.0))
+    r = check_kappa_monotonic(ev)
+    assert r.skipped and r.note == \
+        "coefficients exceed the working-precision horizon at n = 23"
+    assert ev._engine.kappas == []
     r = _by_name(run_suite(_NoGamma(), max_terms=40))
     assert r["kappa_positivity_monotonic"].skipped
     assert r["per_term_growth_bound"].skipped
