@@ -250,6 +250,9 @@ def validate_config(cfg: RunConfig, spectral: bool = False) -> None:
         raise ConfigError("tolerances must be positive")
     if cfg.max_terms < 16:
         raise ConfigError("max_terms is too small to certify anything")
+    if cfg.precision_digits < 0:
+        raise ConfigError("tolerances.precision_digits must be nonnegative, "
+                          f"got {cfg.precision_digits!r}")
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"unknown output format {cfg.format!r}")
     if spectral and cfg.gamma is not None and not cfg.gamma > 0:

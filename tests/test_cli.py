@@ -336,21 +336,36 @@ def test_identities_rejects_a_malformed_q_list_entry(capsys):
     assert "error: --q-list entry must be a number, got 'abc'" in err
 
 
-def test_a_cli_call_leaves_little_cyclic_garbage(capsys):
-    # a parser built on every call left about 360 argparse objects, which
-    # reference each other, to the cyclic collector per charfn call
+def _cyclic_garbage(argv):
+    """Objects gc.collect() finds after a second in-process call of argv,
+    the first having built what a process builds once."""
     import gc
-    argv = ["charfn", "--q=0.5", "--a=0.5", "--shift=0.5", "--grid=-1:2:5"]
-    assert main(argv) == 0  # builds what a process builds once
+    assert main(argv) == 0
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
         assert main(argv) == 0
-        left = gc.collect()
+        return gc.collect()
     finally:
         if enabled:
             gc.enable()
+
+
+def test_a_cli_call_leaves_little_cyclic_garbage(capsys):
+    # a parser built on every call left about 360 argparse objects, which
+    # reference each other, to the cyclic collector per charfn call
+    left = _cyclic_garbage(["charfn", "--q=0.5", "--a=0.5", "--shift=0.5",
+                            "--grid=-1:2:5"])
+    capsys.readouterr()
+    assert left < 100
+
+
+def test_a_verify_call_leaves_little_cyclic_garbage(capsys):
+    # verify cloned mpmath.mp for its mpmath checks on every call, and each
+    # clone is a reference cycle: 2 clones, 656 objects per call
+    left = _cyclic_garbage(["verify", "--q=0.5", "--a=0.5", "--shift=0.5",
+                            "--precision=30"])
     capsys.readouterr()
     assert left < 100
 
@@ -465,18 +480,18 @@ def test_verify_large_roots_q03(capsys):
 def test_verify_at_tiny_q_reports_every_row(capsys, q, capacity):
     # the coefficients leave the float range near n = 68 at q = 1e-4: the
     # kappa table stops at its capacity and the kappa rows test what it
-    # holds, where verify used to exit 4 with no report.  Only the trace
-    # row fails, since the oracle ladder cannot stabilize 12 roots
+    # holds, where verify used to exit 4 with no report.  The trace row
+    # reconciles 32 kappa terms with the 64 x 64 block's trace, where it
+    # failed because the oracle ladder could not stabilize 12 roots
     code, out, err = run_cli(capsys, "verify", "--family", "asc2", "--q",
                              str(q), "--a", str(q), "--shift", "0")
     rows = {r["check"]: r for r in parse_csv(out)}
     assert len(rows) == 11
     failed = {name for name, r in rows.items() if r["status"] != "pass"}
+    assert (code, failed) == (0, set())
     if capacity is None:
-        assert (code, failed) == (0, set())
         return
-    assert (code, failed) == (3, {"trace_reconciliation"})
-    assert "have not stabilized" in rows["trace_reconciliation"]["note"]
+    assert rows["trace_reconciliation"]["note"] == "32 kappa terms, 64 x 64 block"
     assert rows["kappa_positivity_monotonic"]["note"] == \
         f"n <= {min(40, capacity - 1)}"
     assert rows["per_term_growth_bound"]["note"] == f"n <= {capacity - 1}"
@@ -573,6 +588,8 @@ def test_config_unknown_output_key_rejected(tmp_path, capsys):
     (dict(_CHARFN_DOC, family={"kind": "explicit", "alphas": [1.0, 1.0],
                                "betas": [3.0, 3.0, 3.0]}, shift=float("inf")),
      "bad family parameters: shift must be finite"),
+    (dict(_CHARFN_DOC, tolerances={"precision_digits": -30}),
+     "tolerances.precision_digits must be nonnegative, got -30"),
 ])
 def test_config_malformed_family_or_grid_rejected(tmp_path, capsys, doc, message):
     # each of these used to raise a traceback or run with the key ignored
@@ -603,11 +620,14 @@ def test_config_malformed_family_or_grid_rejected(tmp_path, capsys, doc, message
     # the span overflowed in linspace: nan and inf rows, exit 0
     (["charfn", "--grid=-1e308:1e308:3"],
      "grid span z_max - z_min must be finite, got -1e+308:1e+308"),
+    (["verify", "--precision", "-30"],
+     "tolerances.precision_digits must be nonnegative, got -30"),
 ])
 def test_non_finite_flags_and_high_gamma_rejected(capsys, argv, message):
     # the nan grid and --atol inf used to exit 0, the others to exit 2 with
     # "-inf + inf in fsum"; --gamma 5 returned lambda_1 = 1.75 as certified;
     # verify --gamma 1.5 passed every check and --gamma 5 failed on P_1 = 0;
+    # verify --precision -30 ran at 53 bits and echoed -30 in its report;
     # malformed --grid, --alphas and --betas fields did not name the flag;
     # a grid whose span overflows printed nan and inf rows and exited 0
     code, out, err = run_cli(capsys, *argv, "--q", "0.5", "--a", "0.5")

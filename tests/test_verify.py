@@ -10,7 +10,7 @@ import jacspec as js
 from asc2_reference import dense_w_factorization_gap
 from conftest import ZeroAtTwo, random_pd_table
 from jacspec.recurrence import log_table
-from jacspec.verify import (_inverse_tail, _mp_tables, check_green_identity,
+from jacspec.verify import (_mp_context, _mp_tables, check_green_identity,
                             check_kappa_monotonic, check_resolvent_identity,
                             check_trace_reconciliation, check_w_factorization,
                             run_suite, w_factorization_check)
@@ -76,12 +76,15 @@ def test_check_result_status_strings(asc2_shifted):
 @pytest.mark.parametrize("params", [(0.7, 0.7, 0.05), (0.7, 0.7, -0.05),
                                     (0.5, 0.5, 0.45), (0.5, 0.5, 0.55)])
 def test_trace_reconciliation_with_shift(params):
-    # the tail lambda_n = C rho^-n - s is fitted, so a shift no longer leaves
-    # a gap of order 1e-5 behind the twelve oracle eigenvalues
+    # the kappa trace against the leading block's own trace: no model of the
+    # spectrum, so a shift leaves no gap (it left 1e-5 behind twelve oracle
+    # eigenvalues and a geometric tail, and 1e-9 behind a fitted one)
     src = js.ASC2Source(*params)
-    r = check_trace_reconciliation(js.CharFnEvaluator(src))
-    assert r.passed
-    assert r.max_residual <= 1e-8
+    for digits in (0, 30):
+        r = check_trace_reconciliation(js.CharFnEvaluator(src),
+                                       _mp_context(digits))
+        assert r.passed
+        assert r.max_residual <= 1e-13
 
 
 def test_trace_reconciliation_detects_planted_error(monkeypatch):
@@ -95,9 +98,29 @@ def test_trace_reconciliation_detects_planted_error(monkeypatch):
 
     monkeypatch.setattr(second_kind, "trace_inverse", off_by_1e5)
     src = js.ASC2Source(0.7, 0.7, 0.05)
-    r = check_trace_reconciliation(js.CharFnEvaluator(src))
+    r = check_trace_reconciliation(js.CharFnEvaluator(src), _mp_context(30))
     assert not r.passed
-    assert r.max_residual == pytest.approx(1e-5, rel=1e-2)
+    assert r.max_residual == pytest.approx(1e-5, rel=1e-9)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(log_q=st.floats(-5.0, math.log10(0.88)), a_over_q=st.floats(1e-6, 1.0),
+       shift=st.floats(-2.0, 0.999, exclude_max=True))
+def test_trace_reconciliation_across_the_regime(log_q, a_over_q, shift):
+    # wherever the kappa trace converges, it meets the leading block's trace
+    # at rounding level: a shift near 1 puts 1/lambda_1 near 1e3, whose
+    # float64 coefficients move it by up to about 1e-10
+    from jacspec import second_kind
+    from jacspec.errors import ConvergenceError
+    q = 10.0 ** log_q
+    src = js.ASC2Source(q, q * a_over_q, shift)
+    ev = js.CharFnEvaluator(src)
+    try:
+        second_kind.trace_inverse(src, 1e-8, engine=ev._engine)
+    except ConvergenceError:
+        return
+    r = check_trace_reconciliation(ev, _mp_context(0))
+    assert r.passed and r.max_residual <= 1e-9, r
 
 
 def test_horizon_note_of_trace_reconciliation():
@@ -191,9 +214,9 @@ def test_natural_gamma_passes_the_gamma_check(params):
 # mpmath identity checks must keep these reports byte for byte
 _PRECISION_30_REPORTS = {
     ("--q=0.5", "--a=0.5", "--shift=0.5"):
-        "33ee2bbcc40548972d40cc9e8f3daddd17c32076937947ecfec9bf655978c854",
+        "916b6c4788960e455f8a4ba30c6b2967dc38f680a62bf6db9f7b0f18be6bb213",
     ("--q=0.7", "--a=0.7", "--shift=0.0"):
-        "56012f6b1a0a468be004c937a0ae919a552c3d721159621a2f5e8dc8577572d9",
+        "7765c0d1b205c50da47837a9a6ce16a8d3cc1474f37b006bebdeffe8da33a0e7",
 }
 
 
@@ -243,15 +266,6 @@ def test_w_factorization_band_equals_the_dense_product(q, a_over_q, digits):
             == float.hex(dense_w_factorization_gap(params, n, digits))
 
 
-def test_inverse_tail_geometric_fallback():
-    # fewer than three values, or three that fit no shifted geometric
-    # model, fall back to the plain geometric tail of the last two
-    tail, model = _inverse_tail([1.0, 2.0, 3.0])
-    assert model == "geometric"
-    assert tail == pytest.approx(2.0 / 3.0, rel=1e-15)
-    assert _inverse_tail([3.0, 2.0, 1.0]) == (math.inf, "geometric")
-
-
 def test_one_kappa_table_per_verify_job(monkeypatch, capsys):
     # the three kappa checks share the evaluator's z = 0 engine, whose first
     # build of 64 entries holds the 41 and 61 the checks read.  Each job made
@@ -285,18 +299,24 @@ def test_one_kappa_table_per_verify_job(monkeypatch, capsys):
 
 
 def test_run_suite_builds_one_mpmath_table_and_one_green_block(monkeypatch):
-    # the recurrence, Wronskian, Green and resolvent checks share one
-    # context, one pair of coefficient lists and one Green block (the W
-    # check keeps its own context and unshifted lists); every check reads
-    # the source's one coefficient reader.  A job made 5 contexts, 5 lists,
-    # 2 Green blocks and 17 readers
+    # the recurrence, Wronskian, Green and resolvent checks share one pair
+    # of coefficient lists and one Green block (the trace row reads a
+    # longer pair, the W check its unshifted lists); every mpmath check
+    # runs in the process's one 30-digit context, and every check reads the
+    # source's one coefficient reader.  A job made 5 contexts, 5 lists,
+    # 2 Green blocks and 17 readers, and later still 2 contexts of its own
     import collections
     from jacspec import verify
-    counts = collections.Counter()
+    counts, contexts = collections.Counter(), set()
 
     def counted(name, fn):
-        return lambda *args, **kwargs: counts.update([name]) or fn(*args,
-                                                                   **kwargs)
+        def call(*args, **kwargs):
+            counts.update([name])
+            out = fn(*args, **kwargs)
+            if name == "_mp_context":
+                contexts.add(id(out))
+            return out
+        return call
 
     for name in ("_mp_context", "_mp_coeffs", "_green"):
         monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
@@ -304,10 +324,12 @@ def test_run_suite_builds_one_mpmath_table_and_one_green_block(monkeypatch):
     coeffs = js.ASC2Source.coeffs
     monkeypatch.setattr(js.ASC2Source, "coeffs",
                         lambda self, n: reads.update([n]) or coeffs(self, n))
-    results = run_suite(js.ASC2Source(0.5, 0.5, 0.5), precision_digits=30)
-    assert all(r.passed for r in results)
-    assert counts == {"_mp_context": 2, "_mp_coeffs": 2, "_green": 1}
-    assert set(reads.values()) == {1}
+    for _ in range(2):
+        results = run_suite(js.ASC2Source(0.5, 0.5, 0.5), precision_digits=30)
+        assert all(r.passed for r in results)
+    assert counts == {"_mp_context": 4, "_mp_coeffs": 6, "_green": 2}
+    assert contexts == {id(_mp_context(30))}
+    assert set(reads.values()) == {2}
 
 
 def _kappa_rows(src):
