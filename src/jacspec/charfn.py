@@ -18,6 +18,7 @@ bound once per power-of-two radius R.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from dataclasses import dataclass
@@ -93,7 +94,9 @@ class CharFnEvaluator:
     evaluations nor on thread timing.  The evaluator only asks for counts.
     Its capacity starts at max_terms; the first build that fails (budget,
     coefficient horizon or no stable decay window) fixes it, at the largest
-    count that builds, and grows the table to it.
+    count that builds, and grows the table to it.  Where a tail comes from
+    the source's a-priori bound, the walk stops once that bound shows no
+    count within the capacity can meet a target (_out_of_reach).
     """
 
     def __init__(self, src: CoefficientSource, max_terms: int = 20000):
@@ -103,8 +106,12 @@ class CharFnEvaluator:
         self._engine = TailSeriesEngine(src, 0.0)
         self._capacity = max_terms  # lowered once, by the first failed build
         self._majorants: dict[float, float] = {}  # _majorant(R) by R
+        self._stops: dict[float, int] = {}  # where its a-priori walk stopped
         # _rung's ladder so far and the next count it tries, 0 once it ended
         self._rungs: list[tuple[int, float, float]] = []
+        self._apriori: set[int] = set()  # its counts whose tail is a-priori
+        # _out_of_reach's counts known to build and the least known not to
+        self._reach = [0, max_terms + 1]
         self._next_count = 16
         self._rung_lock = threading.Lock()
 
@@ -122,26 +129,57 @@ class CharFnEvaluator:
             self._capacity = held
         return held >= count
 
-    def _tail_upper(self, n_terms: int) -> float | None:
-        """Upper estimate of sum_{k>=n_terms} kappa_k from the observed decay.
-
-        None when the table cannot be grown that far (budget or coefficient
-        horizon); inf when it grew but the decay window is not below the cap.
-        """
+    def _tail_upper(self, n_terms: int) -> tuple[float, bool] | None:
+        """(T, a_priori): an upper estimate T of sum_{k>=n_terms} kappa_k
+        from the observed decay, or where its window is not below the cap,
+        the source's a-priori bound (second_kind._certified_tail, inf
+        without one); None when the table cannot be grown that far (budget
+        or coefficient horizon)."""
         if not self._grow(n_terms + _RATIO_WINDOW + 1):
             return None
         k = self._engine.kappas
         r = max(k[i + 1] / k[i] for i in range(n_terms - 1,
                                                n_terms + _RATIO_WINDOW - 1))
-        return math.inf if r >= _RATIO_CAP else k[n_terms] / (1.0 - r)
+        if r >= _RATIO_CAP:
+            return second_kind._certified_tail(self.src, n_terms), True
+        return k[n_terms] / (1.0 - r), False
+
+    def _out_of_reach(self, log_cap: float) -> bool:
+        """Whether no count within the capacity has an a-priori tail
+        (second_kind._certified_tail, which falls with the count) of at
+        most e^log_cap: the least count that has one, found by bisection on
+        the closed form, lies past the capacity's ceiling or its table does
+        not build (second_kind._builds, whose answers _reach keeps as the
+        counts known to build and the least known not to).  Nothing is
+        published, so the answer depends on src, max_terms and log_cap
+        only."""
+        def meets(n: int) -> bool:
+            t = second_kind._certified_tail(self.src, n)
+            return t == 0.0 or math.log(t) <= log_cap
+
+        ceiling = self._capacity - _RATIO_WINDOW - 1
+        if ceiling < 4 or not meets(ceiling):
+            return True
+        count = bisect.bisect_left(range(ceiling), True, key=meets) \
+            + _RATIO_WINDOW + 1
+        built, failed = self._reach
+        if count <= max(built, len(self._engine.kappas)):
+            return False
+        if count < failed:
+            if second_kind._builds(self._engine, count, self.max_terms):
+                self._reach[0] = max(built, count)
+                return False
+            self._reach[1] = count
+        return True
 
     def _rung(self, i: int):
         """The ladder's i-th (n, T_n, log T_n), or None past its end: the
         counts 16, 32, 64, ..., the last the capacity's ceiling, that have a
-        finite positive tail T_n = _tail_upper(n).  It is walked under
-        _rung_lock, once (a rung is fixed once walked: the table only grows
-        and the capacity only falls) and no further than a caller asks, so
-        the table grows in the order plans need it."""
+        finite positive tail T_n = _tail_upper(n) (_apriori holds those
+        whose T_n is a-priori).  It is walked under _rung_lock, once (a rung
+        is fixed once walked: the table only grows and the capacity only
+        falls) and no further than a caller asks, so the table grows in the
+        order plans need it."""
         rungs = self._rungs
         if i < len(rungs):
             return rungs[i]
@@ -150,10 +188,13 @@ class CharFnEvaluator:
             while len(rungs) <= i and n:
                 ceiling = self._capacity - _RATIO_WINDOW - 1
                 n = min(n, ceiling)
-                t = self._tail_upper(n) if n >= 4 else 0.0  # n < 4 ends it
-                if t is None:
+                tail = self._tail_upper(n) if n >= 4 else (0.0, False)
+                if tail is None:
                     continue  # the failed build has lowered the capacity
+                t, a_priori = tail  # n < 4 ends the ladder with t = 0
                 if 0.0 < t < math.inf:
+                    if a_priori:  # before the rung: readers skip the lock
+                        self._apriori.add(n)
                     rungs.append((n, t, math.log(t)))
                 n = 0 if n >= ceiling else min(2 * n, ceiling)
             self._next_count = n
@@ -165,24 +206,36 @@ class CharFnEvaluator:
         U(R) = F_M(-R) (1 + pad) / (1 - R T_M), with M the first count of
         the ladder whose tail has R T_M <= 1/2 and F_M(-R) formed as eval
         forms its partial sums; inf when no count within the capacity
-        qualifies or F_M(-R) leaves the float range, in which case the
-        ladder has run to the capacity.  Memoized per radius, so it depends
-        on src, max_terms and R only.
+        qualifies or F_M(-R) leaves the float range.  Then the ladder runs
+        to the capacity, unless the walk is at a rung with an a-priori
+        tail: there an overflow of F_M(-R), whose terms are all positive,
+        settles U(R) for every larger M, as _out_of_reach settles that no M
+        within the capacity qualifies, and _stops[R] keeps that rung's
+        count.  Memoized per radius, so it depends on src, max_terms and R
+        only.
         """
         if radius in self._majorants:
             return self._majorants[radius]
         u = None
-        # after an overflow of F_M(-R) the ladder runs on, to the capacity
+        ask = True  # _out_of_reach, at the first a-priori rung that misses
         i = 0
         while (rung := self._rung(i)) is not None:
             n, t, _ = rung
+            a_priori = n in self._apriori
             if u is None and radius * t <= 0.5:
                 f_m = 1.0 + radius * _fsum_inf(self._terms(-radius, n))
                 u = f_m * (1.0 + _MAJORANT_PAD) / (1.0 - radius * t)
-                if u < math.inf:
+                if u < math.inf or a_priori:
                     break
+            elif u is None and a_priori and ask:
+                if self._out_of_reach(math.log(0.5 / radius)):
+                    break
+                ask = False
             i += 1
-        u = math.inf if u is None else u
+        if u is None or u == math.inf:
+            u = math.inf
+            if rung is not None:
+                self._stops[radius] = rung[0]
         self._majorants[radius] = u
         return u
 
@@ -194,37 +247,53 @@ class CharFnEvaluator:
         or no count within the term budget and the coefficient horizon
         reaches atol, in which case log_bound reports the best achievable
         bound (inf when there is no U(R)).  n_terms is None only once the
-        table has reached its capacity.
+        table has reached its capacity, or where the source's a-priori
+        tails show that no count within it reaches atol (_search).
         """
+        n_terms, log_bound, certified = self._search(z_abs, atol)
+        return (n_terms if certified else None), log_bound
+
+    def _search(self, z_abs: float, atol: float):
+        """plan_terms as (count, log_bound, certified), where an uncertified
+        plan's count is the whole table, then at its capacity, or the count
+        of the rung with an a-priori tail at which the walk stopped: at the
+        first such rung that misses atol, when _out_of_reach holds, or at
+        _majorant's (_stops).  Where the walk stops depends on z_abs and atol
+        only, not on the rungs walked before."""
         if not 0.0 < atol < math.inf:
             raise ValueError(f"atol must be finite and positive, got {atol!r}")
         if not 0.0 <= z_abs < math.inf:
             raise ValueError(f"z must be finite, got |z| = {z_abs!r}")
         log_scale = -math.inf
         if z_abs > 0:
-            u = self._majorant(_radius(z_abs))
+            radius = _radius(z_abs)
+            u = self._majorant(radius)
             if u == math.inf:
-                return None, math.inf
+                return self._stops.get(radius, len(self._engine.w0_mant)), \
+                    math.inf, False
             log_scale = math.log(z_abs) + math.log(u)
         log_target = math.log(atol)
         best = math.inf
+        ask = True  # _out_of_reach, at the first a-priori rung that misses
         i = 0
         while (rung := self._rung(i)) is not None:
             log_bound = log_scale + rung[2]
             best = min(best, log_bound)
             if log_bound <= log_target:
-                return rung[0], log_bound
+                return rung[0], log_bound, True
+            if ask and rung[0] in self._apriori:
+                if self._out_of_reach(log_target - log_scale):
+                    return rung[0], best, False
+                ask = False
             i += 1
-        return None, best
+        return len(self._engine.w0_mant), best, False
 
     # -- evaluation ---------------------------------------------------------
 
     def _plan(self, z_abs: float, atol: float) -> _Plan:
-        """plan_terms, or the whole table (then at capacity) for an
-        uncertified point."""
-        n_terms, log_bound = self.plan_terms(z_abs, atol)
-        certified = n_terms is not None
-        return _Plan(n_terms if certified else len(self._engine.w0_mant),
+        """_search's count, bound and certified flag of one point."""
+        n_terms, log_bound, certified = self._search(z_abs, atol)
+        return _Plan(n_terms,
                      math.exp(log_bound) if log_bound < 709 else math.inf,
                      certified)
 

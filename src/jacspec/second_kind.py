@@ -10,7 +10,9 @@ which collapses to w_n(z) = -S_n / (alpha_n P_{n+1}(z)) after factoring the
 leading term out of the sum; S_n is accumulated by a backward recursion over
 term ratios, so no intermediate ever overflows.  Truncation is certified from
 the observed term-ratio decay: the stopping rule requires the ratio to sit
-below 0.9 over a five-term window, then bounds the tail geometrically.
+below 0.9 over a five-term window, then bounds the tail geometrically; at
+z = 0, where that window fails, the source's a-priori ratio bound
+(CoefficientSource.tail_certificate) stands in for it.
 Since S_n depends only on the sums above it, kappa_sequence grows the
 kappa table a z = 0 engine holds by its new entries only (_kappa_entries).
 This module owns that table, with the w_n(0) of F's terms beside it, and its
@@ -67,6 +69,9 @@ class TailSeriesEngine:
         self.sgn_t: list = []
         self.ratios: list[float] = []  # |t_{j+1} / t_j|, one per built pair
         self._horizon: str | None = None  # message once the horizon is hit
+        # the a-priori ratio bound find_stop falls back on at z = 0, else inf
+        cert = src.tail_certificate(0) if z == 0 else None
+        self._cert_ratio = cert[0] if cert else math.inf
         self._kappa_lock = threading.Lock()
         self.kappas: list[float] = []
         self.w0_exp: list[int] = []
@@ -81,12 +86,14 @@ class TailSeriesEngine:
         error.  Prefixes are append-only, so readers of already-published
         indices never need the growth lock.
         """
-        if len(self.log_t) >= count:
+        log_p, sgn_p, log_t = self.log_p, self.sgn_p, self.log_t
+        if len(log_t) >= count:
             return
+        log, exp_cap, coeffs = math.log, _exp_cap, self.coeffs
         with self._grow_lock:
-            while len(self.log_t) < count:
+            while len(log_t) < count:
                 if self._horizon is not None:
-                    raise ConvergenceError(self._horizon, terms=len(self.log_t))
+                    raise ConvergenceError(self._horizon, terms=len(log_t))
                 try:
                     n, u, v, ls = next(self._iter)
                 except ConvergenceError as exc:
@@ -94,22 +101,21 @@ class TailSeriesEngine:
                     # message, since a kept traceback would pin its frames
                     self._horizon = str(exc)
                     continue
-                self.log_p.append(ls + math.log(abs(u)) if u != 0 else -math.inf)
-                self.sgn_p.append(_phase(u))
+                log_p.append(ls + log(abs(u)) if u != 0 else -math.inf)
+                sgn_p.append(_phase(u))
                 if n >= 1:
                     j = n - 1  # the reader holds alpha_j since step j
-                    lt = -(math.log(self.coeffs[j][0])
-                           + self.log_p[j] + self.log_p[j + 1])
+                    lt = -(log(coeffs[j][0]) + log_p[j] + log_p[n])
                     if j >= 1:
-                        prev = self.log_t[j - 1]
+                        prev = log_t[j - 1]
                         if prev == -math.inf:
                             self.ratios.append(math.inf if lt > -math.inf else 0.0)
                         else:
-                            self.ratios.append(_exp_cap(lt - prev))
+                            self.ratios.append(exp_cap(lt - prev))
                     # t_j carries the INVERSE phase of P_j P_{j+1}
-                    self.sgn_t.append(1.0 / (self.sgn_p[j] * self.sgn_p[j + 1]))
+                    self.sgn_t.append(1.0 / (sgn_p[j] * sgn_p[n]))
                     # log_t is published last: its length is what readers check
-                    self.log_t.append(lt)
+                    log_t.append(lt)
 
     def term_ratio(self, j: int):
         """Signed ratio t_{j+1} / t_j."""
@@ -121,7 +127,8 @@ class TailSeriesEngine:
     def find_stop(self, atol: float, max_terms: int, min_terms: int):
         """Smallest J >= min_terms whose trailing ratio window stays below
         the 0.9 cap and with |t_J| < atol (1-r)/r, r the window's largest
-        ratio.
+        ratio; at z = 0, where the window fails, r is the source's a-priori
+        ratio bound (tail_certificate), if it has one.
 
         Returns (J, r_hat); raises ConvergenceError when the budget runs out
         or the terms reach the coefficient horizon first.  Whether a
@@ -134,7 +141,9 @@ class TailSeriesEngine:
             r_hat = max(self.ratios[j - _RATIO_WINDOW:j])
             if r_hat == 0.0:
                 return j, 0.5  # ratios below resolution; tail is negligible
-            if r_hat < _RATIO_CAP \
+            if r_hat >= _RATIO_CAP:
+                r_hat = self._cert_ratio
+            if r_hat < 1.0 \
                     and self.log_t[j] < 700.0 \
                     and math.exp(self.log_t[j]) < atol * (1.0 - r_hat) / r_hat:
                 return j, r_hat
@@ -144,14 +153,17 @@ class TailSeriesEngine:
             terms=max_terms,
         )
 
-    def backward_sums(self, j_top: int, r_hat: float, low: int = 0):
+    def backward_sums(self, j_top: int, r_hat: float, low: int = 0,
+                      start=None):
         """S_n = sum_{j>=n} t_j / t_n for n = low..j_top, with half-width
         bounds; both lists are indexed by n - low.
 
         The start value S_{j_top} deviates from 1 by at most r_hat/(1-r_hat);
         the midpoint estimate and its uncertainty half-width propagate downward
         through the exact relation S_n = 1 + rho_n S_{n+1}, so S_n depends on
-        low only in where the recursion stops.
+        low only in where the recursion stops.  ``start``, a (S, h) pair that
+        an earlier call gave for index j_top, replaces that start value, so
+        a recursion stopped there continues bit for bit.
         """
         self.ensure_terms(j_top + 2)
         spread = r_hat / (1.0 - r_hat)
@@ -165,6 +177,8 @@ class TailSeriesEngine:
             h = [0.0] * size
             s[-1] = 1.0 + 0.5 * spread  # interval [1, 1 + spread]
             h[-1] = 0.5 * spread
+        if start is not None:
+            s[-1], h[-1] = start
         for i in range(size - 2, -1, -1):
             rho = self.term_ratio(low + i)
             s[i] = 1.0 + rho * s[i + 1]
@@ -206,7 +220,7 @@ def second_kind_values(src: CoefficientSource, z, count: int, *,
     _validate_domain(src, z, gamma)
     eng = TailSeriesEngine(src, z)
     j_stop, r_hat = eng.find_stop(atol, max_terms, min_terms=count + 1)
-    for j_top in _sum_tops(j_stop, max_terms):
+    for j_top in _sum_tops(eng, j_stop, max_terms):
         s, h = eng.backward_sums(j_top, r_hat)
         vals, bounds = [], []
         for n in range(count):
@@ -221,12 +235,19 @@ def second_kind_values(src: CoefficientSource, z, count: int, *,
             return SecondKindTable(z=z, values=vals, tail_bounds=bounds)
 
 
-def _sum_tops(j_stop: int, max_terms: int):
+def _sum_tops(engine: TailSeriesEngine, j_stop: int, max_terms: int):
     """The top indices j_stop + 16, 32, 64, ... to start backward sums from,
-    the last one at the budget's end; asking past it raises ConvergenceError."""
+    the last one at the budget's end, or at the last index below the
+    coefficient horizon where that comes first; asking past it raises
+    ConvergenceError."""
     extra = 16
     while True:
         j_top = min(j_stop + extra, max_terms - 1)
+        try:
+            engine.ensure_terms(j_top + 2)
+        except ConvergenceError:
+            yield len(engine.log_t) - 2  # find_stop built t_{j_stop + 1}
+            raise
         yield j_top
         if j_top >= max_terms - 1:
             raise ConvergenceError(
@@ -256,10 +277,11 @@ def _relative_width(s, h: float) -> float:
 
 def _kappa_sums(engine: TailSeriesEngine, count: int, max_terms: int,
                 low: int, stop: tuple[int, float] | None = None):
-    """Backward sums S_n, n >= low, with half-widths, of a kappa build of
-    count entries: from ``stop`` (find_stop's for a 1e-12 table of count
-    entries by default), j_top = J + 16, 32, ... grows until S_{count-1} is
-    known to 1e-15 relative, else ConvergenceError.  At z = 0 every ratio is
+    """Backward sums S_n, low <= n < count, with half-widths, of a kappa
+    build of count entries: from ``stop`` (find_stop's for a 1e-12 table of
+    count entries by default), j_top = J + 16, 32, ... grows until S_{count-1}
+    is known to 1e-15 relative, else ConvergenceError; each try sums down to
+    count - 1, and the one that passes goes on to low.  At z = 0 every ratio is
     positive and S_n >= 1, so h_n / S_n falls with n: the lower entries are
     known as well.  low only sets where the sums stop, so no entry, and no
     count's success, depends on the entries built before.  A
@@ -267,10 +289,11 @@ def _kappa_sums(engine: TailSeriesEngine, count: int, max_terms: int,
     (see _grow_kappas)."""
     j_stop, r_hat = stop or engine.find_stop(1e-12, max_terms, count + 1)
     try:
-        for j_top in _sum_tops(j_stop, max_terms):
-            s, h = engine.backward_sums(j_top, r_hat, low=low)
-            if not _relative_width(s[count - 1 - low], h[count - 1 - low]) > 1e-15:
-                return s, h
+        for j_top in _sum_tops(engine, j_stop, max_terms):
+            s, h = engine.backward_sums(j_top, r_hat, low=count - 1)
+            if not _relative_width(s[0], h[0]) > 1e-15:
+                return engine.backward_sums(count - 1, r_hat, low,
+                                            start=(s[0], h[0]))
     except ConvergenceError as exc:
         exc.stop = j_stop
         raise
@@ -362,6 +385,21 @@ def kappa_sequence(src: CoefficientSource, count: int, *,
     return _summary(eng.kappas[:count])
 
 
+def _builds(engine: TailSeriesEngine, count: int, max_terms: int,
+            bound: int | None = None) -> bool:
+    """Whether a kappa build of ``count`` entries succeeds, from its stop
+    search, capped at ``bound`` (max_terms by default), and _kappa_sums run
+    down to its last entry only; nothing is published."""
+    if count <= len(engine.kappas):
+        return True
+    try:
+        stop = engine.find_stop(1e-12, bound or max_terms, min_terms=count + 1)
+        _kappa_sums(engine, count, max_terms, count - 1, stop)
+    except ConvergenceError:
+        return False
+    return True
+
+
 def _grow_kappas(engine: TailSeriesEngine, count: int, max_terms: int) -> int:
     """Grow engine's table to ``count`` entries through kappa_sequence and
     return count, or where that build fails, grow it to its capacity, the
@@ -380,21 +418,21 @@ def _grow_kappas(engine: TailSeriesEngine, count: int, max_terms: int) -> int:
         return count
     except ConvergenceError as exc:
         bound = min(getattr(exc, "stop", count) + 1, max_terms)
-
-    def fails(n: int) -> bool:
-        try:
-            stop = engine.find_stop(1e-12, bound, min_terms=n + 1)
-            _kappa_sums(engine, n, max_terms, n - 1, stop)
-        except ConvergenceError:
-            return True
-        return False
-
     # the counts that build come first: bisect for the first that fails
     held = len(engine.kappas)
-    capacity = held + bisect.bisect_left(range(held + 1, count), True, key=fails)
+    capacity = held + bisect.bisect_left(
+        range(held + 1, count), True,
+        key=lambda n: not _builds(engine, n, max_terms, bound))
     if capacity > len(engine.w0_mant):  # the pairs are published last
         kappa_sequence(engine.src, capacity, max_terms=max_terms, engine=engine)
     return capacity
+
+
+def _certified_tail(src: CoefficientSource, n: int) -> float:
+    """src's a-priori bound on sum_{m >= n} kappa_m (tail_certificate), or
+    inf where it has none."""
+    cert = src.tail_certificate(n)
+    return cert[2] if cert else math.inf
 
 
 @dataclass
@@ -407,17 +445,20 @@ class TraceInverse:
 def trace_inverse(src: CoefficientSource, atol: float, *,
                   max_terms: int = 20000,
                   engine: TailSeriesEngine | None = None) -> TraceInverse:
-    """tr (J - shift)^{-1} = sum kappa_n, summed to a certified tail <= atol;
-    the count doubles from 32 on one engine (given as for kappa_sequence, or
-    a new one), which computes each entry once."""
+    """tr (J - shift)^{-1} = sum kappa_n, summed to a certified tail <= atol:
+    the decay window's, or where it fails the 0.9 cap, _certified_tail's.
+    The count doubles from 32 on one engine (given as for kappa_sequence,
+    or a new one), which computes each entry once."""
     count = 32
     if engine is None:
         engine = TailSeriesEngine(src, 0.0)
     while count <= max_terms:
         seq = kappa_sequence(src, count, max_terms=max_terms, engine=engine)
-        if seq.decay_ratio < _RATIO_CAP and seq.tail_estimate <= atol:
-            return TraceInverse(value=seq.partial_sums[-1],
-                                tail_bound=seq.tail_estimate, terms=count)
+        tail = seq.tail_estimate if seq.decay_ratio < _RATIO_CAP \
+            else _certified_tail(src, count)
+        if tail <= atol:
+            return TraceInverse(value=seq.partial_sums[-1], tail_bound=tail,
+                                terms=count)
         count *= 2
     raise ConvergenceError(
         f"trace tail not below {atol} within {max_terms} terms",

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 from .qseries import QParams
 
+# relative pad of tail_certificate's bounds for the rounding of the entries
+_CERT_PAD = 1e-9
+
 
 class CoefficientSource:
     """Base interface: alpha(n), beta(n) raw entries plus coeffs(n) shifted."""
@@ -43,6 +46,14 @@ class CoefficientSource:
     @property
     def natural_gamma(self) -> float | None:
         """Lower spectral bound of J - shift the family implies, or None."""
+        return None
+
+    def tail_certificate(self, start: int) -> tuple[float, float, float] | None:
+        """A-priori bounds at z = 0 on the float64 coeffs, or None: (r,
+        theta, tail) with every tail-series term ratio alpha_j^2/(d_j d_{j+1})
+        <= r < 1, every LDL^T pivot d_n of J - shift >= theta (beta_n -
+        shift), hence kappa_n = S_n/d_n <= 1/((1 - r) theta (beta_n -
+        shift)), and sum_{n >= start} kappa_n <= tail."""
         return None
 
 
@@ -87,6 +98,41 @@ class ASC2Source(CoefficientSource):
     def natural_gamma(self) -> float:
         """Lower spectral bound 1 - shift implied by the W-factorization J >= 1."""
         return 1.0 - self.shift
+
+    def tail_certificate(self, start: int) -> tuple[float, float, float] | None:
+        """CoefficientSource.tail_certificate from the closed forms; None
+        where sup mu_j >= 1/4.
+
+        With b'_j = beta_j - shift, theta_j = d_j/b'_j and mu_j =
+        alpha_j^2/(b'_j b'_{j+1}), theta_{j+1} = 1 - mu_j/theta_j.  For
+        mu >= every mu_j and theta* = (1 + sqrt(1 - 4 mu))/2, theta_0 = 1 >=
+        theta* starts an induction theta_j >= theta*, so the term ratio
+        mu_j/(theta_j theta_{j+1}) <= mu/theta*^2 = r.  In x = q^j, mu_j =
+        a (1 - qx)/((c - sx)(c - sqx)), c = 1 + a, s the shift: mu is its
+        largest value on [0, 1], at an end or at its one stationary point
+        x = k/(1 + sqrt(1 - qk)), k = c (s (1 + q) - qc)/(s^2 q).  The tail
+        sums 1/b'_n = q^n/(c - s q^n) <= q^n/(c - max(s, 0) q^start).  The
+        pad covers the rounding of the entries, cancellation in c - s too.
+        """
+        q, a, s = self.q, self.a, self.shift
+        c = 1.0 + a
+        xs = [0.0, 1.0]
+        if s * s * q > 0.0:  # mu_j'(x) = 0 where q x^2 - 2x + k = 0
+            k = c * (s * (1.0 + q) - q * c) / (s * s * q)
+            if q * k <= 1.0:
+                xs.append(min(max(k / (1.0 + math.sqrt(1.0 - q * k)), 0.0), 1.0))
+        pad = _CERT_PAD * c / (c - max(s, 0.0))
+        mu = max(a * (1.0 - q * x) / ((c - s * x) * (c - s * q * x))
+                 for x in xs) * (1.0 + pad)
+        if not mu < 0.25:
+            return None
+        theta = 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * mu)) * (1.0 - pad)
+        r = mu / theta ** 2
+        if not r < 1.0:
+            return None
+        x = q ** start
+        tail = x / ((1.0 - r) * theta * (1.0 - q) * (c - max(s, 0.0) * x))
+        return r, theta, tail * (1.0 + pad)
 
 
 @dataclass(frozen=True)

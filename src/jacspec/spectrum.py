@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charfn import CharFnEvaluator
+from .charfn import _NOISE_EPS, CharFnEvaluator
 from .errors import AssumptionViolation, ConvergenceError
 from .qseries import QParams, require_certified_regime
 from .sources import ASC2Source, CoefficientSource, require_infinite
@@ -497,8 +497,11 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
       "require" treat an index out of budget or at the noise floor as
                 unresolved;
       "oracle"  skip F entirely (truncation ladder only).
-    A same-sign contradiction (F certifies one sign at both ends of the
-    widened bracket) is unresolved under "auto" and "require".
+    An index whose bisection is doomed by the float64 noise floor is not
+    bisected (_below_noise).  A same-sign contradiction (F certifies one
+    sign at both ends of the widened bracket), and a certified zero farther
+    than tol + max(gap, 8 otol) from its oracle value, are unresolved under
+    "auto" and "require".
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -557,9 +560,17 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
         if confirm != "oracle":
             slope = _slope_estimate(j, res.oracle_values, tail_ratio)
             target_atol = max(0.02 * slope * tol, 1e-280)
-            if evaluator.plan_terms(abs(hi), target_atol)[0] is not None:
+            if evaluator.plan_terms(abs(hi), target_atol)[0] is None:
+                pass  # out of budget
+            elif _below_noise(evaluator, lam_oracle - 16.0 * tol, slope, tol,
+                              target_atol):
+                outcome = "noise-floor"
+            else:
                 outcome, lam, bracket = _bisect_zero(
                     evaluator, lo, hi, lo_clamp, hi_clamp, tol, target_atol)
+                if outcome == "certified" and \
+                        abs(lam - lam_oracle) > tol + max(gap, 8.0 * otol):
+                    outcome = "oracle-disagreement"
         method = _provenance(confirm, outcome)
         if method == "charfn-bisection":
             final = evaluator.eval(lam, target_atol)
@@ -571,10 +582,32 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
 
 
 def _provenance(confirm, outcome):
-    """The one map from (policy, _bisect_zero outcome) to an index's method."""
-    if confirm == "oracle" or (confirm == "auto" and outcome == "no-sign"):
+    """The one map from (policy, outcome) to an index's method; the outcome
+    is _bisect_zero's, "noise-floor" (_below_noise), which maps as
+    "no-sign" does, or "oracle-disagreement" for a zero farther from its
+    oracle value than tol plus the ladder's error."""
+    if confirm == "oracle" or (confirm == "auto"
+                               and outcome in ("no-sign", "noise-floor")):
         return "oracle-ladder"
     return "charfn-bisection" if outcome == "certified" else "unresolved"
+
+
+def _below_noise(evaluator, x0, slope, tol, atol):
+    """Whether no eval at |z| >= x0 and an atol <= ``atol`` can certify a
+    sign within 16 tol of a root of slope ``slope``, where _bisect_zero
+    needs one for every certified outcome (an unwidened bracket is at most
+    8 tol wide, a widened one halves through a width in (8 tol, 16 tol]).
+
+    Plans only grow with |z| and with a tighter atol, and the first term
+    of F's sum is w_0(0) P_0(z) = kappa_0, so every such eval reports a
+    noise estimate of at least _NOISE_EPS sqrt(N0) (1 + x0 kappa_0), N0 the
+    plan of (x0, atol): the floor this compares with twice the largest |F|
+    there, 16 tol slope.
+    """
+    x0 = max(x0, 0.0)
+    n0 = evaluator.plan_terms(x0, atol)[0]
+    floor = _NOISE_EPS * math.sqrt(n0) * (1.0 + x0 * evaluator._engine.kappas[0])
+    return 2.0 * 16.0 * tol * slope < floor
 
 
 def _push_row(res, j, method, lam, bracket, residual=math.nan,

@@ -42,10 +42,10 @@ _COMPLEX_Z = complex(1.3, 0.7)
 _N_MAX = 40
 _TWO_ROUTE_N_MAX = 30
 # coefficient pairs the two-route tail series reads past n_max: it stops at
-# j >= n_max + 2 and sums back from j + 16 (second_kind._sum_tops), and its
-# term t_j reads pair j + 2.  The stop search starts at j = 5 whatever n_max,
-# so no n_max below 3 reads less
-_TWO_ROUTE_PAD = 21
+# j >= n_max + 2, where its terms read pair j + 2, and sums back from at most
+# the last index below the horizon (second_kind._sum_tops).  The stop search
+# starts at j = 5 whatever n_max, so no n_max below 3 reads less
+_TWO_ROUTE_PAD = 5
 _TWO_ROUTE_N_MIN = 3
 _PER_TERM_N_MAX = 60
 # largest m of the Wronskian pairs (m, n); sizes of the Green, resolvent and

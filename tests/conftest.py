@@ -16,6 +16,15 @@ class ZeroAtTwo(CoefficientSource):
         return 0.5 if n == 1 else 2.0
 
 
+class WindowOnly(ASC2Source):
+    """ASC2Source without its a-priori tail certificate, so the observed
+    five-ratio window alone decides every tail, as for a source with no
+    closed form: at (0.9, 0.9, 0) no window passes the 0.9 cap."""
+
+    def tail_certificate(self, start):
+        return None
+
+
 def grid_rows(ev, zs, atol, n_max):
     """The report sweep's columns of ev._grid(zs, atol, n_max), one row per
     point: value, tail bound, term count, certified flag and ratio, floats

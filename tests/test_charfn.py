@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import jacspec as js
 from asc2_reference import hadamard_product
-from conftest import grid_rows, scalar_rows
+from conftest import WindowOnly, grid_rows, scalar_rows
 from jacspec.recurrence import _coeff_reader
 
 
@@ -339,16 +339,17 @@ def test_failed_build_size_is_remembered(monkeypatch):
     ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5))
     assert ev._grow(64)
     assert not ev._grow(5000)
-    assert ev._capacity == 832 == len(ev._engine.kappas)
+    assert ev._capacity == 850 == len(ev._engine.kappas)
     counts = _count_work(monkeypatch)
     assert not ev._grow(5000)
-    assert not ev._grow(833)
+    assert not ev._grow(851)
     assert ev._grow(100)
     assert counts["builds"] == 0
 
 
 @pytest.mark.parametrize("args, capacity", [
-    ((0.5, 0.5, 0.5), 832), ((0.3, 0.3, 0.0), 482), ((0.9, 0.9, 0.0), 361),
+    (js.ASC2Source(0.5, 0.5, 0.5), 850), (js.ASC2Source(0.3, 0.3, 0.0), 488),
+    (WindowOnly(0.9, 0.9, 0.0), 361),
 ])
 def test_incremental_builds_equal_builds_from_zero(monkeypatch, args, capacity):
     # a build computes only the entries past the table; they must be those
@@ -356,7 +357,7 @@ def test_incremental_builds_equal_builds_from_zero(monkeypatch, args, capacity):
     # whole build fails, so that the table and its capacity do not depend on
     # the growth path
     from jacspec import second_kind
-    src = js.ASC2Source(*args)
+    src = args
     builds = []
     orig = second_kind._kappa_entries
 
@@ -382,13 +383,15 @@ def test_incremental_builds_equal_builds_from_zero(monkeypatch, args, capacity):
 
 
 # The largest count whose kappa build succeeds, at max_terms 20000, 200, 63
-# and 40.  The coefficient horizon limits the first column, the budget the
-# others; (0.5, 0.5, 0.5) builds no table within 40 terms.
+# and 40.  The coefficient horizon limits the first column (a backward sum
+# starts at the last index below it where it would start past it), the
+# budget the others; (0.5, 0.5, 0.5) builds no table within 40 terms, and
+# (0.9, 0.9, 0) without its tail certificate shows no window below the cap.
 CAPACITIES = {
-    (0.5, 0.5, 0.5): (832, 152, 15, 0),
-    (0.3, 0.3, 0.0): (482, 172, 35, 12),
-    (0.9, 0.9, 0.0): (361, 16, 5, 3),
-    (0.4, 0.2, 0.3): (645, 179, 42, 19),
+    js.ASC2Source(0.3, 0.3, 0.0): (488, 172, 35, 12),
+    js.ASC2Source(0.4, 0.2, 0.3): (658, 179, 42, 19),
+    js.ASC2Source(0.5, 0.5, 0.5): (850, 152, 15, 0),
+    WindowOnly(0.9, 0.9, 0.0): (361, 16, 5, 3),
 }
 
 
@@ -408,21 +411,21 @@ def _count_raising_builds(monkeypatch):
     return raised
 
 
-@pytest.mark.parametrize("args", sorted(CAPACITIES))
+@pytest.mark.parametrize("args", list(CAPACITIES))
 @pytest.mark.parametrize("column, max_terms", enumerate((20000, 200, 63, 40)))
 def test_capacity_is_the_largest_count_that_builds(monkeypatch, args, column,
                                                    max_terms):
     # the first failed build fixes the capacity from the data the engine
     # holds, with no further failing build; brute force agrees: a build
     # from 0 of the capacity succeeds and one of a single entry more raises
-    src = js.ASC2Source(*args)
+    src = args
     raised = _count_raising_builds(monkeypatch)
     ev = js.CharFnEvaluator(src, max_terms)
     assert ev.plan_terms(1000.0, 1e-300)[0] is None
     zs = [1.0, 50.0, 900.0]
     n_max = min(400, max_terms)
     rows = grid_rows(ev, zs, 1e-12, n_max)
-    capacity = CAPACITIES[args][column]
+    capacity = CAPACITIES[src][column]
     assert ev._capacity == capacity == len(ev._engine.kappas)
     assert len(raised) == 1
     monkeypatch.undo()
@@ -433,16 +436,16 @@ def test_capacity_is_the_largest_count_that_builds(monkeypatch, args, column,
         js.kappa_sequence(src, capacity + 1, max_terms=max_terms)
 
 
-@pytest.mark.parametrize("args", sorted(CAPACITIES))
+@pytest.mark.parametrize("args", list(CAPACITIES))
 def test_capacity_does_not_depend_on_the_growth_path(args):
     # one direct build past the horizon and the doubling of term plans fix
     # the same capacity and the same table, bit for bit
-    src = js.ASC2Source(*args)
+    src = args
     direct = js.CharFnEvaluator(src)
     assert not direct._grow(5000)
     doubled = js.CharFnEvaluator(src)
     doubled.plan_terms(1000.0, 1e-300)
-    assert direct._capacity == doubled._capacity == CAPACITIES[args][0]
+    assert direct._capacity == doubled._capacity == CAPACITIES[src][0]
     assert list(map(float.hex, direct._engine.kappas)) == \
         list(map(float.hex, doubled._engine.kappas))
 
@@ -510,7 +513,7 @@ def test_tail_estimates_are_computed_once_per_size(monkeypatch, max_terms):
     assert grows == []
     assert counts["builds"] == 0
     fresh = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5), max_terms)
-    assert [(n, fresh._tail_upper(n)) for n, _, _ in ev._rungs] == \
+    assert [(n, fresh._tail_upper(n)[0]) for n, _, _ in ev._rungs] == \
         [(n, t) for n, t, _ in ev._rungs]
 
 
@@ -551,15 +554,15 @@ def test_missing_kappa_table_gives_uncertified_values():
     assert ev._majorant(2.0) == math.inf
 
 
-@pytest.mark.parametrize("args", sorted(CAPACITIES))
+@pytest.mark.parametrize("args", list(CAPACITIES))
 @pytest.mark.parametrize("column, max_terms", [(0, 20000), (2, 63)])
 def test_capacity_does_not_depend_on_the_first_build(args, column, max_terms):
     # a first build of 41, 64 or 200 entries fixes the same capacity and the
     # same leading min(64, capacity) entries, bit for bit, since every table
     # starts at 64 entries or at its capacity (a bare build of fewer entries
     # can differ in its top entries by an ulp)
-    src = js.ASC2Source(*args)
-    capacity = CAPACITIES[args][column]
+    src = args
+    capacity = CAPACITIES[src][column]
     tables = set()
     for first in (41, 64, 200):
         ev = js.CharFnEvaluator(src, max_terms)
@@ -712,10 +715,26 @@ def _coefficient_rounding(q, shift, z):
        shift=st.floats(-2.0, 1.0, exclude_max=True, exclude_min=True),
        fracs=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
 def test_certified_evals_meet_the_closed_form(q, a_frac, shift, fracs):
-    # the majorant certificate across 0 < a <= q <= 0.85: U(R) >= F(-R), and
-    # every certified eval at real z up to 4 lambda_3 and at 1.3+0.7j lies
-    # within its tail bound and noise estimate of the closed form, with
-    # atol relative to M(z) = F(-|z|), the size of the product
+    # the majorant certificate across 0 < a <= q <= 0.85
+    _meet_the_closed_form(q, a_frac, shift, fracs)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(q=st.floats(0.85, 0.98), a_frac=st.floats(0.5, 1.0),
+       shift=st.floats(-2.0, 0.99),
+       fracs=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+def test_certified_evals_meet_the_closed_form_on_a_priori_tails(q, a_frac,
+                                                                shift, fracs):
+    # where the kappa window fails the cap, the plans rest on the tail
+    # certificate: the same checks hold there
+    _meet_the_closed_form(q, a_frac, shift, fracs)
+
+
+def _meet_the_closed_form(q, a_frac, shift, fracs):
+    """U(R) >= F(-R), and every certified eval at real z up to 4 lambda_3
+    and at 1.3+0.7j lies within its tail bound and noise estimate of the
+    closed form, with atol relative to M(z) = F(-|z|), the size of the
+    product."""
     src = js.ASC2Source(q, q * a_frac, shift)
     ev = js.CharFnEvaluator(src)
     for r in (1.0, 16.0, 256.0):
@@ -733,3 +752,46 @@ def test_certified_evals_meet_the_closed_form(q, a_frac, shift, fracs):
             + scale * _coefficient_rounding(q, shift, z)
         assert abs(v.value - ref) <= allow, z
     assert certified > 0
+
+
+def test_a_priori_tails_plan_where_no_window_passes():
+    # at (0.9, 0.9, 0) no kappa window passes the 0.9 cap: on the window
+    # alone the first plan walks the tail series 5,914 terms to the
+    # coefficient horizon and ends at a capacity of 361 with no plan.  The
+    # tail certificate plans 1,024 terms, and the engine holds about 1.5
+    # times that; its certified values meet the closed form
+    window = js.CharFnEvaluator(WindowOnly(0.9, 0.9, 0.0))
+    assert window.plan_terms(1.5, 1e-17) == (None, math.inf)
+    assert (window._capacity, len(window._engine.log_t)) == (361, 5914)
+    ev = js.CharFnEvaluator(js.ASC2Source(0.9, 0.9, 0.0))
+    n_terms, log_bound = ev.plan_terms(1.5, 1e-17)
+    assert n_terms == 1024 and log_bound <= math.log(1e-17)
+    assert len(ev._engine.log_t) <= 2 * n_terms
+    for z in (-1.0, 1.05, 1.5):
+        v = ev.eval(z, 1e-17)
+        assert v.certified
+        assert abs(v.value - js.spectrum_product_reference(z, 0.9, 0.0)) \
+            <= v.tail_bound + v.noise_estimate
+
+
+def test_a_priori_tails_stop_a_plan_no_count_can_meet():
+    # at (0.99, 0.99, 0) the a-priori tail at the largest count that builds
+    # (16,633, far below the 20,000-term budget) is e^-157, against
+    # U(2) = e^143 at |z| <= 2, and F_M(-R) overflows at R = 1024 and 2048:
+    # no point of the charfn grid -1:2000:3 can certify.  The walks stop at
+    # the rung where the closed form shows it, where they grew the table to
+    # its 16,633 entries; the rung depends on the point alone, so the points
+    # in either order give the same values, on the grid path as on eval
+    src = js.ASC2Source(0.99, 0.99, 0.0)
+    zs = [-1.0, 999.5, 2000.0, 1.5]
+    seen = []
+    for order in (zs, zs[::-1]):
+        ev = js.CharFnEvaluator(src)
+        vals = {z: ev.eval(z, 1e-12) for z in order}
+        seen.append([(vals[z].value.hex(), vals[z].terms_used,
+                      vals[z].certified) for z in zs])
+        assert len(ev._engine.kappas) <= 2054
+    assert seen[0] == seen[1]
+    assert not any(certified for *_, certified in seen[0])
+    assert grid_rows(js.CharFnEvaluator(src), zs, 1e-12, 400) == \
+        scalar_rows(src, zs, 1e-12, 400)

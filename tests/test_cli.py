@@ -274,13 +274,15 @@ def test_verify_zero_off_diagonal_fails_positivity(capsys, alphas, betas, cut):
 def test_verify_below_the_coefficient_horizon(capsys, q):
     # the coefficient pairs reach 2^900 at n = 46 (q = 1e-6) down to 23
     # (q = 1e-12): the float64 rows stop below it, where verify exited 4
-    # with no report; the oracle ladder still cannot reconcile the trace
+    # with no report.  The kappa trace's first 32 terms pass the horizon
+    # below q = 1e-6; at 1e-6 it reconciles, since the backward sums start
+    # below the horizon where j + 16 would pass it
     code, out, err = run_cli(capsys, "verify", "--q", q, "--a", q,
                              "--shift", "0")
-    assert code == 3
     rows = {r["check"]: r for r in parse_csv(out)}
     assert len(rows) == 11
-    assert rows["trace_reconciliation"]["status"] == "FAIL"
+    assert (code, rows["trace_reconciliation"]["status"]) == \
+        ((0, "pass") if q == "1e-6" else (3, "FAIL"))
     assert "coefficient horizon" in rows["sign_patterns"]["note"] \
         or q == "1e-6"
 
@@ -475,8 +477,8 @@ def test_verify_large_roots_q03(capsys):
     assert rows["trace_reconciliation"]["status"] == "pass"
 
 
-@pytest.mark.parametrize("q, capacity", [(1e-3, None), (1e-4, 48), (3e-5, 40),
-                                         (1e-5, 35)])
+@pytest.mark.parametrize("q, capacity", [(1e-3, None), (1e-4, 63), (3e-5, 55),
+                                         (1e-5, 51)])
 def test_verify_at_tiny_q_reports_every_row(capsys, q, capacity):
     # the coefficients leave the float range near n = 68 at q = 1e-4: the
     # kappa table stops at its capacity and the kappa rows test what it
@@ -494,7 +496,8 @@ def test_verify_at_tiny_q_reports_every_row(capsys, q, capacity):
     assert rows["trace_reconciliation"]["note"] == "32 kappa terms, 64 x 64 block"
     assert rows["kappa_positivity_monotonic"]["note"] == \
         f"n <= {min(40, capacity - 1)}"
-    assert rows["per_term_growth_bound"]["note"] == f"n <= {capacity - 1}"
+    assert rows["per_term_growth_bound"]["note"] == \
+        f"n <= {min(60, capacity - 1)}"
 
 
 def _run_config(tmp_path, capsys, doc, *argv):
@@ -721,3 +724,16 @@ def test_config_family_is_echoed_as_written(tmp_path, capsys):
     echoed = json.loads(out)["meta"]["config"]["family"]
     assert echoed == family
     assert [type(x) for x in echoed["betas"]] == [int, float, int]
+
+
+def test_verify_at_q_09_reconciles_the_trace(capsys):
+    # no kappa window of (0.9, 0.9, 0) passes the 0.9 cap; the trace row
+    # failed at the coefficient horizon (n = 5915) and verify exited 3.  The
+    # tail certificate ends the sum at 256 terms
+    code, out, err = run_cli(capsys, "verify", "--q", "0.9", "--a", "0.9",
+                             "--shift", "0")
+    rows = {r["check"]: r for r in parse_csv(out)}
+    assert code == 0
+    assert {name for name, r in rows.items() if r["status"] != "pass"} == set()
+    assert rows["trace_reconciliation"]["note"] == \
+        "256 kappa terms, 512 x 512 block"

@@ -8,7 +8,7 @@ import jacspec as js
 from asc2_reference import (orthonormal_at_family_point,
                             second_kind_at_family_point)
 from conftest import (TRACE_Q5_SHIFTED, W2_AT_A_Q5, W_AT_A_Q5,
-                      WEYL_SHIFTED_03)
+                      WEYL_SHIFTED_03, WindowOnly, mp_plain_recurrence)
 
 
 def weyl(src, z, **kw):
@@ -290,10 +290,11 @@ def test_stored_ratios_match_the_per_candidate_window(q, a, shift):
 
 
 def test_failing_kappa_build_matches_the_reference():
-    # (0.9, 0.9, 0) never shows a window below the 0.9 cap, so the search
-    # walks to the coefficient horizon and raises there
+    # (0.9, 0.9, 0) never shows a window below the 0.9 cap, so without its
+    # tail certificate the search walks to the coefficient horizon and
+    # raises there
     from jacspec.second_kind import TailSeriesEngine
-    src = js.ASC2Source(0.9, 0.9, 0.0)
+    src = WindowOnly(0.9, 0.9, 0.0)
     with pytest.raises(js.ConvergenceError) as got:
         js.kappa_sequence(src, 400)
     with pytest.raises(js.ConvergenceError) as want:
@@ -419,14 +420,15 @@ def test_find_stop_memo_is_order_independent(q, a, shift):
 ])
 def test_kappa_build_exp_calls(monkeypatch, q, a, shift, count, fails, budget):
     # each term ratio is formed once, when its term is built; rebuilding the
-    # window at every candidate stop took 5,888 and 27,560 calls here
+    # window at every candidate stop took 5,888 and 27,560 calls here (the
+    # window alone decides: the certificate would let the second build pass)
     from jacspec import second_kind
     exp_cap = second_kind._exp_cap
     calls = []
     monkeypatch.setattr(second_kind, "_exp_cap",
                         lambda x: calls.append(x) or exp_cap(x))
     with pytest.raises(js.ConvergenceError) if fails else contextlib.nullcontext():
-        js.kappa_sequence(js.ASC2Source(q, a, shift), count)
+        js.kappa_sequence(WindowOnly(q, a, shift), count)
     assert len(calls) <= budget
 
 
@@ -478,3 +480,31 @@ def test_w0_pairs_stand_beside_the_kappas(q, a, shift):
         assert math.copysign(1.0, eng.w0_mant[n]) == signs[n]
         log_w = math.log(abs(eng.w0_mant[n])) + eng.w0_exp[n] * math.log(2.0)
         assert log_w == pytest.approx(math.log(k) - logs[n], abs=1e-12)
+
+
+def test_backward_sums_start_below_the_coefficient_horizon():
+    # at q = a = 1e-12 the term ratios are about 1e-12 and the coefficients
+    # reach 2^900 at n = 23: the stop comes at j = 5, and a sum started 16
+    # past it raised at the horizon, though the first terms fix w(0).  The
+    # sum now starts at the last index below the horizon
+    src = js.ASC2Source(1e-12, 1e-12, 0.0)
+    table = js.second_kind_values(src, 0.0, 1, gamma=1.0, atol=1e-13)
+    p = mp_plain_recurrence(src, 0.0, 12)
+    want = -sum(1 / (src.alpha(j) * p[j] * p[j + 1]) for j in range(11))
+    assert table.values[0] == pytest.approx(float(want), rel=1e-15)
+    assert table.tail_bounds[0] <= 1e-13
+
+
+def test_trace_inverse_takes_the_certified_tail_where_the_window_fails():
+    # at (0.9, 0.9, 0) no kappa window passes the 0.9 cap, so on the window
+    # alone the count doubles until a build meets the coefficient horizon;
+    # the tail certificate bounds sum_{n >= 256} kappa_n by 1.9e-10 and
+    # brackets tr J^{-1} = sum 0.9^n = 10
+    from jacspec.second_kind import _certified_tail
+    with pytest.raises(js.ConvergenceError, match="horizon at n = 5915"):
+        js.trace_inverse(WindowOnly(0.9, 0.9, 0.0), 1e-8)
+    src = js.ASC2Source(0.9, 0.9, 0.0)
+    tr = js.trace_inverse(src, 1e-8)
+    assert tr.terms == 256
+    assert tr.tail_bound == _certified_tail(src, 256) <= 1e-8
+    assert tr.value <= 10.0 <= tr.value + tr.tail_bound + 1e-13

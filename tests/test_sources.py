@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacspec import ASC2Source, TableSource
 from jacspec.verify import check_coefficient_positivity
@@ -75,3 +78,59 @@ def test_asc2_alpha_beyond_float_horizon_is_inf():
 
 def test_coeffs_deterministic(asc2_shifted):
     assert asc2_shifted.coeffs(7) == asc2_shifted.coeffs(7)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(q=st.floats(1e-3, 0.999), a_frac=st.floats(1e-3, 1.0),
+       shift=st.floats(-3.0, 0.999))
+def test_tail_certificate_bounds_what_the_engine_computes(q, a_frac, shift):
+    # wherever the closed forms give mu = sup mu_j < 1/4, the induction from
+    # theta_0 = 1 bounds every term ratio, pivot and kappa entry the float64
+    # engine computes, and every kappa tail sum; where they give none,
+    # mu_j(x) = a (1 - qx)/((c - sx)(c - sqx)) reaches 1/4 on [0, 1]
+    from jacspec.errors import ConvergenceError
+    from jacspec.second_kind import TailSeriesEngine, kappa_sequence
+    src = ASC2Source(q, q * a_frac, shift)
+    c, a = 1.0 + src.a, src.a
+    xs = np.linspace(0.0, 1.0, 20001)
+    mu = float(np.max(a * (1.0 - q * xs) / ((c - shift * xs)
+                                            * (c - shift * q * xs))))
+    cert = src.tail_certificate(0)
+    if cert is None:
+        assert mu >= 0.25 * (1.0 - 1e-6)
+        return
+    r, theta, tail = cert
+    assert mu / theta ** 2 <= r < 1.0
+    eng = TailSeriesEngine(src, 0.0)
+    try:
+        eng.ensure_terms(400)
+    except ConvergenceError:
+        pass  # the coefficient horizon: check the terms before it
+    m = len(eng.log_t)
+    assert max(eng.ratios[:m - 1]) <= r
+    for j in range(m):  # d_j = alpha_j |P_{j+1}(0) / P_j(0)|
+        alpha, b = eng.coeffs[j]
+        assert math.log(alpha) + eng.log_p[j + 1] - eng.log_p[j] \
+            >= math.log(theta * b)
+    try:
+        kappas = kappa_sequence(src, min(100, m - 2), max_terms=3000,
+                                engine=eng).kappas
+    except ConvergenceError:
+        return  # no table within 3000 terms (q near 1)
+    for n, k in enumerate(kappas):
+        assert k <= 1.0 / ((1.0 - r) * theta * src.coeffs(n)[1])
+    for start in (0, len(kappas) // 2):
+        assert math.fsum(kappas[start:]) <= src.tail_certificate(start)[2]
+
+
+def test_no_tail_certificate_near_shift_one():
+    # at (0.9, 0.9, 0.999) mu_j exceeds 1/4 (0.2514 at q^j = 0.1), so the
+    # pivots' induction does not close: the engine falls back on the ratio
+    # window alone, as a source without the hook does
+    from jacspec.second_kind import TailSeriesEngine
+    src = ASC2Source(0.9, 0.9, 0.999)
+    assert src.tail_certificate(0) is None
+    assert TailSeriesEngine(src, 0.0)._cert_ratio == math.inf
+    r, theta, _ = ASC2Source(0.9, 0.9, 0.0).tail_certificate(0)
+    assert r == pytest.approx(0.9, rel=1e-7)  # r = a at shift 0
+    assert theta == pytest.approx(1.0 / 1.9, rel=1e-7)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -360,10 +361,90 @@ def test_same_sign_at_both_ends_is_unresolved(same_sign_everywhere, confirm,
     ("require", "no-sign", "unresolved"),
     ("require", "same-sign", "unresolved"),
     ("oracle", "no-sign", "oracle-ladder"),
+    ("auto", "noise-floor", "oracle-ladder"),
+    ("require", "noise-floor", "unresolved"),
+    ("auto", "oracle-disagreement", "unresolved"),
+    ("require", "oracle-disagreement", "unresolved"),
 ])
 def test_provenance_of_each_policy_and_outcome(confirm, outcome, method):
     from jacspec.spectrum import _provenance
     assert _provenance(confirm, outcome) == method
+
+
+def _slope_at(q, shift, j):
+    """|F'(lambda_j)| of the shifted ASC-II matrix, in mpmath at 30 digits:
+    F'(lambda_j) = -(1/lambda_j) prod_{n != j} (1 - lambda_j/lambda_n) over
+    its eigenvalues lambda_n = q^-n - shift, up to q^n < 1e-40."""
+    import mpmath
+    ctx = mpmath.mp.clone()
+    ctx.dps = 30
+    q, shift = ctx.mpf(q), ctx.mpf(shift)
+    lam = q ** -j - shift
+    slope, n = 1 / lam, 0
+    while q ** n >= ctx.mpf("1e-40"):
+        if n != j:
+            slope *= 1 - lam / (q ** -n - shift)
+        n += 1
+    return float(abs(slope))
+
+
+# every eval of an index's bisection within 16 tol of its root reports a
+# noise estimate of at least eps sqrt(N0) (1 + x0 kappa_0); the index is
+# skipped where twice |F| there, 32 tol |F'|, stays below it.  That margin
+# is 4.7, 1.8 and 1.1 at index 1 of (0.9, 0.9, -0.05 / 0 / 0.05), at least
+# 11 at indices 2-6, and 0.019 at (0.85, 0.85, 0), whose index 1 certifies
+@pytest.mark.parametrize("params, skipped", [
+    ((0.9, 0.9, -0.05), 6), ((0.9, 0.9, 0.0), 6), ((0.9, 0.9, 0.05), 6),
+    ((0.85, 0.85, 0.0), 0)])
+def test_the_noise_floor_skips_only_doomed_bisections(monkeypatch, params,
+                                                      skipped):
+    from jacspec import spectrum
+    below, bisect_zero = spectrum._below_noise, spectrum._bisect_zero
+    tested, bisected = [], []
+
+    def recorded_below(evaluator, x0, slope, tol, atol):
+        tested.append((slope, below(evaluator, x0, slope, tol, atol)))
+        return tested[-1][1]
+
+    def recorded_bisect(*args):
+        bisected.append(args[1])
+        return bisect_zero(*args)
+
+    monkeypatch.setattr(spectrum, "_below_noise", recorded_below)
+    monkeypatch.setattr(spectrum, "_bisect_zero", recorded_bisect)
+    q, a, shift = params
+    res = js.find_spectrum(js.ASC2Source(q, a, shift), 6, 1e-9)
+    assert [skip for _, skip in tested] == [True] * skipped + [False] * (6 - skipped)
+    assert len(bisected) == 6 - skipped
+    assert res.methods == ["oracle-ladder"] * 6 if skipped else \
+        ["charfn-bisection"] + ["oracle-ladder"] * 5
+    # the skip rests on the slope estimate bounding |F'(lambda_j)|
+    for j, (slope, skip) in enumerate(tested):
+        if skip:
+            assert slope >= _slope_at(q, shift, j)
+    if skipped:
+        res = js.find_spectrum(js.ASC2Source(q, a, shift), 6, 1e-9,
+                               confirm="require")
+        assert res.unresolved == [1, 2, 3, 4, 5, 6]
+
+
+def test_a_certified_zero_far_from_its_oracle_value_is_unresolved(monkeypatch):
+    # F biased by 1.2e-8 moves its zeros at 0.5 and 1.5 by 1.2e-8 and 2.4e-8;
+    # bisection certifies the moved zeros, which were published as
+    # charfn-bisection values that far from the oracle's.  A certified zero
+    # farther than tol + max(gap, 8 otol) from its oracle value is unresolved
+    orig = js.CharFnEvaluator.eval
+
+    def biased(self, z, atol=1e-12):
+        v = orig(self, z, atol)
+        return dataclasses.replace(v, value=v.value + 1.2e-8)
+
+    monkeypatch.setattr(js.CharFnEvaluator, "eval", biased)
+    for confirm in ("auto", "require"):
+        res = js.find_spectrum(js.ASC2Source(0.5, 0.5, 0.5), 2, 1e-9,
+                               confirm=confirm)
+        assert res.methods == ["unresolved"] * 2 and res.unresolved == [1, 2]
+        assert res.eigenvalues == res.oracle_values
 
 
 def test_truncation_guard_nonfinite():

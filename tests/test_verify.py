@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import jacspec as js
 from asc2_reference import dense_w_factorization_gap
-from conftest import ZeroAtTwo, random_pd_table
+from conftest import WindowOnly, ZeroAtTwo, random_pd_table
 from jacspec.recurrence import log_table
 from jacspec.verify import (_mp_context, _mp_tables, check_green_identity,
                             check_kappa_monotonic, check_resolvent_identity,
@@ -124,7 +124,9 @@ def test_trace_reconciliation_across_the_regime(log_q, a_over_q, shift):
 
 
 def test_horizon_note_of_trace_reconciliation():
-    r = _by_name(run_suite(js.ASC2Source(0.9, 0.9, 0.0)))["trace_reconciliation"]
+    # without its tail certificate no kappa window of (0.9, 0.9, 0) passes
+    # the 0.9 cap, so the trace sum doubles its count to the horizon
+    r = _by_name(run_suite(WindowOnly(0.9, 0.9, 0.0)))["trace_reconciliation"]
     assert not r.passed
     assert r.note == "coefficients exceed the working-precision horizon at n = 5915"
 
@@ -367,10 +369,10 @@ def test_per_term_bound_tests_the_pipeline_majorant(monkeypatch, params):
 
 
 def test_per_term_bound_skips_without_a_majorant():
-    # at (0.9, 0.9, 0) no kappa decay window passes the 0.9 cap, so U(R) is
-    # infinite at every radius and F certifies nothing: the row cannot test
-    # the bound and says why
-    r = _kappa_rows(js.ASC2Source(0.9, 0.9, 0.0))["per_term_growth_bound"]
+    # at (0.9, 0.9, 0) no kappa decay window passes the 0.9 cap, so without
+    # the tail certificate U(R) is infinite at every radius and F certifies
+    # nothing: the row cannot test the bound and says why
+    r = _kappa_rows(WindowOnly(0.9, 0.9, 0.0))["per_term_growth_bound"]
     assert r.skipped
     assert r.note.startswith("U(R) is infinite at 5 of 5 points")
 
@@ -437,13 +439,13 @@ def test_kappa_rows_without_a_kappa_table():
     r = check_kappa_monotonic(ev)
     assert r.skipped and r.note == "no kappa table builds within the term budget"
     assert ev._engine.kappas == []
-    # at q = 1e-12 the coefficients leave the float range before a table
-    # builds, and the note says so rather than blaming the term budget
+    # at q = 1e-12 the coefficients leave the float range at n = 23; the
+    # backward sums start below it, where j + 16 passed it and no table
+    # built, so the table holds 19 entries
     ev = js.CharFnEvaluator(js.ASC2Source(1e-12, 1e-12, 0.0))
     r = check_kappa_monotonic(ev)
-    assert r.skipped and r.note == \
-        "coefficients exceed the working-precision horizon at n = 23"
-    assert ev._engine.kappas == []
+    assert (r.status, r.note) == ("pass", "n <= 18")
+    assert len(ev._engine.kappas) == ev._capacity == 19
     r = _by_name(run_suite(_NoGamma(), max_terms=40))
     assert r["kappa_positivity_monotonic"].skipped
     assert r["per_term_growth_bound"].skipped
@@ -512,26 +514,23 @@ def test_recurrence_row_passes_across_the_regime(log_q, a_over_q, shift,
 
 
 @pytest.mark.parametrize("q, notes", [
-    (1e-6, ("n <= 40, 5 evaluation points", "n <= 40",
-            "n <= 25 (coefficient horizon)")),
+    (1e-6, ("n <= 40, 5 evaluation points", "n <= 40", "n <= 30")),
     (1e-8, ("n <= 33 (coefficient horizon), 5 evaluation points",
-            "n <= 34 (coefficient horizon)", "n <= 13 (coefficient horizon)")),
+            "n <= 34 (coefficient horizon)", "n <= 29 (coefficient horizon)")),
     (1e-10, ("n <= 27 (coefficient horizon), 5 evaluation points",
-             "n <= 28 (coefficient horizon)", "n <= 7 (coefficient horizon)")),
+             "n <= 28 (coefficient horizon)", "n <= 23 (coefficient horizon)")),
     (1e-12, ("n <= 22 (coefficient horizon), 5 evaluation points",
-             "n <= 23 (coefficient horizon)", None))])
+             "n <= 23 (coefficient horizon)",
+             "n <= 18 (coefficient horizon)"))])
 def test_float_rows_stop_at_the_coefficient_horizon(q, notes):
     # the coefficient pairs of q <= 1e-6 reach 2^900 at n = 46, 34, 28 and
     # 23: the rows that step the float64 recurrence stop below it and say
     # so, where the two-route and sign rows raised and verify printed no
-    # report.  At q = 1e-12 the two-route tail series cannot stop below it
+    # report.  The two-route tail series stops at n_max + 2 and sums back
+    # from below the horizon, where it summed from 16 past its stop and
+    # skipped q = 1e-12.  The trace's 32 terms pass the horizon below 1e-6
     r = _by_name(run_suite(js.ASC2Source(q, q, 0.0), precision_digits=30))
     names = ("recurrence_residual", "sign_patterns", "second_kind_two_route")
     for name, note in zip(names, notes):
-        if note is None:
-            assert r[name].skipped, r[name]
-            assert r[name].note == "the coefficient horizon at n = 23 " \
-                "leaves no index"
-        else:
-            assert r[name].status == "pass" and r[name].note == note, r[name]
-    assert r["trace_reconciliation"].status == "FAIL"
+        assert r[name].status == "pass" and r[name].note == note, r[name]
+    assert r["trace_reconciliation"].status == ("pass" if q == 1e-6 else "FAIL")
