@@ -18,19 +18,16 @@ bound once per power-of-two radius R.
 
 from __future__ import annotations
 
-import bisect
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import second_kind
 from .recurrence import _LN2, _coeff_reader, _scaled_columns, _scaled_iter
 # unused here (second_kind grows the table): perfbench hooks kappa_sequence here
-from .second_kind import (_RATIO_CAP, _RATIO_WINDOW,  # noqa: F401
-                          TailSeriesEngine, _zero_at_origin, kappa_sequence)
+from .second_kind import (KappaTable, _zero_at_origin,  # noqa: F401
+                          kappa_sequence)
 from .sources import CoefficientSource, require_infinite
 
 # conservative working-precision constant for the summation noise estimate
@@ -42,10 +39,6 @@ _MAJORANT_PAD = 1e-6
 # certified_sign divides atol by _SIGN_ATOL_STEP per round, down to _SIGN_ATOL_MIN
 _SIGN_ATOL_MIN = 1e-280
 _SIGN_ATOL_STEP = 100.0
-# the kappa table's first build: the top entries of a smaller build can sit an
-# ulp or two from those of a larger one (a build of 22 at (0.5, 0.5, 0.5)),
-# so a table started smaller would depend on the order of its builds
-_FIRST_BUILD = 64
 # bytes of a _grid block, points x largest term count float64 (its buffer
 # holds the sum of its counts, no more): 800 points of 262 terms are one block
 _GRID_BLOCK_BYTES = 1 << 22
@@ -88,117 +81,20 @@ class _Plan(NamedTuple):
 class CharFnEvaluator:
     """Shared-state evaluator: one kappa table serves many z evaluations.
 
-    The table, with the w_n(0) of F's terms, is the z = 0 engine's, grown
-    by second_kind, which computes only the entries past it, so an entry
-    never changes once published, and eval(z) depends neither on earlier
-    evaluations nor on thread timing.  The evaluator only asks for counts.
-    Its capacity starts at max_terms; the first build that fails (budget,
-    coefficient horizon or no stable decay window) fixes it, at the largest
-    count that builds, and grows the table to it.  Where a tail comes from
-    the source's a-priori bound, the walk stops once that bound shows no
-    count within the capacity can meet a target (_out_of_reach).
+    The table, with its capacity and ladder, is a second_kind.KappaTable,
+    whose entries never change once published, so eval(z) depends neither
+    on earlier evaluations nor on thread timing.  The evaluator keeps what
+    depends on R or on atol; its plans walk the table's ladder from the
+    first rung (KappaTable.first).
     """
 
     def __init__(self, src: CoefficientSource, max_terms: int = 20000):
         require_infinite(src, "characteristic function evaluation")
         self.src = src
         self.max_terms = max_terms
-        self._engine = TailSeriesEngine(src, 0.0)
-        self._capacity = max_terms  # lowered once, by the first failed build
-        self._majorants: dict[float, float] = {}  # _majorant(R) by R
-        self._stops: dict[float, int] = {}  # where its a-priori walk stopped
-        # _rung's ladder so far and the next count it tries, 0 once it ended
-        self._rungs: list[tuple[int, float, float]] = []
-        self._apriori: set[int] = set()  # its counts whose tail is a-priori
-        # _out_of_reach's counts known to build and the least known not to
-        self._reach = [0, max_terms + 1]
-        self._next_count = 16
-        self._rung_lock = threading.Lock()
-
-    # -- kappa table management -------------------------------------------
-
-    def _grow(self, count: int) -> bool:
-        """Extend the kappa table to at least ``count`` entries, and to at
-        least _FIRST_BUILD; False beyond the capacity, which the first failed
-        build fixes and grows the table to (second_kind._grow_kappas).
-        Threads that race past that build find the same capacity: it depends
-        on src and max_terms only."""
-        want = min(max(count, _FIRST_BUILD), self._capacity)
-        held = second_kind._grow_kappas(self._engine, want, self.max_terms)
-        if held < want:
-            self._capacity = held
-        return held >= count
-
-    def _tail_upper(self, n_terms: int) -> tuple[float, bool] | None:
-        """(T, a_priori): an upper estimate T of sum_{k>=n_terms} kappa_k
-        from the observed decay, or where its window is not below the cap,
-        the source's a-priori bound (second_kind._certified_tail, inf
-        without one); None when the table cannot be grown that far (budget
-        or coefficient horizon)."""
-        if not self._grow(n_terms + _RATIO_WINDOW + 1):
-            return None
-        k = self._engine.kappas
-        r = max(k[i + 1] / k[i] for i in range(n_terms - 1,
-                                               n_terms + _RATIO_WINDOW - 1))
-        if r >= _RATIO_CAP:
-            return second_kind._certified_tail(self.src, n_terms), True
-        return k[n_terms] / (1.0 - r), False
-
-    def _out_of_reach(self, log_cap: float) -> bool:
-        """Whether no count within the capacity has an a-priori tail
-        (second_kind._certified_tail, which falls with the count) of at
-        most e^log_cap: the least count that has one, found by bisection on
-        the closed form, lies past the capacity's ceiling or its table does
-        not build (second_kind._builds, whose answers _reach keeps as the
-        counts known to build and the least known not to).  Nothing is
-        published, so the answer depends on src, max_terms and log_cap
-        only."""
-        def meets(n: int) -> bool:
-            t = second_kind._certified_tail(self.src, n)
-            return t == 0.0 or math.log(t) <= log_cap
-
-        ceiling = self._capacity - _RATIO_WINDOW - 1
-        if ceiling < 4 or not meets(ceiling):
-            return True
-        count = bisect.bisect_left(range(ceiling), True, key=meets) \
-            + _RATIO_WINDOW + 1
-        built, failed = self._reach
-        if count <= max(built, len(self._engine.kappas)):
-            return False
-        if count < failed:
-            if second_kind._builds(self._engine, count, self.max_terms):
-                self._reach[0] = max(built, count)
-                return False
-            self._reach[1] = count
-        return True
-
-    def _rung(self, i: int):
-        """The ladder's i-th (n, T_n, log T_n), or None past its end: the
-        counts 16, 32, 64, ..., the last the capacity's ceiling, that have a
-        finite positive tail T_n = _tail_upper(n) (_apriori holds those
-        whose T_n is a-priori).  It is walked under _rung_lock, once (a rung
-        is fixed once walked: the table only grows and the capacity only
-        falls) and no further than a caller asks, so the table grows in the
-        order plans need it."""
-        rungs = self._rungs
-        if i < len(rungs):
-            return rungs[i]
-        with self._rung_lock:
-            n = self._next_count
-            while len(rungs) <= i and n:
-                ceiling = self._capacity - _RATIO_WINDOW - 1
-                n = min(n, ceiling)
-                tail = self._tail_upper(n) if n >= 4 else (0.0, False)
-                if tail is None:
-                    continue  # the failed build has lowered the capacity
-                t, a_priori = tail  # n < 4 ends the ladder with t = 0
-                if 0.0 < t < math.inf:
-                    if a_priori:  # before the rung: readers skip the lock
-                        self._apriori.add(n)
-                    rungs.append((n, t, math.log(t)))
-                n = 0 if n >= ceiling else min(2 * n, ceiling)
-            self._next_count = n
-        return rungs[i] if i < len(rungs) else None
+        self._table = KappaTable(src, max_terms)
+        # (_majorant(R), the count an uncertified plan at R reads) by R
+        self._majorants: dict[float, tuple[float, int]] = {}
 
     def _majorant(self, radius: float) -> float:
         """U(R) >= F(-R), hence >= |g_n(z)| for every n and |z| <= R.
@@ -207,36 +103,27 @@ class CharFnEvaluator:
         the ladder whose tail has R T_M <= 1/2 and F_M(-R) formed as eval
         forms its partial sums; inf when no count within the capacity
         qualifies or F_M(-R) leaves the float range.  Then the ladder runs
-        to the capacity, unless the walk is at a rung with an a-priori
-        tail: there an overflow of F_M(-R), whose terms are all positive,
-        settles U(R) for every larger M, as _out_of_reach settles that no M
-        within the capacity qualifies, and _stops[R] keeps that rung's
-        count.  Memoized per radius, so it depends on src, max_terms and R
-        only.
+        to the capacity, unless M's tail is a-priori: there an overflow of
+        F_M(-R), whose terms are all positive, settles U(R) for every larger
+        M.  Memoized per radius with the count an uncertified plan at R
+        reads (KappaTable.first), so it depends on src, max_terms and R only.
         """
         if radius in self._majorants:
-            return self._majorants[radius]
-        u = None
-        ask = True  # _out_of_reach, at the first a-priori rung that misses
-        i = 0
-        while (rung := self._rung(i)) is not None:
-            n, t, _ = rung
-            a_priori = n in self._apriori
-            if u is None and radius * t <= 0.5:
-                f_m = 1.0 + radius * _fsum_inf(self._terms(-radius, n))
-                u = f_m * (1.0 + _MAJORANT_PAD) / (1.0 - radius * t)
-                if u < math.inf or a_priori:
-                    break
-            elif u is None and a_priori and ask:
-                if self._out_of_reach(math.log(0.5 / radius)):
-                    break
-                ask = False
-            i += 1
-        if u is None or u == math.inf:
-            u = math.inf
-            if rung is not None:
-                self._stops[radius] = rung[0]
-        self._majorants[radius] = u
+            return self._majorants[radius][0]
+        table = self._table
+        # past the float range (R = inf) no tail is small enough
+        log_cap = math.log(0.5 / radius) if radius < math.inf else -math.inf
+        i, stop = table.first(lambda rung: radius * rung[1] <= 0.5, log_cap)
+        u = math.inf
+        if stop is None:
+            stop, t, _ = table.rungs[i]
+            f_m = 1.0 + radius * _fsum_inf(self._terms(-radius, stop))
+            u = f_m * (1.0 + _MAJORANT_PAD) / (1.0 - radius * t)
+            if u == math.inf and stop not in table.apriori:
+                while table.rung(i) is not None:
+                    i += 1
+                stop = len(table.engine.w0_mant)
+        self._majorants[radius] = u, stop
         return u
 
     def plan_terms(self, z_abs: float, atol: float):
@@ -256,10 +143,9 @@ class CharFnEvaluator:
     def _search(self, z_abs: float, atol: float):
         """plan_terms as (count, log_bound, certified), where an uncertified
         plan's count is the whole table, then at its capacity, or the count
-        of the rung with an a-priori tail at which the walk stopped: at the
-        first such rung that misses atol, when _out_of_reach holds, or at
-        _majorant's (_stops).  Where the walk stops depends on z_abs and atol
-        only, not on the rungs walked before."""
+        of the rung with an a-priori tail at which the walk stopped
+        (KappaTable.first, here or in _majorant).  Where the walk stops
+        depends on z_abs and atol only, not on the rungs walked before."""
         if not 0.0 < atol < math.inf:
             raise ValueError(f"atol must be finite and positive, got {atol!r}")
         if not 0.0 <= z_abs < math.inf:
@@ -269,24 +155,17 @@ class CharFnEvaluator:
             radius = _radius(z_abs)
             u = self._majorant(radius)
             if u == math.inf:
-                return self._stops.get(radius, len(self._engine.w0_mant)), \
-                    math.inf, False
+                return self._majorants[radius][1], math.inf, False
             log_scale = math.log(z_abs) + math.log(u)
         log_target = math.log(atol)
-        best = math.inf
-        ask = True  # _out_of_reach, at the first a-priori rung that misses
-        i = 0
-        while (rung := self._rung(i)) is not None:
-            log_bound = log_scale + rung[2]
-            best = min(best, log_bound)
-            if log_bound <= log_target:
-                return rung[0], log_bound, True
-            if ask and rung[0] in self._apriori:
-                if self._out_of_reach(log_target - log_scale):
-                    return rung[0], best, False
-                ask = False
-            i += 1
-        return len(self._engine.w0_mant), best, False
+        table = self._table
+        i, stop = table.first(lambda rung: log_scale + rung[2] <= log_target,
+                              log_target - log_scale)
+        walked = table.rungs[:i + 1]
+        if stop is None:
+            return walked[i][0], log_scale + walked[i][2], True
+        best = min((log_scale + rung[2] for rung in walked), default=math.inf)
+        return stop, best, False
 
     # -- evaluation ---------------------------------------------------------
 
@@ -319,7 +198,7 @@ class CharFnEvaluator:
     def _terms(self, z, n_terms: int) -> list:
         """The first n_terms terms w_n(0) P_n(z) of F's sum, each formed by
         one multiply and one ldexp (a signed inf beyond the float range)."""
-        eng = self._engine
+        eng = self._table.engine
         mant, exps = eng.w0_mant, eng.w0_exp
         scale = _ldexp_complex if isinstance(z, complex) else _ldexp_inf
         terms = []
@@ -350,7 +229,7 @@ class CharFnEvaluator:
         values, ratios = [1.0] * len(zs), [1.0] * len(zs)
         top = plans[live[0]].n_terms if live else 0
         width = max(1, _GRID_BLOCK_BYTES // (8 * max(top, 1)))
-        read, eng = _coeff_reader(self.src), self._engine
+        read, eng = _coeff_reader(self.src), self._table.engine
         for start in range(0, len(live), width):
             block = live[start:start + width]
             sums, block_ratios = _sweep(read, [zs[j] for j in block],

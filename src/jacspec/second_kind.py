@@ -15,8 +15,9 @@ z = 0, where that window fails, the source's a-priori ratio bound
 (CoefficientSource.tail_certificate) stands in for it.
 Since S_n depends only on the sums above it, kappa_sequence grows the
 kappa table a z = 0 engine holds by its new entries only (_kappa_entries).
-This module owns that table, with the w_n(0) of F's terms beside it, and its
-growth to a capacity (_grow_kappas), which CharFnEvaluator asks for.
+KappaTable owns that table, with the w_n(0) of F's terms beside it, its
+capacity and the ladder of counts it grows along, which CharFnEvaluator's
+plans and trace_inverse both walk.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ from .sources import CoefficientSource, require_infinite
 
 _RATIO_CAP = 0.9
 _RATIO_WINDOW = 5
+# the kappa table's first build: the top entries of a smaller build can sit an
+# ulp or two from those of a larger one (a build of 22 at (0.5, 0.5, 0.5)),
+# so a table started smaller would depend on the order of its builds
+_FIRST_BUILD = 64
 
 
 def _exp_cap(x: float) -> float:
@@ -286,7 +291,7 @@ def _kappa_sums(engine: TailSeriesEngine, count: int, max_terms: int,
     known as well.  low only sets where the sums stop, so no entry, and no
     count's success, depends on the entries built before.  A
     ConvergenceError raised after the stop is known carries it as ``stop``
-    (see _grow_kappas)."""
+    (see KappaTable._build)."""
     j_stop, r_hat = stop or engine.find_stop(1e-12, max_terms, count + 1)
     try:
         for j_top in _sum_tops(engine, j_stop, max_terms):
@@ -385,54 +390,166 @@ def kappa_sequence(src: CoefficientSource, count: int, *,
     return _summary(eng.kappas[:count])
 
 
-def _builds(engine: TailSeriesEngine, count: int, max_terms: int,
-            bound: int | None = None) -> bool:
-    """Whether a kappa build of ``count`` entries succeeds, from its stop
-    search, capped at ``bound`` (max_terms by default), and _kappa_sums run
-    down to its last entry only; nothing is published."""
-    if count <= len(engine.kappas):
-        return True
-    try:
-        stop = engine.find_stop(1e-12, bound or max_terms, min_terms=count + 1)
-        _kappa_sums(engine, count, max_terms, count - 1, stop)
-    except ConvergenceError:
-        return False
-    return True
-
-
-def _grow_kappas(engine: TailSeriesEngine, count: int, max_terms: int) -> int:
-    """Grow engine's table to ``count`` entries through kappa_sequence and
-    return count, or where that build fails, grow it to its capacity, the
-    largest count that builds, and return that.
-
-    Whether a candidate passes find_stop depends only on it, so the stop of
-    a smaller count is at most the failed build's own (its ConvergenceError's
-    stop, see _kappa_sums), or at most ``count`` where that build's search
-    found none.  The counts in between are bisected, each with its stop
-    search capped there and _kappa_sums run down to its last entry only.
-    """
-    if count <= len(engine.w0_mant):
-        return count
-    try:
-        kappa_sequence(engine.src, count, max_terms=max_terms, engine=engine)
-        return count
-    except ConvergenceError as exc:
-        bound = min(getattr(exc, "stop", count) + 1, max_terms)
-    # the counts that build come first: bisect for the first that fails
-    held = len(engine.kappas)
-    capacity = held + bisect.bisect_left(
-        range(held + 1, count), True,
-        key=lambda n: not _builds(engine, n, max_terms, bound))
-    if capacity > len(engine.w0_mant):  # the pairs are published last
-        kappa_sequence(engine.src, capacity, max_terms=max_terms, engine=engine)
-    return capacity
-
-
 def _certified_tail(src: CoefficientSource, n: int) -> float:
     """src's a-priori bound on sum_{m >= n} kappa_m (tail_certificate), or
     inf where it has none."""
     cert = src.tail_certificate(n)
     return cert[2] if cert else math.inf
+
+
+
+
+class KappaTable:
+    """The kappa table of src (kappa_sequence on a z = 0 engine, which
+    computes only the entries past it), with the w_n(0) of F's terms, its
+    capacity and the ladder of counts it grows along.  The capacity starts
+    at max_terms; the first build that fails (budget, coefficient horizon or
+    no stable decay window) fixes it at the largest count that builds.
+    Every reader walks the ladder from its first rung (first), so the table
+    grows through one chain of counts (_FIRST_BUILD, then n + 6 per rung n)
+    whatever is asked of it, in whatever order.
+    """
+
+    def __init__(self, src: CoefficientSource, max_terms: int = 20000):
+        self.src = src
+        self.max_terms = max_terms
+        self.engine = TailSeriesEngine(src, 0.0)
+        self.capacity = max_terms  # lowered once, by the first failed build
+        # rung's ladder so far and the next count it tries, 0 once it ended
+        self.rungs: list[tuple[int, float, float]] = []
+        self.apriori: set[int] = set()  # its counts whose tail is a-priori
+        self._next_count = 16
+        self._rung_lock = threading.Lock()
+        # out_of_reach's counts known to build and the least known not to
+        self._reach = [0, max_terms + 1]
+
+    def grow(self, count: int) -> bool:
+        """Extend the table to at least ``count`` entries and _FIRST_BUILD;
+        False beyond the capacity, which depends on src and max_terms only,
+        so threads that race past the failed build find the same one."""
+        want = min(max(count, _FIRST_BUILD), self.capacity)
+        if want > len(self.engine.w0_mant):  # the pairs are published last
+            self._build(want)
+        return count <= self.capacity
+
+    def _build(self, count: int) -> None:
+        """Build ``count`` entries, or where that fails, fix the capacity and
+        build it.  Whether a candidate passes find_stop depends only on it,
+        so the stop of a smaller count is at most the failed build's own
+        (its ConvergenceError's stop, see _kappa_sums), or at most ``count``
+        where its search found none; the counts in between are bisected
+        (_builds, with the stop search capped there)."""
+        try:
+            kappa_sequence(self.src, count, max_terms=self.max_terms,
+                           engine=self.engine)
+            return
+        except ConvergenceError as exc:
+            bound = min(getattr(exc, "stop", count) + 1, self.max_terms)
+        # the counts that build come first: bisect for the first that fails
+        held = len(self.engine.kappas)
+        capacity = held + bisect.bisect_left(
+            range(held + 1, count), True,
+            key=lambda n: not self._builds(n, bound))
+        if capacity > len(self.engine.w0_mant):
+            kappa_sequence(self.src, capacity, max_terms=self.max_terms,
+                           engine=self.engine)
+        self.capacity = capacity
+
+    def _builds(self, count: int, bound: int | None = None) -> bool:
+        """Whether a build of ``count`` entries succeeds, from its stop search
+        capped at ``bound`` and its last entry's sums; publishes nothing."""
+        if count <= len(self.engine.kappas):
+            return True
+        try:
+            stop = self.engine.find_stop(1e-12, bound or self.max_terms,
+                                         min_terms=count + 1)
+            _kappa_sums(self.engine, count, self.max_terms, count - 1, stop)
+        except ConvergenceError:
+            return False
+        return True
+
+    def tail_upper(self, n_terms: int) -> tuple[float, bool] | None:
+        """(T, a_priori): T >= sum_{k>=n_terms} kappa_k from the observed
+        decay, or where its window is not below the cap, _certified_tail's
+        a-priori bound; None beyond the capacity."""
+        if not self.grow(n_terms + _RATIO_WINDOW + 1):
+            return None
+        k = self.engine.kappas
+        r = max(k[i + 1] / k[i] for i in range(n_terms - 1,
+                                               n_terms + _RATIO_WINDOW - 1))
+        if r >= _RATIO_CAP:
+            return _certified_tail(self.src, n_terms), True
+        return k[n_terms] / (1.0 - r), False
+
+    def out_of_reach(self, log_cap: float) -> bool:
+        """Whether no count within the capacity has an a-priori tail of at
+        most e^log_cap: the least that has one (bisected on _certified_tail,
+        which falls with the count) lies past the capacity's ceiling or does
+        not build (_builds; _reach keeps the counts known to build and the
+        least known not to).  Nothing is published, so the answer depends
+        on src, max_terms and log_cap only."""
+        def meets(n: int) -> bool:
+            t = _certified_tail(self.src, n)
+            return t == 0.0 or math.log(t) <= log_cap
+
+        ceiling = self.capacity - _RATIO_WINDOW - 1
+        if ceiling < 4 or not meets(ceiling):
+            return True
+        count = bisect.bisect_left(range(ceiling), True, key=meets) \
+            + _RATIO_WINDOW + 1
+        built, failed = self._reach
+        if count <= max(built, len(self.engine.kappas)):
+            return False
+        if count < failed:
+            if self._builds(count):
+                self._reach[0] = max(built, count)
+                return False
+            self._reach[1] = count
+        return True
+
+    def rung(self, i: int):
+        """The ladder's i-th (n, T_n, log T_n), or None past its end: the
+        counts 16, 32, 64, ..., the last the capacity's ceiling, with a
+        finite positive T_n = tail_upper(n) (a-priori for those in apriori).
+        Walked once, under _rung_lock, and no further than asked: a rung is
+        fixed once walked, as the table only grows and the capacity falls."""
+        rungs = self.rungs
+        if i < len(rungs):
+            return rungs[i]
+        with self._rung_lock:
+            n = self._next_count
+            while len(rungs) <= i and n:
+                ceiling = self.capacity - _RATIO_WINDOW - 1
+                n = min(n, ceiling)
+                tail = self.tail_upper(n) if n >= 4 else (0.0, False)
+                if tail is None:
+                    continue  # the failed build has lowered the capacity
+                t, a_priori = tail  # n < 4 ends the ladder with t = 0
+                if 0.0 < t < math.inf:
+                    if a_priori:  # before the rung: readers skip the lock
+                        self.apriori.add(n)
+                    rungs.append((n, t, math.log(t)))
+                n = 0 if n >= ceiling else min(2 * n, ceiling)
+            self._next_count = n
+        return rungs[i] if i < len(rungs) else None
+
+    def first(self, hit, log_cap: float) -> tuple[int, int | None]:
+        """(i, stop): walk the ladder from its first rung to the first rung
+        i that ``hit`` accepts, with stop None; else stop is the count an
+        uncertified plan reads: that of the first rung with an a-priori
+        tail, if out_of_reach(log_cap) holds there (asked there only), or
+        past the ladder's end the whole table.  Where the walk stops depends
+        on hit and log_cap only, not on the rungs walked before."""
+        ask, i = True, 0
+        while (rung := self.rung(i)) is not None:
+            if hit(rung):
+                return i, None
+            if ask and rung[0] in self.apriori:
+                if self.out_of_reach(log_cap):
+                    return i, rung[0]
+                ask = False
+            i += 1
+        return i, len(self.engine.w0_mant)
 
 
 @dataclass
@@ -444,22 +561,22 @@ class TraceInverse:
 
 def trace_inverse(src: CoefficientSource, atol: float, *,
                   max_terms: int = 20000,
-                  engine: TailSeriesEngine | None = None) -> TraceInverse:
-    """tr (J - shift)^{-1} = sum kappa_n, summed to a certified tail <= atol:
-    the decay window's, or where it fails the 0.9 cap, _certified_tail's.
-    The count doubles from 32 on one engine (given as for kappa_sequence,
-    or a new one), which computes each entry once."""
-    count = 32
-    if engine is None:
-        engine = TailSeriesEngine(src, 0.0)
-    while count <= max_terms:
-        seq = kappa_sequence(src, count, max_terms=max_terms, engine=engine)
-        tail = seq.tail_estimate if seq.decay_ratio < _RATIO_CAP \
-            else _certified_tail(src, count)
-        if tail <= atol:
-            return TraceInverse(value=seq.partial_sums[-1], tail_bound=tail,
-                                terms=count)
-        count *= 2
-    raise ConvergenceError(
-        f"trace tail not below {atol} within {max_terms} terms",
-        terms=max_terms)
+                  table: KappaTable | None = None) -> TraceInverse:
+    """tr (J - shift)^{-1} = sum kappa_n, summed to the first rung n of the
+    ladder of ``table`` (a KappaTable of src, ValueError otherwise; a new
+    one by default) whose tail T_n (KappaTable.tail_upper) is at most atol,
+    so it grows the table as F's plans do."""
+    if not 0.0 < atol < math.inf:
+        raise ValueError(f"atol must be finite and positive, got {atol!r}")
+    table = table or KappaTable(src, max_terms)
+    if table.src != src:
+        raise ValueError(f"table must be a KappaTable of {src!r}")
+    i, stop = table.first(lambda rung: rung[1] <= atol, math.log(atol))
+    if stop is not None:
+        raise ConvergenceError(
+            table.engine._horizon or
+            f"trace tail not below {atol} within {table.max_terms} terms",
+            terms=table.max_terms)
+    n, tail, _ = table.rungs[i]
+    *_, value = itertools.accumulate(table.engine.kappas[:n])
+    return TraceInverse(value=value, tail_bound=tail, terms=n)

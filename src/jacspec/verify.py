@@ -401,14 +401,15 @@ def check_sign_patterns(src) -> CheckResult:
 
 def check_kappa_monotonic(ev) -> CheckResult:
     try:
-        ev._grow(_N_MAX + 1)  # stops at the table's capacity
+        ev._table.grow(_N_MAX + 1)  # stops at the table's capacity
     except AssumptionViolation as exc:
         return _fail("kappa_positivity_monotonic", 0.0, str(exc))
-    kappas = ev._engine.kappas[:_N_MAX + 1]
+    eng = ev._table.engine
+    kappas = eng.kappas[:_N_MAX + 1]
     if not kappas:
-        return _skip("kappa_positivity_monotonic", 0.0, ev._engine._horizon
+        return _skip("kappa_positivity_monotonic", 0.0, eng._horizon
                      or "no kappa table builds within the term budget")
-    logs_p = ev._engine.log_p  # log|P_n(0)| of the build's own recurrence
+    logs_p = eng.log_p  # log|P_n(0)| of the build's own recurrence
     ratio_logs = [math.log(k) - 2.0 * logs_p[n] for n, k in enumerate(kappas)]
     # strict decrease means every successive log difference is negative
     worst = max((b - a for a, b in zip(ratio_logs, ratio_logs[1:])), default=0.0)
@@ -420,8 +421,8 @@ def check_per_term_bound(ev) -> CheckResult:
     """|w_n(0) P_n(z)| <= kappa_n U(R), R the power of two above |z|: the
     per-term bound of F's certificate, on the terms eval sums and the
     majorant U(R) >= F(-R) it plans with (charfn)."""
-    ev._grow(_PER_TERM_N_MAX + 1)  # stops at the table's capacity
-    kappas = ev._engine.kappas[:_PER_TERM_N_MAX + 1]
+    ev._table.grow(_PER_TERM_N_MAX + 1)  # stops at the table's capacity
+    kappas = ev._table.engine.kappas[:_PER_TERM_N_MAX + 1]
     zs = (-2.0, -0.5, 1.0, 3.0, complex(0.8, 1.1))
     us = [ev._majorant(charfn._radius(abs(z))) for z in zs]
     if math.inf in us:
@@ -455,8 +456,7 @@ def check_trace_reconciliation(ev, ctx) -> CheckResult:
     against tr J_M^{-1} <= tr J^{-1}, M twice its term count, in ctx: a gap
     of the kappa tail beyond M, with no model of the spectrum."""
     try:
-        tr = second_kind.trace_inverse(ev.src, 1e-8, max_terms=ev.max_terms,
-                                       engine=ev._engine)
+        tr = second_kind.trace_inverse(ev.src, 1e-8, table=ev._table)
     except ConvergenceError as exc:
         return _fail("trace_reconciliation", _TRACE_THRESHOLD, str(exc))
     m = 2 * tr.terms

@@ -164,7 +164,7 @@ def test_acceptance_5_structural_identity_suite():
         # estimate of the first 64 entries
         for src in (asc2, asc2_b):
             ev = js.CharFnEvaluator(src)
-            eng = ev._engine
+            eng = ev._table.engine
             s_up = js.kappa_sequence(src, 64, engine=eng).total_upper
             for z in (-2.0, -0.5, 1.0, 3.0, complex(0.8, 1.1)):
                 logs_z, _ = js.recurrence.log_table(src, z, 40)

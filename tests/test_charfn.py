@@ -102,8 +102,8 @@ def test_per_term_bound_on_grid(asc2_shifted):
     # |w_n(0) P_n(z)| = kappa_n |g_n(z)| <= kappa_n U(R), R the power of two
     # above |z|: the per-term majorant of F's certificate
     ev = js.CharFnEvaluator(asc2_shifted)
-    ev._grow(60)
-    eng = ev._engine
+    ev._table.grow(60)
+    eng = ev._table.engine
     for z in (-2.0, 1.0, 3.5, complex(1.0, 1.0)):
         u = ev._majorant(math.ldexp(1.0, math.frexp(abs(z))[1]))
         logs_z, _ = js.recurrence.log_table(asc2_shifted, z, 59)
@@ -226,12 +226,12 @@ def test_evaluator_shared_across_threads(asc2_shifted):
     finally:
         sys.setswitchinterval(interval)
     assert grown == serial
-    assert len(cold._engine.w0_mant) == len(cold._engine.w0_exp) \
-        == len(cold._engine.kappas)
+    assert len(cold._table.engine.w0_mant) == len(cold._table.engine.w0_exp) \
+        == len(cold._table.engine.kappas)
     # the engine and every eval thread grew the source's one coefficient
     # table: each index was published once, in its place
     table = _coeff_reader(cold.src).table
-    assert len(table) > len(cold._engine.kappas)
+    assert len(table) > len(cold._table.engine.kappas)
     assert table == [asc2_shifted.coeffs(i) for i in range(len(table))]
 
 
@@ -269,10 +269,13 @@ def test_eval_independent_of_table_growth_with_marked_builds(marked_builds, args
     lambda ev, atol: ev.eval(1.0, atol),
     lambda ev, atol: ev._grid([0.5, 1.0], atol, 400),
     lambda ev, atol: ev.certified_sign(1.0, atol),
-], ids=["plan_terms", "eval", "eval_grid", "certified_sign"])
+    lambda ev, atol: js.trace_inverse(ev.src, atol, table=ev._table),
+], ids=["plan_terms", "eval", "eval_grid", "certified_sign", "trace_inverse"])
 def test_atol_must_be_finite_and_positive(asc2_shifted, call, atol):
     # eval(1.0, 0.0) used to raise "math domain error"; eval(1.0, nan)
-    # returned an uncertified value with tail_bound 8.9e-247
+    # returned an uncertified value with tail_bound 8.9e-247; trace_inverse
+    # at 0.0, nan or -1e-9 grew the table to the coefficient horizon and
+    # raised ConvergenceError there
     with pytest.raises(ValueError, match="^atol must be finite and positive"):
         call(js.CharFnEvaluator(asc2_shifted), atol)
 
@@ -337,13 +340,13 @@ def test_failed_build_size_is_remembered(monkeypatch):
     # capacity once, at the largest count that builds, and grows the table
     # there, so no later call builds
     ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5))
-    assert ev._grow(64)
-    assert not ev._grow(5000)
-    assert ev._capacity == 850 == len(ev._engine.kappas)
+    assert ev._table.grow(64)
+    assert not ev._table.grow(5000)
+    assert ev._table.capacity == 850 == len(ev._table.engine.kappas)
     counts = _count_work(monkeypatch)
-    assert not ev._grow(5000)
-    assert not ev._grow(851)
-    assert ev._grow(100)
+    assert not ev._table.grow(5000)
+    assert not ev._table.grow(851)
+    assert ev._table.grow(100)
     assert counts["builds"] == 0
 
 
@@ -369,7 +372,7 @@ def test_incremental_builds_equal_builds_from_zero(monkeypatch, args, capacity):
     monkeypatch.setattr(second_kind, "_kappa_entries", recorded)
     ev = js.CharFnEvaluator(src)
     assert ev.plan_terms(1000.0, 1e-300)[0] is None
-    assert ev._capacity == capacity == len(ev._engine.kappas)
+    assert ev._table.capacity == capacity == len(ev._table.engine.kappas)
     monkeypatch.undo()
     assert any(new is None for *_, new in builds)
     assert any(start > 0 and new is not None for start, _, new in builds)
@@ -426,7 +429,7 @@ def test_capacity_is_the_largest_count_that_builds(monkeypatch, args, column,
     n_max = min(400, max_terms)
     rows = grid_rows(ev, zs, 1e-12, n_max)
     capacity = CAPACITIES[src][column]
-    assert ev._capacity == capacity == len(ev._engine.kappas)
+    assert ev._table.capacity == capacity == len(ev._table.engine.kappas)
     assert len(raised) == 1
     monkeypatch.undo()
     assert rows == scalar_rows(src, zs, 1e-12, n_max, max_terms)
@@ -442,12 +445,12 @@ def test_capacity_does_not_depend_on_the_growth_path(args):
     # the same capacity and the same table, bit for bit
     src = args
     direct = js.CharFnEvaluator(src)
-    assert not direct._grow(5000)
+    assert not direct._table.grow(5000)
     doubled = js.CharFnEvaluator(src)
     doubled.plan_terms(1000.0, 1e-300)
-    assert direct._capacity == doubled._capacity == CAPACITIES[src][0]
-    assert list(map(float.hex, direct._engine.kappas)) == \
-        list(map(float.hex, doubled._engine.kappas))
+    assert direct._table.capacity == doubled._table.capacity == CAPACITIES[src][0]
+    assert list(map(float.hex, direct._table.engine.kappas)) == \
+        list(map(float.hex, doubled._table.engine.kappas))
 
 
 @pytest.mark.parametrize("args, k", [((0.5, 0.5, 0.5), 8), ((0.9, 0.9, 0.0), 6)])
@@ -504,17 +507,18 @@ def test_tail_estimates_are_computed_once_per_size(monkeypatch, max_terms):
     plans = ((1.0, 1e-12), (60.0, 1e-12), (250.0, 1e-300))
     ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5), max_terms)
     first = [ev.plan_terms(z, atol) for z, atol in plans]
-    assert ev._capacity < max_terms and ev._next_count == 0
+    assert ev._table.capacity < max_terms and ev._table._next_count == 0
     grows = []
-    orig = ev._grow
-    monkeypatch.setattr(ev, "_grow", lambda count: grows.append(count) or orig(count))
+    orig = ev._table.grow
+    monkeypatch.setattr(ev._table, "grow",
+                        lambda count: grows.append(count) or orig(count))
     counts = _count_work(monkeypatch)
     assert [ev.plan_terms(z, atol) for z, atol in plans] == first
     assert grows == []
     assert counts["builds"] == 0
     fresh = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5), max_terms)
-    assert [(n, fresh._tail_upper(n)[0]) for n, _, _ in ev._rungs] == \
-        [(n, t) for n, t, _ in ev._rungs]
+    assert [(n, fresh._table.tail_upper(n)[0]) for n, _, _ in ev._table.rungs] == \
+        [(n, t) for n, t, _ in ev._table.rungs]
 
 
 @pytest.mark.parametrize("args, grid", [((0.5, 0.5, 0.5), (-1.0, 250.0)),
@@ -533,8 +537,8 @@ def test_plans_do_not_depend_on_the_order_of_their_points(args, grid, atol):
     for order in (zs, zs[::-1], shuffled):
         ev = js.CharFnEvaluator(js.ASC2Source(*args))
         plans = {z: ev.plan_terms(abs(z), atol) for z in order}
-        seen.append(([plans[z] for z in zs], ev._rungs, ev._capacity,
-                     list(map(float.hex, ev._engine.kappas))))
+        seen.append(([plans[z] for z in zs], ev._table.rungs, ev._table.capacity,
+                     list(map(float.hex, ev._table.engine.kappas))))
     assert seen[0] == seen[1] == seen[2]
     assert (None in [n for n, _ in seen[0][0]]) == (atol == 1e-300)
 
@@ -566,10 +570,10 @@ def test_capacity_does_not_depend_on_the_first_build(args, column, max_terms):
     tables = set()
     for first in (41, 64, 200):
         ev = js.CharFnEvaluator(src, max_terms)
-        ev._grow(first)
-        assert ev._capacity == (capacity if max(first, 64) > capacity
+        ev._table.grow(first)
+        assert ev._table.capacity == (capacity if max(first, 64) > capacity
                                 else max_terms)
-        tables.add(tuple(map(float.hex, ev._engine.kappas[:min(64, capacity)])))
+        tables.add(tuple(map(float.hex, ev._table.engine.kappas[:min(64, capacity)])))
     assert len(tables) == 1
 
 
@@ -584,7 +588,7 @@ def test_threads_growing_one_evaluator_keep_one_table():
     alone = js.CharFnEvaluator(src)
     want = [grid_rows(alone, zs, 1e-12, 400) for zs in grids]
     assert want == [scalar_rows(src, zs, 1e-12, 400) for zs in grids]
-    eng = alone._engine
+    eng = alone._table.engine
 
     def bits(e):
         return (list(map(float.hex, e.kappas)), list(map(float.hex, e.w0_mant)),
@@ -599,11 +603,11 @@ def test_threads_growing_one_evaluator_keep_one_table():
                 got = list(pool.map(
                     lambda zs: grid_rows(ev, zs, 1e-12, 400), grids))
             assert got == want
-            assert len(ev._engine.kappas) == len(ev._engine.w0_mant) \
-                == len(ev._engine.w0_exp)
-            assert bits(ev._engine) == bits(eng)
+            assert len(ev._table.engine.kappas) == len(ev._table.engine.w0_mant) \
+                == len(ev._table.engine.w0_exp)
+            assert bits(ev._table.engine) == bits(eng)
             # the ladder's rungs are walked once each, in order
-            assert ev._rungs == alone._rungs
+            assert ev._table.rungs == alone._table.rungs
     finally:
         sys.setswitchinterval(interval)
 
@@ -685,7 +689,7 @@ def test_majorant_is_computed_once_per_radius(monkeypatch):
     assert sorted(radii) == want == sorted(ev._majorants)
     assert want[0] == 0.5 and want[-1] == 256.0
     ev.eval(3.0)
-    assert ev._majorant(4.0) == ev._majorants[4.0]
+    assert ev._majorant(4.0) == ev._majorants[4.0][0]
     assert sorted(radii) == want
     empty = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5), max_terms=40)
     for _ in range(2):
@@ -762,11 +766,11 @@ def test_a_priori_tails_plan_where_no_window_passes():
     # times that; its certified values meet the closed form
     window = js.CharFnEvaluator(WindowOnly(0.9, 0.9, 0.0))
     assert window.plan_terms(1.5, 1e-17) == (None, math.inf)
-    assert (window._capacity, len(window._engine.log_t)) == (361, 5914)
+    assert (window._table.capacity, len(window._table.engine.log_t)) == (361, 5914)
     ev = js.CharFnEvaluator(js.ASC2Source(0.9, 0.9, 0.0))
     n_terms, log_bound = ev.plan_terms(1.5, 1e-17)
     assert n_terms == 1024 and log_bound <= math.log(1e-17)
-    assert len(ev._engine.log_t) <= 2 * n_terms
+    assert len(ev._table.engine.log_t) <= 2 * n_terms
     for z in (-1.0, 1.05, 1.5):
         v = ev.eval(z, 1e-17)
         assert v.certified
@@ -781,8 +785,12 @@ def test_a_priori_tails_stop_a_plan_no_count_can_meet():
     # no point of the charfn grid -1:2000:3 can certify.  The walks stop at
     # the rung where the closed form shows it, where they grew the table to
     # its 16,633 entries; the rung depends on the point alone, so the points
-    # in either order give the same values, on the grid path as on eval
+    # in either order give the same values, on the grid path as on eval.
+    # Past 2^1023, where R = inf, no tail is small enough: that plan raised
+    # "math domain error" at the first rung with an a-priori tail
     src = js.ASC2Source(0.99, 0.99, 0.0)
+    assert js.CharFnEvaluator(src).plan_terms(1.7e308, 1e-12) == \
+        (None, math.inf)
     zs = [-1.0, 999.5, 2000.0, 1.5]
     seen = []
     for order in (zs, zs[::-1]):
@@ -790,7 +798,7 @@ def test_a_priori_tails_stop_a_plan_no_count_can_meet():
         vals = {z: ev.eval(z, 1e-12) for z in order}
         seen.append([(vals[z].value.hex(), vals[z].terms_used,
                       vals[z].certified) for z in zs])
-        assert len(ev._engine.kappas) <= 2054
+        assert len(ev._table.engine.kappas) <= 2054
     assert seen[0] == seen[1]
     assert not any(certified for *_, certified in seen[0])
     assert grid_rows(js.CharFnEvaluator(src), zs, 1e-12, 400) == \

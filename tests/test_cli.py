@@ -274,15 +274,20 @@ def test_verify_zero_off_diagonal_fails_positivity(capsys, alphas, betas, cut):
 def test_verify_below_the_coefficient_horizon(capsys, q):
     # the coefficient pairs reach 2^900 at n = 46 (q = 1e-6) down to 23
     # (q = 1e-12): the float64 rows stop below it, where verify exited 4
-    # with no report.  The kappa trace's first 32 terms pass the horizon
-    # below q = 1e-6; at 1e-6 it reconciles, since the backward sums start
-    # below the horizon where j + 16 would pass it
+    # with no report.  The kappa trace reads the table's ladder from its
+    # first rung, 16 terms, or at q = 1e-12 the capacity's ceiling, 13;
+    # from a count of its own, 32, it passed the horizon below q = 1e-6
+    # and exited 3
     code, out, err = run_cli(capsys, "verify", "--q", q, "--a", q,
                              "--shift", "0")
     rows = {r["check"]: r for r in parse_csv(out)}
     assert len(rows) == 11
-    assert (code, rows["trace_reconciliation"]["status"]) == \
-        ((0, "pass") if q == "1e-6" else (3, "FAIL"))
+    assert code == 0
+    assert {r["status"] for r in rows.values()} == {"pass"}
+    terms = 13 if q == "1e-12" else 16
+    assert rows["trace_reconciliation"]["note"] == \
+        f"{terms} kappa terms, {2 * terms} x {2 * terms} block"
+    assert float(rows["trace_reconciliation"]["max_residual"]) <= 2.3e-16
     assert "coefficient horizon" in rows["sign_patterns"]["note"] \
         or q == "1e-6"
 
@@ -483,8 +488,9 @@ def test_verify_at_tiny_q_reports_every_row(capsys, q, capacity):
     # the coefficients leave the float range near n = 68 at q = 1e-4: the
     # kappa table stops at its capacity and the kappa rows test what it
     # holds, where verify used to exit 4 with no report.  The trace row
-    # reconciles 32 kappa terms with the 64 x 64 block's trace, where it
-    # failed because the oracle ladder could not stabilize 12 roots
+    # reconciles the ladder's first rung, 16 kappa terms, with the 32 x 32
+    # block's trace, where it failed because the oracle ladder could not
+    # stabilize 12 roots
     code, out, err = run_cli(capsys, "verify", "--family", "asc2", "--q",
                              str(q), "--a", str(q), "--shift", "0")
     rows = {r["check"]: r for r in parse_csv(out)}
@@ -493,7 +499,7 @@ def test_verify_at_tiny_q_reports_every_row(capsys, q, capacity):
     assert (code, failed) == (0, set())
     if capacity is None:
         return
-    assert rows["trace_reconciliation"]["note"] == "32 kappa terms, 64 x 64 block"
+    assert rows["trace_reconciliation"]["note"] == "16 kappa terms, 32 x 32 block"
     assert rows["kappa_positivity_monotonic"]["note"] == \
         f"n <= {min(40, capacity - 1)}"
     assert rows["per_term_growth_bound"]["note"] == \

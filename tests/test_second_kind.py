@@ -367,13 +367,14 @@ def test_capacity_reads_the_stop_the_failed_build_found(args, max_terms,
     # here the failed build's stop lies past its count and the sums from it
     # fail; smaller counts with that same stop build, so the capacity search
     # must look up to that stop, not only up to the failed count
-    from jacspec.second_kind import TailSeriesEngine, _grow_kappas
+    from jacspec.second_kind import KappaTable
     src = js.ASC2Source(*args)
-    eng = TailSeriesEngine(src, 0.0)
+    table = KappaTable(src, max_terms)
     with pytest.raises(js.ConvergenceError) as exc:
-        js.kappa_sequence(src, failed, max_terms=max_terms, engine=eng)
+        js.kappa_sequence(src, failed, max_terms=max_terms, engine=table.engine)
     assert exc.value.stop == stop
-    assert _grow_kappas(eng, failed, max_terms) == capacity == len(eng.kappas)
+    table._build(failed)
+    assert table.capacity == capacity == len(table.engine.kappas)
     js.kappa_sequence(src, capacity, max_terms=max_terms)
     with pytest.raises(js.ConvergenceError):
         js.kappa_sequence(src, capacity + 1, max_terms=max_terms)
@@ -436,11 +437,7 @@ def _kappas_through(engine, src):
     return js.kappa_sequence(src, 10, engine=engine).kappas
 
 
-def _trace_through(engine, src):
-    return js.trace_inverse(src, 1e-8, engine=engine).value
-
-
-@pytest.mark.parametrize("call", [_kappas_through, _trace_through])
+@pytest.mark.parametrize("call", [_kappas_through])
 def test_an_engine_of_another_source_is_rejected(call):
     # it returned the kappas of (0.3, 0.3, 0): kappa_0 0.912... where the
     # source's is 1.422...
@@ -451,7 +448,7 @@ def test_an_engine_of_another_source_is_rejected(call):
     assert other.kappas == []
 
 
-@pytest.mark.parametrize("call", [_kappas_through, _trace_through])
+@pytest.mark.parametrize("call", [_kappas_through])
 def test_an_engine_away_from_zero_is_rejected(call):
     # at z = -1 it returned positive numbers that are not kappas
     from jacspec.second_kind import TailSeriesEngine
@@ -497,7 +494,7 @@ def test_backward_sums_start_below_the_coefficient_horizon():
 
 def test_trace_inverse_takes_the_certified_tail_where_the_window_fails():
     # at (0.9, 0.9, 0) no kappa window passes the 0.9 cap, so on the window
-    # alone the count doubles until a build meets the coefficient horizon;
+    # alone the ladder has no rung, and the coefficient horizon ends it;
     # the tail certificate bounds sum_{n >= 256} kappa_n by 1.9e-10 and
     # brackets tr J^{-1} = sum 0.9^n = 10
     from jacspec.second_kind import _certified_tail
@@ -508,3 +505,44 @@ def test_trace_inverse_takes_the_certified_tail_where_the_window_fails():
     assert tr.terms == 256
     assert tr.tail_bound == _certified_tail(src, 256) <= 1e-8
     assert tr.value <= 10.0 <= tr.value + tr.tail_bound + 1e-13
+
+
+def test_a_table_of_another_source_is_rejected():
+    # the trace of (0.3, 0.3, 0) is not that of (0.5, 0.5, 0.5); an equal
+    # source passes and gives a new table's sum
+    from jacspec.second_kind import KappaTable
+    src = js.ASC2Source(0.5, 0.5, 0.5)
+    other = KappaTable(js.ASC2Source(0.3, 0.3, 0.0))
+    with pytest.raises(ValueError, match="^table must be a KappaTable of"):
+        js.trace_inverse(src, 1e-8, table=other)
+    assert other.engine.kappas == []
+    equal = KappaTable(js.ASC2Source(0.5, 0.5, 0.5))
+    assert js.trace_inverse(src, 1e-8, table=equal) == \
+        js.trace_inverse(src, 1e-8)
+
+
+@pytest.mark.parametrize("args, size", [((0.95, 0.95, 0.0), 11489),
+                                        ((0.99, 0.99, 0.0), 4102)])
+def test_trace_first_leaves_the_table_a_plan_builds(args, size):
+    # the trace walks the table's own ladder, so a table it grew before a
+    # plan is the one the plan grows before it, bit for bit, and holds the
+    # table the plan grows alone; when the trace doubled a count of its own
+    # from 32, 5 entries of 11,489 differed at (0.95, 0.95, 0), and 8 at
+    # (0.99, 0.99, 0).  There the trace needs the rung 4,096 (T_2048 is
+    # 1.2e-5), past the plan's 2,048, where no point certifies
+    src = js.ASC2Source(*args)
+    tables = []
+    for trace_first in (True, False):
+        ev = js.CharFnEvaluator(src)
+        if trace_first:
+            js.trace_inverse(src, 1e-8, table=ev._table)
+        ev.plan_terms(900.0, 1e-12)
+        if not trace_first:
+            js.trace_inverse(src, 1e-8, table=ev._table)
+        tables.append(list(map(float.hex, ev._table.engine.kappas)))
+    alone = js.CharFnEvaluator(src)
+    alone.plan_terms(900.0, 1e-12)
+    planned = list(map(float.hex, alone._table.engine.kappas))
+    assert tables[0] == tables[1]
+    assert len(tables[0]) == size
+    assert tables[0][:len(planned)] == planned
