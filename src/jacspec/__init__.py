@@ -10,8 +10,8 @@ from .charfn import CharFnEvaluator, CharFnValue, charfn_ratio
 from .errors import AssumptionViolation, ConvergenceError
 from .qseries import (QParams, phi1_closed_form_check, qbinomial_check,
                       qgauss_check, qpoch_inf, spectrum_product_reference)
-from .second_kind import (KappaSequence, SecondKindTable, TraceInverse,
-                          kappa_sequence, second_kind_values, trace_inverse)
+from .second_kind import (SecondKindTable, TraceInverse, kappa_sequence,
+                          second_kind_values, trace_inverse)
 from .sources import ASC2Source, CoefficientSource, TableSource
 from .spectrum import (SpectrumResult, TruncatedTridiagonal, find_spectrum,
                        sturm_counts, sturm_eigenvalues)
@@ -25,7 +25,6 @@ __all__ = [
     "CheckResult",
     "CoefficientSource",
     "ConvergenceError",
-    "KappaSequence",
     "QParams",
     "SecondKindTable",
     "SpectrumResult",

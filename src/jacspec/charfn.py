@@ -71,11 +71,15 @@ class CharFnValue:
 
 
 class _Plan(NamedTuple):
-    """Term plan of one z."""
+    """Term plan of one z (CharFnEvaluator._search)."""
 
     n_terms: int
-    tail_bound: float  # exp(log_bound) of plan_terms
+    log_bound: float
     certified: bool
+
+    @property
+    def tail_bound(self) -> float:
+        return math.exp(self.log_bound) if self.log_bound < 709 else math.inf
 
 
 class CharFnEvaluator:
@@ -122,7 +126,7 @@ class CharFnEvaluator:
             if u == math.inf and stop not in table.apriori:
                 while table.rung(i) is not None:
                     i += 1
-                stop = len(table.engine.w0_mant)
+                stop = len(table.w0_mant)
         self._majorants[radius] = u, stop
         return u
 
@@ -137,15 +141,15 @@ class CharFnEvaluator:
         table has reached its capacity, or where the source's a-priori
         tails show that no count within it reaches atol (_search).
         """
-        n_terms, log_bound, certified = self._search(z_abs, atol)
-        return (n_terms if certified else None), log_bound
+        plan = self._search(z_abs, atol)
+        return (plan.n_terms if plan.certified else None), plan.log_bound
 
-    def _search(self, z_abs: float, atol: float):
-        """plan_terms as (count, log_bound, certified), where an uncertified
-        plan's count is the whole table, then at its capacity, or the count
-        of the rung with an a-priori tail at which the walk stopped
-        (KappaTable.first, here or in _majorant).  Where the walk stops
-        depends on z_abs and atol only, not on the rungs walked before."""
+    def _search(self, z_abs: float, atol: float) -> _Plan:
+        """plan_terms as a _Plan, where an uncertified plan's count is the
+        whole table, then at its capacity, or the count of the rung with an
+        a-priori tail at which the walk stopped (KappaTable.first, here or
+        in _majorant).  Where the walk stops depends on z_abs and atol
+        only, not on the rungs walked before."""
         if not 0.0 < atol < math.inf:
             raise ValueError(f"atol must be finite and positive, got {atol!r}")
         if not 0.0 <= z_abs < math.inf:
@@ -155,7 +159,7 @@ class CharFnEvaluator:
             radius = _radius(z_abs)
             u = self._majorant(radius)
             if u == math.inf:
-                return self._majorants[radius][1], math.inf, False
+                return _Plan(self._majorants[radius][1], math.inf, False)
             log_scale = math.log(z_abs) + math.log(u)
         log_target = math.log(atol)
         table = self._table
@@ -163,24 +167,17 @@ class CharFnEvaluator:
                               log_target - log_scale)
         walked = table.rungs[:i + 1]
         if stop is None:
-            return walked[i][0], log_scale + walked[i][2], True
+            return _Plan(walked[i][0], log_scale + walked[i][2], True)
         best = min((log_scale + rung[2] for rung in walked), default=math.inf)
-        return stop, best, False
+        return _Plan(stop, best, False)
 
     # -- evaluation ---------------------------------------------------------
-
-    def _plan(self, z_abs: float, atol: float) -> _Plan:
-        """_search's count, bound and certified flag of one point."""
-        n_terms, log_bound, certified = self._search(z_abs, atol)
-        return _Plan(n_terms,
-                     math.exp(log_bound) if log_bound < 709 else math.inf,
-                     certified)
 
     def eval(self, z, atol: float = 1e-12) -> CharFnValue:
         """Certified partial-sum evaluation of F(z)."""
         if z == 0:
             return _at_origin(z, "partial_sum", True)
-        plan = self._plan(abs(z), atol)
+        plan = self._search(abs(z), atol)
         terms = self._terms(z, plan.n_terms)
         max_term = max((abs(t) for t in terms), default=0.0)
         if isinstance(z, complex):
@@ -198,8 +195,7 @@ class CharFnEvaluator:
     def _terms(self, z, n_terms: int) -> list:
         """The first n_terms terms w_n(0) P_n(z) of F's sum, each formed by
         one multiply and one ldexp (a signed inf beyond the float range)."""
-        eng = self._table.engine
-        mant, exps = eng.w0_mant, eng.w0_exp
+        mant, exps = self._table.w0_mant, self._table.w0_exp
         scale = _ldexp_complex if isinstance(z, complex) else _ldexp_inf
         terms = []
         for n, u, v, ls in _scaled_iter(_coeff_reader(self.src), z):
@@ -222,19 +218,19 @@ class CharFnEvaluator:
         terms stay within _GRID_BLOCK_BYTES, one column-wise recurrence per
         block (_sweep).
         """
-        plans = [self._plan(abs(z), atol) if z != 0 else _Plan(0, 0.0, True)
-                 for z in zs]
+        plans = [self._search(abs(z), atol) if z != 0
+                 else _Plan(0, -math.inf, True) for z in zs]
         live = sorted((j for j, z in enumerate(zs) if z != 0),
                       key=lambda j: -plans[j].n_terms)
         values, ratios = [1.0] * len(zs), [1.0] * len(zs)
         top = plans[live[0]].n_terms if live else 0
         width = max(1, _GRID_BLOCK_BYTES // (8 * max(top, 1)))
-        read, eng = _coeff_reader(self.src), self._table.engine
+        read, table = _coeff_reader(self.src), self._table
         for start in range(0, len(live), width):
             block = live[start:start + width]
             sums, block_ratios = _sweep(read, [zs[j] for j in block],
                                         [plans[j].n_terms for j in block],
-                                        eng.w0_mant, eng.w0_exp, n_max)
+                                        table.w0_mant, table.w0_exp, n_max)
             for j, total, ratio in zip(block, sums, block_ratios):
                 values[j], ratios[j] = 1.0 - zs[j] * total, ratio
         return values, plans, ratios
@@ -319,7 +315,9 @@ def _sweep(read, zs: list[float], counts: list[int], mant: list[float],
     terms = np.zeros(start[-1])
     k = len(zs)
     ls_seen, ls_exp = None, None
-    with np.errstate(over="ignore"):  # an overflowing term is a signed inf
+    # an overflowing term is a signed inf; past about 1e307 the column
+    # recurrence meets inf - inf, and those points are nan, as eval's are
+    with np.errstate(over="ignore", invalid="ignore"):
         for n, u, ls in _scaled_columns(read, np.array(zs + [0.0])):
             if n <= n_max:
                 if u[-1] == 0:

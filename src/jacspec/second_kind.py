@@ -13,11 +13,11 @@ the observed term-ratio decay: the stopping rule requires the ratio to sit
 below 0.9 over a five-term window, then bounds the tail geometrically; at
 z = 0, where that window fails, the source's a-priori ratio bound
 (CoefficientSource.tail_certificate) stands in for it.
-Since S_n depends only on the sums above it, kappa_sequence grows the
-kappa table a z = 0 engine holds by its new entries only (_kappa_entries).
-KappaTable owns that table, with the w_n(0) of F's terms beside it, its
-capacity and the ladder of counts it grows along, which CharFnEvaluator's
-plans and trace_inverse both walk.
+Since S_n depends only on the sums above it, kappa_sequence grows a
+KappaTable by its new entries only (_kappa_entries).  The table holds those
+entries, with the w_n(0) of F's terms beside them, its capacity and the
+ladder of counts it grows along, which CharFnEvaluator's plans and
+trace_inverse both walk.
 """
 
 from __future__ import annotations
@@ -52,13 +52,10 @@ class TailSeriesEngine:
 
     Holds log|P_j(z)|, sign P_j(z) and the implied series terms
     t_j = 1/(alpha_j P_j P_{j+1}) with their ratios |t_{j+1}/t_j|, each ratio
-    formed once as its term is built.  Shared between the second-kind table,
-    the kappa sequence and the characteristic-function evaluator; each prefix
-    is immutable once built, so concurrent readers are safe.  coeffs is
-    src's coefficient table (_coeff_reader), with alpha_j.  kappas is
-    kappa_sequence's table, with w_n(0) = w0_mant[n] 2^w0_exp[n] beside it,
-    grown by one build at a time under _kappa_lock, which is taken before
-    the growth lock; w0_mant is extended last: its length is the table's.
+    formed once as its term is built.  coeffs is src's coefficient table
+    (_coeff_reader), with alpha_j.  Each prefix is immutable once built, so
+    readers of built indices are safe; growth is not, and a shared engine
+    (a KappaTable's) grows only under its owner's lock.
     """
 
     def __init__(self, src: CoefficientSource, z):
@@ -67,7 +64,6 @@ class TailSeriesEngine:
         self.z = z
         self.coeffs = _coeff_reader(src).table
         self._iter = _scaled_iter(_coeff_reader(src), z)
-        self._grow_lock = threading.Lock()  # generators are not reentrant
         self.log_p: list[float] = []
         self.sgn_p: list = []
         self.log_t: list[float] = []
@@ -77,10 +73,6 @@ class TailSeriesEngine:
         # the a-priori ratio bound find_stop falls back on at z = 0, else inf
         cert = src.tail_certificate(0) if z == 0 else None
         self._cert_ratio = cert[0] if cert else math.inf
-        self._kappa_lock = threading.Lock()
-        self.kappas: list[float] = []
-        self.w0_exp: list[int] = []
-        self.w0_mant: list[float] = []
 
     def ensure_terms(self, count: int) -> None:
         """Extend so that terms t_0 .. t_{count-1} are available.
@@ -88,39 +80,36 @@ class TailSeriesEngine:
         Raises ConvergenceError once the coefficient family leaves the float
         range (the working-precision horizon); everything already built stays
         valid, and every later call that needs more terms raises the same
-        error.  Prefixes are append-only, so readers of already-published
-        indices never need the growth lock.
+        error.
         """
         log_p, sgn_p, log_t = self.log_p, self.sgn_p, self.log_t
         if len(log_t) >= count:
             return
         log, exp_cap, coeffs = math.log, _exp_cap, self.coeffs
-        with self._grow_lock:
-            while len(log_t) < count:
-                if self._horizon is not None:
-                    raise ConvergenceError(self._horizon, terms=len(log_t))
-                try:
-                    n, u, v, ls = next(self._iter)
-                except ConvergenceError as exc:
-                    # the generator is finished once it raises; keep only the
-                    # message, since a kept traceback would pin its frames
-                    self._horizon = str(exc)
-                    continue
-                log_p.append(ls + log(abs(u)) if u != 0 else -math.inf)
-                sgn_p.append(_phase(u))
-                if n >= 1:
-                    j = n - 1  # the reader holds alpha_j since step j
-                    lt = -(log(coeffs[j][0]) + log_p[j] + log_p[n])
-                    if j >= 1:
-                        prev = log_t[j - 1]
-                        if prev == -math.inf:
-                            self.ratios.append(math.inf if lt > -math.inf else 0.0)
-                        else:
-                            self.ratios.append(exp_cap(lt - prev))
-                    # t_j carries the INVERSE phase of P_j P_{j+1}
-                    self.sgn_t.append(1.0 / (sgn_p[j] * sgn_p[n]))
-                    # log_t is published last: its length is what readers check
-                    log_t.append(lt)
+        while len(log_t) < count:
+            if self._horizon is not None:
+                raise ConvergenceError(self._horizon, terms=len(log_t))
+            try:
+                n, u, v, ls = next(self._iter)
+            except ConvergenceError as exc:
+                # the generator is finished once it raises; keep only the
+                # message, since a kept traceback would pin its frames
+                self._horizon = str(exc)
+                continue
+            log_p.append(ls + log(abs(u)) if u != 0 else -math.inf)
+            sgn_p.append(_phase(u))
+            if n >= 1:
+                j = n - 1  # the reader holds alpha_j since step j
+                lt = -(log(coeffs[j][0]) + log_p[j] + log_p[n])
+                if j >= 1:
+                    prev = log_t[j - 1]
+                    if prev == -math.inf:
+                        self.ratios.append(math.inf if lt > -math.inf else 0.0)
+                    else:
+                        self.ratios.append(exp_cap(lt - prev))
+                # t_j carries the INVERSE phase of P_j P_{j+1}
+                self.sgn_t.append(1.0 / (sgn_p[j] * sgn_p[n]))
+                log_t.append(lt)
 
     def term_ratio(self, j: int):
         """Signed ratio t_{j+1} / t_j."""
@@ -334,60 +323,35 @@ def _kappa_entries(engine: TailSeriesEngine, start: int, count: int,
     return kappas
 
 
-@dataclass
-class KappaSequence:
-    """kappa_n = w_n(0) P_n(0) > 0 with partial sums and an empirical tail."""
-
-    kappas: list[float]
-    partial_sums: list[float]
-    tail_estimate: float
-    decay_ratio: float
-
-    @property
-    def total_upper(self) -> float:
-        """Upper estimate of sum kappa_n = tr (J - shift)^{-1}."""
-        return self.partial_sums[-1] + self.tail_estimate
-
-
-def _summary(kappas: list[float]) -> KappaSequence:
-    """KappaSequence of the leading entries ``kappas`` of a table."""
-    count = len(kappas)
-    sums = list(itertools.accumulate(kappas))
-    decay = max((kappas[i + 1] / kappas[i]
-                 for i in range(max(0, count - 1 - _RATIO_WINDOW), count - 1)),
-                default=1.0)
-    tail = kappas[-1] * decay / (1.0 - decay) if decay < 1.0 else math.inf
-    return KappaSequence(kappas=kappas, partial_sums=sums, tail_estimate=tail,
-                         decay_ratio=decay)
-
-
 def kappa_sequence(src: CoefficientSource, count: int, *,
                    max_terms: int = 20000,
-                   engine: TailSeriesEngine | None = None) -> KappaSequence:
-    """First ``count`` kappa values with partial sums and a decay-based tail.
+                   table: KappaTable | None = None) -> list[float]:
+    """The first ``count`` entries kappa_n = w_n(0) P_n(0) of src's kappa
+    table, built under its lock.
 
-    A bare call builds exactly ``count`` entries; its top ones can differ by
-    an ulp from a larger build's, while CharFnEvaluator's tables start at 64
-    entries and agree bit for bit.  engine, when given, is a z = 0
-    TailSeriesEngine of src (ValueError otherwise) whose entries are kept,
-    so calls on it compute each entry once, one build at a time.  Signals
-    AssumptionViolation if a computed kappa is not positive.
+    table, when given, is a KappaTable of src (ValueError otherwise), with
+    its own max_terms, that keeps its entries, so calls on it compute each
+    entry once, one build at a time.  A bare call builds exactly ``count``
+    entries; its top ones can differ by an ulp from a larger build's, while
+    KappaTable.grow starts at _FIRST_BUILD entries and agrees bit for bit.
+    Signals AssumptionViolation if a computed kappa is not positive.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    eng = TailSeriesEngine(src, 0.0) if engine is None else engine
-    if eng.src != src or eng.z != 0:
-        raise ValueError(f"engine must be a z = 0 TailSeriesEngine of {src!r}")
-    with eng._kappa_lock:
-        held = len(eng.kappas)
+    table = table or KappaTable(src, max_terms)
+    if table.src != src:
+        raise ValueError(f"table must be a KappaTable of {src!r}")
+    eng = table.engine
+    with table._lock:
+        held = len(table.kappas)
         if count > held:
-            eng.kappas.extend(_kappa_entries(eng, held, count, max_terms))
+            table.kappas.extend(_kappa_entries(eng, held, count, table.max_terms))
             for n in range(held, count):
-                lw = math.log(eng.kappas[n]) - eng.log_p[n]  # log |w_n(0)|
+                lw = math.log(table.kappas[n]) - eng.log_p[n]  # log |w_n(0)|
                 e = math.floor(lw / _LN2)
-                eng.w0_exp.append(e)
-                eng.w0_mant.append(eng.sgn_p[n] * math.exp(lw - e * _LN2))
-    return _summary(eng.kappas[:count])
+                table.w0_exp.append(e)
+                table.w0_mant.append(eng.sgn_p[n] * math.exp(lw - e * _LN2))
+    return table.kappas[:count]
 
 
 def _certified_tail(src: CoefficientSource, n: int) -> float:
@@ -397,40 +361,45 @@ def _certified_tail(src: CoefficientSource, n: int) -> float:
     return cert[2] if cert else math.inf
 
 
-
-
 class KappaTable:
-    """The kappa table of src (kappa_sequence on a z = 0 engine, which
-    computes only the entries past it), with the w_n(0) of F's terms, its
-    capacity and the ladder of counts it grows along.  The capacity starts
+    """The kappa table of src: kappas[n] = kappa_n, with w_n(0) =
+    w0_mant[n] 2^w0_exp[n] of F's terms beside it, grown by kappa_sequence
+    on a z = 0 engine, which computes only the entries past those held; its
+    capacity; and the ladder of counts it grows along.  The capacity starts
     at max_terms; the first build that fails (budget, coefficient horizon or
     no stable decay window) fixes it at the largest count that builds.
     Every reader walks the ladder from its first rung (first), so the table
     grows through one chain of counts (_FIRST_BUILD, then n + 6 per rung n)
-    whatever is asked of it, in whatever order.
+    whatever is asked of it, in whatever order.  One lock guards every
+    change: builds, the capacity, the rungs and out_of_reach's memo.  The
+    entries are append-only, so readers of built ones need no lock;
+    w0_mant is extended last, so its length is the table's for them.
     """
 
     def __init__(self, src: CoefficientSource, max_terms: int = 20000):
         self.src = src
         self.max_terms = max_terms
         self.engine = TailSeriesEngine(src, 0.0)
+        self.kappas: list[float] = []
+        self.w0_mant: list[float] = []
+        self.w0_exp: list[int] = []
         self.capacity = max_terms  # lowered once, by the first failed build
         # rung's ladder so far and the next count it tries, 0 once it ended
         self.rungs: list[tuple[int, float, float]] = []
         self.apriori: set[int] = set()  # its counts whose tail is a-priori
         self._next_count = 16
-        self._rung_lock = threading.Lock()
+        self._lock = threading.RLock()
         # out_of_reach's counts known to build and the least known not to
         self._reach = [0, max_terms + 1]
 
     def grow(self, count: int) -> bool:
         """Extend the table to at least ``count`` entries and _FIRST_BUILD;
-        False beyond the capacity, which depends on src and max_terms only,
-        so threads that race past the failed build find the same one."""
-        want = min(max(count, _FIRST_BUILD), self.capacity)
-        if want > len(self.engine.w0_mant):  # the pairs are published last
-            self._build(want)
-        return count <= self.capacity
+        False beyond the capacity, which depends on src and max_terms only."""
+        with self._lock:
+            want = min(max(count, _FIRST_BUILD), self.capacity)
+            if want > len(self.kappas):
+                self._build(want)
+            return count <= self.capacity
 
     def _build(self, count: int) -> None:
         """Build ``count`` entries, or where that fails, fix the capacity and
@@ -440,25 +409,23 @@ class KappaTable:
         where its search found none; the counts in between are bisected
         (_builds, with the stop search capped there)."""
         try:
-            kappa_sequence(self.src, count, max_terms=self.max_terms,
-                           engine=self.engine)
+            kappa_sequence(self.src, count, table=self)
             return
         except ConvergenceError as exc:
             bound = min(getattr(exc, "stop", count) + 1, self.max_terms)
         # the counts that build come first: bisect for the first that fails
-        held = len(self.engine.kappas)
+        held = len(self.kappas)
         capacity = held + bisect.bisect_left(
             range(held + 1, count), True,
             key=lambda n: not self._builds(n, bound))
-        if capacity > len(self.engine.w0_mant):
-            kappa_sequence(self.src, capacity, max_terms=self.max_terms,
-                           engine=self.engine)
+        if capacity > held:
+            kappa_sequence(self.src, capacity, table=self)
         self.capacity = capacity
 
     def _builds(self, count: int, bound: int | None = None) -> bool:
         """Whether a build of ``count`` entries succeeds, from its stop search
         capped at ``bound`` and its last entry's sums; publishes nothing."""
-        if count <= len(self.engine.kappas):
+        if count <= len(self.kappas):
             return True
         try:
             stop = self.engine.find_stop(1e-12, bound or self.max_terms,
@@ -474,7 +441,7 @@ class KappaTable:
         a-priori bound; None beyond the capacity."""
         if not self.grow(n_terms + _RATIO_WINDOW + 1):
             return None
-        k = self.engine.kappas
+        k = self.kappas
         r = max(k[i + 1] / k[i] for i in range(n_terms - 1,
                                                n_terms + _RATIO_WINDOW - 1))
         if r >= _RATIO_CAP:
@@ -486,37 +453,39 @@ class KappaTable:
         most e^log_cap: the least that has one (bisected on _certified_tail,
         which falls with the count) lies past the capacity's ceiling or does
         not build (_builds; _reach keeps the counts known to build and the
-        least known not to).  Nothing is published, so the answer depends
+        least known not to).  No entry is published, so the answer depends
         on src, max_terms and log_cap only."""
         def meets(n: int) -> bool:
             t = _certified_tail(self.src, n)
             return t == 0.0 or math.log(t) <= log_cap
 
-        ceiling = self.capacity - _RATIO_WINDOW - 1
-        if ceiling < 4 or not meets(ceiling):
-            return True
-        count = bisect.bisect_left(range(ceiling), True, key=meets) \
-            + _RATIO_WINDOW + 1
-        built, failed = self._reach
-        if count <= max(built, len(self.engine.kappas)):
-            return False
-        if count < failed:
-            if self._builds(count):
-                self._reach[0] = max(built, count)
+        with self._lock:
+            ceiling = self.capacity - _RATIO_WINDOW - 1
+            if ceiling < 4 or not meets(ceiling):
+                return True
+            count = bisect.bisect_left(range(ceiling), True, key=meets) \
+                + _RATIO_WINDOW + 1
+            built, failed = self._reach
+            if count <= max(built, len(self.kappas)):
                 return False
-            self._reach[1] = count
-        return True
+            if count < failed:
+                if self._builds(count):
+                    self._reach[0] = max(built, count)
+                    return False
+                self._reach[1] = count
+            return True
 
     def rung(self, i: int):
         """The ladder's i-th (n, T_n, log T_n), or None past its end: the
         counts 16, 32, 64, ..., the last the capacity's ceiling, with a
         finite positive T_n = tail_upper(n) (a-priori for those in apriori).
-        Walked once, under _rung_lock, and no further than asked: a rung is
-        fixed once walked, as the table only grows and the capacity falls."""
+        Walked once, under the table's lock, and no further than asked: a
+        rung is fixed once walked, as the table only grows and the capacity
+        falls."""
         rungs = self.rungs
         if i < len(rungs):
             return rungs[i]
-        with self._rung_lock:
+        with self._lock:
             n = self._next_count
             while len(rungs) <= i and n:
                 ceiling = self.capacity - _RATIO_WINDOW - 1
@@ -549,7 +518,7 @@ class KappaTable:
                     return i, rung[0]
                 ask = False
             i += 1
-        return i, len(self.engine.w0_mant)
+        return i, len(self.w0_mant)
 
 
 @dataclass
@@ -578,5 +547,5 @@ def trace_inverse(src: CoefficientSource, atol: float, *,
             f"trace tail not below {atol} within {table.max_terms} terms",
             terms=table.max_terms)
     n, tail, _ = table.rungs[i]
-    *_, value = itertools.accumulate(table.engine.kappas[:n])
+    *_, value = itertools.accumulate(table.kappas[:n])
     return TraceInverse(value=value, tail_bound=tail, terms=n)

@@ -606,7 +606,7 @@ def _below_noise(evaluator, x0, slope, tol, atol):
     """
     x0 = max(x0, 0.0)
     n0 = evaluator.plan_terms(x0, atol)[0]
-    floor = _NOISE_EPS * math.sqrt(n0) * (1.0 + x0 * evaluator._table.engine.kappas[0])
+    floor = _NOISE_EPS * math.sqrt(n0) * (1.0 + x0 * evaluator._table.kappas[0])
     return 2.0 * 16.0 * tol * slope < floor
 
 

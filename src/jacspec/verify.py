@@ -405,7 +405,7 @@ def check_kappa_monotonic(ev) -> CheckResult:
     except AssumptionViolation as exc:
         return _fail("kappa_positivity_monotonic", 0.0, str(exc))
     eng = ev._table.engine
-    kappas = eng.kappas[:_N_MAX + 1]
+    kappas = ev._table.kappas[:_N_MAX + 1]
     if not kappas:
         return _skip("kappa_positivity_monotonic", 0.0, eng._horizon
                      or "no kappa table builds within the term budget")
@@ -422,7 +422,7 @@ def check_per_term_bound(ev) -> CheckResult:
     per-term bound of F's certificate, on the terms eval sums and the
     majorant U(R) >= F(-R) it plans with (charfn)."""
     ev._table.grow(_PER_TERM_N_MAX + 1)  # stops at the table's capacity
-    kappas = ev._table.engine.kappas[:_PER_TERM_N_MAX + 1]
+    kappas = ev._table.kappas[:_PER_TERM_N_MAX + 1]
     zs = (-2.0, -0.5, 1.0, 3.0, complex(0.8, 1.1))
     us = [ev._majorant(charfn._radius(abs(z))) for z in zs]
     if math.inf in us:

@@ -1,7 +1,7 @@
 """Closed-form references for the Al-Salam--Carlitz II (ASC-II) example
 that the tests compare the package against: the orthonormal polynomials
 P_n(x) from their explicit finite sum, P_n(a) and w_n(a) at the family
-point, both sides of the series/product identity
+point, the trace of the inverse, both sides of the series/product identity
 1 - (z - a) sum_n w_n(a) P_n(z) = (z;q)_inf / (a;q)_inf, the Hadamard
 product over known eigenvalues, and the dense W W^T + I product.  No code in
 jacspec calls them.
@@ -81,6 +81,14 @@ def second_kind_at_family_point(params: QParams, n: int) -> float:
     tail = _family_series_tails(params, n)[n]
     sign = -1.0 if n % 2 else 1.0
     return sign * (q / a) ** (0.5 * n) / math.sqrt(qpoch_seq(q, q, n)[n]) * tail
+
+
+def trace_reference(q: float, shift: float) -> float:
+    """tr (J - shift)^{-1} = sum_n 1/(q^-n - shift) over the ASC-II
+    eigenvalues q^-n (any a), as mpmath's nsum at 30 digits."""
+    ctx = _mp_context(30)
+    q = ctx.mpf(q)
+    return float(ctx.nsum(lambda n: 1 / (q ** -n - shift), [0, ctx.inf]))
 
 
 def asc2_series_vs_product(params: QParams, z, atol: float = 1e-13):

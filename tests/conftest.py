@@ -64,7 +64,7 @@ def marked_builds(monkeypatch):
     A rebuilt table could differ from an earlier one in its last bits; the
     mark makes each entry show which build it came from, so any mix of table
     versions changes the results.  Every build is a kappa_sequence call,
-    which computes the entries past those its engine holds through
+    which computes the entries past those its table holds through
     second_kind._kappa_entries.
     """
     from jacspec import second_kind

@@ -153,26 +153,27 @@ def test_acceptance_5_structural_identity_suite():
 
         # kappa positivity and strict monotonicity of w_n(0)/P_n(0), n <= 40
         for src in (asc2, asc2_b):
-            seq = js.kappa_sequence(src, 41)
-            assert all(k > 0 for k in seq.kappas)
+            kappas = js.kappa_sequence(src, 41)
+            assert all(k > 0 for k in kappas)
             logs_p, _ = js.recurrence.log_table(src, 0.0, 41)
             ratio_logs = [math.log(k) - 2.0 * logs_p[n]
-                          for n, k in enumerate(seq.kappas)]
+                          for n, k in enumerate(kappas)]
             assert all(b < a for a, b in zip(ratio_logs, ratio_logs[1:]))
 
-        # per-term growth bound on the test grid, with S the kappa sum
-        # estimate of the first 64 entries
+        # per-term growth bound on the test grid, with S the certified
+        # upper bound on sum kappa_n that trace_inverse gives
         for src in (asc2, asc2_b):
             ev = js.CharFnEvaluator(src)
-            eng = ev._table.engine
-            s_up = js.kappa_sequence(src, 64, engine=eng).total_upper
+            table = ev._table
+            tr = js.trace_inverse(src, 1e-8, table=table)
+            s_up = tr.value + tr.tail_bound
             for z in (-2.0, -0.5, 1.0, 3.0, complex(0.8, 1.1)):
                 logs_z, _ = js.recurrence.log_table(src, z, 40)
                 for n in range(41):
-                    lhs = (math.log(abs(eng.w0_mant[n])) + eng.w0_exp[n] * math.log(2.0)
-                           + logs_z[n])
+                    lhs = (math.log(abs(table.w0_mant[n]))
+                           + table.w0_exp[n] * math.log(2.0) + logs_z[n])
                     assert lhs <= abs(z) * s_up \
-                        + math.log(eng.kappas[n]) + 1e-10
+                        + math.log(table.kappas[n]) + 1e-10
 
 
 def test_acceptance_6_qseries_suite():

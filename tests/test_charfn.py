@@ -103,21 +103,23 @@ def test_per_term_bound_on_grid(asc2_shifted):
     # above |z|: the per-term majorant of F's certificate
     ev = js.CharFnEvaluator(asc2_shifted)
     ev._table.grow(60)
-    eng = ev._table.engine
+    table = ev._table
     for z in (-2.0, 1.0, 3.5, complex(1.0, 1.0)):
         u = ev._majorant(math.ldexp(1.0, math.frexp(abs(z))[1]))
         logs_z, _ = js.recurrence.log_table(asc2_shifted, z, 59)
         for n in range(60):
-            lhs = (math.log(abs(eng.w0_mant[n])) + eng.w0_exp[n] * math.log(2.0)
-                   + logs_z[n])
-            rhs = math.log(u) + math.log(eng.kappas[n])
+            lhs = (math.log(abs(table.w0_mant[n]))
+                   + table.w0_exp[n] * math.log(2.0) + logs_z[n])
+            rhs = math.log(u) + math.log(table.kappas[n])
             assert lhs <= rhs + 1e-10
 
 
 def test_entire_order_bound(asc2_shifted):
-    # |F(z)| <= exp(C |z|) with C = 2 sum kappa on the test grid
+    # |F(z)| <= exp(C |z|) with C = 2 sum kappa on the test grid, sum kappa
+    # bounded by the certified trace
     ev = js.CharFnEvaluator(asc2_shifted)
-    c = 2.0 * js.kappa_sequence(asc2_shifted, 64).total_upper
+    tr = js.trace_inverse(asc2_shifted, 1e-8)
+    c = 2.0 * (tr.value + tr.tail_bound)
     for z in np.linspace(-4.0, 4.0, 17):
         v = ev.eval(float(z), 1e-10)
         assert abs(v.value) <= math.exp(c * abs(z)) * (1.0 + 1e-9)
@@ -226,12 +228,12 @@ def test_evaluator_shared_across_threads(asc2_shifted):
     finally:
         sys.setswitchinterval(interval)
     assert grown == serial
-    assert len(cold._table.engine.w0_mant) == len(cold._table.engine.w0_exp) \
-        == len(cold._table.engine.kappas)
+    assert len(cold._table.w0_mant) == len(cold._table.w0_exp) \
+        == len(cold._table.kappas)
     # the engine and every eval thread grew the source's one coefficient
     # table: each index was published once, in its place
     table = _coeff_reader(cold.src).table
-    assert len(table) > len(cold._table.engine.kappas)
+    assert len(table) > len(cold._table.kappas)
     assert table == [asc2_shifted.coeffs(i) for i in range(len(table))]
 
 
@@ -342,7 +344,7 @@ def test_failed_build_size_is_remembered(monkeypatch):
     ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5))
     assert ev._table.grow(64)
     assert not ev._table.grow(5000)
-    assert ev._table.capacity == 850 == len(ev._table.engine.kappas)
+    assert ev._table.capacity == 850 == len(ev._table.kappas)
     counts = _count_work(monkeypatch)
     assert not ev._table.grow(5000)
     assert not ev._table.grow(851)
@@ -372,7 +374,7 @@ def test_incremental_builds_equal_builds_from_zero(monkeypatch, args, capacity):
     monkeypatch.setattr(second_kind, "_kappa_entries", recorded)
     ev = js.CharFnEvaluator(src)
     assert ev.plan_terms(1000.0, 1e-300)[0] is None
-    assert ev._table.capacity == capacity == len(ev._table.engine.kappas)
+    assert ev._table.capacity == capacity == len(ev._table.kappas)
     monkeypatch.undo()
     assert any(new is None for *_, new in builds)
     assert any(start > 0 and new is not None for start, _, new in builds)
@@ -381,7 +383,7 @@ def test_incremental_builds_equal_builds_from_zero(monkeypatch, args, capacity):
             with pytest.raises(js.ConvergenceError):
                 js.kappa_sequence(src, count)
         else:
-            whole = js.kappa_sequence(src, count).kappas
+            whole = js.kappa_sequence(src, count)
             assert list(map(float.hex, new)) == list(map(float.hex, whole[start:]))
 
 
@@ -429,7 +431,7 @@ def test_capacity_is_the_largest_count_that_builds(monkeypatch, args, column,
     n_max = min(400, max_terms)
     rows = grid_rows(ev, zs, 1e-12, n_max)
     capacity = CAPACITIES[src][column]
-    assert ev._table.capacity == capacity == len(ev._table.engine.kappas)
+    assert ev._table.capacity == capacity == len(ev._table.kappas)
     assert len(raised) == 1
     monkeypatch.undo()
     assert rows == scalar_rows(src, zs, 1e-12, n_max, max_terms)
@@ -449,8 +451,8 @@ def test_capacity_does_not_depend_on_the_growth_path(args):
     doubled = js.CharFnEvaluator(src)
     doubled.plan_terms(1000.0, 1e-300)
     assert direct._table.capacity == doubled._table.capacity == CAPACITIES[src][0]
-    assert list(map(float.hex, direct._table.engine.kappas)) == \
-        list(map(float.hex, doubled._table.engine.kappas))
+    assert list(map(float.hex, direct._table.kappas)) == \
+        list(map(float.hex, doubled._table.kappas))
 
 
 @pytest.mark.parametrize("args, k", [((0.5, 0.5, 0.5), 8), ((0.9, 0.9, 0.0), 6)])
@@ -538,7 +540,7 @@ def test_plans_do_not_depend_on_the_order_of_their_points(args, grid, atol):
         ev = js.CharFnEvaluator(js.ASC2Source(*args))
         plans = {z: ev.plan_terms(abs(z), atol) for z in order}
         seen.append(([plans[z] for z in zs], ev._table.rungs, ev._table.capacity,
-                     list(map(float.hex, ev._table.engine.kappas))))
+                     list(map(float.hex, ev._table.kappas))))
     assert seen[0] == seen[1] == seen[2]
     assert (None in [n for n, _ in seen[0][0]]) == (atol == 1e-300)
 
@@ -573,7 +575,7 @@ def test_capacity_does_not_depend_on_the_first_build(args, column, max_terms):
         ev._table.grow(first)
         assert ev._table.capacity == (capacity if max(first, 64) > capacity
                                 else max_terms)
-        tables.add(tuple(map(float.hex, ev._table.engine.kappas[:min(64, capacity)])))
+        tables.add(tuple(map(float.hex, ev._table.kappas[:min(64, capacity)])))
     assert len(tables) == 1
 
 
@@ -588,11 +590,10 @@ def test_threads_growing_one_evaluator_keep_one_table():
     alone = js.CharFnEvaluator(src)
     want = [grid_rows(alone, zs, 1e-12, 400) for zs in grids]
     assert want == [scalar_rows(src, zs, 1e-12, 400) for zs in grids]
-    eng = alone._table.engine
 
-    def bits(e):
-        return (list(map(float.hex, e.kappas)), list(map(float.hex, e.w0_mant)),
-                e.w0_exp)
+    def bits(table):
+        return (list(map(float.hex, table.kappas)),
+                list(map(float.hex, table.w0_mant)), table.w0_exp)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -603,9 +604,9 @@ def test_threads_growing_one_evaluator_keep_one_table():
                 got = list(pool.map(
                     lambda zs: grid_rows(ev, zs, 1e-12, 400), grids))
             assert got == want
-            assert len(ev._table.engine.kappas) == len(ev._table.engine.w0_mant) \
-                == len(ev._table.engine.w0_exp)
-            assert bits(ev._table.engine) == bits(eng)
+            assert len(ev._table.kappas) == len(ev._table.w0_mant) \
+                == len(ev._table.w0_exp)
+            assert bits(ev._table) == bits(alone._table)
             # the ladder's rungs are walked once each, in order
             assert ev._table.rungs == alone._table.rungs
     finally:
@@ -798,7 +799,7 @@ def test_a_priori_tails_stop_a_plan_no_count_can_meet():
         vals = {z: ev.eval(z, 1e-12) for z in order}
         seen.append([(vals[z].value.hex(), vals[z].terms_used,
                       vals[z].certified) for z in zs])
-        assert len(ev._table.engine.kappas) <= 2054
+        assert len(ev._table.kappas) <= 2054
     assert seen[0] == seen[1]
     assert not any(certified for *_, certified in seen[0])
     assert grid_rows(js.CharFnEvaluator(src), zs, 1e-12, 400) == \

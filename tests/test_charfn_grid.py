@@ -307,9 +307,9 @@ def test_terms_beyond_the_float_range_are_signed_infs_on_both_paths():
     _assert_grid_is_scalar(src, zs, 1e-12)
     assert math.isfinite(scalar[0].value)
     assert all(v.value == math.inf for v in scalar[1:])
-    n = len(ev._table.engine.kappas)
+    n = len(ev._table.kappas)
     sums, _ = charfn._sweep(_coeff_reader(src), zs, [n] * len(zs),
-                            ev._table.engine.w0_mant, ev._table.engine.w0_exp, 0)
+                            ev._table.w0_mant, ev._table.w0_exp, 0)
     total, total_54, total_56 = sums[:3]
     assert math.isfinite(total) and math.isfinite(total_54)
     # a term between e^709 and the largest float stays finite

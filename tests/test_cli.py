@@ -158,6 +158,23 @@ def test_charfn_uncertifiable_grids_still_report(capsys, argv, f_partial):
     assert [r["f_partial"] for r in rows] == f_partial
 
 
+@pytest.mark.parametrize("config", [("0.5", "0.5", "0.5"), ("0.9", "0.9", "0")])
+def test_charfn_grid_points_past_1e307_are_uncertified(capsys, config):
+    # the column recurrence meets inf - inf there; numpy's invalid-value
+    # warning escaped the sweep.  The rows are nan with an inf tail bound,
+    # as scalar eval gives at those points
+    q, a, shift = config
+    code, out, err = run_cli(capsys, "charfn", "--q", q, "--a", a,
+                             "--shift", shift, "--grid=-1:1.7e308:3")
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)
+    assert len(rows) == 3
+    assert math.isfinite(float(rows[0]["tail_bound"]))
+    for row in rows[1:]:
+        assert math.isnan(float(row["f_partial"]))
+        assert float(row["tail_bound"]) == math.inf
+
+
 def _reject_constant(name):
     raise AssertionError(f"{name} is not JSON")
 

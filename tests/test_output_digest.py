@@ -1,13 +1,13 @@
 """Smoke test of tools/output_digest.py, the per-job output digest of the
-benchmark workloads, and the seed-0 digests it must reproduce."""
+benchmark workloads, and the seed 0-10 digests it must reproduce."""
 
 import importlib.util
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
-# `python3 tools/output_digest.py --seeds 0`; only a change that sets out to
-# change outputs regenerates it, and says so
-SEED_0 = Path(__file__).resolve().parent / "output_digest_seed0.txt"
+# `python3 tools/output_digest.py --seeds 0-10 --out FILE`; only a change that
+# sets out to change outputs regenerates it, and says so
+SEEDS_0_10 = Path(__file__).resolve().parent / "output_digest_seeds0-10.txt"
 
 
 def _tool():
@@ -40,11 +40,12 @@ def test_two_runs_give_the_same_digests(tmp_path, capsys):
 
 
 def test_seed_0_outputs_are_bit_identical_to_the_committed_digests():
-    # every eigenvalue, F value and report byte of the 13 seed-0 jobs
+    # every eigenvalue, F value and report byte of the 143 jobs of seeds
+    # 0 to 10, 13 per seed
     tool = _tool()
-    want = tool._read(SEED_0)
-    got = tool.digests(tool.jobs.WORKLOADS, [0])
+    want = tool._read(SEEDS_0_10)
+    got = tool.digests(tool.jobs.WORKLOADS, range(11))
     changed = sorted(key for key in want.keys() | got.keys()
                      if want.get(key) != got.get(key))
     assert changed == []
-    assert len(got) == 13
+    assert len(got) == 143

@@ -89,7 +89,7 @@ def test_tail_certificate_bounds_what_the_engine_computes(q, a_frac, shift):
     # engine computes, and every kappa tail sum; where they give none,
     # mu_j(x) = a (1 - qx)/((c - sx)(c - sqx)) reaches 1/4 on [0, 1]
     from jacspec.errors import ConvergenceError
-    from jacspec.second_kind import TailSeriesEngine, kappa_sequence
+    from jacspec.second_kind import KappaTable, kappa_sequence
     src = ASC2Source(q, q * a_frac, shift)
     c, a = 1.0 + src.a, src.a
     xs = np.linspace(0.0, 1.0, 20001)
@@ -101,7 +101,8 @@ def test_tail_certificate_bounds_what_the_engine_computes(q, a_frac, shift):
         return
     r, theta, tail = cert
     assert mu / theta ** 2 <= r < 1.0
-    eng = TailSeriesEngine(src, 0.0)
+    table = KappaTable(src, max_terms=3000)
+    eng = table.engine
     try:
         eng.ensure_terms(400)
     except ConvergenceError:
@@ -113,8 +114,7 @@ def test_tail_certificate_bounds_what_the_engine_computes(q, a_frac, shift):
         assert math.log(alpha) + eng.log_p[j + 1] - eng.log_p[j] \
             >= math.log(theta * b)
     try:
-        kappas = kappa_sequence(src, min(100, m - 2), max_terms=3000,
-                                engine=eng).kappas
+        kappas = kappa_sequence(src, min(100, m - 2), table=table)
     except ConvergenceError:
         return  # no table within 3000 terms (q near 1)
     for n, k in enumerate(kappas):

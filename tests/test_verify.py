@@ -271,7 +271,7 @@ def test_w_factorization_band_equals_the_dense_product(q, a_over_q, digits):
 
 
 def test_one_kappa_table_per_verify_job(monkeypatch, capsys):
-    # the three kappa checks share the evaluator's z = 0 engine, whose first
+    # the three kappa checks share the evaluator's kappa table, whose first
     # build of 64 entries holds the 41 and 61 the checks read.  Each job made
     # 4 z = 0 engines, and the two jobs 7 table-extending builds, when every
     # check grew a table of its own
@@ -286,11 +286,11 @@ def test_one_kappa_table_per_verify_job(monkeypatch, capsys):
         engines.append(z == 0)
 
     def counted_build(src, count, **kwargs):
-        eng = kwargs.get("engine")
-        held = len(eng.kappas) if eng is not None else 0
-        seq = build(src, count, **kwargs)
-        extending.append(eng is None or len(eng.kappas) > held)
-        return seq
+        table = kwargs.get("table")
+        held = len(table.kappas) if table is not None else 0
+        kappas = build(src, count, **kwargs)
+        extending.append(table is None or len(table.kappas) > held)
+        return kappas
 
     monkeypatch.setattr(second_kind.TailSeriesEngine, "__init__", counted_init)
     monkeypatch.setattr(second_kind, "kappa_sequence", counted_build)
@@ -384,7 +384,7 @@ def test_kappa_rows_read_the_evaluators_table(monkeypatch):
     # run_suite every kappa build and the trace sum run on the one
     # evaluator's table: verify keeps no z = 0 table of its own
     from jacspec import charfn, second_kind, verify
-    evaluators, engines = [], []
+    evaluators, tables = [], []
 
     class Recorded(charfn.CharFnEvaluator):
         def __init__(self, *args, **kwargs):
@@ -394,19 +394,19 @@ def test_kappa_rows_read_the_evaluators_table(monkeypatch):
     # a table the rows did not read: the monotonic row sees its bump
     ev = charfn.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5))
     ev._table.grow(64)
-    ev._table.engine.kappas[30] *= 1e3
+    ev._table.kappas[30] *= 1e3
     r = verify.check_kappa_monotonic(ev)
     assert r.status == "FAIL" and r.note == "n <= 40"
     build, trace = second_kind.kappa_sequence, second_kind.trace_inverse
     monkeypatch.setattr(charfn, "CharFnEvaluator", Recorded)
     monkeypatch.setattr(second_kind, "kappa_sequence", lambda *a, **kw:
-                        engines.append(kw.get("engine")) or build(*a, **kw))
+                        tables.append(kw.get("table")) or build(*a, **kw))
     monkeypatch.setattr(second_kind, "trace_inverse", lambda *a, **kw:
-                        engines.append(kw["table"].engine) or trace(*a, **kw))
+                        tables.append(kw["table"]) or trace(*a, **kw))
     r = _kappa_rows(js.ASC2Source(0.5, 0.5, 0.5))
     assert all(x.passed and not x.skipped for x in r.values())
     [ev] = evaluators
-    assert engines and all(e is ev._table.engine for e in engines)
+    assert tables and all(t is ev._table for t in tables)
 
 
 def test_kappa_positivity_failure_is_a_row():
@@ -440,14 +440,14 @@ def test_kappa_rows_without_a_kappa_table():
     ev = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5), max_terms=40)
     r = check_kappa_monotonic(ev)
     assert r.skipped and r.note == "no kappa table builds within the term budget"
-    assert ev._table.engine.kappas == []
+    assert ev._table.kappas == []
     # at q = 1e-12 the coefficients leave the float range at n = 23; the
     # backward sums start below it, where j + 16 passed it and no table
     # built, so the table holds 19 entries
     ev = js.CharFnEvaluator(js.ASC2Source(1e-12, 1e-12, 0.0))
     r = check_kappa_monotonic(ev)
     assert (r.status, r.note) == ("pass", "n <= 18")
-    assert len(ev._table.engine.kappas) == ev._table.capacity == 19
+    assert len(ev._table.kappas) == ev._table.capacity == 19
     r = _by_name(run_suite(_NoGamma(), max_terms=40))
     assert r["kappa_positivity_monotonic"].skipped
     assert r["per_term_growth_bound"].skipped
