@@ -32,6 +32,7 @@ _LADDER_CAP = 8192  # the ladder stops doubling at this truncation size
 _TAIL_CHECK = 16  # rows between the early-exit checks of a Sturm sweep
 _PIVMIN_SCALE = 5e-308  # pivot floor per unit of the largest offdiag**2
 _OTOL_FLOOR = 1e-15  # the finest oracle tolerance find_spectrum bisects to
+_BOUND_PAD = 1e-12  # relative pad of _doomed's closed-form bounds
 CONFIRM_POLICIES = ("auto", "require", "oracle")  # see find_spectrum
 
 
@@ -498,7 +499,7 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
                 unresolved;
       "oracle"  skip F entirely (truncation ladder only).
     An index whose bisection is doomed by the float64 noise floor is not
-    bisected (_below_noise).  A same-sign contradiction (F certifies one
+    bisected (_doomed).  A same-sign contradiction (F certifies one
     sign at both ends of the widened bracket), and a certified zero farther
     than tol + max(gap, 8 otol) from its oracle value, are unresolved under
     "auto" and "require".
@@ -556,16 +557,15 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
         lo = max(lo, lo_clamp)
         hi = min(hi, hi_clamp)
 
-        outcome = "no-sign"  # F certifies nothing out of budget or under "oracle"
-        if confirm != "oracle":
+        # F certifies nothing under "oracle", nor at an oracle value <= 0,
+        # which a lambda_1 below otol can give, and whose log the slope takes
+        outcome = "no-sign"
+        if confirm != "oracle" and lam_oracle > 0:
             slope = _slope_estimate(j, res.oracle_values, tail_ratio)
             target_atol = max(0.02 * slope * tol, 1e-280)
-            if evaluator.plan_terms(abs(hi), target_atol)[0] is None:
-                pass  # out of budget
-            elif _below_noise(evaluator, lam_oracle - 16.0 * tol, slope, tol,
-                              target_atol):
-                outcome = "noise-floor"
-            else:
+            outcome = _doomed(evaluator, t_fine.diag, lam_oracle - 16.0 * tol,
+                              abs(hi), slope, tol, target_atol)
+            if outcome is None:
                 outcome, lam, bracket = _bisect_zero(
                     evaluator, lo, hi, lo_clamp, hi_clamp, tol, target_atol)
                 if outcome == "certified" and \
@@ -583,31 +583,48 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
 
 def _provenance(confirm, outcome):
     """The one map from (policy, outcome) to an index's method; the outcome
-    is _bisect_zero's, "noise-floor" (_below_noise), which maps as
-    "no-sign" does, or "oracle-disagreement" for a zero farther from its
-    oracle value than tol plus the ladder's error."""
+    is _bisect_zero's or _doomed's ("noise-floor" maps as "no-sign" does),
+    or "oracle-disagreement" for a zero farther from its oracle value than
+    tol plus the ladder's error."""
     if confirm == "oracle" or (confirm == "auto"
                                and outcome in ("no-sign", "noise-floor")):
         return "oracle-ladder"
     return "charfn-bisection" if outcome == "certified" else "unresolved"
 
 
-def _below_noise(evaluator, x0, slope, tol, atol):
-    """Whether no eval at |z| >= x0 and an atol <= ``atol`` can certify a
-    sign within 16 tol of a root of slope ``slope``, where _bisect_zero
-    needs one for every certified outcome (an unwidened bracket is at most
-    8 tol wide, a widened one halves through a width in (8 tol, 16 tol]).
+def _doomed(evaluator, diag, x0, z_hi, slope, tol, atol):
+    """The outcome of an index that no bisection can certify, else None.
 
-    Plans only grow with |z| and with a tighter atol, and the first term
-    of F's sum is w_0(0) P_0(z) = kappa_0, so every such eval reports a
-    noise estimate of at least _NOISE_EPS sqrt(N0) (1 + x0 kappa_0), N0 the
-    plan of (x0, atol): the floor this compares with twice the largest |F|
-    there, 16 tol slope.
+    "noise-floor" where no eval at |z| >= x0 and an atol <= ``atol`` can
+    certify a sign within 16 tol of a root of slope ``slope``, which
+    _bisect_zero needs for every certified outcome (an unwidened bracket is
+    at most 8 tol wide, a widened one halves through a width in (8 tol,
+    16 tol]); "no-sign" where no plan at |hi| = z_hi fits the budget.
+
+    Plans only grow with |z| and with a tighter atol, and the first term of
+    F's sum is w_0(0) P_0(z) = kappa_0, so every such eval reports a noise
+    estimate of at least _NOISE_EPS sqrt(N0) (1 + x0 kappa_0), N0 the plan of
+    (x0, atol): the floor compared with twice the largest |F| there, 16 tol
+    slope.  Before any plan, it is bounded below from the block's diagonal
+    diag[n] = J_nn: kappa_n = (J^{-1})_nn >= 1/J_nn (Cauchy-Schwarz), and
+    x0 / diag[N0] <= x0 T_N0 U(R) <= atol, since every ladder tail T_n >=
+    kappa_n and the majorant U(R) >= 1, so N0 is at least the first row
+    with diag[n] >= x0 / atol (the block's size if none is).  _BOUND_PAD
+    covers the entries' 1e-15 accuracy and the rounding of diag and of the
+    plan's log comparison.
     """
     x0 = max(x0, 0.0)
+    need = 32.0 * tol * slope
+    rows = np.flatnonzero(diag >= x0 * (1.0 - _BOUND_PAD) / atol)
+    n_lb = int(rows[0]) if rows.size else diag.size
+    kappa_lb = (1.0 - _BOUND_PAD) / diag[0]
+    if need < _NOISE_EPS * math.sqrt(n_lb) * (1.0 + x0 * kappa_lb):
+        return "noise-floor"
+    if evaluator.plan_terms(z_hi, atol)[0] is None:
+        return "no-sign"
     n0 = evaluator.plan_terms(x0, atol)[0]
     floor = _NOISE_EPS * math.sqrt(n0) * (1.0 + x0 * evaluator._table.kappas[0])
-    return 2.0 * 16.0 * tol * slope < floor
+    return "noise-floor" if need < floor else None
 
 
 def _push_row(res, j, method, lam, bracket, residual=math.nan,

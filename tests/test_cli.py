@@ -91,6 +91,31 @@ def test_spectrum_at_the_noise_floor(capsys, confirm, code, n_rows):
         assert "unresolved eigenvalue indices: [1, 2, 3, 4, 5, 6, 7, 8]" in err
 
 
+@pytest.mark.parametrize("q, shift, unresolved", [
+    ("0.5", "0.9999999999999999", [1]),
+    ("0.9", "0.9999999999999997", [1, 2, 3])])
+@pytest.mark.parametrize("confirm", ["auto", "require", "oracle"])
+def test_spectrum_below_the_oracle_resolution(capsys, q, shift, unresolved,
+                                              confirm):
+    # lambda_1 = 1 - shift is about 1e-16, below the oracle's 1e-12, so its
+    # oracle value is negative; F is not run there (no log of it), and the
+    # index takes the oracle value under auto, unresolved under require
+    code, out, err = run_cli(capsys, "spectrum", "--q", q, "--a", q,
+                             "--shift", shift, "--k", "3",
+                             "--confirm", confirm)
+    assert "Traceback" not in err and "error" not in err
+    rows = parse_csv(out)
+    if confirm == "require":
+        assert code == 4
+        assert f"unresolved eigenvalue indices: {unresolved}" in err
+        assert [int(r["index"]) for r in rows] == \
+            [j for j in (1, 2, 3) if j not in unresolved]
+    else:
+        assert code == 0 and len(rows) == 3
+        assert rows[0]["lambda"] == rows[0]["oracle_value"]
+        assert float(rows[0]["oracle_value"]) < 0
+
+
 def test_spectrum_same_sign_contradiction_exits_3(capsys, monkeypatch):
     # F certifying +1 everywhere contradicts the oracle: unresolved even
     # under auto

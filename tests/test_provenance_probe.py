@@ -1,15 +1,14 @@
 """Smoke test of tools/provenance_probe.py, the method find_spectrum gives
-every index of the probe's configurations, and the methods of its six fixed
+every index of the probe's configurations, and the methods of all 66
 configurations that it must reproduce."""
 
 import importlib.util
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "provenance_probe.py"
-# `python3 tools/provenance_probe.py --configs 6 --out FILE`, the six fixed
-# configurations; only a change that sets out to move a method regenerates
-# it, and says so
-CONFIGS_6 = Path(__file__).resolve().parent / "provenance_probe_configs6.txt"
+# `python3 tools/provenance_probe.py --out FILE`, all 66 configurations; only
+# a change that sets out to move a method regenerates it, and says so
+CONFIGS_66 = Path(__file__).resolve().parent / "provenance_probe_configs66.txt"
 
 
 def _tool():
@@ -46,11 +45,10 @@ def test_two_configurations(tmp_path, capsys):
 
 
 def test_fixed_configurations_reproduce_the_committed_methods(tmp_path, capsys):
-    # every index of the six fixed configurations keeps its method
+    # every index of the 66 configurations keeps its method
     tool = _tool()
-    args = ["--configs", "6", "--out", str(tmp_path / "new.txt"),
-            "--against", str(CONFIGS_6)]
+    args = ["--out", str(tmp_path / "new.txt"), "--against", str(CONFIGS_66)]
     assert tool.main(args) == 0
     err = capsys.readouterr().err
-    assert err == "209 charfn-bisection, 79 oracle-ladder\n" \
-        "0 of 288 indices changed\n"
+    assert err == "2082 charfn-bisection, 1086 oracle-ladder\n" \
+        "0 of 3168 indices changed\n"

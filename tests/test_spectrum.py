@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 import warnings
 
 import numpy as np
@@ -392,40 +393,134 @@ def _slope_at(q, shift, j):
 # noise estimate of at least eps sqrt(N0) (1 + x0 kappa_0); the index is
 # skipped where twice |F| there, 32 tol |F'|, stays below it.  That margin
 # is 4.7, 1.8 and 1.1 at index 1 of (0.9, 0.9, -0.05 / 0 / 0.05), at least
-# 11 at indices 2-6, and 0.019 at (0.85, 0.85, 0), whose index 1 certifies
+# 11 at indices 2-6, and 0.019 at (0.85, 0.85, 0), whose index 1 certifies;
+# the closed-form bound of that floor leaves 2.7, 1.5 and 0.87 at index 1,
+# at least 6.9 at indices 2-6 and 0.012 at (0.85, 0.85, 0)
 @pytest.mark.parametrize("params, skipped", [
     ((0.9, 0.9, -0.05), 6), ((0.9, 0.9, 0.0), 6), ((0.9, 0.9, 0.05), 6),
     ((0.85, 0.85, 0.0), 0)])
 def test_the_noise_floor_skips_only_doomed_bisections(monkeypatch, params,
                                                       skipped):
     from jacspec import spectrum
-    below, bisect_zero = spectrum._below_noise, spectrum._bisect_zero
+    doomed, bisect_zero = spectrum._doomed, spectrum._bisect_zero
     tested, bisected = [], []
 
-    def recorded_below(evaluator, x0, slope, tol, atol):
-        tested.append((slope, below(evaluator, x0, slope, tol, atol)))
+    def recorded_doomed(evaluator, diag, x0, z_hi, slope, tol, atol):
+        tested.append((slope, doomed(evaluator, diag, x0, z_hi, slope, tol,
+                                     atol)))
         return tested[-1][1]
 
     def recorded_bisect(*args):
         bisected.append(args[1])
         return bisect_zero(*args)
 
-    monkeypatch.setattr(spectrum, "_below_noise", recorded_below)
+    monkeypatch.setattr(spectrum, "_doomed", recorded_doomed)
     monkeypatch.setattr(spectrum, "_bisect_zero", recorded_bisect)
     q, a, shift = params
     res = js.find_spectrum(js.ASC2Source(q, a, shift), 6, 1e-9)
-    assert [skip for _, skip in tested] == [True] * skipped + [False] * (6 - skipped)
+    assert [outcome for _, outcome in tested] == \
+        ["noise-floor"] * skipped + [None] * (6 - skipped)
     assert len(bisected) == 6 - skipped
     assert res.methods == ["oracle-ladder"] * 6 if skipped else \
         ["charfn-bisection"] + ["oracle-ladder"] * 5
     # the skip rests on the slope estimate bounding |F'(lambda_j)|
-    for j, (slope, skip) in enumerate(tested):
-        if skip:
+    for j, (slope, outcome) in enumerate(tested):
+        if outcome == "noise-floor":
             assert slope >= _slope_at(q, shift, j)
     if skipped:
         res = js.find_spectrum(js.ASC2Source(q, a, shift), 6, 1e-9,
                                confirm="require")
         assert res.unresolved == [1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("shift, planned", [(0.0, []), (0.05, [1])])
+def test_the_closed_form_noise_floor_needs_no_kappa_table(monkeypatch, shift,
+                                                          planned):
+    # at (0.9, 0.9, 0) the closed-form floor decides every index: no plan
+    # runs and no kappa entry is built.  At shift 0.05 index 1's closed-form
+    # margin is 0.87, so it falls back to the plans, whose floor skips it
+    from jacspec import charfn, second_kind, spectrum
+    doomed, plan_terms, kappa_sequence = (
+        spectrum._doomed, charfn.CharFnEvaluator.plan_terms,
+        second_kind.kappa_sequence)
+    calls, plans, builds = [], [], []  # len(calls) is the index deciding
+
+    def recorded_doomed(*args):
+        calls.append(args)
+        return doomed(*args)
+
+    def recorded_plan(self, z_abs, atol):
+        plans.append(len(calls))
+        return plan_terms(self, z_abs, atol)
+
+    def recorded_build(*args, **kwargs):
+        builds.append(len(calls))
+        return kappa_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "_doomed", recorded_doomed)
+    monkeypatch.setattr(charfn.CharFnEvaluator, "plan_terms", recorded_plan)
+    monkeypatch.setattr(second_kind, "kappa_sequence", recorded_build)
+    res = js.find_spectrum(js.ASC2Source(0.9, 0.9, shift), 6, 1e-9)
+    assert res.methods == ["oracle-ladder"] * 6
+    assert sorted(set(plans)) == planned and sorted(set(builds)) == planned
+    assert len(plans) == 2 * len(planned)  # at |hi| and at x0
+
+
+class _NoPlans:
+    """An evaluator whose plans _doomed must not ask for."""
+
+    def plan_terms(self, z_abs, atol):
+        raise LookupError("the closed-form bound did not decide")
+
+
+def test_the_closed_form_noise_floor_implies_the_plan_based_one():
+    # wherever _doomed skips an index from its closed-form bound alone, the
+    # plan at |hi| is out of budget (outcome no-sign) or the plan-based
+    # floor, eps sqrt(N0) (1 + x0 kappa_0), skips it too.  100 draws over
+    # the certified regime near q -> 1 decide 464 indices; the closed form
+    # skips 98 of them
+    from jacspec import spectrum
+    from jacspec.charfn import _NOISE_EPS
+    doomed = spectrum._doomed
+    decided, fired = [], []
+
+    def checked(evaluator, diag, x0, z_hi, slope, tol, atol):
+        decided.append(evaluator.src)
+        outcome = doomed(evaluator, diag, x0, z_hi, slope, tol, atol)
+        try:
+            doomed(_NoPlans(), diag, x0, z_hi, slope, tol, atol)
+        except LookupError:  # the plans decided
+            return outcome
+        fired.append(evaluator.src)
+        if evaluator.plan_terms(z_hi, atol)[0] is not None:
+            x0 = max(x0, 0.0)
+            n0 = evaluator.plan_terms(x0, atol)[0]
+            kappa_0 = evaluator._table.kappas[0]
+            assert 32.0 * tol * slope < \
+                _NOISE_EPS * math.sqrt(n0) * (1.0 + x0 * kappa_0)
+        return outcome
+
+    rng = random.Random(5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "_doomed", checked)
+        for _ in range(100):
+            q = rng.uniform(0.5, 0.97)
+            a, shift = q * rng.uniform(0.02, 1.0), rng.uniform(-1.0, 0.99)
+            k, tol = rng.randint(1, 8), rng.choice([1e-9, 1e-11])
+            js.find_spectrum(js.ASC2Source(q, a, shift), k, tol)
+    assert (len(decided), len(fired)) == (464, 98)
+
+
+@pytest.mark.parametrize("params", [
+    (0.5, 0.5, 0.5), (0.9, 0.9, 0.0), (0.3, 0.3, 0.0), (0.95, 0.5, 0.99),
+    (0.855, 0.28, 0.8664), (0.97, 0.03, -0.9)])
+def test_every_kappa_entry_is_at_least_the_reciprocal_diagonal(params):
+    # kappa_n = (J^{-1})_nn >= 1/J_nn by Cauchy-Schwarz, J positive definite:
+    # the bound the closed-form noise floor rests on, padded as it pads
+    q, a, shift = params
+    src = js.ASC2Source(q, a, shift)
+    for n, kappa in enumerate(js.kappa_sequence(src, 200)):
+        assert kappa >= (1.0 - 1e-12) / (src.beta(n) - shift)
 
 
 def test_a_certified_zero_far_from_its_oracle_value_is_unresolved(monkeypatch):
