@@ -4,11 +4,13 @@ cross-checked against truncated-matrix eigenvalues.
 The truncation oracle uses Sturm sign-count bisection on the leading N x N
 block; its eigenvalues are the roots of P_N and decrease monotonically to the
 operator eigenvalues as N grows.  find_spectrum brackets each eigenvalue with
-a two-size truncation ladder, confirms a certified sign change of the
-characteristic function inside the bracket, and bisects.  Where F cannot
-certify a sign, out of the term budget (the tail bound |z| T_N F(-|z|) grows
-with the eigenvalue, see charfn) or at the float64 summation noise floor, the
-oracle value is reported with explicit provenance instead.
+one truncation whose trace defect D_N = tr J^-1 - tr J_N^-1 bounds its error
+(a doubling truncation ladder for a source with no tail certificate),
+confirms a certified sign change of the characteristic function inside the
+bracket, and bisects.  Where F cannot certify a sign, out of the term budget
+(the tail bound |z| T_N F(-|z|) grows with the eigenvalue, see charfn) or at
+the float64 summation noise floor, the oracle value is reported with
+explicit provenance instead.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ _OFFDIAG_LIMIT = math.sqrt(np.finfo(float).max)
 _MAX_WIDEN = 6
 _SWEEP_POINTS = 512  # shifts per tree or gallop sweep, costing ~1.5x one shift
 _LADDER_CAP = 8192  # the ladder stops doubling at this truncation size
+_RUNG_WIDTH = 0.25  # the one rung's enclosure width bound as a fraction of tol
+_RUNG_ULPS = 4.0  # ... or this many ulp of the k-th root's upper bound
+_EPS = 2.0 ** -52
 _TAIL_CHECK = 16  # rows between the early-exit checks of a Sturm sweep
 _PIVMIN_SCALE = 5e-308  # pivot floor per unit of the largest offdiag**2
 _OTOL_FLOOR = 1e-15  # the finest oracle tolerance find_spectrum bisects to
@@ -329,9 +334,16 @@ class SpectrumResult:
 
     methods[j] is "charfn-bisection" for eigenvalues confirmed by a certified
     sign change of the characteristic function, "oracle-ladder" where the
-    stabilized truncation value stands, and "unresolved" for indices that
-    also appear in ``unresolved``: an index F could not certify under
-    "require", or a same-sign contradiction (see find_spectrum).
+    truncation value stands, and "unresolved" for indices that also appear
+    in ``unresolved``: an index F could not certify under "require", or a
+    same-sign contradiction (see find_spectrum).  The truncation value is a
+    root x of the one D_N-sized rung, lambda_j in [x/(1 + x D_N), x], for a
+    source with a tail certificate, else of the doubling ladder's last,
+    stabilized rung; either way no value below gamma (or 0) is published.
+    ladder lists the truncation sizes: one, [N], for the D_N-sized rung.
+    oracle_gaps[j] is |lambda - oracle value| for a "charfn-bisection"
+    entry; for any other it is the width x - x/(1 + x D_N) of the D_N
+    enclosure, or 0.0 on the ladder, which gives none.
     residuals/tail_bounds are NaN whenever no F evaluation backs the entry.
     """
 
@@ -401,6 +413,14 @@ def _rung(src, n, otol):
     """
     diag = np.array([src.beta(i) - src.shift for i in range(n)], dtype=float)
     off = np.array([src.alpha(i) for i in range(n - 1)], dtype=float)
+    m = _usable(diag, off, otol)
+    return TruncatedTridiagonal(diag=diag[:m], offdiag=off[:max(m - 1, 0)])
+
+
+def _usable(diag, off, otol):
+    """The usable size (see _rung) of the block with diagonal diag and the
+    len(diag) - 1 offdiag entries off."""
+    n = len(diag)
     with np.errstate(over="ignore"):
         floor = np.maximum(1.0, off ** 2) * _PIVMIN_SCALE
     bad_off = ~((np.abs(off) < _OFFDIAG_LIMIT) & (floor <= otol))
@@ -409,11 +429,102 @@ def _rung(src, n, otol):
         m = int(np.argmin(np.isfinite(diag)))
     if np.any(bad_off):
         m = min(m, int(np.argmax(bad_off)) + 1)
-    return TruncatedTridiagonal(diag=diag[:m], offdiag=off[:max(m - 1, 0)])
+    return m
+
+
+def _sized_rung(src, k, tol, otol):
+    """The one truncation whose trace defect bounds each root's error, as
+    (block, D), D an upper bound on D_N = tr J^-1 - tr J_N^-1; None where
+    src has no tail certificate (src.tail_certificate(0) is None).
+
+    By min-max lambda_j <= x_{N,j}, and 1/lambda_j - 1/x_{N,j} <= D_N, since
+    every such difference is positive and they sum to at most D_N.  So
+    lambda_j lies in [x/(1 + x D_N), x], x = x_{N,j}, whose width x^2 D_N/(1
+    + x D_N) is below X^2 D_N for every j <= k, X the Gershgorin upper
+    bound of the leading k x k block (X >= x_{k,k} >= x_{N,j} by
+    interlacing).  The block is the smallest N >= k, up to min(usable rows,
+    _LADDER_CAP), with X^2 D <= max(_RUNG_WIDTH tol, _RUNG_ULPS ulp(X)); the
+    ulp term, like the ladder's 8-ulp floor, lets a large root end where
+    tol is below its ulp, and keeps each width below 8 ulp of its own root.
+
+    With P_n = P_n(0), (J^-1)_nn - (J_N^-1)_nn = kappa_N (P_n/P_N)^2 for n <
+    N, so D_N = sum_{n >= N} kappa_n + kappa_N S_N, S_N = sum_{n < N}
+    (P_n/P_N)^2.  The certificate (r, theta, tail) bounds the first sum by
+    tail(N) and kappa_N by 1/((1 - r) theta b'_N), b'_N = beta_N - shift;
+    r and theta hold for every row, so they are read once, at start 0.
+    S_N is summed forward, S_{m+1} = (alpha_m/d_m)^2 (1 + S_m) over the
+    block's own z = 0 pivots d_m, so every term is positive and nothing
+    cancels.  Each pivot's relative rounding error is at most a few eps/(1 -
+    r), since the certificate's ratio alpha_m^2/(d_m d_{m+1}) <= r damps the
+    error it inherits, and each term of S_N is a product of at most N
+    factors: the factor 1 + 16 N eps/(1 - r) covers both.
+
+    The rows are read as the ladder's rungs grow, doubling from max(4k, 8),
+    each row once (as _rung reads them).  Where no N meets the target, the
+    ladder's errors are raised: the float-range ValueError where the usable
+    rows end first, else the cap's _LadderCapError.
+    """
+    cert = src.tail_certificate(0)
+    if cert is None:
+        return None
+    r, theta, _ = cert
+    n, budget = max(4 * k, 8), None
+    diag_l, off_l = [], []  # the rows read so far, uncut
+    while True:
+        top = min(n, _LADDER_CAP)
+        # the bound at N reads row N: b'_N and alpha_{N-1}
+        diag_l += [src.beta(i) - src.shift
+                   for i in range(len(diag_l), top + 1)]
+        off_l += [src.alpha(i) for i in range(len(off_l), top)]
+        diag, off = np.array(diag_l, dtype=float), np.array(off_l, dtype=float)
+        m = _usable(diag, off, otol)
+        if m < k:
+            raise _not_stabilized(k, m, otol)
+        if budget is None:
+            a = np.abs(off[:k - 1])
+            radius = np.zeros(k)
+            radius[:-1] += a
+            radius[1:] += a
+            x_up = float(np.max(diag[:k] + radius))
+            target = max(_RUNG_WIDTH * tol, _RUNG_ULPS * math.ulp(x_up))
+            budget = target / x_up / x_up
+        last = min(m, top)
+        heads = _defect_heads(diag_l[:last + 1], off_l[:last], r, theta)
+        for big_n, head in heads:
+            # the closed-form tail is asked for only where the head fits
+            if big_n >= k and head <= budget:
+                defect = src.tail_certificate(big_n)[2] + head
+                if defect <= budget:
+                    t = TruncatedTridiagonal(diag=diag[:big_n],
+                                             offdiag=off[:big_n - 1])
+                    return t, defect
+        if m <= top:
+            raise _not_stabilized(k, m, otol)
+        if top >= _LADDER_CAP:
+            raise _not_stabilized(k, top, otol)
+        n *= 2
+
+
+def _defect_heads(diag, off, r, theta):
+    """Yield (N, h_N) for N = 1, ..., len(off): h_N bounds kappa_N S_N, the
+    part of D_N from the leading N rows (see _sized_rung), as S_N (1 + 16 N
+    eps/(1 - r)) / ((1 - r) theta b'_N); inf where b'_N = diag[N] is not
+    finite.  diag and off are lists of len(off) + 1 and len(off) entries."""
+    pad = 16.0 * _EPS / (1.0 - r)
+    scale = (1.0 - r) * theta
+    d = s = 0.0
+    for n in range(1, len(off) + 1):
+        d = diag[0] if n == 1 else diag[n - 1] - off[n - 2] * off[n - 2] / d
+        g = off[n - 1] / d
+        s = g * g * (1.0 + s)
+        b = diag[n]
+        yield n, (s * (1.0 + n * pad) / (scale * b) if b < math.inf
+                  else math.inf)
 
 
 def _ladder(src, k, tol, otol):
-    """Double the truncation size until the k smallest roots stabilize.
+    """Double the truncation size until the k smallest roots stabilize: the
+    oracle of a source with no tail certificate, where D_N has no bound.
 
     Two rungs agree when each root moved by at most 0.01 tol or 8 ulp of
     itself, whichever is larger; an absolute test alone is below one ulp
@@ -497,7 +608,14 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
                 floor, report the oracle value as "oracle-ladder";
       "require" treat an index out of budget or at the noise floor as
                 unresolved;
-      "oracle"  skip F entirely (truncation ladder only).
+      "oracle"  skip F entirely (truncation oracle only).
+    The oracle is one truncation N sized by a bound on its trace defect D_N
+    (_sized_rung), solved at otol = max(1e-3 tol, 1e-15), so every oracle
+    value is within D_N x^2 + otol <= 0.251 tol (or 8 ulp) of lambda_j; a
+    source with no tail certificate runs the doubling ladder (_ladder).  The
+    brackets F bisects are padded around the oracle value by gap, the
+    enclosure width x - x/(1 + x D_N) (on the ladder the last two rungs'
+    difference), and clamped between neighbouring oracle values.
     An index whose bisection is doomed by the float64 noise floor is not
     bisected (_doomed).  A same-sign contradiction (F certifies one
     sign at both ends of the widened bracket), and a certified zero farther
@@ -518,7 +636,14 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
         gamma = src.natural_gamma
 
     otol = max(tol * 1e-3, _OTOL_FLOOR)
-    sizes, t_coarse, t_fine, x_coarse, x_fine = _ladder(src, k, tol, otol)
+    rung = _sized_rung(src, k, tol, otol)
+    if rung is None:
+        sizes, t_coarse, t_fine, x_coarse, x_fine = _ladder(src, k, tol, otol)
+    else:
+        t_fine, defect = rung
+        t_coarse, sizes = None, [t_fine.size]
+        x_fine = sturm_eigenvalues(t_fine, k, otol,
+                                   hint=np.sort(t_fine.diag)[:k])
     res.ladder = sizes
     if k > 1:
         # near-degenerate oracle pairs: tighten the oracle tolerance so the
@@ -528,17 +653,30 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
             otol_ref = max(min_gap * 1e-3, _OTOL_FLOOR)
             if otol_ref < otol:
                 otol = otol_ref
-                x_coarse = sturm_eigenvalues(t_coarse, k, otol, hint=x_coarse)
+                if t_coarse is not None:
+                    x_coarse = sturm_eigenvalues(t_coarse, k, otol,
+                                                 hint=x_coarse)
                 x_fine = sturm_eigenvalues(t_fine, k, otol, hint=x_fine)
-    res.oracle_values = [float(x) for x in x_fine]
+    # J is positive definite and gamma bounds its spectrum below, so every
+    # root is at least floor; a root below the oracle's resolution (lambda_1
+    # = 1 - shift near 1e-16) can read below it, and is published as floor
+    floor = max(gamma if gamma is not None else 0.0, math.ulp(0.0))
+    oracle = [float(x) for x in x_fine]
+    res.oracle_values = [max(x, floor) for x in oracle]
+    if rung is not None:
+        x_coarse = x_fine
     inv_ratios = [x_fine[i] / x_fine[i + 1] for i in range(k - 1)]
     tail_ratio = max(inv_ratios[-4:]) if inv_ratios else None
 
     evaluator = CharFnEvaluator(src, max_terms) if confirm != "oracle" else None
 
     for j in range(k):
-        lam_oracle = float(x_fine[j])
-        gap = max(float(x_coarse[j] - x_fine[j]), 0.0)
+        lam_oracle = oracle[j]
+        if rung is None:
+            gap = max(float(x_coarse[j] - x_fine[j]), 0.0)
+        else:  # lambda_j lies in [x/(1 + x D), x]
+            x = res.oracle_values[j]
+            gap = x - x / (1.0 + x * defect)
         ulp = 4.0 * math.ulp(abs(lam_oracle) + 1.0)
         pad_lo = max(3.0 * gap, tol, 8.0 * otol, ulp)
         pad_hi = max(tol, 8.0 * otol, ulp)
@@ -561,7 +699,7 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
         # which a lambda_1 below otol can give, and whose log the slope takes
         outcome = "no-sign"
         if confirm != "oracle" and lam_oracle > 0:
-            slope = _slope_estimate(j, res.oracle_values, tail_ratio)
+            slope = _slope_estimate(j, oracle, tail_ratio)
             target_atol = max(0.02 * slope * tol, 1e-280)
             outcome = _doomed(evaluator, t_fine.diag, lam_oracle - 16.0 * tol,
                               abs(hi), slope, tol, target_atol)
@@ -577,7 +715,8 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
             _push_row(res, j, method, lam, bracket, abs(final.value),
                       final.tail_bound, abs(lam - lam_oracle))
         else:
-            _push_row(res, j, method, lam_oracle, (lo, hi))
+            _push_row(res, j, method, res.oracle_values[j], (lo, hi),
+                      gap=0.0 if rung is None else gap)
     return res
 
 
@@ -609,7 +748,9 @@ def _doomed(evaluator, diag, x0, z_hi, slope, tol, atol):
     diag[n] = J_nn: kappa_n = (J^{-1})_nn >= 1/J_nn (Cauchy-Schwarz), and
     x0 / diag[N0] <= x0 T_N0 U(R) <= atol, since every ladder tail T_n >=
     kappa_n and the majorant U(R) >= 1, so N0 is at least the first row
-    with diag[n] >= x0 / atol (the block's size if none is).  _BOUND_PAD
+    with diag[n] >= x0 / atol (the block's size if none is).  diag is the
+    oracle's block, the D_N-sized rung or the ladder's last rung; a shorter
+    block only weakens the bound, never breaks it.  _BOUND_PAD
     covers the entries' 1e-15 accuracy and the rounding of diag and of the
     plan's log comparison.
     """

@@ -98,8 +98,10 @@ def test_spectrum_at_the_noise_floor(capsys, confirm, code, n_rows):
 def test_spectrum_below_the_oracle_resolution(capsys, q, shift, unresolved,
                                               confirm):
     # lambda_1 = 1 - shift is about 1e-16, below the oracle's 1e-12, so its
-    # oracle value is negative; F is not run there (no log of it), and the
-    # index takes the oracle value under auto, unresolved under require
+    # oracle value reads negative; F is not run there (no log of it), and
+    # the index takes the oracle value under auto, unresolved under require.
+    # The published value is gamma = 1 - shift, the spectrum's lower bound,
+    # inside its bracket (the value read -4.5e-13, below the bracket)
     code, out, err = run_cli(capsys, "spectrum", "--q", q, "--a", q,
                              "--shift", shift, "--k", "3",
                              "--confirm", confirm)
@@ -113,7 +115,38 @@ def test_spectrum_below_the_oracle_resolution(capsys, q, shift, unresolved,
     else:
         assert code == 0 and len(rows) == 3
         assert rows[0]["lambda"] == rows[0]["oracle_value"]
-        assert float(rows[0]["oracle_value"]) < 0
+        assert float(rows[0]["oracle_value"]) == 1.0 - float(shift)
+        for row in rows:
+            lam = float(row["lambda"])
+            assert 0 < float(row["bracket_lo"]) <= lam <= float(row["bracket_hi"])
+
+
+@pytest.mark.parametrize("q, k", [
+    ("1e-12", 4), ("1e-6", 8), ("0.3", 71), ("0.3", 80), ("1e-10", 12)])
+def test_spectrum_on_one_rung_inside_the_float_range(capsys, q, k):
+    # the float-range clamp leaves the doubling ladder one usable rung (14,
+    # 26, 283, 283 and 16 rows), so each of these exited 2; one rung that
+    # D_N certifies needs no second.  At q = 1e-10, k = 12, lambda_12 = 1e110
+    # has an ulp far above tol, so only the ulp-aware target is met
+    import mpmath
+    code, out, err = run_cli(capsys, "spectrum", "--q", q, "--a", q,
+                             "--shift", "0", "--k", str(k))
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)
+    assert len(rows) == k
+    for n, row in enumerate(rows):
+        ref = float(mpmath.mpf(q) ** -n)
+        assert abs(float(row["lambda"]) - ref) <= 1e-9 + 8.0 * math.ulp(ref)
+
+
+@pytest.mark.parametrize("q, k, usable", [("1e-4", 40, 38), ("1e-10", 17, 16)])
+def test_spectrum_with_k_above_the_usable_rows_exits_2(capsys, q, k, usable):
+    code, out, err = run_cli(capsys, "spectrum", "--q", q, "--a", q,
+                             "--shift", "0", "--k", str(k))
+    assert code == 2 and out == ""
+    assert err == (f"error: the {k} smallest roots have not stabilized at "
+                   f"{usable} x {usable}, the largest truncation usable at "
+                   "tolerance 1e-12\n")
 
 
 def test_spectrum_same_sign_contradiction_exits_3(capsys, monkeypatch):

@@ -63,12 +63,13 @@ def test_emitter_edge_cases(columns, rows):
 # emitter replaced json.dumps (the verify report's again when its trace row
 # came to reconcile with the leading block's trace, the q = 0.9999 charfn
 # reports' again when an uncertified point came to sum the terms of the rung
-# where the a-priori tails stopped the ladder, not the whole table); the
-# charfn grids reach z = 0, inf and null cells (a closed form beyond the
-# float range)
+# where the a-priori tails stopped the ladder, not the whole table, the
+# spectrum report's again when one D_N-sized rung replaced the ladder's last
+# two rungs as its brackets' source); the charfn grids reach z = 0, inf and
+# null cells (a closed form beyond the float range)
 _JSON_REPORTS = {
     ("spectrum", "--q=0.5", "--a=0.5", "--shift=0.5", "--k=8"):
-        "36d2248eb1cb7613afb9e6e1565b944d6fce89bcd45021dc9a611e5098c89b97",
+        "bec8c9d0645ad1da6e91b8ff0e48c0516f3ad378c0bf6e4cf5c3c8ba006a93ca",
     ("verify", "--q=0.5", "--a=0.5", "--shift=0.5", "--precision=30"):
         "626d57bcc2bece3ea2f2e1dec31d557290c18307223763f489bbace888cecc1c",
     ("identities",):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import jacspec as js
-from conftest import EIG2X2, random_pd_table
+from conftest import EIG2X2, WindowOnly, random_pd_table
 
 
 def test_sturm_two_by_two_closed_form(asc2_plain):
@@ -321,7 +321,9 @@ def test_confirm_auto_falls_back_at_the_noise_floor(params):
     for j, method in enumerate(res.methods):
         if method == "oracle-ladder":  # the oracle value, no F behind it
             assert res.eigenvalues[j] == res.oracle_values[j]
-            assert math.isnan(res.residuals[j]) and res.oracle_gaps[j] == 0.0
+            assert math.isnan(res.residuals[j])
+            # the width of its D_N enclosure, at most the rung's 0.25 tol
+            assert 0.0 <= res.oracle_gaps[j] <= 0.25e-9
 
 
 @pytest.mark.parametrize("params", sorted(_NOISE_FLOOR))
@@ -478,7 +480,8 @@ def test_the_closed_form_noise_floor_implies_the_plan_based_one():
     # plan at |hi| is out of budget (outcome no-sign) or the plan-based
     # floor, eps sqrt(N0) (1 + x0 kappa_0), skips it too.  100 draws over
     # the certified regime near q -> 1 decide 464 indices; the closed form
-    # skips 98 of them
+    # skips 103 of them on the diagonal of the one D_N-sized rung (98 on the
+    # doubling ladder's last rung)
     from jacspec import spectrum
     from jacspec.charfn import _NOISE_EPS
     doomed = spectrum._doomed
@@ -508,7 +511,7 @@ def test_the_closed_form_noise_floor_implies_the_plan_based_one():
             a, shift = q * rng.uniform(0.02, 1.0), rng.uniform(-1.0, 0.99)
             k, tol = rng.randint(1, 8), rng.choice([1e-9, 1e-11])
             js.find_spectrum(js.ASC2Source(q, a, shift), k, tol)
-    assert (len(decided), len(fired)) == (464, 98)
+    assert (len(decided), len(fired)) == (464, 103)
 
 
 @pytest.mark.parametrize("params", [
@@ -521,6 +524,131 @@ def test_every_kappa_entry_is_at_least_the_reciprocal_diagonal(params):
     src = js.ASC2Source(q, a, shift)
     for n, kappa in enumerate(js.kappa_sequence(src, 200)):
         assert kappa >= (1.0 - 1e-12) / (src.beta(n) - shift)
+
+
+def _exact_defect(q, a, shift, n, dps=60):
+    """D_n = tr J^-1 - tr J_n^-1 of ASC-II in mpmath at dps digits: the
+    trace is the sum of 1/(q^-j - shift) over the spectrum, to below
+    10^-(dps + 5); tr J_n^-1 is sum 1/(d_j + e_j - b_j) from the pivots d
+    from the top and e from the bottom of the exact n x n block (Meurant
+    1992), so no two float traces are subtracted."""
+    import mpmath
+    ctx = mpmath.mp.clone()
+    ctx.dps = dps
+    q, a, shift = ctx.mpf(q), ctx.mpf(a), ctx.mpf(shift)
+    alphas = [ctx.sqrt(a * q ** (-2 * j - 1) * (1 - q ** (j + 1)))
+              for j in range(n - 1)]
+    betas = [(a + 1) * q ** -j - shift for j in range(n)]
+    trace, j = ctx.mpf(0), 0
+    while True:
+        term = 1 / (q ** -j - shift)
+        trace += term
+        if term < ctx.mpf(10) ** -(dps + 5):
+            break
+        j += 1
+    tops = [betas[0]]
+    for x, b in zip(alphas, betas[1:]):
+        tops.append(b - x * x / tops[-1])
+    block, bottom = 1 / tops[-1], betas[-1]
+    for j in range(n - 2, -1, -1):
+        drop = alphas[j] ** 2 / bottom
+        block += 1 / (tops[j] - drop)
+        bottom = betas[j] - drop
+    return trace - block
+
+
+@pytest.mark.parametrize("params, n", [
+    ((0.9, 0.9, 0.0), 320), ((0.95, 0.95, 0.0), 400),
+    ((0.855, 0.28, 0.8664), 64), ((0.97, 0.5, -1.5), 300),
+    ((0.5, 0.5, 0.5), 64), ((0.3, 0.3, 0.0), 40), ((0.7, 0.7, 0.0), 100),
+    ((0.6, 0.3, 0.5), 50), ((0.995, 0.995, 0.0), 1500)])
+def test_the_trace_defect_bound_is_never_below_the_exact_defect(params, n):
+    # the bound _sized_rung compares with its target: the certificate's
+    # tail(n) plus the head _defect_heads sums forward over the float
+    # block's own pivots, padded for their rounding.  It reads 3e-9 (q =
+    # 0.3) to 0.62 ((0.855, 0.28, 0.8664)) relative above the exact value,
+    # and 4.4 at q = 0.995, whose r = 0.995 loosens tail(n) and kappa_n's
+    # bound; the certificate's 1e-9 pad alone is below the closest margins
+    from jacspec import spectrum
+    src = js.ASC2Source(*params)
+    r, theta, _ = src.tail_certificate(0)
+    diag = [src.beta(j) - src.shift for j in range(n + 1)]
+    off = [src.alpha(j) for j in range(n)]
+    *_, (last, head) = spectrum._defect_heads(diag, off, r, theta)
+    assert last == n
+    bound = src.tail_certificate(n)[2] + head
+    exact = _exact_defect(*params, n)
+    assert 0 < exact <= bound
+    assert bound <= 6.0 * exact  # and not vacuous
+
+
+@pytest.mark.parametrize("params, k, tol", [
+    ((0.9, 0.9, 0.0), 20, 1e-10), ((0.5, 0.5, 0.5), 40, 1e-10),
+    ((0.3, 0.3, 0.0), 40, 1e-10), ((0.97, 0.5, -1.5), 6, 1e-9),
+    ((1e-6, 1e-6, 0.0), 8, 1e-9)])
+def test_the_one_rung_encloses_every_eigenvalue(monkeypatch, params, k, tol):
+    # lambda_j lies in [x/(1 + x D), x] up to the root's bisection error;
+    # oracle_gaps reports that width, which the target keeps below 0.25 tol
+    # or 8 ulp.  No kappa table is built under confirm="oracle"
+    from jacspec import second_kind
+
+    def no_build(*args):
+        raise AssertionError("a kappa table was built")
+
+    monkeypatch.setattr(second_kind, "_kappa_entries", no_build)
+    q, a, shift = params
+    res = js.find_spectrum(js.ASC2Source(*params), k, tol, confirm="oracle")
+    assert len(res.ladder) == 1
+    otol = max(1e-3 * tol, 1e-15)
+    for n, (x, width) in enumerate(zip(res.oracle_values, res.oracle_gaps)):
+        ref = q ** -n - shift
+        slack = otol + 8.0 * math.ulp(ref)
+        assert x - width - slack <= ref <= x + slack
+        assert 0.0 <= width <= max(0.25 * tol, 8.0 * math.ulp(x))
+        assert res.eigenvalues[n] == x
+
+
+def test_every_published_eigenvalue_is_positive_and_inside_its_bracket():
+    # lambda_1 = 1 - shift with shift = 1 - m 2^-53 lies below the oracle's
+    # 1e-12 resolution, and 87 of these 240 configurations published a
+    # negative first oracle value below its own bracket (0.5 gamma, ...)
+    # before it was clamped to gamma.  The configuration gate refuses one
+    refused = []
+    for i, ratio, m in itertools.product(range(10), (0.1, 0.5, 1.0),
+                                         range(1, 9)):
+        q = 0.05 + 0.1 * i
+        src = js.ASC2Source(q, q * ratio, 1.0 - m * 2.0 ** -53)
+        try:
+            res = js.find_spectrum(src, 2, 1e-9, confirm="oracle")
+        except js.AssumptionViolation:
+            refused.append((i, ratio, m))
+            continue
+        for lam, (lo, hi) in zip(res.eigenvalues, res.brackets):
+            assert 0.0 < lam and lo <= lam <= hi
+        assert res.eigenvalues[0] >= src.natural_gamma
+    assert refused == [(1, 1.0, 1)]
+
+
+def test_the_near_degenerate_rerun_solves_the_one_rung_again(monkeypatch):
+    # tol = 2 puts the least level spacing of (0.5, 0.5, 0.5), 1, below tol
+    # (otol 2e-3): the one rung is solved again at 1e-3 of that gap, as the
+    # ladder solves its last two rungs again
+    from jacspec import spectrum
+    runs = []
+    orig = spectrum.sturm_eigenvalues
+
+    def recorded(t, k, tol, **kwargs):
+        runs.append((t.size, tol))
+        return orig(t, k, tol, **kwargs)
+
+    monkeypatch.setattr(spectrum, "sturm_eigenvalues", recorded)
+    res = js.find_spectrum(js.ASC2Source(0.5, 0.5, 0.5), 4, 2.0,
+                           confirm="oracle")
+    n = res.ladder[0]
+    assert res.ladder == [n]
+    assert runs == [(n, 2e-3), (n, pytest.approx(1e-3, rel=1e-3))]
+    for j, lam in enumerate(res.eigenvalues):
+        assert abs(lam - (2.0 ** j - 0.5)) <= 2.0
 
 
 def test_a_certified_zero_far_from_its_oracle_value_is_unresolved(monkeypatch):
@@ -551,18 +679,20 @@ def test_truncation_guard_nonfinite():
 # float.hex eigenvalues recorded before the kappa-capacity memo and the
 # certified-sign noise stop; both changes must leave them bit-identical.
 # (0.3, 0.3, 0) indices 6-8 were oracle values until F's tail bound used the
-# majorant F(-|z|) instead of exp(|z| S); they are now bisection values
+# majorant F(-|z|) instead of exp(|z| S); they are now bisection values.
+# Re-recorded when one D_N-sized rung (55 and 37 rows) replaced the last two
+# rungs of the doubling ladder: the brackets F bisects start from its roots
 _GOLDEN = {
     (0.5, 0.5, 0.5): (
-        ["0x1.0000000225118p-1", "0x1.800000011288ep+0", "0x1.bfffffffdd730p+1",
-         "0x1.dfffffffeeb99p+2", "0x1.effffffff75cep+3", "0x1.f7fffffffbae8p+4",
-         "0x1.fbfffffffdd74p+5", "0x1.fdfffffffeebbp+6"],
+        ["0x1.000000044a832p-1", "0x1.800000011260ep+0", "0x1.bfffffffdd640p+1",
+         "0x1.dfffffffeef22p+2", "0x1.effffffff7792p+3", "0x1.f7fffffffbbcap+4",
+         "0x1.fbfffffffdde6p+5", "0x1.fdfffffffeef4p+6"],
         ["charfn-bisection"] * 8,
     ),
     (0.3, 0.3, 0.0): (
-        ["0x1.ffffffff7695dp-1", "0x1.aaaaaaaa886cep+1", "0x1.638e38e385acap+3",
-         "0x1.284bda12f4602p+5", "0x1.edd3c0ca4475ap+6", "0x1.9b85cb5339acap+8",
-         "0x1.56ef7ec55ae2ap+10", "0x1.1dc7944f2122ap+12"],
+        ["0x1.0000000225984p+0", "0x1.aaaaaaaa88602p+1", "0x1.638e38e385a12p+3",
+         "0x1.284bda12f45dap+5", "0x1.edd3c0ca44762p+6", "0x1.9b85cb5339ad0p+8",
+         "0x1.56ef7ec55ae2ap+10", "0x1.1dc7944f2122ep+12"],
         ["charfn-bisection"] * 8,
     ),
 }
@@ -575,6 +705,9 @@ def test_find_spectrum_golden_bits(params):
     assert [float(x).hex() for x in res.eigenvalues] == eigs
     assert res.methods == methods
     assert res.unresolved == []
+    q, a, shift = params
+    for n, lam in enumerate(res.eigenvalues):
+        assert abs(lam - (q ** -n - shift)) <= 1e-9
 
 
 def test_truncation_guard_squared_offdiagonal():
@@ -588,8 +721,9 @@ def test_truncation_guard_squared_offdiagonal():
 
 def test_ladder_stops_at_ulp_level_for_large_roots():
     # lambda_12 = 0.3^-11 ~ 5.6e5: 0.01 tol = 1e-12 is below one ulp there,
-    # so only the ulp-aware stabilization test lets the ladder end
-    src = js.ASC2Source(q=0.3, a=0.3)
+    # so only the ulp-aware stabilization test lets the ladder end (a source
+    # with no tail certificate: ASC-II's takes one D_N-sized rung)
+    src = WindowOnly(q=0.3, a=0.3)
     res = js.find_spectrum(src, 12, 1e-10, confirm="oracle")
     assert res.ladder == [48, 96]
     assert all(x > 0 for x in res.eigenvalues)
@@ -599,8 +733,9 @@ def test_ladder_stops_at_ulp_level_for_large_roots():
 
 def test_oracle_ladder_clamps_its_last_rung_to_the_usable_size():
     # q = 0.3, otol = 1e-13: 283 rows is the largest block whose pivot floor
-    # stays below otol (284 rows: 4.0e-13), so the rung after 160 is 283
-    src = js.ASC2Source(q=0.3, a=0.3)
+    # stays below otol (284 rows: 4.0e-13), so the rung after 160 is 283 on
+    # the ladder of a source with no tail certificate
+    src = WindowOnly(q=0.3, a=0.3)
     res = js.find_spectrum(src, 40, 1e-10, confirm="oracle")
     assert res.ladder == [160, 283]
     for n, lam in enumerate(res.eigenvalues):
@@ -629,7 +764,7 @@ def test_gamma_above_the_spectrum_rejected(confirm):
     # (2.5, 1.000000001) and return 1.75 as a certified eigenvalue
     src = js.ASC2Source(0.5, 0.5, 0.0)
     with pytest.raises(js.AssumptionViolation,
-                       match="gamma 5.0 exceeds the smallest oracle root 0.99"):
+                       match="gamma 5.0 exceeds the smallest oracle root 1.0"):
         js.find_spectrum(src, 2, 1e-9, gamma=5.0, confirm=confirm)
     res = js.find_spectrum(src, 2, 1e-9, gamma=src.natural_gamma, confirm=confirm)
     assert abs(res.eigenvalues[0] - 1.0) <= 1e-9
@@ -638,11 +773,19 @@ def test_gamma_above_the_spectrum_rejected(confirm):
 def test_oracle_overflow_raises_instead_of_negative_eigenvalues():
     # the first rung 4k = 320 (k = 80) or 284 (k = 71) is clamped to 283
     # rows, and no larger usable rung is left to confirm it: the ladder must
-    # raise rather than return unconfirmed roots
-    src = js.ASC2Source(q=0.3, a=0.3)
+    # raise rather than return unconfirmed roots.  With ASC-II's tail
+    # certificate one rung well inside the float range bounds every root by
+    # D_N, so no second rung is needed
     for k in (71, 80):
         with pytest.raises(ValueError, match="not stabilized at 283 x 283"):
-            js.find_spectrum(src, k, 1e-10, confirm="oracle")
+            js.find_spectrum(WindowOnly(q=0.3, a=0.3), k, 1e-10,
+                             confirm="oracle")
+        res = js.find_spectrum(js.ASC2Source(q=0.3, a=0.3), k, 1e-10,
+                               confirm="oracle")
+        assert len(res.ladder) == 1 and k <= res.ladder[0] < 283
+        for n, lam in enumerate(res.eigenvalues):
+            assert 0 < lam and abs(lam - 0.3 ** -n) <= \
+                1e-10 + 8.0 * math.ulp(0.3 ** -n)
 
 
 def _plain_bisection(t, k, tol):
@@ -725,21 +868,22 @@ def _count_sweeps(monkeypatch):
 def test_oracle_ladder_sweep_gate(monkeypatch):
     # sweeps only for unknown counts, every rung hinted, a gallop toward
     # roots that moved (one-step bisection: 605 sweeps; one tree per bracket,
-    # cold rungs: 206; an unhinted first rung: 63; now 44)
+    # cold rungs: 206; an unhinted first rung: 63; the five-rung ladder 80
+    # ... 1280: 44; now 14, on one rung that D_N sizes)
     calls = _count_sweeps(monkeypatch)
     res = js.find_spectrum(js.ASC2Source(0.9, 0.9, 0.0), 20, 1e-10,
                            confirm="oracle")
-    assert res.ladder == [80, 160, 320, 640, 1280]
-    assert calls[0] <= 50
+    assert res.ladder == [369]
+    assert calls[0] <= 16
 
 
 def test_certified_spectrum_sweep_gate(monkeypatch):
     # one-step bisection: 345 sweeps; one tree per bracket, cold rungs: 71;
-    # an unhinted first rung: 27; now 21
+    # an unhinted first rung: 27; the ladder 32, 64, 128: 21; one rung: 11
     calls = _count_sweeps(monkeypatch)
     res = js.find_spectrum(js.ASC2Source(0.5, 0.5, 0.5), 8, 1e-9)
     assert res.methods == ["charfn-bisection"] * 8
-    assert calls[0] <= 24
+    assert calls[0] <= 12
 
 
 _ORACLE_CONFIGS = [((0.5, 0.5, 0.5), 40), ((0.7, 0.7, 0.0), 20),
@@ -748,11 +892,11 @@ _ORACLE_CONFIGS = [((0.5, 0.5, 0.5), 40), ((0.7, 0.7, 0.0), 20),
 
 def test_oracle_configurations_sweep_gate(monkeypatch):
     # the four oracle-ladder runs of the benchmark at seed 0; an unhinted
-    # first rung took 212 sweeps, now 119
+    # first rung took 212 sweeps, the hinted ladder 119, one rung each 71
     calls = _count_sweeps(monkeypatch)
     for params, k in _ORACLE_CONFIGS:
         js.find_spectrum(js.ASC2Source(*params), k, 1e-10, confirm="oracle")
-    assert calls[0] <= 130
+    assert calls[0] <= 75
 
 
 @pytest.mark.parametrize("params,k", _ORACLE_CONFIGS)
@@ -1097,8 +1241,9 @@ def test_hints_never_move_the_roots_asc2(monkeypatch, params):
 
 def test_ladder_raises_at_the_cap_instead_of_returning_unstabilized_roots(
         monkeypatch):
-    # q = 0.995 converges slowly: the 8- and 16-row roots differ far beyond
-    # the stabilization floor, and 16 rows is the cap here
+    # q = 0.995 converges slowly: D_N of 16 rows is far above the rung's
+    # target (as the 8- and 16-row roots of the ladder differ far beyond its
+    # stabilization floor), and 16 rows is the cap here
     from jacspec import spectrum
     monkeypatch.setattr(spectrum, "_LADDER_CAP", 16)
     src = js.ASC2Source(0.995, 0.995, 0.0)
@@ -1109,15 +1254,16 @@ def test_ladder_raises_at_the_cap_instead_of_returning_unstabilized_roots(
 
 @pytest.mark.parametrize("cap, k", [(16, 2), (8192, 4)])
 def test_the_ladder_cap_exits_uncertified(monkeypatch, capsys, cap, k):
-    # q = 0.995 lies in the certified regime, so a ladder that reaches its
-    # cap is an uncertified result (exit 4), not a configuration error (exit
-    # 2, which the clamp to the usable size keeps); the error stays a
-    # ValueError, as the test above requires
+    # q = 0.995 lies in the certified regime, so a rung search that reaches
+    # its cap is an uncertified result (exit 4), not a configuration error
+    # (exit 2, which the clamp to the usable size keeps); the error stays a
+    # ValueError, as the test above requires.  At the default tol 1e-9 one
+    # rung of 7,495 rows meets k = 4 below the cap, so tol is 1e-11 here
     from jacspec import spectrum
     from jacspec.cli import main
     monkeypatch.setattr(spectrum, "_LADDER_CAP", cap)
     assert main(["spectrum", "--q", "0.995", "--a", "0.995", "--shift", "0",
-                 "--k", str(k)]) == 4
+                 "--k", str(k), "--eig-tol", "1e-11"]) == 4
     assert capsys.readouterr().err == (
         f"uncertified: the {k} smallest roots have not stabilized at "
         f"{cap} x {cap}, the ladder cap {cap}\n")
@@ -1134,11 +1280,18 @@ def test_a_first_row_past_the_float_range_names_the_float_range():
 
 
 @pytest.mark.parametrize("k", [12, 17])
-def test_a_usable_block_smaller_than_k_raises_the_ladder_error(capsys, k):
+def test_a_usable_block_smaller_than_k_raises_the_ladder_error(monkeypatch,
+                                                               capsys, k):
     # q = 1e-10: 16 rows are usable at the finest oracle tolerance.  At
     # k = 17 the first rung reached sturm_eigenvalues, which raised "need
-    # 0 <= k <= N, got k=17, N=16"; both k now get the ladder's message
+    # 0 <= k <= N, got k=17, N=16"; both k now get the ladder's message.
+    # k = 12 fits in 16 rows, but the ladder needs two rungs of at least 48:
+    # without a tail certificate it fails (with ASC-II's, one rung of 13
+    # rows certifies all twelve; see test_cli)
     from jacspec.cli import main
+    if k == 12:
+        monkeypatch.setattr(js.ASC2Source, "tail_certificate",
+                            WindowOnly.tail_certificate)
     want = (f"the {k} smallest roots have not stabilized at 16 x 16, the "
             "largest truncation usable at tolerance 1e-12")
     with pytest.raises(ValueError, match=f"^{want}$"):
