@@ -33,7 +33,6 @@ _SWEEP_POINTS = 512  # shifts per tree or gallop sweep, costing ~1.5x one shift
 _LADDER_CAP = 8192  # the ladder stops doubling at this truncation size
 _RUNG_WIDTH = 0.25  # the one rung's enclosure width bound as a fraction of tol
 _RUNG_ULPS = 4.0  # ... or this many ulp of the k-th root's upper bound
-_EPS = 2.0 ** -52
 _TAIL_CHECK = 16  # rows between the early-exit checks of a Sturm sweep
 _PIVMIN_SCALE = 5e-308  # pivot floor per unit of the largest offdiag**2
 _OTOL_FLOOR = 1e-15  # the finest oracle tolerance find_spectrum bisects to
@@ -339,7 +338,9 @@ class SpectrumResult:
     same-sign contradiction (see find_spectrum).  The truncation value is a
     root x of the one D_N-sized rung, lambda_j in [x/(1 + x D_N), x], for a
     source with a tail certificate, else of the doubling ladder's last,
-    stabilized rung; either way no value below gamma (or 0) is published.
+    stabilized rung; either way no value below gamma (or 0) is published,
+    and a smallest root below 0 by more than the oracle's resolution
+    raises AssumptionViolation.
     ladder lists the truncation sizes: one, [N], for the D_N-sized rung.
     oracle_gaps[j] is |lambda - oracle value| for a "charfn-bisection"
     entry; for any other it is the width x - x/(1 + x D_N) of the D_N
@@ -413,14 +414,6 @@ def _rung(src, n, otol):
     """
     diag = np.array([src.beta(i) - src.shift for i in range(n)], dtype=float)
     off = np.array([src.alpha(i) for i in range(n - 1)], dtype=float)
-    m = _usable(diag, off, otol)
-    return TruncatedTridiagonal(diag=diag[:m], offdiag=off[:max(m - 1, 0)])
-
-
-def _usable(diag, off, otol):
-    """The usable size (see _rung) of the block with diagonal diag and the
-    len(diag) - 1 offdiag entries off."""
-    n = len(diag)
     with np.errstate(over="ignore"):
         floor = np.maximum(1.0, off ** 2) * _PIVMIN_SCALE
     bad_off = ~((np.abs(off) < _OFFDIAG_LIMIT) & (floor <= otol))
@@ -429,7 +422,14 @@ def _usable(diag, off, otol):
         m = int(np.argmin(np.isfinite(diag)))
     if np.any(bad_off):
         m = min(m, int(np.argmax(bad_off)) + 1)
-    return m
+    return TruncatedTridiagonal(diag=diag[:m], offdiag=off[:max(m - 1, 0)])
+
+
+def _row_usable(b, a, otol):
+    """Whether _rung keeps a row whose diagonal entry is b and whose offdiag
+    to the row before is a (None for row 0)."""
+    return math.isfinite(b) and (a is None or (
+        abs(a) < _OFFDIAG_LIMIT and max(1.0, a * a) * _PIVMIN_SCALE <= otol))
 
 
 def _sized_rung(src, k, tol, otol):
@@ -446,41 +446,19 @@ def _sized_rung(src, k, tol, otol):
     _LADDER_CAP), with X^2 D <= max(_RUNG_WIDTH tol, _RUNG_ULPS ulp(X)); the
     ulp term, like the ladder's 8-ulp floor, lets a large root end where
     tol is below its ulp, and keeps each width below 8 ulp of its own root.
+    D is tail(N) + h_N (_defect_heads); tail(N), the certificate's
+    closed-form sum, is asked for only where h_N alone fits.
 
-    With P_n = P_n(0), (J^-1)_nn - (J_N^-1)_nn = kappa_N (P_n/P_N)^2 for n <
-    N, so D_N = sum_{n >= N} kappa_n + kappa_N S_N, S_N = sum_{n < N}
-    (P_n/P_N)^2.  The certificate (r, theta, tail) bounds the first sum by
-    tail(N) and kappa_N by 1/((1 - r) theta b'_N), b'_N = beta_N - shift;
-    r and theta hold for every row, so they are read once, at start 0.
-    S_N is summed forward, S_{m+1} = (alpha_m/d_m)^2 (1 + S_m) over the
-    block's own z = 0 pivots d_m, so every term is positive and nothing
-    cancels.  Each pivot's relative rounding error is at most a few eps/(1 -
-    r), since the certificate's ratio alpha_m^2/(d_m d_{m+1}) <= r damps the
-    error it inherits, and each term of S_N is a product of at most N
-    factors: the factor 1 + 16 N eps/(1 - r) covers both.
-
-    The rows are read as the ladder's rungs grow, doubling from max(4k, 8),
-    each row once (as _rung reads them).  Where no N meets the target, the
-    ladder's errors are raised: the float-range ValueError where the usable
-    rows end first, else the cap's _LadderCapError.
+    Where no N meets the target, the ladder's errors are raised: the
+    float-range ValueError where the usable rows end first, else the cap's
+    _LadderCapError.
     """
     cert = src.tail_certificate(0)
     if cert is None:
         return None
-    r, theta, _ = cert
-    n, budget = max(4 * k, 8), None
-    diag_l, off_l = [], []  # the rows read so far, uncut
-    while True:
-        top = min(n, _LADDER_CAP)
-        # the bound at N reads row N: b'_N and alpha_{N-1}
-        diag_l += [src.beta(i) - src.shift
-                   for i in range(len(diag_l), top + 1)]
-        off_l += [src.alpha(i) for i in range(len(off_l), top)]
-        diag, off = np.array(diag_l, dtype=float), np.array(off_l, dtype=float)
-        m = _usable(diag, off, otol)
-        if m < k:
-            raise _not_stabilized(k, m, otol)
-        if budget is None:
+    n = 0
+    for n, head, diag, off in _defect_heads(src, cert[0], cert[1], otol):
+        if n == k:
             a = np.abs(off[:k - 1])
             radius = np.zeros(k)
             radius[:-1] += a
@@ -488,38 +466,55 @@ def _sized_rung(src, k, tol, otol):
             x_up = float(np.max(diag[:k] + radius))
             target = max(_RUNG_WIDTH * tol, _RUNG_ULPS * math.ulp(x_up))
             budget = target / x_up / x_up
-        last = min(m, top)
-        heads = _defect_heads(diag_l[:last + 1], off_l[:last], r, theta)
-        for big_n, head in heads:
-            # the closed-form tail is asked for only where the head fits
-            if big_n >= k and head <= budget:
-                defect = src.tail_certificate(big_n)[2] + head
-                if defect <= budget:
-                    t = TruncatedTridiagonal(diag=diag[:big_n],
-                                             offdiag=off[:big_n - 1])
-                    return t, defect
-        if m <= top:
-            raise _not_stabilized(k, m, otol)
-        if top >= _LADDER_CAP:
-            raise _not_stabilized(k, top, otol)
-        n *= 2
+        if n >= k and head <= budget:
+            defect = src.tail_certificate(n)[2] + head
+            if defect <= budget:
+                t = TruncatedTridiagonal(diag=np.array(diag[:n], dtype=float),
+                                         offdiag=np.array(off[:n - 1],
+                                                          dtype=float))
+                return t, defect
+        if n == _LADDER_CAP:
+            break
+    raise _not_stabilized(k, n, otol)
 
 
-def _defect_heads(diag, off, r, theta):
-    """Yield (N, h_N) for N = 1, ..., len(off): h_N bounds kappa_N S_N, the
-    part of D_N from the leading N rows (see _sized_rung), as S_N (1 + 16 N
-    eps/(1 - r)) / ((1 - r) theta b'_N); inf where b'_N = diag[N] is not
-    finite.  diag and off are lists of len(off) + 1 and len(off) entries."""
-    pad = 16.0 * _EPS / (1.0 - r)
+def _defect_heads(src, r, theta, otol):
+    """Yield (N, h_N, diag, off) for N = 1, 2, ... while the N x N block is
+    usable (_rung's rule, so the last N is the usable size): h_N bounds
+    kappa_N S_N, the part of D_N from the leading N rows, and diag and off
+    are the lists of the N + 1 entries b'_n = beta_n - shift and the N
+    entries alpha_n read so far, one row per step; (r, theta) is src's
+    tail certificate.
+
+    With P_n = P_n(0), (J^-1)_nn - (J_N^-1)_nn = kappa_N (P_n/P_N)^2 for n <
+    N, so D_N = sum_{n >= N} kappa_n + kappa_N S_N, S_N = sum_{n < N}
+    (P_n/P_N)^2.  The certificate bounds the first sum by tail(N) and
+    kappa_N by 1/((1 - r) theta b'_N); r and theta hold for every row, so
+    they are read once, at start 0.  S_N is summed forward, S_{m+1} =
+    (alpha_m/d_m)^2 (1 + S_m) over the block's own z = 0 pivots d_m, so
+    every term is positive and nothing cancels.  Each pivot's relative
+    rounding error is at most a few eps/(1 - r), since the certificate's
+    ratio alpha_m^2/(d_m d_{m+1}) <= r damps the error it inherits, and each
+    term of S_N is a product of at most N factors: h_N = S_N (1 + 16 N
+    eps/(1 - r)) / ((1 - r) theta b'_N) covers both, inf where b'_N is not
+    finite.
+    """
+    pad = 16.0 * np.finfo(float).eps / (1.0 - r)
     scale = (1.0 - r) * theta
+    diag, off = [src.beta(0) - src.shift], []
     d = s = 0.0
-    for n in range(1, len(off) + 1):
+    n = 0
+    while _row_usable(diag[n], off[n - 1] if n else None, otol):
+        n += 1
+        # h_N reads row N: alpha_{N-1} and b'_N
+        off.append(src.alpha(n - 1))
+        diag.append(src.beta(n) - src.shift)
         d = diag[0] if n == 1 else diag[n - 1] - off[n - 2] * off[n - 2] / d
         g = off[n - 1] / d
         s = g * g * (1.0 + s)
         b = diag[n]
         yield n, (s * (1.0 + n * pad) / (scale * b) if b < math.inf
-                  else math.inf)
+                  else math.inf), diag, off
 
 
 def _ladder(src, k, tol, otol):
@@ -636,35 +631,31 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
         gamma = src.natural_gamma
 
     otol = max(tol * 1e-3, _OTOL_FLOOR)
+    # J is positive definite and gamma bounds its spectrum below, so every
+    # root is at least floor; a root within the oracle's resolution of it
+    # (lambda_1 = 1 - shift near 1e-16) can read below it, and is published
+    # as floor, while one farther below zero raises
+    floor = max(gamma if gamma is not None else 0.0, math.ulp(0.0))
     rung = _sized_rung(src, k, tol, otol)
     if rung is None:
-        sizes, t_coarse, t_fine, x_coarse, x_fine = _ladder(src, k, tol, otol)
+        # each root's error is estimated by its move between the last two
+        # rungs, which widens its bracket but is no bound to report
+        sizes, t_upper, t_fine, x_upper, x_fine = _ladder(src, k, tol, otol)
+        otol, (x_upper, x_fine) = _near_degenerate(
+            (t_upper, t_fine), (x_upper, x_fine), tol, otol)
+        gaps, shown_gaps = np.maximum(x_upper - x_fine, 0.0), np.zeros(k)
     else:
+        # lambda_j lies in [x/(1 + x D), x], whose width oracle_gaps reports
         t_fine, defect = rung
-        t_coarse, sizes = None, [t_fine.size]
+        sizes = [t_fine.size]
         x_fine = sturm_eigenvalues(t_fine, k, otol,
                                    hint=np.sort(t_fine.diag)[:k])
+        otol, (x_fine,) = _near_degenerate((t_fine,), (x_fine,), tol, otol)
+        x_upper, x_pub = x_fine, np.maximum(x_fine, floor)
+        gaps = shown_gaps = x_pub - x_pub / (1.0 + x_pub * defect)
     res.ladder = sizes
-    if k > 1:
-        # near-degenerate oracle pairs: tighten the oracle tolerance so the
-        # separation midpoints used as bracket clamps can be trusted
-        min_gap = float(np.min(np.diff(x_fine)))
-        if min_gap < 10.0 * tol and min_gap > 0.0:
-            otol_ref = max(min_gap * 1e-3, _OTOL_FLOOR)
-            if otol_ref < otol:
-                otol = otol_ref
-                if t_coarse is not None:
-                    x_coarse = sturm_eigenvalues(t_coarse, k, otol,
-                                                 hint=x_coarse)
-                x_fine = sturm_eigenvalues(t_fine, k, otol, hint=x_fine)
-    # J is positive definite and gamma bounds its spectrum below, so every
-    # root is at least floor; a root below the oracle's resolution (lambda_1
-    # = 1 - shift near 1e-16) can read below it, and is published as floor
-    floor = max(gamma if gamma is not None else 0.0, math.ulp(0.0))
     oracle = [float(x) for x in x_fine]
     res.oracle_values = [max(x, floor) for x in oracle]
-    if rung is not None:
-        x_coarse = x_fine
     inv_ratios = [x_fine[i] / x_fine[i + 1] for i in range(k - 1)]
     tail_ratio = max(inv_ratios[-4:]) if inv_ratios else None
 
@@ -672,11 +663,7 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
 
     for j in range(k):
         lam_oracle = oracle[j]
-        if rung is None:
-            gap = max(float(x_coarse[j] - x_fine[j]), 0.0)
-        else:  # lambda_j lies in [x/(1 + x D), x]
-            x = res.oracle_values[j]
-            gap = x - x / (1.0 + x * defect)
+        gap = float(gaps[j])
         ulp = 4.0 * math.ulp(abs(lam_oracle) + 1.0)
         pad_lo = max(3.0 * gap, tol, 8.0 * otol, ulp)
         pad_hi = max(tol, 8.0 * otol, ulp)
@@ -686,8 +673,14 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
                 f"gamma {gamma!r} exceeds the smallest oracle root "
                 f"{lam_oracle!r} by more than its padding {pad_hi:.3g}; "
                 "gamma must be a lower bound of the spectrum")
+        if j == 0 and lam_oracle < -max(8.0 * otol, ulp):
+            # below zero by more than the oracle's resolution: a root the
+            # configuration gate's 24-row block did not show
+            raise AssumptionViolation(
+                f"the smallest oracle root {lam_oracle!r} is below zero; the "
+                "source is not a positive-definite configuration")
         lo = lam_oracle - pad_lo
-        hi = float(x_coarse[j]) + pad_hi
+        hi = float(x_upper[j]) + pad_hi
         lo_clamp = 0.5 * (float(x_fine[j - 1]) + lam_oracle) if j >= 1 else (
             0.5 * gamma if gamma is not None and gamma > 0 else lo - 64 * pad_lo
         )
@@ -716,8 +709,25 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
                       final.tail_bound, abs(lam - lam_oracle))
         else:
             _push_row(res, j, method, res.oracle_values[j], (lo, hi),
-                      gap=0.0 if rung is None else gap)
+                      gap=float(shown_gaps[j]))
     return res
+
+
+def _near_degenerate(blocks, roots, tol, otol):
+    """(otol, roots), the blocks solved again where the last one's roots
+    are near-degenerate: at 1e-3 of their least gap, so the separation
+    midpoints used as bracket clamps can be trusted, where that is below
+    otol (and not below _OTOL_FLOOR); else otol and roots unchanged."""
+    x = roots[-1]
+    if len(x) > 1:
+        min_gap = float(np.min(np.diff(x)))
+        if 0.0 < min_gap < 10.0 * tol:
+            otol_ref = max(min_gap * 1e-3, _OTOL_FLOOR)
+            if otol_ref < otol:
+                return otol_ref, tuple(
+                    sturm_eigenvalues(t, len(x), otol_ref, hint=r)
+                    for t, r in zip(blocks, roots))
+    return otol, roots
 
 
 def _provenance(confirm, outcome):
@@ -813,8 +823,13 @@ def _bisect_zero(evaluator, lo, hi, lo_clamp, hi_clamp, tol, atol):
             break
         s_mid = evaluator.certified_sign(mid, atol)[0]
         if s_mid == 0:
-            # probe sits too close to the zero to certify; nudge sideways
-            for frac in (0.125, -0.125, 0.25, -0.25):
+            # probe sits too close to the zero to certify; nudge sideways,
+            # and farther where a bracket wider than 8 tol would otherwise
+            # end the bisection: F's noise band can reach past w/4
+            fracs = (0.125, -0.125, 0.25, -0.25)
+            if width > 8.0 * tol:
+                fracs += (0.375, -0.375)
+            for frac in fracs:
                 probe = mid + frac * width
                 if lo < probe < hi:
                     s_probe = evaluator.certified_sign(probe, atol)[0]

@@ -50,5 +50,5 @@ def test_fixed_configurations_reproduce_the_committed_methods(tmp_path, capsys):
     args = ["--out", str(tmp_path / "new.txt"), "--against", str(CONFIGS_66)]
     assert tool.main(args) == 0
     err = capsys.readouterr().err
-    assert err == "2081 charfn-bisection, 1087 oracle-ladder\n" \
+    assert err == "2184 charfn-bisection, 984 oracle-ladder\n" \
         "0 of 3168 indices changed\n"

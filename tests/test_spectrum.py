@@ -179,6 +179,27 @@ def test_find_spectrum_rejects_a_block_with_negative_eigenvalues():
         js.find_spectrum(_NegativeCorner(), 2)
 
 
+class _NegativeDeepRow(js.CoefficientSource):
+    """alpha_n = 1, beta_n = 4 + n but beta_30 = -5: the gate's 24-row
+    block is positive definite, any block past row 30 is not."""
+
+    def alpha(self, n):
+        return 1.0
+
+    def beta(self, n):
+        return -5.0 if n == 30 else 4.0 + n
+
+
+def test_a_negative_root_past_the_gate_block_raises():
+    # a root below zero by more than the oracle's resolution is no rounding
+    # of a positive one: the ladder's last rung reads -5.05, which was
+    # published as it stood, and then as 5e-324 by the clamp to zero
+    want = (r"^the smallest oracle root -5\.05\d* is below zero; the source "
+            "is not a positive-definite configuration$")
+    with pytest.raises(js.AssumptionViolation, match=want):
+        js.find_spectrum(_NegativeDeepRow(), 2, confirm="oracle")
+
+
 @pytest.mark.parametrize("q", [1e-7, 1e-8, 1e-10, 1e-14, 1e-20])
 @pytest.mark.parametrize("a_over_q", [1.0, 0.01])
 def test_tiny_q_passes_the_gate(q, a_over_q):
@@ -572,10 +593,8 @@ def test_the_trace_defect_bound_is_never_below_the_exact_defect(params, n):
     from jacspec import spectrum
     src = js.ASC2Source(*params)
     r, theta, _ = src.tail_certificate(0)
-    diag = [src.beta(j) - src.shift for j in range(n + 1)]
-    off = [src.alpha(j) for j in range(n)]
-    *_, (last, head) = spectrum._defect_heads(diag, off, r, theta)
-    assert last == n
+    head = next(h for m, h, *_ in spectrum._defect_heads(src, r, theta, 1e-15)
+                if m == n)
     bound = src.tail_certificate(n)[2] + head
     exact = _exact_defect(*params, n)
     assert 0 < exact <= bound
@@ -668,6 +687,33 @@ def test_a_certified_zero_far_from_its_oracle_value_is_unresolved(monkeypatch):
                                confirm=confirm)
         assert res.methods == ["unresolved"] * 2 and res.unresolved == [1, 2]
         assert res.eigenvalues == res.oracle_values
+
+
+class _NoisyLine:
+    """F(z) = z, whose sign is certified only farther than band from 0."""
+
+    def __init__(self, band):
+        self.band = band
+
+    def certified_sign(self, z, atol):
+        return (0 if abs(z) <= self.band else (1 if z > 0 else -1)), None
+
+
+@pytest.mark.parametrize("band, outcome", [(2.4, "certified"),
+                                           (2.6, "certified"),
+                                           (3.8, "no-sign")])
+def test_bisection_nudges_past_a_noise_band_wider_than_a_quarter(band,
+                                                                 outcome):
+    # the bracket (-5, 5) is 10 tol wide and its midpoint is the zero.  A
+    # band up to w/4 = 2.5 is left by the nudges at +-w/8 and +-w/4; a wider
+    # one gave up as "no-sign" until the nudges at +-3w/8 were added for a
+    # bracket wider than 8 tol, whose bisection could not end otherwise
+    from jacspec.spectrum import _bisect_zero
+    got, lam, bracket = _bisect_zero(_NoisyLine(band), -5.0, 5.0,
+                                     -math.inf, math.inf, 1.0, 1e-9)
+    assert got == outcome
+    if outcome == "certified":
+        assert bracket == (-5.0, 5.0) and abs(lam) <= 4.0
 
 
 def test_truncation_guard_nonfinite():
