@@ -5,18 +5,20 @@ The truncation oracle uses Sturm sign-count bisection on the leading N x N
 block; its eigenvalues are the roots of P_N and decrease monotonically to the
 operator eigenvalues as N grows.  find_spectrum brackets each eigenvalue with
 one truncation whose trace defect D_N = tr J^-1 - tr J_N^-1 bounds its error
-(a doubling truncation ladder for a source with no tail certificate),
-confirms a certified sign change of the characteristic function inside the
-bracket, and bisects.  Where F cannot certify a sign, out of the term budget
-(the tail bound |z| T_N F(-|z|) grows with the eigenvalue, see charfn) or at
-the float64 summation noise floor, the oracle value is reported with
-explicit provenance instead.
+(that of J + shift, the family at shift 0, where the source's tail
+certificate holds only there), confirms a certified sign change of the
+characteristic function inside the bracket, and bisects.  Where F cannot
+certify a sign, out of the term budget (the tail bound |z| T_N F(-|z|)
+grows with the eigenvalue, see charfn) or at the float64 summation noise
+floor, the oracle value is reported with explicit provenance instead.  A
+source with a tail certificate at neither shift gets no oracle: its error
+has no bound, and find_spectrum raises ConvergenceError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass, replace
 
 import numpy as np
 
@@ -25,12 +27,10 @@ from .errors import AssumptionViolation, ConvergenceError
 from .qseries import QParams, require_certified_regime
 from .sources import ASC2Source, CoefficientSource, require_infinite
 
-_LADDER_STABILIZE = 0.01  # rung-to-rung stabilization as a fraction of tol
-_LADDER_ULPS = 8.0  # ... but never below this many ulp of the eigenvalue
 _OFFDIAG_LIMIT = math.sqrt(np.finfo(float).max)
 _MAX_WIDEN = 6
 _SWEEP_POINTS = 512  # shifts per tree or gallop sweep, costing ~1.5x one shift
-_LADDER_CAP = 8192  # the ladder stops doubling at this truncation size
+_LADDER_CAP = 8192  # the largest truncation the oracle reads
 _RUNG_WIDTH = 0.25  # the one rung's enclosure width bound as a fraction of tol
 _RUNG_ULPS = 4.0  # ... or this many ulp of the k-th root's upper bound
 _TAIL_CHECK = 16  # rows between the early-exit checks of a Sturm sweep
@@ -336,15 +336,15 @@ class SpectrumResult:
     truncation value stands, and "unresolved" for indices that also appear
     in ``unresolved``: an index F could not certify under "require", or a
     same-sign contradiction (see find_spectrum).  The truncation value is a
-    root x of the one D_N-sized rung, lambda_j in [x/(1 + x D_N), x], for a
-    source with a tail certificate, else of the doubling ladder's last,
-    stabilized rung; either way no value below gamma (or 0) is published,
-    and a smallest root below 0 by more than the oracle's resolution
-    raises AssumptionViolation.
-    ladder lists the truncation sizes: one, [N], for the D_N-sized rung.
+    root x of the one D_N-sized rung, lambda_j in [x'/(1 + x' D_N) - delta,
+    x] with x' = x + delta, where delta is 0, or the shift where D_N is that
+    of the family at shift 0 (find_spectrum); no value below gamma (or 0) is
+    published, and a smallest root below 0 by more than the oracle's
+    resolution raises AssumptionViolation.
+    ladder lists the truncation sizes: always one, [N].
     oracle_gaps[j] is |lambda - oracle value| for a "charfn-bisection"
-    entry; for any other it is the width x - x/(1 + x D_N) of the D_N
-    enclosure, or 0.0 on the ladder, which gives none.
+    entry; for any other it is the width x' - x'/(1 + x' D_N) of the D_N
+    enclosure.
     residuals/tail_bounds are NaN whenever no F evaluation backs the entry.
     """
 
@@ -402,62 +402,75 @@ def _gate_block(src: CoefficientSource) -> TruncatedTridiagonal:
 
 
 def _rung(src, n, otol):
-    """The n x n block, cut at the first row the oracle cannot use at otol.
-
-    A row is unusable when its diagonal entry or its offdiag**2 leaves the
-    float range (from_source refuses it) or offdiag**2 lifts the pivot floor
-    above otol (sturm_eigenvalues refuses it).  A block is usable exactly
-    when each of its rows is, so the usable sizes are a prefix of 0, 1, 2,
-    ... and the cut block equals from_source at its size.  The coefficients
-    are read once, by src.alpha and src.beta: _coeff_reader refuses entries
-    past the 2^900 horizon, and coeffs(n) gives no beta without its alpha.
-    """
-    diag = np.array([src.beta(i) - src.shift for i in range(n)], dtype=float)
-    off = np.array([src.alpha(i) for i in range(n - 1)], dtype=float)
-    with np.errstate(over="ignore"):
-        floor = np.maximum(1.0, off ** 2) * _PIVMIN_SCALE
-    bad_off = ~((np.abs(off) < _OFFDIAG_LIMIT) & (floor <= otol))
-    m = n
-    if not np.all(np.isfinite(diag)):
-        m = int(np.argmin(np.isfinite(diag)))
-    if np.any(bad_off):
-        m = min(m, int(np.argmax(bad_off)) + 1)
-    return TruncatedTridiagonal(diag=diag[:m], offdiag=off[:max(m - 1, 0)])
+    """The n x n block, cut at the first row the oracle cannot use at otol
+    (_row_usable): the usable sizes are a prefix of 0, 1, 2, ..., so the cut
+    block equals from_source at its size.  The coefficients are read by
+    src.alpha and src.beta: _coeff_reader refuses entries past the 2^900
+    horizon, and coeffs(n) gives no beta without its alpha."""
+    diag, off = [], []
+    for i in range(n):
+        b = src.beta(i) - src.shift
+        a = src.alpha(i - 1) if i else None
+        if not _row_usable(b, a, otol):
+            break
+        diag.append(b)
+        if i:
+            off.append(a)
+    return TruncatedTridiagonal(diag=np.array(diag, dtype=float),
+                                offdiag=np.array(off, dtype=float))
 
 
 def _row_usable(b, a, otol):
-    """Whether _rung keeps a row whose diagonal entry is b and whose offdiag
-    to the row before is a (None for row 0)."""
+    """Whether the oracle can use a row whose diagonal entry is b and whose
+    offdiag to the row before is a (None for row 0): a row is unusable when
+    b or a**2 leaves the float range (from_source refuses it) or a**2 lifts
+    the pivot floor above otol (sturm_eigenvalues refuses it)."""
     return math.isfinite(b) and (a is None or (
         abs(a) < _OFFDIAG_LIMIT and max(1.0, a * a) * _PIVMIN_SCALE <= otol))
 
 
+def _certified_base(src, k):
+    """The source whose tail certificate bounds the oracle's error: src,
+    else src at shift 0, whose matrix J + shift has every eigenvalue and
+    truncation root of J moved up by shift (_sized_rung).  With neither, no
+    truncation size is known to bound the roots, and the cap's
+    _LadderCapError is raised before any row is read."""
+    if src.tail_certificate(0) is not None:
+        return src
+    if is_dataclass(src) and src.shift != 0.0:
+        base = replace(src, shift=0.0)
+        if base.tail_certificate(0) is not None:
+            return base
+    at = f" at shift {src.shift!r} or at shift 0" if src.shift else ""
+    raise _LadderCapError(
+        f"{type(src).__name__} has no tail certificate{at}, so no truncation "
+        f"size bounds the {k} smallest roots")
+
+
 def _sized_rung(src, k, tol, otol):
     """The one truncation whose trace defect bounds each root's error, as
-    (block, D), D an upper bound on D_N = tr J^-1 - tr J_N^-1; None where
-    src has no tail certificate (src.tail_certificate(0) is None).
+    (block, D, delta): base = _certified_base(src), delta = src.shift -
+    base.shift, and D bounds D_N = tr J'^-1 - tr J'_N^-1 of J' = J + delta.
 
-    By min-max lambda_j <= x_{N,j}, and 1/lambda_j - 1/x_{N,j} <= D_N, since
-    every such difference is positive and they sum to at most D_N.  So
-    lambda_j lies in [x/(1 + x D_N), x], x = x_{N,j}, whose width x^2 D_N/(1
-    + x D_N) is below X^2 D_N for every j <= k, X the Gershgorin upper
-    bound of the leading k x k block (X >= x_{k,k} >= x_{N,j} by
-    interlacing).  The block is the smallest N >= k, up to min(usable rows,
-    _LADDER_CAP), with X^2 D <= max(_RUNG_WIDTH tol, _RUNG_ULPS ulp(X)); the
-    ulp term, like the ladder's 8-ulp floor, lets a large root end where
-    tol is below its ulp, and keeps each width below 8 ulp of its own root.
-    D is tail(N) + h_N (_defect_heads); tail(N), the certificate's
-    closed-form sum, is asked for only where h_N alone fits.
-
-    Where no N meets the target, the ladder's errors are raised: the
-    float-range ValueError where the usable rows end first, else the cap's
-    _LadderCapError.
+    By min-max lambda'_j <= x'_{N,j}, and 1/lambda'_j - 1/x'_{N,j} <= D_N,
+    since every such difference is positive and they sum to at most D_N.
+    So lambda_j + delta lies in [x'/(1 + x' D_N), x'], x' = x_{N,j} + delta,
+    whose width x'^2 D_N/(1 + x' D_N) is below X'^2 D_N for every j <= k,
+    X' = X + delta, X the Gershgorin upper bound of the leading k x k block
+    (X >= x_{k,k} >= x_{N,j} by interlacing).  The block is the smallest N
+    >= k, up to min(usable rows, _LADDER_CAP), with X'^2 D <= max(_RUNG_WIDTH
+    tol, _RUNG_ULPS ulp(X)): the ulp term lets a root end where tol is below
+    its ulp.  D is tail(N) + h_N (_defect_heads); base's closed-form tail(N)
+    is asked for only where h_N alone fits.  The block keeps src's own rows
+    bit for bit: at lambda_1 near 1e-16 the sign of its smallest root is
+    rounding noise that base's rows would change.  Where no N meets the
+    target, the float-range ValueError is raised where the usable rows end
+    first, else the cap's _LadderCapError.
     """
-    cert = src.tail_certificate(0)
-    if cert is None:
-        return None
+    base = _certified_base(src, k)
+    delta = src.shift - base.shift
     n = 0
-    for n, head, diag, off in _defect_heads(src, cert[0], cert[1], otol):
+    for n, head, diag, off in _defect_heads(src, base, otol):
         if n == k:
             a = np.abs(off[:k - 1])
             radius = np.zeros(k)
@@ -465,111 +478,69 @@ def _sized_rung(src, k, tol, otol):
             radius[1:] += a
             x_up = float(np.max(diag[:k] + radius))
             target = max(_RUNG_WIDTH * tol, _RUNG_ULPS * math.ulp(x_up))
+            x_up += delta
             budget = target / x_up / x_up
         if n >= k and head <= budget:
-            defect = src.tail_certificate(n)[2] + head
+            defect = base.tail_certificate(n)[2] + head
             if defect <= budget:
                 t = TruncatedTridiagonal(diag=np.array(diag[:n], dtype=float),
                                          offdiag=np.array(off[:n - 1],
                                                           dtype=float))
-                return t, defect
+                return t, defect, delta
         if n == _LADDER_CAP:
             break
     raise _not_stabilized(k, n, otol)
 
 
-def _defect_heads(src, r, theta, otol):
-    """Yield (N, h_N, diag, off) for N = 1, 2, ... while the N x N block is
-    usable (_rung's rule, so the last N is the usable size): h_N bounds
-    kappa_N S_N, the part of D_N from the leading N rows, and diag and off
-    are the lists of the N + 1 entries b'_n = beta_n - shift and the N
-    entries alpha_n read so far, one row per step; (r, theta) is src's
-    tail certificate.
+def _defect_heads(src, base, otol):
+    """Yield (N, h_N, diag, off) for N = 1, 2, ... while src's N x N block
+    is usable (_row_usable, so the last N is the usable size): h_N bounds
+    kappa_N S_N, the part of D_N from the leading N rows of J' = J + delta
+    (_sized_rung), diag and off the lists of src's N + 1 entries beta_n -
+    src.shift and N entries alpha_n read so far, one row per step; (r,
+    theta) is base's tail certificate and b'_n = beta_n - base.shift.
 
-    With P_n = P_n(0), (J^-1)_nn - (J_N^-1)_nn = kappa_N (P_n/P_N)^2 for n <
-    N, so D_N = sum_{n >= N} kappa_n + kappa_N S_N, S_N = sum_{n < N}
-    (P_n/P_N)^2.  The certificate bounds the first sum by tail(N) and
+    With P_n = P_n(0) of J', (J'^-1)_nn - (J'_N^-1)_nn = kappa_N (P_n/P_N)^2
+    for n < N, so D_N = sum_{n >= N} kappa_n + kappa_N S_N, S_N = sum_{n <
+    N} (P_n/P_N)^2.  The certificate bounds the first sum by tail(N) and
     kappa_N by 1/((1 - r) theta b'_N); r and theta hold for every row, so
     they are read once, at start 0.  S_N is summed forward, S_{m+1} =
-    (alpha_m/d_m)^2 (1 + S_m) over the block's own z = 0 pivots d_m, so
-    every term is positive and nothing cancels.  Each pivot's relative
-    rounding error is at most a few eps/(1 - r), since the certificate's
-    ratio alpha_m^2/(d_m d_{m+1}) <= r damps the error it inherits, and each
-    term of S_N is a product of at most N factors: h_N = S_N (1 + 16 N
-    eps/(1 - r)) / ((1 - r) theta b'_N) covers both, inf where b'_N is not
-    finite.
+    (alpha_m/d_m)^2 (1 + S_m) over J'_N's own z = 0 pivots d_m, so every
+    term is positive and nothing cancels.  Each pivot's relative rounding
+    error is at most a few eps/(1 - r), since the certificate's ratio
+    alpha_m^2/(d_m d_{m+1}) <= r damps the error it inherits, and each term
+    of S_N is a product of at most N factors: h_N = S_N (1 + 16 N eps/(1 -
+    r)) / ((1 - r) theta b'_N) covers both, inf where b'_N is not finite.
     """
+    r, theta, _ = base.tail_certificate(0)
     pad = 16.0 * np.finfo(float).eps / (1.0 - r)
     scale = (1.0 - r) * theta
-    diag, off = [src.beta(0) - src.shift], []
+    beta = src.beta(0)
+    diag, off = [beta - src.shift], []
+    b = beta - base.shift
     d = s = 0.0
     n = 0
     while _row_usable(diag[n], off[n - 1] if n else None, otol):
         n += 1
         # h_N reads row N: alpha_{N-1} and b'_N
         off.append(src.alpha(n - 1))
-        diag.append(src.beta(n) - src.shift)
-        d = diag[0] if n == 1 else diag[n - 1] - off[n - 2] * off[n - 2] / d
+        beta = src.beta(n)
+        diag.append(beta - src.shift)
+        b_prev, b = b, beta - base.shift
+        d = b_prev if n == 1 else b_prev - off[n - 2] * off[n - 2] / d
         g = off[n - 1] / d
         s = g * g * (1.0 + s)
-        b = diag[n]
         yield n, (s * (1.0 + n * pad) / (scale * b) if b < math.inf
                   else math.inf), diag, off
 
 
-def _ladder(src, k, tol, otol):
-    """Double the truncation size until the k smallest roots stabilize: the
-    oracle of a source with no tail certificate, where D_N has no bound.
-
-    Two rungs agree when each root moved by at most 0.01 tol or 8 ulp of
-    itself, whichever is larger; an absolute test alone is below one ulp
-    once the roots are large and could never be met.
-
-    Every rung is warm-started with a hint (see sturm_eigenvalues): the
-    first with its k smallest diagonal entries, each later one with the
-    previous rung's roots.  A hint only saves sweeps; the roots are those of
-    an unhinted call.
-
-    Each rung reads its coefficients once (_rung), and a rung (the first
-    included) that would pass the largest usable size is clamped to that
-    size.  On a fast-growing source such as ASC-II at q = 0.3 this lets the
-    last rung end just inside the float range instead of failing there.  If
-    the clamp leaves a first rung of fewer than k rows or no rung larger
-    than the current one, or the clamped rung or a rung of _LADDER_CAP rows
-    or more does not stabilize, ValueError is raised rather than an
-    unstabilized root returned.
-
-    Returns (sizes, t_coarse, t_fine, x_coarse, x_fine): every rung size,
-    then the last two blocks and their roots at otol; x_coarse comes from
-    the smaller truncation, so componentwise x_coarse >= x_fine >= lambda.
-    """
-    t_prev = _rung(src, max(4 * k, 8), otol)
-    if t_prev.size < k:
-        raise _not_stabilized(k, t_prev.size, otol)
-    sizes = [t_prev.size]
-    x_prev = sturm_eigenvalues(t_prev, k, otol,
-                               hint=np.sort(t_prev.diag)[:k])
-    while True:
-        n = sizes[-1]
-        t = _rung(src, 2 * n, otol)
-        if t.size > n:
-            x_next = sturm_eigenvalues(t, k, otol, hint=x_prev)
-            sizes.append(t.size)
-            floor = np.maximum(_LADDER_STABILIZE * tol,
-                               _LADDER_ULPS * np.spacing(np.abs(x_next)))
-            if np.all(np.abs(x_prev - x_next) <= floor):
-                return sizes, t_prev, t, x_prev, x_next
-        if t.size < 2 * n or t.size >= _LADDER_CAP:
-            raise _not_stabilized(k, sizes[-1], otol)
-        t_prev, x_prev = t, x_next
-
-
 class _LadderCapError(ConvergenceError, ValueError):
-    """The ladder reached its cap: uncertified, not a configuration error."""
+    """No truncation up to the cap, or none at all, is known to bound the
+    roots: uncertified, not a configuration error."""
 
 
 def _not_stabilized(k, m, otol):
-    """The ladder's ValueError when its last rung has m rows."""
+    """The rung search's ValueError when it ends at m rows."""
     text = f"the {k} smallest roots have not stabilized at {m} x {m}, "
     if m >= _LADDER_CAP:
         return _LadderCapError(text + f"the ladder cap {_LADDER_CAP}")
@@ -606,11 +577,13 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
       "oracle"  skip F entirely (truncation oracle only).
     The oracle is one truncation N sized by a bound on its trace defect D_N
     (_sized_rung), solved at otol = max(1e-3 tol, 1e-15), so every oracle
-    value is within D_N x^2 + otol <= 0.251 tol (or 8 ulp) of lambda_j; a
-    source with no tail certificate runs the doubling ladder (_ladder).  The
-    brackets F bisects are padded around the oracle value by gap, the
-    enclosure width x - x/(1 + x D_N) (on the ladder the last two rungs'
-    difference), and clamped between neighbouring oracle values.
+    value is within D_N x'^2 + otol <= 0.251 tol (or 8 ulp) of lambda_j.
+    D_N is that of J + delta, x' = x + delta, where delta is 0 if src has a
+    tail certificate (CoefficientSource.tail_certificate) and src.shift if
+    only src at shift 0 has one; with neither, the cap's ConvergenceError
+    is raised.  The brackets F bisects are padded around the oracle value
+    by gap, the enclosure width x' - x'/(1 + x' D_N), and clamped between
+    neighbouring oracle values.
     An index whose bisection is doomed by the float64 noise floor is not
     bisected (_doomed).  A same-sign contradiction (F certifies one
     sign at both ends of the widened bracket), and a certified zero farther
@@ -636,24 +609,14 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
     # (lambda_1 = 1 - shift near 1e-16) can read below it, and is published
     # as floor, while one farther below zero raises
     floor = max(gamma if gamma is not None else 0.0, math.ulp(0.0))
-    rung = _sized_rung(src, k, tol, otol)
-    if rung is None:
-        # each root's error is estimated by its move between the last two
-        # rungs, which widens its bracket but is no bound to report
-        sizes, t_upper, t_fine, x_upper, x_fine = _ladder(src, k, tol, otol)
-        otol, (x_upper, x_fine) = _near_degenerate(
-            (t_upper, t_fine), (x_upper, x_fine), tol, otol)
-        gaps, shown_gaps = np.maximum(x_upper - x_fine, 0.0), np.zeros(k)
-    else:
-        # lambda_j lies in [x/(1 + x D), x], whose width oracle_gaps reports
-        t_fine, defect = rung
-        sizes = [t_fine.size]
-        x_fine = sturm_eigenvalues(t_fine, k, otol,
-                                   hint=np.sort(t_fine.diag)[:k])
-        otol, (x_fine,) = _near_degenerate((t_fine,), (x_fine,), tol, otol)
-        x_upper, x_pub = x_fine, np.maximum(x_fine, floor)
-        gaps = shown_gaps = x_pub - x_pub / (1.0 + x_pub * defect)
-    res.ladder = sizes
+    t_fine, defect, delta = _sized_rung(src, k, tol, otol)
+    res.ladder = [t_fine.size]
+    x_fine = sturm_eigenvalues(t_fine, k, otol, hint=np.sort(t_fine.diag)[:k])
+    otol, x_fine = _near_degenerate(t_fine, x_fine, tol, otol)
+    # lambda_j lies in [x'/(1 + x' D) - delta, x], x' = x + delta, whose
+    # width oracle_gaps reports
+    x_pub = np.maximum(x_fine, floor) + delta
+    gaps = x_pub - x_pub / (1.0 + x_pub * defect)
     oracle = [float(x) for x in x_fine]
     res.oracle_values = [max(x, floor) for x in oracle]
     inv_ratios = [x_fine[i] / x_fine[i + 1] for i in range(k - 1)]
@@ -680,7 +643,7 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
                 f"the smallest oracle root {lam_oracle!r} is below zero; the "
                 "source is not a positive-definite configuration")
         lo = lam_oracle - pad_lo
-        hi = float(x_upper[j]) + pad_hi
+        hi = lam_oracle + pad_hi
         lo_clamp = 0.5 * (float(x_fine[j - 1]) + lam_oracle) if j >= 1 else (
             0.5 * gamma if gamma is not None and gamma > 0 else lo - 64 * pad_lo
         )
@@ -708,33 +671,29 @@ def find_spectrum(src: CoefficientSource, k: int, tol: float = 1e-9, *,
             _push_row(res, j, method, lam, bracket, abs(final.value),
                       final.tail_bound, abs(lam - lam_oracle))
         else:
-            _push_row(res, j, method, res.oracle_values[j], (lo, hi),
-                      gap=float(shown_gaps[j]))
+            _push_row(res, j, method, res.oracle_values[j], (lo, hi), gap=gap)
     return res
 
 
-def _near_degenerate(blocks, roots, tol, otol):
-    """(otol, roots), the blocks solved again where the last one's roots
-    are near-degenerate: at 1e-3 of their least gap, so the separation
+def _near_degenerate(t, x, tol, otol):
+    """(otol, x), the block t solved again where its roots x are
+    near-degenerate: at 1e-3 of their least gap, so the separation
     midpoints used as bracket clamps can be trusted, where that is below
-    otol (and not below _OTOL_FLOOR); else otol and roots unchanged."""
-    x = roots[-1]
+    otol (and not below _OTOL_FLOOR); else otol and x unchanged."""
     if len(x) > 1:
         min_gap = float(np.min(np.diff(x)))
         if 0.0 < min_gap < 10.0 * tol:
             otol_ref = max(min_gap * 1e-3, _OTOL_FLOOR)
             if otol_ref < otol:
-                return otol_ref, tuple(
-                    sturm_eigenvalues(t, len(x), otol_ref, hint=r)
-                    for t, r in zip(blocks, roots))
-    return otol, roots
+                return otol_ref, sturm_eigenvalues(t, len(x), otol_ref, hint=x)
+    return otol, x
 
 
 def _provenance(confirm, outcome):
     """The one map from (policy, outcome) to an index's method; the outcome
     is _bisect_zero's or _doomed's ("noise-floor" maps as "no-sign" does),
     or "oracle-disagreement" for a zero farther from its oracle value than
-    tol plus the ladder's error."""
+    tol plus the oracle's error."""
     if confirm == "oracle" or (confirm == "auto"
                                and outcome in ("no-sign", "noise-floor")):
         return "oracle-ladder"
@@ -759,10 +718,9 @@ def _doomed(evaluator, diag, x0, z_hi, slope, tol, atol):
     x0 / diag[N0] <= x0 T_N0 U(R) <= atol, since every ladder tail T_n >=
     kappa_n and the majorant U(R) >= 1, so N0 is at least the first row
     with diag[n] >= x0 / atol (the block's size if none is).  diag is the
-    oracle's block, the D_N-sized rung or the ladder's last rung; a shorter
-    block only weakens the bound, never breaks it.  _BOUND_PAD
-    covers the entries' 1e-15 accuracy and the rounding of diag and of the
-    plan's log comparison.
+    oracle's block, the D_N-sized rung; a shorter block only weakens the
+    bound, never breaks it.  _BOUND_PAD covers the entries' 1e-15 accuracy
+    and the rounding of diag and of the plan's log comparison.
     """
     x0 = max(x0, 0.0)
     need = 32.0 * tol * slope

@@ -97,28 +97,31 @@ def test_spectrum_at_the_noise_floor(capsys, confirm, code, n_rows):
 @pytest.mark.parametrize("confirm", ["auto", "require", "oracle"])
 def test_spectrum_below_the_oracle_resolution(capsys, q, shift, unresolved,
                                               confirm):
-    # lambda_1 = 1 - shift is about 1e-16, below the oracle's 1e-12, so its
-    # oracle value reads negative; F is not run there (no log of it), and
-    # the index takes the oracle value under auto, unresolved under require.
-    # The published value is gamma = 1 - shift, the spectrum's lower bound,
-    # inside its bracket (the value read -4.5e-13, below the bracket)
+    # lambda_1 = 1 - shift is about 1e-16, below the oracle's 1e-12, so the
+    # sign of its oracle value is rounding noise (+4.4e-13 on the one rung
+    # at q = 0.5, where F then certifies index 1; -4.5e-13 on the doubling
+    # ladder, where it did not).  What holds either way: no traceback, exit
+    # 0 under auto and oracle, under require at most ``unresolved`` left
+    # unresolved, and every published value within tol of q^-n - shift and
+    # inside its bracket, which starts above 0
     code, out, err = run_cli(capsys, "spectrum", "--q", q, "--a", q,
                              "--shift", shift, "--k", "3",
                              "--confirm", confirm)
     assert "Traceback" not in err and "error" not in err
     rows = parse_csv(out)
+    indices = [int(r["index"]) for r in rows]
     if confirm == "require":
-        assert code == 4
-        assert f"unresolved eigenvalue indices: {unresolved}" in err
-        assert [int(r["index"]) for r in rows] == \
-            [j for j in (1, 2, 3) if j not in unresolved]
+        left = [j for j in (1, 2, 3) if j not in indices]
+        assert set(left) <= set(unresolved)
+        assert code == (4 if left else 0)
+        if left:
+            assert f"unresolved eigenvalue indices: {left}" in err
     else:
-        assert code == 0 and len(rows) == 3
-        assert rows[0]["lambda"] == rows[0]["oracle_value"]
-        assert float(rows[0]["oracle_value"]) == 1.0 - float(shift)
-        for row in rows:
-            lam = float(row["lambda"])
-            assert 0 < float(row["bracket_lo"]) <= lam <= float(row["bracket_hi"])
+        assert code == 0 and indices == [1, 2, 3]
+    for row in rows:
+        n, lam = int(row["index"]) - 1, float(row["lambda"])
+        assert abs(lam - (float(q) ** -n - float(shift))) <= 1e-9 + 1e-15
+        assert 0 < float(row["bracket_lo"]) <= lam <= float(row["bracket_hi"])
 
 
 @pytest.mark.parametrize("q, k", [

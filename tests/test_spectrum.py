@@ -180,22 +180,30 @@ def test_find_spectrum_rejects_a_block_with_negative_eigenvalues():
 
 
 class _NegativeDeepRow(js.CoefficientSource):
-    """alpha_n = 1, beta_n = 4 + n but beta_30 = -5: the gate's 24-row
-    block is positive definite, any block past row 30 is not."""
+    """alpha_n = 1, beta_n = 4 1.5^n but beta_30 = -5: the gate's 24-row
+    block is positive definite, any block past row 30 is not.  Its tail
+    certificate is that of the rows without beta_30 (mu_j <= 1/24, so the
+    pivots stay above 0.9 beta_n and the term ratios below 0.1), which the
+    source does not honour."""
 
     def alpha(self, n):
         return 1.0
 
     def beta(self, n):
-        return -5.0 if n == 30 else 4.0 + n
+        return -5.0 if n == 30 else 4.0 * 1.5 ** n
+
+    def tail_certificate(self, start):
+        # sum_{n >= start} 1/(0.9 * 0.9 * 4 1.5^n)
+        return 0.1, 0.9, 1.5 ** -start / 1.08 * (1.0 + 1e-9)
 
 
 def test_a_negative_root_past_the_gate_block_raises():
     # a root below zero by more than the oracle's resolution is no rounding
-    # of a positive one: the ladder's last rung reads -5.05, which was
-    # published as it stood, and then as 5e-324 by the clamp to zero
-    want = (r"^the smallest oracle root -5\.05\d* is below zero; the source "
-            "is not a positive-definite configuration$")
+    # of a positive one: the one rung, sized past row 30 by a certificate
+    # the source breaks, reads -5.000003, which was published as it stood,
+    # and then as 5e-324 by the clamp to zero
+    want = (r"^the smallest oracle root -5\.00000\d* is below zero; the "
+            "source is not a positive-definite configuration$")
     with pytest.raises(js.AssumptionViolation, match=want):
         js.find_spectrum(_NegativeDeepRow(), 2, confirm="oracle")
 
@@ -582,21 +590,24 @@ def _exact_defect(q, a, shift, n, dps=60):
     ((0.9, 0.9, 0.0), 320), ((0.95, 0.95, 0.0), 400),
     ((0.855, 0.28, 0.8664), 64), ((0.97, 0.5, -1.5), 300),
     ((0.5, 0.5, 0.5), 64), ((0.3, 0.3, 0.0), 40), ((0.7, 0.7, 0.0), 100),
-    ((0.6, 0.3, 0.5), 50), ((0.995, 0.995, 0.0), 1500)])
+    ((0.6, 0.3, 0.5), 50), ((0.995, 0.995, 0.0), 1500),
+    ((0.9, 0.9, 0.999), 329)])
 def test_the_trace_defect_bound_is_never_below_the_exact_defect(params, n):
     # the bound _sized_rung compares with its target: the certificate's
     # tail(n) plus the head _defect_heads sums forward over the float
     # block's own pivots, padded for their rounding.  It reads 3e-9 (q =
     # 0.3) to 0.62 ((0.855, 0.28, 0.8664)) relative above the exact value,
     # and 4.4 at q = 0.995, whose r = 0.995 loosens tail(n) and kappa_n's
-    # bound; the certificate's 1e-9 pad alone is below the closest margins
+    # bound; the certificate's 1e-9 pad alone is below the closest margins.
+    # (0.9, 0.9, 0.999) has no certificate of its own: the bound is that of
+    # the matrix at shift 0, at the size of its k = 12 rung, 2e-7 above
     from jacspec import spectrum
     src = js.ASC2Source(*params)
-    r, theta, _ = src.tail_certificate(0)
-    head = next(h for m, h, *_ in spectrum._defect_heads(src, r, theta, 1e-15)
+    base = spectrum._certified_base(src, 1)
+    head = next(h for m, h, *_ in spectrum._defect_heads(src, base, 1e-15)
                 if m == n)
-    bound = src.tail_certificate(n)[2] + head
-    exact = _exact_defect(*params, n)
+    bound = base.tail_certificate(n)[2] + head
+    exact = _exact_defect(params[0], params[1], base.shift, n)
     assert 0 < exact <= bound
     assert bound <= 6.0 * exact  # and not vacuous
 
@@ -627,6 +638,80 @@ def test_the_one_rung_encloses_every_eigenvalue(monkeypatch, params, k, tol):
         assert res.eigenvalues[n] == x
 
 
+# the six probe configurations with no tail certificate of their own, and
+# four nearer shift 1: each is bounded by the certificate at shift 0
+_SHIFT0_CERTIFIED = [
+    (0.2898, 0.184, 0.848), (0.5905, 0.2414, 0.9037), (0.72, 0.2176, 0.9113),
+    (0.405, 0.359, 0.8676), (0.4139, 0.238, 0.8585), (0.2044, 0.1741, 0.9366),
+    (0.8, 0.8, 0.9), (0.88, 0.88, 0.99), (0.9, 0.9, 0.999), (0.95, 0.5, 0.99)]
+
+
+@pytest.mark.parametrize("params", _SHIFT0_CERTIFIED)
+def test_the_shifted_enclosure_holds_every_exact_eigenvalue(params):
+    # lambda_j in [x'/(1 + x' D) - shift, x], x' = x + shift, D the defect
+    # bound of the matrix at shift 0; oracle_gaps reports its width.  Every
+    # exact q^-j - shift, in mpmath at 30 digits, lies in it padded by otol
+    # and 8 ulp of q^-j, the rounding of x' and of the lower end
+    import mpmath
+    from jacspec import spectrum
+    src = js.ASC2Source(*params)
+    assert src.tail_certificate(0) is None
+    assert spectrum._certified_base(src, 12).shift == 0.0
+    res = js.find_spectrum(src, 12, 1e-9, confirm="oracle")
+    assert len(res.ladder) == 1
+    ctx = mpmath.mp.clone()
+    ctx.dps = 30
+    q, shift = ctx.mpf(params[0]), ctx.mpf(params[2])
+    for n, (x, width) in enumerate(zip(res.oracle_values, res.oracle_gaps)):
+        exact = q ** -n - shift
+        slack = 1e-12 + 8.0 * math.ulp(float(q ** -n))
+        assert ctx.mpf(x) - ctx.mpf(width) - slack <= exact <= ctx.mpf(x) + slack
+        assert 0.0 <= width <= max(0.25e-9, 8.0 * math.ulp(x))
+
+
+class _GeometricNoCertificate(js.CoefficientSource):
+    """alpha_n = 1, beta_n = 4 2^n, and no tail certificate."""
+
+    def alpha(self, n):
+        return 1.0
+
+    def beta(self, n):
+        return 4.0 * 2.0 ** n
+
+
+@pytest.mark.parametrize("src, name", [
+    (_GeometricNoCertificate(), "_GeometricNoCertificate has no tail "
+                                "certificate"),
+    (WindowOnly(0.5, 0.5, 0.5), "WindowOnly has no tail certificate at "
+                                "shift 0.5 or at shift 0")])
+def test_a_source_with_no_certificate_raises_before_the_rung(monkeypatch, src,
+                                                             name):
+    # no truncation size is known to bound the roots: the cap's error, read
+    # no row past the configuration gate's 24
+    from jacspec import spectrum
+    rows = []
+    beta = type(src).beta
+    monkeypatch.setattr(type(src), "beta", lambda self, n: rows.append(n)
+                        or beta(self, n))
+    with pytest.raises(spectrum._LadderCapError,
+                       match=f"^{name}, so no truncation size bounds the 2 "
+                             "smallest roots$"):
+        js.find_spectrum(src, 2, 1e-9, confirm="oracle")
+    assert max(rows) < 24
+
+
+def test_asc2_with_no_certificate_at_either_shift_exits_4(capsys):
+    # a = 0.99995 leaves no certificate at shift 0 either: the doubling
+    # ladder ran to 12,288 rows, past its 8,192-row cap, before it exited 4
+    from jacspec.cli import main
+    assert js.ASC2Source(0.99995, 0.99995).tail_certificate(0) is None
+    assert main(["spectrum", "--q", "0.99995", "--a", "0.99995", "--k",
+                 "3"]) == 4
+    assert capsys.readouterr().err == (
+        "uncertified: ASC2Source has no tail certificate, so no truncation "
+        "size bounds the 3 smallest roots\n")
+
+
 def test_every_published_eigenvalue_is_positive_and_inside_its_bracket():
     # lambda_1 = 1 - shift with shift = 1 - m 2^-53 lies below the oracle's
     # 1e-12 resolution, and 87 of these 240 configurations published a
@@ -650,8 +735,7 @@ def test_every_published_eigenvalue_is_positive_and_inside_its_bracket():
 
 def test_the_near_degenerate_rerun_solves_the_one_rung_again(monkeypatch):
     # tol = 2 puts the least level spacing of (0.5, 0.5, 0.5), 1, below tol
-    # (otol 2e-3): the one rung is solved again at 1e-3 of that gap, as the
-    # ladder solves its last two rungs again
+    # (otol 2e-3): the one rung is solved again at 1e-3 of that gap
     from jacspec import spectrum
     runs = []
     orig = spectrum.sturm_eigenvalues
@@ -765,29 +849,6 @@ def test_truncation_guard_squared_offdiagonal():
         js.TruncatedTridiagonal.from_source(src, 320)
 
 
-def test_ladder_stops_at_ulp_level_for_large_roots():
-    # lambda_12 = 0.3^-11 ~ 5.6e5: 0.01 tol = 1e-12 is below one ulp there,
-    # so only the ulp-aware stabilization test lets the ladder end (a source
-    # with no tail certificate: ASC-II's takes one D_N-sized rung)
-    src = WindowOnly(q=0.3, a=0.3)
-    res = js.find_spectrum(src, 12, 1e-10, confirm="oracle")
-    assert res.ladder == [48, 96]
-    assert all(x > 0 for x in res.eigenvalues)
-    for n, lam in enumerate(res.eigenvalues):
-        assert abs(lam - 0.3 ** -n) <= 1e-10 + 1e-12 * 0.3 ** -n
-
-
-def test_oracle_ladder_clamps_its_last_rung_to_the_usable_size():
-    # q = 0.3, otol = 1e-13: 283 rows is the largest block whose pivot floor
-    # stays below otol (284 rows: 4.0e-13), so the rung after 160 is 283 on
-    # the ladder of a source with no tail certificate
-    src = WindowOnly(q=0.3, a=0.3)
-    res = js.find_spectrum(src, 40, 1e-10, confirm="oracle")
-    assert res.ladder == [160, 283]
-    for n, lam in enumerate(res.eigenvalues):
-        assert abs(lam - 0.3 ** -n) <= 1e-10 + 1e-12 * 0.3 ** -n
-
-
 def test_rung_matches_from_source_at_usable_sizes():
     # one coefficient read per rung, cut at the first unusable row: the block
     # equals from_source at its size, array for array
@@ -817,15 +878,11 @@ def test_gamma_above_the_spectrum_rejected(confirm):
 
 
 def test_oracle_overflow_raises_instead_of_negative_eigenvalues():
-    # the first rung 4k = 320 (k = 80) or 284 (k = 71) is clamped to 283
-    # rows, and no larger usable rung is left to confirm it: the ladder must
-    # raise rather than return unconfirmed roots.  With ASC-II's tail
-    # certificate one rung well inside the float range bounds every root by
-    # D_N, so no second rung is needed
+    # 283 rows is the largest block usable at otol = 1e-13 (284 rows: pivot
+    # floor 4.0e-13); a doubling ladder clamped there had no larger rung to
+    # confirm its roots.  One rung well inside the float range bounds every
+    # root by D_N, so no second rung is needed
     for k in (71, 80):
-        with pytest.raises(ValueError, match="not stabilized at 283 x 283"):
-            js.find_spectrum(WindowOnly(q=0.3, a=0.3), k, 1e-10,
-                             confirm="oracle")
         res = js.find_spectrum(js.ASC2Source(q=0.3, a=0.3), k, 1e-10,
                                confirm="oracle")
         assert len(res.ladder) == 1 and k <= res.ladder[0] < 283
@@ -947,6 +1004,7 @@ def test_oracle_configurations_sweep_gate(monkeypatch):
 
 @pytest.mark.parametrize("params,k", _ORACLE_CONFIGS)
 def test_every_hinted_rung_equals_an_unhinted_call(monkeypatch, params, k):
+    # the one rung is hinted with its k smallest diagonal entries
     from jacspec import spectrum
     rungs = []
     orig = spectrum.sturm_eigenvalues
@@ -957,8 +1015,8 @@ def test_every_hinted_rung_equals_an_unhinted_call(monkeypatch, params, k):
         return roots
 
     monkeypatch.setattr(spectrum, "sturm_eigenvalues", recorded)
-    spectrum._ladder(js.ASC2Source(*params), k, 1e-10, 1e-13)
-    assert len(rungs) >= 2
+    js.find_spectrum(js.ASC2Source(*params), k, 1e-10, confirm="oracle")
+    assert len(rungs) >= 1
     for t, tol, hint, roots in rungs:
         assert hint is not None
         want = orig(t, k, tol)
@@ -967,13 +1025,21 @@ def test_every_hinted_rung_equals_an_unhinted_call(monkeypatch, params, k):
 
 class _WeaklyCoupled(js.CoefficientSource):
     """alpha = (1e-12, 1e-6, 0.5 2^n, ...), beta = (1, 1 + 2e-10, 4^n, ...):
-    the two smallest roots sit 2e-10 apart, below 10 tol at tol = 1e-9."""
+    the two smallest roots sit 2e-10 apart, below 10 tol at tol = 1e-9.
+    mu_j = alpha_j^2/(beta_j beta_{j+1}) <= 1/256, so every pivot stays
+    above 0.99 beta_n and every term ratio below 0.01."""
 
     def alpha(self, n):
         return (1e-12, 1e-6)[n] if n < 2 else 0.5 * 2.0 ** n
 
     def beta(self, n):
         return (1.0, 1.0 + 2e-10)[n] if n < 2 else 4.0 ** n
+
+    def tail_certificate(self, start):
+        # sum_{n >= start} 1/beta_n, the rows from 2 on a geometric series
+        tail = sum(1.0 / self.beta(n) for n in range(start, 2)) \
+            + 4.0 ** -max(start, 2) * 4.0 / 3.0
+        return 0.01, 0.99, tail / (0.99 * 0.99) * (1.0 + 1e-9)
 
 
 def test_near_degenerate_roots_rerun_the_oracle(monkeypatch):
@@ -987,14 +1053,19 @@ def test_near_degenerate_roots_rerun_the_oracle(monkeypatch):
 
     monkeypatch.setattr(spectrum, "sturm_eigenvalues", recorded)
     res = js.find_spectrum(_WeaklyCoupled(), 3, 1e-9, confirm="oracle")
-    assert res.ladder == [12, 24]
-    # both rungs run again at about 1e-3 of the root gap
-    assert [n for n, _ in runs] == [12, 24, 12, 24]
-    assert runs[2][1] == runs[3][1] == pytest.approx(2.0e-13, rel=1e-2)
-    assert runs[2][1] < runs[0][1]
+    n = res.ladder[0]
+    assert res.ladder == [n]
+    # the one rung runs again at about 1e-3 of the root gap
+    assert [m for m, _ in runs] == [n, n]
+    assert runs[1][1] == pytest.approx(2.0e-13, rel=1e-2)
+    assert runs[1][1] < runs[0][1]
+    # the exact roots, of the 40 x 40 block in mpmath at 50 digits, lie
+    # within the rerun's 2e-13 (the ladder read 1.0000000000000182 and
+    # 1.0000000001999934, the one rung 0.9999999999999996 and
+    # 1.0000000001999747)
     lam1, lam2 = res.eigenvalues[:2]
-    assert lam1 == pytest.approx(1.0000000000000182, abs=1e-14)
-    assert lam2 == pytest.approx(1.0000000001999934, abs=1e-14)
+    assert lam1 == pytest.approx(0.999999999999995, abs=2e-13)
+    assert lam2 == pytest.approx(1.000000000199938, abs=2e-13)
     assert lam2 - lam1 == pytest.approx(2.0e-10, rel=1e-3)
     assert res.brackets[0][1] <= res.brackets[1][0]
 
@@ -1288,8 +1359,7 @@ def test_hints_never_move_the_roots_asc2(monkeypatch, params):
 def test_ladder_raises_at_the_cap_instead_of_returning_unstabilized_roots(
         monkeypatch):
     # q = 0.995 converges slowly: D_N of 16 rows is far above the rung's
-    # target (as the 8- and 16-row roots of the ladder differ far beyond its
-    # stabilization floor), and 16 rows is the cap here
+    # target, and 16 rows is the cap here
     from jacspec import spectrum
     monkeypatch.setattr(spectrum, "_LADDER_CAP", 16)
     src = js.ASC2Source(0.995, 0.995, 0.0)
@@ -1325,19 +1395,12 @@ def test_a_first_row_past_the_float_range_names_the_float_range():
         js.TruncatedTridiagonal.from_source(src, 2)
 
 
-@pytest.mark.parametrize("k", [12, 17])
-def test_a_usable_block_smaller_than_k_raises_the_ladder_error(monkeypatch,
-                                                               capsys, k):
+@pytest.mark.parametrize("k", [17])
+def test_a_usable_block_smaller_than_k_raises_the_ladder_error(capsys, k):
     # q = 1e-10: 16 rows are usable at the finest oracle tolerance.  At
-    # k = 17 the first rung reached sturm_eigenvalues, which raised "need
-    # 0 <= k <= N, got k=17, N=16"; both k now get the ladder's message.
-    # k = 12 fits in 16 rows, but the ladder needs two rungs of at least 48:
-    # without a tail certificate it fails (with ASC-II's, one rung of 13
-    # rows certifies all twelve; see test_cli)
+    # k = 17 a rung reached sturm_eigenvalues, which raised "need 0 <= k <=
+    # N, got k=17, N=16"; the rung search now names the usable size
     from jacspec.cli import main
-    if k == 12:
-        monkeypatch.setattr(js.ASC2Source, "tail_certificate",
-                            WindowOnly.tail_certificate)
     want = (f"the {k} smallest roots have not stabilized at 16 x 16, the "
             "largest truncation usable at tolerance 1e-12")
     with pytest.raises(ValueError, match=f"^{want}$"):
