@@ -448,7 +448,8 @@ def cmd_identities(cfg: RunConfig, q_list: list[float]) -> int:
 
 _NUMERIC_FLAGS = {
     "--precision": {"type": int,
-                    "help": "working precision in decimal digits"},
+                    "help": "significant decimal digits of the decimal "
+                            "identity checks, at least 17 (the default)"},
     "--atol": {"type": float},
     "--max-terms": {"dest": "max_terms", "type": int},
     "--gamma": {"type": float,

@@ -6,7 +6,7 @@ scaled representation (a pair kept in a fixed magnitude window plus a log
 scale, read out as log magnitude and sign/phase): family values can grow or
 shrink geometrically or faster in n, and raw doubles overflow long before the
 indices the spectral pipeline needs.  plain_values is the unscaled recurrence
-over raw coefficient lists, for mpmath and test oracles.
+over raw coefficient lists, for verify's decimal checks and test oracles.
 """
 
 from __future__ import annotations
@@ -173,11 +173,14 @@ def values(src: CoefficientSource, z, n_max: int, second_kind: bool = False) -> 
 
 
 def plain_values(alphas, betas, z, n_max: int, second_kind: bool = False) -> list:
-    """Unscaled recurrence values for generic numerics (floats, mpmath, complex).
+    """Unscaled recurrence values for generic numerics: floats, complex,
+    decimal.Decimal, or any number type with +, -, * and / against itself,
+    ints and the coefficients' type (verify steps its complex point on such
+    a type over two Decimals).
 
     alphas/betas are raw coefficient sequences (already shifted if desired).
-    Used by the mpmath identity checks of verify and by test oracles; not
-    overflow-safe in float arithmetic.
+    Used by verify's decimal identity checks, in the current decimal
+    context, and by test oracles; not overflow-safe in float arithmetic.
     """
     if second_kind:
         vals = [0 * z, 1 / alphas[0]]

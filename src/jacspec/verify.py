@@ -1,8 +1,8 @@
 """Invariant verification suite.
 
 Runs the structural identities behind the spectral pipeline on a configured
-source and reports measured maxima: the float64 recurrence kernels against an
-mpmath column, the cross identity for associated polynomials against forward
+source and reports measured maxima: the float64 recurrence kernels against a
+decimal column, the cross identity for associated polynomials against forward
 substitution, the Green-block right inverse, the resolvent-style
 reconstruction of P_*(x) from P_*(0), two-route agreement for the second-kind
 functions, the kappa positivity and monotonicity pattern and F's per-term
@@ -10,12 +10,15 @@ bound on one CharFnEvaluator's table, trace reconciliation against the
 leading block's trace, and the W W^T + I factorization of the ASC-II family.
 
 The recurrence row compares the float64 kernels (log_table's _scaled_iter
-and the grid path _scaled_columns) with one mpmath column of P_n per point,
-so its maximum is float64 rounding at every precision.  The Wronskian,
-Green and resolvent identities and the W factorization run in mpmath only:
-at the requested precision when it is above 16 decimal digits, otherwise at
-53 bits, float64's mantissa.  Their maxima therefore shrink with the
-precision, which separates genuine identity failures from round-off.
+and the grid path _scaled_columns) with one column of P_n per point in the
+standard library's decimal arithmetic, so its maximum is float64 rounding at
+every precision.  The Wronskian, Green and resolvent identities and the W
+factorization run in decimal only, at the requested number of significant
+decimal digits and at least 17, the digits that tell any two float64 values
+apart.  Their maxima therefore shrink with the precision, which separates
+genuine identity failures from round-off.  Floats enter decimal exactly
+(Decimal(x)), and every check runs its arithmetic in a copy of its precision's
+one context (decimal.localcontext), never in the thread's own.
 
 Rows that step the float64 recurrence (recurrence, sign patterns, two-route)
 stop below the first coefficient pair at the 2^900 horizon and say so in
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from . import charfn, recurrence, second_kind
 from .errors import AssumptionViolation, ConvergenceError
 from .qseries import QParams
-from .recurrence import _LN2, log_table, plain_values
+from .recurrence import log_table, plain_values
 from .sources import ASC2Source, CoefficientSource, TableSource
 # find_spectrum is unused here: perfbench hooks it here
 from .spectrum import _gate_block, find_spectrum, sturm_counts  # noqa: F401
@@ -53,12 +56,14 @@ _PER_TERM_N_MAX = 60
 _WRONSKIAN_M_MAX = 12
 _GREEN_BLOCK = 12
 _W_BLOCK = 10
-# correct digits a cross-identity Green entry must keep (see _green)
+# correct digits a cross-identity Green entry must keep, and at least two
+# thirds of the working digits (see _green)
 _GREEN_DIGITS = 12
 _RECURRENCE_THRESHOLD = 1e-12
 _IDENTITY_THRESHOLD = 1e-10  # Wronskian, Green, resolvent, two-route
 _TRACE_THRESHOLD = 1e-6
 _W_THRESHOLD = 1e-12
+_LN10 = math.log(10.0)
 _KAPPA_ROWS = (("kappa_positivity_monotonic", 0.0), ("per_term_growth_bound", 0.0),
                ("trace_reconciliation", _TRACE_THRESHOLD))
 
@@ -111,28 +116,81 @@ def _upto(n, capped):
 
 @functools.cache
 def _mp_context(digits):
-    """mpmath context at ``digits`` decimal digits above 16, else 53 bits;
-    one per value for the process, as each clone is a reference cycle."""
-    import mpmath
-    ctx = mpmath.mp.clone()
-    if digits > 16:
-        ctx.dps = digits
-    else:
-        ctx.prec = 53
-    return ctx
+    """The decimal context of the extended-precision checks: ``digits``
+    significant digits, at least 17; one per value for the process, which
+    the checks copy (decimal.localcontext) and never change."""
+    import decimal
+    return decimal.Context(prec=max(digits, 17))
+
+
+class _Complex:
+    """A complex decimal number with the operations plain_values and
+    _step_residual apply to it, in the current decimal context: sums and
+    products with decimals, ints and itself, and division by a real."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    def __add__(self, other):
+        if isinstance(other, _Complex):
+            return _Complex(self.re + other.re, self.im + other.im)
+        return _Complex(self.re + other, self.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, _Complex):
+            return _Complex(self.re - other.re, self.im - other.im)
+        return _Complex(self.re - other, self.im)
+
+    def __rsub__(self, other):
+        return _Complex(other - self.re, -self.im)
+
+    def __mul__(self, other):
+        if isinstance(other, _Complex):
+            return _Complex(self.re * other.re - self.im * other.im,
+                            self.re * other.im + self.im * other.re)
+        return _Complex(self.re * other, self.im * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, real):
+        return _Complex(self.re / real, self.im / real)
+
+    def __abs__(self):
+        return (self.re * self.re + self.im * self.im).sqrt()
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+
+def _decimal(x):
+    """A float or complex as a decimal or _Complex, exactly."""
+    from decimal import Decimal
+    if isinstance(x, complex):
+        return _Complex(Decimal(x.real), Decimal(x.imag))
+    return Decimal(x)
 
 
 def _mp_coeffs(src, n_max, ctx):
-    """Shifted coefficient lists (alphas, betas) as mpmath values."""
-    if isinstance(src, ASC2Source):
-        q, a, sh = ctx.mpf(src.q), ctx.mpf(src.a), ctx.mpf(src.shift)
-        alphas = [ctx.sqrt(a * q ** (-2 * n - 1) * (1 - q ** (n + 1)))
-                  for n in range(n_max + 1)]
-        betas = [(a + 1) * q ** (-n) - sh for n in range(n_max + 1)]
+    """Shifted coefficient lists (alphas, betas) as decimal values in ctx."""
+    from decimal import Decimal, localcontext
+    with localcontext(ctx):
+        if isinstance(src, ASC2Source):
+            q, a, sh = Decimal(src.q), Decimal(src.a), Decimal(src.shift)
+            alphas = [(a * q ** (-2 * n - 1) * (1 - q ** (n + 1))).sqrt()
+                      for n in range(n_max + 1)]
+            betas = [(a + 1) * q ** (-n) - sh for n in range(n_max + 1)]
+            return alphas, betas
+        alphas = [Decimal(src.alpha(n)) for n in range(n_max + 1)]
+        betas = [Decimal(src.beta(n)) - Decimal(src.shift)
+                 for n in range(n_max + 1)]
         return alphas, betas
-    alphas = [ctx.mpf(src.alpha(n)) for n in range(n_max + 1)]
-    betas = [ctx.mpf(src.beta(n)) - ctx.mpf(src.shift) for n in range(n_max + 1)]
-    return alphas, betas
 
 
 def _n_cap(src, want):
@@ -141,7 +199,7 @@ def _n_cap(src, want):
 
 
 def _mp_tables(src, digits):
-    """The mpmath identity checks' (ctx, alphas, betas, green): _mp_coeffs
+    """The decimal identity checks' (ctx, alphas, betas, green): _mp_coeffs
     to n = _n_cap(src, _N_MAX) and _green's block, ([], []) below 2 x 2.
 
     The recurrence divides by each alpha_n, so both lists stop before the
@@ -174,10 +232,11 @@ def check_coefficient_positivity(src) -> CheckResult:
                    f"nonpositive off-diagonal at n in {violations}")
 
 
-def _log_gap(ctx, column, logs, phases):
-    """Largest gap between an mpmath column and a float64 one (ln|X_n| and
+def _log_gap(column, logs, phases):
+    """Largest gap between a decimal column and a float64 one (ln|X_n| and
     sign or phase, as log_table gives them), in ln|X_n| or in sign or phase
-    (a sign mismatch reads 2); inf where one side alone is zero."""
+    (a sign mismatch reads 2); inf where one side alone is zero.  Runs in
+    the current decimal context."""
     worst = 0.0
     for v, lf, pf in zip(column, logs, phases):
         if not v or lf == -math.inf:
@@ -185,17 +244,20 @@ def _log_gap(ctx, column, logs, phases):
                 return math.inf
             continue
         mag = abs(v)
-        m, e = ctx.frexp(mag)
+        e = mag.adjusted()  # mag = m 10^e, 1 <= m < 10
         pv = complex(v / mag) if isinstance(pf, complex) else (1.0 if v > 0 else -1.0)
-        worst = max(worst, abs(math.log(float(m)) + e * _LN2 - lf), abs(pv - pf))
+        worst = max(worst, abs(math.log(float(mag.scaleb(-e))) + e * _LN10 - lf),
+                    abs(pv - pf))
     return worst
 
 
-def _step_residual(ctx, alphas, betas, zc, logs, phases):
-    """Largest relative residual of a float64 column in the mpmath
+def _step_residual(alphas, betas, zc, logs, phases):
+    """Largest relative residual of a float64 column in the decimal
     recurrence: |X_0 - 1|, then |a_n X_{n+1} + (b_n - z) X_n + a_{n-1}
-    X_{n-1}| over the sum of the three magnitudes."""
-    xs = [ph * ctx.exp(lg) if lg > -math.inf else ctx.zero
+    X_{n-1}| over the sum of the three magnitudes.  Runs in the current
+    decimal context."""
+    from decimal import Decimal
+    xs = [_decimal(ph) * Decimal(lg).exp() if lg > -math.inf else Decimal(0)
           for lg, ph in zip(logs, phases)]
     worst = float(abs(xs[0] - 1))
     for n in range(len(xs) - 1):
@@ -209,14 +271,15 @@ def _step_residual(ctx, alphas, betas, zc, logs, phases):
 
 
 def check_recurrence(src, ctx, alphas, betas) -> CheckResult:
-    """The float64 kernels against one mpmath column P_0 .. P_n per point
-    (plain_values): log_table (_scaled_iter) at all five points and
-    _scaled_columns, the grid path, at the four real ones.  Near a zero of
-    some P_n, or near an eigenvalue, where P_n(z) follows the recessive
-    solution, the gap measures conditioning rather than the kernel, so a
-    column whose gap passes the threshold is judged by its residual in the
-    mpmath recurrence instead, which a correct kernel keeps at rounding
-    level at any z."""
+    """The float64 kernels against one decimal column P_0 .. P_n per point
+    (plain_values, the complex point on _Complex): log_table (_scaled_iter)
+    at all five points and _scaled_columns, the grid path, at the four real
+    ones.  Near a zero of some P_n, or near an eigenvalue, where P_n(z)
+    follows the recessive solution, the gap measures conditioning rather
+    than the kernel, so a column whose gap passes the threshold is judged by
+    its residual in the decimal recurrence instead, which a correct kernel
+    keeps at rounding level at any z."""
+    from decimal import localcontext
     import numpy as np
     # _scaled_columns reads pair n before it yields P_n
     n_stop = _readable(src, len(alphas)) - 1
@@ -236,17 +299,18 @@ def check_recurrence(src, ctx, alphas, betas) -> CheckResult:
         grid_logs = np.where(u != 0, ls + np.log(np.abs(u)), -math.inf)
     zs = list(_REAL_ZS) + [_COMPLEX_Z]
     worst = 0.0
-    for i, z in enumerate(zs):
-        zc = ctx.mpc(z) if isinstance(z, complex) else ctx.mpf(z)
-        column = plain_values(alphas, betas, zc, n_stop)
-        floats = [log_table(src, z, n_stop)]
-        if i < len(_REAL_ZS):
-            floats.append((grid_logs[:, i].tolist(), np.sign(u[:, i]).tolist()))
-        for logs, phases in floats:
-            gap = _log_gap(ctx, column, logs, phases)
-            if not gap <= _RECURRENCE_THRESHOLD:
-                gap = _step_residual(ctx, alphas, betas, zc, logs, phases)
-            worst = max(worst, gap)
+    with localcontext(ctx):
+        for i, z in enumerate(zs):
+            zc = _decimal(z)
+            column = plain_values(alphas, betas, zc, n_stop)
+            floats = [log_table(src, z, n_stop)]
+            if i < len(_REAL_ZS):
+                floats.append((grid_logs[:, i].tolist(), np.sign(u[:, i]).tolist()))
+            for logs, phases in floats:
+                gap = _log_gap(column, logs, phases)
+                if not gap <= _RECURRENCE_THRESHOLD:
+                    gap = _step_residual(alphas, betas, zc, logs, phases)
+                worst = max(worst, gap)
     return _result("recurrence_residual", worst, _RECURRENCE_THRESHOLD,
                    f"{_upto(n_stop, capped)}, {len(zs)} evaluation points")
 
@@ -256,19 +320,21 @@ def check_wronskian(ctx, alphas, betas) -> CheckResult:
     if m_stop < 1:
         return _skip("wronskian_identity", _IDENTITY_THRESHOLD,
                      "table too short: no pair m > n")
+    from decimal import Decimal, localcontext
     worst = 0.0
-    for z in (0.0, -0.7, 0.4):
-        zc = ctx.mpf(z)
-        p = plain_values(alphas, betas, zc, m_stop)
-        qv = plain_values(alphas, betas, zc, m_stop, second_kind=True)
-        for n in range(m_stop):
-            fwd = plain_values(alphas[n:], betas[n:], zc, m_stop - n,
-                               second_kind=True)
-            for m in range(n + 1, m_stop + 1):
-                cross = qv[m] * p[n] - p[m] * qv[n]
-                den = abs(qv[m] * p[n]) + abs(p[m] * qv[n]) + abs(fwd[m - n])
-                if den > 0:
-                    worst = max(worst, float(abs(cross - fwd[m - n]) / den))
+    with localcontext(ctx):
+        for z in (0.0, -0.7, 0.4):
+            zc = Decimal(z)
+            p = plain_values(alphas, betas, zc, m_stop)
+            qv = plain_values(alphas, betas, zc, m_stop, second_kind=True)
+            for n in range(m_stop):
+                fwd = plain_values(alphas[n:], betas[n:], zc, m_stop - n,
+                                   second_kind=True)
+                for m in range(n + 1, m_stop + 1):
+                    cross = qv[m] * p[n] - p[m] * qv[n]
+                    den = abs(qv[m] * p[n]) + abs(p[m] * qv[n]) + abs(fwd[m - n])
+                    if den > 0:
+                        worst = max(worst, float(abs(cross - fwd[m - n]) / den))
     return _result("wronskian_identity", worst, _IDENTITY_THRESHOLD,
                    f"m <= {m_stop}")
 
@@ -279,45 +345,53 @@ def _green(alphas, betas, n_block, ctx):
 
     Entries come from the cross identity Q_m(0) P_n(0) - P_m(0) Q_n(0).  Its
     two products cancel more and more with the indices, so an entry left
-    with fewer than _GREEN_DIGITS correct digits at the working precision is
-    recomputed by forward substitution from Q_n^(n) = 0, Q_{n+1}^(n) =
-    1/alpha_n.
+    with fewer than _GREEN_DIGITS correct digits, or than two thirds of the
+    working digits, is recomputed by forward substitution from Q_n^(n) = 0,
+    Q_{n+1}^(n) = 1/alpha_n.  The share keeps the Green row's maximum
+    shrinking with the precision: 12 digits alone would keep an entry with
+    12 correct digits of 60.
     """
-    zero = ctx.mpf(0)
-    p = plain_values(alphas, betas, zero, n_block)
-    qv = plain_values(alphas, betas, zero, n_block, second_kind=True)
-    guard = 10 ** _GREEN_DIGITS * ctx.eps
-    g = [[zero] * n_block for _ in range(n_block)]
-    for n in range(n_block - 1):
-        fwd = None
-        for m in range(n + 1, n_block):
-            t1, t2 = qv[m] * p[n], p[m] * qv[n]
-            g[m][n] = t1 - t2
-            if abs(g[m][n]) < guard * (abs(t1) + abs(t2)):
-                if fwd is None:
-                    fwd = plain_values(alphas[n:], betas[n:], zero,
-                                       n_block - 1 - n, second_kind=True)
-                g[m][n] = fwd[m - n]
+    from decimal import Decimal, localcontext
+    with localcontext(ctx):
+        zero = Decimal(0)
+        p = plain_values(alphas, betas, zero, n_block)
+        qv = plain_values(alphas, betas, zero, n_block, second_kind=True)
+        # 10^(1 - prec) is the gap between 1 and the next decimal
+        keep = max(_GREEN_DIGITS, 2 * ctx.prec // 3)
+        guard = Decimal(1).scaleb(keep + 1 - ctx.prec)
+        g = [[zero] * n_block for _ in range(n_block)]
+        for n in range(n_block - 1):
+            fwd = None
+            for m in range(n + 1, n_block):
+                t1, t2 = qv[m] * p[n], p[m] * qv[n]
+                g[m][n] = t1 - t2
+                if abs(g[m][n]) < guard * (abs(t1) + abs(t2)):
+                    if fwd is None:
+                        fwd = plain_values(alphas[n:], betas[n:], zero,
+                                           n_block - 1 - n, second_kind=True)
+                    g[m][n] = fwd[m - n]
     return p, g
 
 
-def check_green_identity(alphas, betas, green) -> CheckResult:
+def check_green_identity(ctx, alphas, betas, green) -> CheckResult:
+    from decimal import localcontext
     g = green[1]
     if len(g) < 2:
         return _skip("green_identity", _IDENTITY_THRESHOLD,
                      "table too short: no 2 x 2 block")
     worst = 0.0
-    for m in range(len(g) - 1):  # the boundary row is excluded
-        for n in range(len(g)):
-            acc = betas[m] * g[m][n]
-            scale = abs(acc)
-            if m > 0:
-                acc += alphas[m - 1] * g[m - 1][n]
-                scale += abs(alphas[m - 1] * g[m - 1][n])
-            acc += alphas[m] * g[m + 1][n]
-            scale += abs(alphas[m] * g[m + 1][n])
-            target = 1 if m == n else 0
-            worst = max(worst, float(abs(acc - target) / max(scale, 1)))
+    with localcontext(ctx):
+        for m in range(len(g) - 1):  # the boundary row is excluded
+            for n in range(len(g)):
+                acc = betas[m] * g[m][n]
+                scale = abs(acc)
+                if m > 0:
+                    acc += alphas[m - 1] * g[m - 1][n]
+                    scale += abs(alphas[m - 1] * g[m - 1][n])
+                acc += alphas[m] * g[m + 1][n]
+                scale += abs(alphas[m] * g[m + 1][n])
+                target = 1 if m == n else 0
+                worst = max(worst, float(abs(acc - target) / max(scale, 1)))
     return _result("green_identity", worst, _IDENTITY_THRESHOLD,
                    f"N = {len(g)}")
 
@@ -332,19 +406,21 @@ def check_resolvent_identity(ctx, alphas, betas, green,
     xs = [0.0, 0.1]
     if gamma is not None:
         xs.append(0.3 * gamma)
+    from decimal import Decimal, localcontext
     worst = 0.0
-    for x in xs:
-        xv = ctx.mpf(x)
-        px = plain_values(alphas, betas, xv, n_block)
-        for n in range(n_block):
-            # row n of (I - x G) P_*(x) - P_*(0)
-            acc = px[n] - p0[n]
-            scale = abs(px[n]) + abs(p0[n])
-            for kk in range(n):
-                acc -= xv * g[n][kk] * px[kk]
-                scale += abs(xv * g[n][kk] * px[kk])
-            if scale > 0:
-                worst = max(worst, float(abs(acc) / scale))
+    with localcontext(ctx):
+        for x in xs:
+            xv = Decimal(x)
+            px = plain_values(alphas, betas, xv, n_block)
+            for n in range(n_block):
+                # row n of (I - x G) P_*(x) - P_*(0)
+                acc = px[n] - p0[n]
+                scale = abs(px[n]) + abs(p0[n])
+                for kk in range(n):
+                    acc -= xv * g[n][kk] * px[kk]
+                    scale += abs(xv * g[n][kk] * px[kk])
+                if scale > 0:
+                    worst = max(worst, float(abs(acc) / scale))
     return _result("resolvent_identity", worst, _IDENTITY_THRESHOLD,
                    f"N = {n_block}")
 
@@ -439,7 +515,8 @@ def check_per_term_bound(ev) -> CheckResult:
 def _block_trace(alphas, betas):
     """tr T^{-1} of the tridiagonal block (diagonal betas, off-diagonal alphas):
     sum 1/(d_n + e_n - beta_n), d and e its pivots from the top and from the
-    bottom (Meurant 1992), with e_n - beta_n = -alpha_n^2 / e_{n+1}."""
+    bottom (Meurant 1992), with e_n - beta_n = -alpha_n^2 / e_{n+1}.  Runs
+    in the current decimal context."""
     tops = [betas[0]]
     for a, b in zip(alphas, betas[1:]):
         tops.append(b - a * a / tops[-1])
@@ -455,13 +532,16 @@ def check_trace_reconciliation(ev, ctx) -> CheckResult:
     """trace_inverse on the evaluator's table, its value plus its tail bound,
     against tr J_M^{-1} <= tr J^{-1}, M twice its term count, in ctx: a gap
     of the kappa tail beyond M, with no model of the spectrum."""
+    from decimal import localcontext
     try:
         tr = second_kind.trace_inverse(ev.src, 1e-8, table=ev._table)
     except ConvergenceError as exc:
         return _fail("trace_reconciliation", _TRACE_THRESHOLD, str(exc))
     m = 2 * tr.terms
     alphas, betas = _mp_coeffs(ev.src, m - 1, ctx)
-    gap = abs(tr.value + tr.tail_bound - float(_block_trace(alphas[:-1], betas)))
+    with localcontext(ctx):
+        block = float(_block_trace(alphas[:-1], betas))
+    gap = abs(tr.value + tr.tail_bound - block)
     return _result("trace_reconciliation", gap, _TRACE_THRESHOLD,
                    f"{tr.terms} kappa terms, {m} x {m} block")
 
@@ -469,26 +549,30 @@ def check_trace_reconciliation(ev, ctx) -> CheckResult:
 def w_factorization_check(params: QParams, n: int, digits: int = 0) -> float:
     """Max entry gap of the factorization J = W W^T + I over the leading
     n x n block of the ASC-II matrix, relative to its largest entry
-    (a + 1) q^-(n-1), in mpmath at ``digits`` (_mp_context).
+    (a + 1) q^-(n-1), in decimal arithmetic at ``digits`` significant
+    digits, at least 17 (_mp_context).
 
     W is lower bidiagonal with W_kk = sqrt(a) q^{-k/2} and
     W_{k+1,k} = q^{-(k+1)/2} sqrt(1 - q^{k+1}), so W W^T + I is tridiagonal
     like J and only the band is compared; its entry above the diagonal is
-    the product below it in the other order, the same mpmath number.
+    the product below it in the other order, the same decimal number.
     """
+    from decimal import Decimal, localcontext
     if n < 2:
         raise ValueError("block size must be at least 2")
     ctx = _mp_context(digits)
-    q, a = ctx.mpf(params.q), ctx.mpf(params.a)
     alphas, betas = _mp_coeffs(ASC2Source(params.q, params.a), n - 1, ctx)
-    half = [q ** (-ctx.mpf(k) / 2) for k in range(n)]
-    diag = [ctx.sqrt(a) * h for h in half]  # W_kk
-    sub = [h * ctx.sqrt(1 - q ** k) for k, h in enumerate(half)]  # W_{k,k-1}
-    worst = max(abs((1 + sub[k] * sub[k]) + diag[k] * diag[k] - betas[k])
-                for k in range(n))
-    worst = max(worst, *(abs(sub[k] * diag[k - 1] - alphas[k - 1])
-                         for k in range(1, n)))
-    return float(worst / betas[n - 1])
+    with localcontext(ctx):
+        q, a = Decimal(params.q), Decimal(params.a)
+        root = q.sqrt()
+        half = [root ** -k for k in range(n)]  # q^{-k/2}
+        diag = [a.sqrt() * h for h in half]  # W_kk
+        sub = [h * (1 - q ** k).sqrt() for k, h in enumerate(half)]  # W_{k,k-1}
+        worst = max(abs((1 + sub[k] * sub[k]) + diag[k] * diag[k] - betas[k])
+                    for k in range(n))
+        worst = max(worst, *(abs(sub[k] * diag[k - 1] - alphas[k - 1])
+                             for k in range(1, n)))
+        return float(worst / betas[n - 1])
 
 
 def check_w_factorization(src, digits=0) -> CheckResult:
@@ -525,7 +609,7 @@ def run_suite(src: CoefficientSource, *, gamma: float | None = None,
         check_coefficient_positivity(src),
         check_recurrence(src, ctx, alphas, betas),
         check_wronskian(ctx, alphas, betas),
-        check_green_identity(alphas, betas, green),
+        check_green_identity(ctx, alphas, betas, green),
         check_resolvent_identity(ctx, alphas, betas, green, gamma=gamma),
     ]
     pd_ok = out[0].passed

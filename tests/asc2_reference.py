@@ -86,7 +86,9 @@ def second_kind_at_family_point(params: QParams, n: int) -> float:
 def trace_reference(q: float, shift: float) -> float:
     """tr (J - shift)^{-1} = sum_n 1/(q^-n - shift) over the ASC-II
     eigenvalues q^-n (any a), as mpmath's nsum at 30 digits."""
-    ctx = _mp_context(30)
+    import mpmath
+    ctx = mpmath.mp.clone()
+    ctx.dps = 30
     q = ctx.mpf(q)
     return float(ctx.nsum(lambda n: 1 / (q ** -n - shift), [0, ctx.inf]))
 
@@ -172,29 +174,31 @@ def hadamard_product(eigs, z, *, tail_ratio: float | None = None) -> CharFnValue
 
 def dense_w_factorization_gap(params: QParams, n: int, digits: int = 0) -> float:
     """verify.w_factorization_check over every entry of the n x n block:
-    the full product W W^T + I, zeros off the band included."""
+    the full product W W^T + I, zeros off the band included, in the same
+    decimal context."""
+    from decimal import Decimal, localcontext
     if n < 2:
         raise ValueError("block size must be at least 2")
-    ctx = _mp_context(digits)
-    q, a = ctx.mpf(params.q), ctx.mpf(params.a)
+    with localcontext(_mp_context(digits)):
+        q, a = Decimal(params.q), Decimal(params.a)
 
-    def w(m, k):  # W[m][k]
-        if k == m:
-            return ctx.sqrt(a) * q ** (-ctx.mpf(m) / 2)
-        if k == m - 1:
-            return q ** (-ctx.mpf(m) / 2) * ctx.sqrt(1 - q ** m)
-        return ctx.mpf(0)
+        def w(m, k):  # W[m][k]
+            if k == m:
+                return a.sqrt() * q.sqrt() ** -m
+            if k == m - 1:
+                return q.sqrt() ** -m * (1 - q ** m).sqrt()
+            return Decimal(0)
 
-    worst = ctx.mpf(0)
-    for m in range(n):
-        for k in range(n):
-            acc = ctx.mpf(1) if m == k else ctx.mpf(0)
-            for j in range(min(m, k) + 1):
-                acc += w(m, j) * w(k, j)
-            if m == k:
-                acc -= (a + 1) * q ** (-k)
-            elif abs(m - k) == 1:
-                mk = min(m, k)
-                acc -= ctx.sqrt(a * q ** (-2 * mk - 1) * (1 - q ** (mk + 1)))
-            worst = max(worst, abs(acc))
-    return float(worst / ((a + 1) * q ** (-(n - 1))))
+        worst = Decimal(0)
+        for m in range(n):
+            for k in range(n):
+                acc = Decimal(1) if m == k else Decimal(0)
+                for j in range(min(m, k) + 1):
+                    acc += w(m, j) * w(k, j)
+                if m == k:
+                    acc -= (a + 1) * q ** (-k)
+                elif abs(m - k) == 1:
+                    mk = min(m, k)
+                    acc -= (a * q ** (-2 * mk - 1) * (1 - q ** (mk + 1))).sqrt()
+                worst = max(worst, abs(acc))
+        return float(worst / ((a + 1) * q ** (-(n - 1))))

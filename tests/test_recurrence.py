@@ -206,7 +206,7 @@ def test_green_block_first_column():
 
 def test_green_right_inverse_interior(asc2_shifted):
     # interior rows only; the last row sees the truncation boundary
-    r = check_green_identity(*_mp_tables(asc2_shifted, 0)[1:])
+    r = check_green_identity(*_mp_tables(asc2_shifted, 0))
     assert r.note == "N = 12"
     assert r.passed and r.max_residual <= 1e-10
 
@@ -214,7 +214,7 @@ def test_green_right_inverse_interior(asc2_shifted):
 def test_green_right_inverse_random_table():
     rng = np.random.RandomState(3)
     src = random_pd_table(rng, 12)
-    r = check_green_identity(*_mp_tables(src, 0)[1:])
+    r = check_green_identity(*_mp_tables(src, 0))
     assert r.passed and r.max_residual <= 1e-11
 
 

@@ -65,13 +65,14 @@ def test_emitter_edge_cases(columns, rows):
 # reports' again when an uncertified point came to sum the terms of the rung
 # where the a-priori tails stopped the ladder, not the whole table, the
 # spectrum report's again when one D_N-sized rung replaced the ladder's last
-# two rungs as its brackets' source); the charfn grids reach z = 0, inf and
-# null cells (a closed form beyond the float range)
+# two rungs as its brackets' source, the verify report's again when its
+# identity checks moved from mpmath to decimal arithmetic); the charfn grids
+# reach z = 0, inf and null cells (a closed form beyond the float range)
 _JSON_REPORTS = {
     ("spectrum", "--q=0.5", "--a=0.5", "--shift=0.5", "--k=8"):
         "bec8c9d0645ad1da6e91b8ff0e48c0516f3ad378c0bf6e4cf5c3c8ba006a93ca",
     ("verify", "--q=0.5", "--a=0.5", "--shift=0.5", "--precision=30"):
-        "626d57bcc2bece3ea2f2e1dec31d557290c18307223763f489bbace888cecc1c",
+        "bdeed20a6715ea7078b736435e5278a892c6ec179af71ee69bb909cad15f0891",
     ("identities",):
         "9bb443f60c75cc5fc178d7864f708d43bf9a0a1838e7ab76fa87eb4101e1b42f",
     ("charfn", "--q=0.9999", "--a=0.9999", "--shift=0", "--grid=-1:2000:3"):

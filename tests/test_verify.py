@@ -1,5 +1,10 @@
 import hashlib
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +13,10 @@ from hypothesis import strategies as st
 
 import jacspec as js
 from asc2_reference import dense_w_factorization_gap
-from conftest import WindowOnly, ZeroAtTwo, random_pd_table
-from jacspec.recurrence import log_table
-from jacspec.verify import (_mp_context, _mp_tables, check_green_identity,
+from conftest import WindowOnly, ZeroAtTwo, mp_plain_recurrence, random_pd_table
+from jacspec.recurrence import log_table, plain_values
+from jacspec.verify import (_COMPLEX_Z, _N_MAX, _REAL_ZS, _decimal, _mp_coeffs,
+                            _mp_context, _mp_tables, check_green_identity,
                             check_kappa_monotonic, check_resolvent_identity,
                             check_trace_reconciliation, check_w_factorization,
                             run_suite, w_factorization_check)
@@ -213,14 +219,16 @@ def test_natural_gamma_passes_the_gamma_check(params):
 
 
 # sha256 of `jacspec verify --precision=30` at two ASC-II configurations; the
-# mpmath identity checks must keep these reports byte for byte (the (0.7,
+# decimal identity checks must keep these reports byte for byte (the (0.7,
 # 0.7, 0) one changed when the trace came to read the kappa table's ladder:
-# its residual, from 64 terms both times, reads 0 where it read 4.4e-16)
+# its residual, from 64 terms both times, reads 0 where it read 4.4e-16;
+# both changed when the checks moved from mpmath's 103 bits to 30 decimal
+# digits, in the round-off digits of five residuals)
 _PRECISION_30_REPORTS = {
     ("--q=0.5", "--a=0.5", "--shift=0.5"):
-        "916b6c4788960e455f8a4ba30c6b2967dc38f680a62bf6db9f7b0f18be6bb213",
+        "e28106ae061f4d862bfa465c885691efbe09d55898862bac35f54c820ee0749c",
     ("--q=0.7", "--a=0.7", "--shift=0.0"):
-        "dc3cd14bac957af14670e35cf00926b7f3a4b474228dd5325f93fd50839b0f7a",
+        "54958eadedffcc35defe840d1f26bf9b701b9e0c048251d361cf81cd6a0b4ea4",
 }
 
 
@@ -241,7 +249,7 @@ def test_green_rows_pass_where_the_cross_identity_cancels(params, digits):
     # digits of a 53-bit run here (and of a 30-digit run at (0.99, 0.099,
     # -1)); the Green block recomputes such entries by forward substitution
     mp = _mp_tables(js.ASC2Source(*params), digits)
-    for r in (check_green_identity(*mp[1:]), check_resolvent_identity(*mp)):
+    for r in (check_green_identity(*mp), check_resolvent_identity(*mp)):
         assert r.passed and r.max_residual <= 1e-11, r
 
 
@@ -302,13 +310,14 @@ def test_one_kappa_table_per_verify_job(monkeypatch, capsys):
     assert sum(extending) <= 5
 
 
-def test_run_suite_builds_one_mpmath_table_and_one_green_block(monkeypatch):
+def test_run_suite_builds_one_decimal_table_and_one_green_block(monkeypatch):
     # the recurrence, Wronskian, Green and resolvent checks share one pair
     # of coefficient lists and one Green block (the trace row reads a
-    # longer pair, the W check its unshifted lists); every mpmath check
-    # runs in the process's one 30-digit context, and every check reads the
-    # source's one coefficient reader.  A job made 5 contexts, 5 lists,
-    # 2 Green blocks and 17 readers, and later still 2 contexts of its own
+    # longer pair, the W check its unshifted lists); every decimal check
+    # runs in a copy of the process's one 30-digit context, and every check
+    # reads the source's one coefficient reader.  A job made 5 contexts,
+    # 5 lists, 2 Green blocks and 17 readers, and later still 2 contexts of
+    # its own; the move from mpmath to decimal left these counts as they were
     import collections
     from jacspec import verify
     counts, contexts = collections.Counter(), set()
@@ -538,3 +547,110 @@ def test_float_rows_stop_at_the_coefficient_horizon(q, notes):
     for name, note in zip(names, notes):
         assert r[name].status == "pass" and r[name].note == note, r[name]
     assert r["trace_reconciliation"].status == "pass"
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_LOADED = """
+import contextlib, io, sys
+import jacspec
+import jacspec.cli
+print(sorted(m for m in ("decimal", "mpmath") if m in sys.modules))
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+            ["verify", "--q", "0.5", "--a", "0.5", "--shift", "0.5",
+             "--precision", "30"],
+            ["spectrum", "--q", "0.5", "--a", "0.5", "--shift", "0.5", "--k", "4"],
+            ["charfn", "--q", "0.5", "--a", "0.5", "--shift", "0.5",
+             "--grid=-1:2:5"]):
+        assert jacspec.cli.main(argv) == 0, argv
+print("mpmath" in sys.modules)
+"""
+
+
+def test_the_runtime_loads_no_mpmath():
+    # import jacspec loads neither arithmetic package, so the import time
+    # stays flat, and verify, spectrum and charfn run without mpmath,
+    # which only the tests and the benchmark's reference values use
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    proc = subprocess.run([sys.executable, "-c", _LOADED], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    on_import, mpmath_after_runs = proc.stdout.split("\n")[:2]
+    assert on_import == "[]"
+    assert mpmath_after_runs == "False"
+
+
+def _mp_number(ctx, x):
+    """A Decimal or _Complex value in the mpmath context ctx; its decimal
+    string is exact, and 40 digits hold the 30 it carries."""
+    from decimal import Decimal
+    if isinstance(x, Decimal):
+        return ctx.mpf(str(x))
+    return ctx.mpc(str(x.re), str(x.im))
+
+
+@pytest.mark.parametrize("q", [1e-12, 0.5, 0.99])
+def test_decimal_reference_matches_mpmath_at_40_digits(q):
+    # the coefficient lists and the five reference columns of the 30-digit
+    # checks, the complex one on _Complex, against mpmath at 40 digits from
+    # the same float parameters.  Each float enters decimal exactly; one
+    # taken as Decimal(str(x)) is rounded to 17 digits and lands 1e-17 away
+    # (shift 0.3 at every q, and q itself at 1e-12 and 0.99)
+    import mpmath
+    src = js.ASC2Source(q, q, 0.3)
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    alphas, betas = _mp_coeffs(src, _N_MAX, _mp_context(30))
+    mq, ma, msh = mp.mpf(q), mp.mpf(q), mp.mpf(0.3)
+    for n in range(_N_MAX + 1):
+        want_a = mp.sqrt(ma * mq ** (-2 * n - 1) * (1 - mq ** (n + 1)))
+        want_b = (ma + 1) * mq ** -n - msh
+        assert abs(_mp_number(mp, alphas[n]) - want_a) <= 1e-25 * abs(want_a)
+        assert abs(_mp_number(mp, betas[n]) - want_b) <= 1e-25 * abs(want_b)
+    from decimal import localcontext
+    for z in (*_REAL_ZS, _COMPLEX_Z):
+        with localcontext(_mp_context(30)):
+            column = plain_values(alphas, betas, _decimal(z), _N_MAX)
+        ref = mp_plain_recurrence(src, z, _N_MAX, dps=40)
+        for n, (got, want) in enumerate(zip(column, ref)):
+            assert abs(_mp_number(mp, got) - want) <= 1e-25 * abs(want), (z, n)
+
+
+def _sweep_configs():
+    """24 ASC-II configurations of the certified regime 0 < a <= q < 1,
+    shift < 1: q = a = 1e-12, one shift within 1e-9 of 1, 22 random draws."""
+    rng = random.Random(39)
+    configs = [(1e-12, 1e-12, 0.0)]
+    q = 10 ** rng.uniform(-3, math.log10(0.95))
+    configs.append((q, q * rng.uniform(0.01, 1.0), 1 - rng.uniform(0.0, 1e-9)))
+    while len(configs) < 24:
+        q = 10 ** rng.uniform(-8, math.log10(0.95))
+        configs.append((q, q * rng.uniform(0.01, 1.0), rng.uniform(-2.0, 0.999)))
+    return configs
+
+
+@pytest.mark.parametrize("params", _sweep_configs(),
+                         ids=[f"sweep{i}" for i in range(24)])
+def test_verify_rows_pass_across_the_regime_at_three_precisions(params):
+    # every row passes at the default 17 digits, at 30 and at 60, and the
+    # four rows that run in decimal only shrink from 30 to 60 digits: their
+    # maxima are round-off of the working precision.  A Green block that
+    # keeps any entry with 12 correct digits read 1.2e-13 at 60 digits and
+    # 5e-17 at 30 at (2.4e-7, 2.2e-7, 0.26), one of these configurations
+    src = js.ASC2Source(*params)
+    runs = {d: _by_name(run_suite(src, precision_digits=d)) for d in (0, 30, 60)}
+    for digits, rows in runs.items():
+        trace = rows.pop("trace_reconciliation")
+        if 1 - src.shift <= 1e-9:
+            # tr J^-1 is about 1/(1 - shift) > 1e9, and the float64
+            # coefficients the kappa trace sums over move it by about 1e2
+            # from the exact matrix's, past the row's absolute 1e-6: the
+            # row reports a limit of the float pipeline, at every precision
+            assert trace.status == "FAIL" and trace.max_residual > 1, trace
+        else:
+            assert trace.status == "pass", (digits, trace)
+        for r in rows.values():
+            assert r.status == "pass", (digits, r)
+    for name in ("wronskian_identity", "green_identity",
+                 "resolvent_identity", "w_factorization"):
+        assert runs[60][name].max_residual < runs[30][name].max_residual, name
