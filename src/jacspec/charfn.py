@@ -106,27 +106,21 @@ class CharFnEvaluator:
         U(R) = F_M(-R) (1 + pad) / (1 - R T_M), with M the first count of
         the ladder whose tail has R T_M <= 1/2 and F_M(-R) formed as eval
         forms its partial sums; inf when no count within the capacity
-        qualifies or F_M(-R) leaves the float range.  Then the ladder runs
-        to the capacity, unless M's tail is a-priori: there an overflow of
-        F_M(-R), whose terms are all positive, settles U(R) for every larger
-        M.  Memoized per radius with the count an uncertified plan at R
-        reads (KappaTable.first), so it depends on src, max_terms and R only.
+        qualifies (past the float range, R = inf, none does), or where
+        F_M(-R) leaves the float range: its terms are all positive, so that
+        settles U(R) for every larger M too.  Memoized per radius with the
+        count an uncertified plan at R reads, M or else the whole table
+        (KappaTable.first), so it depends on src, max_terms and R only.
         """
         if radius in self._majorants:
             return self._majorants[radius][0]
         table = self._table
-        # past the float range (R = inf) no tail is small enough
-        log_cap = math.log(0.5 / radius) if radius < math.inf else -math.inf
-        i, stop = table.first(lambda rung: radius * rung[1] <= 0.5, log_cap)
+        i, stop = table.first(lambda rung: radius * rung[1] <= 0.5)
         u = math.inf
         if stop is None:
             stop, t, _ = table.rungs[i]
             f_m = 1.0 + radius * _fsum_inf(self._terms(-radius, stop))
             u = f_m * (1.0 + _MAJORANT_PAD) / (1.0 - radius * t)
-            if u == math.inf and stop not in table.apriori:
-                while table.rung(i) is not None:
-                    i += 1
-                stop = len(table.w0_mant)
         self._majorants[radius] = u, stop
         return u
 
@@ -138,18 +132,18 @@ class CharFnEvaluator:
         or no count within the term budget and the coefficient horizon
         reaches atol, in which case log_bound reports the best achievable
         bound (inf when there is no U(R)).  n_terms is None only once the
-        table has reached its capacity, or where the source's a-priori
-        tails show that no count within it reaches atol (_search).
+        ladder has reached the table's capacity, or where F_M(-R) overflows
+        (_search).
         """
         plan = self._search(z_abs, atol)
         return (plan.n_terms if plan.certified else None), plan.log_bound
 
     def _search(self, z_abs: float, atol: float) -> _Plan:
         """plan_terms as a _Plan, where an uncertified plan's count is the
-        whole table, then at its capacity, or the count of the rung with an
-        a-priori tail at which the walk stopped (KappaTable.first, here or
-        in _majorant).  Where the walk stops depends on z_abs and atol
-        only, not on the rungs walked before."""
+        whole table, then at its capacity, or the count M at which
+        _majorant's F_M(-R) overflowed (KappaTable.first).  Where the walk
+        stops depends on z_abs and atol only, not on the rungs walked
+        before."""
         if not 0.0 < atol < math.inf:
             raise ValueError(f"atol must be finite and positive, got {atol!r}")
         if not 0.0 <= z_abs < math.inf:
@@ -163,8 +157,7 @@ class CharFnEvaluator:
             log_scale = math.log(z_abs) + math.log(u)
         log_target = math.log(atol)
         table = self._table
-        i, stop = table.first(lambda rung: log_scale + rung[2] <= log_target,
-                              log_target - log_scale)
+        i, stop = table.first(lambda rung: log_scale + rung[2] <= log_target)
         walked = table.rungs[:i + 1]
         if stop is None:
             return _Plan(walked[i][0], log_scale + walked[i][2], True)

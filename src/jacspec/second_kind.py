@@ -17,7 +17,8 @@ Since S_n depends only on the sums above it, kappa_sequence grows a
 KappaTable by its new entries only (_kappa_entries).  The table holds those
 entries, with the w_n(0) of F's terms beside them, its capacity and the
 ladder of counts it grows along, which CharFnEvaluator's plans and
-trace_inverse both walk.
+trace_inverse both walk; each rung's tail bound sums the held entries to a
+far count and adds the certificate's remainder past it (tail_upper).
 """
 
 from __future__ import annotations
@@ -30,10 +31,13 @@ from dataclasses import dataclass
 
 from .errors import AssumptionViolation, ConvergenceError
 from .recurrence import _LN2, _coeff_reader, _phase, _scaled_iter
-from .sources import CoefficientSource, require_infinite
+from .sources import CoefficientSource, _certified_base, require_infinite
 
 _RATIO_CAP = 0.9
 _RATIO_WINDOW = 5
+# a tail T_n sums the held entries to at least n + _HEAD before it adds the
+# certificate's remainder, so the ladder ends _HEAD below the capacity
+_HEAD = 6
 # the kappa table's first build: the top entries of a smaller build can sit an
 # ulp or two from those of a larger one (a build of 22 at (0.5, 0.5, 0.5)),
 # so a table started smaller would depend on the order of its builds
@@ -354,13 +358,6 @@ def kappa_sequence(src: CoefficientSource, count: int, *,
     return table.kappas[:count]
 
 
-def _certified_tail(src: CoefficientSource, n: int) -> float:
-    """src's a-priori bound on sum_{m >= n} kappa_m (tail_certificate), or
-    inf where it has none."""
-    cert = src.tail_certificate(n)
-    return cert[2] if cert else math.inf
-
-
 class KappaTable:
     """The kappa table of src: kappas[n] = kappa_n, with w_n(0) =
     w0_mant[n] 2^w0_exp[n] of F's terms beside it, grown by kappa_sequence
@@ -369,9 +366,9 @@ class KappaTable:
     at max_terms; the first build that fails (budget, coefficient horizon or
     no stable decay window) fixes it at the largest count that builds.
     Every reader walks the ladder from its first rung (first), so the table
-    grows through one chain of counts (_FIRST_BUILD, then n + 6 per rung n)
-    whatever is asked of it, in whatever order.  One lock guards every
-    change: builds, the capacity, the rungs and out_of_reach's memo.  The
+    grows through one chain of counts (_FIRST_BUILD, then each rung's tail
+    count, see tail_upper) whatever is asked of it, in whatever order.  One
+    lock guards every change: builds, the capacity and the rungs.  The
     entries are append-only, so readers of built ones need no lock;
     w0_mant is extended last, so its length is the table's for them.
     """
@@ -386,11 +383,10 @@ class KappaTable:
         self.capacity = max_terms  # lowered once, by the first failed build
         # rung's ladder so far and the next count it tries, 0 once it ended
         self.rungs: list[tuple[int, float, float]] = []
-        self.apriori: set[int] = set()  # its counts whose tail is a-priori
         self._next_count = 16
         self._lock = threading.RLock()
-        # out_of_reach's counts known to build and the least known not to
-        self._reach = [0, max_terms + 1]
+        # (base, scale) of the certificate that bounds src's tails, or None
+        self._certified = _certified_base(src)
 
     def grow(self, count: int) -> bool:
         """Extend the table to at least ``count`` entries and _FIRST_BUILD;
@@ -422,101 +418,83 @@ class KappaTable:
             kappa_sequence(self.src, capacity, table=self)
         self.capacity = capacity
 
-    def _builds(self, count: int, bound: int | None = None) -> bool:
+    def _builds(self, count: int, bound: int) -> bool:
         """Whether a build of ``count`` entries succeeds, from its stop search
         capped at ``bound`` and its last entry's sums; publishes nothing."""
         if count <= len(self.kappas):
             return True
         try:
-            stop = self.engine.find_stop(1e-12, bound or self.max_terms,
-                                         min_terms=count + 1)
+            stop = self.engine.find_stop(1e-12, bound, min_terms=count + 1)
             _kappa_sums(self.engine, count, self.max_terms, count - 1, stop)
         except ConvergenceError:
             return False
         return True
 
-    def tail_upper(self, n_terms: int) -> tuple[float, bool] | None:
-        """(T, a_priori): T >= sum_{k>=n_terms} kappa_k from the observed
-        decay, or where its window is not below the cap, _certified_tail's
-        a-priori bound; None beyond the capacity."""
-        if not self.grow(n_terms + _RATIO_WINDOW + 1):
+    def tail_upper(self, n: int) -> float | None:
+        """T >= sum_{m >= n} kappa_m: the held entries kappa_n .. kappa_{M-1},
+        fsum'd and padded for their rounding, plus the certificate's
+        remainder C(M) >= sum_{m >= M} kappa_m (sources._certified_base).
+        M is the smallest count >= n + _HEAD with C(M) <= 1e-3 kappa_n,
+        bisected on the closed form, or the capacity where that comes
+        first, so T depends on n, kappa_n and the capacity only.  inf where
+        no certificate bounds src; None beyond the capacity."""
+        if not self.grow(n + _HEAD):
             return None
-        k = self.kappas
-        r = max(k[i + 1] / k[i] for i in range(n_terms - 1,
-                                               n_terms + _RATIO_WINDOW - 1))
-        if r >= _RATIO_CAP:
-            return _certified_tail(self.src, n_terms), True
-        return k[n_terms] / (1.0 - r), False
+        if self._certified is None:
+            return math.inf
+        base, scale = self._certified
 
-    def out_of_reach(self, log_cap: float) -> bool:
-        """Whether no count within the capacity has an a-priori tail of at
-        most e^log_cap: the least that has one (bisected on _certified_tail,
-        which falls with the count) lies past the capacity's ceiling or does
-        not build (_builds; _reach keeps the counts known to build and the
-        least known not to).  No entry is published, so the answer depends
-        on src, max_terms and log_cap only."""
-        def meets(n: int) -> bool:
-            t = _certified_tail(self.src, n)
-            return t == 0.0 or math.log(t) <= log_cap
+        def remainder(m: int) -> float:
+            return scale * base.tail_certificate(m)[2]
 
-        with self._lock:
-            ceiling = self.capacity - _RATIO_WINDOW - 1
-            if ceiling < 4 or not meets(ceiling):
-                return True
-            count = bisect.bisect_left(range(ceiling), True, key=meets) \
-                + _RATIO_WINDOW + 1
-            built, failed = self._reach
-            if count <= max(built, len(self.kappas)):
-                return False
-            if count < failed:
-                if self._builds(count):
-                    self._reach[0] = max(built, count)
-                    return False
-                self._reach[1] = count
-            return True
+        small = 1e-3 * self.kappas[n]
+        low = n + _HEAD
+        m = low + bisect.bisect_left(range(low, self.capacity), True,
+                                     key=lambda m: remainder(m) <= small)
+        if not self.grow(m):
+            m = self.capacity
+        # kappa_j = S_j exp(-log alpha_j + log|P_j(0)| - log|P_j+1(0)|), so
+        # the rounding of those logs moves it by up to about `logs` ulps, and
+        # S_j carries that of the ratios above j; S_j itself is known to 1e-15
+        lp, pairs = self.engine.log_p, self.engine.coeffs[n:m]
+        logs = 2.0 * max(map(abs, lp[n:m + 1])) + max(
+            abs(math.log(min(pairs)[0])), abs(math.log(max(pairs)[0])))
+        pad = 1e-15 + (m - n + 1) * (1.0 + logs) * 2.0 ** -52
+        return math.fsum(self.kappas[n:m]) * (1.0 + pad) + remainder(m)
 
     def rung(self, i: int):
         """The ladder's i-th (n, T_n, log T_n), or None past its end: the
         counts 16, 32, 64, ..., the last the capacity's ceiling, with a
-        finite positive T_n = tail_upper(n) (a-priori for those in apriori).
-        Walked once, under the table's lock, and no further than asked: a
-        rung is fixed once walked, as the table only grows and the capacity
-        falls."""
+        finite positive T_n = tail_upper(n).  Walked once, under the
+        table's lock, and no further than asked: a rung is fixed once
+        walked, as the table only grows and the capacity falls."""
         rungs = self.rungs
         if i < len(rungs):
             return rungs[i]
         with self._lock:
             n = self._next_count
             while len(rungs) <= i and n:
-                ceiling = self.capacity - _RATIO_WINDOW - 1
+                ceiling = self.capacity - _HEAD
                 n = min(n, ceiling)
-                tail = self.tail_upper(n) if n >= 4 else (0.0, False)
-                if tail is None:
+                t = self.tail_upper(n) if n >= 4 else 0.0
+                if t is None:
                     continue  # the failed build has lowered the capacity
-                t, a_priori = tail  # n < 4 ends the ladder with t = 0
-                if 0.0 < t < math.inf:
-                    if a_priori:  # before the rung: readers skip the lock
-                        self.apriori.add(n)
+                if 0.0 < t < math.inf:  # n < 4 ends the ladder with t = 0
                     rungs.append((n, t, math.log(t)))
                 n = 0 if n >= ceiling else min(2 * n, ceiling)
             self._next_count = n
         return rungs[i] if i < len(rungs) else None
 
-    def first(self, hit, log_cap: float) -> tuple[int, int | None]:
+    def first(self, hit) -> tuple[int, int | None]:
         """(i, stop): walk the ladder from its first rung to the first rung
-        i that ``hit`` accepts, with stop None; else stop is the count an
-        uncertified plan reads: that of the first rung with an a-priori
-        tail, if out_of_reach(log_cap) holds there (asked there only), or
-        past the ladder's end the whole table.  Where the walk stops depends
-        on hit and log_cap only, not on the rungs walked before."""
-        ask, i = True, 0
+        i that ``hit`` accepts, with stop None; else past the ladder's end,
+        with stop the whole table, the count an uncertified plan reads.
+        Where the walk stops depends on hit only, not on the rungs walked
+        before."""
+        i = 0
         while (rung := self.rung(i)) is not None:
             if hit(rung):
                 return i, None
-            if ask and rung[0] in self.apriori:
-                if self.out_of_reach(log_cap):
-                    return i, rung[0]
-                ask = False
             i += 1
         return i, len(self.w0_mant)
 
@@ -540,7 +518,7 @@ def trace_inverse(src: CoefficientSource, atol: float, *,
     table = table or KappaTable(src, max_terms)
     if table.src != src:
         raise ValueError(f"table must be a KappaTable of {src!r}")
-    i, stop = table.first(lambda rung: rung[1] <= atol, math.log(atol))
+    i, stop = table.first(lambda rung: rung[1] <= atol)
     if stop is not None:
         raise ConvergenceError(
             table.engine._horizon or

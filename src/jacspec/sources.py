@@ -9,7 +9,7 @@ closed forms) and finite explicit tables for truncation-level testing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass, replace
 
 from .qseries import QParams
 
@@ -184,6 +184,26 @@ class TableSource(CoefficientSource):
     def max_truncation(self) -> int:
         """Largest N for which the N x N leading block is fully determined."""
         return min(len(self.alphas) + 1, len(self.betas))
+
+
+def _certified_base(src: CoefficientSource):
+    """(base, scale): the source whose tail_certificate bounds src's kappa
+    tails, sum_{m >= n} kappa_m <= scale tail(n) of base, or None where none
+    does.  base is src itself, with scale 1, else src at shift 0, if its
+    natural_gamma g0 exceeds delta = src.shift > 0, with scale g0/(g0 -
+    delta): J_0 >= g0 gives J_0 - delta >= (1 - delta/g0) J_0, so each
+    diagonal entry kappa_n of (J_0 - delta)^-1 is at most scale times that
+    of J_0^-1.  The oracle's rung reads base alone (spectrum._sized_rung).
+    """
+    if src.tail_certificate(0) is not None:
+        return src, 1.0
+    if is_dataclass(src) and src.shift > 0.0:
+        base = replace(src, shift=0.0)
+        g0 = base.natural_gamma
+        if g0 is not None and src.shift < g0 \
+                and base.tail_certificate(0) is not None:
+            return base, g0 / (g0 - src.shift)
+    return None
 
 
 def require_infinite(src: CoefficientSource, what: str) -> None:

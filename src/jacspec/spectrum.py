@@ -18,14 +18,15 @@ has no bound, and find_spectrum raises ConvergenceError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .charfn import _NOISE_EPS, CharFnEvaluator
 from .errors import AssumptionViolation, ConvergenceError
 from .qseries import QParams, require_certified_regime
-from .sources import ASC2Source, CoefficientSource, require_infinite
+from .sources import (ASC2Source, CoefficientSource, _certified_base,
+                      require_infinite)
 
 _OFFDIAG_LIMIT = math.sqrt(np.finfo(float).max)
 _MAX_WIDEN = 6
@@ -429,28 +430,11 @@ def _row_usable(b, a, otol):
         abs(a) < _OFFDIAG_LIMIT and max(1.0, a * a) * _PIVMIN_SCALE <= otol))
 
 
-def _certified_base(src, k):
-    """The source whose tail certificate bounds the oracle's error: src,
-    else src at shift 0, whose matrix J + shift has every eigenvalue and
-    truncation root of J moved up by shift (_sized_rung).  With neither, no
-    truncation size is known to bound the roots, and the cap's
-    _LadderCapError is raised before any row is read."""
-    if src.tail_certificate(0) is not None:
-        return src
-    if is_dataclass(src) and src.shift != 0.0:
-        base = replace(src, shift=0.0)
-        if base.tail_certificate(0) is not None:
-            return base
-    at = f" at shift {src.shift!r} or at shift 0" if src.shift else ""
-    raise _LadderCapError(
-        f"{type(src).__name__} has no tail certificate{at}, so no truncation "
-        f"size bounds the {k} smallest roots")
-
-
 def _sized_rung(src, k, tol, otol):
     """The one truncation whose trace defect bounds each root's error, as
-    (block, D, delta): base = _certified_base(src), delta = src.shift -
-    base.shift, and D bounds D_N = tr J'^-1 - tr J'_N^-1 of J' = J + delta.
+    (block, D, delta): base is the source whose tail certificate bounds src
+    (sources._certified_base), delta = src.shift - base.shift, and D bounds
+    D_N = tr J'^-1 - tr J'_N^-1 of J' = J + delta.
 
     By min-max lambda'_j <= x'_{N,j}, and 1/lambda'_j - 1/x'_{N,j} <= D_N,
     since every such difference is positive and they sum to at most D_N.
@@ -467,7 +451,15 @@ def _sized_rung(src, k, tol, otol):
     target, the float-range ValueError is raised where the usable rows end
     first, else the cap's _LadderCapError.
     """
-    base = _certified_base(src, k)
+    certified = _certified_base(src)
+    if certified is None:
+        # no truncation size is known to bound the roots: raised before any
+        # row is read
+        at = f" at shift {src.shift!r} or at shift 0" if src.shift > 0 else ""
+        raise _LadderCapError(
+            f"{type(src).__name__} has no tail certificate{at}, so no "
+            f"truncation size bounds the {k} smallest roots")
+    base = certified[0]
     delta = src.shift - base.shift
     n = 0
     for n, head, diag, off in _defect_heads(src, base, otol):

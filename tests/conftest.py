@@ -1,5 +1,7 @@
 """Shared fixtures and independent oracle helpers for the test suite."""
 
+import math
+
 import pytest
 
 from jacspec import (ASC2Source, CharFnEvaluator, CoefficientSource,
@@ -119,6 +121,31 @@ def mp_plain_recurrence(src, z, n_max, second_kind=False, dps=40):
         vals.append(((zv - betas[n]) * vals[n] - alphas[n - 1] * vals[n - 1])
                     / alphas[n])
     return vals[: n_max + 1]
+
+
+def exact_kappa_tails(src, starts, dps=50):
+    """sum_{m >= n} kappa_m for each n in starts, kappa_m = (J^{-1})_mm of
+    src's float64 matrix, in mpmath at dps digits: each entry is 1/(d_m +
+    e_m - b'_m), from the pivots d from the top and e from the bottom of a
+    block far enough past the last start that the rest of the tail is below
+    1e-25 of it (Meurant 1992), summed entry by entry, so no trace and head
+    are subtracted."""
+    import mpmath
+    ctx = mpmath.mp.clone()
+    ctx.dps = dps
+    size = max(starts) + math.ceil(60.0 / -math.log(src.q))
+    pairs = [src.coeffs(j) for j in range(size)]
+    alphas = [ctx.mpf(a) for a, _ in pairs]
+    diag = [ctx.mpf(b) for _, b in pairs]
+    tops = [diag[0]]
+    for a, b in zip(alphas, diag[1:]):
+        tops.append(b - a * a / tops[-1])
+    entries, bottom = [1 / tops[-1]], diag[-1]
+    for j in range(size - 2, -1, -1):
+        entries.append(1 / (tops[j] - alphas[j] ** 2 / bottom))
+        bottom = diag[j] - alphas[j] ** 2 / bottom
+    entries.reverse()
+    return [ctx.fsum(entries[n:]) for n in starts]
 
 
 # frozen reference values, computed with the mpmath oracles at 40 digits

@@ -519,7 +519,7 @@ def test_tail_estimates_are_computed_once_per_size(monkeypatch, max_terms):
     assert grows == []
     assert counts["builds"] == 0
     fresh = js.CharFnEvaluator(js.ASC2Source(0.5, 0.5, 0.5), max_terms)
-    assert [(n, fresh._table.tail_upper(n)[0]) for n, _, _ in ev._table.rungs] == \
+    assert [(n, fresh._table.tail_upper(n)) for n, _, _ in ev._table.rungs] == \
         [(n, t) for n, t, _ in ev._table.rungs]
 
 
@@ -650,9 +650,9 @@ def test_every_recurrence_on_a_source_shares_its_one_table(monkeypatch):
     (["--q=0.5", "--a=0.5", "--shift=0.5", "--grid=-1.0:250.0:400",
       "--atol=1e-300"], 901),
     (["--q=0.7", "--a=0.7", "--shift=0.0", "--grid=-1.0:40.0:400",
-      "--atol=1e-30"], 650),
+      "--atol=1e-30"], 667),
     (["--q=0.5", "--a=0.5", "--shift=0.5", "--grid=-1.0:250.0:400"], 401),
-    (["--q=0.7", "--a=0.7", "--shift=0.0", "--grid=-1.0:40.0:400"], 401),
+    (["--q=0.7", "--a=0.7", "--shift=0.0", "--grid=-1.0:40.0:400"], 411),
 ])
 def test_a_charfn_job_reads_each_coefficient_once(monkeypatch, capsys, argv,
                                                   reads):
@@ -660,8 +660,11 @@ def test_a_charfn_job_reads_each_coefficient_once(monkeypatch, capsys, argv,
     # ratio column had one of its own, and the first two jobs read 1302 and
     # 1051.  Their kappa tables reach past the ratio column's 401 indices:
     # at atol 1e-300 to the 2^900 coefficient horizon, index 900, and at
-    # 1e-30 to 518 entries.  At the default atol the tables (134 and 262
-    # entries) stay within those 401 indices
+    # 1e-30 to 535 entries, whose builds read to index 666.  At the default
+    # atol the (0.5, 0.5, 0.5) table (139 entries) stays within those 401
+    # indices; each rung's tail sums the entries to where the certificate's
+    # remainder is below 1e-3 of its first, so the (0.7, 0.7, 0) table
+    # holds 279 entries and its builds read to index 410
     from jacspec.cli import main
     calls = _count_coeffs(monkeypatch)
     assert main(["charfn", *argv, "--format=json"]) == 0
@@ -780,15 +783,18 @@ def test_a_priori_tails_plan_where_no_window_passes():
 
 
 def test_a_priori_tails_stop_a_plan_no_count_can_meet():
-    # at (0.99, 0.99, 0) the a-priori tail at the largest count that builds
-    # (16,633, far below the 20,000-term budget) is e^-157, against
-    # U(2) = e^143 at |z| <= 2, and F_M(-R) overflows at R = 1024 and 2048:
-    # no point of the charfn grid -1:2000:3 can certify.  The walks stop at
-    # the rung where the closed form shows it, where they grew the table to
-    # its 16,633 entries; the rung depends on the point alone, so the points
-    # in either order give the same values, on the grid path as on eval.
-    # Past 2^1023, where R = inf, no tail is small enough: that plan raised
-    # "math domain error" at the first rung with an a-priori tail
+    # at (0.99, 0.99, 0) U(2) is e^143 at |z| <= 2 and F_M(-R) overflows at
+    # R = 1024 and 2048, so no point of the charfn grid -1:2000:3 certifies
+    # at atol 1e-12: a plan walks the ladder to the table's capacity (16,633
+    # entries), or stops at the M where F_M(-R) overflowed, and sums those
+    # terms.  Where it stops depends on the point alone, so the points in
+    # either order give the same values, on the grid path as on eval.  Past
+    # 2^1023, where R = inf, no tail is small enough.  Every tail is an
+    # upper bound: z = -1 there meets the closed form 4.9e35, and z = 2000
+    # at (0.95, 0.95, 0) meets -2.66e218, within tail bounds of 5.6e-7 and
+    # 6.2e11 and the noise, and both certify at an atol relative to F; the
+    # window and the a-priori rungs gave 542.99 with a bound of 1.8e66 and
+    # 1.6e46 with a bound of 1.7e267, uncertified at either atol
     src = js.ASC2Source(0.99, 0.99, 0.0)
     assert js.CharFnEvaluator(src).plan_terms(1.7e308, 1e-12) == \
         (None, math.inf)
@@ -799,8 +805,15 @@ def test_a_priori_tails_stop_a_plan_no_count_can_meet():
         vals = {z: ev.eval(z, 1e-12) for z in order}
         seen.append([(vals[z].value.hex(), vals[z].terms_used,
                       vals[z].certified) for z in zs])
-        assert len(ev._table.kappas) <= 2054
     assert seen[0] == seen[1]
     assert not any(certified for *_, certified in seen[0])
     assert grid_rows(js.CharFnEvaluator(src), zs, 1e-12, 400) == \
         scalar_rows(src, zs, 1e-12, 400)
+    for args, z in (((0.99, 0.99, 0.0), -1.0), ((0.95, 0.95, 0.0), 2000.0)):
+        ref = js.spectrum_product_reference(z, args[0], args[2])
+        ev = js.CharFnEvaluator(js.ASC2Source(*args))
+        for atol, certified in ((1e-12, False), (1e-12 * abs(ref), True)):
+            v = ev.eval(z, atol)
+            assert v.certified == certified
+            assert abs(v.value - ref) <= v.tail_bound + v.noise_estimate \
+                <= 1e-8 * abs(ref)

@@ -170,9 +170,9 @@ def _charfn_report(*argv):
 # power of two R above |z|; every point of both reports is certified
 GOLDEN = {
     ("--q=0.5", "--a=0.5", "--shift=0.5", "--grid=-1.0:250.0:400"):
-        "ff673c30c19d6b6d28aa0b4f927779bc021893e0be796da6867419519b22cb60",
+        "3fb954601147ea6b8ecab8a2af8ed2ae18c8e28cf6ef95dbc358c4e6e132be8e",
     ("--q=0.7", "--a=0.7", "--shift=0.0", "--grid=-1.0:40.0:400"):
-        "b416c981bbf53c226d135d066e6e80a69082f5134d2d3a8e5a323ab1d3e20e39",
+        "fce785b2a9861fad05b86be3e70a88047928e644652a848bcf0c1326bf309120",
 }
 
 

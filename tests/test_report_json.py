@@ -61,24 +61,27 @@ def test_emitter_edge_cases(columns, rows):
 
 # sha256 of one JSON report per command, taken before the row-template
 # emitter replaced json.dumps (the verify report's again when its trace row
-# came to reconcile with the leading block's trace, the q = 0.9999 charfn
-# reports' again when an uncertified point came to sum the terms of the rung
-# where the a-priori tails stopped the ladder, not the whole table, the
-# spectrum report's again when one D_N-sized rung replaced the ladder's last
-# two rungs as its brackets' source, the verify report's again when its
-# identity checks moved from mpmath to decimal arithmetic); the charfn grids
-# reach z = 0, inf and null cells (a closed form beyond the float range)
+# came to reconcile with the leading block's trace, the spectrum report's
+# again when one D_N-sized rung replaced the ladder's last two rungs as its
+# brackets' source, the verify report's again when its identity checks moved
+# from mpmath to decimal arithmetic, the spectrum and q = 0.9999 charfn
+# reports' again when every kappa tail came to sum the held entries and add
+# the certificate's remainder: the spectrum report's tail bounds moved by
+# 3e-8 relative at most, and an uncertified charfn point sums the whole
+# table again, where the a-priori tails had stopped the ladder at its first
+# rung); the charfn grids reach z = 0, inf and null cells (a closed form
+# beyond the float range)
 _JSON_REPORTS = {
     ("spectrum", "--q=0.5", "--a=0.5", "--shift=0.5", "--k=8"):
-        "bec8c9d0645ad1da6e91b8ff0e48c0516f3ad378c0bf6e4cf5c3c8ba006a93ca",
+        "13eec2654aec65eb4a46fea4063e8859e8af249689c975a1dbb5ce0ef08d34d2",
     ("verify", "--q=0.5", "--a=0.5", "--shift=0.5", "--precision=30"):
         "bdeed20a6715ea7078b736435e5278a892c6ec179af71ee69bb909cad15f0891",
     ("identities",):
         "9bb443f60c75cc5fc178d7864f708d43bf9a0a1838e7ab76fa87eb4101e1b42f",
     ("charfn", "--q=0.9999", "--a=0.9999", "--shift=0", "--grid=-1:2000:3"):
-        "bd4ae2f785ee9407c00bf2caffa6b9cd047f89de396e1ba0adc060a83fffcabc",
+        "ef8c2e2950d883eb0b7c0fe7ce63ce38d9704add7a9c86f2beff2db384b8ed25",
     ("charfn", "--q=0.9999", "--a=0.9999", "--shift=0", "--grid=-2000:2000:3"):
-        "352f670b3cc6a990cf59af7887ee0cee4c7eb2d6dcf1617f29938f84e1348df6",
+        "70746d0cd45c6a5b79616ad7f4011799379824986bbbb438c55db22fd268248d",
 }
 
 

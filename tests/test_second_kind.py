@@ -9,7 +9,8 @@ import jacspec as js
 from asc2_reference import (orthonormal_at_family_point,
                             second_kind_at_family_point, trace_reference)
 from conftest import (TRACE_Q5_SHIFTED, W2_AT_A_Q5, W_AT_A_Q5,
-                      WEYL_SHIFTED_03, WindowOnly, mp_plain_recurrence)
+                      WEYL_SHIFTED_03, WindowOnly, exact_kappa_tails,
+                      mp_plain_recurrence)
 
 
 def weyl(src, z, **kw):
@@ -476,18 +477,52 @@ def test_backward_sums_start_below_the_coefficient_horizon():
 
 
 def test_trace_inverse_takes_the_certified_tail_where_the_window_fails():
-    # at (0.9, 0.9, 0) no kappa window passes the 0.9 cap, so on the window
-    # alone the ladder has no rung, and the coefficient horizon ends it;
-    # the tail certificate bounds sum_{n >= 256} kappa_n by 1.9e-10 and
-    # brackets tr J^{-1} = sum 0.9^n = 10
-    from jacspec.second_kind import _certified_tail
+    # at (0.9, 0.9, 0) no kappa window passes the 0.9 cap.  A source with no
+    # certificate (WindowOnly) has no certified tail, so its ladder has no
+    # rung, and the coefficient horizon ends it.  With the certificate, T_256
+    # sums the held entries to where its remainder is below 1e-3 of
+    # kappa_256 and adds that remainder: at most the certificate's own
+    # 1.9e-10 bound on sum_{n >= 256} kappa_n, and it brackets tr J^{-1} =
+    # sum 0.9^n = 10
     with pytest.raises(js.ConvergenceError, match="horizon at n = 5915"):
         js.trace_inverse(WindowOnly(0.9, 0.9, 0.0), 1e-8)
     src = js.ASC2Source(0.9, 0.9, 0.0)
     tr = js.trace_inverse(src, 1e-8)
     assert tr.terms == 256
-    assert tr.tail_bound == _certified_tail(src, 256) <= 1e-8
+    assert tr.tail_bound <= src.tail_certificate(256)[2] <= 1e-8
     assert tr.value <= 10.0 <= tr.value + tr.tail_bound + 1e-13
+
+
+def _random_configs(count):
+    import random
+    rng = random.Random(3)
+    configs = []
+    for _ in range(count):
+        q = rng.uniform(0.1, 0.97)
+        a = q * rng.uniform(0.02, 1.0)
+        configs.append((q, a, rng.uniform(-2.0, 0.99)))
+    return configs
+
+
+@pytest.mark.parametrize("params", _random_configs(24) + [
+    (0.855, 0.28, 0.8664), (0.9082, 0.7804, 0.9631)])
+def test_kappa_tails_are_never_below_the_exact_tail(params):
+    # T_n sums the held entries, padded for their rounding, and adds the
+    # certificate's remainder, so it is an upper bound; over these 104
+    # rungs it reads 9e-14 to 1.2e-4 relative above the exact tail (and at
+    # most 1e-3 and the pad, as the remainder is below 1e-3 kappa_n).  The
+    # five-ratio window fell below it at (0.855, 0.28, 0.8664), by 0.58% at
+    # n = 16, and at (0.9082, 0.7804, 0.9631), n = 32, by 5.2%, where only
+    # the certificate at shift 0 bounds the source.  At q near 0.1 an
+    # entry's rounding, a few ulps of the logs it is formed from, reaches
+    # 6e-14 of it, and a pad of (M - n + 1) 2^-52 + 1e-15 alone left T_64
+    # 1.4e-14 below the exact tail at the third configuration
+    from jacspec.second_kind import KappaTable
+    starts = (16, 32, 64, 128)
+    table = KappaTable(js.ASC2Source(*params))
+    for n, exact in zip(starts, exact_kappa_tails(table.src, starts)):
+        tail = table.tail_upper(n)
+        assert exact <= tail <= 1.0011 * exact, n
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.5, 0.9, -1.0])
@@ -539,14 +574,15 @@ def test_a_table_of_another_source_is_rejected():
 
 
 @pytest.mark.parametrize("args, size", [((0.95, 0.95, 0.0), 11489),
-                                        ((0.99, 0.99, 0.0), 4102)])
+                                        ((0.99, 0.99, 0.0), 5242)])
 def test_trace_first_leaves_the_table_a_plan_builds(args, size):
     # the trace walks the table's own ladder, so a table it grew before a
     # plan is the one the plan grows before it, bit for bit, and holds the
     # table the plan grows alone; when the trace doubled a count of its own
     # from 32, 5 entries of 11,489 differed at (0.95, 0.95, 0), and 8 at
     # (0.99, 0.99, 0).  There the trace needs the rung 4,096 (T_2048 is
-    # 1.2e-5), past the plan's 2,048, where no point certifies
+    # 1.2e-5), past the plan's 2,048, where F_M(-R) overflows and no point
+    # certifies; that rung's tail sums the entries to 5,242
     src = js.ASC2Source(*args)
     tables = []
     for trace_first in (True, False):

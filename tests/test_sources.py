@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import exact_kappa_tails
 from jacspec import ASC2Source, TableSource
+from jacspec.sources import _certified_base
 from jacspec.verify import check_coefficient_positivity
 
 
@@ -83,11 +85,26 @@ def test_coeffs_deterministic(asc2_shifted):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(q=st.floats(1e-3, 0.999), a_frac=st.floats(1e-3, 1.0),
        shift=st.floats(-3.0, 0.999))
+# the six probe configurations with no tail certificate of their own, and
+# four nearer shift 1
+@example(q=0.2898, a_frac=0.184 / 0.2898, shift=0.848)
+@example(q=0.5905, a_frac=0.2414 / 0.5905, shift=0.9037)
+@example(q=0.72, a_frac=0.2176 / 0.72, shift=0.9113)
+@example(q=0.405, a_frac=0.359 / 0.405, shift=0.8676)
+@example(q=0.4139, a_frac=0.238 / 0.4139, shift=0.8585)
+@example(q=0.2044, a_frac=0.1741 / 0.2044, shift=0.9366)
+@example(q=0.8, a_frac=1.0, shift=0.9)
+@example(q=0.88, a_frac=1.0, shift=0.99)
+@example(q=0.9, a_frac=1.0, shift=0.999)
+@example(q=0.95, a_frac=0.5 / 0.95, shift=0.99)
 def test_tail_certificate_bounds_what_the_engine_computes(q, a_frac, shift):
     # wherever the closed forms give mu = sup mu_j < 1/4, the induction from
     # theta_0 = 1 bounds every term ratio, pivot and kappa entry the float64
     # engine computes, and every kappa tail sum; where they give none,
-    # mu_j(x) = a (1 - qx)/((c - sx)(c - sqx)) reaches 1/4 on [0, 1]
+    # mu_j(x) = a (1 - qx)/((c - sx)(c - sqx)) reaches 1/4 on [0, 1], and
+    # where the source at shift 0 has one, g0/(g0 - shift) times its
+    # tail(N) bounds the exact sum_{m >= N} kappa_m (g0 = 1 its
+    # natural_gamma): 1.5 to 1,000 times the sum at these examples
     from jacspec.errors import ConvergenceError
     from jacspec.second_kind import KappaTable, kappa_sequence
     src = ASC2Source(q, q * a_frac, shift)
@@ -98,6 +115,14 @@ def test_tail_certificate_bounds_what_the_engine_computes(q, a_frac, shift):
     cert = src.tail_certificate(0)
     if cert is None:
         assert mu >= 0.25 * (1.0 - 1e-6)
+        certified = _certified_base(src)
+        if certified is None or q > 0.95:
+            return  # the exact tails need a block of 60/(1 - q) rows
+        base, scale = certified
+        assert (base.shift, scale) == (0.0, 1.0 / (1.0 - shift))
+        starts = (0, 16, 64)
+        for n, exact in zip(starts, exact_kappa_tails(src, starts)):
+            assert exact <= scale * base.tail_certificate(n)[2]
         return
     r, theta, tail = cert
     assert mu / theta ** 2 <= r < 1.0

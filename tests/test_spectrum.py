@@ -602,8 +602,9 @@ def test_the_trace_defect_bound_is_never_below_the_exact_defect(params, n):
     # (0.9, 0.9, 0.999) has no certificate of its own: the bound is that of
     # the matrix at shift 0, at the size of its k = 12 rung, 2e-7 above
     from jacspec import spectrum
+    from jacspec.sources import _certified_base
     src = js.ASC2Source(*params)
-    base = spectrum._certified_base(src, 1)
+    base, _ = _certified_base(src)
     head = next(h for m, h, *_ in spectrum._defect_heads(src, base, 1e-15)
                 if m == n)
     bound = base.tail_certificate(n)[2] + head
@@ -653,10 +654,10 @@ def test_the_shifted_enclosure_holds_every_exact_eigenvalue(params):
     # exact q^-j - shift, in mpmath at 30 digits, lies in it padded by otol
     # and 8 ulp of q^-j, the rounding of x' and of the lower end
     import mpmath
-    from jacspec import spectrum
+    from jacspec.sources import _certified_base
     src = js.ASC2Source(*params)
     assert src.tail_certificate(0) is None
-    assert spectrum._certified_base(src, 12).shift == 0.0
+    assert _certified_base(src)[0].shift == 0.0
     res = js.find_spectrum(src, 12, 1e-9, confirm="oracle")
     assert len(res.ladder) == 1
     ctx = mpmath.mp.clone()
